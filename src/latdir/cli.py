@@ -3,14 +3,14 @@
 Every stochastic command takes an explicit --seed and records (seed, n) in
 its output; CSV files start with a comment header
 ``# latdir v<version>, seed=<seed>, cmd=<command line>`` so runs are
-self-describing.  Exit codes: 0 success, 2 invalid input, 3 capacity.
+self-describing.  Exit codes: 0 success, 2 invalid input or an unreadable
+or unwritable file, 3 capacity.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import shlex
 import sys
 from fractions import Fraction
@@ -430,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility")
 
     p = sub.add_parser("enumerate", help="emit the sorted direction angles as CSV")
     add_lattice_flags(p)
@@ -530,9 +529,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args._argv = argv
-    if getattr(args, "threads", None) is None:
-        # accepted for interface compatibility; results never depend on it
-        args.threads = int(os.environ.get("LATDIR_THREADS", "1") or 1)
     if hasattr(args, "max_points_raw"):
         args.max_points = int(args.max_points_raw)
     try:
@@ -540,7 +536,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (LatdirError, ValueError) as exc:
+    except (LatdirError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import flat_ranges
+from . import strips
 from .errors import InvalidInputError
 from .lattice import Mat2
 
@@ -58,13 +58,9 @@ def _surviving_cosets(taup: complex, R: float, cosets: str):
     budget = vp / R
     cmax = math.floor(math.sqrt(budget) / vp)
     cs = np.arange(-cmax, cmax + 1, dtype=np.int64)
-    disc = budget - (cs * vp) ** 2
-    half = np.sqrt(np.maximum(disc, 0.0))
-    center = -cs * up
-    dlo = np.ceil(center - half).astype(np.int64)
-    dhi = np.floor(center + half).astype(np.int64)
-    owner, d = flat_ranges(dlo, dhi)
-    c = cs[owner]
+    half = np.sqrt(np.maximum(budget - (cs * vp) ** 2, 0.0))
+    dlo, dhi = strips.integer_range(-half, half, cs * up)
+    d, c = strips.expand(dlo, strips.widths(dlo, dhi), cs)
     keep = np.gcd(np.abs(c), np.abs(d)) == 1
     c, d = c[keep], d[keep]
     if cosets == "identity":
@@ -115,10 +111,9 @@ def cusp_window_sum(
     w = d * xi1 - c * xi2
     scale = np.sqrt(vg) / spec.f_width
     reach = XMAX / scale
-    mlo = np.ceil(-w - reach).astype(np.int64)
-    mhi = np.floor(-w + reach).astype(np.int64)
-    owner, mm = flat_ranges(mlo, mhi)
-    arg = (w[owner] + mm) * scale[owner]
+    mlo, mhi = strips.integer_range(-reach, reach, w)
+    mm, wm, sm, owner = strips.expand(mlo, strips.widths(mlo, mhi), w, scale, np.arange(c.size))
+    arg = (wm + mm) * sm
     msum = np.bincount(owner, weights=np.exp(-(arg**2)), minlength=c.size)
     return float(np.sum(vg**spec.beta * msum))
 

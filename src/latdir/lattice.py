@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import strips
 from .errors import CapacityError, InvalidInputError
 
 TWO_PI = 2.0 * math.pi
@@ -142,75 +143,6 @@ def _affine_combo(p1, p2, c1, c2):
     return p1 * c1 + p2 * c2
 
 
-def _iter_strip_chunks(p1, m2lo, m2hi, xi2, max_points, chunk=4_000_000):
-    """Yield (p1, p2) candidate arrays in strip-aligned chunks.
-
-    Chunking keeps the working set small; on one core the exact filter then
-    runs mostly in cache instead of faulting a giant intermediate.
-    """
-    w = np.maximum(m2hi - m2lo + 1, 0)
-    total = int(w.sum())
-    if total > max_points:
-        raise CapacityError(f"enumeration needs {total} candidates, cap is {max_points}")
-    cum = np.concatenate([[0], np.cumsum(w)])
-    n_strips = len(w)
-    cuts = [0]
-    while cuts[-1] < n_strips:
-        nxt = int(np.searchsorted(cum, cum[cuts[-1]] + chunk, side="left"))
-        cuts.append(min(max(nxt, cuts[-1] + 1), n_strips))
-    for lo_i, hi_i in zip(cuts[:-1], cuts[1:]):
-        ws = w[lo_i:hi_i]
-        n = int(ws.sum())
-        if n == 0:
-            continue
-        starts = np.cumsum(ws) - ws
-        p1f = np.repeat(p1[lo_i:hi_i], ws)
-        p2f = np.repeat(m2lo[lo_i:hi_i], ws) + (
-            np.arange(n, dtype=np.int64) - np.repeat(starts, ws)
-        )
-        yield p1f, p2f + xi2
-
-
-def _annulus_candidates(B: np.ndarray, xi1: float, xi2: float, T: float):
-    # Quadratic form G = B B^t describes |p B|^2; per m1-strip the admissible
-    # m2 interval is a closed-form root pair, so cost is O(area).
-    q12 = B[0, 0] * B[1, 0] + B[0, 1] * B[1, 1]
-    q22 = B[1, 0] ** 2 + B[1, 1] ** 2
-    p1max = T * math.sqrt(q22)
-    m1 = np.arange(math.ceil(-p1max - xi1), math.floor(p1max - xi1) + 1, dtype=np.int64)
-    p1 = m1 + xi1
-    disc = q22 * T * T - p1 * p1  # det G = (det B)^2 = 1
-    disc = np.maximum(disc, 0.0)
-    half = np.sqrt(disc) / q22
-    mid = -q12 * p1 / q22
-    m2lo = np.ceil(mid - half - xi2).astype(np.int64)
-    m2hi = np.floor(mid + half - xi2).astype(np.int64)
-    return p1, m2lo, m2hi
-
-
-def _square_candidates(B: np.ndarray, xi1: float, xi2: float, T: float):
-    # Strip bounds come from the columns of B^{-1} = [[d, -b], [-c, a]].
-    p1max = T * (abs(B[1, 1]) + abs(B[1, 0]))
-    m1 = np.arange(math.ceil(-p1max - xi1), math.floor(p1max - xi1) + 1, dtype=np.int64)
-    p1 = m1 + xi1
-    lo = np.full(p1.shape, -np.inf)
-    hi = np.full(p1.shape, np.inf)
-    ok = np.ones(p1.shape, dtype=bool)
-    for coef, off in ((B[1, 0], p1 * B[0, 0]), (B[1, 1], p1 * B[0, 1])):
-        if coef == 0.0:
-            ok &= np.abs(off) < T
-        else:
-            b1 = (-T - off) / coef
-            b2 = (T - off) / coef
-            lo = np.maximum(lo, np.minimum(b1, b2))
-            hi = np.minimum(hi, np.maximum(b1, b2))
-    lo = np.where(ok, lo, 1.0)
-    hi = np.where(ok, hi, 0.0)
-    m2lo = np.ceil(lo - xi2).astype(np.int64)
-    m2hi = np.floor(hi - xi2).astype(np.int64)
-    return p1, m2lo, m2hi
-
-
 def enumerate_points(
     lat: AffineLatticeSpec,
     shape: DomainShape,
@@ -225,7 +157,9 @@ def enumerate_points(
     cost is proportional to the domain area rather than to a bounding box
     in m-space.
 
-    Raises CapacityError when the candidate count exceeds ``max_points``.
+    Raises CapacityError when the expected point count or the number of
+    m1-strips exceeds ``max_points``, before allocating anything (a skewed
+    basis needs many more strips than points), or when the candidates do.
     """
     if T <= 0:
         raise InvalidInputError("T must be positive")
@@ -234,26 +168,41 @@ def enumerate_points(
         raise CapacityError(
             f"expected about {expected_count(shape, T):.3g} points, cap is {max_points}"
         )
-    B = lat.basis.array()
+    B = lat.basis
     xi1, xi2 = lat.shift
     if isinstance(shape, Annulus):
-        strips = _annulus_candidates(B, xi1, xi2, T)
+        m1lo, m1hi, q12, q22 = strips.ellipse_span(B.a, B.b, B.c, B.d, T, xi1)
     else:
-        strips = _square_candidates(B, xi1, xi2, T)
-    out1, out2 = [], []
-    for p1, p2 in _iter_strip_chunks(*strips, xi2, max_points):
-        y1 = _affine_combo(p1, p2, B[0, 0], B[1, 0])
-        y2 = _affine_combo(p1, p2, B[0, 1], B[1, 1])
+        p1max = T * (abs(B.d) + abs(B.c))
+        m1lo, m1hi = strips.integer_range(-p1max, p1max, xi1)
+    if m1hi - m1lo + 1 > max_points:
+        raise CapacityError(f"enumeration needs {m1hi - m1lo + 1} strips, cap is {max_points}")
+    p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
+    if isinstance(shape, Annulus):
+        m2lo, m2hi = strips.root_pair(q12, q22, p1, xi2, T)[:2]
+    else:
+        # |p1 a + p2 c| <= T and |p1 b + p2 d| <= T; the exact filter makes them strict
+        m2lo, m2hi = strips.halfplanes(xi2, [
+            (B.c, -T - p1 * B.a, ">="), (B.c, T - p1 * B.a, "<="),
+            (B.d, -T - p1 * B.b, ">="), (B.d, T - p1 * B.b, "<="),
+        ])
+    counts = strips.widths(m2lo, m2hi)
+    if counts.sum() > max_points:
+        raise CapacityError(f"enumeration needs {counts.sum()} candidates, cap is {max_points}")
+    out = []
+    for p2, p1 in strips.expand_chunks(m2lo, counts, p1):
+        p2 = p2 + xi2  # m2 -> p2; rebinding frees the int64 array
+        y1 = _affine_combo(p1, p2, B.a, B.c)
+        y2 = _affine_combo(p1, p2, B.b, B.d)
         if isinstance(shape, Annulus):
             r2 = y1 * y1 + y2 * y2
             keep = (r2 < T * T) & (r2 > (shape.c * T) ** 2)
         else:
             keep = (np.abs(y1) < T) & (np.abs(y2) < T) & ((y1 != 0.0) | (y2 != 0.0))
-        out1.append(y1[keep])
-        out2.append(y2[keep])
-    if not out1:
+        out.append(np.column_stack([y1[keep], y2[keep]]))
+    if not out:
         return np.empty((0, 2))
-    return np.column_stack([np.concatenate(out1), np.concatenate(out2)])
+    return np.concatenate(out)
 
 
 def directions(points, T: float, shape: DomainShape) -> DirectionSet:

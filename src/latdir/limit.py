@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import flat_ranges, spawn_streams
+from . import strips
 from .errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -132,6 +132,19 @@ class MCResult:
 # Haar sampling on the fundamental domain
 
 
+def spawn_streams(rng, n):
+    """Derive ``n`` child generators from ``rng``, deterministically.
+
+    Children are keyed by spawn index, so results merged over blocks do not
+    depend on how blocks are scheduled.
+    """
+    try:
+        return list(rng.spawn(n))
+    except AttributeError:  # numpy < 1.25
+        seq = rng.bit_generator.seed_seq
+        return [np.random.default_rng(s) for s in seq.spawn(n)]
+
+
 def _haar_batch(rng, n: int):
     """Arrays (u, v, phi) of n fundamental-domain samples.
 
@@ -198,39 +211,6 @@ def iwasawa_matrix(u, v, phi) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Exact lattice-point counts in cone regions
 
-_BIG = 4.0e18
-
-
-def _apply_bound(mlo, mhi, ok, coef, rhs, xi2, kind):
-    """Intersect integer bounds on m2 with the constraint coef*p2 (kind) rhs.
-
-    p2 = m2 + xi2.  ``kind`` is one of ">", "<", ">=", "<=".  Zero
-    coefficients turn the constraint into a feasibility test on rhs.
-    """
-    t = rhs / np.where(coef == 0.0, 1.0, coef) - xi2
-    pos = coef > 0.0
-    neg = coef < 0.0
-    zero = coef == 0.0
-    if kind == ">":
-        lower, upper, closed, zero_ok = pos, neg, False, rhs < 0.0
-    elif kind == "<":
-        lower, upper, closed, zero_ok = neg, pos, False, rhs > 0.0
-    elif kind == ">=":
-        lower, upper, closed, zero_ok = pos, neg, True, rhs <= 0.0
-    else:  # "<="
-        lower, upper, closed, zero_ok = neg, pos, True, rhs >= 0.0
-    if closed:
-        lo_val = np.ceil(t)
-        hi_val = np.floor(t)
-    else:
-        lo_val = np.floor(t) + 1.0
-        hi_val = np.ceil(t) - 1.0
-    mlo = np.where(lower, np.maximum(mlo, lo_val), mlo)
-    mhi = np.where(upper, np.minimum(mhi, hi_val), mhi)
-    ok = ok & (~zero | zero_ok)
-    return mlo, mhi, ok
-
-
 def cone_counts(A: np.ndarray, shift: np.ndarray, region: ConeRegion) -> np.ndarray:
     """Count m in Z^2 with (m + shift) A inside the region, per sample.
 
@@ -251,24 +231,21 @@ def cone_counts(A: np.ndarray, shift: np.ndarray, region: ConeRegion) -> np.ndar
     xs = [X * A22 - Y * A21 for X in (c, 1.0) for Y in (ylo, yhi)]
     xlo = np.minimum.reduce(xs)
     xhi = np.maximum.reduce(xs)
-    m1lo = np.ceil(xlo - shift[:, 0]).astype(np.int64)
-    m1hi = np.floor(xhi - shift[:, 0]).astype(np.int64)
-    owner, m1 = flat_ranges(m1lo, m1hi)
-    p1 = m1 + shift[owner, 0]
-    e = p1 * A[owner, 0, 0]
-    f = A21[owner]
-    g = p1 * A[owner, 0, 1]
-    h = A22[owner]
-    xi2 = shift[owner, 1]
-    mlo = np.full(p1.shape, -_BIG)
-    mhi = np.full(p1.shape, _BIG)
-    ok = np.ones(p1.shape, dtype=bool)
-    mlo, mhi, ok = _apply_bound(mlo, mhi, ok, f, c - e, xi2, ">")
-    mlo, mhi, ok = _apply_bound(mlo, mhi, ok, f, 1.0 - e, xi2, "<")
-    mlo, mhi, ok = _apply_bound(mlo, mhi, ok, om * h - 2.0 * a * f, 2.0 * a * e - om * g, xi2, ">=")
-    mlo, mhi, ok = _apply_bound(mlo, mhi, ok, om * h - 2.0 * b * f, 2.0 * b * e - om * g, xi2, "<=")
-    per_strip = np.where(ok, np.maximum(mhi - mlo + 1.0, 0.0), 0.0)
-    return np.bincount(owner, weights=per_strip, minlength=n).astype(np.int64)
+    m1lo, m1hi = strips.integer_range(xlo, xhi, shift[:, 0])
+    rows = strips.widths(m1lo, m1hi)
+    m1, xi1, A11, A12, f, h, xi2 = strips.expand(
+        m1lo, rows, shift[:, 0], A[:, 0, 0], A[:, 0, 1], A21, A22, shift[:, 1]
+    )
+    p1 = m1 + xi1
+    e = p1 * A11
+    g = p1 * A12
+    m2lo, m2hi = strips.halfplanes(xi2, [
+        (f, c - e, ">"),
+        (f, 1.0 - e, "<"),
+        (om * h - 2.0 * a * f, 2.0 * a * e - om * g, ">="),
+        (om * h - 2.0 * b * f, 2.0 * b * e - om * g, "<="),
+    ])
+    return strips.totals(strips.widths(m2lo, m2hi), rows)
 
 
 def count_in_region(sample: HomSample, regions, xi_mode: str = "generic", pq=None) -> np.ndarray:
@@ -504,37 +481,29 @@ def tail_exponent(dist: CountDistribution, k_min: int, min_tail_count: int = 10)
 # Gaussian lattice sums (Siegel identities)
 
 
-def _disc_candidates(A: np.ndarray, shift: np.ndarray, r: float):
-    """Flattened lattice points with |(m + shift) A| <= r.
+def _disc_strips(A: np.ndarray, shift: np.ndarray, r: float):
+    """Strips of the points with |(m + shift) A| <= r, for |det A| = 1.
 
-    Returns (sample_idx, p1, p2) where p = m + shift.  Assumes |det A| = 1,
-    which makes the per-strip discriminant q22 r^2 - p1^2 exact.
+    Returns the strip count of each sample, then per strip p1 = m1 + shift_1,
+    the inclusive m2 range, shift_2 and the sample index.
     """
     A = np.asarray(A, dtype=float).reshape(-1, 2, 2)
     shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1, 2), (A.shape[0], 2))
-    q12 = A[:, 0, 0] * A[:, 1, 0] + A[:, 0, 1] * A[:, 1, 1]
-    q22 = A[:, 1, 0] ** 2 + A[:, 1, 1] ** 2
-    p1max = r * np.sqrt(q22)
-    m1lo = np.ceil(-p1max - shift[:, 0]).astype(np.int64)
-    m1hi = np.floor(p1max - shift[:, 0]).astype(np.int64)
-    owner, m1 = flat_ranges(m1lo, m1hi)
-    p1 = m1 + shift[owner, 0]
-    disc = q22[owner] * r * r - p1 * p1
-    valid = disc >= 0.0
-    half = np.sqrt(np.maximum(disc, 0.0)) / q22[owner]
-    mid = -q12[owner] * p1 / q22[owner]
-    m2lo = np.where(valid, np.ceil(mid - half - shift[owner, 1]), 1.0).astype(np.int64)
-    m2hi = np.where(valid, np.floor(mid + half - shift[owner, 1]), 0.0).astype(np.int64)
-    strip, m2 = flat_ranges(m2lo, m2hi)
-    idx = owner[strip]
-    return idx, p1[strip], m2 + shift[idx, 1]
+    m1lo, m1hi, q12, q22 = strips.ellipse_span(*A.reshape(-1, 4).T, r, shift[:, 0])
+    rows = strips.widths(m1lo, m1hi)
+    m1, xi1, q12, q22, xi2, sample = strips.expand(
+        m1lo, rows, shift[:, 0], q12, q22, shift[:, 1], np.arange(A.shape[0])
+    )
+    p1 = m1 + xi1
+    m2lo, m2hi, disc = strips.root_pair(q12, q22, p1, xi2, r)
+    m2hi = np.where(disc >= 0.0, m2hi, m2lo - 1)
+    return rows, p1, m2lo, m2hi, xi2, sample
 
 
 def disc_count(A: np.ndarray, shift: np.ndarray, r: float) -> np.ndarray:
     """Number of points (m + shift) A inside the closed disc of radius r."""
-    A = np.asarray(A, dtype=float).reshape(-1, 2, 2)
-    idx, _, _ = _disc_candidates(A, shift, r)
-    return np.bincount(idx, minlength=A.shape[0]).astype(np.int64)
+    rows, _, m2lo, m2hi, _, _ = _disc_strips(A, shift, r)
+    return strips.totals(strips.widths(m2lo, m2hi), rows)
 
 
 def siegel_average(which: str, n: int, rng, batch: int = 50_000) -> MCResult:
@@ -562,7 +531,9 @@ def siegel_average(which: str, n: int, rng, batch: int = 50_000) -> MCResult:
             shift = np.zeros((nb, 2))
         else:
             shift = stream.uniform(0.0, 1.0, (nb, 2))
-        idx, p1, p2 = _disc_candidates(A, shift, RCUT)
+        _, p1, m2lo, m2hi, xi2, idx = _disc_strips(A, shift, RCUT)
+        m2, p1, xi2, idx = strips.expand(m2lo, strips.widths(m2lo, m2hi), p1, xi2, idx)
+        p2 = m2 + xi2
         y1 = p1 * A[idx, 0, 0] + p2 * A[idx, 1, 0]
         y2 = p1 * A[idx, 0, 1] + p2 * A[idx, 1, 1]
         w = np.exp(-(y1 * y1 + y2 * y2))
@@ -640,8 +611,7 @@ def cusp_bound_holds(sample: HomSample, r: float, sigmas=(1.5, 2.0, 2.5)) -> boo
     A = iwasawa_matrix(pt.u, pt.v, pt.phi)
     lhs = int(disc_count(A, np.array(sample.xi), r)[0])
     half = r / math.sqrt(pt.v)
-    xi1 = sample.xi[0]
-    n_int = max(0, math.floor(half - xi1) - math.ceil(-half - xi1) + 1)
+    n_int = int(strips.widths(*strips.integer_range(-half, half, sample.xi[0])))
     factor = 2.0 * r * math.sqrt(pt.v) + 1.0
     if lhs > factor * n_int:
         return False

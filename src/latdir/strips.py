@@ -1,0 +1,121 @@
+"""Affine lattice points p = m + xi in a convex region, one m1-strip at a time.
+
+Per integer m1, the admissible m2 form one inclusive int64 range
+(``integer_range``; ``ellipse_span`` and ``root_pair`` for an ellipse,
+``halfplanes`` for linear constraints).  Counters sum the ranges
+(``widths``, ``totals``); enumerators expand them into points (``expand``).
+
+Invariant: candidate ranges are supersets (up to roundoff on a boundary),
+and exact filters decide: an enumerator keeps a point only after testing
+its coordinates.  The pure counters (``cone_counts``, ``disc_count``) count
+the integers that meet the float-evaluated constraints, so widening their
+ranges would change their answers.
+"""
+
+from __future__ import annotations
+
+import operator
+
+import numpy as np
+
+from .errors import InvalidInputError
+
+# Solved bounds are saturated here, so hi - lo + 1 always fits in int64.
+_LIMIT = 2.0**61
+_I64 = np.iinfo(np.int64)
+_KINDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+
+
+def integer_range(lo, hi, xi):
+    """Inclusive int64 range of the integers m with lo <= m + xi <= hi."""
+    return np.ceil(lo - xi).astype(np.int64), np.floor(hi - xi).astype(np.int64)
+
+
+def widths(lo, hi):
+    """Number of integers in each inclusive range [lo, hi]; 0 where hi < lo."""
+    return np.maximum(hi - lo + 1, 0)
+
+
+def expand(lo, counts, *per_row):
+    """Flatten rows of consecutive integers lo_i, ..., lo_i + counts_i - 1.
+
+    Returns the int64 values row by row, then each array of ``per_row``
+    with its i-th entry repeated ``counts_i`` times.
+    """
+    first = np.cumsum(counts)
+    np.subtract(counts, first, out=first)  # minus where each row starts in the output
+    first += lo
+    values = np.repeat(first, counts)
+    values += np.arange(values.size, dtype=np.int64)
+    return (values, *(np.repeat(v, counts) for v in per_row))
+
+
+def expand_chunks(lo, counts, *per_row, size=4_000_000):
+    """``expand`` in pieces of whole rows, about ``size`` values each, to stay in cache."""
+    cum = np.concatenate([[0], np.cumsum(counts)])
+    i = 0
+    while i < len(lo):
+        j = min(max(int(np.searchsorted(cum, cum[i] + size, side="left")), i + 1), len(lo))
+        if cum[j] > cum[i]:
+            yield expand(lo[i:j], counts[i:j], *(v[i:j] for v in per_row))
+        i = j
+
+
+def totals(per_value, rows):
+    """Exact int64 sums of ``per_value`` over consecutive runs of lengths ``rows``."""
+    cum = np.concatenate([[0], np.cumsum(per_value, dtype=np.int64)])
+    end = np.cumsum(rows)
+    return cum[end] - cum[end - rows]
+
+
+def ellipse_span(a, b, c, d, r, xi1):
+    """m1-strips of |(m + xi) A| <= r, A = [[a, b], [c, d]] with |det A| = 1.
+
+    Also returns q12 = a c + b d and q22 = c^2 + d^2, the entries of A A^t.
+    """
+    q12, q22 = a * c + b * d, c**2 + d**2
+    p1max = r * np.sqrt(q22)
+    return (*integer_range(-p1max, p1max, xi1), q12, q22)
+
+
+def root_pair(q12, q22, p1, xi2, r):
+    """Integer m2 range of |(p1, m2 + xi2) A| <= r per strip, and the discriminant.
+
+    Where the discriminant q22 r^2 - p1^2 is negative the range keeps the
+    strip's centre; callers that need such strips empty test it.
+    """
+    disc = q22 * r * r - p1 * p1
+    half = np.sqrt(np.maximum(disc, 0.0)) / q22
+    mid = -q12 * p1 / q22
+    hi = mid + half
+    mid -= half  # in place, and half freed: one strip array less at the peak
+    del half
+    return (*integer_range(mid, hi, xi2), disc)
+
+
+def halfplanes(xi2, constraints):
+    """Integer m2 range with coef * (m2 + xi2) <kind> rhs for every constraint.
+
+    ``constraints`` holds (coef, rhs, kind) triples, kind one of ">", ">=",
+    "<", "<=".  A zero coefficient makes its constraint a feasibility test
+    of 0 <kind> rhs; infeasible strips get the empty range [1, 0].  A
+    feasible strip left unbounded (det A = 0) raises InvalidInputError.
+    """
+    shape = np.broadcast_shapes(np.shape(xi2), *(np.shape(rhs) for _, rhs, _ in constraints))
+    lo = np.full(shape, _I64.min)
+    hi = np.full(shape, _I64.max)
+    ok = np.ones(shape, dtype=bool)
+    for coef, rhs, kind in constraints:
+        t = np.clip(rhs / np.where(coef == 0.0, 1.0, coef) - xi2, -_LIMIT, _LIMIT)
+        lower, upper = (coef > 0.0, coef < 0.0) if kind[0] == ">" else (coef < 0.0, coef > 0.0)
+        if np.any(lower):
+            bound = np.ceil(t) if kind.endswith("=") else np.floor(t) + 1.0
+            np.maximum(lo, bound.astype(np.int64), out=lo, where=lower)
+        if np.any(upper):
+            bound = np.floor(t) if kind.endswith("=") else np.ceil(t) - 1.0
+            np.minimum(hi, bound.astype(np.int64), out=hi, where=upper)
+        if np.any(coef == 0.0):
+            ok &= (coef != 0.0) | _KINDS[kind](0.0, rhs)
+    if np.any(ok & ((lo == _I64.min) | (hi == _I64.max))):
+        raise InvalidInputError("a strip is unbounded: the matrix must have |det| = 1")
+    return np.where(ok, lo, 1), np.where(ok, hi, 0)

@@ -150,6 +150,21 @@ def test_exit_codes():
     assert main(["enumerate", "--no-such-flag"]) == 2
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "dir" / "x.csv"
+    assert main(["enumerate", "--T", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_missing_spec_json_exits_2(tmp_path, capsys):
+    assert main(["enumerate", "--spec-json", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_threads_flag_removed():
+    assert main(["enumerate", "--T", "3", "--threads", "2"]) == 2
+
+
 def test_cusp_sum_csv(tmp_path):
     out = tmp_path / "c.csv"
     rc = main(["cusp-sum", "--beta", "0.9", "--R", "2,8", "--v", "1e-3",

@@ -67,6 +67,13 @@ def test_capacity_cap():
         ld.enumerate_points(lat, ld.Annulus(0.0), 100.0, max_points=1000)
 
 
+def test_strip_cap_before_allocating():
+    # 2e5 strips hold only ~3e4 points: the strip count itself must hit the cap
+    lat = ld.AffineLatticeSpec(ld.Mat2(1.0, 0.0, 1000.0, 1.0))
+    with pytest.raises(ld.CapacityError, match="strips"):
+        ld.enumerate_points(lat, ld.Annulus(0.0), 100.0, max_points=100_000)
+
+
 def test_expected_count_values():
     assert ld.expected_count(ld.Annulus(0.0), 1000.0) == pytest.approx(math.pi * 1e6)
     assert ld.expected_count(ld.Annulus(0.5), 100.0) == pytest.approx(math.pi * 0.75 * 1e4)

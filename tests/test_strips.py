@@ -1,0 +1,162 @@
+"""Property tests for every counter built on the strip solver (latdir.strips).
+
+Each consumer is checked against its brute-force oracle on random and
+heavily skewed integer bases (shears up to 1e3) with rational and real
+shifts.  A skewed basis gamma in SL(2, Z) is checked through the identity
+(Z^2 + xi) gamma A0 = (Z^2 + xi gamma) A0, so the oracle scans a small box
+around the moderate matrix A0 while the code under test walks the skewed one.
+The two float representations may round a point on a boundary differently,
+so radii, windows, R and A0 are moved off simple values by JIGGLE, and real
+shifts stay 1e-9 away from integers: then no lattice point lies within
+roundoff of a boundary or of the cone apex.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import latdir as ld
+from latdir import strips
+
+from oracles import brute_cone_count, brute_cusp_sum, brute_disc_count, brute_points
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+PROPS = settings(derandomize=True, deadline=None, max_examples=40)
+JIGGLE = math.sqrt(2) / 97
+
+rational = st.fractions(min_value=-1, max_value=1, max_denominator=12).map(float)
+real = st.floats(-1.0, 1.0).map(lambda x: x if abs(x - round(x)) > 1e-9 else float(round(x)))
+shifts = st.tuples(rational, rational) | st.tuples(real, real)
+
+
+@st.composite
+def unimodular(draw):
+    """Integer matrix of determinant 1: a short random word, or a shear up to 1e3."""
+    g = np.eye(2, dtype=np.int64)
+    for k in draw(st.lists(st.integers(-2, 2), max_size=3)):
+        g = g @ np.array([[1, k], [0, 1]]) @ np.array([[0, -1], [1, 0]])
+    if draw(st.booleans()):
+        s = draw(st.integers(-1000, 1000))
+        g = g @ np.array([[1, 0], [s, 1]] if draw(st.booleans()) else [[1, s], [0, 1]])
+    return g
+
+
+@st.composite
+def moderate_matrix(draw):
+    """Real determinant-1 matrix n(u) a(v) k(phi) of moderate shape."""
+    u = draw(st.floats(-2.0, 2.0)) + JIGGLE
+    v = draw(st.floats(0.1, 8.0))
+    phi = draw(st.floats(0.0, 2 * math.pi)) + JIGGLE
+    return ld.iwasawa_matrix(u, v, phi)[0]
+
+
+def _moved_shift(xi, g):
+    """xi g reduced mod 1: the same affine lattice with a small oracle box."""
+    s = np.asarray(xi) @ g
+    return s - np.round(s)
+
+
+def _box(reach, A):
+    """Half-width M of an m-box holding every point with |y_i| <= reach."""
+    return int(reach * np.abs(np.linalg.inv(A)).sum(axis=0).max()) + 2
+
+
+def _same_points(got, want, tol=1e-6):
+    # distinct points are at least 1 apart; roundoff grows with the entries of g
+    got = got.view(complex).ravel()
+    want = want.view(complex).ravel()
+    assert got.size == want.size
+    if got.size:
+        gap = np.abs(got[:, None] - want[None, :])
+        assert gap.min(axis=1).max() < tol and gap.min(axis=0).max() < tol
+
+
+@PROPS
+@given(
+    unimodular(),
+    shifts,
+    st.floats(1.0, 3.0),
+    st.sampled_from([ld.Annulus(0.0), ld.Annulus(0.4), ld.Square()]),
+)
+def test_enumerate_points_matches_brute(g, xi, t, shape):
+    T = t + JIGGLE
+    lat = ld.AffineLatticeSpec(ld.Mat2.from_array(g), xi)
+    got = ld.enumerate_points(lat, shape, T)
+    if np.abs(g).max() <= 30:  # the oracle scans the skewed basis itself
+        want = brute_points(lat, shape, T, _box(T, g.astype(float)))
+        _same_points(got, want)
+    plain = ld.AffineLatticeSpec(ld.Mat2.identity(), tuple(_moved_shift(xi, g)))
+    _same_points(got, brute_points(plain, shape, T, int(T) + 2))
+
+
+@PROPS
+@given(
+    unimodular(),
+    moderate_matrix(),
+    shifts,
+    st.sampled_from([0.0, 0.3, 0.7]),
+    st.floats(-3.0, 2.0),
+    st.floats(0.1, 3.0),
+)
+def test_cone_counts_match_brute(g, A0, xi, c, a, width):
+    a += JIGGLE
+    region = ld.ConeRegion(c, (a, a + width))
+    got = int(ld.cone_counts((g @ A0)[None], np.array(xi), region)[0])
+    reach = 1.0 + 2.0 * max(abs(a), abs(a + width)) / (1.0 - c * c)
+    assert got == brute_cone_count(A0, _moved_shift(xi, g), region, _box(reach, A0))
+
+
+@PROPS
+@given(unimodular(), moderate_matrix(), shifts, st.floats(0.3, 5.0))
+def test_disc_count_matches_brute(g, A0, xi, r):
+    r += JIGGLE
+    got = int(ld.disc_count((g @ A0)[None], np.array(xi), r)[0])
+    assert got == brute_disc_count(A0, _moved_shift(xi, g), r, _box(r, A0))
+
+
+@PROPS
+@given(
+    unimodular(),
+    st.floats(-1.0, 1.0),
+    st.floats(0.2, 4.0),
+    st.tuples(rational, rational),
+    st.floats(0.0, 2.0),
+    st.floats(1.0, 4.0),
+)
+def test_cusp_window_sum_matches_brute(g, u0, v0, xi, beta, R):
+    # tau = g^-1 . tau0, so the skewed g sends tau back to a moderate tau'
+    (a, b), (c, d) = g.tolist()
+    tau0 = complex(u0, v0)
+    tau = (d * tau0 - b) / (-c * tau0 + a)
+    M = ld.Mat2.from_array(g)
+    R += JIGGLE
+    spec = ld.CuspSpec(beta, R)
+    taup = (M.a * tau + M.b) / (M.c * tau + M.d)
+    if taup.imag <= 0:  # roundoff on a large shear; nothing to compare
+        return
+    reach = math.sqrt(taup.imag / R)
+    cmax = int(reach / taup.imag * (1.0 + abs(taup.real)) + reach) + 2
+    val = ld.cusp_window_sum(tau, xi, M, spec)
+    ref = brute_cusp_sum(tau, xi, M, spec, cmax)
+    assert val == pytest.approx(ref, abs=1e-12 * max(1.0, ref))
+
+
+def test_halfplanes_strict_closed_and_zero_coefficients():
+    lo, hi = strips.halfplanes(0.0, [(1.0, np.array([2.0]), ">"), (1.0, np.array([5.0]), "<=")])
+    assert (lo[0], hi[0]) == (3, 5)
+    lo, hi = strips.halfplanes(0.5, [(-2.0, np.array([-9.0]), ">="), (-2.0, np.array([1.0]), "<")])
+    assert (lo[0], hi[0]) == (0, 4)  # -1/2 < m2 + 1/2 <= 9/2
+    # a zero coefficient only tests feasibility: an infeasible strip is empty
+    lo, hi = strips.halfplanes(0.0, [(1.0, np.array([0.0, 0.0]), ">="),
+                                     (1.0, np.array([4.0, 4.0]), "<="),
+                                     (0.0, np.array([1.0, -1.0]), "<")])
+    assert strips.widths(lo, hi).tolist() == [5, 0]
+
+
+def test_halfplanes_rejects_unbounded_strip():
+    with pytest.raises(ld.InvalidInputError):
+        strips.halfplanes(0.0, [(0.0, np.array([-1.0]), ">"), (1.0, np.array([3.0]), "<")])

@@ -54,6 +54,9 @@ from .stats import (
 
 CONSTANTS = {"cbrt2": CBRT2, "cbrt4": CBRT4, "sqrt2": SQRT2, "golden": GOLDEN}
 
+# rows per formatted block of a CSV body: bounds the text held in memory
+_CSV_CHUNK_ROWS = 65_536
+
 
 def parse_real(tok: str) -> float:
     """Real number, fraction p/q, or one of the symbolic constants."""
@@ -183,12 +186,19 @@ def _header(args, seed) -> str:
     return f"# latdir v{__version__}, seed={seed}, cmd={cmd}"
 
 
+def _write_rows(fh, fmt, *columns):
+    """One line ``fmt.format(*row)`` per row of the float columns, in chunks."""
+    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
+        fh.write("\n".join(map(fmt.format, *chunk)))
+        fh.write("\n")
+
+
 def _write_histogram(path, args, seed, hist):
     with _Out(path) as fh:
         fh.write(_header(args, seed) + "\n")
         fh.write("bin_lo,bin_hi,density\n")
-        for lo, hi, m in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses):
-            fh.write(f"{lo:.17g},{hi:.17g},{m:.17g}\n")
+        _write_rows(fh, "{:.17g},{:.17g},{:.17g}", hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses)
 
 
 def _write_json(path, obj):
@@ -204,8 +214,7 @@ def cmd_enumerate(args) -> int:
     with _Out(args.out) as fh:
         fh.write(_header(args, "none") + "\n")
         fh.write("alpha\n")
-        for a in dirs.alphas:
-            fh.write(f"{a:.17g}\n")
+        _write_rows(fh, "{:.17g}", dirs.alphas)
     print(f"enumerate: N={dirs.N} directions at T={T} -> {args.out or 'stdout'}")
     return 0
 

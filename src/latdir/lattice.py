@@ -217,7 +217,7 @@ def directions(points, T: float, shape: DomainShape) -> DirectionSet:
     alphas = np.arctan2(pts[:, 1], pts[:, 0]) / TWO_PI
     alphas = np.mod(alphas, 1.0)
     alphas[alphas >= 1.0] = 0.0  # tiny negative angles round up to 1.0
-    alphas.sort(kind="stable")
+    alphas.sort()  # values only, no NaN or -0.0: any sort gives the same bytes
     return DirectionSet(alphas, float(T), shape)
 
 

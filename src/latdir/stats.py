@@ -2,10 +2,15 @@
 
 Window counts, k-th neighbor spacing histograms, the two-point correlation
 of scaled direction differences, mixed moments against a measure on the
-circle, and an exact (breakpoint-integrated) two-window pair statistic.
+circle, and an exact two-window pair statistic.
 
 All operations are read-only over a DirectionSet, whose ``alphas`` array is
-sorted, so window counts reduce to binary searches.
+sorted, so window counts reduce to binary searches.  Mixed moments evaluate
+them on the measure's quadrature grid.  The pair statistic is an exact event
+sweep instead: as the window slides around the circle its count changes by
++-1 at the shifted directions A_j - b/N and A_j - a/N, so one sort of those
+breakpoints and a cumulative sum give the piecewise-constant integrand on
+every segment.
 """
 
 from __future__ import annotations
@@ -296,9 +301,17 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
 
     Integrates, over the window position alpha, the number of ordered pairs
     j1 != j2 whose scaled differences place alpha_j1 in window 1 and
-    alpha_j2 in window 2.  The integrand is piecewise constant with
-    breakpoints at the shifted window endpoints, so the integral is a
-    finite sum of segment lengths (no quadrature).
+    alpha_j2 in window 2, i.e. n1 * n2 - n12 with n12 the count in the
+    overlap window (max(a1, a2), min(b1, b2)).
+
+    Each count is a step function of alpha: direction A_j enters the window
+    [alpha + a/N, alpha + b/N) at alpha = A_j - b/N and leaves it at
+    A_j - a/N.  One sweep over the 4N sorted breakpoints takes cumulative
+    sums of these +-1 events, anchored by one binary-search count on the
+    longest segment; the overlap window's events are a subset of the same
+    breakpoints, and a window with b - a >= N has no events (its count is
+    constantly N).  The integral is the finite sum of segment length times
+    integrand (no quadrature).
     """
     a1, b1 = float(interval1[0]), float(interval1[1])
     a2, b2 = float(interval2[0]), float(interval2[1])
@@ -307,27 +320,29 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
     N = dirs.N
     if N == 0:
         raise InvalidInputError("empty direction set")
-    A = dirs.alphas
-    pts = np.concatenate(
-        [
-            np.mod(A - b1 / N, 1.0),
-            np.mod(A - a1 / N, 1.0),
-            np.mod(A - b2 / N, 1.0),
-            np.mod(A - a2 / N, 1.0),
-        ]
-    )
-    pts.sort(kind="stable")
+    # breakpoint blocks: 0 enters window 1, 1 leaves it, 2 and 3 likewise for window 2
+    pts = np.concatenate([np.mod(dirs.alphas - e / N, 1.0) for e in (b1, a1, b2, a2)])
+    order = np.argsort(pts, kind="stable")  # 8 presorted runs: each block is a rotation
+    pts = pts[order]
+    block = (order // N).astype(np.int8)
+    del order
     lens = np.empty(pts.shape)
     lens[:-1] = np.diff(pts)
     lens[-1] = pts[0] + 1.0 - pts[-1]
-    mids = np.empty(pts.shape)
-    mids[:-1] = pts[:-1] + lens[:-1] / 2.0
-    mids[-1] = np.mod(pts[-1] + lens[-1] / 2.0, 1.0)
-    n1 = window_counts(dirs, (a1, b1), mids).astype(float)
-    n2 = window_counts(dirs, (a2, b2), mids).astype(float)
+    i = int(np.argmax(lens))  # lens[-1] > 0, so this segment has positive length
+    mid = np.mod(pts[i] + lens[i] / 2.0, 1.0)
     lo, hi = max(a1, a2), min(b1, b2)
-    if lo < hi:
-        diag = window_counts(dirs, (lo, hi), mids).astype(float)
-    else:
-        diag = np.zeros(mids.shape)
+
+    def sweep(a, b, enter, leave):
+        # count in [alpha + a/N, alpha + b/N) on every segment
+        anchor = float(window_counts(dirs, (a, b), [mid])[0])
+        if (b - a) / N >= 1.0:
+            return anchor
+        cum = np.cumsum(np.subtract(block == enter, block == leave, dtype=np.int8), dtype=float)
+        cum += anchor - cum[i]
+        return cum
+
+    n1 = sweep(a1, b1, 0, 1)
+    n2 = sweep(a2, b2, 2, 3)
+    diag = sweep(lo, hi, 0 if b1 <= b2 else 2, 1 if a1 >= a2 else 3) if lo < hi else 0.0
     return float(np.sum(lens * (n1 * n2 - diag)))

@@ -21,7 +21,8 @@ def brute_points(lat, shape, T, M):
     if isinstance(shape, ld.Annulus):
         keep = (r2 < T * T) & (r2 > (shape.c * T) ** 2)
     else:
-        keep = (np.abs(y[:, 0]) < T) & (np.abs(y[:, 1]) < T) & (r2 > 0)
+        nonzero = (y[:, 0] != 0.0) | (y[:, 1] != 0.0)  # r2 > 0 underflows near the origin
+        keep = (np.abs(y[:, 0]) < T) & (np.abs(y[:, 1]) < T) & nonzero
     return y[keep]
 
 

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from latdir.cli import main, parse_bins, parse_complex_list, parse_real
-from latdir.diophantine import CBRT4, GOLDEN
+import latdir as ld
+from latdir.cli import _CSV_CHUNK_ROWS, main, parse_bins, parse_complex_list, parse_real
+from latdir.diophantine import CBRT2, CBRT4, GOLDEN
 
 
 def test_parse_real():
@@ -122,6 +123,35 @@ def test_dioph_json(tmp_path):
     obj = json.loads(out.read_text())
     assert obj["min_value"] == 0.0
     assert len(obj["argmin"]) == 3
+
+
+def test_enumerate_body_matches_per_line_format(tmp_path, capsys):
+    # N is above the chunk size and not a multiple of it
+    T = 150.0
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
+    alphas = ld.directions(ld.enumerate_points(lat, ld.Annulus(0.0), T), T, ld.Annulus(0.0)).alphas
+    assert alphas.size > _CSV_CHUNK_ROWS and alphas.size % _CSV_CHUNK_ROWS
+    want = "alpha\n" + "".join(f"{a:.17g}\n" for a in alphas)
+    argv = ["enumerate", "--xi", "cbrt4,cbrt2", "--T", "150"]
+    out = tmp_path / "dirs.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_text().partition("\n")[2] == want
+    capsys.readouterr()
+    assert main(argv) == 0
+    body = capsys.readouterr().out.partition("\n")[2]
+    assert body[: len(want)] == want
+    assert body[len(want):].startswith(f"enumerate: N={alphas.size} ")
+
+
+def test_histogram_body_matches_per_line_format(tmp_path):
+    out = tmp_path / "pc.csv"
+    assert main(["paircorr", "--xi", "cbrt4,cbrt2", "--T", "60", "--out", str(out)]) == 0
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
+    dirs = ld.directions(ld.enumerate_points(lat, ld.Annulus(0.0), 60.0), 60.0, ld.Annulus(0.0))
+    hist = ld.pair_correlation(dirs, parse_bins("-10:10:0.5"))
+    rows = zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses)
+    want = "bin_lo,bin_hi,density\n" + "".join(f"{lo:.17g},{hi:.17g},{m:.17g}\n" for lo, hi, m in rows)
+    assert out.read_text().partition("\n")[2] == want
 
 
 def test_spacings_multi_file(tmp_path):

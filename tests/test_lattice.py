@@ -81,6 +81,15 @@ def test_expected_count_values():
     assert ld.expected_count(ld.Square(), 10.0) == 400.0
 
 
+def test_brute_points_keeps_tiny_nonzero_point():
+    # |y|^2 underflows to 0 for y = (0, 9.7e-170); the point is still nonzero
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.0, 9.7e-170))
+    got = ld.enumerate_points(lat, ld.Square(), 1.01)
+    want = brute_points(lat, ld.Square(), 1.01, 3)
+    assert len(got) == len(want) == 9
+    assert np.array_equal(np.sort(got.view(complex).ravel()), np.sort(want.view(complex).ravel()))
+
+
 def test_counts_match_brute_force_small_T():
     rng = np.random.default_rng(5)
     lat0 = ld.AffineLatticeSpec(ld.Mat2.identity())

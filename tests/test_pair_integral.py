@@ -1,0 +1,93 @@
+"""Property tests for the exact two-window pair integral (event sweep).
+
+``pair_correlation_integral`` is checked against ``brute_pair_integral``
+(an O(N^2) sum over pairs and circle images) on tiny direction sets and
+against ``pair_overlap_sum`` on mid-size ones.  Rational shifts give
+repeated directions, so many breakpoints coincide; the window pairs cover
+identical windows, shared endpoints, disjoint and nested windows.  Both
+oracles count every circle image of a pair, so they apply while the two
+windows together span less than N; a window of length >= N counts all N
+directions, and those cases are checked against closed forms.
+"""
+
+import pytest
+
+import latdir as ld
+
+from oracles import brute_pair_integral, pair_overlap_sum
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+PROPS = settings(derandomize=True, deadline=None, max_examples=40)
+
+shifts = st.sampled_from([(0.5, 0.5), (0.0, 0.0), (1 / 3, 0.5), (0.25, 0.75)]) | st.tuples(
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+)
+shapes = st.sampled_from([ld.Annulus(0.0), ld.Annulus(0.5), ld.Square()])
+
+
+def _dirs(xi, shape, T):
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), xi)
+    return ld.directions(ld.enumerate_points(lat, shape, T), T, shape)
+
+
+@st.composite
+def window_pairs(draw, reach=2.0):
+    """Two windows within [-reach, 4 reach] in one of six relations."""
+    ends = st.floats(-reach, reach)
+    widths = st.floats(0.05, reach)
+    a1, w1 = draw(ends), draw(widths)
+    b1 = a1 + w1
+    kind = draw(st.sampled_from(["identical", "same_a", "same_b", "disjoint", "nested", "free"]))
+    if kind == "identical":
+        return (a1, b1), (a1, b1)
+    if kind == "same_a":
+        return (a1, b1), (a1, a1 + draw(widths))
+    if kind == "same_b":
+        return (a1, b1), (b1 - draw(widths), b1)
+    if kind == "disjoint":
+        a2 = b1 + draw(st.floats(0.0, reach / 2))
+        return (a1, b1), (a2, a2 + draw(widths))
+    if kind == "nested":
+        lo = a1 + draw(st.floats(0.0, 0.9)) * w1
+        return (a1, b1), (lo, lo + draw(st.floats(0.05, 1.0)) * (b1 - lo))
+    a2 = draw(ends)
+    return (a1, b1), (a2, a2 + draw(widths))
+
+
+@PROPS
+@given(shifts, shapes, st.floats(2.0, 3.5), window_pairs(), st.booleans())
+def test_pair_integral_matches_brute(xi, shape, T, pair, swap):
+    dirs = _dirs(xi, shape, T)
+    I1, I2 = pair[::-1] if swap else pair
+    assume(max(I1[1], I2[1]) - min(I1[0], I2[0]) < dirs.N)
+    got = ld.pair_correlation_integral(dirs, I1, I2)
+    assert got == pytest.approx(brute_pair_integral(dirs, I1, I2), rel=1e-9, abs=1e-9)
+
+
+@PROPS
+@given(shifts, shapes, st.floats(20.0, 40.0), window_pairs(), st.booleans())
+def test_pair_integral_matches_overlap_sum(xi, shape, T, pair, swap):
+    dirs = _dirs(xi, shape, T)
+    I1, I2 = pair[::-1] if swap else pair
+    got = ld.pair_correlation_integral(dirs, I1, I2)
+    assert got == pytest.approx(pair_overlap_sum(dirs, I1, I2), rel=1e-9, abs=1e-9)
+
+
+@PROPS
+@given(shifts, shapes, st.floats(2.0, 3.5), st.floats(-1.0, 1.0), st.floats(0.0, 3.0),
+       st.floats(0.05, 2.0))
+def test_pair_integral_wide_window(xi, shape, T, a, extra, w):
+    # window 1 has length >= N, so its count is constantly N
+    dirs = _dirs(xi, shape, T)
+    N = dirs.N
+    wide = (a, a + N + extra)
+    inner = (a + 0.5, a + 0.5 + w)
+    want = (N - 1) * w  # the inner window is nested in the wide one
+    assert ld.pair_correlation_integral(dirs, wide, inner) == pytest.approx(want, rel=1e-9)
+    assert ld.pair_correlation_integral(dirs, inner, wide) == pytest.approx(want, rel=1e-9)
+    both = ld.pair_correlation_integral(dirs, wide, (a - 1.0, a + N + extra))
+    assert both == pytest.approx(N * (N - 1), rel=1e-12)
+

@@ -61,6 +61,8 @@ def test_counting_empty_set_rejected():
     empty = ld.DirectionSet(np.array([]), 1.0, ld.Annulus(0.0))
     with pytest.raises(ld.InvalidInputError):
         ld.counting_stat(empty, (0.0, 1.0), 0.0)
+    with pytest.raises(ld.InvalidInputError):
+        ld.pair_correlation_integral(empty, (0.0, 1.0), (0.0, 1.0))
 
 
 # ---------------------------------------------------------------- spacings
@@ -217,6 +219,9 @@ def test_moment_spec_flags():
 def test_pair_integral_regular(regular8):
     assert ld.pair_correlation_integral(regular8, (0.0, 1.0), (0.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
     assert ld.pair_correlation_integral(regular8, (0.0, 2.0), (0.0, 1.0)) == pytest.approx(1.0, rel=1e-12)
+    # a window with b - a >= N counts all 8 directions: (N - 1) times the nested window's length
+    assert ld.pair_correlation_integral(regular8, (0.0, 8.0), (0.0, 1.0)) == pytest.approx(7.0, rel=1e-12)
+    assert ld.pair_correlation_integral(regular8, (0.5, 2.0), (0.0, 9.5)) == pytest.approx(10.5, rel=1e-12)
 
 
 def test_pair_integral_matches_brute_force():

@@ -54,6 +54,7 @@ from .limit import (
     crude_bound_min_T,
     cusp_bound_holds,
     disc_count,
+    exact_limit_moment,
     haar_sample,
     haar_v_cdf,
     iwasawa_matrix,

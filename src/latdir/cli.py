@@ -39,6 +39,7 @@ from .lattice import (
     lattice_from_json,
 )
 from .limit import (
+    exact_limit_moment,
     sample_count_distribution,
     siegel_average,
     tail_exponent,
@@ -187,7 +188,7 @@ def _header(args, seed) -> str:
 
 
 def _write_rows(fh, fmt, *columns):
-    """One line ``fmt.format(*row)`` per row of the float columns, in chunks."""
+    """One line ``fmt.format(*row)`` per row of the columns, in chunks."""
     for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
         chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
         fh.write("\n".join(map(fmt.format, *chunk)))
@@ -288,10 +289,9 @@ def cmd_limit_sample(args) -> int:
     with _Out(args.out) as fh:
         fh.write(_header(args, args.seed) + "\n")
         fh.write(",".join(f"k{j + 1}" for j in range(box.m)) + ",count\n")
-        for k in sorted(dist.counts):
-            fh.write(",".join(str(x) for x in k) + f",{dist.counts[k]}\n")
+        _write_rows(fh, ",".join(["{}"] * (box.m + 1)), *dist.rows.T, dist.counts)
     mean = dist.moment([1.0] * box.m if box.m == 1 else [1.0] + [0.0] * (box.m - 1))
-    print(f"limit-sample: n={args.n}, classes={len(dist.counts)}, mean k1 = {mean.estimate:.4f}")
+    print(f"limit-sample: n={args.n}, classes={len(dist.rows)}, mean k1 = {mean.estimate:.4f}")
     return 0
 
 
@@ -299,8 +299,7 @@ def cmd_limit_moments(args) -> int:
     rng = np.random.default_rng(args.seed)
     box = _box_from_args(args)
     powers = parse_reals(args.powers)
-    if len(powers) != box.m:
-        raise LatdirError("need one power per interval")
+    exact = exact_limit_moment(powers, box)
     dist = sample_count_distribution(args.c, args.xi_class, box, args.n, rng, **_class_args(args))
     heavy_at = 1.5 if args.xi_class in ("integer", "rational") else 2.0
     if sum(powers) >= heavy_at:
@@ -309,7 +308,6 @@ def cmd_limit_moments(args) -> int:
     else:
         res = dist.moment(powers)
         method = "mean"
-    exact = _exact_limit_moment(powers, box)
     obj = {
         "estimate": res.estimate,
         "se": res.se,
@@ -322,19 +320,6 @@ def cmd_limit_moments(args) -> int:
     _write_json(args.out, obj)
     print(f"limit-moments: {res.estimate:.5f} +- {res.se:.5f} (exact {exact}, {method})")
     return 0
-
-
-def _exact_limit_moment(powers, box: IntervalBox):
-    lengths = box.lengths
-    if powers == [1.0] and box.m == 1:
-        return float(lengths[0])
-    if powers == [2.0] and box.m == 1:
-        return float(lengths[0] + lengths[0] ** 2)
-    if box.m == 2 and powers == [1.0, 1.0]:
-        (a1, b1), (a2, b2) = box.intervals
-        inter = max(0.0, min(b1, b2) - max(a1, a2))
-        return float(inter + lengths[0] * lengths[1])
-    return None
 
 
 def cmd_tails(args) -> int:

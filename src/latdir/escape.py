@@ -7,7 +7,8 @@ rapidly decaying factor f evaluated on the shifted first coordinate of the
 transported torus variable.  At fixed (tau, R) only finitely many (c, d)
 survive the indicator (an ellipse), and the inner integer sum is truncated
 where the Gaussian f drops below 1e-16, so the evaluation is exact up to
-floating point.
+floating point.  All nodes of a horocycle average, or the one node of a
+single cusp sum, go through one vectorized evaluator.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import strips
-from .errors import InvalidInputError
+from .errors import CapacityError, InvalidInputError
 from .lattice import Mat2
 
 # exp(-x^2) < 1e-16 beyond this point
@@ -48,30 +49,51 @@ class CuspSpec:
             raise InvalidInputError("f_width must be positive")
 
 
-def _surviving_cosets(taup: complex, R: float, cosets: str):
-    """Coprime bottom rows (c, d) with v' / |c tau' + d|^2 >= R.
+def _cusp_sums(taus, xi, M: Mat2, spec: CuspSpec, cosets: str) -> np.ndarray:
+    """Cusp sums at M . tau for each tau of ``taus`` (Python complex Moebius maps).
 
-    The indicator region is the ellipse c^2 v'^2 + (c u' + d)^2 <= v'/R,
-    enumerated exactly strip by strip in c.
+    Coset candidates fill the ellipse c^2 v'^2 + (c u' + d)^2 <= v'/R by
+    c-strips, widened by one on each side so the exact v_g >= R test decides
+    ties.  A node's terms are added in (c, d) order (bincount): the ellipse
+    has area pi / R, so at most six coprime rows, and numpy sums fewer than
+    eight values in order too.  Chunks of whole nodes (~8k c-strips) stay in cache.
     """
-    up, vp = taup.real, taup.imag
-    budget = vp / R
-    cmax = math.floor(math.sqrt(budget) / vp)
-    cs = np.arange(-cmax, cmax + 1, dtype=np.int64)
-    half = np.sqrt(np.maximum(budget - (cs * vp) ** 2, 0.0))
-    dlo, dhi = strips.integer_range(-half, half, cs * up)
-    d, c = strips.expand(dlo, strips.widths(dlo, dhi), cs)
-    keep = np.gcd(np.abs(c), np.abs(d)) == 1
-    c, d = c[keep], d[keep]
-    if cosets == "identity":
-        sel = c == 0
-        c, d = c[sel], d[sel]
-    elif cosets == "inverted":
-        sel = d == 0
-        c, d = c[sel], d[sel]
-    elif cosets != "all":
+    if cosets not in COSET_FILTERS:
         raise InvalidInputError(f"cosets must be one of {COSET_FILTERS}")
-    return c, d
+    images = [(M.a * tau + M.b) / (M.c * tau + M.d) for tau in taus]
+    up = np.array([t.real for t in images])
+    vp = np.array([t.imag for t in images])
+    if np.any(vp <= 0):
+        raise InvalidInputError("transformed point left the upper half plane")
+    xi1, xi2 = float(xi[0]), float(xi[1])
+    budget = vp / spec.R
+    cmax = np.floor(np.sqrt(budget) / vp) + 1
+    if np.any(cmax > 1 << 20):  # bounds one node's arrays and keeps int64 exact
+        raise CapacityError(f"the coset ellipse at v' = {vp.min():.3g} spans over 2^21 c-strips")
+    cmax = cmax.astype(np.int64)
+    out = np.zeros(vp.size)
+    for c, node in strips.expand_chunks(-cmax, 2 * cmax + 1, np.arange(vp.size), size=1 << 13):
+        half = np.sqrt(np.maximum(budget[node] - (c * vp[node]) ** 2, 0.0))
+        dlo, dhi = strips.integer_range(-half, half, c * up[node])
+        d, c, node = strips.expand(dlo - 1, strips.widths(dlo - 1, dhi + 1), c, node)
+        keep = np.gcd(np.abs(c), np.abs(d)) == 1
+        if cosets == "identity":
+            keep &= c == 0
+        elif cosets == "inverted":
+            keep &= d == 0
+        c, d, node = c[keep], d[keep], node[keep]
+        vg = vp[node] / ((c * up[node] + d) ** 2 + (c * vp[node]) ** 2)
+        ok = vg >= spec.R
+        c, d, node, vg = c[ok], d[ok], node[ok], vg[ok]
+        w = d * xi1 - c * xi2
+        scale = np.sqrt(vg) / spec.f_width
+        reach = XMAX / scale
+        mlo, mhi = strips.integer_range(-reach, reach, w)
+        mm, wm, sm, owner = strips.expand(mlo, strips.widths(mlo, mhi), w, scale, np.arange(c.size))
+        arg = (wm + mm) * sm
+        msum = np.bincount(owner, weights=np.exp(-(arg**2)), minlength=c.size)
+        out += np.bincount(node, weights=vg**spec.beta * msum, minlength=vp.size)
+    return out
 
 
 def cusp_window_sum(
@@ -94,28 +116,7 @@ def cusp_window_sum(
     """
     if tau.imag <= 0:
         raise InvalidInputError("tau must lie in the upper half plane")
-    den = M.c * tau + M.d
-    taup = (M.a * tau + M.b) / den
-    up, vp = taup.real, taup.imag
-    if vp <= 0:
-        raise InvalidInputError("transformed point left the upper half plane")
-    c, d = _surviving_cosets(taup, spec.R, cosets)
-    if c.size == 0:
-        return 0.0
-    vg = vp / ((c * up + d) ** 2 + (c * vp) ** 2)
-    ok = vg >= spec.R  # guard against roundoff on the ellipse boundary
-    c, d, vg = c[ok], d[ok], vg[ok]
-    if c.size == 0:
-        return 0.0
-    xi1, xi2 = float(xi[0]), float(xi[1])
-    w = d * xi1 - c * xi2
-    scale = np.sqrt(vg) / spec.f_width
-    reach = XMAX / scale
-    mlo, mhi = strips.integer_range(-reach, reach, w)
-    mm, wm, sm, owner = strips.expand(mlo, strips.widths(mlo, mhi), w, scale, np.arange(c.size))
-    arg = (wm + mm) * sm
-    msum = np.bincount(owner, weights=np.exp(-(arg**2)), minlength=c.size)
-    return float(np.sum(vg**spec.beta * msum))
+    return float(_cusp_sums([tau], xi, M, spec, cosets)[0])
 
 
 def bump_window(u, support) -> np.ndarray:
@@ -164,9 +165,8 @@ def horocycle_escape_integral(
     du = (hi - lo) / n_quad
     us = lo + (np.arange(n_quad) + 0.5) * du
     hs = bump_window(us, (lo, hi))
-    total = 0.0
-    for u, h in zip(us, hs):
-        if h == 0.0:
-            continue
-        total += h * cusp_window_sum(complex(u, v), xi, M, spec, cosets)
-    return total * du
+    live = hs != 0.0
+    sums = _cusp_sums([complex(u, v) for u in us[live].tolist()], xi, M, spec, cosets)
+    # nodes are added one after another (cumsum), as a running total would
+    total = np.cumsum(hs[live] * sums)
+    return float(total[-1] if total.size else 0.0) * du

@@ -196,7 +196,9 @@ def enumerate_points(
         y2 = _affine_combo(p1, p2, B.b, B.d)
         if isinstance(shape, Annulus):
             r2 = y1 * y1 + y2 * y2
-            keep = (r2 < T * T) & (r2 > (shape.c * T) ** 2)
+            # r2 underflows to 0 near the origin, so c = 0 tests the coordinates
+            inner = r2 > (shape.c * T) ** 2 if shape.c > 0 else (y1 != 0.0) | (y2 != 0.0)
+            keep = (r2 < T * T) & inner
         else:
             keep = (np.abs(y1) < T) & (np.abs(y2) < T) & ((y1 != 0.0) | (y2 != 0.0))
         out.append(np.column_stack([y1[keep], y2[keep]]))

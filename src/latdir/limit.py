@@ -8,6 +8,8 @@ Siegel mean-value identities.
 
 Counting is exact integer arithmetic on closed-form per-strip bounds, so a
 merged run is reproducible regardless of how sample blocks are scheduled.
+A count law is the sorted distinct count vectors plus a per-block
+histogram over them, built by one lexicographic sort of all samples.
 """
 
 from __future__ import annotations
@@ -138,11 +140,7 @@ def spawn_streams(rng, n):
     Children are keyed by spawn index, so results merged over blocks do not
     depend on how blocks are scheduled.
     """
-    try:
-        return list(rng.spawn(n))
-    except AttributeError:  # numpy < 1.25
-        seq = rng.bit_generator.seed_seq
-        return [np.random.default_rng(s) for s in seq.spawn(n)]
+    return list(rng.spawn(n))
 
 
 def _haar_batch(rng, n: int):
@@ -320,40 +318,54 @@ def coset_reps(q: int) -> list[np.ndarray]:
 class CountDistribution:
     """Empirical distribution of count vectors over Monte Carlo samples.
 
-    ``counts`` maps k-vectors (tuples) to sample counts; ``block_counts``
-    keeps the per-block split so heavy-tailed moments can be estimated by
-    median-of-means.
+    ``rows`` holds the distinct count vectors as an int64 array of shape
+    (K, m), sorted lexicographically; ``block_hist[b, i]`` is the number of
+    samples of block b with count vector ``rows[i]``.  The block split lets
+    heavy-tailed moments be estimated by median-of-means.
     """
 
-    counts: dict
-    total: int
-    block_counts: tuple | None = None
+    rows: np.ndarray
+    block_hist: np.ndarray
 
     def __post_init__(self):
-        if self.total <= 0:
-            raise InvalidInputError("total must be positive")
-        if sum(self.counts.values()) != self.total:
-            raise InvalidInputError("counts must sum to total")
+        rows, hist = np.asarray(self.rows), np.asarray(self.block_hist)
+        if not (rows.ndim == hist.ndim == 2 and rows.shape[1] > 0 and hist.shape[1] == len(rows)
+                and rows.dtype.kind == hist.dtype.kind == "i"):
+            raise InvalidInputError("rows and block_hist must be integer arrays (K, m) and (blocks, K)")
+        if np.any(hist < 0) or hist.sum() <= 0:
+            raise InvalidInputError("block counts must be nonnegative with a positive total")
+        step = np.diff(rows, axis=0)
+        if np.any(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] <= 0):
+            raise InvalidInputError("rows must be distinct and sorted lexicographically")
+        object.__setattr__(self, "rows", rows.astype(np.int64))
+        object.__setattr__(self, "block_hist", hist.astype(np.int64))
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self.block_hist.sum(axis=0)
+
+    @property
+    def total(self) -> int:
+        return int(self.block_hist.sum())
 
     @property
     def m(self) -> int:
-        return len(next(iter(self.counts)))
+        return self.rows.shape[1]
 
-    def probabilities(self) -> dict:
-        return {k: c / self.total for k, c in self.counts.items()}
+    def probabilities(self) -> np.ndarray:
+        return self.counts / self.total
 
-    def _values(self, powers):
+    def _values(self, powers) -> np.ndarray:
         powers = np.atleast_1d(np.asarray(powers, dtype=float))
         if powers.size != self.m:
             raise InvalidInputError("one power per component required")
-        ks = np.array(sorted(self.counts), dtype=float).reshape(-1, self.m)
-        cnt = np.array([self.counts[tuple(int(x) for x in k)] for k in ks], dtype=float)
-        vals = np.prod(np.where((ks == 0) & (powers == 0), 1.0, ks**powers), axis=1)
-        return vals, cnt
+        ks = self.rows.astype(float)
+        return np.prod(np.where((ks == 0) & (powers == 0), 1.0, ks**powers), axis=1)
 
     def moment(self, powers) -> MCResult:
         """Plain-mean estimate of E[prod_j k_j^{p_j}] with its standard error."""
-        vals, cnt = self._values(powers)
+        vals = self._values(powers)
+        cnt = self.counts.astype(float)
         mean = float(np.sum(vals * cnt) / self.total)
         var = float(np.sum(vals**2 * cnt) / self.total - mean**2)
         return MCResult(mean, math.sqrt(max(var, 0.0) / self.total), self.total)
@@ -361,21 +373,14 @@ class CountDistribution:
     def moment_mom(self, powers) -> MCResult:
         """Median-of-means estimate over the stored sample blocks.
 
-        The standard error is the scaled median absolute deviation of the
-        block means (1.4826 * MAD / sqrt(blocks)).
+        Block means add count * value over the rows present, in row order
+        (a cumsum: a BLAS dot would reorder the sum).  The standard error is
+        1.4826 * MAD / sqrt(blocks), the MAD taken over the block means.
         """
-        if not self.block_counts:
-            raise InvalidInputError("no block structure stored")
-        powers = np.atleast_1d(np.asarray(powers, dtype=float))
-        means = []
-        for block in self.block_counts:
-            nb = sum(block.values())
-            acc = 0.0
-            for k, c in block.items():
-                ka = np.asarray(k, dtype=float)
-                acc += c * float(np.prod(np.where((ka == 0) & (powers == 0), 1.0, ka**powers)))
-            means.append(acc / nb)
-        means = np.asarray(means)
+        vals = self._values(powers)
+        hist = self.block_hist
+        terms = np.where(hist > 0, hist * vals, 0.0)
+        means = np.cumsum(terms, axis=1)[:, -1] / hist.sum(axis=1)
         med = float(np.median(means))
         mad = float(np.median(np.abs(means - med)))
         return MCResult(med, 1.4826 * mad / math.sqrt(means.size), self.total)
@@ -384,17 +389,25 @@ class CountDistribution:
         """P(N >= k) for scalar count distributions, vectorized over k."""
         if self.m != 1:
             raise InvalidInputError("survival needs a scalar count distribution")
-        ks = np.array(sorted(k[0] for k in self.counts))
-        cnt = np.array([self.counts[(int(k),)] for k in ks], dtype=float)
-        tail = np.cumsum(cnt[::-1])[::-1]
+        ks = self.rows[:, 0]
+        tail = np.cumsum(self.counts[::-1].astype(float))[::-1]
         idx = np.searchsorted(ks, np.asarray(k_values))
         out = np.where(idx < ks.size, tail[np.minimum(idx, ks.size - 1)], 0.0)
         return out / self.total
 
 
-def _merge_counts(rows: np.ndarray) -> dict:
-    uniq, cnt = np.unique(rows, axis=0, return_counts=True)
-    return {tuple(int(x) for x in k): int(c) for k, c in zip(uniq, cnt)}
+def _merge_blocks(per_block) -> CountDistribution:
+    """Count law of (n_b, m) per-block count arrays: one sort, then row changes."""
+    rows = np.concatenate(per_block)
+    block = np.repeat(np.arange(len(per_block)), [len(b) for b in per_block])
+    order = np.lexsort(rows.T[::-1])
+    rows, block = rows[order], block[order]
+    new = np.ones(rows.shape[0], dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    cls = np.cumsum(new) - 1
+    K = int(cls[-1]) + 1
+    hist = np.bincount(block * K + cls, minlength=len(per_block) * K).reshape(-1, K)
+    return CountDistribution(rows[new], hist)
 
 
 def sample_count_distribution(
@@ -431,8 +444,7 @@ def sample_count_distribution(
     blocks = min(blocks, n)
     streams = spawn_streams(rng, blocks)
     sizes = [n // blocks + (1 if i < n % blocks else 0) for i in range(blocks)]
-    block_dicts = []
-    merged: dict = {}
+    per_block = []
     for stream, nb in zip(streams, sizes):
         u, v, phi = _haar_batch(stream, nb)
         A = iwasawa_matrix(u, v, phi)
@@ -444,13 +456,8 @@ def sample_count_distribution(
             picks = stream.integers(0, len(reps), nb)
             A = reps[picks].astype(float) @ A
             shift = np.broadcast_to(shift_pq, (nb, 2))
-        cols = [cone_counts(A, shift, reg) for reg in regions]
-        rows = np.column_stack(cols)
-        d = _merge_counts(rows)
-        block_dicts.append(d)
-        for k, cval in d.items():
-            merged[k] = merged.get(k, 0) + cval
-    return CountDistribution(merged, n, tuple(block_dicts))
+        per_block.append(np.column_stack([cone_counts(A, shift, reg) for reg in regions]))
+    return _merge_blocks(per_block)
 
 
 def tail_exponent(dist: CountDistribution, k_min: int, min_tail_count: int = 10) -> float:
@@ -464,7 +471,7 @@ def tail_exponent(dist: CountDistribution, k_min: int, min_tail_count: int = 10)
         raise InvalidInputError("tail fit needs a scalar count distribution")
     if k_min < 1:
         raise InvalidInputError("k_min must be at least 1")
-    k_max = max(k[0] for k in dist.counts)
+    k_max = int(dist.rows[-1, 0])
     ks = np.arange(k_min, k_max + 1)
     if ks.size == 0:
         raise InsufficientDataError("no mass at or above k_min")
@@ -475,6 +482,25 @@ def tail_exponent(dist: CountDistribution, k_min: int, min_tail_count: int = 10)
         raise InsufficientDataError(f"only {ks.size} usable tail points")
     slope = np.polyfit(np.log(ks.astype(float)), np.log(surv), 1)[0]
     return float(slope)
+
+
+def exact_limit_moment(powers, box) -> float | None:
+    """Exact limit moment, else None: E[N] = |I|, E[N^2] = |I| + |I|^2,
+    E[N1 N2] = |I1 & I2| + |I1| |I2|."""
+    box = as_box(box)
+    powers = [float(p) for p in powers]
+    if len(powers) != box.m:
+        raise InvalidInputError("need one power per interval")
+    lengths = box.lengths
+    if powers == [1.0]:
+        return float(lengths[0])
+    if powers == [2.0]:
+        return float(lengths[0] + lengths[0] ** 2)
+    if powers == [1.0, 1.0]:
+        (a1, b1), (a2, b2) = box.intervals
+        inter = max(0.0, min(b1, b2) - max(a1, a2))
+        return float(inter + lengths[0] * lengths[1])
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ def brute_points(lat, shape, T, M):
     p = np.stack([m1.ravel() + lat.shift[0], m2.ravel() + lat.shift[1]], 1)
     y = p @ B
     r2 = y[:, 0] ** 2 + y[:, 1] ** 2
+    nonzero = (y[:, 0] != 0.0) | (y[:, 1] != 0.0)  # r2 > 0 underflows near the origin
     if isinstance(shape, ld.Annulus):
-        keep = (r2 < T * T) & (r2 > (shape.c * T) ** 2)
+        keep = (r2 < T * T) & ((r2 > (shape.c * T) ** 2) if shape.c > 0 else nonzero)
     else:
-        nonzero = (y[:, 0] != 0.0) | (y[:, 1] != 0.0)  # r2 > 0 underflows near the origin
         keep = (np.abs(y[:, 0]) < T) & (np.abs(y[:, 1]) < T) & nonzero
     return y[keep]
 

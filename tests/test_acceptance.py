@@ -187,9 +187,7 @@ def test_criterion_12_finite_scale_vs_limit(timed_2000, irr_million):
     cnt = ld.window_counts(dirs, (0.0, 1.0), grid)
     emp = np.bincount(cnt, minlength=12)[:11] / cnt.size
     emp = np.concatenate([emp, [1.0 - emp.sum()]])
-    lim = np.zeros(12)
-    for k, c in irr_million.counts.items():
-        lim[min(k[0], 11)] += c
+    lim = np.bincount(np.minimum(irr_million.rows[:, 0], 11), weights=irr_million.counts, minlength=12)
     lim /= irr_million.total
     tv = 0.5 * float(np.abs(emp - lim).sum())
     _report(12, "finite scale vs limit law", tv <= 0.05, f"TV distance {tv:.4f}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -178,6 +179,7 @@ def test_exit_codes():
     assert main(["enumerate", "--T", "1e6"]) == 3
     assert main(["singular-probe", "--xi", "1/3,1/2", "--r", "1,1", "--T-list", "50"]) == 2
     assert main(["enumerate", "--no-such-flag"]) == 2
+    assert main(["limit-moments", "--I", "0:1", "--powers", "1,1", "--n", "10"]) == 2
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):
@@ -205,3 +207,79 @@ def test_cusp_sum_csv(tmp_path):
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 2
     assert float(rows[0][2]) >= float(rows[1][2])
+
+
+# SHA-256 of each output body (the text after the "# latdir ..." header line
+# of a CSV; the whole JSON) at small n and fixed seeds, pinned so that a
+# change to sampling, merging, moments or the cusp quadrature that moves a
+# single output byte fails here.
+PINNED_BODIES = {
+    "limit-sample-irrational": (
+        ["limit-sample", "--I", "0:1", "--n", "20000", "--seed", "3"],
+        "3e8f042db03308e5cb9df70a9fd8c8f542bb0c7662211fdcb22246d3e63ad7c6",
+    ),
+    "limit-sample-rational": (
+        ["limit-sample", "--xi-class", "rational", "--pq", "1,1,3", "--I", "0:1", "--I", "0.5:2",
+         "--n", "20000", "--seed", "4"],
+        "d249deec934034f1e91388d0c2b1a9c36f7dd01e21925fc4871481c1d1a512d4",
+    ),
+    "limit-sample-three-windows": (
+        ["limit-sample", "--xi-class", "integer", "--I", "0:1", "--I", "0.5:2", "--I", "-1:0.25",
+         "--n", "5000", "--seed", "6"],
+        "732c5f62379e88968822e3ebb7399110b5a5ced91c5a62c2432e41c4223c62a7",
+    ),
+    "limit-moments-mom": (
+        ["limit-moments", "--I", "0:1", "--powers", "2", "--n", "20000", "--seed", "1"],
+        "f4e6a5506b10f21ddf127c78e52aa5191dd5b4b3060eb65d9562c85f0dbe90e5",
+    ),
+    "limit-moments-mean": (
+        ["limit-moments", "--I", "0:1", "--I", "0.5:2", "--powers", "1,1", "--n", "20000",
+         "--seed", "2"],
+        "3e35c540e164e79d0c9d73603cc235c2aad6f7c382e78396fa5dc25f12611f1f",
+    ),
+    "limit-moments-mom-two-windows": (
+        ["limit-moments", "--xi-class", "integer", "--I", "0:1", "--I", "0.5:2", "--powers", "1,1",
+         "--n", "20000", "--seed", "8"],
+        "5557638ad71a9f1898914fee271760f1a89dd8202ffbf458bd838bd068d03b82",
+    ),
+    # a fractional power makes the block sums depend on their order
+    "limit-moments-mom-fractional": (
+        ["limit-moments", "--xi-class", "integer", "--I", "0:1", "--powers", "1.5", "--n", "20000",
+         "--seed", "10"],
+        "ab7861a5597c3eaafd35cf2442d75ef668841d5236bf867d18fa99b19899fcc3",
+    ),
+    "limit-moments-mean-fractional": (
+        ["limit-moments", "--I", "0:1", "--I", "-0.5:0.5", "--powers", "0.5,0.5", "--n", "20000",
+         "--seed", "11"],
+        "83357fd003e36c0db0e86bdec48fc97f7aa015c32502fa5d591456e65c101594",
+    ),
+    "tails": (
+        ["tails", "--xi-class", "integer", "--I", "0:1", "--n", "50000", "--seed", "5", "--kmin", "3"],
+        "eb50967425ba6465c1d0b9ff173670f1d3955b8fb5ef5502d7f788244393a3eb",
+    ),
+    "cusp-sum": (
+        ["cusp-sum", "--R", "2,8", "--v", "1e-2,1e-3", "--n-quad", "256"],
+        "1bac164432ab5d2f7cd0a33cfa9ed60359f6dae4a2882a822c32a4f87bac2eaf",
+    ),
+    "cusp-sum-cbrt": (
+        ["cusp-sum", "--xi", "cbrt4,cbrt2", "--beta", "0.5", "--R", "2,8", "--v", "1e-3",
+         "--support=-0.5:0.5", "--n-quad", "300"],
+        "7f241eb8d6a03700a77e65e18fd19c38e772f1150f04fea13f0d388e717c8e72",
+    ),
+    "cusp-sum-low-R": (
+        ["cusp-sum", "--xi", "golden,sqrt2", "--beta", "1.3", "--R", "1,1.1", "--v", "1e-2,0.3",
+         "--n-quad", "400"],
+        "1f8d6519fbbe601e5dd248e5b1f2585a7b9100a56257469c516664090100bfe8",
+    ),
+}
+
+
+@pytest.mark.parametrize("job", sorted(PINNED_BODIES))
+def test_output_body_digest(job, tmp_path):
+    argv, digest = PINNED_BODIES[job]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    if data.startswith(b"#"):
+        data = data.partition(b"\n")[2]
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -73,6 +73,12 @@ def test_invalid_inputs():
         ld.CuspSpec(beta=0.5, R=0.5)
 
 
+def test_huge_coset_ellipse_is_a_capacity_error():
+    # v' = 1e-300 would need about 1e150 c-strips
+    with pytest.raises(ld.CapacityError):
+        ld.cusp_window_sum(complex(0.0, 1e-300), (0.3, 0.7), I2, ld.CuspSpec(1.0, 2.0))
+
+
 def test_bump_window():
     u = np.array([-1.0, -0.999, 0.0, 0.999, 1.0, 2.0])
     h = ld.bump_window(u, (-1.0, 1.0))
@@ -130,3 +136,55 @@ def test_escape_integral_matches_direct_quadrature():
     ) * du
     val = ld.horocycle_escape_integral(I2, xi, 0.7, 2.0, 1e-3, (lo, hi), n_quad=n)
     assert val == pytest.approx(ref, rel=1e-12)
+
+
+def test_exact_tie_keeps_inverted_cosets():
+    # at tau' = 1.1e-16 + i and R = 1 the rows (+-1, 0) have v_g = 1.0 >= R exactly
+    spec = ld.CuspSpec(beta=1.0, R=1.0)
+    tau = complex(1.1e-16, 1.0)
+    val = ld.cusp_window_sum(tau, (0.0, 0.0), I2, spec)
+    ref = brute_cusp_sum(tau, (0.0, 0.0), I2, spec, cmax=3)
+    assert ref == pytest.approx(2.0 * 3.5452744096533046, rel=1e-12)
+    assert val == pytest.approx(ref, rel=1e-12)
+
+
+def _random_case(rng):
+    g = random_unimodular(rng)
+    M = ld.Mat2.from_array(g.astype(float)) @ ld.Mat2(1.0, float(rng.uniform(-1, 1)), 0.0, 1.0)
+    xi = tuple(rng.uniform(0, 1, 2))
+    spec = ld.CuspSpec(float(rng.uniform(0, 2)), float(rng.uniform(1, 4)), float(rng.uniform(0.5, 2)))
+    return M, xi, spec, str(rng.choice(ld.escape.COSET_FILTERS))
+
+
+def test_escape_integral_equals_sequential_node_sum():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        M, xi, spec, cosets = _random_case(rng)
+        v = float(10.0 ** rng.uniform(-3, 0))
+        lo = float(rng.uniform(-1, 0.5))
+        hi = lo + float(rng.uniform(0.1, 1.5))
+        n = int(rng.integers(1, 80))
+        du = (hi - lo) / n
+        us = lo + (np.arange(n) + 0.5) * du
+        total = 0.0
+        for u, h in zip(us, ld.bump_window(us, (lo, hi))):
+            if h != 0.0:
+                total += h * ld.cusp_window_sum(complex(u, v), xi, M, spec, cosets)
+        val = ld.horocycle_escape_integral(
+            M, xi, spec.beta, spec.R, v, (lo, hi), n_quad=n, f_width=spec.f_width, cosets=cosets
+        )
+        assert val == total * du
+
+
+def test_batched_sums_match_brute_force():
+    rng = np.random.default_rng(12)
+    for _ in range(12):
+        M, xi, spec, _ = _random_case(rng)
+        taus = [complex(u, v) for u, v in zip(rng.uniform(-1, 1, 20), 10.0 ** rng.uniform(-1.5, 0.5, 20))]
+        vals = ld.escape._cusp_sums(taus, xi, M, spec, "all")
+        for tau, val in zip(taus, vals):
+            taup = (M.a * tau + M.b) / (M.c * tau + M.d)
+            reach = math.sqrt(taup.imag / spec.R)  # bounds |c| and |c u' + d| on the ellipse
+            cmax = int(reach / taup.imag * (1.0 + abs(taup.real)) + reach) + 2
+            ref = brute_cusp_sum(tau, xi, M, spec, cmax)
+            assert val == pytest.approx(ref, abs=1e-12 * max(1.0, ref))

@@ -90,6 +90,15 @@ def test_brute_points_keeps_tiny_nonzero_point():
     assert np.array_equal(np.sort(got.view(complex).ravel()), np.sort(want.view(complex).ravel()))
 
 
+def test_punctured_disc_keeps_tiny_nonzero_point():
+    # same point in the disc |y| < 1.01: it and its four unit neighbours
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.0, 9.7e-170))
+    got = ld.enumerate_points(lat, ld.Annulus(0.0), 1.01)
+    want = brute_points(lat, ld.Annulus(0.0), 1.01, 3)
+    assert len(got) == len(want) == 5
+    assert np.array_equal(np.sort(got.view(complex).ravel()), np.sort(want.view(complex).ravel()))
+
+
 def test_counts_match_brute_force_small_T():
     rng = np.random.default_rng(5)
     lat0 = ld.AffineLatticeSpec(ld.Mat2.identity())

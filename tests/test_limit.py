@@ -240,17 +240,30 @@ def test_count_distribution_bookkeeping():
     rng = np.random.default_rng(14)
     dist = ld.sample_count_distribution(0.0, "irrational", [(0.0, 1.0)], 5_000, rng)
     assert dist.total == 5_000
-    assert sum(dist.counts.values()) == 5_000
-    assert len(dist.block_counts) == 32
-    assert sum(sum(b.values()) for b in dist.block_counts) == 5_000
+    assert dist.counts.sum() == 5_000
+    assert dist.block_hist.shape == (32, len(dist.rows))
+    assert dist.block_hist.sum(axis=1).tolist() == [157] * 8 + [156] * 24
     probs = dist.probabilities()
-    assert sum(probs.values()) == pytest.approx(1.0)
+    assert probs.sum() == pytest.approx(1.0)
 
 
 def test_count_distribution_reproducible():
     d1 = ld.sample_count_distribution(0.0, "irrational", [(0.0, 1.0)], 20_000, np.random.default_rng(5))
     d2 = ld.sample_count_distribution(0.0, "irrational", [(0.0, 1.0)], 20_000, np.random.default_rng(5))
-    assert d1.counts == d2.counts
+    assert np.array_equal(d1.rows, d2.rows)
+    assert np.array_equal(d1.block_hist, d2.block_hist)
+
+
+def test_exact_limit_moment():
+    assert ld.exact_limit_moment([1.0], [(0.0, 1.5)]) == 1.5
+    assert ld.exact_limit_moment([2], [(-1.0, 1.0)]) == 2.0 + 4.0
+    # E[N1 N2] = |I1 & I2| + |I1| |I2|, overlapping and disjoint windows
+    assert ld.exact_limit_moment([1.0, 1.0], [(0.0, 1.0), (0.5, 2.0)]) == 0.5 + 1.5
+    assert ld.exact_limit_moment([1.0, 1.0], [(0.0, 1.0), (2.0, 3.0)]) == 1.0
+    assert ld.exact_limit_moment([3.0], [(0.0, 1.0)]) is None
+    assert ld.exact_limit_moment([2.0, 1.0], [(0.0, 1.0), (0.5, 2.0)]) is None
+    with pytest.raises(ld.InvalidInputError):
+        ld.exact_limit_moment([1.0], [(0.0, 1.0), (0.5, 2.0)])
 
 
 # ---------------------------------------------------------------- tail exponent
@@ -261,12 +274,9 @@ def synthetic_dist(survival):
     kmax = 1
     while survival(kmax + 1) > 0:
         kmax += 1
-    counts = {}
-    for k in range(1, kmax + 1):
-        c = survival(k) - survival(k + 1)
-        if c > 0:
-            counts[(k,)] = c
-    return ld.CountDistribution(counts, sum(counts.values()))
+    ks = np.arange(1, kmax + 1)
+    counts = np.array([survival(k) - survival(k + 1) for k in ks], dtype=np.int64)
+    return ld.CountDistribution(ks[counts > 0, None], counts[None, counts > 0])
 
 
 def test_tail_exponent_power_law():
@@ -281,7 +291,7 @@ def test_tail_exponent_geometric_is_steep():
 
 
 def test_tail_exponent_insufficient_data():
-    dist = ld.CountDistribution({(0,): 999, (1,): 1}, 1000)
+    dist = ld.CountDistribution(np.array([[0], [1]]), np.array([[999, 1]]))
     with pytest.raises(ld.InsufficientDataError):
         ld.tail_exponent(dist, 5)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 from fractions import Fraction
@@ -167,18 +168,33 @@ def _lattice_from_args(args):
 
 
 class _Out:
-    """Output sink: a real file when --out is given, else stdout."""
+    """Output sink: stdout, or --out written through a temporary sibling file.
+
+    The temporary file replaces --out only when the block exits cleanly; on
+    any exception it is deleted, so a failed run leaves neither a partial
+    file nor a clobbered earlier one.
+    """
 
     def __init__(self, path):
         self.path = path
+        self.tmp = f"{path}.{os.getpid()}.tmp"
 
     def __enter__(self):
-        self.fh = open(self.path, "w", encoding="utf-8") if self.path else sys.stdout
+        self.fh = open(self.tmp, "w", encoding="utf-8") if self.path else sys.stdout
         return self.fh
 
-    def __exit__(self, *exc):
-        if self.path:
+    def __exit__(self, exc_type, *exc):
+        if not self.path:
+            return False
+        renamed = False
+        try:
             self.fh.close()
+            if exc_type is None:
+                os.replace(self.tmp, self.path)
+                renamed = True
+        finally:
+            if not renamed:
+                os.unlink(self.tmp)
         return False
 
 

@@ -33,6 +33,9 @@ V_FLOOR = math.sqrt(3.0) / 2.0
 # Gaussian weights below 1e-16 are dropped: exp(-r^2) < 1e-16 for r > RCUT.
 RCUT = math.sqrt(16.0 * math.log(10.0))
 MOM_BLOCKS = 32
+# samples per sub-chunk of a Siegel batch: about 120k disc points, so the
+# per-point arrays stay in a core's cache
+SIEGEL_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -507,29 +510,53 @@ def exact_limit_moment(powers, box) -> float | None:
 # Gaussian lattice sums (Siegel identities)
 
 
-def _disc_strips(A: np.ndarray, shift: np.ndarray, r: float):
-    """Strips of the points with |(m + shift) A| <= r, for |det A| = 1.
-
-    Returns the strip count of each sample, then per strip p1 = m1 + shift_1,
-    the inclusive m2 range, shift_2 and the sample index.
-    """
+def disc_count(A: np.ndarray, shift: np.ndarray, r: float) -> np.ndarray:
+    """Number of points (m + shift) A inside the closed disc of radius r, |det A| = 1."""
     A = np.asarray(A, dtype=float).reshape(-1, 2, 2)
     shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1, 2), (A.shape[0], 2))
     m1lo, m1hi, q12, q22 = strips.ellipse_span(*A.reshape(-1, 4).T, r, shift[:, 0])
     rows = strips.widths(m1lo, m1hi)
-    m1, xi1, q12, q22, xi2, sample = strips.expand(
-        m1lo, rows, shift[:, 0], q12, q22, shift[:, 1], np.arange(A.shape[0])
+    m1, xi1, q12, q22, xi2 = strips.expand(m1lo, rows, shift[:, 0], q12, q22, shift[:, 1])
+    m2lo, m2hi, disc = strips.root_pair(q12, q22, m1 + xi1, xi2, r)
+    m2hi = np.where(disc >= 0.0, m2hi, m2lo - 1)
+    return strips.totals(strips.widths(m2lo, m2hi), rows)
+
+
+def _gauss_sums(u, v, shift, squares: bool):
+    """Per sample, the sum of exp(-|x|^2) over x = (m + shift) n(u) a(v) k(phi), |x| <= RCUT.
+
+    |(p1, p2) n(u) a(v) k(phi)|^2 = v p1^2 + (p2 + u p1)^2 / v, so phi drops
+    out, each m1-strip has one factor exp(-v p1^2) and each point needs only
+    exp(-(m2 + c)^2 / v) with c = shift_2 + u p1.  The point terms are summed
+    per strip, then the strips per sample.  With ``squares`` the sums of
+    exp(-2 |x|^2) come second; otherwise None.
+    """
+    n = u.size
+    reach = RCUT / np.sqrt(v)
+    m1lo, m1hi = strips.integer_range(-reach, reach, shift[:, 0])
+    m1, xi1, u, v, xi2, sample = strips.expand(
+        m1lo, strips.widths(m1lo, m1hi), shift[:, 0], u, v, shift[:, 1], np.arange(n)
     )
     p1 = m1 + xi1
-    m2lo, m2hi, disc = strips.root_pair(q12, q22, p1, xi2, r)
-    m2hi = np.where(disc >= 0.0, m2hi, m2lo - 1)
-    return rows, p1, m2lo, m2hi, xi2, sample
-
-
-def disc_count(A: np.ndarray, shift: np.ndarray, r: float) -> np.ndarray:
-    """Number of points (m + shift) A inside the closed disc of radius r."""
-    rows, _, m2lo, m2hi, _, _ = _disc_strips(A, shift, r)
-    return strips.totals(strips.widths(m2lo, m2hi), rows)
+    vp = v * p1 * p1
+    c = xi2 + u * p1
+    half = np.sqrt(np.maximum((RCUT * RCUT - vp) * v, 0.0))
+    m2lo, m2hi = strips.integer_range(-half, half, c)
+    counts = strips.widths(m2lo, m2hi)
+    full = counts > 0
+    counts, vp, sample = counts[full], vp[full], sample[full]
+    m2, c, scale = strips.expand(m2lo[full], counts, c[full], -1.0 / v[full])
+    x = m2 + c
+    x *= x
+    x *= scale
+    np.exp(x, out=x)
+    starts = np.cumsum(counts) - counts
+    f = np.exp(-vp)
+    s = np.bincount(sample, weights=f * np.add.reduceat(x, starts), minlength=n)
+    if not squares:
+        return s, None
+    x *= x
+    return s, np.bincount(sample, weights=f * f * np.add.reduceat(x, starts), minlength=n)
 
 
 def siegel_average(which: str, n: int, rng, batch: int = 50_000) -> MCResult:
@@ -538,8 +565,12 @@ def siegel_average(which: str, n: int, rng, batch: int = 50_000) -> MCResult:
     ``which="classic"``: the Haar average of sum_{m != 0} exp(-|m M|^2)
     equals pi.  ``which="affine_pair"``: averaging, additionally over a
     uniform torus shift, the sum over ordered pairs m1 != m2 of
-    exp(-|x1|^2 - |x2|^2) at x_i = (m_i + shift) M equals pi^2.  The m-sums
-    are truncated where the Gaussian drops below 1e-16.
+    exp(-|x1|^2 - |x2|^2) at x_i = (m_i + shift) M equals pi^2, i.e.
+    S^2 - S_2 with S the sum of exp(-|x|^2) and S_2 that of exp(-2 |x|^2).
+    The m-sums are truncated where the Gaussian drops below 1e-16.  For
+    M = n(u) a(v) k(phi) the Gaussian factors into a per-strip and a
+    per-point part (``_gauss_sums``); each batch is summed in sub-chunks
+    of SIEGEL_CHUNK samples.
     """
     if which not in ("classic", "affine_pair"):
         raise InvalidInputError(f"unknown variant {which!r}")
@@ -551,25 +582,15 @@ def siegel_average(which: str, n: int, rng, batch: int = 50_000) -> MCResult:
     done = 0
     for stream in streams:
         nb = min(batch, n - done)
-        u, v, phi = _haar_batch(stream, nb)
-        A = iwasawa_matrix(u, v, phi)
+        u, v, _ = _haar_batch(stream, nb)  # the rotation k(phi) leaves |x| unchanged
         if which == "classic":
             shift = np.zeros((nb, 2))
         else:
             shift = stream.uniform(0.0, 1.0, (nb, 2))
-        _, p1, m2lo, m2hi, xi2, idx = _disc_strips(A, shift, RCUT)
-        m2, p1, xi2, idx = strips.expand(m2lo, strips.widths(m2lo, m2hi), p1, xi2, idx)
-        p2 = m2 + xi2
-        y1 = p1 * A[idx, 0, 0] + p2 * A[idx, 1, 0]
-        y2 = p1 * A[idx, 0, 1] + p2 * A[idx, 1, 1]
-        w = np.exp(-(y1 * y1 + y2 * y2))
-        if which == "classic":
-            s = np.bincount(idx, weights=w, minlength=nb) - 1.0  # drop m = 0
-            vals[done : done + nb] = s
-        else:
-            s = np.bincount(idx, weights=w, minlength=nb)
-            s2 = np.bincount(idx, weights=w * w, minlength=nb)
-            vals[done : done + nb] = s * s - s2
+        for i in range(0, nb, SIEGEL_CHUNK):
+            j = min(i + SIEGEL_CHUNK, nb)
+            s, s2 = _gauss_sums(u[i:j], v[i:j], shift[i:j], which == "affine_pair")
+            vals[done + i : done + j] = s - 1.0 if s2 is None else s * s - s2  # classic drops m = 0
         done += nb
     exact = math.pi if which == "classic" else math.pi**2
     est = float(vals.mean())

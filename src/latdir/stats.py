@@ -15,6 +15,7 @@ every segment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -301,8 +302,13 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
 
     Integrates, over the window position alpha, the number of ordered pairs
     j1 != j2 whose scaled differences place alpha_j1 in window 1 and
-    alpha_j2 in window 2, i.e. n1 * n2 - n12 with n12 the count in the
-    overlap window (max(a1, a2), min(b1, b2)).
+    alpha_j2 in window 2, i.e. n1 * n2 - n12 with n12 the number of
+    directions in both windows.  A window of length >= N holds every
+    direction, so n12 is then the other window's count.  Otherwise a
+    direction lies in both windows through exactly one circle image
+    (a2 + kN, b2 + kN) of window 2, and n12 sums the counts in the line
+    overlaps (max(a1, a2 + kN), min(b1, b2 + kN)) that are non-empty; only
+    k = 0 can be while the two windows together span less than N.
 
     Each count is a step function of alpha: direction A_j enters the window
     [alpha + a/N, alpha + b/N) at alpha = A_j - b/N and leaves it at
@@ -331,7 +337,6 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
     lens[-1] = pts[0] + 1.0 - pts[-1]
     i = int(np.argmax(lens))  # lens[-1] > 0, so this segment has positive length
     mid = np.mod(pts[i] + lens[i] / 2.0, 1.0)
-    lo, hi = max(a1, a2), min(b1, b2)
 
     def sweep(a, b, enter, leave):
         # count in [alpha + a/N, alpha + b/N) on every segment
@@ -344,5 +349,15 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
 
     n1 = sweep(a1, b1, 0, 1)
     n2 = sweep(a2, b2, 2, 3)
-    diag = sweep(lo, hi, 0 if b1 <= b2 else 2, 1 if a1 >= a2 else 3) if lo < hi else 0.0
+    if (b1 - a1) / N >= 1.0:
+        diag = n2
+    elif (b2 - a2) / N >= 1.0:
+        diag = n1
+    else:
+        diag = 0.0
+        for k in range(math.floor((a1 - b2) / N), math.ceil((b1 - a2) / N) + 1):
+            c2, d2 = a2 + k * N, b2 + k * N
+            lo, hi = max(a1, c2), min(b1, d2)
+            if lo < hi:  # the image has window 2's breakpoints, mod 1
+                diag = diag + sweep(lo, hi, 0 if b1 <= d2 else 2, 1 if a1 >= c2 else 3)
     return float(np.sum(lens * (n1 * n2 - diag)))

@@ -1,11 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import latdir as ld
+from latdir import cli
 from latdir.cli import _CSV_CHUNK_ROWS, main, parse_bins, parse_complex_list, parse_real
 from latdir.diophantine import CBRT2, CBRT4, GOLDEN
 
@@ -283,3 +288,35 @@ def test_output_body_digest(job, tmp_path):
     if data.startswith(b"#"):
         data = data.partition(b"\n")[2]
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _fail_mid_write(fh, fmt, *columns):
+    fh.write("0.125\n")
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("earlier", [None, b"# an earlier run\nalpha\n0.5\n"])
+def test_failed_write_leaves_out_untouched(tmp_path, monkeypatch, earlier):
+    out = tmp_path / "dirs.csv"
+    if earlier is not None:
+        out.write_bytes(earlier)
+    monkeypatch.setattr(cli, "_write_rows", _fail_mid_write)
+    assert main(["enumerate", "--T", "3", "--out", str(out)]) == 2
+    # no partial file and no leftover temporary file; an earlier --out keeps its bytes
+    assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["dirs.csv"])
+    if earlier is not None:
+        assert out.read_bytes() == earlier
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(ld.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "latdir", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    ok = run("--help")
+    assert ok.returncode == 0 and "singular-probe" in ok.stdout
+    bad = run("enumerate", "--bogus")
+    assert bad.returncode == 2 and "--bogus" in bad.stderr

@@ -1,11 +1,13 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import latdir as ld
 from latdir.diophantine import CBRT2, CBRT4
+from latdir.lattice import _reduced
 
 from oracles import brute_points, circular_match
 
@@ -61,17 +63,53 @@ def test_non_unimodular_basis_rejected():
         ld.AffineLatticeSpec(ld.Mat2(2.0, 0.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("basis", [ld.Mat2(math.nan, 0.0, 0.0, 1.0), ld.Mat2(1.0, math.inf, 0.0, 1.0)])
+def test_non_finite_basis_rejected(basis):
+    # the determinant is NaN, which no tolerance comparison may let through
+    with pytest.raises(ld.InvalidInputError):
+        ld.AffineLatticeSpec(basis)
+
+
 def test_capacity_cap():
     lat = ld.AffineLatticeSpec(ld.Mat2.identity())
     with pytest.raises(ld.CapacityError):
         ld.enumerate_points(lat, ld.Annulus(0.0), 100.0, max_points=1000)
 
 
-def test_strip_cap_before_allocating():
-    # 2e5 strips hold only ~3e4 points: the strip count itself must hit the cap
+def test_shear_enumerates_the_identity_point_set():
+    # the shear's rows span 2e5 m1-strips; reduced, it is the identity basis
     lat = ld.AffineLatticeSpec(ld.Mat2(1.0, 0.0, 1000.0, 1.0))
+    got = ld.enumerate_points(lat, ld.Annulus(0.0), 100.0, max_points=100_000)
+    want = ld.enumerate_points(ld.AffineLatticeSpec(ld.Mat2.identity()), ld.Annulus(0.0), 100.0)
+    assert np.array_equal(got, want)
+
+
+def test_strip_cap_before_allocating():
+    # a thin annulus holds ~630 points on ~2e4 strips: the strip count hits the cap
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity())
     with pytest.raises(ld.CapacityError, match="strips"):
-        ld.enumerate_points(lat, ld.Annulus(0.0), 100.0, max_points=100_000)
+        ld.enumerate_points(lat, ld.Annulus(0.999999), 1e4, max_points=1000)
+
+
+@pytest.mark.parametrize("basis", [
+    ld.Mat2.identity(),
+    ld.rotation(0.3),
+    ld.rotation(2.0),
+    ld.Mat2(0.0, -1.0, 1.0, 0.0),
+    ld.Mat2.from_array(ld.iwasawa_matrix(0.4, 1.5, 0.9)[0]),
+])
+def test_reduced_basis_is_used_as_given(basis):
+    shift = (CBRT4, -7.25)
+    got_basis, got_shift = _reduced(basis, shift)
+    assert got_basis is basis and got_shift is shift
+
+
+def test_reduction_is_exact_on_a_huge_shear():
+    # gamma = [[1, 0], [-1e7, 1]]: basis I, shift (xi1 + 1e7 xi2, xi2) mod 1, exactly
+    basis, shift = _reduced(ld.Mat2(1.0, 0.0, 1e7, 1.0), (0.1, CBRT2))
+    assert basis == ld.Mat2(1.0, 0.0, 0.0, 1.0)
+    want = Fraction(0.1) + 10**7 * Fraction(CBRT2)
+    assert shift == (float(want - round(want)), CBRT2 - 1.0)
 
 
 def test_expected_count_values():

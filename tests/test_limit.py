@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import latdir as ld
-from latdir.limit import _haar_batch
+from latdir.limit import RCUT, V_FLOOR, _gauss_sums, _haar_batch
 
 from oracles import brute_cone_count, brute_disc_count
 
@@ -309,6 +309,41 @@ def test_siegel_affine_pair_small():
     res = ld.siegel_average("affine_pair", 20_000, np.random.default_rng(4))
     assert res.exact == pytest.approx(math.pi**2)
     assert res.within(4.0)
+
+
+def _gather_gauss_sums(u, v, phi, shift):
+    """Reference: exp(-|x|^2) summed over a box of x = (m + shift) A, A gathered whole."""
+    A = ld.iwasawa_matrix(u, v, phi)
+    s = np.empty(u.size)
+    s2 = np.empty(u.size)
+    for i in range(u.size):
+        M1 = int(RCUT / math.sqrt(v[i])) + 1  # |p1| <= RCUT / sqrt(v)
+        M2 = int(RCUT * math.sqrt(v[i]) + abs(u[i]) * M1) + 2  # |p2 + u p1| <= RCUT sqrt(v)
+        m1, m2 = np.meshgrid(np.arange(-M1, M1 + 1), np.arange(-M2, M2 + 1))
+        p = np.stack([m1.ravel() + shift[i, 0], m2.ravel() + shift[i, 1]], 1)
+        y = p @ A[i]
+        norm2 = y[:, 0] ** 2 + y[:, 1] ** 2
+        w = np.exp(-norm2[norm2 <= RCUT * RCUT])
+        s[i], s2[i] = w.sum(), (w * w).sum()
+    return s, s2
+
+
+def test_gauss_sums_match_gather():
+    # per strip times per point (Iwasawa form) against whole-matrix gathers; the
+    # summation order differs, and terms below 1e-16 are dropped at |x| = RCUT
+    rng = np.random.default_rng(21)
+    u, v, phi = _haar_batch(rng, 40)
+    u = np.concatenate([u, [0.5, -0.5, 0.1, -0.3, 0.0]])
+    v = np.concatenate([v, [V_FLOOR, 1.0, 40.0, 1e3, 5e4]])
+    phi = np.concatenate([phi, rng.uniform(0.0, 2 * math.pi, 5)])
+    for shift in (np.zeros((u.size, 2)), rng.uniform(0.0, 1.0, (u.size, 2)),
+                  np.broadcast_to([1 / 3, 0.5], (u.size, 2))):
+        s, s2 = _gauss_sums(u, v, shift, True)
+        ref, ref2 = _gather_gauss_sums(u, v, phi, shift)
+        assert s == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert s2 == pytest.approx(ref2, rel=1e-12, abs=1e-15)
+        plain, none = _gauss_sums(u, v, shift, False)
+        assert none is None and np.array_equal(plain, s)
 
 
 def test_siegel_empty_support():

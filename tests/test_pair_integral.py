@@ -5,11 +5,14 @@
 against ``pair_overlap_sum`` on mid-size ones.  Rational shifts give
 repeated directions, so many breakpoints coincide; the window pairs cover
 identical windows, shared endpoints, disjoint and nested windows.  Both
-oracles count every circle image of a pair, so they apply while the two
-windows together span less than N; a window of length >= N counts all N
-directions, and those cases are checked against closed forms.
+oracles count every circle image of a pair, so they apply while each
+window is shorter than N, also when the two together span N or more and a
+direction can sit in both through different images; a window of length
+>= N counts all N directions, and those cases are checked against closed
+forms.
 """
 
+import numpy as np
 import pytest
 
 import latdir as ld
@@ -91,3 +94,28 @@ def test_pair_integral_wide_window(xi, shape, T, a, extra, w):
     both = ld.pair_correlation_integral(dirs, wide, (a - 1.0, a + N + extra))
     assert both == pytest.approx(N * (N - 1), rel=1e-12)
 
+
+
+def test_pair_integral_no_self_pair_through_another_image():
+    # eight equally spaced directions: window 2 = (7.5, 8.5) is (-0.5, 0.5) one turn on,
+    # so half the time a direction sits in both windows, and it is no pair with itself
+    dirs = ld.DirectionSet(np.arange(8) / 8.0, 1.5, ld.Annulus(0.0))
+    for I1, I2 in (((0.0, 1.0), (7.5, 8.5)), ((7.5, 8.5), (0.0, 1.0)), ((0.0, 1.0), (-7.5, -6.5))):
+        assert ld.pair_correlation_integral(dirs, I1, I2) == 0.5
+        assert brute_pair_integral(dirs, I1, I2) == 0.5
+
+
+@PROPS
+@given(shifts, shapes, st.floats(2.0, 3.5), window_pairs(), st.integers(-2, 2),
+       st.floats(-1.0, 1.0), st.booleans())
+def test_pair_integral_matches_brute_far_apart(xi, shape, T, pair, k, jitter, swap):
+    # window 2 moved by about k N: together the windows span N or more
+    dirs = _dirs(xi, shape, T)
+    N = dirs.N
+    (a1, b1), (a2, b2) = pair
+    assume(max(b1 - a1, b2 - a2) < N)
+    I1, I2 = (a1, b1), (a2 + k * N + jitter, b2 + k * N + jitter)
+    if swap:
+        I1, I2 = I2, I1
+    got = ld.pair_correlation_integral(dirs, I1, I2)
+    assert got == pytest.approx(brute_pair_integral(dirs, I1, I2, m_range=5), rel=1e-9, abs=1e-9)

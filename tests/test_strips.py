@@ -1,8 +1,9 @@
 """Property tests for every counter built on the strip solver (latdir.strips).
 
 Each consumer is checked against its brute-force oracle on random and
-heavily skewed integer bases (shears up to 1e3) with rational and real
-shifts.  A skewed basis gamma in SL(2, Z) is checked through the identity
+heavily skewed integer bases (shears up to 1e3; up to 1e7 for the
+enumerator, which reduces its basis first) with rational and real shifts.
+A skewed basis gamma in SL(2, Z) is checked through the identity
 (Z^2 + xi) gamma A0 = (Z^2 + xi gamma) A0, so the oracle scans a small box
 around the moderate matrix A0 while the code under test walks the skewed one.
 The two float representations may round a point on a boundary differently,
@@ -12,6 +13,7 @@ roundoff of a boundary or of the cone apex.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,11 +24,12 @@ from latdir import strips
 from oracles import brute_cone_count, brute_cusp_sum, brute_disc_count, brute_points
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 PROPS = settings(derandomize=True, deadline=None, max_examples=40)
 JIGGLE = math.sqrt(2) / 97
+SHAPES = [ld.Annulus(0.0), ld.Annulus(0.4), ld.Square()]
 
 rational = st.fractions(min_value=-1, max_value=1, max_denominator=12).map(float)
 real = st.floats(-1.0, 1.0).map(lambda x: x if abs(x - round(x)) > 1e-9 else float(round(x)))
@@ -55,9 +58,9 @@ def moderate_matrix(draw):
 
 
 def _moved_shift(xi, g):
-    """xi g reduced mod 1: the same affine lattice with a small oracle box."""
-    s = np.asarray(xi) @ g
-    return s - np.round(s)
+    """xi g reduced mod 1, exactly: the same affine lattice with a small oracle box."""
+    s = [Fraction(xi[0]) * int(c0) + Fraction(xi[1]) * int(c1) for c0, c1 in np.asarray(g).T]
+    return np.array([float(t - round(t)) for t in s])
 
 
 def _box(reach, A):
@@ -76,12 +79,7 @@ def _same_points(got, want, tol=1e-6):
 
 
 @PROPS
-@given(
-    unimodular(),
-    shifts,
-    st.floats(1.0, 3.0),
-    st.sampled_from([ld.Annulus(0.0), ld.Annulus(0.4), ld.Square()]),
-)
+@given(unimodular(), shifts, st.floats(1.0, 3.0), st.sampled_from(SHAPES))
 def test_enumerate_points_matches_brute(g, xi, t, shape):
     T = t + JIGGLE
     lat = ld.AffineLatticeSpec(ld.Mat2.from_array(g), xi)
@@ -91,6 +89,56 @@ def test_enumerate_points_matches_brute(g, xi, t, shape):
         _same_points(got, want)
     plain = ld.AffineLatticeSpec(ld.Mat2.identity(), tuple(_moved_shift(xi, g)))
     _same_points(got, brute_points(plain, shape, T, int(T) + 2))
+
+
+@st.composite
+def long_words(draw):
+    """Integer matrix of determinant 1: a word in S and T^k, |k| <= 50, times a shear up to 1e7.
+
+    The shear is capped so that a d and b c stay below 2^53: then the float
+    determinant is exactly 1 and the basis passes the unimodularity check.
+    """
+    g = np.eye(2, dtype=np.int64)
+    for k in draw(st.lists(st.integers(-50, 50), max_size=4)):
+        g = g @ np.array([[1, k], [0, 1]]) @ np.array([[0, -1], [1, 0]])
+    cap = min(10**7, 2**50 // int(np.abs(g).max()) ** 2)
+    s = draw(st.integers(-cap, cap))
+    return g @ np.array([[1, 0], [s, 1]] if draw(st.booleans()) else [[1, s], [0, 1]])
+
+
+@st.composite
+def real_shears(draw):
+    """(gamma, A0) with gamma A0 = [[1, 0], [s, 1]] or [[1, s], [0, 1]], s real up to 1e7."""
+    s = draw(st.floats(-1e7, 1e7))
+    n = round(s)
+    f = s - n  # exact: n is 0 or within a factor of two of s
+    if draw(st.booleans()):
+        return np.array([[1, 0], [n, 1]]), np.array([[1.0, 0.0], [f, 1.0]])
+    return np.array([[1, n], [0, 1]]), np.array([[1.0, f], [0.0, 1.0]])
+
+
+@PROPS
+@given(long_words(), shifts, st.floats(1.0, 6.0), st.sampled_from(SHAPES))
+def test_enumerate_points_reduces_integer_bases(g, xi, t, shape):
+    # strips follow the rows of g: a shear of 1e7 would walk 1e7 T of them unreduced
+    T = t + JIGGLE
+    lat = ld.AffineLatticeSpec(ld.Mat2.from_array(g), xi)
+    got = ld.enumerate_points(lat, shape, T, max_points=10_000)
+    plain = ld.AffineLatticeSpec(ld.Mat2.identity(), tuple(_moved_shift(xi, g)))
+    _same_points(got, brute_points(plain, shape, T, int(T) + 2))
+
+
+@PROPS
+@given(st.tuples(unimodular(), moderate_matrix()) | real_shears(), shifts, st.floats(1.0, 4.0),
+       st.sampled_from(SHAPES))
+def test_enumerate_points_reduces_real_bases(gA0, xi, t, shape):
+    g, A0 = gA0
+    T = t + JIGGLE
+    basis = ld.Mat2.from_array(g @ A0)
+    assume(abs(basis.det - 1.0) <= 1e-12)  # else the float product is not unimodular enough
+    got = ld.enumerate_points(ld.AffineLatticeSpec(basis, xi), shape, T, max_points=10_000)
+    plain = ld.AffineLatticeSpec(ld.Mat2.from_array(A0), tuple(_moved_shift(xi, g)))
+    _same_points(got, brute_points(plain, shape, T, _box(T, A0)))
 
 
 @PROPS

@@ -34,6 +34,7 @@ from .lattice import (
     DomainShape,
     Mat2,
     Square,
+    direction_set,
     directions,
     enumerate_points,
     expected_count,

@@ -35,8 +35,7 @@ from .lattice import (
     DomainShape,
     Mat2,
     Square,
-    directions,
-    enumerate_points,
+    direction_set,
     lattice_from_json,
 )
 from .limit import (
@@ -58,6 +57,18 @@ CONSTANTS = {"cbrt2": CBRT2, "cbrt4": CBRT4, "sqrt2": SQRT2, "golden": GOLDEN}
 
 # rows per formatted block of a CSV body: bounds the text held in memory
 _CSV_CHUNK_ROWS = 65_536
+# the longest "%.17g" text, e.g. -2.2250738585072014e-308, and the longest int64 str
+_G17_WIDTH = 24
+_INT_WIDTH = 20
+# "%04d" % i for i < 10**4 as one native uint32 of four ASCII digits
+_DIGIT_QUADS = np.array(
+    [[48 + i // 1000, 48 + i // 100 % 10, 48 + i // 10 % 10, 48 + i % 10] for i in range(10**4)],
+    np.uint8,
+).view(np.uint32)[:, 0]
+# "0." and z zeros, right-aligned in 5 bytes, for z = 0..3
+_FIXED_PREFIX = np.frombuffer(b"   0.  0.0 0.000.000", np.uint8).reshape(4, 5)
+_POW5 = np.array([5**k for k in range(17, 21)], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFF_FFFF)
 
 
 def parse_real(tok: str) -> float:
@@ -203,12 +214,115 @@ def _header(args, seed) -> str:
     return f"# latdir v{__version__}, seed={seed}, cmd={cmd}"
 
 
+def _g17(x, out):
+    """Write ``"%.17g" % v`` for each float v of x into the rows of ``out`` (n, 24 uint8).
+
+    Returns each row's text as the column range [start, stop).  A value in
+    [1e-4, 1), which every direction angle is in practice, takes an exact
+    integer path.  With x = m 2^e (53-bit significand m) and z zeros after
+    the point, the 17 digits are D = round_half_even(m 5^k / 2^s) with
+    k = 17 + z and s = -(k + e), 36 <= s <= 46.  The product m 5^k < 2^100
+    is formed exactly from 32-bit limbs in uint64, then shifted, and the
+    remainder is compared with 2^(s - 1), as in Ryu printf (U. Adams,
+    OOPSLA 2019).  The row holds "0.", z zeros and D, trailing zeros cut.
+    D < 10^17 always: a double below 10^-j is at least 2^-53 of it away,
+    much more than the half unit of the 17th digit.  Any other value (zero,
+    negative, exponent form, subnormal, inf or nan) is formatted by Python.
+    """
+    u64 = np.uint64
+    x = np.asarray(x, dtype=np.float64)
+    fast = (x >= 1e-4) & (x < 1.0)
+    bits = np.where(fast, x, 0.5).view(np.uint64)
+    zeros = (bits < np.float64(0.1).view(np.uint64)).astype(np.uint64)
+    zeros += bits < np.float64(0.01).view(np.uint64)
+    zeros += bits < np.float64(0.001).view(np.uint64)
+    m = (bits & u64(2**52 - 1)) | u64(2**52)
+    s = u64(1075 - 17) - (bits >> u64(52)) - zeros
+    f = _POW5[zeros]
+    m0, m1, f0, f1 = m & _LOW32, m >> u64(32), f & _LOW32, f >> u64(32)
+    t = m0 * f0
+    w0 = t & _LOW32
+    t = m1 * f0 + m0 * f1 + (t >> u64(32))
+    w1 = t & _LOW32
+    t = m1 * f1 + (t >> u64(32))  # m 5^k = t 2^64 + w1 2^32 + w0
+    low = s - u64(32)
+    d = (t << (u64(64) - s)) | (w1 >> low)
+    rem = ((w1 & ((u64(1) << low) - u64(1))) << u64(32)) | w0
+    half = u64(1) << (s - u64(1))
+    d += (rem > half) | ((rem == half) & (d & u64(1)).astype(bool))
+
+    out[:, :5] = _FIXED_PREFIX[zeros]
+    head = d // u64(10**8)
+    lead = head // u64(10**8)
+    out[:, 5] = lead.astype(np.uint8) + ord("0")
+    quads = np.empty((x.size, 4), np.uint32)
+    for j, part in ((0, head - lead * u64(10**8)), (2, d - head * u64(10**8))):
+        part = part.astype(np.uint32)
+        upper = part // np.uint32(10**4)
+        quads[:, j] = _DIGIT_QUADS[upper]
+        quads[:, j + 1] = _DIGIT_QUADS[part - upper * np.uint32(10**4)]
+    out[:, 6:22] = quads.view(np.uint8)
+    start = (3 - zeros).astype(np.int8)
+    stop = np.full(x.size, 22, np.int8)
+    ends_in_zero = np.flatnonzero(out[:, 21] == ord("0"))
+    nonzero = out[ends_in_zero, 5:22] != ord("0")
+    stop[ends_in_zero] -= np.argmax(nonzero[:, ::-1], axis=1).astype(np.int8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        _put_text(out, start, stop, slow, [format(v, ".17g") for v in x[slow].tolist()])
+    return start, stop
+
+
+def _str_field(col, out):
+    """Write ``str`` of each value of an integer column into the rows of ``out``."""
+    start = np.empty(len(col), np.int8)
+    stop = np.empty(len(col), np.int8)
+    _put_text(out, start, stop, np.arange(len(col)), list(map(str, np.asarray(col).tolist())))
+    return start, stop
+
+
+def _put_text(out, start, stop, rows, strings):
+    """Write ASCII strings, left-aligned, into the given rows of ``out``."""
+    raw = np.array(strings, dtype="S")
+    if raw.itemsize > out.shape[1]:
+        raise ValueError(f"a CSV field of {raw.itemsize} characters is too wide")
+    out[rows] = raw.astype(f"S{out.shape[1]}").view(np.uint8).reshape(len(rows), out.shape[1])
+    start[rows] = 0
+    stop[rows] = np.char.str_len(raw)
+
+
+_FIELDS = {"{:.17g}": (_G17_WIDTH, _g17), "{}": (_INT_WIDTH, _str_field)}
+
+
 def _write_rows(fh, fmt, *columns):
-    """One line ``fmt.format(*row)`` per row of the columns, in chunks."""
-    for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-        chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns]
-        fh.write("\n".join(map(fmt.format, *chunk)))
-        fh.write("\n")
+    """One line ``fmt.format(*row)`` per row of the columns, in chunks.
+
+    ``fmt`` joins ``{:.17g}`` and ``{}`` fields with commas.  A chunk is
+    laid out in one uint8 row buffer, a fixed-width slot per field and a
+    byte for its comma or newline, and written as the bytes in use.
+    ``{:.17g}`` slots are filled by ``_g17``, which computes Python's exact
+    digits with integer arithmetic instead of one call per value; ``{}``
+    slots (small integer columns) by ``str``.
+    """
+    fields = [_FIELDS[field] for field in fmt.split(",")]
+    width = sum(w + 1 for w, _ in fields)
+    cols = np.arange(max(w for w, _ in fields), dtype=np.int8)
+    for first in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        rows = slice(first, first + _CSV_CHUNK_ROWS)
+        n = len(columns[0][rows])
+        buf = np.empty((n, width), np.uint8)
+        used = np.empty((n, width), bool)
+        at = 0
+        for (w, fill), col in zip(fields, columns):
+            start, stop = fill(col[rows], buf[:, at:at + w])
+            in_use = used[:, at:at + w]
+            np.greater_equal(cols[:w], start[:, None], out=in_use)
+            in_use &= cols[:w] < stop[:, None]
+            buf[:, at + w] = ord(",")
+            used[:, at + w] = True
+            at += w + 1
+        buf[:, -1] = ord("\n")
+        fh.write(buf[used].tobytes().decode("ascii"))
 
 
 def _write_histogram(path, args, seed, hist):
@@ -226,8 +340,7 @@ def _write_json(path, obj):
 
 def cmd_enumerate(args) -> int:
     lat, shape, T = _lattice_from_args(args)
-    pts = enumerate_points(lat, shape, T, max_points=args.max_points)
-    dirs = directions(pts, T, shape)
+    dirs = direction_set(lat, shape, T, max_points=args.max_points)
     with _Out(args.out) as fh:
         fh.write(_header(args, "none") + "\n")
         fh.write("alpha\n")
@@ -238,7 +351,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_spacings(args) -> int:
     lat, shape, T = _lattice_from_args(args)
-    dirs = directions(enumerate_points(lat, shape, T, max_points=args.max_points), T, shape)
+    dirs = direction_set(lat, shape, T, max_points=args.max_points)
     ks = parse_krange(args.k)
     edges = parse_bins(args.bins)
     for k in ks:
@@ -255,7 +368,7 @@ def cmd_spacings(args) -> int:
 
 def cmd_paircorr(args) -> int:
     lat, shape, T = _lattice_from_args(args)
-    dirs = directions(enumerate_points(lat, shape, T, max_points=args.max_points), T, shape)
+    dirs = direction_set(lat, shape, T, max_points=args.max_points)
     edges = parse_bins(args.bins)
     hist = pair_correlation(dirs, edges, fold=args.fold)
     _write_histogram(args.out, args, "none", hist)
@@ -266,7 +379,7 @@ def cmd_paircorr(args) -> int:
 
 def cmd_moments(args) -> int:
     lat, shape, T = _lattice_from_args(args)
-    dirs = directions(enumerate_points(lat, shape, T, max_points=args.max_points), T, shape)
+    dirs = direction_set(lat, shape, T, max_points=args.max_points)
     box = IntervalBox(tuple(parse_interval(s) for s in args.I))
     exps = parse_complex_list(args.s)
     spec = MomentSpec(tuple(exps), cap=args.K)
@@ -387,8 +500,7 @@ def cmd_cusp_sum(args) -> int:
     with _Out(args.out) as fh:
         fh.write(_header(args, "none") + "\n")
         fh.write("R,v,integral\n")
-        for R, v, val in rows:
-            fh.write(f"{R:.17g},{v:.17g},{val:.17g}\n")
+        _write_rows(fh, "{:.17g},{:.17g},{:.17g}", *np.array(rows, dtype=float).reshape(-1, 3).T)
     print(f"cusp-sum: {len(rows)} (R, v) points, beta={args.beta}")
     return 0
 
@@ -415,8 +527,7 @@ def cmd_singular_probe(args) -> int:
     with _Out(args.out) as fh:
         fh.write(_header(args, "none") + "\n")
         fh.write("T,count\n")
-        for T, cnt in zip(Ts, counts):
-            fh.write(f"{T:.17g},{cnt}\n")
+        _write_rows(fh, "{:.17g},{}", np.array(Ts, dtype=float), np.array(counts, dtype=np.int64))
     print(f"singular-probe: counts {counts} at T={Ts}")
     return 0
 

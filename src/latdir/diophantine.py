@@ -15,8 +15,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from . import strips
 from .errors import InvalidConstructionError, InvalidInputError
-from .lattice import AffineLatticeSpec, Annulus, Mat2, directions, enumerate_points
+from .lattice import AffineLatticeSpec, Annulus, Mat2, direction_set
 from .stats import counting_stat
 
 
@@ -55,6 +56,12 @@ def dioph_scan(xi, kappa: float, radius: int) -> DiophReport:
     vectorized double precision; the roundoff on r . xi is below
     (|r1|+|r2|) ulp, far under the floors met in practice.  Ties resolve to
     the first (r1, r2) in row-major scan order.
+
+    Both paths scan half of the diamond 0 < |r1| + |r2| <= radius: r1 < 0,
+    or r1 = 0 and r2 < 0.  The value at -r equals the value at r bit for
+    bit (negation is exact and rounding to nearest even is odd), and of r
+    and -r the half holds the one met first in row-major order, so the
+    first minimum of the full diamond lies in it.
     """
     if radius < 1:
         raise InvalidInputError("radius must be at least 1")
@@ -63,27 +70,24 @@ def dioph_scan(xi, kappa: float, radius: int) -> DiophReport:
     if _is_exact(xi[0]) and _is_exact(xi[1]):
         x1, x2 = Fraction(xi[0]), Fraction(xi[1])
         best = None
-        for r1 in range(-radius, radius + 1):
-            for r2 in range(-radius, radius + 1):
-                h = abs(r1) + abs(r2)
-                if h == 0 or h > radius:
-                    continue
+        for r1 in range(-radius, 1):
+            w = radius + r1
+            for r2 in range(-w, w + 1 if r1 else 0):
                 t = r1 * x1 + r2 * x2
                 m = -round(t)
-                val = abs(float(t + m)) * float(h) ** kappa
+                val = abs(float(t + m)) * float(abs(r1) + abs(r2)) ** kappa
                 if best is None or val < best[0]:
                     best = (val, (r1, r2, int(m)))
         return DiophReport(float(kappa), radius, best[0], best[1])
     x1, x2 = float(xi[0]), float(xi[1])
-    r = np.arange(-radius, radius + 1)
-    r1, r2 = np.meshgrid(r, r, indexing="ij")
-    r1, r2 = r1.ravel(), r2.ravel()
-    h = np.abs(r1) + np.abs(r2)
-    keep = (h > 0) & (h <= radius)
-    r1, r2, h = r1[keep], r2[keep], h[keep]
+    # rows r1 = -radius..0 of the half diamond, r2 from -(radius + r1); row r1 = 0 stops at -1
+    row = np.arange(-radius, 1)
+    width = 2 * (radius + row) + 1
+    width[-1] = radius
+    r2, r1 = strips.expand(-(radius + row), width, row)
     t = r1 * x1 + r2 * x2
     m = -np.rint(t)
-    val = np.abs(t + m) * h.astype(float) ** kappa
+    val = np.abs(t + m) * (np.abs(r1) + np.abs(r2)).astype(float) ** kappa
     i = int(np.argmin(val))
     return DiophReport(float(kappa), radius, float(val[i]), (int(r1[i]), int(r2[i]), int(m[i])))
 
@@ -135,10 +139,6 @@ def rational_divergence_probe(xi, r, eps: float, T_list, c: float = 0.0) -> list
     shape = Annulus(c)
     counts = []
     for T in T_list:
-        pts = enumerate_points(lat, shape, T)
-        if len(pts) == 0:
-            counts.append(0)
-            continue
-        dirs = directions(pts, T, shape)
-        counts.append(counting_stat(dirs, (-eps, eps), alpha_r))
+        dirs = direction_set(lat, shape, T)
+        counts.append(counting_stat(dirs, (-eps, eps), alpha_r) if dirs.N else 0)
     return counts

@@ -116,7 +116,7 @@ class DirectionSet:
         object.__setattr__(self, "alphas", a)
         if a.ndim != 1:
             raise InvalidInputError("alphas must be one-dimensional")
-        if a.size and (a[0] < 0.0 or a[-1] >= 1.0 or np.any(np.diff(a) < 0)):
+        if a.size and (a[0] < 0.0 or a[-1] >= 1.0 or np.any(a[1:] < a[:-1])):
             raise InvalidInputError("alphas must be sorted and lie in [0, 1)")
         if self.T <= 0:
             raise InvalidInputError("T must be positive")
@@ -182,26 +182,13 @@ def _reduced(basis: Mat2, shift):
     )
 
 
-def enumerate_points(
-    lat: AffineLatticeSpec,
-    shape: DomainShape,
-    T: float,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> np.ndarray:
-    """All nonzero points of the affine lattice inside the open domain.
+def _kept_chunks(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_points: int):
+    """The strip loop behind ``enumerate_points`` and ``direction_set``.
 
-    Returns an (n, 2) array of points y = (m + shift) basis with
-    c*T < |y| < T (annulus, both inequalities strict) or y in (-T, T)^2
-    (square).  The basis is Lagrange-Gauss reduced first (``_reduced``), so
-    row 2 is a shortest lattice vector and iteration runs over at most
-    about 2.15 T + 1 m1-strips of the domain preimage, whatever the entries
-    of the caller's basis; the cost is proportional to the domain area.  A
-    reduced basis, the identity in particular, is used as given.
-
-    Raises CapacityError when the expected point count exceeds
-    ``max_points``, before allocating anything; when the m1-strips do (a
-    thin annulus, c near 1, holds few points on many strips); or when the
-    candidates do.
+    Validates the input and solves the m1-strips at once, so every error is
+    raised before anything point-sized is allocated.  Returns the candidate
+    count, an upper bound on the points kept, and an iterator over (y1, y2)
+    of the kept points, one chunk of whole strips at a time.
     """
     if T <= 0:
         raise InvalidInputError("T must be positive")
@@ -221,6 +208,8 @@ def enumerate_points(
     p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
     if isinstance(shape, Annulus):
         m2lo, m2hi = strips.root_pair(q12, q22, p1, xi2, T)[:2]
+        if shape.c > 0:
+            m2lo, m2hi, p1 = _outside_inner_chord(m2lo, m2hi, q12, q22, p1, xi2, shape.c * T)
     else:
         # |p1 a + p2 c| <= T and |p1 b + p2 d| <= T; the exact filter makes them strict
         m2lo, m2hi = strips.halfplanes(xi2, [
@@ -228,9 +217,33 @@ def enumerate_points(
             (B.d, -T - p1 * B.b, ">="), (B.d, T - p1 * B.b, "<="),
         ])
     counts = strips.widths(m2lo, m2hi)
-    if counts.sum() > max_points:
-        raise CapacityError(f"enumeration needs {counts.sum()} candidates, cap is {max_points}")
-    out = []
+    total = int(counts.sum())
+    if total > max_points:
+        raise CapacityError(f"enumeration needs {total} candidates, cap is {max_points}")
+    return total, _filtered(B, xi2, shape, T, m2lo, counts, p1)
+
+
+def _outside_inner_chord(m2lo, m2hi, q12, q22, p1, xi2, r):
+    """Each strip's m2 range minus its chord of the inner disc |y| <= r, as two ranges.
+
+    The removed part is shrunk by one integer at each end, so the exact
+    filter still decides every point near the inner circle.  Returns the
+    ranges interleaved (left, right per strip) and p1 repeated to match.
+    """
+    cut_lo, cut_hi = strips.root_pair(q12, q22, p1, xi2, r)[:2]
+    cut_lo += 1
+    cut_hi -= 1
+    cut = cut_lo <= cut_hi
+    left_hi = np.where(cut, np.minimum(m2hi, cut_lo - 1), m2hi)
+    right_lo = np.where(cut, np.maximum(m2lo, cut_hi + 1), 1)
+    right_hi = np.where(cut, m2hi, 0)
+    return (np.column_stack([m2lo, right_lo]).ravel(),
+            np.column_stack([left_hi, right_hi]).ravel(),
+            np.repeat(p1, 2))
+
+
+def _filtered(B: Mat2, xi2, shape: DomainShape, T: float, m2lo, counts, p1):
+    """Expand the strips in chunks and keep the points strictly inside the domain."""
     for p2, p1 in strips.expand_chunks(m2lo, counts, p1):
         p2 = p2 + xi2  # m2 -> p2; rebinding frees the int64 array
         y1 = _affine_combo(p1, p2, B.a, B.c)
@@ -242,10 +255,49 @@ def enumerate_points(
             keep = (r2 < T * T) & inner
         else:
             keep = (np.abs(y1) < T) & (np.abs(y2) < T) & ((y1 != 0.0) | (y2 != 0.0))
-        out.append(np.column_stack([y1[keep], y2[keep]]))
+        yield y1[keep], y2[keep]
+
+
+def enumerate_points(
+    lat: AffineLatticeSpec,
+    shape: DomainShape,
+    T: float,
+    max_points: int = DEFAULT_MAX_POINTS,
+) -> np.ndarray:
+    """All nonzero points of the affine lattice inside the open domain.
+
+    Returns an (n, 2) array of points y = (m + shift) basis with
+    c*T < |y| < T (annulus, both inequalities strict) or y in (-T, T)^2
+    (square).  The basis is Lagrange-Gauss reduced first (``_reduced``), so
+    row 2 is a shortest lattice vector and iteration runs over at most
+    about 2.15 T + 1 m1-strips of the domain preimage, whatever the entries
+    of the caller's basis; the cost is proportional to the domain area.  A
+    reduced basis, the identity in particular, is used as given.  On an
+    annulus with c > 0 each strip skips its chord of the inner disc, so the
+    candidates follow the annulus, not the disc.
+
+    The strips are expanded and filtered in chunks by ``_kept_chunks``, the
+    one loop that ``direction_set`` also reads; this function stacks the
+    chunks.  Use ``direction_set`` when only the directions are needed.
+
+    Raises CapacityError when the expected point count exceeds
+    ``max_points``, before allocating anything; when the m1-strips do (a
+    thin annulus, c near 1, holds few points on many strips); or when the
+    candidates do.
+    """
+    _, chunks = _kept_chunks(lat, shape, T, max_points)
+    out = [np.column_stack(chunk) for chunk in chunks]
     if not out:
         return np.empty((0, 2))
     return np.concatenate(out)
+
+
+def _turns(y1, y2, out):
+    """Direction angles of the points (y1, y2) in turns, in [0, 1), written to ``out``."""
+    np.arctan2(y2, y1, out=out)
+    out /= TWO_PI
+    np.mod(out, 1.0, out=out)
+    out[out >= 1.0] = 0.0  # tiny negative angles round up to 1.0
 
 
 def directions(points, T: float, shape: DomainShape) -> DirectionSet:
@@ -257,10 +309,32 @@ def directions(points, T: float, shape: DomainShape) -> DirectionSet:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if np.any((pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)):
         raise InvalidInputError("zero vector has no direction")
-    alphas = np.arctan2(pts[:, 1], pts[:, 0]) / TWO_PI
-    alphas = np.mod(alphas, 1.0)
-    alphas[alphas >= 1.0] = 0.0  # tiny negative angles round up to 1.0
+    alphas = np.empty(len(pts))
+    _turns(pts[:, 0], pts[:, 1], alphas)
     alphas.sort()  # values only, no NaN or -0.0: any sort gives the same bytes
+    return DirectionSet(alphas, float(T), shape)
+
+
+def direction_set(
+    lat: AffineLatticeSpec,
+    shape: DomainShape,
+    T: float,
+    max_points: int = DEFAULT_MAX_POINTS,
+) -> DirectionSet:
+    """Sorted directions of the lattice points in the domain, without the points.
+
+    Bit for bit ``directions(enumerate_points(lat, shape, T, max_points), T,
+    shape)``, with the same errors, but each chunk of kept points goes
+    straight into one preallocated angle array: no (n, 2) array is built.
+    """
+    total, chunks = _kept_chunks(lat, shape, T, max_points)
+    alphas = np.empty(total)
+    n = 0
+    for y1, y2 in chunks:
+        _turns(y1, y2, alphas[n:n + y1.size])
+        n += y1.size
+    alphas = alphas[:n]  # the slots of rejected candidates, a few per strip, stay unused
+    alphas.sort()
     return DirectionSet(alphas, float(T), shape)
 
 

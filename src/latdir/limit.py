@@ -630,10 +630,9 @@ def crude_bound_holds(
     if T < crude_bound_min_T(interval, theta):
         raise InvalidInputError("T below the safe scale for this window padding")
     if dirs is None:
-        from .lattice import Annulus, directions, enumerate_points
+        from .lattice import Annulus, direction_set
 
-        shape = Annulus(c)
-        dirs = directions(enumerate_points(lat, shape, T), T, shape)
+        dirs = direction_set(lat, Annulus(c), T)
     lhs = counting_stat(dirs, interval, alpha)
     flow = np.array([[1.0 / T, 0.0], [0.0, T]])
     A = lat.basis.array() @ rotation(TWO_PI * alpha).array() @ flow

@@ -50,8 +50,8 @@ def expand(lo, counts, *per_row):
     return (values, *(np.repeat(v, counts) for v in per_row))
 
 
-def expand_chunks(lo, counts, *per_row, size=4_000_000):
-    """``expand`` in pieces of whole rows, about ``size`` values each, to stay in cache."""
+def expand_chunks(lo, counts, *per_row, size=1_000_000):
+    """``expand`` in pieces of whole rows, about ``size`` values each, to bound the temporaries."""
     cum = np.concatenate([[0], np.cumsum(counts)])
     i = 0
     while i < len(lo):

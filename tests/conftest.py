@@ -16,28 +16,24 @@ def cbrt_lat():
     return ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
 
 
-def _dirs(lat, shape, T):
-    return ld.directions(ld.enumerate_points(lat, shape, T), T, shape)
-
-
 @pytest.fixture(scope="session")
 def dirs_500(cbrt_lat):
-    return _dirs(cbrt_lat, ld.Annulus(0.0), 500.0)
+    return ld.direction_set(cbrt_lat, ld.Annulus(0.0), 500.0)
 
 
 @pytest.fixture(scope="session")
 def dirs_1000(cbrt_lat):
-    return _dirs(cbrt_lat, ld.Annulus(0.0), 1000.0)
+    return ld.direction_set(cbrt_lat, ld.Annulus(0.0), 1000.0)
 
 
 @pytest.fixture(scope="session")
 def dirs_2000(cbrt_lat):
-    return _dirs(cbrt_lat, ld.Annulus(0.0), 2000.0)
+    return ld.direction_set(cbrt_lat, ld.Annulus(0.0), 2000.0)
 
 
 @pytest.fixture(scope="session")
 def dirs_square_1000(cbrt_lat):
-    return _dirs(cbrt_lat, ld.Square(), 1000.0)
+    return ld.direction_set(cbrt_lat, ld.Square(), 1000.0)
 
 
 @pytest.fixture(scope="session")

@@ -26,8 +26,7 @@ def _report(num, name, ok, detail):
 def timed_2000(cbrt_lat):
     shape = ld.Annulus(0.0)
     t0 = time.time()
-    pts = ld.enumerate_points(cbrt_lat, shape, 2000.0)
-    dirs = ld.directions(pts, 2000.0, shape)
+    dirs = ld.direction_set(cbrt_lat, shape, 2000.0)
     return dirs, time.time() - t0
 
 
@@ -41,7 +40,7 @@ def test_criterion_01_asymptotic_count(timed_2000):
 def test_criterion_02_pair_correlation_poisson(cbrt_lat):
     shape = ld.Annulus(0.0)
     t0 = time.time()
-    dirs = ld.directions(ld.enumerate_points(cbrt_lat, shape, 1000.0), 1000.0, shape)
+    dirs = ld.direction_set(cbrt_lat, shape, 1000.0)
     hist = ld.pair_correlation(dirs, np.arange(-10.0, 10.25, 0.5))
     seconds = time.time() - t0
     dev = np.abs(hist.masses - 1.0)

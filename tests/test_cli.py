@@ -11,7 +11,14 @@ import pytest
 
 import latdir as ld
 from latdir import cli
-from latdir.cli import _CSV_CHUNK_ROWS, main, parse_bins, parse_complex_list, parse_real
+from latdir.cli import (
+    _CSV_CHUNK_ROWS,
+    main,
+    parse_bins,
+    parse_complex_list,
+    parse_real,
+    parse_reals,
+)
 from latdir.diophantine import CBRT2, CBRT4, GOLDEN
 
 
@@ -132,13 +139,25 @@ def test_dioph_json(tmp_path):
 
 
 def test_enumerate_body_matches_per_line_format(tmp_path, capsys):
+    _check_enumerate_body(tmp_path, capsys, "1,0,0,1", "annulus:0", 150.0)
+
+
+@pytest.mark.parametrize("basis, shape, T", [
+    ("1,0,0,1", "annulus:0.5", 170.0),
+    ("1,0,1000,1", "square", 130.0),  # skewed: reduced to the identity before enumerating
+])
+def test_enumerate_body_matches_per_line_format_other_domains(tmp_path, capsys, basis, shape, T):
+    _check_enumerate_body(tmp_path, capsys, basis, shape, T)
+
+
+def _check_enumerate_body(tmp_path, capsys, basis, shape, T):
     # N is above the chunk size and not a multiple of it
-    T = 150.0
-    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
-    alphas = ld.directions(ld.enumerate_points(lat, ld.Annulus(0.0), T), T, ld.Annulus(0.0)).alphas
+    lat = ld.AffineLatticeSpec(ld.Mat2(*parse_reals(basis, 4)), (CBRT4, CBRT2))
+    domain = cli.parse_shape(shape)
+    alphas = ld.directions(ld.enumerate_points(lat, domain, T), T, domain).alphas
     assert alphas.size > _CSV_CHUNK_ROWS and alphas.size % _CSV_CHUNK_ROWS
     want = "alpha\n" + "".join(f"{a:.17g}\n" for a in alphas)
-    argv = ["enumerate", "--xi", "cbrt4,cbrt2", "--T", "150"]
+    argv = ["enumerate", "--xi", "cbrt4,cbrt2", "--basis", basis, "--shape", shape, "--T", str(T)]
     out = tmp_path / "dirs.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_text().partition("\n")[2] == want

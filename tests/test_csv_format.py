@@ -1,0 +1,91 @@
+"""The CSV row formatter against Python's own "%.17g" and str.
+
+``cli._write_rows`` computes the digits of "%.17g" with integer
+arithmetic for values in [1e-4, 1) and hands every other value to Python,
+so Python's formatting is a complete oracle: random float64 bit patterns
+reach every exponent, subnormals, signed zeros, inf and nan.
+"""
+
+import io
+import math
+
+import numpy as np
+import pytest
+
+from latdir import cli
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+def _ties():
+    """x = j 2^-(18+z) with j odd and z zeros after the point: its 18th digit is a final 5."""
+    out = set()
+    for z in range(4):
+        j = math.ceil(2 ** (18 + z) / 10 ** (z + 1)) | 1
+        out.update((j + 2 * i) * 2.0 ** -(18 + z) for i in range(8))
+    return out
+
+
+# float64 values that stress "%.17g": every decade edge, both ends of [1e-4, 1),
+# rounding ties, signed zeros, subnormals, the largest finite values, inf and nan
+EDGE_FLOATS = sorted(
+    _ties()
+    | {float(np.nextafter(10.0**j, side)) for j in range(-20, 21) for side in (0.0, np.inf)}
+    | {10.0**j for j in range(-20, 21)}
+    | {0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+       1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, 0.5, 0.1,
+       float(np.nextafter(1.0, 0.0)), float(np.nextafter(1e-4, 0.0)), 1e-4},
+    key=str,
+) + [math.nan]
+
+
+def _bits_to_floats(words):
+    return np.array(words, dtype=np.uint64).view(np.float64)
+
+
+def test_row_formatter_edge_values():
+    x = np.array(EDGE_FLOATS)
+    out = io.StringIO()
+    cli._write_rows(out, "{:.17g}", x)
+    assert out.getvalue() == "".join("%.17g\n" % v for v in EDGE_FLOATS)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=300),
+       st.lists(st.floats(1e-4, 1.0, exclude_max=True), min_size=1, max_size=300),
+       st.lists(st.floats(1e-7, 1.0, exclude_max=True) | st.sampled_from(EDGE_FLOATS),
+                min_size=1, max_size=300))
+def test_row_formatter_matches_python(words, alphas, mixed):
+    # random bit patterns hit every exponent, nan payloads and subnormals
+    for x in (_bits_to_floats(words), np.array(alphas), np.array(mixed)):
+        out = io.StringIO()
+        cli._write_rows(out, "{:.17g}", x)
+        assert out.getvalue() == "".join("%.17g\n" % v for v in x.tolist())
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.lists(st.tuples(st.floats(allow_nan=True), st.integers(-2**63, 2**63 - 1),
+                          st.floats(1e-4, 1.0, exclude_max=True)), min_size=1, max_size=50))
+def test_row_formatter_multi_column(rows):
+    a, k, b = (np.array(col) for col in zip(*rows))
+    out = io.StringIO()
+    cli._write_rows(out, "{:.17g},{},{:.17g}", a, k.astype(np.int64), b)
+    assert out.getvalue() == "".join(f"{x:.17g},{j},{y:.17g}\n" for x, j, y in rows)
+
+
+def test_row_formatter_chunks_and_empty_columns(monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)
+    x = np.random.default_rng(3).random(30) * 1e-3
+    out = io.StringIO()
+    cli._write_rows(out, "{},{:.17g}", np.arange(30), x)
+    assert out.getvalue() == "".join(f"{j},{v:.17g}\n" for j, v in enumerate(x))
+    out = io.StringIO()
+    cli._write_rows(out, "{:.17g}", np.empty(0))
+    assert out.getvalue() == ""
+    # many integer fields, as limit-sample writes for many windows
+    k = np.array([[-2**63, 2**63 - 1, 0, 7, -1, 10**18, 3, 99]] * 5)
+    out = io.StringIO()
+    cli._write_rows(out, ",".join(["{}"] * 8), *k.T)
+    assert out.getvalue() == "".join(",".join(map(str, row)) + "\n" for row in k.tolist())

@@ -54,6 +54,42 @@ def test_scan_monotonicity_in_radius_and_kappa():
         assert lo <= hi
 
 
+def _full_grid_scan(xi, kappa, radius):
+    """The whole square |r1|, |r2| <= radius, masked to the diamond, first minimum in row-major order."""
+    exact = all(isinstance(x, Fraction) for x in xi)
+    best = None
+    r = np.arange(-radius, radius + 1)
+    r1, r2 = (a.ravel() for a in np.meshgrid(r, r, indexing="ij"))
+    h = np.abs(r1) + np.abs(r2)
+    keep = (h > 0) & (h <= radius)
+    r1, r2, h = r1[keep], r2[keep], h[keep]
+    if exact:
+        for a, b, w in zip(r1.tolist(), r2.tolist(), h.tolist()):
+            t = a * xi[0] + b * xi[1]
+            val = abs(float(t - round(t))) * float(w) ** kappa
+            if best is None or val < best[0]:
+                best = (val, (a, b, -int(round(t))))
+        return best
+    t = r1 * xi[0] + r2 * xi[1]
+    m = -np.rint(t)
+    val = np.abs(t + m) * h.astype(float) ** kappa
+    i = int(np.argmin(val))
+    return float(val[i]), (int(r1[i]), int(r2[i]), int(m[i]))
+
+
+@pytest.mark.parametrize("xi", [
+    (CBRT4, CBRT2), (0.5, 0.5), (1 / 3, 2 / 3), (0.25, 0.0), (GOLDEN, SQRT2), (0.0, 0.0),
+    (Fraction(1, 2), Fraction(1, 2)), (Fraction(2, 7), Fraction(3, 5)), (Fraction(0), Fraction(1, 3)),
+])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0])
+def test_half_diamond_scan_matches_full_grid(xi, kappa):
+    # rational shifts tie many r: the first minimum of the full scan must come back
+    radii = (1, 2, 3, 8, 25) if isinstance(xi[0], Fraction) else (1, 2, 3, 8, 25, 120)
+    for radius in radii:
+        rep = ld.dioph_scan(xi, kappa, radius)
+        assert (rep.min_value, rep.argmin) == _full_grid_scan(xi, kappa, radius)
+
+
 def test_scan_bad_inputs():
     with pytest.raises(ld.InvalidInputError):
         ld.dioph_scan((0.5, 0.5), 2.0, 0)

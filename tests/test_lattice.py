@@ -7,7 +7,7 @@ import pytest
 
 import latdir as ld
 from latdir.diophantine import CBRT2, CBRT4
-from latdir.lattice import _reduced
+from latdir.lattice import DEFAULT_MAX_POINTS, _kept_chunks, _reduced
 
 from oracles import brute_points, circular_match
 
@@ -89,6 +89,35 @@ def test_strip_cap_before_allocating():
     lat = ld.AffineLatticeSpec(ld.Mat2.identity())
     with pytest.raises(ld.CapacityError, match="strips"):
         ld.enumerate_points(lat, ld.Annulus(0.999999), 1e4, max_points=1000)
+
+
+@pytest.mark.parametrize("shape, T", [(ld.Annulus(0.0), 800.0), (ld.Annulus(0.7), 900.0),
+                                      (ld.Square(), 600.0)])
+def test_direction_set_over_several_chunks(shape, T):
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
+    want = ld.directions(ld.enumerate_points(lat, shape, T), T, shape)
+    assert want.N > 1_000_000  # more than one chunk of strips
+    assert ld.direction_set(lat, shape, T).alphas.tobytes() == want.alphas.tobytes()
+
+
+@pytest.mark.parametrize("shape, T, max_points, what", [
+    (ld.Annulus(0.0), 1e9, DEFAULT_MAX_POINTS, "expected about"),  # 3e18 points: no allocation
+    (ld.Annulus(0.999999), 1e4, 1000, "strips"),
+    (ld.Annulus(0.5), 100.0, 23_600, "candidates"),  # 23 562 expected, 23 767 candidates
+])
+def test_direction_set_capacity(shape, T, max_points, what):
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.7))
+    for build in (ld.enumerate_points, ld.direction_set):
+        with pytest.raises(ld.CapacityError, match=what):
+            build(lat, shape, T, max_points=max_points)
+
+
+def test_thin_annulus_candidates_follow_the_annulus():
+    # the whole disc chord gave 282 752 candidates for 5 622 points here
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.7))
+    total, chunks = _kept_chunks(lat, ld.Annulus(0.99), 300.0, DEFAULT_MAX_POINTS)
+    kept = sum(y1.size for y1, _ in chunks)
+    assert kept == 5622 and total < 1.5 * kept
 
 
 @pytest.mark.parametrize("basis", [

@@ -91,6 +91,37 @@ def test_enumerate_points_matches_brute(g, xi, t, shape):
     _same_points(got, brute_points(plain, shape, T, int(T) + 2))
 
 
+@PROPS
+@given(st.tuples(unimodular(), moderate_matrix()), shifts, st.floats(1.0, 8.0),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_annulus_enumeration_matches_brute(gA0, xi, t, c):
+    # each strip skips its inner chord; the exact filter decides the points beside it
+    g, A0 = gA0
+    T = t + JIGGLE
+    basis = ld.Mat2.from_array(g @ A0)
+    assume(abs(basis.det - 1.0) <= 1e-12)
+    got = ld.enumerate_points(ld.AffineLatticeSpec(basis, xi), ld.Annulus(c), T, max_points=10_000)
+    plain = ld.AffineLatticeSpec(ld.Mat2.from_array(A0), tuple(_moved_shift(xi, g)))
+    _same_points(got, brute_points(plain, ld.Annulus(c), T, _box(T, A0)))
+
+
+domains = st.sampled_from([ld.Annulus(0.0), ld.Square()]) | st.floats(0.01, 0.99).map(ld.Annulus)
+
+
+@PROPS
+@given(st.tuples(unimodular(), moderate_matrix()) | st.tuples(st.just(np.eye(2)), moderate_matrix()),
+       shifts, st.floats(1.0, 30.0), domains)
+def test_direction_set_is_directions_of_points(gA0, xi, T, shape):
+    g, A0 = gA0
+    basis = ld.Mat2.from_array(g @ A0)
+    assume(abs(basis.det - 1.0) <= 1e-12)
+    lat = ld.AffineLatticeSpec(basis, xi)
+    want = ld.directions(ld.enumerate_points(lat, shape, T, max_points=10_000), T, shape)
+    got = ld.direction_set(lat, shape, T, max_points=10_000)
+    assert got.T == want.T and got.shape == want.shape
+    assert got.alphas.tobytes() == want.alphas.tobytes()
+
+
 @st.composite
 def long_words(draw):
     """Integer matrix of determinant 1: a word in S and T^k, |k| <= 50, times a shear up to 1e7.

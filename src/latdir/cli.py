@@ -61,10 +61,10 @@ _CSV_CHUNK_ROWS = 65_536
 _G17_WIDTH = 24
 _INT_WIDTH = 20
 # "%04d" % i for i < 10**4 as one native uint32 of four ASCII digits
-_DIGIT_QUADS = np.array(
-    [[48 + i // 1000, 48 + i // 100 % 10, 48 + i // 10 % 10, 48 + i % 10] for i in range(10**4)],
-    np.uint8,
-).view(np.uint32)[:, 0]
+_DIGIT_QUADS = (
+    (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
+    .astype(np.uint8).view(np.uint32)[:, 0]
+)
 # "0." and z zeros, right-aligned in 5 bytes, for z = 0..3
 _FIXED_PREFIX = np.frombuffer(b"   0.  0.0 0.000.000", np.uint8).reshape(4, 5)
 _POW5 = np.array([5**k for k in range(17, 21)], dtype=np.uint64)

@@ -225,9 +225,10 @@ def _g17(x, out):
     is formed exactly from 32-bit limbs in uint64, then shifted, and the
     remainder is compared with 2^(s - 1), as in Ryu printf (U. Adams,
     OOPSLA 2019).  The row holds "0.", z zeros and D, trailing zeros cut.
-    D < 10^17 always: a double below 10^-j is at least 2^-53 of it away,
-    much more than the half unit of the 17th digit.  Any other value (zero,
-    negative, exponent form, subnormal, inf or nan) is formatted by Python.
+    D < 10^17 always: the largest doubles below 1, 0.1, 0.01 and 0.001 lie
+    at least 8e-17 of the power below it, far more than the 5e-18 that
+    would round up into an 18th digit.  Any other value (zero, negative,
+    exponent form, subnormal, inf or nan) is formatted by Python.
     """
     u64 = np.uint64
     x = np.asarray(x, dtype=np.float64)

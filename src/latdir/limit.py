@@ -6,16 +6,27 @@ cone-shaped test regions, and estimates the limiting distribution of
 window counts together with its moments, tail exponents and the classical
 Siegel mean-value identities.
 
-Counting is exact integer arithmetic on closed-form per-strip bounds, so a
-merged run is reproducible regardless of how sample blocks are scheduled.
-A count law is the sorted distinct count vectors plus a per-block
-histogram over them, built by one lexicographic sort of all samples.
+Cone counts work on the m1-strips that cross the pull-back of the cone
+polygon, whose corners are (x, 2 x a / (1 - c^2)) and (x, 2 x b / (1 - c^2))
+for x in {c, 1}.  Each strip's m2 range comes in closed form from the two
+x-bounds and the two slope bounds, from the matrix entries computed once
+per sample; where a bound lies within roundoff of an integer, the float
+test of ``ConeRegion.contains`` decides that end of the range, so a count
+is the number of lattice points the exact filter keeps.  A congruence
+coset acts on the shift, not on the matrix: (Z^2 + p/q) gamma A is
+counted as (Z^2 + (p gamma mod q) / q) A, with the shift rounded once.
+
+Counts are integers, so a merged run is reproducible regardless of how
+sample blocks are scheduled.  A count law is the sorted distinct count
+vectors plus a per-block histogram over them, built by ranking the count
+columns, without sorting the samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +47,8 @@ MOM_BLOCKS = 32
 # samples per sub-chunk of a Siegel batch: about 120k disc points, so the
 # per-point arrays stay in a core's cache
 SIEGEL_CHUNK = 1024
+# samples per pass of the cone counter, for the same reason
+CONE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -194,86 +207,188 @@ def haar_v_cdf(v):
     return out
 
 
+def _iwasawa_entries(u, v, phi):
+    """Entries (a11, a12, a21, a22) of n(u) a(v) k(phi), each an array over the samples."""
+    sv = np.sqrt(v)
+    c, s = np.cos(phi), np.sin(phi)
+    return sv * c + u / sv * s, -sv * s + u / sv * c, s / sv, c / sv
+
+
 def iwasawa_matrix(u, v, phi) -> np.ndarray:
     """Matrices n(u) a(v) k(phi), vectorized: returns shape (n, 2, 2)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    sv = np.sqrt(v)
-    c, s = np.cos(phi), np.sin(phi)
-    A = np.empty((u.size, 2, 2))
-    A[:, 0, 0] = sv * c + u / sv * s
-    A[:, 0, 1] = -sv * s + u / sv * c
-    A[:, 1, 0] = s / sv
-    A[:, 1, 1] = c / sv
-    return A
+    return np.stack(_iwasawa_entries(u, v, phi), axis=-1).reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
 # Exact lattice-point counts in cone regions
 
+
+def _cone_kernel(A, xi1, xi2, c: float, intervals) -> np.ndarray:
+    """Counts (n, m): per sample, the m in Z^2 with (m + xi) A in ConeRegion(c, I_j).
+
+    ``A`` holds the entries (a11, a12, a21, a22) of one |det| = 1 matrix per
+    sample.  Samples go through ``_cone_chunk`` CONE_CHUNK at a time.
+    """
+    n = A[0].size
+    out = np.empty((n, len(intervals)), dtype=np.int64)
+    for i in range(0, n, CONE_CHUNK):
+        j = min(i + CONE_CHUNK, n)
+        out[i:j] = _cone_chunk([a[i:j] for a in A], xi1[i:j], xi2[i:j], c, intervals)
+    return out
+
+
+def _cone_chunk(A, xi1, xi2, c: float, intervals) -> np.ndarray:
+    """``_cone_kernel`` on one chunk of samples.
+
+    The windows share the m1-strips and the x-bounds.  On the strip of m1,
+    with p1 = m1 + xi1, e = p1 a11 and g = p1 a12, the point of p2 = m2 + xi2
+    is y = (e + a21 p2, g + a22 p2).  So c < y1 < 1 puts p2 strictly between
+    (c - e) / a21 and (1 - e) / a21, and s y1 <= y2 with s = 2a / (1 - c^2)
+    reads k p2 >= s e - g with k = a22 - s a21 (<= for the upper slope s =
+    2b / (1 - c^2)).  Every bound is p1 times a per-sample factor, plus a
+    per-sample offset for the x-bounds; the sign of a21 or k fixes per
+    sample whether it is a lower or an upper bound, and a zero coefficient
+    makes the bound a test of the strip.  Rounding moves a bound by far
+    less than ``tol``; where one lies within ``tol`` of an integer, the
+    float predicate of ``ConeRegion.contains`` decides the range end
+    (``strips.settle``).
+    """
+    a11, a12, a21, a22 = A
+    n = a11.size
+    if np.any((a21 == 0.0) & (a22 == 0.0)):
+        raise InvalidInputError("the matrix must have |det| = 1")
+    om = 1.0 - c**2
+    slopes = [(2.0 * a / om, 2.0 * b / om) for a, b in intervals]
+    # p1 = y1 a22 - y2 a21 is extreme at a corner (x, s x) of the hull polygon, x in {c, 1}
+    ka = a22 - min(sa for sa, _ in slopes) * a21
+    kb = a22 - max(sb for _, sb in slopes) * a21
+    kmin, kmax = np.minimum(ka, kb), np.maximum(ka, kb)
+    m1lo, m1hi = strips.integer_range(np.minimum(kmin, c * kmin), np.maximum(kmax, c * kmax), xi1)
+    rows = strips.widths(m1lo, m1hi)
+    m1, s = strips.expand(m1lo, rows, np.arange(n))
+    p1 = m1 + xi1[s]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the x-bounds are x0 - p1 step: x0 in {c / a21, 1 / a21}, step = a11 / a21
+        r = 1.0 / a21
+        step, x0lo, x0hi = a11 * r, np.minimum(c * r, r), np.maximum(c * r, r)
+        flat = a21 == 0.0  # y1 = e on the whole strip
+        if np.any(flat):
+            step[flat], x0lo[flat], x0hi[flat] = 0.0, -strips.LIMIT, strips.LIMIT
+        inv = np.abs(r)
+        windows = []
+        for sa, sb in slopes:
+            bounds = []
+            for slope, side in ((sa, 1.0), (sb, -1.0)):
+                k = a22 - slope * a21
+                inv += 1.0 / np.abs(k)
+                q = (slope * a11 - a12) / k
+                sk = side * k
+                bounds.append((k, side, slope, (q + 0.0 / (sk > 0.0))[s], (q + 0.0 / (sk < 0.0))[s]))
+            windows.append(bounds)
+        # z bounds the size, in p2 units, of every term of a bound and of the predicate,
+        # so their rounding stays below about 1e-15 z^2; tol is far above that and
+        # reaches 1 (every end is settled) near z = 3e4
+        reach = np.maximum(np.abs(m1lo + xi1), np.abs(m1hi + xi1))
+        z = (1.0 + np.abs(xi2) + reach) * (1.0 + max(map(abs, sum(slopes, ())))) * inv * (
+            np.abs(a11) + np.abs(a12) + np.abs(a21) + np.abs(a22))
+        tol = np.minimum(1e-9 * z * (1.0 + z), 1.0)[s]
+    shift = p1 * step[s]
+    xlo, xhi = x0lo[s] - shift, x0hi[s] - shift
+    if np.any(flat):
+        on = np.flatnonzero(flat[s])
+        e = p1[on] * a11[s[on]]
+        xlo[on[~((e > c) & (e < 1.0))]] = np.inf
+    sxi2 = xi2[s]
+    # the origin y = 0 is never inside, so on a strip through it (p1 = 0, xi2 in Z) a bound
+    # of exactly 0 moves half a step: it then decides the integers without rounding
+    apex = np.flatnonzero(p1 == 0.0)
+    apex = apex[sxi2[apex] == np.rint(sxi2[apex])]
+    out = np.empty((n, len(slopes)), dtype=np.int64)
+    for j, (interval, bounds) in enumerate(zip(intervals, windows)):
+        lower, upper = xlo, xhi
+        for k, side, slope, qlo, qhi in bounds:  # nan marks the other role: fmax and fmin skip it
+            lower = np.fmax(lower, p1 * qlo)
+            upper = np.fmin(upper, p1 * qhi)
+            if np.any(k == 0.0):  # 0 >= side (s e - g) must hold on the strip
+                on = np.flatnonzero((k == 0.0)[s])
+                rhs = side * (slope * (p1[on] * a11[s[on]]) - p1[on] * a12[s[on]])
+                lower[on[rhs > 0.0]] = np.inf
+        lower[apex[lower[apex] == 0.0]] = 0.5
+        upper[apex[upper[apex] == 0.0]] = -0.5
+        lower -= sxi2
+        upper -= sxi2
+        np.clip(lower, -strips.LIMIT, strips.LIMIT, out=lower)
+        np.clip(upper, -strips.LIMIT, strips.LIMIT, out=upper)
+        lo, hi = np.ceil(lower).astype(np.int64), np.floor(upper).astype(np.int64)
+        near = np.abs(lower - np.rint(lower)) < tol
+        near |= np.abs(upper - np.rint(upper)) < tol
+        near = np.flatnonzero(near)
+        if near.size:
+            inside = partial(_inside, ConeRegion(c, interval), p1[near], sxi2[near], [a[s[near]] for a in A])
+            lo[near], hi[near] = strips.settle(lo[near], hi[near], inside)
+        out[:, j] = strips.totals(strips.widths(lo, hi), rows)
+    return out
+
+
+def _inside(region: ConeRegion, p1, xi2, A, m2) -> np.ndarray:
+    """``region.contains`` at the points (p1, m2 + xi2) A, for an integer array m2 of strips."""
+    a11, a12, a21, a22 = A
+    p2 = m2 + xi2
+    y = np.stack((p1 * a11 + p2 * a21, p1 * a12 + p2 * a22), axis=-1)
+    return region.contains(y).reshape(m2.shape)
+
+
 def cone_counts(A: np.ndarray, shift: np.ndarray, region: ConeRegion) -> np.ndarray:
     """Count m in Z^2 with (m + shift) A inside the region, per sample.
 
-    ``A`` is (n, 2, 2) with |det A| = 1, ``shift`` is (n, 2).  Strips in m1
-    come from the region's bounding box pulled back through A^{-1}; for
-    each strip the admissible m2 range is solved exactly from the three
-    linear constraint pairs, so no candidate points are materialized.
+    ``A`` is (n, 2, 2) with |det A| = 1, ``shift`` is (n, 2).  The m1-strips
+    span the pull-back of the region's polygon, whose corners are (x, 2 x a
+    / (1 - c^2)) and (x, 2 x b / (1 - c^2)) for x in {c, 1}.  On each strip
+    the two x-bounds and the two slope bounds give the m2 range in closed
+    form, and ``ConeRegion.contains`` -- the float test of (m + shift) A --
+    decides the integers at both ends of it, so the count is the number of
+    lattice points the exact filter keeps.
     """
     A = np.asarray(A, dtype=float).reshape(-1, 2, 2)
-    n = A.shape[0]
-    shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1, 2), (n, 2))
-    c = region.c
-    a, b = region.interval
-    om = 1.0 - c * c
-    ylo = 2.0 * min(a * c, a) / om
-    yhi = 2.0 * max(b * c, b) / om
-    A21, A22 = A[:, 1, 0], A[:, 1, 1]
-    xs = [X * A22 - Y * A21 for X in (c, 1.0) for Y in (ylo, yhi)]
-    xlo = np.minimum.reduce(xs)
-    xhi = np.maximum.reduce(xs)
-    m1lo, m1hi = strips.integer_range(xlo, xhi, shift[:, 0])
-    rows = strips.widths(m1lo, m1hi)
-    m1, xi1, A11, A12, f, h, xi2 = strips.expand(
-        m1lo, rows, shift[:, 0], A[:, 0, 0], A[:, 0, 1], A21, A22, shift[:, 1]
-    )
-    p1 = m1 + xi1
-    e = p1 * A11
-    g = p1 * A12
-    m2lo, m2hi = strips.halfplanes(xi2, [
-        (f, c - e, ">"),
-        (f, 1.0 - e, "<"),
-        (om * h - 2.0 * a * f, 2.0 * a * e - om * g, ">="),
-        (om * h - 2.0 * b * f, 2.0 * b * e - om * g, "<="),
-    ])
-    return strips.totals(strips.widths(m2lo, m2hi), rows)
+    shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1, 2), (A.shape[0], 2))
+    entries = A.reshape(-1, 4).T
+    return _cone_kernel(entries, shift[:, 0], shift[:, 1], region.c, [region.interval])[:, 0]
+
+
+def _coset_shift(p, q: int, coset) -> np.ndarray:
+    """(p gamma mod q) / q for integer cosets gamma (..., 2, 2): the shift of (Z^2 + p/q) gamma."""
+    pg = np.einsum("i,...ij->...j", np.asarray(p, dtype=np.int64), coset)
+    return np.mod(pg, q) / q
 
 
 def count_in_region(sample: HomSample, regions, xi_mode: str = "generic", pq=None) -> np.ndarray:
     """Window counts of one affine-lattice sample in each cone region.
 
     ``xi_mode="generic"`` counts (m + xi) n(u) a(v) k(phi); with
-    ``xi_mode="fixed_rational"`` and ``pq=(p1, p2, q)`` the shift is p/q
-    and the sample's integer coset multiplies the Iwasawa matrix from the
-    left.
+    ``xi_mode="fixed_rational"`` and ``pq=(p1, p2, q)`` the lattice is
+    (Z^2 + p/q) gamma n(u) a(v) k(phi) for the sample's integer coset gamma,
+    counted as (Z^2 + (p gamma mod q) / q) n(u) a(v) k(phi).
     """
     regions = [regions] if isinstance(regions, ConeRegion) else list(regions)
     if not regions:
         raise InvalidInputError("need at least one region")
     pt = sample.point
-    A = iwasawa_matrix(pt.u, pt.v, pt.phi)
+    A = _iwasawa_entries(*(np.array([t]) for t in (pt.u, pt.v, pt.phi)))
     if xi_mode == "generic":
         shift = np.array(sample.xi)
     elif xi_mode == "fixed_rational":
         if pq is None:
             raise InvalidInputError("fixed_rational mode needs pq=(p1, p2, q)")
         p1, p2, q = pq
-        shift = np.array([p1 / q, p2 / q], dtype=float)
-        if sample.coset is not None:
-            A = sample.coset.astype(float)[None] @ A
+        coset = np.eye(2, dtype=np.int64) if sample.coset is None else sample.coset
+        shift = _coset_shift((p1, p2), q, coset)
     else:
         raise InvalidInputError(f"unknown xi_mode {xi_mode!r}")
-    return np.array([int(cone_counts(A, shift, reg)[0]) for reg in regions])
+    xi1, xi2 = shift[:1], shift[1:]
+    return np.array([int(_cone_kernel(A, xi1, xi2, reg.c, [reg.interval])[0, 0]) for reg in regions])
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +514,37 @@ class CountDistribution:
         return out / self.total
 
 
-def _merge_blocks(per_block) -> CountDistribution:
-    """Count law of (n_b, m) per-block count arrays: one sort, then row changes."""
-    rows = np.concatenate(per_block)
-    block = np.repeat(np.arange(len(per_block)), [len(b) for b in per_block])
-    order = np.lexsort(rows.T[::-1])
-    rows, block = rows[order], block[order]
-    new = np.ones(rows.shape[0], dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
-    cls = np.cumsum(new) - 1
-    K = int(cls[-1]) + 1
-    hist = np.bincount(block * K + cls, minlength=len(per_block) * K).reshape(-1, K)
-    return CountDistribution(rows[new], hist)
+def _dense_rank(values):
+    """Rank of each int64 value among the distinct values in increasing order, and their number.
+
+    A lookup table over the value span replaces the sort when the span is
+    at most a few times the number of values.
+    """
+    lo = int(values.min())
+    span = int(values.max()) - lo + 1
+    if span > 4 * values.size:
+        distinct, rank = np.unique(values, return_inverse=True)
+        return rank, distinct.size
+    seen = np.bincount(values - lo, minlength=span) > 0
+    return (np.cumsum(seen) - 1)[values - lo], int(np.count_nonzero(seen))
+
+
+def _merge_blocks(rows, sizes) -> CountDistribution:
+    """Count law of the (n, m) count rows, the first sizes[0] of block 0 and so on.
+
+    Each column is ranked among its distinct values, and the row classes
+    are refined column by column (class * K_j + rank_j, ranked again), so
+    class order is lexicographic row order without sorting the rows.
+    """
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    cls, K = _dense_rank(rows[:, 0])
+    for col in rows.T[1:]:
+        rank, k = _dense_rank(col)
+        cls, K = _dense_rank(cls * k + rank)
+    distinct = np.empty((K, rows.shape[1]), dtype=np.int64)
+    distinct[cls] = rows
+    hist = np.bincount(block * K + cls, minlength=len(sizes) * K).reshape(-1, K)
+    return CountDistribution(distinct, hist)
 
 
 def sample_count_distribution(
@@ -427,8 +561,9 @@ def sample_count_distribution(
 
     ``xi_class`` selects the ensemble: "integer" counts the plain lattice
     (shift zero) under the Haar measure; "rational" fixes shift p/q and
-    additionally draws a uniform congruence coset; "irrational" draws the
-    shift uniformly from the unit torus.  Sampling runs in ``blocks``
+    additionally draws a uniform congruence coset gamma, counted as the
+    shift (p gamma mod q) / q; "irrational" draws the shift uniformly from
+    the unit torus.  Sampling runs in ``blocks``
     independent substreams derived from ``rng``, so the merged result does
     not depend on scheduling and heavy-tailed moments can use
     median-of-means over the same blocks.
@@ -436,31 +571,28 @@ def sample_count_distribution(
     if n < 1:
         raise InvalidInputError("need at least one sample")
     box = as_box(box)
-    regions = [ConeRegion(c, iv) for iv in box.intervals]
+    intervals = [ConeRegion(c, iv).interval for iv in box.intervals]  # validates c and the windows
     if xi_class == "rational":
         if q is None or p is None:
             raise InvalidInputError("rational class needs p and q")
         reps = np.array(coset_reps(q))
-        shift_pq = np.array([p[0] / q, p[1] / q], dtype=float)
     elif xi_class not in ("integer", "irrational"):
         raise InvalidInputError(f"unknown xi_class {xi_class!r}")
     blocks = min(blocks, n)
     streams = spawn_streams(rng, blocks)
     sizes = [n // blocks + (1 if i < n % blocks else 0) for i in range(blocks)]
-    per_block = []
-    for stream, nb in zip(streams, sizes):
+    counts = np.empty((n, len(intervals)), dtype=np.int64)
+    for stream, nb, end in zip(streams, sizes, np.cumsum(sizes)):
         u, v, phi = _haar_batch(stream, nb)
-        A = iwasawa_matrix(u, v, phi)
         if xi_class == "integer":
             shift = np.zeros((nb, 2))
         elif xi_class == "irrational":
             shift = stream.uniform(0.0, 1.0, (nb, 2))
         else:
-            picks = stream.integers(0, len(reps), nb)
-            A = reps[picks].astype(float) @ A
-            shift = np.broadcast_to(shift_pq, (nb, 2))
-        per_block.append(np.column_stack([cone_counts(A, shift, reg) for reg in regions]))
-    return _merge_blocks(per_block)
+            shift = _coset_shift(p, q, reps[stream.integers(0, len(reps), nb)])
+        A = _iwasawa_entries(u, v, phi)
+        counts[end - nb : end] = _cone_kernel(A, shift[:, 0], shift[:, 1], c, intervals)
+    return _merge_blocks(counts, sizes)
 
 
 def tail_exponent(dist: CountDistribution, k_min: int, min_tail_count: int = 10) -> float:

@@ -193,6 +193,44 @@ def spacing_histogram(dirs: DirectionSet, k: int, edges) -> Histogram:
     return Histogram(edges, masses, "density")
 
 
+_HIST_BLOCK = 65536
+
+
+def _bin_sums(vals, edges, weights, mirrored: bool):
+    """``np.histogram(vals, edges, weights=weights)[0]`` and, if ``mirrored``, that of -vals.
+
+    Each block of _HIST_BLOCK values is sorted once.  Bins are [e_i, e_{i+1})
+    with the last one closed, as in np.histogram, so the values below each
+    edge end at a left search (a right one at the last edge).  Since -v < e
+    means v > -e, the -vals below each edge are the values above -e: those
+    from a right search at -e (a left one at the last edge) to the end of
+    the block.  Without ``mirrored`` the second result is None.
+    """
+    cut = edges[:-1], edges[-1:]
+    neg = -edges[:-1], -edges[-1:]
+    zero = np.zeros(1)
+    plus = np.zeros(edges.size, dtype=np.intp if weights is None else float)
+    minus = np.zeros_like(plus)
+    buf = np.empty(min(vals.size, _HIST_BLOCK))  # sorted in place: no allocation per block
+    for i in range(0, vals.size, _HIST_BLOCK):
+        block = vals[i : i + _HIST_BLOCK]
+        if weights is None:
+            sv = buf[: block.size]
+            sv[:] = block
+            sv.sort()
+            cum = None
+        else:
+            order = np.argsort(block)
+            sv = block[order]
+            cum = np.concatenate((zero, weights[i : i + _HIST_BLOCK][order].cumsum()))
+        below = np.concatenate((sv.searchsorted(cut[0], "left"), sv.searchsorted(cut[1], "right")))
+        plus += below if cum is None else cum[below]
+        if mirrored:
+            above = np.concatenate((sv.searchsorted(neg[0], "right"), sv.searchsorted(neg[1], "left")))
+            minus += sv.size - above if cum is None else cum[-1] - cum[above]
+    return np.diff(plus), (np.diff(minus) if mirrored else None)
+
+
 def pair_correlation(
     dirs: DirectionSet,
     edges,
@@ -229,10 +267,13 @@ def pair_correlation(
     active = np.arange(N)
     d = 1
     while active.size and d < N:
-        diff = aug[active + d] - A[active]
+        diff = aug[active + d]
+        diff -= A[active]
         near = diff <= thresh
         active = active[near]
-        vals = N * diff[near]
+        vals = diff[near]
+        del diff, near
+        vals *= N
         if vals.size:
             if density is not None:
                 w = 1.0 / (
@@ -241,14 +282,12 @@ def pair_correlation(
                 )
             else:
                 w = None
+            plus, minus = _bin_sums(vals, edges, w, mirrored=not fold)
             if fold:
-                h, _ = np.histogram(vals, bins=edges, weights=w)
-                counts += 2.0 * h
+                counts += 2.0 * plus
             else:
-                h, _ = np.histogram(vals, bins=edges, weights=w)
-                counts += h
-                h, _ = np.histogram(-vals, bins=edges, weights=w)
-                counts += h
+                counts += plus
+                counts += minus
         d += 1
     masses = counts / (N * np.diff(edges))
     return Histogram(edges, masses, "density")

@@ -5,11 +5,12 @@ Per integer m1, the admissible m2 form one inclusive int64 range
 ``halfplanes`` for linear constraints).  Counters sum the ranges
 (``widths``, ``totals``); enumerators expand them into points (``expand``).
 
-Invariant: candidate ranges are supersets (up to roundoff on a boundary),
-and exact filters decide: an enumerator keeps a point only after testing
-its coordinates.  The pure counters (``cone_counts``, ``disc_count``) count
-the integers that meet the float-evaluated constraints, so widening their
-ranges would change their answers.
+Invariant: the exact filter decides.  Candidate ranges are supersets (up
+to roundoff on a boundary), and an enumerator keeps a point only after
+testing its coordinates; the cone counter instead lets its region's float
+predicate decide the integers at both ends of a closed-form range
+(``settle``).  ``disc_count`` still counts the integers that meet its
+float-evaluated root pair, so widening its ranges would change its answer.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 # Solved bounds are saturated here, so hi - lo + 1 always fits in int64.
-_LIMIT = 2.0**61
+LIMIT = 2.0**61
 _I64 = np.iinfo(np.int64)
 _KINDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
@@ -93,6 +94,21 @@ def root_pair(q12, q22, p1, xi2, r):
     return (*integer_range(mid, hi, xi2), disc)
 
 
+def settle(lo, hi, inside):
+    """Let the exact predicate decide both ends of each inclusive range [lo, hi].
+
+    A closed-form range may be one integer off at an end whose bound lies
+    within roundoff of an integer.  Each end moves by at most one: lo - 1
+    joins where ``inside`` holds there, else lo leaves where it fails there;
+    likewise hi + 1 and hi.  ``inside(m)`` evaluates the float predicate at
+    an int64 array of shape (4, len(lo)).
+    """
+    ends = inside(np.stack([lo - 1, lo, hi, hi + 1]))
+    lo = np.where(ends[0], lo - 1, np.where(ends[1], lo, lo + 1))
+    hi = np.where(ends[3], hi + 1, np.where(ends[2], hi, hi - 1))
+    return lo, hi
+
+
 def halfplanes(xi2, constraints):
     """Integer m2 range with coef * (m2 + xi2) <kind> rhs for every constraint.
 
@@ -106,7 +122,7 @@ def halfplanes(xi2, constraints):
     hi = np.full(shape, _I64.max)
     ok = np.ones(shape, dtype=bool)
     for coef, rhs, kind in constraints:
-        t = np.clip(rhs / np.where(coef == 0.0, 1.0, coef) - xi2, -_LIMIT, _LIMIT)
+        t = np.clip(rhs / np.where(coef == 0.0, 1.0, coef) - xi2, -LIMIT, LIMIT)
         lower, upper = (coef > 0.0, coef < 0.0) if kind[0] == ">" else (coef < 0.0, coef > 0.0)
         if np.any(lower):
             bound = np.ceil(t) if kind.endswith("=") else np.floor(t) + 1.0

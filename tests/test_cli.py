@@ -247,6 +247,27 @@ PINNED_BODIES = {
          "--n", "20000", "--seed", "4"],
         "d249deec934034f1e91388d0c2b1a9c36f7dd01e21925fc4871481c1d1a512d4",
     ),
+    # the coset acts on the shift: pin every level the sampler supports, and a c > 0 cone
+    "limit-sample-rational-q2": (
+        ["limit-sample", "--xi-class", "rational", "--pq", "1,0,2", "--I", "0:1", "--I", "0.5:2",
+         "--n", "20000", "--seed", "12"],
+        "ee9a17834524051c09ffab859c0b3871d579973b3e6a14bb76a3fc21291f6d48",
+    ),
+    "limit-sample-rational-q4": (
+        ["limit-sample", "--xi-class", "rational", "--pq", "1,3,4", "--I", "0:1", "--n", "20000",
+         "--seed", "13"],
+        "44493079fedad5bb6135249a2918f289c47d1b9244db8475f104940e0aa1f95e",
+    ),
+    "limit-sample-rational-q5": (
+        ["limit-sample", "--xi-class", "rational", "--pq", "2,1,5", "--I", "-1:0.5", "--I", "0.25:1.25",
+         "--n", "20000", "--seed", "14"],
+        "9fb8095c6cbfa9784effa4adc80c0ab4d2b66c370efbc0450f21b476a5bb759a",
+    ),
+    "limit-sample-rational-c": (
+        ["limit-sample", "--xi-class", "rational", "--pq", "1,1,3", "--c", "0.5", "--I", "0:1",
+         "--I", "0.5:2", "--n", "20000", "--seed", "15"],
+        "9a62d2ce6a1986d9b460a307bc3263044ad5a521d251699703eb95739b84974c",
+    ),
     "limit-sample-three-windows": (
         ["limit-sample", "--xi-class", "integer", "--I", "0:1", "--I", "0.5:2", "--I", "-1:0.25",
          "--n", "5000", "--seed", "6"],

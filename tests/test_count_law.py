@@ -35,6 +35,10 @@ def sample_blocks(draw, ms=(1, 2, 3)):
     ]
 
 
+def _law(blocks):
+    return _merge_blocks(np.concatenate(blocks), [len(b) for b in blocks])
+
+
 def _values(samples, powers):
     # 0^0 = 1 per component, like the estimators
     ks = samples.astype(float)
@@ -48,7 +52,7 @@ powers_for = {m: st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=m
 @PROPS
 @given(sample_blocks())
 def test_rows_and_block_hist_match_raw_samples(blocks):
-    dist = _merge_blocks(blocks)
+    dist = _law(blocks)
     every = np.concatenate(blocks)
     assert dist.rows.dtype == np.int64 and dist.block_hist.dtype == np.int64
     assert list(map(tuple, dist.rows.tolist())) == sorted(set(map(tuple, every.tolist())))
@@ -63,7 +67,7 @@ def test_rows_and_block_hist_match_raw_samples(blocks):
 @PROPS
 @given(sample_blocks(), st.data())
 def test_moments_match_raw_samples(blocks, data):
-    dist = _merge_blocks(blocks)
+    dist = _law(blocks)
     powers = data.draw(powers_for[dist.m])
     vals = _values(np.concatenate(blocks), powers)
     n = vals.size
@@ -87,7 +91,7 @@ def test_moments_match_raw_samples(blocks, data):
 @PROPS
 @given(sample_blocks(ms=(1,)), st.integers(1, 4), st.integers(1, 6))
 def test_survival_and_tail_exponent_match_raw_samples(blocks, k_min, min_tail):
-    dist = _merge_blocks(blocks)
+    dist = _law(blocks)
     every = np.concatenate(blocks)[:, 0]
     ks = np.arange(-1, every.max() + 3)
     assert dist.survival(ks).tolist() == [np.mean(every >= k) for k in ks]

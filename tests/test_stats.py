@@ -125,6 +125,47 @@ def test_pair_correlation_window_too_wide(regular8):
         ld.pair_correlation(regular8, np.array([-4.0, 4.0]))
 
 
+def _two_histogram_pair_correlation(dirs, edges, density=None, fold=False):
+    """Reference: every neighbour pass histograms vals and -vals with np.histogram."""
+    N, A = dirs.N, dirs.alphas
+    aug = np.concatenate([A, A + 1.0])
+    thresh = max(abs(edges[0]), abs(edges[-1])) / N
+    counts = np.zeros(edges.size - 1)
+    active = np.arange(N)
+    d = 1
+    while active.size and d < N:
+        diff = aug[active + d] - A[active]
+        near = diff <= thresh
+        active = active[near]
+        vals = N * diff[near]
+        if vals.size:
+            w = None
+            if density is not None:
+                w = 1.0 / (density(A[active]) * density(np.mod(aug[active + d], 1.0)))
+            counts += np.histogram(vals, bins=edges, weights=w)[0] * (2.0 if fold else 1.0)
+            if not fold:
+                counts += np.histogram(-vals, bins=edges, weights=w)[0]
+        d += 1
+    return counts / (N * np.diff(edges))
+
+
+def test_pair_correlation_one_sort_matches_two_histograms(cbrt_lat):
+    # N > 65 536: the first passes span two sorted blocks; edges hit exact differences
+    dirs = ld.direction_set(cbrt_lat, ld.Annulus(0.0), 160.0)
+    assert dirs.N > 65_536
+    regular = ld.DirectionSet(np.arange(64) / 64.0, 10.0, ld.Annulus(0.0))
+    rho = lambda a: 1.0 + 0.5 * np.cos(2 * np.pi * a)  # noqa: E731
+    for ds, edges in ((dirs, np.arange(-10.0, 10.25, 0.5)), (dirs, np.array([-3.0, -1.0, 0.0, 0.7, 4.0])),
+                      (regular, np.arange(-6.0, 7.0, 1.0))):
+        assert ld.pair_correlation(ds, edges).masses.tobytes() == \
+            _two_histogram_pair_correlation(ds, edges).tobytes()
+        np.testing.assert_allclose(ld.pair_correlation(ds, edges, density=rho).masses,
+                                   _two_histogram_pair_correlation(ds, edges, density=rho), rtol=1e-12)
+        folded = edges[edges >= 0.0]
+        assert ld.pair_correlation(ds, folded, fold=True).masses.tobytes() == \
+            _two_histogram_pair_correlation(ds, folded, fold=True).tobytes()
+
+
 def test_pair_correlation_density_correction(cbrt_lat):
     # square-domain pair counts sit near the squared-density level; weighting
     # pairs by the inverse density brings them back to 1

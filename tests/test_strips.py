@@ -9,7 +9,9 @@ around the moderate matrix A0 while the code under test walks the skewed one.
 The two float representations may round a point on a boundary differently,
 so radii, windows, R and A0 are moved off simple values by JIGGLE, and real
 shifts stay 1e-9 away from integers: then no lattice point lies within
-roundoff of a boundary or of the cone apex.
+roundoff of a boundary or of the cone apex.  The near-integer shifts put a
+point within roundoff of the apex on purpose; there the oracle scans the
+same matrix, and the float predicate decides.
 """
 
 import math
@@ -189,6 +191,59 @@ def test_cone_counts_match_brute(g, A0, xi, c, a, width):
     assert got == brute_cone_count(A0, _moved_shift(xi, g), region, _box(reach, A0))
 
 
+# a component within 1e-300 to 1e-200 of an integer: the offset itself, or the integer it rounds to
+near_integer = st.tuples(st.integers(-1, 1), st.floats(1e-300, 1e-200), st.booleans()).map(
+    lambda t: t[0] + (t[1] if t[2] else -t[1]))
+
+
+@PROPS
+@given(moderate_matrix(), st.tuples(near_integer, near_integer), st.sampled_from([0.0, 0.3, 0.7]),
+       st.floats(-3.0, 2.0), st.floats(0.1, 3.0))
+def test_cone_counts_decide_points_at_the_apex(A0, xi, c, a, width):
+    # a point within 1e-200 of the apex sits on every bound's roundoff; the float predicate decides it
+    a += JIGGLE
+    region = ld.ConeRegion(c, (a, a + width))
+    got = int(ld.cone_counts(A0[None], np.array(xi), region)[0])
+    reach = 1.0 + 2.0 * max(abs(a), abs(a + width)) / (1.0 - c * c)
+    assert got == brute_cone_count(A0, np.array(xi), region, _box(reach, A0))
+    # a component that rounded to an integer is the same shift as 0
+    plain = np.array([x if abs(x) < 0.5 else 0.0 for x in xi])
+    assert int(ld.cone_counts(A0[None], plain, region)[0]) == got
+
+
+def test_cone_counts_point_at_the_apex():
+    # m = (0, -1) lands on y = (4.2e-255, 4.2e-255), inside the cone and 1e-255 from its apex
+    A = np.array([[1.0, 1.0], [0.5, 1.5]])
+    region = ld.ConeRegion(0.0, (JIGGLE, 1.0 + JIGGLE))
+    for xi2 in (1.0, 0.0):
+        xi = np.array([4.2e-255, xi2])
+        assert int(ld.cone_counts(A[None], xi, region)[0]) == brute_cone_count(A, xi, region, 8) == 1
+
+
+@st.composite
+def rational_samples(draw):
+    """(p1, p2, q, coset) for every supported level q, with a random coset representative."""
+    q = draw(st.integers(2, 5))
+    reps = ld.coset_reps(q)
+    coset = reps[draw(st.integers(0, len(reps) - 1))]
+    return draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1)), q, coset
+
+
+@PROPS
+@given(rational_samples(), st.floats(-1.0, 1.0), st.floats(0.3, 8.0), st.floats(0.0, 2 * math.pi),
+       st.sampled_from([0.0, 0.3, 0.7]), st.lists(st.tuples(st.floats(-3.0, 2.0), st.floats(0.1, 3.0)),
+                                                 min_size=1, max_size=3))
+def test_fixed_rational_counts_move_the_coset_into_the_shift(pq, u, v, phi, c, windows):
+    # (Z^2 + p/q) gamma A is counted as (Z^2 + (p gamma mod q) / q) A
+    p1, p2, q, gamma = pq
+    pt = ld.IwasawaPoint(u + JIGGLE, v, phi + JIGGLE)
+    regions = [ld.ConeRegion(c, (a + JIGGLE, a + JIGGLE + w)) for a, w in windows]
+    got = ld.count_in_region(ld.HomSample(pt, coset=gamma), regions, "fixed_rational", pq=(p1, p2, q))
+    A = gamma.astype(float) @ ld.iwasawa_matrix(pt.u, pt.v, pt.phi)[0]
+    want = [int(ld.cone_counts(A[None], np.array([p1 / q, p2 / q]), reg)[0]) for reg in regions]
+    assert got.tolist() == want
+
+
 @PROPS
 @given(unimodular(), moderate_matrix(), shifts, st.floats(0.3, 5.0))
 def test_disc_count_matches_brute(g, A0, xi, r):
@@ -222,6 +277,14 @@ def test_cusp_window_sum_matches_brute(g, u0, v0, xi, beta, R):
     val = ld.cusp_window_sum(tau, xi, M, spec)
     ref = brute_cusp_sum(tau, xi, M, spec, cmax)
     assert val == pytest.approx(ref, abs=1e-12 * max(1.0, ref))
+
+
+def test_settle_moves_each_end_by_the_predicate():
+    inside = lambda m: (m >= 2) & (m <= 5)  # noqa: E731
+    lo, hi = strips.settle(np.array([3, 1, 2, 6, 7]), np.array([4, 6, 5, 5, 6]), inside)
+    # one short at both ends; one long at both ends; exact; empty but 5 is inside; empty
+    assert lo.tolist() == [2, 2, 2, 5, 8] and hi.tolist() == [5, 5, 5, 5, 5]
+    assert strips.widths(lo, hi).tolist() == [4, 4, 4, 1, 0]
 
 
 def test_halfplanes_strict_closed_and_zero_coefficients():

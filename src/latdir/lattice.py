@@ -292,11 +292,22 @@ def enumerate_points(
     return np.concatenate(out)
 
 
+def _frac(x, out=None):
+    """x - floor(x): bit for bit ``np.mod(x, 1.0)`` for every float64, at under half its cost.
+
+    ``np.mod`` takes ``fmod(x, 1)``, which is exact, and adds 1 when that is
+    negative; both round the same exact value x - floor(x) once.  So a tiny
+    negative x wraps to 1.0 in both, -0.0 and integers map to +0.0, and inf
+    and nan map to nan.
+    """
+    return np.subtract(x, np.floor(x), out=out)
+
+
 def _turns(y1, y2, out):
     """Direction angles of the points (y1, y2) in turns, in [0, 1), written to ``out``."""
     np.arctan2(y2, y1, out=out)
     out /= TWO_PI
-    np.mod(out, 1.0, out=out)
+    _frac(out, out=out)
     out[out >= 1.0] = 0.0  # tiny negative angles round up to 1.0
 
 

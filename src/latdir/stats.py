@@ -5,8 +5,13 @@ of scaled direction differences, mixed moments against a measure on the
 circle, and an exact two-window pair statistic.
 
 All operations are read-only over a DirectionSet, whose ``alphas`` array is
-sorted, so window counts reduce to binary searches.  Mixed moments evaluate
-them on the measure's quadrature grid.  The pair statistic is an exact event
+sorted.  Window counts reduce to binary searches.  The d-th neighbour
+differences alpha_{j+d} - alpha_j of all j are one contiguous offset pass
+over two slices of that array (``_cyclic_gaps``): spacings take one such
+pass, and the two-point correlation takes one per d while more than a
+quarter of the j still have their d-th neighbour within the bins' reach,
+then gathers only those j.  Mixed moments evaluate window counts on the
+measure's quadrature grid.  The pair statistic is an exact event
 sweep instead: as the window slides around the circle its count changes by
 +-1 at the shifted directions A_j - b/N and A_j - a/N, so one sort of those
 breakpoints and a cumulative sum give the piecewise-constant integrand on
@@ -22,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError
-from .lattice import DirectionSet
+from .lattice import DirectionSet, _frac
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ def window_counts(dirs: DirectionSet, interval, alphas) -> np.ndarray:
     if width >= 1.0:
         return np.full(al.shape, N, dtype=np.int64)
     A = dirs.alphas
-    lo = np.mod(al + a / N, 1.0)
+    lo = _frac(al + a / N)
     hi = lo + width
     below = np.searchsorted(A, lo, side="left")
     wraps = hi > 1.0
@@ -177,20 +182,43 @@ def spacing_histogram(dirs: DirectionSet, k: int, edges) -> Histogram:
     """Histogram of scaled k-th neighbor spacings N*(alpha_{j+k} - alpha_j).
 
     Spacings are cyclic (the last entries wrap past 1) and the histogram is
-    density-normalized so the in-range mass is 1.
+    density-normalized so the in-range mass is 1.  The spacings are one
+    contiguous offset pass (``_cyclic_gaps``); those outside
+    [edges[0], edges[-1]] are dropped before binning, and the rest are
+    binned as ``np.histogram`` bins them (last bin closed), so the counts
+    are the same.
     """
     N = dirs.N
     if not 1 <= k < N:
         raise InvalidInputError(f"need 1 <= k < N, got k={k}, N={N}")
-    A = dirs.alphas
-    gaps = np.concatenate([A[k:], A[:k] + 1.0]) - A
-    scaled = N * gaps
+    scaled = _cyclic_gaps(dirs.alphas, k, np.empty(N))
+    scaled *= N
     edges = np.asarray(edges, dtype=float)
-    counts, _ = np.histogram(scaled, bins=edges)
+    counts, _ = _bin_sums(scaled[(scaled >= edges[0]) & (scaled <= edges[-1])], edges, None, False)
     total = counts.sum()
     widths = np.diff(edges)
     masses = counts / (total * widths) if total > 0 else np.zeros(counts.shape)
     return Histogram(edges, masses, "density")
+
+
+def _cyclic_gaps(A, d, out):
+    """out[j] = alpha_{j+d} - alpha_j for every j, the last d wrapping past 1.
+
+    Bit for bit ``concat(A, A + 1)[j + d] - A[j]``, from contiguous slices of
+    A: no index array, no gather, no doubled copy of A.
+    """
+    n = A.size - d
+    np.subtract(A[d:], A[:n], out=out[:n])
+    np.add(A[:d], 1.0, out=out[n:])
+    np.subtract(out[n:], A[n:], out=out[n:])
+    return out
+
+
+def _ahead(A, idx):
+    """Entries ``idx`` (sorted, in [0, 2N)) of concat(A, A + 1), without building it."""
+    out = A.take(idx, mode="wrap")
+    out[np.searchsorted(idx, A.size):] += 1.0
+    return out
 
 
 _HIST_BLOCK = 65536
@@ -246,8 +274,13 @@ def pair_correlation(
     weighted by 1/(rho(alpha_j1)*rho(alpha_j2)), which renormalizes a
     non-uniform direction density back to unit level.
 
-    Implemented as a sliding window over the sorted angles: cost is
-    O(N * W) for bins inside [-W, W].
+    Implemented as neighbour passes over the sorted angles: pass d takes the
+    differences alpha_{j+d} - alpha_j, keeps those within the bins' reach,
+    and stops when none is left, so the cost is O(N * W) for bins inside
+    [-W, W].  The kept j shrink from pass to pass (the difference grows with
+    d).  While more than a quarter of them survive, a pass is one contiguous
+    ``_cyclic_gaps`` over all j into one reused buffer; after that it
+    gathers only the surviving j.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -261,34 +294,38 @@ def pair_correlation(
     if W >= N / 2:
         raise InvalidInputError(f"window reach {W} must be below N/2 = {N / 2}")
     A = dirs.alphas
-    aug = np.concatenate([A, A + 1.0])
     thresh = W / N
     counts = np.zeros(edges.size - 1)
-    active = np.arange(N)
-    d = 1
-    while active.size and d < N:
-        diff = aug[active + d]
-        diff -= A[active]
-        near = diff <= thresh
-        active = active[near]
-        vals = diff[near]
-        del diff, near
+    gaps = np.empty(N)
+    near = np.empty(N, dtype=bool)
+    active = None  # the surviving j once the passes gather; None while they are dense
+    for d in range(1, N):
+        if active is None:
+            np.less_equal(_cyclic_gaps(A, d, gaps), thresh, out=near)
+            vals = gaps[near]
+            if 4 * vals.size < N:
+                active = np.flatnonzero(near)
+                del gaps, near
+        else:
+            diff = _ahead(A, active + d)
+            diff -= A[active]
+            keep = diff <= thresh
+            active = active[keep]
+            vals = diff[keep]
+            del diff, keep
+        if not vals.size:
+            break
         vals *= N
-        if vals.size:
-            if density is not None:
-                w = 1.0 / (
-                    np.asarray(density(A[active]))
-                    * np.asarray(density(np.mod(aug[active + d], 1.0)))
-                )
-            else:
-                w = None
-            plus, minus = _bin_sums(vals, edges, w, mirrored=not fold)
-            if fold:
-                counts += 2.0 * plus
-            else:
-                counts += plus
-                counts += minus
-        d += 1
+        w = None
+        if density is not None:
+            j = np.flatnonzero(near) if active is None else active
+            w = 1.0 / (np.asarray(density(A[j])) * np.asarray(density(_frac(_ahead(A, j + d)))))
+        plus, minus = _bin_sums(vals, edges, w, mirrored=not fold)
+        if fold:
+            counts += 2.0 * plus
+        else:
+            counts += plus
+            counts += minus
     masses = counts / (N * np.diff(edges))
     return Histogram(edges, masses, "density")
 
@@ -366,7 +403,9 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
     if N == 0:
         raise InvalidInputError("empty direction set")
     # breakpoint blocks: 0 enters window 1, 1 leaves it, 2 and 3 likewise for window 2
-    pts = np.concatenate([np.mod(dirs.alphas - e / N, 1.0) for e in (b1, a1, b2, a2)])
+    pts = np.empty(4 * N)
+    for blk, e in zip(pts.reshape(4, N), (b1, a1, b2, a2)):
+        _frac(np.subtract(dirs.alphas, e / N, out=blk), out=blk)
     order = np.argsort(pts, kind="stable")  # 8 presorted runs: each block is a rotation
     pts = pts[order]
     block = (order // N).astype(np.int8)
@@ -375,7 +414,7 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
     lens[:-1] = np.diff(pts)
     lens[-1] = pts[0] + 1.0 - pts[-1]
     i = int(np.argmax(lens))  # lens[-1] > 0, so this segment has positive length
-    mid = np.mod(pts[i] + lens[i] / 2.0, 1.0)
+    mid = _frac(pts[i] + lens[i] / 2.0)
 
     def sweep(a, b, enter, leave):
         # count in [alpha + a/N, alpha + b/N) on every segment

@@ -27,9 +27,17 @@ def brute_points(lat, shape, T, M):
 
 
 def brute_cone_count(A, shift, region, M):
+    """Points of (Z^2 + shift) A in the region, scanning the [-M, M]^2 box of m.
+
+    y = (m + shift) A is formed entry by entry, y_i = p1 a_1i + p2 a_2i, the
+    rounding the cone counter promises: ``p @ A`` rounds some points of a
+    simple matrix differently and can move one across a window edge.
+    """
     m1, m2 = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij")
-    p = np.stack([m1.ravel() + shift[0], m2.ravel() + shift[1]], 1)
-    return int(np.sum(region.contains(p @ A)))
+    p1 = m1.ravel() + shift[0]
+    p2 = m2.ravel() + shift[1]
+    y = np.stack([p1 * A[0][0] + p2 * A[1][0], p1 * A[0][1] + p2 * A[1][1]], 1)
+    return int(np.sum(region.contains(y)))
 
 
 def brute_disc_count(A, shift, r, M):

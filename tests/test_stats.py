@@ -86,6 +86,31 @@ def test_spacing_k_bounds(regular8):
         ld.spacing_histogram(regular8, 0, np.arange(0, 6, 0.5))
 
 
+def _np_histogram_spacings(dirs, k, edges):
+    """Reference: every scaled spacing binned by np.histogram."""
+    A, N = dirs.alphas, dirs.N
+    counts, _ = np.histogram(N * (np.concatenate([A[k:], A[:k] + 1.0]) - A), bins=edges)
+    total = counts.sum()
+    return counts / (total * np.diff(edges)) if total > 0 else np.zeros(counts.shape)
+
+
+def test_spacing_histogram_matches_np_histogram(dirs_500):
+    # a regular 64-gon puts every k-spacing exactly on k: on interior edges, on the closed
+    # last edge, and past it (k = N - 1)
+    regular = ld.DirectionSet(np.arange(64) / 64.0, 10.0, ld.Annulus(0.0))
+    clustered = ld.direction_set(ld.AffineLatticeSpec(ld.Mat2(1.0, 0.0, 1000.0, 1.0), (0.5, 1.0 / 3.0)),
+                                 ld.Square(), 40.0)
+    edge_sets = (np.arange(0.0, 7.0, 1.0), np.arange(0.0, 6.05, 0.1), np.array([0.5, 1.0, 63.0]),
+                 np.array([2.0, 2.5, 3.0]), np.array([-1.0, 0.0, 0.25]))
+    for dirs in (regular, clustered, dirs_500):
+        for k in (1, 2, 3, 6, 15, dirs.N - 1):
+            for edges in edge_sets:
+                assert ld.spacing_histogram(dirs, k, edges).masses.tobytes() == \
+                    _np_histogram_spacings(dirs, k, edges).tobytes()
+    assert np.count_nonzero(ld.spacing_histogram(regular, 6, np.arange(0.0, 7.0, 1.0)).masses[-1]) == 1
+    assert np.count_nonzero(ld.spacing_histogram(regular, 63, np.array([0.5, 1.0, 63.0])).masses[-1]) == 1
+
+
 def test_spacing_heavy_tail(dirs_1000):
     # scaled nearest-neighbor gaps: clearly non-exponential tail
     A = dirs_1000.alphas
@@ -164,6 +189,48 @@ def test_pair_correlation_one_sort_matches_two_histograms(cbrt_lat):
         folded = edges[edges >= 0.0]
         assert ld.pair_correlation(ds, folded, fold=True).masses.tobytes() == \
             _two_histogram_pair_correlation(ds, folded, fold=True).tobytes()
+
+
+def _survivors(dirs, edges, d):
+    """Number of j whose d-th neighbour lies within the bins' reach."""
+    A, N = dirs.alphas, dirs.N
+    gaps = np.concatenate([A[d:], A[:d] + 1.0]) - A
+    return int(np.sum(gaps <= max(abs(edges[0]), abs(edges[-1])) / N))
+
+
+def _uniform_dirs(n, seed):
+    return ld.DirectionSet(np.sort(np.random.default_rng(seed).uniform(0, 1, n)), 10.0, ld.Annulus(0.0))
+
+
+@pytest.mark.parametrize("case", ["gather-from-pass-1", "gather-after-passes", "never-gather", "clustered"])
+def test_pair_correlation_offset_passes_match_reference(case):
+    # the passes over all j switch to gathering the survivors once fewer than N/4 are left
+    if case == "gather-from-pass-1":
+        dirs, edges = _uniform_dirs(4000, 31), np.array([-0.2, -0.05, 0.0, 0.1, 0.2])
+        assert 4 * _survivors(dirs, edges, 1) < dirs.N
+    elif case == "gather-after-passes":
+        dirs, edges = _uniform_dirs(4000, 32), np.arange(-8.0, 8.25, 0.25)
+        assert 4 * _survivors(dirs, edges, 5) >= dirs.N > 4 * _survivors(dirs, edges, 12)
+    elif case == "never-gather":
+        # a regular 64-gon: every j survives passes 1..6, and pass 7 keeps none
+        dirs, edges = ld.DirectionSet(np.arange(64) / 64.0, 10.0, ld.Annulus(0.0)), np.arange(-6.0, 6.5, 0.5)
+        assert _survivors(dirs, edges, 6) == dirs.N and _survivors(dirs, edges, 7) == 0
+    else:
+        # rational shift on a sheared basis: directions repeat, so many differences are exactly 0
+        lat = ld.AffineLatticeSpec(ld.Mat2(1.0, 0.0, 1000.0, 1.0), (0.5, 1.0 / 3.0))
+        dirs, edges = ld.direction_set(lat, ld.Square(), 40.0), np.arange(-5.0, 5.25, 0.25)
+        assert np.any(np.diff(dirs.alphas) == 0.0)
+    rho = lambda a: 1.0 + 0.5 * np.cos(2 * np.pi * a)  # noqa: E731
+    assert ld.pair_correlation(dirs, edges).masses.tobytes() == \
+        _two_histogram_pair_correlation(dirs, edges).tobytes()
+    np.testing.assert_allclose(ld.pair_correlation(dirs, edges, density=rho).masses,
+                               _two_histogram_pair_correlation(dirs, edges, density=rho), rtol=1e-12)
+    folded = edges[edges >= 0.0]
+    assert ld.pair_correlation(dirs, folded, fold=True).masses.tobytes() == \
+        _two_histogram_pair_correlation(dirs, folded, fold=True).tobytes()
+    np.testing.assert_allclose(ld.pair_correlation(dirs, folded, density=rho, fold=True).masses,
+                               _two_histogram_pair_correlation(dirs, folded, density=rho, fold=True),
+                               rtol=1e-12)
 
 
 def test_pair_correlation_density_correction(cbrt_lat):

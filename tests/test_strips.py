@@ -220,6 +220,15 @@ def test_cone_counts_point_at_the_apex():
         assert int(ld.cone_counts(A[None], xi, region)[0]) == brute_cone_count(A, xi, region, 8) == 1
 
 
+def test_cone_counts_oracle_rounds_entrywise():
+    # (m + xi) A taken as a matrix product rounds 89 of these 441 points differently; one of them
+    # then leaves the window (0, 0.5), though the entrywise point, which cone_counts uses, is inside
+    A = np.array([[1.0, 1.0], [0.5, 1.5]])
+    xi = np.array([0.0, 1.0 / 3.0])
+    region = ld.ConeRegion(0.0, (0.0, 0.5))
+    assert int(ld.cone_counts(A[None], xi, region)[0]) == brute_cone_count(A, xi, region, 10) == 1
+
+
 @st.composite
 def rational_samples(draw):
     """(p1, p2, q, coset) for every supported level q, with a random coset representative."""

@@ -4,23 +4,18 @@ Window counts, k-th neighbor spacing histograms, the two-point correlation
 of scaled direction differences, mixed moments against a measure on the
 circle, and an exact two-window pair statistic.
 
-All operations are read-only over a DirectionSet, whose ``alphas`` array is
-sorted.  Window counts reduce to binary searches.  The d-th neighbour
-differences alpha_{j+d} - alpha_j of all j are one contiguous offset pass
-over two slices of that array (``_cyclic_gaps``): spacings take one such
-pass, and the two-point correlation takes one per d while more than a
-quarter of the j still have their d-th neighbour within the bins' reach,
-then gathers only those j.  Mixed moments evaluate window counts on the
-measure's quadrature grid.  The pair statistic is an exact event
-sweep instead: as the window slides around the circle its count changes by
-+-1 at the shifted directions A_j - b/N and A_j - a/N, so one sort of those
-breakpoints and a cumulative sum give the piecewise-constant integrand on
-every segment.
+All operations are read-only over a DirectionSet, whose ``alphas`` array A
+is sorted, so the lifted sequence L(k) = A[k mod N] + k div N is
+nondecreasing.  Window counts are two binary searches on it.  Spacings
+are one contiguous offset pass L(j + k) - L(j) over all j
+(``_cyclic_gaps``).  The two-point correlation bins, and the pair
+statistic sums window overlaps over, the same close pairs: the neighbour
+passes d = 1, 2, ... of ``_near_pairs``.  Mixed moments evaluate window
+counts on the measure's quadrature grid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -117,11 +112,10 @@ class MomentSpec:
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Bin edges plus per-bin masses; ``normalization`` is density or count."""
+    """Bin edges plus per-bin masses, as densities (mass per unit length)."""
 
     bin_edges: np.ndarray
     masses: np.ndarray
-    normalization: str = "density"
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=float)
@@ -138,17 +132,17 @@ class Histogram:
         return np.diff(self.bin_edges)
 
     def total_mass(self) -> float:
-        if self.normalization == "density":
-            return float(np.sum(self.masses * self.widths))
-        return float(np.sum(self.masses))
+        return float(np.sum(self.masses * self.widths))
 
 
 def window_counts(dirs: DirectionSet, interval, alphas) -> np.ndarray:
     """Number of directions in the shrunk window N^-1 * interval + alpha.
 
     The window is the half-open arc [alpha + a/N, alpha + b/N) on the
-    circle; wrap-around is handled, and a window of length >= 1 returns N.
-    Vectorized over ``alphas``.
+    circle; a window of length >= 1 returns N.  Vectorized over ``alphas``.
+    With lo = frac(alpha + a/N) and hi = lo + (b - a)/N the count is
+    J(hi) - J(lo), where J(x) = searchsorted(A, frac(x)) + N floor(x)
+    counts the lifted sequence below x, so wrap-around needs no branch.
     """
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
@@ -163,14 +157,9 @@ def window_counts(dirs: DirectionSet, interval, alphas) -> np.ndarray:
     A = dirs.alphas
     lo = _frac(al + a / N)
     hi = lo + width
-    below = np.searchsorted(A, lo, side="left")
-    wraps = hi > 1.0
-    cnt = np.where(
-        wraps,
-        (N - below) + np.searchsorted(A, np.where(wraps, hi - 1.0, 0.0), side="left"),
-        np.searchsorted(A, np.where(wraps, 1.0, hi), side="left") - below,
-    )
-    return cnt.astype(np.int64)
+    turns = np.floor(hi)
+    cnt = np.searchsorted(A, hi - turns, side="left") - np.searchsorted(A, lo, side="left")
+    return cnt + N * turns.astype(np.int64)
 
 
 def counting_stat(dirs: DirectionSet, interval, alpha: float) -> int:
@@ -194,11 +183,14 @@ def spacing_histogram(dirs: DirectionSet, k: int, edges) -> Histogram:
     scaled = _cyclic_gaps(dirs.alphas, k, np.empty(N))
     scaled *= N
     edges = np.asarray(edges, dtype=float)
-    counts, _ = _bin_sums(scaled[(scaled >= edges[0]) & (scaled <= edges[-1])], edges, None, False)
+    keep = scaled <= edges[-1]
+    if edges[0] > 0:  # cyclic spacings are never negative
+        keep &= scaled >= edges[0]
+    counts, _ = _bin_sums(scaled[keep], edges, None, False)
     total = counts.sum()
     widths = np.diff(edges)
     masses = counts / (total * widths) if total > 0 else np.zeros(counts.shape)
-    return Histogram(edges, masses, "density")
+    return Histogram(edges, masses)
 
 
 def _cyclic_gaps(A, d, out):
@@ -215,10 +207,64 @@ def _cyclic_gaps(A, d, out):
 
 
 def _ahead(A, idx):
-    """Entries ``idx`` (sorted, in [0, 2N)) of concat(A, A + 1), without building it."""
+    """Entries ``idx`` (sorted, nonnegative) of the lifted sequence A[k mod N] + k div N.
+
+    Bit for bit ``concat(A, A + 1, A + 2, ...)[idx]``, without building it:
+    the indices in turn q are one slice of the sorted ``idx``, and q is added
+    to that slice once (adding an integer array would cast every entry).
+    """
     out = A.take(idx, mode="wrap")
-    out[np.searchsorted(idx, A.size):] += 1.0
+    q, start = 1, np.searchsorted(idx, A.size)
+    while start < idx.size:
+        stop = np.searchsorted(idx, (q + 1) * A.size)
+        out[start:stop] += q
+        q, start = q + 1, stop
     return out
+
+
+def _near_pairs(A, reach):
+    """Neighbour passes over the lifted sequence L(k) = A[k mod N] + k div N.
+
+    Pass d = 1, 2, ... yields ``(d, sel, vals)``: ``vals`` are, in order of
+    j, the scaled differences N * (L(j + d) - L(j)) with L(j + d) - L(j) <=
+    reach / N, and ``A[sel]`` their alpha_j (``sel`` is a mask over j while
+    the passes are dense, the surviving j after that).  Passes with d = 0
+    (mod N) are skipped, since a direction is never a pair with its own
+    image, and the passes end at the first one that keeps nothing, so the
+    cost is O(N * (1 + reach)).  Needs N >= 2.
+
+    The kept j shrink from pass to pass (the difference grows with d).
+    While more than a quarter of them survive, a pass is one contiguous
+    ``_cyclic_gaps`` over all j into one reused buffer; after that, and
+    from d = N - 1 on, it gathers only the surviving j.
+    """
+    N = A.size
+    thresh = reach / N
+    gaps = np.empty(N)
+    near = np.empty(N, dtype=bool)
+    active = None  # the surviving j once the passes gather; None while they are dense
+    d = 0
+    while True:
+        d += 1
+        if d % N == 0:
+            continue
+        if active is None:
+            np.less_equal(_cyclic_gaps(A, d, gaps), thresh, out=near)
+            sel, vals = near, gaps[near]
+            if 4 * vals.size < N or d == N - 1:  # _cyclic_gaps takes d < N only
+                sel = active = np.flatnonzero(near)
+                del gaps, near
+        else:
+            diff = _ahead(A, active + d)
+            diff -= A[active]
+            keep = diff <= thresh
+            sel = active = active[keep]
+            vals = diff[keep]
+            del diff, keep
+        if not vals.size:
+            return
+        vals *= N
+        yield d, sel, vals
 
 
 _HIST_BLOCK = 65536
@@ -274,13 +320,8 @@ def pair_correlation(
     weighted by 1/(rho(alpha_j1)*rho(alpha_j2)), which renormalizes a
     non-uniform direction density back to unit level.
 
-    Implemented as neighbour passes over the sorted angles: pass d takes the
-    differences alpha_{j+d} - alpha_j, keeps those within the bins' reach,
-    and stops when none is left, so the cost is O(N * W) for bins inside
-    [-W, W].  The kept j shrink from pass to pass (the difference grows with
-    d).  While more than a quarter of them survive, a pass is one contiguous
-    ``_cyclic_gaps`` over all j into one reused buffer; after that it
-    gathers only the surviving j.
+    Implemented as the neighbour passes of ``_near_pairs`` up to the bins'
+    reach W, so the cost is O(N * W) for bins inside [-W, W].
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
@@ -294,31 +335,11 @@ def pair_correlation(
     if W >= N / 2:
         raise InvalidInputError(f"window reach {W} must be below N/2 = {N / 2}")
     A = dirs.alphas
-    thresh = W / N
     counts = np.zeros(edges.size - 1)
-    gaps = np.empty(N)
-    near = np.empty(N, dtype=bool)
-    active = None  # the surviving j once the passes gather; None while they are dense
-    for d in range(1, N):
-        if active is None:
-            np.less_equal(_cyclic_gaps(A, d, gaps), thresh, out=near)
-            vals = gaps[near]
-            if 4 * vals.size < N:
-                active = np.flatnonzero(near)
-                del gaps, near
-        else:
-            diff = _ahead(A, active + d)
-            diff -= A[active]
-            keep = diff <= thresh
-            active = active[keep]
-            vals = diff[keep]
-            del diff, keep
-        if not vals.size:
-            break
-        vals *= N
+    for d, sel, vals in _near_pairs(A, W):
         w = None
         if density is not None:
-            j = np.flatnonzero(near) if active is None else active
+            j = np.arange(N)[sel]
             w = 1.0 / (np.asarray(density(A[j])) * np.asarray(density(_frac(_ahead(A, j + d)))))
         plus, minus = _bin_sums(vals, edges, w, mirrored=not fold)
         if fold:
@@ -327,7 +348,7 @@ def pair_correlation(
             counts += plus
             counts += minus
     masses = counts / (N * np.diff(edges))
-    return Histogram(edges, masses, "density")
+    return Histogram(edges, masses)
 
 
 def _power(base: np.ndarray, s: complex) -> np.ndarray:
@@ -378,22 +399,19 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
 
     Integrates, over the window position alpha, the number of ordered pairs
     j1 != j2 whose scaled differences place alpha_j1 in window 1 and
-    alpha_j2 in window 2, i.e. n1 * n2 - n12 with n12 the number of
-    directions in both windows.  A window of length >= N holds every
-    direction, so n12 is then the other window's count.  Otherwise a
-    direction lies in both windows through exactly one circle image
-    (a2 + kN, b2 + kN) of window 2, and n12 sums the counts in the line
-    overlaps (max(a1, a2 + kN), min(b1, b2 + kN)) that are non-empty; only
-    k = 0 can be while the two windows together span less than N.
+    alpha_j2 in window 2.  A window of length >= N holds every direction,
+    so the integral is then N - 1 times the other window's length, or
+    N (N - 1) when both windows are that long.
 
-    Each count is a step function of alpha: direction A_j enters the window
-    [alpha + a/N, alpha + b/N) at alpha = A_j - b/N and leaves it at
-    A_j - a/N.  One sweep over the 4N sorted breakpoints takes cumulative
-    sums of these +-1 events, anchored by one binary-search count on the
-    longest segment; the overlap window's events are a subset of the same
-    breakpoints, and a window with b - a >= N has no events (its count is
-    constantly N).  The integral is the finite sum of segment length times
-    integrand (no quadrature).
+    Otherwise it is 1/N times the sum, over ordered pairs j1 != j2 and
+    circle images m, of the overlap of window 1 with window 2 moved by
+    s = N (alpha_j1 - alpha_j2 + m); only s in (a1 - b2, b1 - a2) count.
+    Moving window 2 by a whole number of turns kN only renumbers m, so it
+    is first moved to put that support near 0.  The pairs are the
+    neighbour passes of ``_near_pairs`` up to reach
+    max(|a1 - b2|, |b1 - a2|), each giving s for one order of the pair and
+    -s for the other; the cost is O(N * (1 + reach)), as for
+    ``pair_correlation``.  The result is a finite sum (no quadrature).
     """
     a1, b1 = float(interval1[0]), float(interval1[1])
     a2, b2 = float(interval2[0]), float(interval2[1])
@@ -402,40 +420,20 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
     N = dirs.N
     if N == 0:
         raise InvalidInputError("empty direction set")
-    # breakpoint blocks: 0 enters window 1, 1 leaves it, 2 and 3 likewise for window 2
-    pts = np.empty(4 * N)
-    for blk, e in zip(pts.reshape(4, N), (b1, a1, b2, a2)):
-        _frac(np.subtract(dirs.alphas, e / N, out=blk), out=blk)
-    order = np.argsort(pts, kind="stable")  # 8 presorted runs: each block is a rotation
-    pts = pts[order]
-    block = (order // N).astype(np.int8)
-    del order
-    lens = np.empty(pts.shape)
-    lens[:-1] = np.diff(pts)
-    lens[-1] = pts[0] + 1.0 - pts[-1]
-    i = int(np.argmax(lens))  # lens[-1] > 0, so this segment has positive length
-    mid = _frac(pts[i] + lens[i] / 2.0)
+    wide1, wide2 = (b1 - a1) / N >= 1.0, (b2 - a2) / N >= 1.0
+    if wide1:
+        return (N - 1) * (float(N) if wide2 else b2 - a2)
+    if wide2:
+        return (N - 1) * (b1 - a1)
+    if N == 1:
+        return 0.0  # no pairs
+    k = round((a1 + b1 - a2 - b2) / (2 * N))
+    a2, b2 = a2 + k * N, b2 + k * N
 
-    def sweep(a, b, enter, leave):
-        # count in [alpha + a/N, alpha + b/N) on every segment
-        anchor = float(window_counts(dirs, (a, b), [mid])[0])
-        if (b - a) / N >= 1.0:
-            return anchor
-        cum = np.cumsum(np.subtract(block == enter, block == leave, dtype=np.int8), dtype=float)
-        cum += anchor - cum[i]
-        return cum
+    def overlap(s):
+        return np.maximum(np.minimum(b1, b2 + s) - np.maximum(a1, a2 + s), 0.0)
 
-    n1 = sweep(a1, b1, 0, 1)
-    n2 = sweep(a2, b2, 2, 3)
-    if (b1 - a1) / N >= 1.0:
-        diag = n2
-    elif (b2 - a2) / N >= 1.0:
-        diag = n1
-    else:
-        diag = 0.0
-        for k in range(math.floor((a1 - b2) / N), math.ceil((b1 - a2) / N) + 1):
-            c2, d2 = a2 + k * N, b2 + k * N
-            lo, hi = max(a1, c2), min(b1, d2)
-            if lo < hi:  # the image has window 2's breakpoints, mod 1
-                diag = diag + sweep(lo, hi, 0 if b1 <= d2 else 2, 1 if a1 >= c2 else 3)
-    return float(np.sum(lens * (n1 * n2 - diag)))
+    total = 0.0
+    for _, _, s in _near_pairs(dirs.alphas, max(abs(a1 - b2), abs(b1 - a2))):
+        total += overlap(s).sum() + overlap(-s).sum()
+    return total / N

@@ -1,15 +1,17 @@
-"""Property tests for the exact two-window pair integral (event sweep).
+"""Property tests for the exact two-window pair integral.
 
-``pair_correlation_integral`` is checked against ``brute_pair_integral``
-(an O(N^2) sum over pairs and circle images) on tiny direction sets and
+``pair_correlation_integral`` sums window overlaps over the pairs of the
+neighbour passes.  It is checked against ``brute_pair_integral`` (an
+O(N^2) sum over pairs and circle images) on tiny direction sets and
 against ``pair_overlap_sum`` on mid-size ones.  Rational shifts give
-repeated directions, so many breakpoints coincide; the window pairs cover
-identical windows, shared endpoints, disjoint and nested windows.  Both
-oracles count every circle image of a pair, so they apply while each
-window is shorter than N, also when the two together span N or more and a
-direction can sit in both through different images; a window of length
->= N counts all N directions, and those cases are checked against closed
-forms.
+repeated directions, so many differences are exactly 0 or on a window
+edge; the window pairs cover identical windows, shared endpoints,
+disjoint and nested windows.  Both oracles count every circle image of a
+pair, so they apply while each window is shorter than N, also when the
+two together span N or more and a direction can sit in both through
+different images; then the reach can exceed N/2 and the passes run past
+d = N on tiny sets.  A window of length >= N counts all N directions, and
+those cases are checked against closed forms.
 """
 
 import numpy as np
@@ -95,7 +97,6 @@ def test_pair_integral_wide_window(xi, shape, T, a, extra, w):
     assert both == pytest.approx(N * (N - 1), rel=1e-12)
 
 
-
 def test_pair_integral_no_self_pair_through_another_image():
     # eight equally spaced directions: window 2 = (7.5, 8.5) is (-0.5, 0.5) one turn on,
     # so half the time a direction sits in both windows, and it is no pair with itself
@@ -115,6 +116,35 @@ def test_pair_integral_matches_brute_far_apart(xi, shape, T, pair, k, jitter, sw
     (a1, b1), (a2, b2) = pair
     assume(max(b1 - a1, b2 - a2) < N)
     I1, I2 = (a1, b1), (a2 + k * N + jitter, b2 + k * N + jitter)
+    if swap:
+        I1, I2 = I2, I1
+    got = ld.pair_correlation_integral(dirs, I1, I2)
+    assert got == pytest.approx(brute_pair_integral(dirs, I1, I2, m_range=5), rel=1e-9, abs=1e-9)
+
+
+def test_pair_integral_past_one_turn_regular():
+    # eight equally spaced directions and windows shorter than N = 8: the scaled differences
+    # are the integers s not divisible by 8, each from 8 ordered pairs, so the integral is the
+    # sum of |(a1, b1) & (a2 + s, b2 + s)| over those s (hand-summed below); a reach of 11
+    # runs the passes to d = 11, past d = N
+    dirs = ld.DirectionSet(np.arange(8) / 8.0, 1.5, ld.Annulus(0.0))
+    cases = (((0.0, 7.0), (4.0, 11.0), 43.0), ((4.0, 11.0), (0.0, 7.0), 43.0),
+             ((0.0, 7.0), (-12.0, -5.0), 43.0), ((0.0, 7.5), (3.5, 11.0), 49.0),
+             ((0.0, 7.0), (0.0, 7.0), 42.0))
+    for I1, I2, want in cases:
+        assert ld.pair_correlation_integral(dirs, I1, I2) == want
+        assert brute_pair_integral(dirs, I1, I2, m_range=5) == want
+
+
+@PROPS
+@given(shifts, shapes, st.floats(2.0, 3.5), st.floats(0.55, 0.99), st.floats(0.55, 0.99),
+       st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.booleans())
+def test_pair_integral_passes_past_one_turn(xi, shape, T, f1, f2, u1, u2, swap):
+    # both windows shorter than N and together longer than N, so the reach stays above N/2
+    # whatever whole turns window 2 is moved by, and the passes often cross d = N
+    dirs = _dirs(xi, shape, T)
+    N = dirs.N
+    I1, I2 = (u1 * N, (u1 + f1) * N), (u2 * N, (u2 + f2) * N)
     if swap:
         I1, I2 = I2, I1
     got = ld.pair_correlation_integral(dirs, I1, I2)

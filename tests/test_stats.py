@@ -198,6 +198,18 @@ def _survivors(dirs, edges, d):
     return int(np.sum(gaps <= max(abs(edges[0]), abs(edges[-1])) / N))
 
 
+def test_ahead_reads_the_lifted_sequence():
+    # indices past 2N carry their whole turns: byte for byte concat(A, A + 1, A + 2, ...)
+    from latdir.stats import _ahead
+
+    for A in (np.sort(np.random.default_rng(5).uniform(0, 1, 37)), np.arange(8) / 8.0,
+              np.array([0.0, 1e-300, 0.3, 0.3, 1.0 - 1e-16])):
+        lifted = np.concatenate([A + q for q in range(6)])
+        assert _ahead(A, np.arange(lifted.size)).tobytes() == lifted.tobytes()
+        picks = np.sort(np.random.default_rng(6).integers(2 * A.size, lifted.size, 50))
+        assert _ahead(A, picks).tobytes() == lifted[picks].tobytes()
+
+
 def _uniform_dirs(n, seed):
     return ld.DirectionSet(np.sort(np.random.default_rng(seed).uniform(0, 1, n)), 10.0, ld.Annulus(0.0))
 

@@ -16,7 +16,7 @@ import mpmath
 import numpy as np
 
 from . import strips
-from .errors import InvalidConstructionError, InvalidInputError
+from .errors import CapacityError, InvalidConstructionError, InvalidInputError
 from .lattice import AffineLatticeSpec, Annulus, Mat2, direction_set
 from .stats import counting_stat
 
@@ -51,8 +51,11 @@ def _is_exact(x) -> bool:
 def dioph_scan(xi, kappa: float, radius: int) -> DiophReport:
     """Exhaustive scan of the weighted linear forms up to the given radius.
 
-    With Fraction (or int) components the scan runs in exact arithmetic, so
-    a rational relation reports min_value exactly 0.  Float components use
+    With Fraction (or int) components the scan runs in exact integer
+    arithmetic over their common denominator (``_exact_scan``), so a
+    rational relation reports min_value exactly 0 and every value is the
+    float of the exact one; it raises CapacityError when radius times the
+    denominator reaches 2^53.  Float components use
     vectorized double precision; the roundoff on r . xi is below
     (|r1|+|r2|) ulp, far under the floors met in practice.  Ties resolve to
     the first (r1, r2) in row-major scan order.
@@ -67,29 +70,47 @@ def dioph_scan(xi, kappa: float, radius: int) -> DiophReport:
         raise InvalidInputError("radius must be at least 1")
     if len(xi) != 2:
         raise InvalidInputError("xi must be a 2-vector")
-    if _is_exact(xi[0]) and _is_exact(xi[1]):
-        x1, x2 = Fraction(xi[0]), Fraction(xi[1])
-        best = None
-        for r1 in range(-radius, 1):
-            w = radius + r1
-            for r2 in range(-w, w + 1 if r1 else 0):
-                t = r1 * x1 + r2 * x2
-                m = -round(t)
-                val = abs(float(t + m)) * float(abs(r1) + abs(r2)) ** kappa
-                if best is None or val < best[0]:
-                    best = (val, (r1, r2, int(m)))
-        return DiophReport(float(kappa), radius, best[0], best[1])
-    x1, x2 = float(xi[0]), float(xi[1])
+    if not math.isfinite(kappa):
+        raise InvalidInputError(f"kappa must be finite, got {kappa!r}")
     # rows r1 = -radius..0 of the half diamond, r2 from -(radius + r1); row r1 = 0 stops at -1
     row = np.arange(-radius, 1)
     width = 2 * (radius + row) + 1
     width[-1] = radius
     r2, r1 = strips.expand(-(radius + row), width, row)
+    if _is_exact(xi[0]) and _is_exact(xi[1]):
+        return _exact_scan(Fraction(xi[0]), Fraction(xi[1]), kappa, radius, r1, r2)
+    x1, x2 = float(xi[0]), float(xi[1])
     t = r1 * x1 + r2 * x2
     m = -np.rint(t)
     val = np.abs(t + m) * (np.abs(r1) + np.abs(r2)).astype(float) ** kappa
     i = int(np.argmin(val))
     return DiophReport(float(kappa), radius, float(val[i]), (int(r1[i]), int(r2[i]), int(m[i])))
+
+
+def _exact_scan(x1: Fraction, x2: Fraction, kappa: float, radius: int, r1, r2) -> DiophReport:
+    """The scan over (r1, r2) for exact xi, in int64 over a common denominator D.
+
+    Writes xi_i = k_i + X_i / D with 0 <= X_i < D, so r . xi = r . k + N / D
+    with |N| <= radius D.  While radius D < 2^53, N and the remainder
+    R = r . xi - round(r . xi), times D, are exact in float64, so R / D
+    rounds like ``float(Fraction(R, D))``.  Ties go to the even integer, as
+    Python's round does on a Fraction; that depends on the parity of r . k.
+    Raises CapacityError past that limit.
+    """
+    D = math.lcm(x1.denominator, x2.denominator)
+    if radius * D >= 2**53:
+        raise CapacityError(f"exact scan needs radius * denominator < 2^53, got {radius} * {D}")
+    k1, k2 = math.floor(x1), math.floor(x2)
+    N = r1 * int((x1 - k1) * D) + r2 * int((x2 - k2) * D)
+    q, rem = np.divmod(N, D)
+    odd = (q + r1 * (k1 % 2) + r2 * (k2 % 2)) % 2 == 1  # floor(r . xi) is odd
+    q += (2 * rem > D) | ((2 * rem == D) & odd)  # round(r . xi) - r . k, ties to even
+    R = N - q * D
+    weight = np.array([0.0] + [float(h) ** kappa for h in range(1, radius + 1)])  # h = 0 never occurs
+    val = np.abs(R).astype(float) / float(D) * weight[np.abs(r1) + np.abs(r2)]
+    i = int(np.argmin(val))
+    m = -(int(q[i]) + int(r1[i]) * k1 + int(r2[i]) * k2)
+    return DiophReport(float(kappa), radius, float(val[i]), (int(r1[i]), int(r2[i]), m))
 
 
 def singular_vector(n, omega: float, l):

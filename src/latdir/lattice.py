@@ -22,6 +22,14 @@ from .errors import CapacityError, InvalidInputError
 TWO_PI = 2.0 * math.pi
 DET_TOL = 1e-12
 DEFAULT_MAX_POINTS = 200_000_000
+# Relative margin by which the enumerator shrinks the outer radius and the
+# square, and grows the inner radius, to solve each strip's certified
+# interior: far above the roundoff of y and |y|^2 on a reduced basis.
+MARGIN = 1e-9
+# The smallest inner radius the interior is solved with.  A strip that
+# misses this disc holds no point that rounds to the origin, and the
+# squares of radii above it are normal floats.
+ORIGIN_RADIUS = 2.0**-500
 
 
 @dataclass(frozen=True)
@@ -100,7 +108,10 @@ class AffineLatticeSpec:
         self.basis.require_unimodular()
         if len(self.shift) != 2:
             raise InvalidInputError("shift must be a 2-vector")
-        object.__setattr__(self, "shift", (float(self.shift[0]), float(self.shift[1])))
+        shift = (float(self.shift[0]), float(self.shift[1]))
+        if not all(math.isfinite(x) for x in shift):
+            raise InvalidInputError(f"shift must be finite, got {shift}")
+        object.__setattr__(self, "shift", shift)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,18 +129,21 @@ class DirectionSet:
             raise InvalidInputError("alphas must be one-dimensional")
         if a.size and (a[0] < 0.0 or a[-1] >= 1.0 or np.any(a[1:] < a[:-1])):
             raise InvalidInputError("alphas must be sorted and lie in [0, 1)")
-        if self.T <= 0:
-            raise InvalidInputError("T must be positive")
+        _require_scale(self.T)
 
     @property
     def N(self) -> int:
         return int(self.alphas.size)
 
 
+def _require_scale(T) -> None:
+    if not (math.isfinite(T) and T > 0):  # NaN fails both tests
+        raise InvalidInputError(f"T must be finite and positive, got {T!r}")
+
+
 def expected_count(shape: DomainShape, T: float) -> float:
     """Leading-order point count: pi*(1-c^2)*T^2 (annulus) or 4*T^2 (square)."""
-    if T <= 0:
-        raise InvalidInputError("T must be positive")
+    _require_scale(T)
     if isinstance(shape, Annulus):
         return math.pi * (1.0 - shape.c**2) * T * T
     return 4.0 * T * T
@@ -186,12 +200,15 @@ def _kept_chunks(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
     """The strip loop behind ``enumerate_points`` and ``direction_set``.
 
     Validates the input and solves the m1-strips at once, so every error is
-    raised before anything point-sized is allocated.  Returns the candidate
-    count, an upper bound on the points kept, and an iterator over (y1, y2)
-    of the kept points, one chunk of whole strips at a time.
+    raised before anything point-sized is allocated.  Each strip's candidate
+    m2 range (its chord, minus the inner-disc chord shrunk by one integer
+    on an annulus with c > 0) splits into a certified interior, taken
+    whole, and a few boundary candidates near the range ends, the inner
+    circle or the origin, which ``_inside`` decides (``_zones``).  Returns
+    the number of kept points and an iterator over (y1, y2) of the kept
+    points in (strip, m2) order, ``strips.CHUNK`` points at a time.
     """
-    if T <= 0:
-        raise InvalidInputError("T must be positive")
+    _require_scale(T)
     lat.basis.require_unimodular()
     if expected_count(shape, T) > max_points:
         raise CapacityError(
@@ -201,61 +218,101 @@ def _kept_chunks(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
     if isinstance(shape, Annulus):
         m1lo, m1hi, q12, q22 = strips.ellipse_span(B.a, B.b, B.c, B.d, T, xi1)
     else:
+        q12, q22 = B.a * B.c + B.b * B.d, B.c**2 + B.d**2
         p1max = T * (abs(B.d) + abs(B.c))
         m1lo, m1hi = strips.integer_range(-p1max, p1max, xi1)
     if m1hi - m1lo + 1 > max_points:
         raise CapacityError(f"enumeration needs {m1hi - m1lo + 1} strips, cap is {max_points}")
     p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
     if isinstance(shape, Annulus):
-        m2lo, m2hi = strips.root_pair(q12, q22, p1, xi2, T)[:2]
-        if shape.c > 0:
-            m2lo, m2hi, p1 = _outside_inner_chord(m2lo, m2hi, q12, q22, p1, xi2, shape.c * T)
+        lo, hi = strips.root_pair(q12, q22, p1, xi2, T)[:2]
+        ilo, ihi = strips.root_pair(q12, q22, p1, xi2, T * (1.0 - MARGIN))[:2]
+        r = shape.c * T
     else:
-        # |p1 a + p2 c| <= T and |p1 b + p2 d| <= T; the exact filter makes them strict
-        m2lo, m2hi = strips.halfplanes(xi2, [
-            (B.c, -T - p1 * B.a, ">="), (B.c, T - p1 * B.a, "<="),
-            (B.d, -T - p1 * B.b, ">="), (B.d, T - p1 * B.b, "<="),
-        ])
-    counts = strips.widths(m2lo, m2hi)
-    total = int(counts.sum())
-    if total > max_points:
-        raise CapacityError(f"enumeration needs {total} candidates, cap is {max_points}")
-    return total, _filtered(B, xi2, shape, T, m2lo, counts, p1)
+        lo, hi = _square_range(B, p1, xi2, T)
+        ilo, ihi = _square_range(B, p1, xi2, T * (1.0 - MARGIN))
+        r = 0.0
+    clo, chi, disc = strips.root_pair(q12, q22, p1, xi2, max(r * (1.0 + MARGIN), ORIGIN_RADIUS))
+    if r > 0:  # the candidates skip the inner chord shrunk by one integer at each end
+        rlo, rhi = strips.root_pair(q12, q22, p1, xi2, r)[:2]
+        rlo += 1
+        rhi -= 1
+    else:
+        rlo, rhi = lo, lo - 1
+    candidates = int(strips.widths(lo, hi).sum()
+                     - strips.widths(np.maximum(rlo, lo), np.minimum(rhi, hi)).sum())
+    if candidates > max_points:
+        raise CapacityError(f"enumeration needs {candidates} candidates, cap is {max_points}")
+    # the interior is narrowed by one integer, the excluded chord widened by one
+    ilo += 1
+    ihi -= 1
+    meets = disc >= 0.0
+    clo = np.where(meets, clo - 1, ihi + 1)
+    chi = np.where(meets, chi + 1, ihi)
+    starts, counts, strip = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi,
+                                   lambda m2, k: _inside(B, xi2, shape, T, m2, p1[k]))
+    return int(counts.sum()), _points(B, xi2, starts, counts, p1[strip])
 
 
-def _outside_inner_chord(m2lo, m2hi, q12, q22, p1, xi2, r):
-    """Each strip's m2 range minus its chord of the inner disc |y| <= r, as two ranges.
+def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
+    """Kept m2 ranges of every strip, in (strip, m2) order.
 
-    The removed part is shrunk by one integer at each end, so the exact
-    filter still decides every point near the inner circle.  Returns the
-    ranges interleaved (left, right per strip) and p1 repeated to match.
+    Per strip, [lo, hi] is the candidate range, [ilo, ihi] minus [clo, chi]
+    the certified interior and [rlo, rhi] a part known to be outside.
+    Breakpoints cut [lo, hi] into seven zones: boundary, interior,
+    boundary, outside, boundary, interior, boundary.  Interior zones are
+    kept whole, outside zones dropped, and the boundary candidates kept
+    where ``inside(m2, strip)`` holds, each as a range of one.  Returns the
+    start, length and strip of every kept range.
     """
-    cut_lo, cut_hi = strips.root_pair(q12, q22, p1, xi2, r)[:2]
-    cut_lo += 1
-    cut_hi -= 1
-    cut = cut_lo <= cut_hi
-    left_hi = np.where(cut, np.minimum(m2hi, cut_lo - 1), m2hi)
-    right_lo = np.where(cut, np.maximum(m2lo, cut_hi + 1), 1)
-    right_hi = np.where(cut, m2hi, 0)
-    return (np.column_stack([m2lo, right_lo]).ravel(),
-            np.column_stack([left_hi, right_hi]).ravel(),
-            np.repeat(p1, 2))
+    top = np.maximum(hi + 1, lo)
+    b1 = np.clip(ilo, lo, top)
+    b2 = np.clip(np.minimum(ihi, clo - 1) + 1, b1, top)
+    b3 = np.clip(rlo, b2, top)
+    b4 = np.clip(rhi + 1, b3, top)
+    b5 = np.clip(np.maximum(ilo, chi + 1), b4, top)
+    b6 = np.clip(ihi + 1, b5, top)
+    # zone z of strip k sorts under the key 8 k + z
+    key = 8 * np.arange(lo.size, dtype=np.int64)[:, None]
+    first = np.column_stack([lo, b2, b4, b6])
+    m2, bkey = strips.expand(first.ravel(), (np.column_stack([b1, b3, b5, top]) - first).ravel(),
+                             (key + [0, 2, 4, 6]).ravel())
+    keep = inside(m2, bkey >> 3)
+    first = np.column_stack([b1, b5])
+    ikey = (key + [1, 5]).ravel()
+    order = np.argsort(np.concatenate([ikey, bkey[keep]]), kind="stable")
+    starts = np.concatenate([first.ravel(), m2[keep]])[order]
+    counts = np.concatenate([(np.column_stack([b2, b6]) - first).ravel(),
+                             np.ones(np.count_nonzero(keep), dtype=np.int64)])[order]
+    strip = np.concatenate([ikey, bkey[keep]])[order] >> 3
+    return starts, counts, strip
 
 
-def _filtered(B: Mat2, xi2, shape: DomainShape, T: float, m2lo, counts, p1):
-    """Expand the strips in chunks and keep the points strictly inside the domain."""
-    for p2, p1 in strips.expand_chunks(m2lo, counts, p1):
-        p2 = p2 + xi2  # m2 -> p2; rebinding frees the int64 array
-        y1 = _affine_combo(p1, p2, B.a, B.c)
-        y2 = _affine_combo(p1, p2, B.b, B.d)
-        if isinstance(shape, Annulus):
-            r2 = y1 * y1 + y2 * y2
-            # r2 underflows to 0 near the origin, so c = 0 tests the coordinates
-            inner = r2 > (shape.c * T) ** 2 if shape.c > 0 else (y1 != 0.0) | (y2 != 0.0)
-            keep = (r2 < T * T) & inner
-        else:
-            keep = (np.abs(y1) < T) & (np.abs(y2) < T) & ((y1 != 0.0) | (y2 != 0.0))
-        yield y1[keep], y2[keep]
+def _square_range(B: Mat2, p1, xi2, t):
+    """Each strip's m2 range of the closed square |y1|, |y2| <= t."""
+    return strips.halfplanes(xi2, [
+        (B.c, -t - p1 * B.a, ">="), (B.c, t - p1 * B.a, "<="),
+        (B.d, -t - p1 * B.b, ">="), (B.d, t - p1 * B.b, "<="),
+    ])
+
+
+def _inside(B: Mat2, xi2, shape: DomainShape, T: float, m2, p1):
+    """The float domain test: is the point (p1, m2 + xi2) B strictly inside and nonzero?"""
+    p2 = m2 + xi2
+    y1 = _affine_combo(p1, p2, B.a, B.c)
+    y2 = _affine_combo(p1, p2, B.b, B.d)
+    if isinstance(shape, Annulus):
+        r2 = y1 * y1 + y2 * y2
+        # r2 underflows to 0 near the origin, so c = 0 tests the coordinates
+        inner = r2 > (shape.c * T) ** 2 if shape.c > 0 else (y1 != 0.0) | (y2 != 0.0)
+        return (r2 < T * T) & inner
+    return (np.abs(y1) < T) & (np.abs(y2) < T) & ((y1 != 0.0) | (y2 != 0.0))
+
+
+def _points(B: Mat2, xi2, starts, counts, p1):
+    """The points (y1, y2) of the kept ranges, ``strips.CHUNK`` at a time."""
+    for p2, p1 in strips.expand_pieces(starts, counts, xi2, p1):
+        yield _affine_combo(p1, p2, B.a, B.c), _affine_combo(p1, p2, B.b, B.d)
 
 
 def enumerate_points(
@@ -268,28 +325,32 @@ def enumerate_points(
 
     Returns an (n, 2) array of points y = (m + shift) basis with
     c*T < |y| < T (annulus, both inequalities strict) or y in (-T, T)^2
-    (square).  The basis is Lagrange-Gauss reduced first (``_reduced``), so
-    row 2 is a shortest lattice vector and iteration runs over at most
-    about 2.15 T + 1 m1-strips of the domain preimage, whatever the entries
-    of the caller's basis; the cost is proportional to the domain area.  A
-    reduced basis, the identity in particular, is used as given.  On an
-    annulus with c > 0 each strip skips its chord of the inner disc, so the
-    candidates follow the annulus, not the disc.
+    (square), in (m1, m2) order of the reduced basis.  The basis is
+    Lagrange-Gauss reduced first (``_reduced``), so row 2 is a shortest
+    lattice vector and iteration runs over at most about 2.15 T + 1
+    m1-strips of the domain preimage, whatever the entries of the caller's
+    basis; the cost is proportional to the domain area.  A reduced basis,
+    the identity in particular, is used as given.
 
-    The strips are expanded and filtered in chunks by ``_kept_chunks``, the
-    one loop that ``direction_set`` also reads; this function stacks the
-    chunks.  Use ``direction_set`` when only the directions are needed.
+    Each strip's certified interior is taken whole; the float domain test
+    decides only a few boundary candidates per strip (``_kept_chunks``), so
+    the result is exactly the points that pass that test.  The kept ranges
+    are expanded in pieces straight into the exactly sized result.  Use
+    ``direction_set`` when only the directions are needed.
 
-    Raises CapacityError when the expected point count exceeds
-    ``max_points``, before allocating anything; when the m1-strips do (a
-    thin annulus, c near 1, holds few points on many strips); or when the
-    candidates do.
+    Raises InvalidInputError unless T is finite and positive.  Raises
+    CapacityError when the expected point count exceeds ``max_points``,
+    before allocating anything; when the m1-strips do (a thin annulus, c
+    near 1, holds few points on many strips); or when the candidates do.
     """
-    _, chunks = _kept_chunks(lat, shape, T, max_points)
-    out = [np.column_stack(chunk) for chunk in chunks]
-    if not out:
-        return np.empty((0, 2))
-    return np.concatenate(out)
+    total, chunks = _kept_chunks(lat, shape, T, max_points)
+    out = np.empty((total, 2))
+    n = 0
+    for y1, y2 in chunks:
+        out[n:n + y1.size, 0] = y1
+        out[n:n + y1.size, 1] = y2
+        n += y1.size
+    return out
 
 
 def _frac(x, out=None):
@@ -335,8 +396,9 @@ def direction_set(
     """Sorted directions of the lattice points in the domain, without the points.
 
     Bit for bit ``directions(enumerate_points(lat, shape, T, max_points), T,
-    shape)``, with the same errors, but each chunk of kept points goes
-    straight into one preallocated angle array: no (n, 2) array is built.
+    shape)``, with the same errors, but the angles are written straight
+    from the kept strip ranges, one cache-sized piece at a time, into one
+    exactly sized array: no (n, 2) array is built.
     """
     total, chunks = _kept_chunks(lat, shape, T, max_points)
     alphas = np.empty(total)
@@ -344,7 +406,6 @@ def direction_set(
     for y1, y2 in chunks:
         _turns(y1, y2, alphas[n:n + y1.size])
         n += y1.size
-    alphas = alphas[:n]  # the slots of rejected candidates, a few per strip, stay unused
     alphas.sort()
     return DirectionSet(alphas, float(T), shape)
 

@@ -3,14 +3,20 @@
 Per integer m1, the admissible m2 form one inclusive int64 range
 (``integer_range``; ``ellipse_span`` and ``root_pair`` for an ellipse,
 ``halfplanes`` for linear constraints).  Counters sum the ranges
-(``widths``, ``totals``); enumerators expand them into points (``expand``).
+(``widths``, ``totals``); enumerators expand them into points (``expand``,
+``expand_pieces``).
 
-Invariant: the exact filter decides.  Candidate ranges are supersets (up
-to roundoff on a boundary), and an enumerator keeps a point only after
-testing its coordinates; the cone counter instead lets its region's float
-predicate decide the integers at both ends of a closed-form range
-(``settle``).  ``disc_count`` still counts the integers that meet its
-float-evaluated root pair, so widening its ranges would change its answer.
+Invariant: the float predicate decides, but only near a boundary.  The
+lattice enumerator solves each strip twice: on its domain, for the
+candidate range, and on the domain shrunk by a small relative margin,
+for an interior that it narrows by one more integer.  Every point of
+that certified interior passes the predicate, so it is taken whole; the
+predicate runs only on the few candidates between the two ranges and
+beside the inner circle or the origin.  The cone counter likewise lets
+its region's predicate decide the integers at both ends of a
+closed-form range (``settle``).  ``disc_count`` still counts the integers
+that meet its float-evaluated root pair, so widening its ranges would
+change its answer.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ from .errors import InvalidInputError
 
 # Solved bounds are saturated here, so hi - lo + 1 always fits in int64.
 LIMIT = 2.0**61
+# Values per piece of ``expand_pieces``: a few float64 arrays of this length fit in cache.
+CHUNK = 1 << 16
 _I64 = np.iinfo(np.int64)
 _KINDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
@@ -51,7 +59,7 @@ def expand(lo, counts, *per_row):
     return (values, *(np.repeat(v, counts) for v in per_row))
 
 
-def expand_chunks(lo, counts, *per_row, size=1_000_000):
+def expand_chunks(lo, counts, *per_row, size):
     """``expand`` in pieces of whole rows, about ``size`` values each, to bound the temporaries."""
     cum = np.concatenate([[0], np.cumsum(counts)])
     i = 0
@@ -60,6 +68,31 @@ def expand_chunks(lo, counts, *per_row, size=1_000_000):
         if cum[j] > cum[i]:
             yield expand(lo[i:j], counts[i:j], *(v[i:j] for v in per_row))
         i = j
+
+
+def expand_pieces(lo, counts, shift, *per_row):
+    """``expand`` plus ``shift``, as float64, in consecutive pieces of CHUNK values.
+
+    Yields the values lo_i + j + shift, j < counts_i, row by row, and each
+    array of ``per_row`` repeated to match; the last piece is shorter.  A
+    row that crosses a piece edge is split there, so the temporaries stay
+    cache-sized however long a row is.  Each value is the integer
+    lo_i + j, exact in float64 below 2^53, plus ``shift``, rounded once:
+    bit for bit what adding ``shift`` to ``expand``'s int64 values gives.
+    """
+    end = np.cumsum(counts)
+    begin = end - counts
+    total = int(end[-1]) if end.size else 0
+    ramp = np.arange(CHUNK, dtype=float)
+    for a in range(0, total, CHUNK):
+        b = min(a + CHUNK, total)
+        i = int(np.searchsorted(end, a, side="right"))  # the row holding value a
+        j = int(np.searchsorted(end, b, side="left")) + 1  # one past the row holding value b - 1
+        count = np.minimum(end[i:j], b) - np.maximum(begin[i:j], a)
+        values = np.repeat((lo[i:j] - begin[i:j] + a).astype(float), count)
+        values += ramp[:b - a]
+        values += shift
+        yield (values, *(np.repeat(v[i:j], count) for v in per_row))
 
 
 def totals(per_value, rows):
@@ -122,7 +155,8 @@ def halfplanes(xi2, constraints):
     hi = np.full(shape, _I64.max)
     ok = np.ones(shape, dtype=bool)
     for coef, rhs, kind in constraints:
-        t = np.clip(rhs / np.where(coef == 0.0, 1.0, coef) - xi2, -LIMIT, LIMIT)
+        with np.errstate(over="ignore"):  # a tiny coefficient gives inf, which the clip saturates
+            t = np.clip(rhs / np.where(coef == 0.0, 1.0, coef) - xi2, -LIMIT, LIMIT)
         lower, upper = (coef > 0.0, coef < 0.0) if kind[0] == ">" else (coef < 0.0, coef > 0.0)
         if np.any(lower):
             bound = np.ceil(t) if kind.endswith("=") else np.floor(t) + 1.0

@@ -26,6 +26,49 @@ def brute_points(lat, shape, T, M):
     return y[keep]
 
 
+def brute_kept_points(basis, shift, shape, T):
+    """Every point (m + shift) basis that the float domain test keeps, in (m1, m2) order.
+
+    ``basis`` (2x2, row-major) must already be Lagrange-Gauss reduced, so
+    the enumerator walks its strips as given.  The m-box holds every point
+    with |y_i| <= T.  y is formed entry by entry as the enumerator forms
+    it, y_i = p1 a_1i + p2 a_2i, with the term of a zero entry left out
+    (adding 0.0 would turn a -0.0 into +0.0).  The test is strict:
+    cT < |y| < T, or |y_1|, |y_2| < T, and c = 0 and the square drop
+    y = (0, 0) by its coordinates, since |y|^2 underflows.
+    """
+    A = np.asarray(basis, dtype=float)
+    inv = np.abs(np.linalg.inv(A))
+    M1, M2 = (int(T * inv[:, j].sum() + abs(shift[j])) + 2 for j in range(2))
+    m1, m2 = np.meshgrid(np.arange(-M1, M1 + 1), np.arange(-M2, M2 + 1), indexing="ij")
+    p1 = m1.ravel() + shift[0]
+    p2 = m2.ravel() + shift[1]
+
+    def coordinate(a1, a2):
+        if a2 == 0.0:
+            return p1 * a1
+        if a1 == 0.0:
+            return p2 * a2
+        return p1 * a1 + p2 * a2
+
+    y1, y2 = coordinate(A[0, 0], A[1, 0]), coordinate(A[0, 1], A[1, 1])
+    nonzero = (y1 != 0.0) | (y2 != 0.0)
+    if isinstance(shape, ld.Annulus):
+        r2 = y1 * y1 + y2 * y2
+        keep = (r2 < T * T) & ((r2 > (shape.c * T) ** 2) if shape.c > 0 else nonzero)
+    else:
+        keep = (np.abs(y1) < T) & (np.abs(y2) < T) & nonzero
+    return np.column_stack([y1[keep], y2[keep]])
+
+
+def brute_turns(points):
+    """Sorted direction angles in turns, arctan2 / 2 pi wrapped into [0, 1)."""
+    a = np.arctan2(points[:, 1], points[:, 0]) / (2.0 * math.pi)
+    a = a - np.floor(a)
+    a[a >= 1.0] = 0.0  # a tiny negative angle wraps to 1.0
+    return np.sort(a)
+
+
 def brute_cone_count(A, shift, region, M):
     """Points of (Z^2 + shift) A in the region, scanning the [-M, M]^2 box of m.
 

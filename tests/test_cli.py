@@ -206,6 +206,15 @@ def test_exit_codes():
     assert main(["limit-moments", "--I", "0:1", "--powers", "1,1", "--n", "10"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--xi", "0.3,0.1", "--T", "nan"], ["--T", "inf"], ["--T=-inf"],
+                                   ["--xi", "nan,0.1", "--T", "5"], ["--xi", "0.3,inf", "--T", "5"]])
+def test_non_finite_scale_or_shift_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "e.csv"
+    assert main(["enumerate", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["enumerate", "--T", "3", "--out", str(out)]) == 2

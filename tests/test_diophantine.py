@@ -80,14 +80,25 @@ def _full_grid_scan(xi, kappa, radius):
 @pytest.mark.parametrize("xi", [
     (CBRT4, CBRT2), (0.5, 0.5), (1 / 3, 2 / 3), (0.25, 0.0), (GOLDEN, SQRT2), (0.0, 0.0),
     (Fraction(1, 2), Fraction(1, 2)), (Fraction(2, 7), Fraction(3, 5)), (Fraction(0), Fraction(1, 3)),
+    # exact half-integer values of r . xi, which round to even, and integer parts
+    (Fraction(-1, 2), Fraction(3, 2)), (Fraction(-5, 2), Fraction(7, 6)), (Fraction(3), Fraction(-1, 4)),
 ])
-@pytest.mark.parametrize("kappa", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 1.5, 2.0])
 def test_half_diamond_scan_matches_full_grid(xi, kappa):
     # rational shifts tie many r: the first minimum of the full scan must come back
     radii = (1, 2, 3, 8, 25) if isinstance(xi[0], Fraction) else (1, 2, 3, 8, 25, 120)
     for radius in radii:
         rep = ld.dioph_scan(xi, kappa, radius)
         assert (rep.min_value, rep.argmin) == _full_grid_scan(xi, kappa, radius)
+
+
+def test_exact_scan_capacity():
+    # radius * denominator must stay below 2^53 for the int64 numerators to round like Fraction
+    with pytest.raises(ld.CapacityError):
+        ld.dioph_scan((Fraction(1, 2**50), Fraction(1, 3)), 2.0, 10)
+    xi = (Fraction(1, 2**40), Fraction(1, 7))
+    rep = ld.dioph_scan(xi, 2.0, 5)
+    assert (rep.min_value, rep.argmin) == _full_grid_scan(xi, 2.0, 5)
 
 
 def test_scan_bad_inputs():

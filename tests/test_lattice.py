@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import latdir as ld
+from latdir import lattice
 from latdir.diophantine import CBRT2, CBRT4
 from latdir.lattice import DEFAULT_MAX_POINTS, _kept_chunks, _reduced
 
@@ -70,6 +71,26 @@ def test_non_finite_basis_rejected(basis):
         ld.AffineLatticeSpec(basis)
 
 
+@pytest.mark.parametrize("shift", [(math.nan, 0.0), (0.3, math.inf), (-math.inf, 0.5)])
+def test_non_finite_shift_rejected(shift):
+    with pytest.raises(ld.InvalidInputError):
+        ld.AffineLatticeSpec(ld.Mat2.identity(), shift)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_scale_rejected(T):
+    # NaN compares false both ways, so only an explicit test for a finite T > 0 rejects it
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.1))
+    for shape in (ld.Annulus(0.0), ld.Annulus(0.5), ld.Square()):
+        for call in (ld.enumerate_points, ld.direction_set):
+            with pytest.raises(ld.InvalidInputError, match="finite and positive"):
+                call(lat, shape, T)
+        with pytest.raises(ld.InvalidInputError):
+            ld.expected_count(shape, T)
+        with pytest.raises(ld.InvalidInputError):
+            ld.directions([(1.0, 0.0)], T, shape)
+
+
 def test_capacity_cap():
     lat = ld.AffineLatticeSpec(ld.Mat2.identity())
     with pytest.raises(ld.CapacityError):
@@ -112,12 +133,15 @@ def test_direction_set_capacity(shape, T, max_points, what):
             build(lat, shape, T, max_points=max_points)
 
 
-def test_thin_annulus_candidates_follow_the_annulus():
+def test_thin_annulus_candidates_follow_the_annulus(monkeypatch):
     # the whole disc chord gave 282 752 candidates for 5 622 points here
+    seen = []
+    inside = lattice._inside
+    monkeypatch.setattr(lattice, "_inside", lambda *args: seen.append(args[4].size) or inside(*args))
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.7))
     total, chunks = _kept_chunks(lat, ld.Annulus(0.99), 300.0, DEFAULT_MAX_POINTS)
     kept = sum(y1.size for y1, _ in chunks)
-    assert kept == 5622 and total < 1.5 * kept
+    assert kept == total == 5622 and sum(seen) < kept
 
 
 @pytest.mark.parametrize("basis", [

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shlex
 import sys
 from fractions import Fraction
@@ -55,8 +56,9 @@ from .stats import (
 
 CONSTANTS = {"cbrt2": CBRT2, "cbrt4": CBRT4, "sqrt2": SQRT2, "golden": GOLDEN}
 
-# rows per formatted block of a CSV body: bounds the text held in memory
-_CSV_CHUNK_ROWS = 65_536
+# rows per formatted block of a CSV body: bounds the text held in memory, and
+# keeps a block's arrays small enough to be reused from block to block
+_CSV_CHUNK_ROWS = 16_384
 # the longest "%.17g" text, e.g. -2.2250738585072014e-308, and the longest int64 str
 _G17_WIDTH = 24
 _INT_WIDTH = 20
@@ -65,10 +67,25 @@ _DIGIT_QUADS = (
     (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
     .astype(np.uint8).view(np.uint32)[:, 0]
 )
-# "0." and z zeros, right-aligned in 5 bytes, for z = 0..3
-_FIXED_PREFIX = np.frombuffer(b"   0.  0.0 0.000.000", np.uint8).reshape(4, 5)
-_POW5 = np.array([5**k for k in range(17, 21)], dtype=np.uint64)
-_LOW32 = np.uint64(0xFFFF_FFFF)
+# masks for the two words of the last 16 digits that turn the last c of them into NULs
+_KEEP = ((np.arange(16) < 16 - np.arange(17)[:, None]) * 255).astype(np.uint8).view(np.uint64)
+# "0.", z zeros and a '0' that the lead digit is added to, right-aligned in one
+# native uint64 after NUL padding, for z = 0..3
+_FIXED_PREFIX = np.frombuffer(
+    b"".join(("0." + "0" * z).rjust(7, "\0").encode() + b"0" for z in range(4)), np.uint64
+)
+
+
+def _split(a):
+    """Veltkamp's split a = hi + lo, each half of at most 26 significant bits."""
+    t = a * 134_217_729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+# rows 10^(17 + z), an exact double, and its two halves, for z = 0..3 zeros after the point
+_POW10 = np.array([1e17, 1e18, 1e19, 1e20])
+_POW10 = np.vstack([_POW10, *_split(_POW10)])
 
 
 def parse_real(tok: str) -> float:
@@ -146,25 +163,25 @@ def parse_krange(s: str):
     return [int(s)]
 
 
+def _is_negative_value(tok: str) -> bool:
+    """'-1:2', '-cbrt4,cbrt2', '-inf' or '-1+2i': a value, not a flag."""
+    if not tok.startswith("-"):
+        return False
+    try:
+        parse_real(re.split("[,:]", tok, maxsplit=1)[0])
+        return True
+    except (ValueError, ZeroDivisionError):
+        return tok[1:2].isdigit() or tok[1:2] == "."  # complex exponents such as -1+2i
+
+
 def _merge_negative_values(argv):
     """Join '--flag -1:2' into '--flag=-1:2' so argparse keeps the value."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and len(argv[i + 1]) > 1
-            and (argv[i + 1][1].isdigit() or argv[i + 1][1] == ".")
-        ):
-            out.append(tok + "=" + argv[i + 1])
-            i += 2
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _is_negative_value(tok):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -181,9 +198,11 @@ def _lattice_from_args(args):
 class _Out:
     """Output sink: stdout, or --out written through a temporary sibling file.
 
-    The temporary file replaces --out only when the block exits cleanly; on
-    any exception it is deleted, so a failed run leaves neither a partial
-    file nor a clobbered earlier one.
+    ``write`` takes text or UTF-8 bytes: the file is binary and gets CSV
+    rows as formatted, stdout (any text stream) gets text.  The temporary
+    file replaces --out only when the block exits cleanly; on any exception
+    it is deleted, so a failed run leaves neither a partial file nor a
+    clobbered earlier one.
     """
 
     def __init__(self, path):
@@ -191,8 +210,12 @@ class _Out:
         self.tmp = f"{path}.{os.getpid()}.tmp"
 
     def __enter__(self):
-        self.fh = open(self.tmp, "w", encoding="utf-8") if self.path else sys.stdout
-        return self.fh
+        self.fh = open(self.tmp, "wb") if self.path else sys.stdout
+        return self
+
+    def write(self, data):
+        data = data.encode() if isinstance(data, str) else data
+        self.fh.write(data if self.path else data.decode())
 
     def __exit__(self, exc_type, *exc):
         if not self.path:
@@ -217,113 +240,88 @@ def _header(args, seed) -> str:
 def _g17(x, out):
     """Write ``"%.17g" % v`` for each float v of x into the rows of ``out`` (n, 24 uint8).
 
-    Returns each row's text as the column range [start, stop).  A value in
-    [1e-4, 1), which every direction angle is in practice, takes an exact
-    integer path.  With x = m 2^e (53-bit significand m) and z zeros after
-    the point, the 17 digits are D = round_half_even(m 5^k / 2^s) with
-    k = 17 + z and s = -(k + e), 36 <= s <= 46.  The product m 5^k < 2^100
-    is formed exactly from 32-bit limbs in uint64, then shifted, and the
-    remainder is compared with 2^(s - 1), as in Ryu printf (U. Adams,
-    OOPSLA 2019).  The row holds "0.", z zeros and D, trailing zeros cut.
-    D < 10^17 always: the largest doubles below 1, 0.1, 0.01 and 0.001 lie
-    at least 8e-17 of the power below it, far more than the 5e-18 that
-    would round up into an 18th digit.  Any other value (zero, negative,
-    exponent form, subnormal, inf or nan) is formatted by Python.
+    A value in [1e-4, 1), which every direction angle is in practice, takes
+    an exact float path.  With z zeros after the point, the 17 digits are
+    D = round_half_even(x P) for P = 10^(17 + z), an exact double.  Dekker's
+    product with Veltkamp's split (Numer. Math. 18, 1971) gives x P = hi + lo
+    exactly, hi = fl(x P).  As x P > 10^16 > 2^53, hi is an even integer,
+    and |lo| <= ulp(hi) / 2 <= 8 since x P < 2^57.  As x >= 2^-14 and 2^17
+    divides P, lo is a multiple of 2^-49, so its floor and fraction are
+    exact and so is rint(lo), which rounds half to even; hi being even,
+    D = hi + rint(lo).  D < 10^17 always: the largest doubles below 1, 0.1,
+    0.01 and 0.001 lie at least 8e-17 of the power below it, far more than
+    the 5e-18 that would round up into an 18th digit.  The row, three
+    native uint64 words, holds "0.", z zeros and D, padded with NULs; the
+    trailing zeros of D, in the rows that end in '0', become NULs too.  Any
+    other value (zero, negative, exponent form, subnormal, inf or nan) is
+    formatted by Python, NUL-padded.
     """
-    u64 = np.uint64
     x = np.asarray(x, dtype=np.float64)
     fast = (x >= 1e-4) & (x < 1.0)
-    bits = np.where(fast, x, 0.5).view(np.uint64)
-    zeros = (bits < np.float64(0.1).view(np.uint64)).astype(np.uint64)
-    zeros += bits < np.float64(0.01).view(np.uint64)
-    zeros += bits < np.float64(0.001).view(np.uint64)
-    m = (bits & u64(2**52 - 1)) | u64(2**52)
-    s = u64(1075 - 17) - (bits >> u64(52)) - zeros
-    f = _POW5[zeros]
-    m0, m1, f0, f1 = m & _LOW32, m >> u64(32), f & _LOW32, f >> u64(32)
-    t = m0 * f0
-    w0 = t & _LOW32
-    t = m1 * f0 + m0 * f1 + (t >> u64(32))
-    w1 = t & _LOW32
-    t = m1 * f1 + (t >> u64(32))  # m 5^k = t 2^64 + w1 2^32 + w0
-    low = s - u64(32)
-    d = (t << (u64(64) - s)) | (w1 >> low)
-    rem = ((w1 & ((u64(1) << low) - u64(1))) << u64(32)) | w0
-    half = u64(1) << (s - u64(1))
-    d += (rem > half) | ((rem == half) & (d & u64(1)).astype(bool))
-
-    out[:, :5] = _FIXED_PREFIX[zeros]
-    head = d // u64(10**8)
-    lead = head // u64(10**8)
-    out[:, 5] = lead.astype(np.uint8) + ord("0")
-    quads = np.empty((x.size, 4), np.uint32)
-    for j, part in ((0, head - lead * u64(10**8)), (2, d - head * u64(10**8))):
-        part = part.astype(np.uint32)
-        upper = part // np.uint32(10**4)
-        quads[:, j] = _DIGIT_QUADS[upper]
-        quads[:, j + 1] = _DIGIT_QUADS[part - upper * np.uint32(10**4)]
-    out[:, 6:22] = quads.view(np.uint8)
-    start = (3 - zeros).astype(np.int8)
-    stop = np.full(x.size, 22, np.int8)
-    ends_in_zero = np.flatnonzero(out[:, 21] == ord("0"))
-    nonzero = out[ends_in_zero, 5:22] != ord("0")
-    stop[ends_in_zero] -= np.argmax(nonzero[:, ::-1], axis=1).astype(np.int8)
+    a = np.where(fast, x, 0.5)
+    zeros = (a < 0.1).astype(np.intp) + (a < 0.01) + (a < 0.001)
+    p, ph, pl = _POW10.take(zeros, axis=1)
+    ah, al = _split(a)
+    hi = a * p
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    words = np.empty((x.size, 3), np.uint64)
+    text, quads = words.view(np.uint8), words.view(np.uint32)
+    words[:, 0] = _FIXED_PREFIX.take(zeros)
+    for j in (5, 4, 3, 2):  # four digits at a time from the right
+        upper = d // 10**4
+        quads[:, j] = _DIGIT_QUADS[d - upper * 10**4]
+        d = upper
+    text[:, 7] += d.astype(np.uint8)  # the lead digit, never '0', ends every run of zeros
+    ends_in_zero = np.flatnonzero(text[:, 23] == ord("0"))
+    cut = np.argmax(text[ends_in_zero, :6:-1] != ord("0"), axis=1)
+    words[ends_in_zero, 1:] &= _KEEP[cut]
+    out[:] = text
     slow = np.flatnonzero(~fast)
     if slow.size:
-        _put_text(out, start, stop, slow, [format(v, ".17g") for v in x[slow].tolist()])
-    return start, stop
+        _put_text(out, slow, [format(v, ".17g") for v in x[slow].tolist()])
 
 
 def _str_field(col, out):
     """Write ``str`` of each value of an integer column into the rows of ``out``."""
-    start = np.empty(len(col), np.int8)
-    stop = np.empty(len(col), np.int8)
-    _put_text(out, start, stop, np.arange(len(col)), list(map(str, np.asarray(col).tolist())))
-    return start, stop
+    _put_text(out, slice(None), list(map(str, np.asarray(col).tolist())))
 
 
-def _put_text(out, start, stop, rows, strings):
-    """Write ASCII strings, left-aligned, into the given rows of ``out``."""
+def _put_text(out, rows, strings):
+    """Write ASCII strings, NUL-padded, into the given rows of ``out``."""
     raw = np.array(strings, dtype="S")
     if raw.itemsize > out.shape[1]:
         raise ValueError(f"a CSV field of {raw.itemsize} characters is too wide")
-    out[rows] = raw.astype(f"S{out.shape[1]}").view(np.uint8).reshape(len(rows), out.shape[1])
-    start[rows] = 0
-    stop[rows] = np.char.str_len(raw)
+    out[rows] = raw.astype(f"S{out.shape[1]}").view(np.uint8).reshape(-1, out.shape[1])
 
 
 _FIELDS = {"{:.17g}": (_G17_WIDTH, _g17), "{}": (_INT_WIDTH, _str_field)}
 
 
 def _write_rows(fh, fmt, *columns):
-    """One line ``fmt.format(*row)`` per row of the columns, in chunks.
+    """One line ``fmt.format(*row)`` per row of the columns, in chunks, as bytes.
 
     ``fmt`` joins ``{:.17g}`` and ``{}`` fields with commas.  A chunk is
     laid out in one uint8 row buffer, a fixed-width slot per field and a
-    byte for its comma or newline, and written as the bytes in use.
-    ``{:.17g}`` slots are filled by ``_g17``, which computes Python's exact
-    digits with integer arithmetic instead of one call per value; ``{}``
-    slots (small integer columns) by ``str``.
+    byte for its comma or newline.  Each slot holds its text padded with
+    NULs, which no field contains, so deleting every NUL of the buffer in
+    one ``bytes.translate`` leaves the chunk's lines.  ``{:.17g}`` slots
+    are filled by ``_g17``, which computes Python's exact digits in float
+    arithmetic instead of one call per value; ``{}`` slots (small integer
+    columns) by ``str``.
     """
     fields = [_FIELDS[field] for field in fmt.split(",")]
     width = sum(w + 1 for w, _ in fields)
-    cols = np.arange(max(w for w, _ in fields), dtype=np.int8)
     for first in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
         rows = slice(first, first + _CSV_CHUNK_ROWS)
-        n = len(columns[0][rows])
-        buf = np.empty((n, width), np.uint8)
-        used = np.empty((n, width), bool)
+        buf = np.empty((len(columns[0][rows]), width), np.uint8)
         at = 0
         for (w, fill), col in zip(fields, columns):
-            start, stop = fill(col[rows], buf[:, at:at + w])
-            in_use = used[:, at:at + w]
-            np.greater_equal(cols[:w], start[:, None], out=in_use)
-            in_use &= cols[:w] < stop[:, None]
+            fill(col[rows], buf[:, at:at + w])
             buf[:, at + w] = ord(",")
-            used[:, at + w] = True
             at += w + 1
         buf[:, -1] = ord("\n")
-        fh.write(buf[used].tobytes().decode("ascii"))
+        fh.write(buf.tobytes().translate(None, b"\0"))
 
 
 def _write_histogram(path, args, seed, hist):

@@ -165,7 +165,9 @@ def _reduced(basis: Mat2, shift):
     |<r1, r2>| <= |r2|^2 / 2 and |r2| <= |r1| for the new rows r1, r2.
     Both are computed exactly from the float inputs and rounded once; the
     new shift is taken mod 1 into [-1/2, 1/2].  An already reduced basis
-    (gamma = I) comes back as the caller's own basis and shift objects.
+    (gamma = I) comes back as the caller's own basis, and its own shift
+    unless a component is 2^53 or more in size: such a float is an integer,
+    which m + xi could not keep apart from m, so it becomes 0.0 (mod 1).
     """
     rows = [(Fraction(basis.a), Fraction(basis.b)), (Fraction(basis.c), Fraction(basis.d))]
     gamma = [(1, 0), (0, 1)]
@@ -185,7 +187,9 @@ def _reduced(basis: Mat2, shift):
         for m in (rows, gamma):
             m[:] = [(-m[1][0], -m[1][1]), m[0]]
     if gamma == [(1, 0), (0, 1)]:
-        return basis, shift
+        if all(abs(x) < 2.0**53 for x in shift):
+            return basis, shift
+        return basis, tuple(x if abs(x) < 2.0**53 else 0.0 for x in shift)
     (g11, g12), (g21, g22) = gamma
     x1, x2 = Fraction(shift[0]), Fraction(shift[1])
     s1 = x1 * g22 - x2 * g21  # xi gamma^-1, gamma^-1 = [[g22, -g12], [-g21, g11]]

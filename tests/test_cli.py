@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -369,3 +371,70 @@ def test_python_dash_m_runs_the_cli():
     assert ok.returncode == 0 and "singular-probe" in ok.stdout
     bad = run("enumerate", "--bogus")
     assert bad.returncode == 2 and "--bogus" in bad.stderr
+
+
+def _enumerate_t20_body(tmp_path):
+    out = tmp_path / "dirs.csv"
+    assert main(["enumerate", "--T", "20", "--out", str(out)]) == 0
+    body = out.read_text().partition("\n")[2]
+    assert body.startswith("alpha\n") and body.count("\n") > 1000
+    return body
+
+
+def _stdout_body(text):
+    """The CSV body of an enumerate run on stdout: between the header and the summary line."""
+    body, _, summary = text.partition("\n")[2].rstrip("\n").rpartition("\n")
+    assert summary.startswith("enumerate: N=")
+    return body + "\n"
+
+
+def test_enumerate_on_redirected_stdout_writes_the_out_body(tmp_path):
+    # a text stream with no binary buffer, as a caller capturing the output passes
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        assert main(["enumerate", "--T", "20"]) == 0
+    assert _stdout_body(captured.getvalue()) == _enumerate_t20_body(tmp_path)
+
+
+def test_enumerate_on_a_pipe_writes_the_out_body(tmp_path):
+    src = str(Path(ld.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "latdir", "enumerate", "--T", "20"], env=env,
+                         capture_output=True, timeout=120)
+    assert run.returncode == 0
+    assert _stdout_body(run.stdout.decode("ascii")) == _enumerate_t20_body(tmp_path)
+
+
+@pytest.mark.parametrize("xi", ["-cbrt4,cbrt2", "-golden,-sqrt2"])
+def test_negative_shift_follows_a_flag_with_a_space(xi, capsys):
+    assert main(["enumerate", "--xi", xi, "--T", "5"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["enumerate", f"--xi={xi}", "--T", "5"]) == 0
+    assert spaced == capsys.readouterr().out
+    assert xi != "-cbrt4,cbrt2" or "enumerate: N=81 " in spaced
+
+
+def test_negative_interval_follows_a_flag_with_a_space(tmp_path):
+    spaced, joined = tmp_path / "a.json", tmp_path / "b.json"
+    flags = ["moments", "--T", "30", "--s", "1"]
+    assert main([*flags, "--I", "-1/2:1", "--out", str(spaced)]) == 0
+    assert main([*flags, "--I=-1/2:1", "--out", str(joined)]) == 0
+    assert json.loads(spaced.read_text()) == json.loads(joined.read_text())
+
+
+def test_negative_infinite_scale_after_a_space_is_latdirs_error(capsys):
+    assert main(["enumerate", "--T", "-inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err and "expected one argument" not in err
+
+
+def test_merge_keeps_flags_and_joins_values():
+    merge = cli._merge_negative_values
+    assert merge(["paircorr", "--fold", "--bins=-3:3:0.5"]) == ["paircorr", "--fold", "--bins=-3:3:0.5"]
+    assert merge(["paircorr", "--fold", "--T", "5"]) == ["paircorr", "--fold", "--T", "5"]
+    assert merge(["moments", "--I", "-1/2:1"]) == ["moments", "--I=-1/2:1"]
+    assert merge(["enumerate", "--xi", "-cbrt4,cbrt2"]) == ["enumerate", "--xi=-cbrt4,cbrt2"]
+    assert merge(["enumerate", "--T", "-inf"]) == ["enumerate", "--T=-inf"]
+    # complex exponents are values too, as before
+    assert merge(["moments", "--s", "-1+2i"]) == ["moments", "--s=-1+2i"]
+    assert merge(["moments", "--s", "-h"]) == ["moments", "--s", "-h"]

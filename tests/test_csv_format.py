@@ -1,9 +1,11 @@
 """The CSV row formatter against Python's own "%.17g" and str.
 
-``cli._write_rows`` computes the digits of "%.17g" with integer
-arithmetic for values in [1e-4, 1) and hands every other value to Python,
-so Python's formatting is a complete oracle: random float64 bit patterns
-reach every exponent, subnormals, signed zeros, inf and nan.
+``cli._write_rows`` computes the digits of "%.17g" with an exact float
+two-product for values in [1e-4, 1) and hands every other value to
+Python, so Python's formatting is a complete oracle: random float64 bit
+patterns reach every exponent, subnormals, signed zeros, inf and nan.
+Every output is also checked for the NUL padding the formatter deletes
+and for blanks, which no field contains.
 """
 
 import io
@@ -28,10 +30,20 @@ def _ties():
     return out
 
 
-# float64 values that stress "%.17g": every decade edge, both ends of [1e-4, 1),
-# rounding ties, signed zeros, subnormals, the largest finite values, inf and nan
+def _ulp_steps(centre, k):
+    """The float64 k ulps above centre (below it for k < 0)."""
+    return float((np.array(centre).view(np.int64) + k).view(np.float64))
+
+
+# the fast path's decade edges, where the zeros after the point and the power change
+DECADE_EDGES = (1e-4, 0.001, 0.01, 0.1, 1.0)
+
+# float64 values that stress "%.17g": every decade edge, both ends of [1e-4, 1) and
+# 64 ulps around the fast path's decade edges, rounding ties, signed zeros,
+# subnormals, the largest finite values, inf and nan
 EDGE_FLOATS = sorted(
     _ties()
+    | {_ulp_steps(c, k) for c in DECADE_EDGES for k in range(-64, 65)}
     | {float(np.nextafter(10.0**j, side)) for j in range(-20, 21) for side in (0.0, np.inf)}
     | {10.0**j for j in range(-20, 21)}
     | {0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
@@ -45,11 +57,18 @@ def _bits_to_floats(words):
     return np.array(words, dtype=np.uint64).view(np.float64)
 
 
+def _written(fmt, *columns):
+    """The text ``cli._write_rows`` writes, checked to hold no NUL and no blank."""
+    out = io.BytesIO()
+    cli._write_rows(out, fmt, *columns)
+    data = out.getvalue()
+    assert b"\0" not in data and b" " not in data
+    return data.decode("ascii")
+
+
 def test_row_formatter_edge_values():
     x = np.array(EDGE_FLOATS)
-    out = io.StringIO()
-    cli._write_rows(out, "{:.17g}", x)
-    assert out.getvalue() == "".join("%.17g\n" % v for v in EDGE_FLOATS)
+    assert _written("{:.17g}", x) == "".join("%.17g\n" % v for v in EDGE_FLOATS)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -60,9 +79,26 @@ def test_row_formatter_edge_values():
 def test_row_formatter_matches_python(words, alphas, mixed):
     # random bit patterns hit every exponent, nan payloads and subnormals
     for x in (_bits_to_floats(words), np.array(alphas), np.array(mixed)):
-        out = io.StringIO()
-        cli._write_rows(out, "{:.17g}", x)
-        assert out.getvalue() == "".join("%.17g\n" % v for v in x.tolist())
+        assert _written("{:.17g}", x) == "".join("%.17g\n" % v for v in x.tolist())
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.builds(_ulp_steps, st.sampled_from(DECADE_EDGES), st.integers(-64, 64))
+                | st.sampled_from(sorted(_ties()))
+                | st.floats(1e-4, 1.0, exclude_max=True), min_size=1, max_size=300))
+def test_two_product_digits_match_python(values):
+    x = np.array(values)
+    assert _written("{:.17g}", x) == "".join("%.17g\n" % v for v in values)
+
+
+def test_slow_path_rows_in_every_layout():
+    slow = np.array([-0.25, 1e300, 1.5e-7, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 0.0])
+    ints = np.arange(-4, 5, dtype=np.int64) * 10**18
+    assert _written("{:.17g}", slow) == "".join(f"{v:.17g}\n" for v in slow)
+    assert _written("{:.17g},{},{:.17g}", slow, ints, slow[::-1]) == "".join(
+        f"{a:.17g},{k},{b:.17g}\n" for a, k, b in zip(slow, ints.tolist(), slow[::-1]))
+    assert _written("{},{}", ints, ints[::-1]) == "".join(
+        f"{j},{k}\n" for j, k in zip(ints.tolist(), ints[::-1].tolist()))
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
@@ -70,22 +106,17 @@ def test_row_formatter_matches_python(words, alphas, mixed):
                           st.floats(1e-4, 1.0, exclude_max=True)), min_size=1, max_size=50))
 def test_row_formatter_multi_column(rows):
     a, k, b = (np.array(col) for col in zip(*rows))
-    out = io.StringIO()
-    cli._write_rows(out, "{:.17g},{},{:.17g}", a, k.astype(np.int64), b)
-    assert out.getvalue() == "".join(f"{x:.17g},{j},{y:.17g}\n" for x, j, y in rows)
+    written = _written("{:.17g},{},{:.17g}", a, k.astype(np.int64), b)
+    assert written == "".join(f"{x:.17g},{j},{y:.17g}\n" for x, j, y in rows)
 
 
 def test_row_formatter_chunks_and_empty_columns(monkeypatch):
     monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)
     x = np.random.default_rng(3).random(30) * 1e-3
-    out = io.StringIO()
-    cli._write_rows(out, "{},{:.17g}", np.arange(30), x)
-    assert out.getvalue() == "".join(f"{j},{v:.17g}\n" for j, v in enumerate(x))
-    out = io.StringIO()
-    cli._write_rows(out, "{:.17g}", np.empty(0))
-    assert out.getvalue() == ""
+    assert _written("{},{:.17g}", np.arange(30), x) == "".join(
+        f"{j},{v:.17g}\n" for j, v in enumerate(x))
+    assert _written("{:.17g}", np.empty(0)) == ""
     # many integer fields, as limit-sample writes for many windows
     k = np.array([[-2**63, 2**63 - 1, 0, 7, -1, 10**18, 3, 99]] * 5)
-    out = io.StringIO()
-    cli._write_rows(out, ",".join(["{}"] * 8), *k.T)
-    assert out.getvalue() == "".join(",".join(map(str, row)) + "\n" for row in k.tolist())
+    assert _written(",".join(["{}"] * 8), *k.T) == "".join(
+        ",".join(map(str, row)) + "\n" for row in k.tolist())

@@ -157,6 +157,22 @@ def test_reduced_basis_is_used_as_given(basis):
     assert got_basis is basis and got_shift is shift
 
 
+@pytest.mark.parametrize("shift, same_as", [
+    ((1e17, 0.25), (0.0, 0.25)),
+    ((2.0**60, 0.5), (0.0, 0.5)),
+    ((0.3, -(2.0**53)), (0.3, 0.0)),
+    ((-1e300, 1e17), (0.0, 0.0)),
+])
+@pytest.mark.parametrize("shape", [ld.Annulus(0.0), ld.Annulus(0.5), ld.Square()])
+def test_huge_shift_components_are_integers_mod_1(shift, same_as, shape):
+    # a float of 2^53 or more is an integer, so Z^2 + shift is Z^2 + same_as
+    got = ld.enumerate_points(ld.AffineLatticeSpec(ld.Mat2.identity(), shift), shape, 3.0)
+    want = ld.enumerate_points(ld.AffineLatticeSpec(ld.Mat2.identity(), same_as), shape, 3.0)
+    assert got.tobytes() == want.tobytes()
+    if shift == (1e17, 0.25) and shape == ld.Annulus(0.0):
+        assert len(got) == 26
+
+
 def test_reduction_is_exact_on_a_huge_shear():
     # gamma = [[1, 0], [-1e7, 1]]: basis I, shift (xi1 + 1e7 xi2, xi2) mod 1, exactly
     basis, shift = _reduced(ld.Mat2(1.0, 0.0, 1e7, 1.0), (0.1, CBRT2))

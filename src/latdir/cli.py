@@ -99,9 +99,16 @@ def parse_real(tok: str) -> float:
     if t.lower() in CONSTANTS:
         return sign * CONSTANTS[t.lower()]
     if "/" in t:
-        num, den = t.split("/", 1)
-        return sign * float(Fraction(int(num), int(den)))
+        return sign * float(_ratio(t))
     return sign * float(t)
+
+
+def _ratio(tok: str) -> Fraction:
+    """The exact fraction p/q; a zero q is a ValueError that names the token."""
+    num, den = (int(x) for x in tok.split("/", 1))
+    if den == 0:
+        raise ValueError(f"zero denominator in {tok!r}")
+    return Fraction(num, den)
 
 
 def parse_reals(s: str, n: int | None = None):
@@ -115,11 +122,7 @@ def parse_fractions(s: str):
     out = []
     for t in s.split(","):
         t = t.strip()
-        if "/" in t:
-            num, den = t.split("/", 1)
-            out.append(Fraction(int(num), int(den)))
-        else:
-            out.append(Fraction(int(t)))
+        out.append(_ratio(t) if "/" in t else Fraction(int(t)))
     return out
 
 
@@ -156,11 +159,13 @@ def parse_shape(s: str) -> DomainShape:
     raise ValueError(f"unknown shape {s!r}")
 
 
-def parse_krange(s: str):
-    if ".." in s:
-        lo, hi = s.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s)]
+def parse_krange(s: str) -> range:
+    """A single k or a range lo..hi, as a range; empty or k < 1 is a ValueError."""
+    lo, _, hi = s.partition("..")
+    ks = range(int(lo), int(hi or lo) + 1)
+    if not ks or ks[0] < 1:
+        raise ValueError(f"--k {s!r} must be k or lo..hi with 1 <= lo <= hi")
+    return ks
 
 
 def _is_negative_value(tok: str) -> bool:
@@ -170,7 +175,7 @@ def _is_negative_value(tok: str) -> bool:
     try:
         parse_real(re.split("[,:]", tok, maxsplit=1)[0])
         return True
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         return tok[1:2].isdigit() or tok[1:2] == "."  # complex exponents such as -1+2i
 
 
@@ -349,9 +354,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_spacings(args) -> int:
+    ks = parse_krange(args.k)
     lat, shape, T = _lattice_from_args(args)
     dirs = direction_set(lat, shape, T, max_points=args.max_points)
-    ks = parse_krange(args.k)
+    if ks[-1] >= dirs.N:
+        raise ValueError(f"--k {args.k!r} needs k < N = {dirs.N}")
     edges = parse_bins(args.bins)
     for k in ks:
         hist = spacing_histogram(dirs, k, edges)

@@ -5,6 +5,15 @@ A unimodular basis ``M0`` and a shift ``xi`` define the point set
 the nonzero points inside an open annulus ``c*T < |y| < T`` or an open
 square ``(-T, T)^2`` and turns them into the sorted sequence of direction
 angles, measured in turns (angle / 2*pi, mod 1), with multiplicity.
+
+Points are enumerated one m1-strip at a time, and each strip is a line,
+so its angles are monotone in m2.  ``direction_set`` uses that to build
+the sorted sequence in sector order: it cuts every strip where it crosses
+the K sector rays k/K (K from the point count), writes the angles sector
+by sector and sorts each sector in cache.  The result is exact by
+construction, whatever the float decisions at the cuts: the pieces
+partition the kept points, and a check of the sector boundaries sends any
+misplaced angle to one global sort.
 """
 
 from __future__ import annotations
@@ -30,6 +39,14 @@ MARGIN = 1e-9
 # misses this disc holds no point that rounds to the origin, and the
 # squares of radii above it are normal floats.
 ORIGIN_RADIUS = 2.0**-500
+# Target angles per sector of ``direction_set``.  A sector of 2^17 values
+# (1 MB) sorts in cache at about 8 ns a value; smaller sectors sort barely
+# faster per value and need more cuts.
+SECTOR = 2 * strips.CHUNK
+# Roundoff of a computed sector-ray crossing along a strip, per unit of its
+# scale |y|^2 / |p1| + |r1| |y| + |t| + 1: about 1e-14, times a margin of a
+# thousand.  A crossing closer than this to an integer is decided by ``_turns``.
+CUT_TOL = 2.0**-36
 
 
 @dataclass(frozen=True)
@@ -201,16 +218,26 @@ def _reduced(basis: Mat2, shift):
 
 
 def _kept_chunks(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_points: int):
-    """The strip loop behind ``enumerate_points`` and ``direction_set``.
+    """The strip loop behind ``enumerate_points``.
 
-    Validates the input and solves the m1-strips at once, so every error is
-    raised before anything point-sized is allocated.  Each strip's candidate
-    m2 range (its chord, minus the inner-disc chord shrunk by one integer
-    on an annulus with c > 0) splits into a certified interior, taken
-    whole, and a few boundary candidates near the range ends, the inner
-    circle or the origin, which ``_inside`` decides (``_zones``).  Returns
-    the number of kept points and an iterator over (y1, y2) of the kept
-    points in (strip, m2) order, ``strips.CHUNK`` points at a time.
+    Returns the number of kept points and an iterator over (y1, y2) of the
+    kept points in (strip, m2) order, ``strips.CHUNK`` points at a time.
+    """
+    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, max_points)
+    order = np.argsort(key, kind="stable")
+    return int(counts.sum()), _points(B, xi2, starts[order], counts[order], p1[key[order] >> 3])
+
+
+def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_points: int):
+    """Validate the input, solve the m1-strips and return their kept m2 ranges.
+
+    Every error is raised before anything point-sized is allocated.  Each
+    strip's candidate m2 range (its chord, minus the inner-disc chord
+    shrunk by one integer on an annulus with c > 0) splits into a certified
+    interior, taken whole, and a few boundary candidates near the range
+    ends, the inner circle or the origin, which ``_inside`` decides
+    (``_zones``).  Returns the reduced basis B, the shift's xi2, each
+    strip's p1 and the kept ranges as ``_zones`` gives them.
     """
     _require_scale(T)
     lat.basis.require_unimodular()
@@ -253,13 +280,13 @@ def _kept_chunks(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
     meets = disc >= 0.0
     clo = np.where(meets, clo - 1, ihi + 1)
     chi = np.where(meets, chi + 1, ihi)
-    starts, counts, strip = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi,
-                                   lambda m2, k: _inside(B, xi2, shape, T, m2, p1[k]))
-    return int(counts.sum()), _points(B, xi2, starts, counts, p1[strip])
+    ranges = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi,
+                    lambda m2, k: _inside(B, xi2, shape, T, m2, p1[k]))
+    return (B, xi2, p1, *ranges)
 
 
 def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
-    """Kept m2 ranges of every strip, in (strip, m2) order.
+    """Kept m2 ranges of every strip, unordered, with a key that orders them.
 
     Per strip, [lo, hi] is the candidate range, [ilo, ihi] minus [clo, chi]
     the certified interior and [rlo, rhi] a part known to be outside.
@@ -267,7 +294,8 @@ def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
     boundary, outside, boundary, interior, boundary.  Interior zones are
     kept whole, outside zones dropped, and the boundary candidates kept
     where ``inside(m2, strip)`` holds, each as a range of one.  Returns the
-    start, length and strip of every kept range.
+    start, length and key 8 strip + zone of every kept range; a stable
+    argsort of the key puts them in (strip, m2) order.
     """
     top = np.maximum(hi + 1, lo)
     b1 = np.clip(ilo, lo, top)
@@ -276,20 +304,124 @@ def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
     b4 = np.clip(rhi + 1, b3, top)
     b5 = np.clip(np.maximum(ilo, chi + 1), b4, top)
     b6 = np.clip(ihi + 1, b5, top)
-    # zone z of strip k sorts under the key 8 k + z
     key = 8 * np.arange(lo.size, dtype=np.int64)[:, None]
     first = np.column_stack([lo, b2, b4, b6])
     m2, bkey = strips.expand(first.ravel(), (np.column_stack([b1, b3, b5, top]) - first).ravel(),
                              (key + [0, 2, 4, 6]).ravel())
     keep = inside(m2, bkey >> 3)
     first = np.column_stack([b1, b5])
-    ikey = (key + [1, 5]).ravel()
-    order = np.argsort(np.concatenate([ikey, bkey[keep]]), kind="stable")
-    starts = np.concatenate([first.ravel(), m2[keep]])[order]
+    starts = np.concatenate([first.ravel(), m2[keep]])
     counts = np.concatenate([(np.column_stack([b2, b6]) - first).ravel(),
-                             np.ones(np.count_nonzero(keep), dtype=np.int64)])[order]
-    strip = np.concatenate([ikey, bkey[keep]])[order] >> 3
-    return starts, counts, strip
+                             np.ones(np.count_nonzero(keep), dtype=np.int64)])
+    return starts, counts, np.concatenate([(key + [1, 5]).ravel(), bkey[keep]])
+
+
+def _sector_pieces(B: Mat2, xi2, p1, starts, counts, key, K: int, reach: float):
+    """Cut the kept m2 ranges at the K sector rays k/K into pieces, sector by sector.
+
+    Along a strip y = p1 r1 + t r2, t = m2 + xi2, the angle increases with
+    t when p1 > 0 and decreases when p1 < 0 (det B = 1).  The strip crosses
+    the ray u_k at t = |p1| w_k, w_k = -sign(p1) (r1 x u_k) / (r2 x u_k):
+    the rays with r2 x u_k < 0 when p1 > 0, those with r2 x u_k > 0 when
+    p1 < 0, in the order of w.  A p1 = 0 strip passes through the origin
+    and is cut there, exactly, between the directions of -r2 and r2.  The
+    first integer past a crossing starts the next sector's piece; where the
+    crossing lies within roundoff of an integer (``CUT_TOL``), the sectors
+    floor(K turns) of the two integers next to it, by ``_turns``, decide
+    instead.  The cuts are clipped into each range and made nondecreasing,
+    so the pieces partition the ranges whatever those decisions are.
+    ``reach`` bounds |y| on the domain.
+
+    Returns the start, length and p1 of every piece, and the number of
+    points in each sector.  The pieces come sector by sector (within a
+    sector, in no particular order); some are empty.
+    """
+    ray = np.arange(K if K > 1 else 0)
+    cos, sin = np.cos(TWO_PI * ray / K), np.sin(TWO_PI * ray / K)
+    a1, a2 = B.a * sin - B.b * cos, B.c * sin - B.d * cos  # r1 x u_k, r2 x u_k
+    q = p1[key >> 3]
+    r1 = math.hypot(B.a, B.b)
+    groups = []
+    for sign in (1, -1):
+        rays = ray[sign * a2 < 0]
+        with np.errstate(over="ignore"):
+            w = np.clip(-sign * a1[rays] / a2[rays], -strips.LIMIT, strips.LIMIT)
+        order = np.argsort(w)
+        w, rays = w[order], rays[order]
+        # sector[j]: the sector of a strip's points past its first j crossings
+        if rays.size:
+            sector = np.concatenate([rays[:1] - int(sign > 0), rays - int(sign < 0)]) % K
+        else:  # no ray is crossed: every point lies in the sector of p1 r1
+            sector = _sector(_turns_of([sign * B.a], [sign * B.b]), K)
+        groups.append((sign * q > 0, sign, w, sector))
+    groups.append((q == 0, 0, np.zeros(1), _sector(_turns_of([-B.c, B.c], [-B.d, B.d]), K)))
+    pieces = []
+    for mask, sign, w, sector in groups:
+        rows = np.flatnonzero(mask & (counts > 0))
+        s, n, pr = starts[rows], counts[rows], q[rows]
+        a = np.abs(pr) if sign else np.ones(rows.size)  # the p1 = 0 strip: t = 1 w
+        with np.errstate(over="ignore"):
+            # the crossings within one integer of each range
+            lo_w, hi_w = ((s - 1) + xi2) / a, ((s + n) + xi2) / a
+            lim = 0.5 - CUT_TOL * (reach * reach / a + r1 * reach + np.abs(s) + n + 1.0)
+        if not sign:
+            lim[:] = 0.5  # the cut at t = 0 is exact
+        j0 = np.searchsorted(w, lo_w, side="left")
+        per = np.searchsorted(w, hi_w, side="right") - j0 + 1
+        # piece k of range r: its points past j = j0 + k crossings, the last at w[j - 1]
+        jp, rp = strips.expand(j0, per, np.arange(rows.size))
+        head = np.cumsum(per) - per
+        m2 = a[rp] * np.concatenate([[0.0], w])[jp] - xi2
+        m2[head] = 0.5  # a range's first piece starts at the range
+        cut = np.floor(m2)
+        m2 -= cut
+        near = np.flatnonzero(np.abs(m2 - 0.5) > lim[rp])
+        del m2
+        cut += 1.0  # the first integer past the crossing
+        if near.size:  # unless the two integers next to it decide otherwise
+            c = cut[near]
+            p2 = np.stack([c - 1.0, c]) + xi2
+            pn = pr[rp[near]]
+            turns = np.empty(p2.shape)
+            _turns(_affine_combo(pn, p2, B.a, B.c), _affine_combo(pn, p2, B.b, B.d), turns)
+            # past the crossing: within half a turn of its next sector, onwards
+            past = 2 * ((sign * (_sector(turns, K) - sector[jp[near]])) % K) < K
+            cut[near] = c + 1.0 - past[0] - (past[0] | past[1])
+        # positions in the ranges laid end to end, clipped and made nondecreasing
+        end = np.cumsum(n)
+        off = end - n - s
+        pos = cut.astype(np.int64)
+        del cut
+        pos += off[rp]
+        np.minimum(pos, end[rp], out=pos)
+        pos[head] = end - n
+        np.maximum.accumulate(pos, out=pos)
+        size = np.diff(pos, append=end[-1] if end.size else 0)
+        pos -= off[rp]
+        pieces.append((pos, size, pr[rp], sector[jp]))
+    starts, counts, p1, sector = (np.concatenate(x) for x in zip(*pieces))
+    order = np.argsort(sector.astype(np.min_scalar_type(K)), kind="stable")
+    sizes = np.bincount(sector, weights=counts, minlength=K).astype(np.int64)
+    return starts[order], counts[order], p1[order], sizes
+
+
+def _turns_of(y1, y2):
+    """``_turns`` of a few points given as lists."""
+    out = np.empty(len(y1))
+    _turns(np.array(y1, dtype=float), np.array(y2, dtype=float), out)
+    return out
+
+
+def _sector(turns, K: int):
+    """The sector floor(K turns) of each angle, K - 1 where K turns rounds up to K."""
+    return np.minimum((turns * K).astype(np.int64), K - 1)
+
+
+def _in_order(alphas, sizes) -> bool:
+    """Whether each nonempty sector's last angle is <= the first angle of the next one."""
+    end = np.cumsum(sizes)[sizes > 0]
+    first = (end - sizes[sizes > 0])[1:]
+    return bool(np.all(alphas[end[:-1] - 1] <= alphas[first]))
 
 
 def _square_range(B: Mat2, p1, xi2, t):
@@ -400,17 +532,39 @@ def direction_set(
     """Sorted directions of the lattice points in the domain, without the points.
 
     Bit for bit ``directions(enumerate_points(lat, shape, T, max_points), T,
-    shape)``, with the same errors, but the angles are written straight
-    from the kept strip ranges, one cache-sized piece at a time, into one
-    exactly sized array: no (n, 2) array is built.
+    shape)``, with the same errors, but no (n, 2) array is built: the kept
+    strip ranges are cut at K = N // SECTOR sector rays k/K
+    (``_sector_pieces``) and their angles written sector by sector, one
+    cache-sized piece at a time, into one exactly sized array.  Each sector
+    is then sorted in place, in cache.
+
+    Exact by construction, in two parts.  The multiset: the cuts are
+    clipped into each range and made nondecreasing, so the pieces
+    partition the kept ranges whatever the float decisions at the cuts
+    are.  The order: each sector is sorted, and an O(K) check that every
+    nonempty sector's last angle is <= the next one's first (``_in_order``)
+    either passes, so the whole array is sorted, or the whole array is
+    sorted again.  ``_turns`` yields no NaN and no -0.0, so any sort of the
+    same multiset gives the same bytes; the decisions at the cuts only
+    decide how often that fallback runs.  N < 2 SECTOR gives K = 1: no ray
+    to cut at, and one sort.
     """
-    total, chunks = _kept_chunks(lat, shape, T, max_points)
+    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, max_points)
+    total = int(counts.sum())
+    K = max(total // SECTOR, 1)
+    starts, counts, p1, sizes = _sector_pieces(B, xi2, p1, starts, counts, key, K,
+                                               math.sqrt(2.0) * T)
+    assert int(counts.sum()) == total
     alphas = np.empty(total)
     n = 0
-    for y1, y2 in chunks:
+    for y1, y2 in _points(B, xi2, starts, counts, p1):
         _turns(y1, y2, alphas[n:n + y1.size])
         n += y1.size
-    alphas.sort()
+    end = np.cumsum(sizes)
+    for a, b in zip(end - sizes, end):
+        alphas[a:b].sort()
+    if not _in_order(alphas, sizes):
+        alphas.sort()
     return DirectionSet(alphas, float(T), shape)
 
 

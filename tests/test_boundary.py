@@ -3,11 +3,12 @@
 ``enumerate_points`` takes each strip's certified interior whole and runs
 the float domain test only on a few boundary candidates.  So its result
 must be exactly the points of an m-box that pass that test, in (m1, m2)
-order, and ``direction_set`` exactly their sorted angles.  Unlike the
-property tests in test_strips.py nothing is moved off the boundary here:
-Pythagorean radii, half-integer and integer shifts and integer square
-sizes put lattice points exactly on the circles and edges, and the strict
-float test must drop them.
+order, and ``direction_set`` exactly their sorted angles, also when it cuts
+the strips into many sectors.  Unlike the property tests in test_strips.py
+nothing is moved off the boundary here: Pythagorean radii, half-integer
+and integer shifts and integer square sizes put lattice points exactly on
+the circles, edges and sector rays, and the strict float test must drop
+them from the domain.
 """
 
 import math
@@ -34,12 +35,25 @@ pythagorean = st.tuples(st.sampled_from([5.0, 25.0, 65.0, 325.0]),
 integer_squares = st.tuples(st.integers(1, 40).map(float), st.just(ld.Square()))
 
 
+def _sector_targets(N):
+    """The sector targets that cut N angles into K = 8, 16, 32 or 64 sectors, where one exists.
+
+    A K divisible by 8 puts sector rays on the axes and the diagonals.
+    """
+    return [N // K for K in (8, 16, 32, 64) if N >= K and N // (N // K) == K]
+
+
 def _assert_exact(basis, shift, shape, T):
     lat = ld.AffineLatticeSpec(basis, shift)
     want = brute_kept_points(basis.array(), lat.shift, shape, T)
     got = ld.enumerate_points(lat, shape, T)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert ld.direction_set(lat, shape, T).alphas.tobytes() == brute_turns(want).tobytes()
+    turns = brute_turns(want).tobytes()
+    assert ld.direction_set(lat, shape, T).alphas.tobytes() == turns
+    for target in _sector_targets(len(want)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "SECTOR", target)
+            assert ld.direction_set(lat, shape, T).alphas.tobytes() == turns
 
 
 @PROPS
@@ -93,6 +107,21 @@ def test_domain_test_sees_a_few_candidates_per_strip(monkeypatch, shape, per_str
     strips = math.floor(T - CBRT4) - math.ceil(-T - CBRT4) + 1
     assert dirs.N > 2_000_000
     assert sum(seen) <= per_strip * strips
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0), (0.5, 0.5), (0.5, 0.0), (0.0, 0.5), (0.0, 1e-12),
+                                   (2.0, -1e-12)])
+@pytest.mark.parametrize("shape, T", [(ld.Annulus(0.0), 25.0), (ld.Annulus(0.6), 65.0),
+                                      (ld.Square(), 20.0), (ld.Square(), 7.5)])
+def test_rays_through_lattice_points(monkeypatch, shift, shape, T):
+    # with K divisible by 8 the axes and diagonals are sector rays, and lattice points lie
+    # on them; an integer first shift component puts a strip through the origin, and a
+    # tiny second one puts its points next to the origin on both sides
+    seen = []
+    in_order = lattice._in_order
+    monkeypatch.setattr(lattice, "_in_order", lambda *args: seen.append(in_order(*args)) or seen[-1])
+    _assert_exact(ld.Mat2.identity(), shift, shape, T)
+    assert len(seen) > 2 and all(seen)
 
 
 @pytest.mark.parametrize("shape", [ld.Annulus(0.0), ld.Square()])

@@ -438,3 +438,29 @@ def test_merge_keeps_flags_and_joins_values():
     # complex exponents are values too, as before
     assert merge(["moments", "--s", "-1+2i"]) == ["moments", "--s=-1+2i"]
     assert merge(["moments", "--s", "-h"]) == ["moments", "--s", "-h"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--T", "1/0"],
+    ["enumerate", "--xi", "1/0,0", "--T", "3"],
+    ["enumerate", "--basis", "1/0,0,0,1", "--T", "3"],
+    ["singular-probe", "--xi", "1/0,1/2", "--r", "1,1"],
+])
+def test_zero_denominator_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "1/0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "5..2"],
+    ["--k", "0..3"],
+    ["--T", "1.5", "--k", "1..9"],  # N = 8
+    ["--T", "1.5", "--k", "8"],
+    ["--T", "1.5", "--k", "1.." + "9" * 30],
+])
+def test_spacings_k_is_checked_before_any_output(tmp_path, capsys, argv):
+    assert main(["spacings", *argv, "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: --k ")
+    assert list(tmp_path.iterdir()) == []

@@ -57,14 +57,29 @@ def dioph_scan(xi, kappa: float, radius: int) -> DiophReport:
     float of the exact one; it raises CapacityError when radius times the
     denominator reaches 2^53.  Float components use
     vectorized double precision; the roundoff on r . xi is below
-    (|r1|+|r2|) ulp, far under the floors met in practice.  Ties resolve to
-    the first (r1, r2) in row-major scan order.
+    (|r1|+|r2|) ulp, far under the floors met in practice.
 
     Both paths scan half of the diamond 0 < |r1| + |r2| <= radius: r1 < 0,
     or r1 = 0 and r2 < 0.  The value at -r equals the value at r bit for
     bit (negation is exact and rounding to nearest even is odd), and of r
     and -r the half holds the one met first in row-major order, so the
     first minimum of the full diamond lies in it.
+
+    The rows r1 = -radius..0 are taken in blocks of whole rows, about
+    ``strips.CHUNK`` values each (``strips.expand_chunks``).  Each block
+    keeps its first minimum, and a block's minimum replaces the running
+    best only when strictly less, so ties resolve to the first (r1, r2) in
+    row-major order.  Memory is O(radius) whatever the radius: the row
+    bounds, one block, and a table of the weights h^kappa, h <= radius,
+    which each value looks up by h = |r1| + |r2|.  The float path's table
+    is numpy's power of a float64 array, the exact path's is Python's
+    ``float(h) ** kappa``: the two differ in the last bit for some h and
+    kappa, so the paths do not share one table.
+
+    Raises InvalidInputError, before anything is allocated, for a float
+    xi component that is not finite, for a radius * |xi| that overflows,
+    and for radius^kappa that is not a finite float, so no scanned value
+    is NaN or infinite.
     """
     if radius < 1:
         raise InvalidInputError("radius must be at least 1")
@@ -72,45 +87,76 @@ def dioph_scan(xi, kappa: float, radius: int) -> DiophReport:
         raise InvalidInputError("xi must be a 2-vector")
     if not math.isfinite(kappa):
         raise InvalidInputError(f"kappa must be finite, got {kappa!r}")
+    try:
+        top = float(radius) ** kappa
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise InvalidInputError(f"radius ** kappa must be a finite float, got {radius} ** {kappa!r}")
+    if _is_exact(xi[0]) and _is_exact(xi[1]):
+        x1, x2 = Fraction(xi[0]), Fraction(xi[1])
+        values = _exact_scan(x1, x2, kappa, radius)
+    else:
+        x1, x2 = float(xi[0]), float(xi[1])
+        if not math.isfinite(radius * (abs(x1) + abs(x2))):  # NaN fails too
+            raise InvalidInputError(f"xi must be finite and radius * |xi| must not overflow, got {(x1, x2)}")
+        values = _float_scan(x1, x2, kappa, radius)
     # rows r1 = -radius..0 of the half diamond, r2 from -(radius + r1); row r1 = 0 stops at -1
     row = np.arange(-radius, 1)
     width = 2 * (radius + row) + 1
     width[-1] = radius
-    r2, r1 = strips.expand(-(radius + row), width, row)
-    if _is_exact(xi[0]) and _is_exact(xi[1]):
-        return _exact_scan(Fraction(xi[0]), Fraction(xi[1]), kappa, radius, r1, r2)
-    x1, x2 = float(xi[0]), float(xi[1])
-    t = r1 * x1 + r2 * x2
-    m = -np.rint(t)
-    val = np.abs(t + m) * (np.abs(r1) + np.abs(r2)).astype(float) ** kappa
-    i = int(np.argmin(val))
-    return DiophReport(float(kappa), radius, float(val[i]), (int(r1[i]), int(r2[i]), int(m[i])))
+    best, arg = math.inf, None
+    for r2, r1 in strips.expand_chunks(-(radius + row), width, row, size=strips.CHUNK):
+        val = values(r1, r2)
+        i = int(np.argmin(val))
+        if val[i] < best:
+            best, arg = float(val[i]), (int(r1[i]), int(r2[i]))
+    r1, r2 = arg
+    # the nearest integer to r . xi, ties to even, as the block computed it
+    return DiophReport(float(kappa), radius, best, (r1, r2, -round(r1 * x1 + r2 * x2)))
 
 
-def _exact_scan(x1: Fraction, x2: Fraction, kappa: float, radius: int, r1, r2) -> DiophReport:
-    """The scan over (r1, r2) for exact xi, in int64 over a common denominator D.
+def _float_scan(x1: float, x2: float, kappa: float, radius: int):
+    """The values of one block of (r1, r2) for float xi: |r . xi - rint(r . xi)| * (|r1| + |r2|)^kappa."""
+    weight = np.empty(radius + 1)
+    weight[0] = 0.0  # h = 0 never occurs
+    weight[1:] = np.arange(1, radius + 1, dtype=float) ** kappa
+
+    def values(r1, r2):
+        t = r1 * x1 + r2 * x2
+        t -= np.rint(t)
+        return np.abs(t) * weight[np.abs(r1) + np.abs(r2)]
+
+    return values
+
+
+def _exact_scan(x1: Fraction, x2: Fraction, kappa: float, radius: int):
+    """The values of one block of (r1, r2) for exact xi, in int64 over a common denominator D.
 
     Writes xi_i = k_i + X_i / D with 0 <= X_i < D, so r . xi = r . k + N / D
     with |N| <= radius D.  While radius D < 2^53, N and the remainder
     R = r . xi - round(r . xi), times D, are exact in float64, so R / D
     rounds like ``float(Fraction(R, D))``.  Ties go to the even integer, as
     Python's round does on a Fraction; that depends on the parity of r . k.
-    Raises CapacityError past that limit.
+    Raises CapacityError past that limit; else returns the function that
+    maps int64 arrays r1, r2 to the values |R| / D * (|r1| + |r2|)^kappa.
     """
     D = math.lcm(x1.denominator, x2.denominator)
     if radius * D >= 2**53:
         raise CapacityError(f"exact scan needs radius * denominator < 2^53, got {radius} * {D}")
     k1, k2 = math.floor(x1), math.floor(x2)
-    N = r1 * int((x1 - k1) * D) + r2 * int((x2 - k2) * D)
-    q, rem = np.divmod(N, D)
-    odd = (q + r1 * (k1 % 2) + r2 * (k2 % 2)) % 2 == 1  # floor(r . xi) is odd
-    q += (2 * rem > D) | ((2 * rem == D) & odd)  # round(r . xi) - r . k, ties to even
-    R = N - q * D
+    X1, X2 = int((x1 - k1) * D), int((x2 - k2) * D)
     weight = np.array([0.0] + [float(h) ** kappa for h in range(1, radius + 1)])  # h = 0 never occurs
-    val = np.abs(R).astype(float) / float(D) * weight[np.abs(r1) + np.abs(r2)]
-    i = int(np.argmin(val))
-    m = -(int(q[i]) + int(r1[i]) * k1 + int(r2[i]) * k2)
-    return DiophReport(float(kappa), radius, float(val[i]), (int(r1[i]), int(r2[i]), m))
+
+    def values(r1, r2):
+        N = r1 * X1 + r2 * X2
+        q, rem = np.divmod(N, D)
+        odd = (q + r1 * (k1 % 2) + r2 * (k2 % 2)) % 2 == 1  # floor(r . xi) is odd
+        q += (2 * rem > D) | ((2 * rem == D) & odd)  # round(r . xi) - r . k, ties to even
+        N -= q * D
+        return np.abs(N).astype(float) / float(D) * weight[np.abs(r1) + np.abs(r2)]
+
+    return values
 
 
 def singular_vector(n, omega: float, l):

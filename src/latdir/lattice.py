@@ -144,7 +144,9 @@ class DirectionSet:
         object.__setattr__(self, "alphas", a)
         if a.ndim != 1:
             raise InvalidInputError("alphas must be one-dimensional")
-        if a.size and (a[0] < 0.0 or a[-1] >= 1.0 or np.any(a[1:] < a[:-1])):
+        # the order is checked in CHUNK-sized slices that overlap by one: no N-sized temporary
+        blocks = (a[i:i + strips.CHUNK + 1] for i in range(0, a.size, strips.CHUNK))
+        if a.size and (a[0] < 0.0 or a[-1] >= 1.0 or any(np.any(b[1:] < b[:-1]) for b in blocks)):
             raise InvalidInputError("alphas must be sorted and lie in [0, 1)")
         _require_scale(self.T)
 

@@ -140,6 +140,19 @@ def test_dioph_json(tmp_path):
     assert len(obj["argmin"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["--xi", "1/2,1/4", "--exact", "--kappa", "400"],  # 10.0 ** 400 overflows
+    ["--xi", "0.5,0.25", "--kappa", "400"],
+    ["--xi", "nan,0.5"],
+    ["--xi", "0.5,inf"],
+])
+def test_dioph_input_errors_write_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "d.json"
+    assert main(["dioph", *argv, "--radius", "10", "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_body_matches_per_line_format(tmp_path, capsys):
     _check_enumerate_body(tmp_path, capsys, "1,0,0,1", "annulus:0", 150.0)
 

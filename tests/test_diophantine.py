@@ -1,9 +1,12 @@
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import latdir as ld
+from latdir import strips
 from latdir.diophantine import CBRT2, CBRT4, GOLDEN, SQRT2
 
 
@@ -77,19 +80,44 @@ def _full_grid_scan(xi, kappa, radius):
     return float(val[i]), (int(r1[i]), int(r2[i]), int(m[i]))
 
 
-@pytest.mark.parametrize("xi", [
+_SHIFTS = [
     (CBRT4, CBRT2), (0.5, 0.5), (1 / 3, 2 / 3), (0.25, 0.0), (GOLDEN, SQRT2), (0.0, 0.0),
     (Fraction(1, 2), Fraction(1, 2)), (Fraction(2, 7), Fraction(3, 5)), (Fraction(0), Fraction(1, 3)),
     # exact half-integer values of r . xi, which round to even, and integer parts
     (Fraction(-1, 2), Fraction(3, 2)), (Fraction(-5, 2), Fraction(7, 6)), (Fraction(3), Fraction(-1, 4)),
-])
-@pytest.mark.parametrize("kappa", [0.0, 1.0, 1.5, 2.0])
+]
+_KAPPAS = [0.0, 1.0, 1.5, 2.0, -1.0]
+
+
+@pytest.mark.parametrize("xi", _SHIFTS)
+@pytest.mark.parametrize("kappa", _KAPPAS)
 def test_half_diamond_scan_matches_full_grid(xi, kappa):
     # rational shifts tie many r: the first minimum of the full scan must come back
     radii = (1, 2, 3, 8, 25) if isinstance(xi[0], Fraction) else (1, 2, 3, 8, 25, 120)
     for radius in radii:
         rep = ld.dioph_scan(xi, kappa, radius)
         assert (rep.min_value, rep.argmin) == _full_grid_scan(xi, kappa, radius)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+@pytest.mark.parametrize("xi", _SHIFTS)
+@pytest.mark.parametrize("kappa", _KAPPAS)
+def test_scan_blocks_keep_the_first_minimum(monkeypatch, block, xi, kappa):
+    # blocks of one row up to a few rows: ties straddle block edges, the first one must win
+    monkeypatch.setattr(strips, "CHUNK", block)
+    test_half_diamond_scan_matches_full_grid(xi, kappa)
+
+
+@pytest.mark.parametrize("xi", [(CBRT4, CBRT2), (Fraction(2, 7), Fraction(3, 5))])
+def test_scan_memory_is_independent_of_radius_squared(xi):
+    # radius 2000 is about 4M values; a full-length float64 array alone would take 32 MB
+    tracemalloc.start()
+    try:
+        ld.dioph_scan(xi, 2.0, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_exact_scan_capacity():
@@ -106,6 +134,14 @@ def test_scan_bad_inputs():
         ld.dioph_scan((0.5, 0.5), 2.0, 0)
     with pytest.raises(ld.InvalidInputError):
         ld.dioph_scan((0.5,), 2.0, 5)
+    # inputs that would scan NaN or infinite values
+    for xi in [(math.nan, 0.5), (0.5, math.inf), (1e308, 0.5)]:
+        with pytest.raises(ld.InvalidInputError):
+            ld.dioph_scan(xi, 2.0, 5)
+    for xi in [(0.5, 0.25), (Fraction(1, 2), Fraction(1, 4))]:
+        with pytest.raises(ld.InvalidInputError):
+            ld.dioph_scan(xi, 400.0, 10)
+        assert ld.dioph_scan(xi, 300.0, 10).min_value == 0.0  # 10^300 is finite
 
 
 def test_singular_vector_valid():

@@ -268,6 +268,16 @@ def test_direction_set_validation():
         ld.DirectionSet(np.array([0.5, 1.2]), 1.0, ld.Annulus(0.0))
 
 
+@pytest.mark.parametrize("at", [1, ld.strips.CHUNK - 1, ld.strips.CHUNK, 2 * ld.strips.CHUNK + 1])
+def test_direction_set_order_checked_across_slices(at):
+    # the order check runs slice by slice; a descent on either side of a slice edge is still seen
+    a = np.linspace(0.0, 0.5, 2 * ld.strips.CHUNK + 3)
+    ld.DirectionSet(a, 1.0, ld.Annulus(0.0))
+    a[at - 1], a[at] = a[at], a[at - 1]
+    with pytest.raises(ld.InvalidInputError):
+        ld.DirectionSet(a, 1.0, ld.Annulus(0.0))
+
+
 def test_annulus_ratio_validation():
     with pytest.raises(ld.InvalidInputError):
         ld.Annulus(1.0)

@@ -133,9 +133,14 @@ def parse_interval(s: str):
 
 def parse_bins(s: str) -> np.ndarray:
     lo, hi, step = (parse_real(t) for t in s.split(":"))
+    if not np.all(np.isfinite((lo, hi, step))):
+        raise ValueError(f"bin spec {s!r} needs a finite lo, hi and step")
     if step <= 0 or hi <= lo:
         raise ValueError(f"bad bin spec {s!r}")
-    n = int(round((hi - lo) / step))
+    steps = (hi - lo) / step
+    if not np.isfinite(steps):
+        raise ValueError(f"bin spec {s!r} has no finite number of steps")
+    n = int(round(steps))
     if n < 1 or abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
         raise ValueError(f"bin range {s!r} is not a whole number of steps")
     return lo + step * np.arange(n + 1)

@@ -7,11 +7,18 @@ circle, and an exact two-window pair statistic.
 All operations are read-only over a DirectionSet, whose ``alphas`` array A
 is sorted, so the lifted sequence L(k) = A[k mod N] + k div N is
 nondecreasing.  Window counts are two binary searches on it.  Spacings
-are one contiguous offset pass L(j + k) - L(j) over all j
-(``_cyclic_gaps``).  The two-point correlation bins, and the pair
-statistic sums window overlaps over, the same close pairs: the neighbour
-passes d = 1, 2, ... of ``_near_pairs``.  Mixed moments evaluate window
-counts on the measure's quadrature grid.
+are one offset pass L(j + k) - L(j) over all j.  The two-point
+correlation bins, and the pair statistic sums window overlaps over, the
+same close pairs: the neighbour passes d = 1, 2, ... of ``_near_pairs``.
+Mixed moments evaluate window counts on the measure's quadrature grid.
+
+Every pass is cache-blocked.  It walks j in blocks of ``_BLOCK`` = 2^16
+(``_gap_blocks``: contiguous slices of A, the last d entries wrapping
+past 1), and each block is filtered, scaled and binned (``_bin_sums``)
+while it is in cache.  Once a neighbour pass keeps fewer than N/4 of the
+j, the passes after it gather only the survivors, again 2^16 at a time.
+So no pass allocates an N-long temporary: memory is O(2^16 + survivors)
+beside the direction set.
 """
 
 from __future__ import annotations
@@ -118,12 +125,10 @@ class Histogram:
     masses: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.bin_edges, dtype=float)
+        edges = _checked_edges(self.bin_edges)
         masses = np.asarray(self.masses, dtype=float)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "masses", masses)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise InvalidInputError("bin edges must be strictly increasing")
         if masses.shape != (edges.size - 1,):
             raise InvalidInputError("need one mass per bin")
 
@@ -133,6 +138,14 @@ class Histogram:
 
     def total_mass(self) -> float:
         return float(np.sum(self.masses * self.widths))
+
+
+def _checked_edges(edges) -> np.ndarray:
+    """``edges`` as a float array, if they are finite and strictly increasing."""
+    e = np.asarray(edges, dtype=float)
+    if e.ndim != 1 or e.size < 2 or not (np.all(np.isfinite(e)) and np.all(np.diff(e) > 0)):
+        raise InvalidInputError("bin edges must be finite and strictly increasing")
+    return e
 
 
 def window_counts(dirs: DirectionSet, interval, alphas) -> np.ndarray:
@@ -172,38 +185,62 @@ def spacing_histogram(dirs: DirectionSet, k: int, edges) -> Histogram:
 
     Spacings are cyclic (the last entries wrap past 1) and the histogram is
     density-normalized so the in-range mass is 1.  The spacings are one
-    contiguous offset pass (``_cyclic_gaps``); those outside
-    [edges[0], edges[-1]] are dropped before binning, and the rest are
+    offset pass over j in blocks of ``_BLOCK`` (``_gap_blocks``); in each
+    block those outside [edges[0], edges[-1]] are dropped and the rest are
     binned as ``np.histogram`` bins them (last bin closed), so the counts
-    are the same.
+    are the same.  Memory is O(``_BLOCK``) beside the direction set.
     """
     N = dirs.N
     if not 1 <= k < N:
         raise InvalidInputError(f"need 1 <= k < N, got k={k}, N={N}")
-    scaled = _cyclic_gaps(dirs.alphas, k, np.empty(N))
-    scaled *= N
-    edges = np.asarray(edges, dtype=float)
-    keep = scaled <= edges[-1]
-    if edges[0] > 0:  # cyclic spacings are never negative
-        keep &= scaled >= edges[0]
-    counts, _ = _bin_sums(scaled[keep], edges, None, False)
+    edges = _checked_edges(edges)
+    counts = np.zeros(edges.size - 1, dtype=np.intp)
+    for _, scaled in _gap_blocks(dirs.alphas, k):
+        scaled *= N
+        keep = scaled <= edges[-1]
+        if edges[0] > 0:  # cyclic spacings are never negative
+            keep &= scaled >= edges[0]
+        counts += _bin_sums(_compress(scaled, keep), edges, None, False)[0]
     total = counts.sum()
     widths = np.diff(edges)
     masses = counts / (total * widths) if total > 0 else np.zeros(counts.shape)
     return Histogram(edges, masses)
 
 
-def _cyclic_gaps(A, d, out):
-    """out[j] = alpha_{j+d} - alpha_j for every j, the last d wrapping past 1.
+_BLOCK = 65536  # values per block of every pass: sorted, filtered and binned while in cache
 
-    Bit for bit ``concat(A, A + 1)[j + d] - A[j]``, from contiguous slices of
-    A: no index array, no gather, no doubled copy of A.
+
+def _gap_blocks(A, d):
+    """Yields ``(start, gaps)``: gaps[i] = alpha_{j+d} - alpha_j for j = start + i, 0 < d < N.
+
+    The blocks of ``_BLOCK`` consecutive j cover 0..N-1 in order; the last
+    d entries wrap past 1.  Bit for bit ``concat(A, A + 1)[j + d] - A[j]``,
+    from contiguous slices of A, into one reused buffer that the caller
+    may change but that the next block overwrites.
     """
-    n = A.size - d
-    np.subtract(A[d:], A[:n], out=out[:n])
-    np.add(A[:d], 1.0, out=out[n:])
-    np.subtract(out[n:], A[n:], out=out[n:])
-    return out
+    N = A.size
+    buf = np.empty(min(N, _BLOCK))
+    for start in range(0, N, _BLOCK):
+        stop = min(start + _BLOCK, N)
+        out = buf[: stop - start]
+        flat = min(max(N - d - start, 0), out.size)  # the j + d < N of the block
+        np.subtract(A[start + d : start + d + flat], A[start : start + flat], out=out[:flat])
+        wrap = out[flat:]
+        np.add(A[start + flat + d - N : stop + d - N], 1.0, out=wrap)
+        np.subtract(wrap, A[start + flat : stop], out=wrap)
+        yield start, out
+
+
+def _compress(values, keep):
+    """``values[keep]``, by whichever of numpy's two ways is fast for this mask.
+
+    Boolean indexing copies long runs of True quickly but branches on every
+    entry of a scattered mask; ``np.compress`` costs about the same for any
+    mask, several times less than that worst case.
+    """
+    if 8 * np.count_nonzero(keep) > 7 * keep.size:
+        return values[keep]
+    return np.compress(keep, values)
 
 
 def _ahead(A, idx):
@@ -225,84 +262,92 @@ def _ahead(A, idx):
 def _near_pairs(A, reach):
     """Neighbour passes over the lifted sequence L(k) = A[k mod N] + k div N.
 
-    Pass d = 1, 2, ... yields ``(d, sel, vals)``: ``vals`` are, in order of
-    j, the scaled differences N * (L(j + d) - L(j)) with L(j + d) - L(j) <=
-    reach / N, and ``A[sel]`` their alpha_j (``sel`` is a mask over j while
-    the passes are dense, the surviving j after that).  Passes with d = 0
-    (mod N) are skipped, since a direction is never a pair with its own
-    image, and the passes end at the first one that keeps nothing, so the
-    cost is O(N * (1 + reach)).  Needs N >= 2.
+    Pass d = 1, 2, ... yields, block by block, ``(d, start, keep, vals)``:
+    ``vals`` are, in order of j, the scaled differences N * (L(j + d) -
+    L(j)) with L(j + d) - L(j) <= reach / N, and ``_rows(start, keep)``
+    their j.  Passes with d = 0 (mod N) are skipped, since a direction is
+    never a pair with its own image, and the passes end at the first one
+    that keeps nothing, so the cost is O(N * (1 + reach)).  Needs N >= 2.
 
     The kept j shrink from pass to pass (the difference grows with d).
-    While more than a quarter of them survive, a pass is one contiguous
-    ``_cyclic_gaps`` over all j into one reused buffer; after that, and
-    from d = N - 1 on, it gathers only the surviving j.
+    While more than a quarter of them survive, a pass walks all j in the
+    blocks of ``_gap_blocks``, and ``keep`` is the block's mask, valid
+    until the next block.  The pass after the first that keeps fewer than
+    N/4 (or pass N - 1) also writes its kept j into one array, int32 while
+    N < 2^31; from then on each pass gathers only those j, ``_BLOCK`` at a
+    time, compacts the array in place, and ``keep`` is the kept j of the
+    chunk.  Memory is O(``_BLOCK`` + N/4) beside A, with no N-long
+    temporary.
     """
     N = A.size
     thresh = reach / N
-    gaps = np.empty(N)
-    near = np.empty(N, dtype=bool)
-    active = None  # the surviving j once the passes gather; None while they are dense
-    d = 0
+    mask = np.empty(min(N, _BLOCK), dtype=bool)
+    d, kept, active = 0, N, None
+    while active is None:  # d < N, as _gap_blocks needs: pass N - 1 starts the gathering
+        d += 1
+        if 4 * kept < N or d == N - 1:
+            active = np.empty(kept, dtype=np.int32 if N < 2**31 else np.int64)
+        kept = 0
+        for start, gaps in _gap_blocks(A, d):
+            near = np.less_equal(gaps, thresh, out=mask[: gaps.size])
+            vals = _compress(gaps, near)
+            if active is not None:
+                active[kept : kept + vals.size] = np.flatnonzero(near) + start
+            kept += vals.size
+            if vals.size:
+                vals *= N
+                yield d, start, near, vals
+        if not kept:
+            return
     while True:
         d += 1
         if d % N == 0:
             continue
-        if active is None:
-            np.less_equal(_cyclic_gaps(A, d, gaps), thresh, out=near)
-            sel, vals = near, gaps[near]
-            if 4 * vals.size < N or d == N - 1:  # _cyclic_gaps takes d < N only
-                sel = active = np.flatnonzero(near)
-                del gaps, near
-        else:
-            diff = _ahead(A, active + d)
-            diff -= A[active]
-            keep = diff <= thresh
-            sel = active = active[keep]
-            vals = diff[keep]
-            del diff, keep
-        if not vals.size:
+        n, kept = kept, 0
+        for i in range(0, n, _BLOCK):
+            j = active[i : min(i + _BLOCK, n)].astype(np.int64)
+            diff = _ahead(A, j + d)
+            diff -= A[j]
+            near = diff <= thresh
+            j, vals = _compress(j, near), _compress(diff, near)
+            active[kept : kept + j.size] = j  # kept <= i: the unread chunks stay intact
+            kept += j.size
+            if vals.size:
+                vals *= N
+                yield d, 0, j, vals
+        if not kept:
             return
-        vals *= N
-        yield d, sel, vals
 
 
-_HIST_BLOCK = 65536
+def _rows(start, keep):
+    """The j of one block that ``_near_pairs`` yields."""
+    return start + np.flatnonzero(keep) if keep.dtype == bool else keep
 
 
 def _bin_sums(vals, edges, weights, mirrored: bool):
     """``np.histogram(vals, edges, weights=weights)[0]`` and, if ``mirrored``, that of -vals.
 
-    Each block of _HIST_BLOCK values is sorted once.  Bins are [e_i, e_{i+1})
-    with the last one closed, as in np.histogram, so the values below each
-    edge end at a left search (a right one at the last edge).  Since -v < e
-    means v > -e, the -vals below each edge are the values above -e: those
-    from a right search at -e (a left one at the last edge) to the end of
-    the block.  Without ``mirrored`` the second result is None.
+    ``vals`` (one block) is sorted once, in place when there are no
+    weights.  Bins are [e_i, e_{i+1}) with the last one closed, as in
+    np.histogram, so the values below each edge end at a left search (a
+    right one at the last edge).  Since -v < e means v > -e, the -vals
+    below each edge are the values above -e: those from a right search at
+    -e (a left one at the last edge) to the end of the block.  Without
+    ``mirrored`` the second result is None.
     """
-    cut = edges[:-1], edges[-1:]
-    neg = -edges[:-1], -edges[-1:]
-    zero = np.zeros(1)
-    plus = np.zeros(edges.size, dtype=np.intp if weights is None else float)
-    minus = np.zeros_like(plus)
-    buf = np.empty(min(vals.size, _HIST_BLOCK))  # sorted in place: no allocation per block
-    for i in range(0, vals.size, _HIST_BLOCK):
-        block = vals[i : i + _HIST_BLOCK]
-        if weights is None:
-            sv = buf[: block.size]
-            sv[:] = block
-            sv.sort()
-            cum = None
-        else:
-            order = np.argsort(block)
-            sv = block[order]
-            cum = np.concatenate((zero, weights[i : i + _HIST_BLOCK][order].cumsum()))
-        below = np.concatenate((sv.searchsorted(cut[0], "left"), sv.searchsorted(cut[1], "right")))
-        plus += below if cum is None else cum[below]
-        if mirrored:
-            above = np.concatenate((sv.searchsorted(neg[0], "right"), sv.searchsorted(neg[1], "left")))
-            minus += sv.size - above if cum is None else cum[-1] - cum[above]
-    return np.diff(plus), (np.diff(minus) if mirrored else None)
+    if weights is None:
+        vals.sort()
+        sv, cum = vals, None
+    else:
+        order = np.argsort(vals)
+        sv = vals[order]
+        cum = np.concatenate((np.zeros(1), weights[order].cumsum()))
+    below = np.concatenate((sv.searchsorted(edges[:-1], "left"), sv.searchsorted(edges[-1:], "right")))
+    plus = np.diff(below if cum is None else cum[below])
+    if not mirrored:
+        return plus, None
+    above = np.concatenate((sv.searchsorted(-edges[:-1], "right"), sv.searchsorted(-edges[-1:], "left")))
+    return plus, np.diff(sv.size - above if cum is None else cum[-1] - cum[above])
 
 
 def pair_correlation(
@@ -321,11 +366,10 @@ def pair_correlation(
     non-uniform direction density back to unit level.
 
     Implemented as the neighbour passes of ``_near_pairs`` up to the bins'
-    reach W, so the cost is O(N * W) for bins inside [-W, W].
+    reach W, each block binned while in cache, so the cost is O(N * W) for
+    bins inside [-W, W] and the memory O(2^16 + N/4).
     """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise InvalidInputError("bin edges must be strictly increasing")
+    edges = _checked_edges(edges)
     if fold and edges[0] < 0:
         raise InvalidInputError("folded histogram needs nonnegative edges")
     N = dirs.N
@@ -336,10 +380,10 @@ def pair_correlation(
         raise InvalidInputError(f"window reach {W} must be below N/2 = {N / 2}")
     A = dirs.alphas
     counts = np.zeros(edges.size - 1)
-    for d, sel, vals in _near_pairs(A, W):
+    for d, start, keep, vals in _near_pairs(A, W):
         w = None
         if density is not None:
-            j = np.arange(N)[sel]
+            j = _rows(start, keep)
             w = 1.0 / (np.asarray(density(A[j])) * np.asarray(density(_frac(_ahead(A, j + d)))))
         plus, minus = _bin_sums(vals, edges, w, mirrored=not fold)
         if fold:
@@ -434,6 +478,6 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
         return np.maximum(np.minimum(b1, b2 + s) - np.maximum(a1, a2 + s), 0.0)
 
     total = 0.0
-    for _, _, s in _near_pairs(dirs.alphas, max(abs(a1 - b2), abs(b1 - a2))):
+    for *_, s in _near_pairs(dirs.alphas, max(abs(a1 - b2), abs(b1 - a2))):
         total += overlap(s).sum() + overlap(-s).sum()
     return total / N

@@ -466,6 +466,16 @@ def test_zero_denominator_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bins", ["0:inf:1", "-inf:0:1", "0:1e300:1e-300", "0:1:nan"])
+def test_non_finite_bins_exit_2(tmp_path, capsys, bins):
+    # (hi - lo) / step overflows to inf for the third: no whole number of steps
+    out = tmp_path / "s.csv"
+    assert main(["spacings", "--xi", "cbrt4,cbrt2", "--T", "20", "--k", "1", f"--bins={bins}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: bin spec ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--k", "5..2"],
     ["--k", "0..3"],

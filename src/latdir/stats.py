@@ -200,7 +200,7 @@ def spacing_histogram(dirs: DirectionSet, k: int, edges) -> Histogram:
         keep = scaled <= edges[-1]
         if edges[0] > 0:  # cyclic spacings are never negative
             keep &= scaled >= edges[0]
-        counts += _bin_sums(_compress(scaled, keep), edges, None, False)[0]
+        counts += _bin_sums(np.compress(keep, scaled), edges, None, False)[0]
     total = counts.sum()
     widths = np.diff(edges)
     masses = counts / (total * widths) if total > 0 else np.zeros(counts.shape)
@@ -229,18 +229,6 @@ def _gap_blocks(A, d):
         np.add(A[start + flat + d - N : stop + d - N], 1.0, out=wrap)
         np.subtract(wrap, A[start + flat : stop], out=wrap)
         yield start, out
-
-
-def _compress(values, keep):
-    """``values[keep]``, by whichever of numpy's two ways is fast for this mask.
-
-    Boolean indexing copies long runs of True quickly but branches on every
-    entry of a scattered mask; ``np.compress`` costs about the same for any
-    mask, several times less than that worst case.
-    """
-    if 8 * np.count_nonzero(keep) > 7 * keep.size:
-        return values[keep]
-    return np.compress(keep, values)
 
 
 def _ahead(A, idx):
@@ -290,7 +278,7 @@ def _near_pairs(A, reach):
         kept = 0
         for start, gaps in _gap_blocks(A, d):
             near = np.less_equal(gaps, thresh, out=mask[: gaps.size])
-            vals = _compress(gaps, near)
+            vals = np.compress(near, gaps)
             if active is not None:
                 active[kept : kept + vals.size] = np.flatnonzero(near) + start
             kept += vals.size
@@ -309,7 +297,7 @@ def _near_pairs(A, reach):
             diff = _ahead(A, j + d)
             diff -= A[j]
             near = diff <= thresh
-            j, vals = _compress(j, near), _compress(diff, near)
+            j, vals = np.compress(near, j), np.compress(near, diff)
             active[kept : kept + j.size] = j  # kept <= i: the unread chunks stay intact
             kept += j.size
             if vals.size:

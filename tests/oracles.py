@@ -90,6 +90,38 @@ def brute_disc_count(A, shift, r, M):
     return int(np.sum(y[:, 0] ** 2 + y[:, 1] ** 2 <= r * r))
 
 
+def histogram_spacings(dirs, k, edges):
+    """Reference: every scaled spacing binned by np.histogram."""
+    A, N = dirs.alphas, dirs.N
+    counts, _ = np.histogram(N * (np.concatenate([A[k:], A[:k] + 1.0]) - A), bins=edges)
+    total = counts.sum()
+    return counts / (total * np.diff(edges)) if total > 0 else np.zeros(counts.shape)
+
+
+def two_histogram_pair_correlation(dirs, edges, density=None, fold=False):
+    """Reference: every neighbour pass histograms vals and -vals with np.histogram."""
+    N, A = dirs.N, dirs.alphas
+    aug = np.concatenate([A, A + 1.0])
+    thresh = max(abs(edges[0]), abs(edges[-1])) / N
+    counts = np.zeros(edges.size - 1)
+    active = np.arange(N)
+    d = 1
+    while active.size and d < N:
+        diff = aug[active + d] - A[active]
+        near = diff <= thresh
+        active = active[near]
+        vals = N * diff[near]
+        if vals.size:
+            w = None
+            if density is not None:
+                w = 1.0 / (density(A[active]) * density(np.mod(aug[active + d], 1.0)))
+            counts += np.histogram(vals, bins=edges, weights=w)[0] * (2.0 if fold else 1.0)
+            if not fold:
+                counts += np.histogram(-vals, bins=edges, weights=w)[0]
+        d += 1
+    return counts / (N * np.diff(edges))
+
+
 def pair_overlap_sum(dirs, I1, I2):
     """Two-window pair statistic as a direct sum of interval overlaps.
 

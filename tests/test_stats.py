@@ -2,13 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 import latdir as ld
-from latdir import stats
 
-from oracles import brute_pair_integral, pair_overlap_sum
+from oracles import brute_pair_integral, histogram_spacings, pair_overlap_sum, two_histogram_pair_correlation
 
 
 def shift_dirs(dirs, delta):
@@ -91,14 +88,6 @@ def test_spacing_k_bounds(regular8):
         ld.spacing_histogram(regular8, 0, np.arange(0, 6, 0.5))
 
 
-def _np_histogram_spacings(dirs, k, edges):
-    """Reference: every scaled spacing binned by np.histogram."""
-    A, N = dirs.alphas, dirs.N
-    counts, _ = np.histogram(N * (np.concatenate([A[k:], A[:k] + 1.0]) - A), bins=edges)
-    total = counts.sum()
-    return counts / (total * np.diff(edges)) if total > 0 else np.zeros(counts.shape)
-
-
 def test_spacing_histogram_matches_np_histogram(dirs_500):
     # a regular 64-gon puts every k-spacing exactly on k: on interior edges, on the closed
     # last edge, and past it (k = N - 1)
@@ -111,7 +100,7 @@ def test_spacing_histogram_matches_np_histogram(dirs_500):
         for k in (1, 2, 3, 6, 15, dirs.N - 1):
             for edges in edge_sets:
                 assert ld.spacing_histogram(dirs, k, edges).masses.tobytes() == \
-                    _np_histogram_spacings(dirs, k, edges).tobytes()
+                    histogram_spacings(dirs, k, edges).tobytes()
     assert np.count_nonzero(ld.spacing_histogram(regular, 6, np.arange(0.0, 7.0, 1.0)).masses[-1]) == 1
     assert np.count_nonzero(ld.spacing_histogram(regular, 63, np.array([0.5, 1.0, 63.0])).masses[-1]) == 1
 
@@ -155,30 +144,6 @@ def test_pair_correlation_window_too_wide(regular8):
         ld.pair_correlation(regular8, np.array([-4.0, 4.0]))
 
 
-def _two_histogram_pair_correlation(dirs, edges, density=None, fold=False):
-    """Reference: every neighbour pass histograms vals and -vals with np.histogram."""
-    N, A = dirs.N, dirs.alphas
-    aug = np.concatenate([A, A + 1.0])
-    thresh = max(abs(edges[0]), abs(edges[-1])) / N
-    counts = np.zeros(edges.size - 1)
-    active = np.arange(N)
-    d = 1
-    while active.size and d < N:
-        diff = aug[active + d] - A[active]
-        near = diff <= thresh
-        active = active[near]
-        vals = N * diff[near]
-        if vals.size:
-            w = None
-            if density is not None:
-                w = 1.0 / (density(A[active]) * density(np.mod(aug[active + d], 1.0)))
-            counts += np.histogram(vals, bins=edges, weights=w)[0] * (2.0 if fold else 1.0)
-            if not fold:
-                counts += np.histogram(-vals, bins=edges, weights=w)[0]
-        d += 1
-    return counts / (N * np.diff(edges))
-
-
 def test_pair_correlation_one_sort_matches_two_histograms(cbrt_lat):
     # N > 65 536: the first passes span two sorted blocks; edges hit exact differences
     dirs = ld.direction_set(cbrt_lat, ld.Annulus(0.0), 160.0)
@@ -188,12 +153,12 @@ def test_pair_correlation_one_sort_matches_two_histograms(cbrt_lat):
     for ds, edges in ((dirs, np.arange(-10.0, 10.25, 0.5)), (dirs, np.array([-3.0, -1.0, 0.0, 0.7, 4.0])),
                       (regular, np.arange(-6.0, 7.0, 1.0))):
         assert ld.pair_correlation(ds, edges).masses.tobytes() == \
-            _two_histogram_pair_correlation(ds, edges).tobytes()
+            two_histogram_pair_correlation(ds, edges).tobytes()
         np.testing.assert_allclose(ld.pair_correlation(ds, edges, density=rho).masses,
-                                   _two_histogram_pair_correlation(ds, edges, density=rho), rtol=1e-12)
+                                   two_histogram_pair_correlation(ds, edges, density=rho), rtol=1e-12)
         folded = edges[edges >= 0.0]
         assert ld.pair_correlation(ds, folded, fold=True).masses.tobytes() == \
-            _two_histogram_pair_correlation(ds, folded, fold=True).tobytes()
+            two_histogram_pair_correlation(ds, folded, fold=True).tobytes()
 
 
 def _survivors(dirs, edges, d):
@@ -239,14 +204,14 @@ def test_pair_correlation_offset_passes_match_reference(case):
         assert np.any(np.diff(dirs.alphas) == 0.0)
     rho = lambda a: 1.0 + 0.5 * np.cos(2 * np.pi * a)  # noqa: E731
     assert ld.pair_correlation(dirs, edges).masses.tobytes() == \
-        _two_histogram_pair_correlation(dirs, edges).tobytes()
+        two_histogram_pair_correlation(dirs, edges).tobytes()
     np.testing.assert_allclose(ld.pair_correlation(dirs, edges, density=rho).masses,
-                               _two_histogram_pair_correlation(dirs, edges, density=rho), rtol=1e-12)
+                               two_histogram_pair_correlation(dirs, edges, density=rho), rtol=1e-12)
     folded = edges[edges >= 0.0]
     assert ld.pair_correlation(dirs, folded, fold=True).masses.tobytes() == \
-        _two_histogram_pair_correlation(dirs, folded, fold=True).tobytes()
+        two_histogram_pair_correlation(dirs, folded, fold=True).tobytes()
     np.testing.assert_allclose(ld.pair_correlation(dirs, folded, density=rho, fold=True).masses,
-                               _two_histogram_pair_correlation(dirs, folded, density=rho, fold=True),
+                               two_histogram_pair_correlation(dirs, folded, density=rho, fold=True),
                                rtol=1e-12)
 
 
@@ -389,81 +354,6 @@ def test_non_finite_edges_rejected(edges):
 
 
 # ---------------------------------------------------------------- blocked passes
-
-
-def _pass_counts(A, reach):
-    """Number of j kept by each neighbour pass d = 1, 2, ... up to the first that keeps none."""
-    N = A.size
-    aug = np.concatenate([A, A + 1.0])
-    counts = []
-    for d in range(1, N):
-        counts.append(int(np.sum(aug[d : d + N] - A <= reach / N)))
-        if not counts[-1]:
-            break
-    return counts
-
-
-@st.composite
-def pass_cases(draw):
-    """A sorted direction set and a reach W < N/2 whose passes switch to gathering at pass 1,
-    mid-way or never, with repeated angles in most of them."""
-    switch = draw(st.sampled_from(["pass-1", "mid-way", "never"]))
-    if switch == "never":
-        # a regular n-gon, each direction r <= 3 times: every pass keeps at least a third of
-        # the j until pass r (m + 1), which keeps none
-        n, r = draw(st.integers(2, 40)), draw(st.integers(1, 3))
-        A = np.repeat(np.arange(n) / n, r)
-        W = r * (draw(st.integers(0, max(0, n // 2 - 1))) + 0.5)
-    else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        n = draw(st.integers(8, 150) if switch == "pass-1" else st.integers(40, 150))
-        A = np.sort(rng.uniform(0.0, 1.0, n))
-        grid = draw(st.sampled_from([0, 2, 8]))  # a grid of n * grid cells repeats some angles
-        if grid:
-            A = np.floor(A * n * grid) / (n * grid)
-        W = draw(st.floats(0.01, 0.2) if switch == "pass-1" else st.floats(1.5, 8.0))
-    counts = _pass_counts(A, W)
-    if switch == "pass-1":
-        assume(4 * counts[0] < A.size)
-    elif switch == "mid-way":
-        assume(4 * counts[0] >= A.size and any(0 < 4 * c < A.size for c in counts))
-    else:
-        assert all(4 * c >= A.size for c in counts[:-1]) and counts[-1] == 0
-    return ld.DirectionSet(A, 10.0, ld.Annulus(0.0)), W
-
-
-@pytest.mark.parametrize("block", [1, 7, 64])
-@settings(derandomize=True, deadline=None, max_examples=25)
-@given(case=pass_cases(), data=st.data())
-def test_blocked_passes_match_references(block, case, data):
-    # blocks far smaller than the default put N off a multiple of the block, the wrap past 1
-    # inside the last block, and every switch point inside some block
-    dirs, W = case
-    N = dirs.N
-    # inner edges on whole numbers (exact differences of the n-gons) or on two decimals
-    cut = st.integers(-int(W), int(W)).map(float) | st.floats(-W, W).map(lambda x: round(x, 2))
-    cuts = np.clip(data.draw(st.lists(cut, min_size=1, max_size=6)), -W, W)
-    edges = np.unique(np.concatenate([[-W, W], cuts]))
-    folded = np.unique(np.concatenate([[0.0, W], np.abs(cuts)]))
-    k = data.draw(st.integers(1, N - 1))
-    spacing_edges = np.linspace(data.draw(st.sampled_from([-1.0, 0.0, 0.5])), 2.0 * k, 9)
-    # windows inside +-0.6 min(N, 10): the reach stays below N, where the oracle's passes end
-    scale = min(N, 10)
-    a1, a2 = (scale * data.draw(st.floats(-0.2, 0.2)) for _ in range(2))
-    I1, I2 = ((a, a + scale * data.draw(st.floats(0.05, 0.2))) for a in (a1, a2))
-    rho = lambda a: 1.0 + 0.5 * np.cos(2 * np.pi * a)  # noqa: E731
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stats, "_BLOCK", block)
-        assert ld.spacing_histogram(dirs, k, spacing_edges).masses.tobytes() == \
-            _np_histogram_spacings(dirs, k, spacing_edges).tobytes()
-        assert ld.pair_correlation(dirs, edges).masses.tobytes() == \
-            _two_histogram_pair_correlation(dirs, edges).tobytes()
-        assert ld.pair_correlation(dirs, folded, fold=True).masses.tobytes() == \
-            _two_histogram_pair_correlation(dirs, folded, fold=True).tobytes()
-        np.testing.assert_allclose(ld.pair_correlation(dirs, edges, density=rho).masses,
-                                   _two_histogram_pair_correlation(dirs, edges, density=rho), rtol=1e-12)
-        assert ld.pair_correlation_integral(dirs, I1, I2) == \
-            pytest.approx(pair_overlap_sum(dirs, I1, I2), rel=1e-12, abs=1e-12)
 
 
 def test_passes_need_no_n_long_temporaries(dirs_1000):

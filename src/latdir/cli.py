@@ -31,6 +31,7 @@ from .diophantine import (
 from .errors import CapacityError, LatdirError
 from .escape import horocycle_escape_integral
 from .lattice import (
+    DEFAULT_MAX_POINTS,
     AffineLatticeSpec,
     Annulus,
     DomainShape,
@@ -141,6 +142,8 @@ def parse_bins(s: str) -> np.ndarray:
     if not np.isfinite(steps):
         raise ValueError(f"bin spec {s!r} has no finite number of steps")
     n = int(round(steps))
+    if n + 1 > DEFAULT_MAX_POINTS:
+        raise ValueError(f"bin spec {s!r} needs {n + 1} edges, more than {DEFAULT_MAX_POINTS}")
     if n < 1 or abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
         raise ValueError(f"bin range {s!r} is not a whole number of steps")
     return lo + step * np.arange(n + 1)

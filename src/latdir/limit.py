@@ -9,12 +9,17 @@ Siegel mean-value identities.
 Cone counts work on the m1-strips that cross the pull-back of the cone
 polygon, whose corners are (x, 2 x a / (1 - c^2)) and (x, 2 x b / (1 - c^2))
 for x in {c, 1}.  Each strip's m2 range comes in closed form from the two
-x-bounds and the two slope bounds, from the matrix entries computed once
-per sample; where a bound lies within roundoff of an integer, the float
-test of ``ConeRegion.contains`` decides that end of the range, so a count
-is the number of lattice points the exact filter keeps.  A congruence
-coset acts on the shift, not on the matrix: (Z^2 + p/q) gamma A is
-counted as (Z^2 + (p gamma mod q) / q) A, with the shift rounded once.
+x-bounds and the two slope bounds, from factors formed once per sample;
+where a bound lies within roundoff of an integer, the float test of
+``ConeRegion.contains`` decides that end of the range, so a count is the
+number of lattice points the exact filter keeps.  A zero slope
+coefficient (a22 = s a21 in floats) makes that edge the level line p1 = 0;
+the strips next to it are counted point by point with the same float
+test.  The counter walks its samples in passes of whole samples, about
+``strips.CHUNK`` strips each, so a Haar block of the sampler is usually
+one pass.  A congruence coset acts on the shift, not on the matrix:
+(Z^2 + p/q) gamma A is counted as (Z^2 + (p gamma mod q) / q) A, with the
+shift rounded once.
 
 Counts are integers, so a merged run is reproducible regardless of how
 sample blocks are scheduled.  A count law is the sorted distinct count
@@ -32,14 +37,17 @@ import numpy as np
 
 from . import strips
 from .errors import (
+    CapacityError,
     InsufficientDataError,
     InvalidInputError,
     UnsupportedError,
 )
-from .lattice import AffineLatticeSpec, DirectionSet, rotation
+from .lattice import DEFAULT_MAX_POINTS, AffineLatticeSpec, DirectionSet, rotation
 from .stats import as_box, counting_stat
 
 TWO_PI = 2.0 * math.pi
+# s y1 <= y2 for a window's lower slope, s y1 >= y2 for its upper one
+_SIDE = np.array([[1.0], [-1.0]])
 V_FLOOR = math.sqrt(3.0) / 2.0
 # Gaussian weights below 1e-16 are dropped: exp(-r^2) < 1e-16 for r > RCUT.
 RCUT = math.sqrt(16.0 * math.log(10.0))
@@ -47,8 +55,6 @@ MOM_BLOCKS = 32
 # samples per sub-chunk of a Siegel batch: about 120k disc points, so the
 # per-point arrays stay in a core's cache
 SIEGEL_CHUNK = 1024
-# samples per pass of the cone counter, for the same reason
-CONE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -210,8 +216,9 @@ def haar_v_cdf(v):
 def _iwasawa_entries(u, v, phi):
     """Entries (a11, a12, a21, a22) of n(u) a(v) k(phi), each an array over the samples."""
     sv = np.sqrt(v)
+    w = u / sv
     c, s = np.cos(phi), np.sin(phi)
-    return sv * c + u / sv * s, -sv * s + u / sv * c, s / sv, c / sv
+    return sv * c + w * s, -sv * s + w * c, s / sv, c / sv
 
 
 def iwasawa_matrix(u, v, phi) -> np.ndarray:
@@ -230,107 +237,197 @@ def _cone_kernel(A, xi1, xi2, c: float, intervals) -> np.ndarray:
     """Counts (n, m): per sample, the m in Z^2 with (m + xi) A in ConeRegion(c, I_j).
 
     ``A`` holds the entries (a11, a12, a21, a22) of one |det| = 1 matrix per
-    sample.  Samples go through ``_cone_chunk`` CONE_CHUNK at a time.
-    """
-    n = A[0].size
-    out = np.empty((n, len(intervals)), dtype=np.int64)
-    for i in range(0, n, CONE_CHUNK):
-        j = min(i + CONE_CHUNK, n)
-        out[i:j] = _cone_chunk([a[i:j] for a in A], xi1[i:j], xi2[i:j], c, intervals)
-    return out
+    sample.  The m1-strips span the pull-back of the hull polygon of the
+    windows.  The samples go through ``_cone_pass`` in passes of whole
+    samples, each cut where its strips reach ``strips.CHUNK``
+    (``strips.runs``); a pass forms the per-sample factors once for every
+    window and bounds all windows at once.
 
-
-def _cone_chunk(A, xi1, xi2, c: float, intervals) -> np.ndarray:
-    """``_cone_kernel`` on one chunk of samples.
-
-    The windows share the m1-strips and the x-bounds.  On the strip of m1,
-    with p1 = m1 + xi1, e = p1 a11 and g = p1 a12, the point of p2 = m2 + xi2
-    is y = (e + a21 p2, g + a22 p2).  So c < y1 < 1 puts p2 strictly between
-    (c - e) / a21 and (1 - e) / a21, and s y1 <= y2 with s = 2a / (1 - c^2)
-    reads k p2 >= s e - g with k = a22 - s a21 (<= for the upper slope s =
-    2b / (1 - c^2)).  Every bound is p1 times a per-sample factor, plus a
-    per-sample offset for the x-bounds; the sign of a21 or k fixes per
-    sample whether it is a lower or an upper bound, and a zero coefficient
-    makes the bound a test of the strip.  Rounding moves a bound by far
-    less than ``tol``; where one lies within ``tol`` of an integer, the
-    float predicate of ``ConeRegion.contains`` decides the range end
-    (``strips.settle``).
+    A zero slope coefficient k = a22 - s a21 makes its edge the level line
+    p1 = 0, where the polygon's p1 range ends, and its bound a test of the
+    whole strip, the sign of s e - g.  Such a sample gets one more strip at
+    each end of its m1 range, so a point that rounds onto the edge from
+    beyond is a candidate, and a strip whose test lies within ``tol`` of 0
+    is counted point by point (see ``_cone_pass``).
     """
     a11, a12, a21, a22 = A
-    n = a11.size
     if np.any((a21 == 0.0) & (a22 == 0.0)):
         raise InvalidInputError("the matrix must have |det| = 1")
     om = 1.0 - c**2
-    slopes = [(2.0 * a / om, 2.0 * b / om) for a, b in intervals]
+    slopes = np.array([(2.0 * a / om, 2.0 * b / om) for a, b in intervals])
+    k = a22 - slopes[..., None] * a21  # (m, 2, n)
     # p1 = y1 a22 - y2 a21 is extreme at a corner (x, s x) of the hull polygon, x in {c, 1}
-    ka = a22 - min(sa for sa, _ in slopes) * a21
-    kb = a22 - max(sb for _, sb in slopes) * a21
+    ka, kb = k[np.argmin(slopes[:, 0]), 0], k[np.argmax(slopes[:, 1]), 1]
     kmin, kmax = np.minimum(ka, kb), np.maximum(ka, kb)
     m1lo, m1hi = strips.integer_range(np.minimum(kmin, c * kmin), np.maximum(kmax, c * kmax), xi1)
-    rows = strips.widths(m1lo, m1hi)
-    m1, s = strips.expand(m1lo, rows, np.arange(n))
-    p1 = m1 + xi1[s]
+    del kmin, kmax  # freed before the passes
+    zero = (k == 0.0).any(axis=(0, 1))
+    if zero.any():
+        m1lo[zero] -= 1
+        m1hi[zero] += 1
+    out = np.zeros((a11.size, len(intervals)), dtype=np.int64)
+    for i, j in strips.runs(strips.widths(m1lo, m1hi), strips.CHUNK):
+        part = [a[i:j] for a in A]
+        out[i:j] = _cone_pass(part, xi1[i:j], xi2[i:j], c, intervals, slopes, k[..., i:j], m1lo[i:j], m1hi[i:j])
+    return out
+
+
+def _cone_factors(A, xi1, xi2, c: float, slopes, k, m1lo, m1hi) -> np.ndarray:
+    """Per-sample factors of ``_cone_pass``, one row each: step, x0lo, x0hi, tol, then the
+    m x 2 slope bounds' factors as lower bounds and as upper bounds, nan where the bound has
+    the other role."""
+    a11, a12, a21, a22 = A
+    m, n = len(slopes), a11.size
+    f = np.empty((4 + 4 * m, n))
+    step, x0lo, x0hi, tol = f[:4]
+    qlo, qhi = f[4:].reshape(2, m, 2, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the x-bounds are x0 - p1 step: x0 in {c / a21, 1 / a21}, step = a11 / a21
         r = 1.0 / a21
-        step, x0lo, x0hi = a11 * r, np.minimum(c * r, r), np.maximum(c * r, r)
+        np.multiply(a11, r, out=step)
+        np.multiply(c, r, out=x0lo)
+        np.maximum(x0lo, r, out=x0hi)
+        np.minimum(x0lo, r, out=x0lo)
         flat = a21 == 0.0  # y1 = e on the whole strip
         if np.any(flat):
             step[flat], x0lo[flat], x0hi[flat] = 0.0, -strips.LIMIT, strips.LIMIT
+        # q = (s a11 - a12) / k, formed in the rows of qhi; 0 / False adds the nan of the other role
+        q = np.multiply(slopes[..., None], a11, out=qhi)
+        q -= a12
+        q /= k
+        sk = _SIDE * k
+        np.divide(0.0, sk > 0.0, out=qlo)
+        qlo += q
+        q += np.divide(0.0, sk < 0.0)
+        # z = (1 + |xi2| + reach) (1 + max |s|) inv (|a11| + |a12| + |a21| + |a22|) bounds the
+        # size, in p2 units, of every term of a bound and of the predicate, so their rounding
+        # stays below about 1e-15 z^2; tol = 1e-9 z (1 + z) is far above that and reaches 1
+        # (every end is settled) near z = 3e4
         inv = np.abs(r)
-        windows = []
-        for sa, sb in slopes:
-            bounds = []
-            for slope, side in ((sa, 1.0), (sb, -1.0)):
-                k = a22 - slope * a21
-                inv += 1.0 / np.abs(k)
-                q = (slope * a11 - a12) / k
-                sk = side * k
-                bounds.append((k, side, slope, (q + 0.0 / (sk > 0.0))[s], (q + 0.0 / (sk < 0.0))[s]))
-            windows.append(bounds)
-        # z bounds the size, in p2 units, of every term of a bound and of the predicate,
-        # so their rounding stays below about 1e-15 z^2; tol is far above that and
-        # reaches 1 (every end is settled) near z = 3e4
-        reach = np.maximum(np.abs(m1lo + xi1), np.abs(m1hi + xi1))
-        z = (1.0 + np.abs(xi2) + reach) * (1.0 + max(map(abs, sum(slopes, ())))) * inv * (
-            np.abs(a11) + np.abs(a12) + np.abs(a21) + np.abs(a22))
-        tol = np.minimum(1e-9 * z * (1.0 + z), 1.0)[s]
-    shift = p1 * step[s]
-    xlo, xhi = x0lo[s] - shift, x0hi[s] - shift
-    if np.any(flat):
-        on = np.flatnonzero(flat[s])
-        e = p1[on] * a11[s[on]]
-        xlo[on[~((e > c) & (e < 1.0))]] = np.inf
-    sxi2 = xi2[s]
-    # the origin y = 0 is never inside, so on a strip through it (p1 = 0, xi2 in Z) a bound
-    # of exactly 0 moves half a step: it then decides the integers without rounding
-    apex = np.flatnonzero(p1 == 0.0)
-    apex = apex[sxi2[apex] == np.rint(sxi2[apex])]
-    out = np.empty((n, len(slopes)), dtype=np.int64)
-    for j, (interval, bounds) in enumerate(zip(intervals, windows)):
-        lower, upper = xlo, xhi
-        for k, side, slope, qlo, qhi in bounds:  # nan marks the other role: fmax and fmin skip it
-            lower = np.fmax(lower, p1 * qlo)
-            upper = np.fmin(upper, p1 * qhi)
-            if np.any(k == 0.0):  # 0 >= side (s e - g) must hold on the strip
-                on = np.flatnonzero((k == 0.0)[s])
-                rhs = side * (slope * (p1[on] * a11[s[on]]) - p1[on] * a12[s[on]])
-                lower[on[rhs > 0.0]] = np.inf
-        lower[apex[lower[apex] == 0.0]] = 0.5
-        upper[apex[upper[apex] == 0.0]] = -0.5
-        lower -= sxi2
-        upper -= sxi2
-        np.clip(lower, -strips.LIMIT, strips.LIMIT, out=lower)
-        np.clip(upper, -strips.LIMIT, strips.LIMIT, out=upper)
-        lo, hi = np.ceil(lower).astype(np.int64), np.floor(upper).astype(np.int64)
-        near = np.abs(lower - np.rint(lower)) < tol
-        near |= np.abs(upper - np.rint(upper)) < tol
-        near = np.flatnonzero(near)
-        if near.size:
-            inside = partial(_inside, ConeRegion(c, interval), p1[near], sxi2[near], [a[s[near]] for a in A])
-            lo[near], hi[near] = strips.settle(lo[near], hi[near], inside)
-        out[:, j] = strips.totals(strips.widths(lo, hi), rows)
-    return out
+        for t in np.divide(1.0, np.abs(k.reshape(2 * m, n), out=sk.reshape(2 * m, n))):
+            inv += t
+        z = m1lo + xi1
+        np.abs(z, out=z)
+        reach = m1hi + xi1
+        np.abs(reach, out=reach)
+        np.maximum(z, reach, out=reach)
+        np.abs(xi2, out=z)
+        z += 1.0
+        z += reach
+        z *= 1.0 + np.abs(slopes).max()
+        z *= inv
+        size = np.abs(a11, out=inv)
+        size += np.abs(a12, out=reach)
+        size += np.abs(a21, out=reach)
+        size += np.abs(a22, out=reach)
+        z *= size
+        np.multiply(z, 1e-9, out=tol)
+        z += 1.0
+        tol *= z
+        np.minimum(tol, 1.0, out=tol)
+    return f
+
+
+def _cone_pass(A, xi1, xi2, c: float, intervals, slopes, k, m1lo, m1hi) -> np.ndarray:
+    """``_cone_kernel`` on a run of samples with m1-strips [m1lo, m1hi]: counts (n, m).
+
+    The windows share the m1-strips and the x-bounds.  On the strip of m1,
+    with p1 = m1 + xi1, e = p1 a11 and g = p1 a12, the point of p2 = m2 +
+    xi2 is y = (e + a21 p2, g + a22 p2).  So c < y1 < 1 puts p2 strictly
+    between (c - e) / a21 and (1 - e) / a21, and s y1 <= y2 with s = 2a /
+    (1 - c^2) reads k p2 >= s e - g with k = a22 - s a21 (<= for the upper
+    slope s = 2b / (1 - c^2)).  Every bound is p1 times a per-sample
+    factor, plus a per-sample offset for the x-bounds; the sign of a21 or k
+    fixes per sample whether it is a lower or an upper bound.  Rounding
+    moves a bound by far less than ``tol``; where one lies within ``tol``
+    of an integer, the float predicate of ``ConeRegion.contains`` decides
+    the range end (``strips.settle``).
+
+    A zero coefficient k makes its bound a test of the whole strip, the
+    sign of s e - g.  Where the test lies within ``tol`` of 0 (tol is 1 on
+    such a sample: z is infinite), the strip is counted point by point over
+    the candidate m2 range of its x-bounds, finite because a21 != 0 where
+    k == 0.
+
+    The per-sample factors (``_cone_factors``) are formed once.  Every
+    sample's first strip is bounded straight from them; the factors are
+    gathered only to the other strips.
+    """
+    a11, a12, a21, a22 = A
+    n, m = a11.size, len(intervals)
+    f = _cone_factors(A, xi1, xi2, c, slopes, k, m1lo, m1hi)
+    flat = a21 == 0.0
+    flat = flat if flat.any() else None
+    zero = k == 0.0
+    zero = zero if zero.any() else None
+
+    def widths(g, p1, xi2, s):
+        """Per window, the number of m2 on the strips (m, len(p1)); strip i has p1[i], xi2[i] and the
+        factors g[:, i] of its sample s[i]."""
+        step, x0lo, x0hi, tol = g[:4]
+        bound = np.empty((2, m, p1.size))
+        lower, upper = bound
+        t = np.multiply(p1, g[4:4 + 2 * m].reshape(m, 2, -1))
+        np.fmax(t[:, 0], t[:, 1], out=lower)  # fmax and fmin skip nan
+        np.multiply(p1, g[4 + 2 * m:].reshape(m, 2, -1), out=t)
+        np.fmin(t[:, 0], t[:, 1], out=upper)
+        shift, x = t.reshape(2 * m, -1)[:2]  # t's buffer is free until the near test
+        np.multiply(p1, step, out=shift)
+        np.fmax(lower, np.subtract(x0lo, shift, out=x), out=lower)
+        np.fmin(upper, np.subtract(x0hi, shift, out=x), out=upper)
+        if flat is not None and flat[s].any():
+            on = np.flatnonzero(flat[s])
+            e = p1[on] * a11[s[on]]
+            lower[:, on[~((e > c) & (e < 1.0))]] = np.inf
+        pointwise = []
+        if zero is not None:
+            for w, b in zip(*np.nonzero(zero.any(axis=-1))):
+                on = np.flatnonzero(zero[w, b, s])
+                test = _SIDE[b, 0] * (slopes[w, b] * (p1[on] * a11[s[on]]) - p1[on] * a12[s[on]])
+                lower[w, on[test >= tol[on]]] = np.inf  # 0 >= side (s e - g) fails on the strip
+                pointwise.append((w, on[np.abs(test) < tol[on]]))
+        # the origin y = 0 is never inside, so on a strip through it (p1 = 0, xi2 in Z) a bound
+        # of exactly 0 moves half a step: it then decides the integers without rounding
+        apex = np.flatnonzero(p1 == 0.0)
+        apex = apex[xi2[apex] == np.rint(xi2[apex])]
+        if apex.size:
+            for end, half in ((lower, 0.5), (upper, -0.5)):
+                at = end[:, apex]
+                at[at == 0.0] = half
+                end[:, apex] = at
+        bound -= xi2
+        np.clip(bound, -strips.LIMIT, strips.LIMIT, out=bound)
+        off = np.rint(bound, out=t.reshape(bound.shape))
+        off -= bound
+        near = np.abs(off, out=off) < tol
+        del t, off
+        lo, hi = np.ceil(lower, out=lower).astype(np.int64), np.floor(upper, out=upper).astype(np.int64)
+        del bound, lower, upper
+        for w, (interval, near_w) in enumerate(zip(intervals, near[0] | near[1])):
+            on = np.flatnonzero(near_w)
+            if on.size:
+                at = s[on]
+                inside = partial(_inside, ConeRegion(c, interval), p1[on], xi2[on], [a[at] for a in A])
+                lo[w, on], hi[w, on] = strips.settle(lo[w, on], hi[w, on], inside)
+        count = strips.widths(lo, hi)
+        for w, on in pointwise:
+            shift = p1[on] * step[on]
+            cand = np.clip(np.stack((x0lo[on] - shift, x0hi[on] - shift)) - xi2[on], -strips.LIMIT, strips.LIMIT)
+            count[w, on] = _count_inside(ConeRegion(c, intervals[w]), np.ceil(cand[0]).astype(np.int64) - 1,
+                                         np.floor(cand[1]).astype(np.int64) + 1, p1[on], xi2[on],
+                                         [a[s[on]] for a in A])
+        return count
+
+    rows = strips.widths(m1lo, m1hi)
+    count = widths(f, m1lo + xi1, xi2, np.arange(n))  # the first strip, m1lo, of every sample
+    none, more = np.flatnonzero(rows == 0), np.flatnonzero(rows > 1)
+    extra = rows[more] - 1  # the other strips, with the factors gathered to them
+    m1, s = strips.expand(m1lo[more] + 1, extra, more)
+    sums = strips.totals(widths(f.take(s, axis=1), m1 + xi1[s], xi2[s], s), extra)
+    for row, add in zip(count, sums):  # row by row: 1-d fancy indexing is the fast kind
+        row[none] = 0
+        row[more] += add
+    return count.T
 
 
 def _inside(region: ConeRegion, p1, xi2, A, m2) -> np.ndarray:
@@ -339,6 +436,21 @@ def _inside(region: ConeRegion, p1, xi2, A, m2) -> np.ndarray:
     p2 = m2 + xi2
     y = np.stack((p1 * a11 + p2 * a21, p1 * a12 + p2 * a22), axis=-1)
     return region.contains(y).reshape(m2.shape)
+
+
+def _count_inside(region: ConeRegion, lo, hi, p1, xi2, A) -> np.ndarray:
+    """Per strip, the m2 in [lo, hi] that ``_inside`` keeps, testing each one.
+
+    Raises CapacityError past ``DEFAULT_MAX_POINTS`` candidates.
+    """
+    width = strips.widths(lo, hi)
+    if width.sum(dtype=float) > DEFAULT_MAX_POINTS:
+        raise CapacityError(f"a zero-coefficient strip has more than {DEFAULT_MAX_POINTS} candidate points")
+    out = np.zeros(lo.size, dtype=np.int64)
+    for m2, row in strips.expand_pieces(lo, width, 0.0, np.arange(lo.size)):
+        keep = _inside(region, p1[row], xi2[row], [a[row] for a in A], m2)
+        out += np.bincount(row[keep], minlength=lo.size)
+    return out
 
 
 def cone_counts(A: np.ndarray, shift: np.ndarray, region: ConeRegion) -> np.ndarray:
@@ -566,12 +678,16 @@ def sample_count_distribution(
     the unit torus.  Sampling runs in ``blocks``
     independent substreams derived from ``rng``, so the merged result does
     not depend on scheduling and heavy-tailed moments can use
-    median-of-means over the same blocks.
+    median-of-means over the same blocks.  More than ``DEFAULT_MAX_POINTS``
+    counts (n times the number of windows) raise CapacityError before
+    anything is drawn.
     """
     if n < 1:
         raise InvalidInputError("need at least one sample")
     box = as_box(box)
     intervals = [ConeRegion(c, iv).interval for iv in box.intervals]  # validates c and the windows
+    if n * len(intervals) > DEFAULT_MAX_POINTS:
+        raise CapacityError(f"{n} samples x {len(intervals)} windows is more than {DEFAULT_MAX_POINTS} counts")
     if xi_class == "rational":
         if q is None or p is None:
             raise InvalidInputError("rational class needs p and q")

@@ -4,7 +4,8 @@ Per integer m1, the admissible m2 form one inclusive int64 range
 (``integer_range``; ``ellipse_span`` and ``root_pair`` for an ellipse,
 ``halfplanes`` for linear constraints).  Counters sum the ranges
 (``widths``, ``totals``); enumerators expand them into points (``expand``,
-``expand_pieces``).
+``expand_pieces``).  ``runs`` cuts the rows into passes of whole rows of
+about ``CHUNK`` values.
 
 Invariant: the float predicate decides, but only near a boundary.  The
 lattice enumerator solves each strip twice: on its domain, for the
@@ -59,15 +60,25 @@ def expand(lo, counts, *per_row):
     return (values, *(np.repeat(v, counts) for v in per_row))
 
 
-def expand_chunks(lo, counts, *per_row, size):
-    """``expand`` in pieces of whole rows, about ``size`` values each, to bound the temporaries."""
+def runs(counts, size):
+    """Slices (i, j) of consecutive rows that hold about ``size`` values each.
+
+    A run is whole rows, at least one: it ends at the first row that brings
+    it to ``size`` values or more.  Runs without values are skipped.
+    """
     cum = np.concatenate([[0], np.cumsum(counts)])
     i = 0
-    while i < len(lo):
-        j = min(max(int(np.searchsorted(cum, cum[i] + size, side="left")), i + 1), len(lo))
+    while i < len(counts):
+        j = min(max(int(np.searchsorted(cum, cum[i] + size, side="left")), i + 1), len(counts))
         if cum[j] > cum[i]:
-            yield expand(lo[i:j], counts[i:j], *(v[i:j] for v in per_row))
+            yield i, j
         i = j
+
+
+def expand_chunks(lo, counts, *per_row, size):
+    """``expand`` in pieces of whole rows, about ``size`` values each, to bound the temporaries."""
+    for i, j in runs(counts, size):
+        yield expand(lo[i:j], counts[i:j], *(v[i:j] for v in per_row))
 
 
 def expand_pieces(lo, counts, shift, *per_row):
@@ -96,10 +107,12 @@ def expand_pieces(lo, counts, shift, *per_row):
 
 
 def totals(per_value, rows):
-    """Exact int64 sums of ``per_value`` over consecutive runs of lengths ``rows``."""
-    cum = np.concatenate([[0], np.cumsum(per_value, dtype=np.int64)])
+    """Exact int64 sums of ``per_value`` over consecutive runs of lengths ``rows``, along its last axis."""
+    per_value = np.asarray(per_value)
+    cum = np.zeros((*per_value.shape[:-1], per_value.shape[-1] + 1), dtype=np.int64)
+    np.cumsum(per_value, axis=-1, dtype=np.int64, out=cum[..., 1:])
     end = np.cumsum(rows)
-    return cum[end] - cum[end - rows]
+    return cum.take(end, axis=-1) - cum.take(end - rows, axis=-1)
 
 
 def ellipse_span(a, b, c, d, r, xi1):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -474,6 +475,39 @@ def test_non_finite_bins_exit_2(tmp_path, capsys, bins):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: bin spec ")
     assert not out.exists()
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_huge_bin_count_exits_2_without_allocating(tmp_path, capsys):
+    # 1e18 edges: checked against the point budget before any array is made
+    out = tmp_path / "s.csv"
+    argv = ["spacings", "--xi", "cbrt4,cbrt2", "--T", "20", "--k", "1", "--bins=0:1e12:1e-6", "--out", str(out)]
+    codes = []
+    assert _peak_bytes(lambda: codes.append(main(argv))) < 20e6
+    assert codes == [2]
+    err = capsys.readouterr().err
+    assert err.startswith("error: bin spec ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["limit-sample"], ["limit-moments", "--powers", "2"], ["tails"]])
+def test_huge_sample_count_exits_3_without_allocating(tmp_path, capsys, command):
+    # 1e12 samples would need an 8 TB count array
+    out = tmp_path / "out"
+    codes = []
+    peak = _peak_bytes(lambda: codes.append(main([*command, "--I", "0:1", "--n", "1e12", "--out", str(out)])))
+    assert codes == [3] and peak < 1e6
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

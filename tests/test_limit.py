@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +119,15 @@ def test_cone_counts_brute_force_high_cusp():
         m1g, m2g = np.meshgrid(np.arange(-4, 5), np.arange(-M2, M2 + 1), indexing="ij")
         p = np.stack([m1g.ravel() + shift[0], m2g.ravel() + shift[1]], 1)
         assert got == int(np.sum(reg.contains(p @ A)))
+
+
+def test_cone_counts_zero_coefficient_point_on_the_edge():
+    # a22 = 3 a21: the slope-3 edge of the window (0.5, 1.5) is the level line p1 = 0, and
+    # p = (-1e-230, 1) rounds onto it, to y = (0.5, 1.5), which the float predicate keeps
+    A = np.array([[1.0, 1.0], [0.5, 1.5]])
+    xi = np.array([-1e-230, 0.0])
+    region = ld.ConeRegion(0.0, (0.5, 1.5))
+    assert int(ld.cone_counts(A[None], xi, region)[0]) == brute_cone_count(A, xi, region, 10) == 1
 
 
 def test_disc_count_brute_force():
@@ -252,6 +263,40 @@ def test_count_distribution_reproducible():
     d2 = ld.sample_count_distribution(0.0, "irrational", [(0.0, 1.0)], 20_000, np.random.default_rng(5))
     assert np.array_equal(d1.rows, d2.rows)
     assert np.array_equal(d1.block_hist, d2.block_hist)
+
+
+# sha256 of rows and block_hist as little-endian int64, recorded while the cone kernel still walked
+# 4096 samples at a time: its passes of whole samples must give the same bytes
+SAMPLER_DIGESTS = [
+    ((0.0, "irrational", [(0.0, 1.0)], 20_000, 11, {}, 32), "f53c49945e90b01e0a04d68ee43257c6"),
+    ((0.3, "integer", [(0.0, 1.0), (0.5, 2.0)], 20_000, 12, {}, 32), "c3b07abc9038717ba7a3e9c44ad60643"),
+    ((0.0, "rational", [(0.0, 1.0), (0.5, 2.0)], 20_000, 13, {"p": (1, 1), "q": 3}, 32),
+     "f1ad73b314a598d3677d65a216cdc47e"),
+    # one block of about 150k strips: three passes of the cone kernel
+    ((0.0, "irrational", [(-1.0, 2.0)], 60_000, 14, {}, 1), "20878dabe12f4bceee9dae3100bc4ac3"),
+]
+
+
+@pytest.mark.parametrize("case, digest", SAMPLER_DIGESTS)
+def test_count_distribution_digests(case, digest):
+    c, xi_class, box, n, seed, kw, blocks = case
+    dist = ld.sample_count_distribution(c, xi_class, box, n, np.random.default_rng(seed), blocks=blocks, **kw)
+    data = dist.rows.astype("<i8").tobytes() + dist.block_hist.astype("<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest()[:32] == digest
+
+
+def test_count_distribution_size_budget():
+    # 1e12 samples would need 8 TB of counts: refused before anything is drawn
+    tracemalloc.start()
+    try:
+        with pytest.raises(ld.CapacityError):
+            ld.sample_count_distribution(0.0, "irrational", [(0.0, 1.0)], 10**12, np.random.default_rng(0))
+        with pytest.raises(ld.CapacityError):
+            ld.sample_count_distribution(0.0, "irrational", [(0.0, 1.0), (0.5, 2.0)], 10**8 + 1,
+                                         np.random.default_rng(0))
+        assert tracemalloc.get_traced_memory()[1] < 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def test_exact_limit_moment():

@@ -230,6 +230,38 @@ def test_cone_counts_oracle_rounds_entrywise():
 
 
 @st.composite
+def zero_coefficient_cones(draw):
+    """(A, region): a22 = s a21 exactly for one slope s of the window, |det A| about 1.
+
+    The slope-s edge is then the level line p1 = 0, so its bound is a test
+    of the whole strip.
+    """
+    c = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    a = draw(st.floats(-2.0, 1.0)) + JIGGLE
+    region = ld.ConeRegion(c, (a, a + draw(st.floats(0.2, 2.0))))
+    s = 2.0 * region.interval[draw(st.integers(0, 1))] / (1.0 - c**2)  # the kernel's slope, bit for bit
+    a21 = draw(st.floats(0.2, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    a11 = draw(st.floats(-1.0, 1.0))
+    a22 = s * a21
+    return np.array([[a11, (a11 * a22 - 1.0) / a21], [a21, a22]]), region
+
+
+@PROPS
+@given(zero_coefficient_cones(), st.lists(st.tuples(near_integer | real, near_integer | real), min_size=6,
+                                          max_size=6))
+def test_cone_counts_zero_slope_coefficient(cone, shifts):
+    # the strips next to the level edge, on either side, and a point that rounds onto it are
+    # decided by the float predicate
+    A, region = cone
+    a, b = region.interval
+    reach = 1.0 + 2.0 * max(abs(a), abs(b)) / (1.0 - region.c**2)
+    M = _box(reach, A)
+    for xi in shifts:
+        got = int(ld.cone_counts(A[None], np.array(xi), region)[0])
+        assert got == brute_cone_count(A, np.array(xi), region, M)
+
+
+@st.composite
 def rational_samples(draw):
     """(p1, p2, q, coset) for every supported level q, with a random coset representative."""
     q = draw(st.integers(2, 5))

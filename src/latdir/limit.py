@@ -299,10 +299,10 @@ def _cone_factors(A, xi1, xi2, c: float, slopes, k, m1lo, m1hi) -> np.ndarray:
         np.divide(0.0, sk > 0.0, out=qlo)
         qlo += q
         q += np.divide(0.0, sk < 0.0)
-        # z = (1 + |xi2| + reach) (1 + max |s|) inv (|a11| + |a12| + |a21| + |a22|) bounds the
-        # size, in p2 units, of every term of a bound and of the predicate, so their rounding
-        # stays below about 1e-15 z^2; tol = 1e-9 z (1 + z) is far above that and reaches 1
-        # (every end is settled) near z = 3e4
+        # z = (1 + |xi2| + reach) (1 + max |s|) inv (|a11| + |a12| + |a21| + |a22|), with inv =
+        # 1 / |a21| + the sum of 1 / |k|, bounds the size, in p2 units, of every term of a bound
+        # and of the predicate, so their rounding stays below about 1e-15 z^2; tol = 1e-9 z (1 + z)
+        # is far above that and reaches 1 (every end is settled) near z = 3e4
         inv = np.abs(r)
         for t in np.divide(1.0, np.abs(k.reshape(2 * m, n), out=sk.reshape(2 * m, n))):
             inv += t

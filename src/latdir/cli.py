@@ -112,6 +112,14 @@ def _ratio(tok: str) -> Fraction:
     return Fraction(num, den)
 
 
+def parse_count(s: str) -> int:
+    """A count such as 100000 or 1e6; inf, nan and 1e400 (inf as a float) are a ValueError."""
+    x = float(s)
+    if not np.isfinite(x):
+        raise ValueError(f"count {s!r} is not finite")
+    return int(x)
+
+
 def parse_reals(s: str, n: int | None = None):
     vals = [parse_real(t) for t in s.split(",") if t.strip()]
     if n is not None and len(vals) != n:
@@ -352,7 +360,7 @@ def _write_json(path, obj):
 
 def cmd_enumerate(args) -> int:
     lat, shape, T = _lattice_from_args(args)
-    dirs = direction_set(lat, shape, T, max_points=args.max_points)
+    dirs = direction_set(lat, shape, T)
     with _Out(args.out) as fh:
         fh.write(_header(args, "none") + "\n")
         fh.write("alpha\n")
@@ -364,7 +372,7 @@ def cmd_enumerate(args) -> int:
 def cmd_spacings(args) -> int:
     ks = parse_krange(args.k)
     lat, shape, T = _lattice_from_args(args)
-    dirs = direction_set(lat, shape, T, max_points=args.max_points)
+    dirs = direction_set(lat, shape, T)
     if ks[-1] >= dirs.N:
         raise ValueError(f"--k {args.k!r} needs k < N = {dirs.N}")
     edges = parse_bins(args.bins)
@@ -382,7 +390,7 @@ def cmd_spacings(args) -> int:
 
 def cmd_paircorr(args) -> int:
     lat, shape, T = _lattice_from_args(args)
-    dirs = direction_set(lat, shape, T, max_points=args.max_points)
+    dirs = direction_set(lat, shape, T)
     edges = parse_bins(args.bins)
     hist = pair_correlation(dirs, edges, fold=args.fold)
     _write_histogram(args.out, args, "none", hist)
@@ -393,7 +401,7 @@ def cmd_paircorr(args) -> int:
 
 def cmd_moments(args) -> int:
     lat, shape, T = _lattice_from_args(args)
-    dirs = direction_set(lat, shape, T, max_points=args.max_points)
+    dirs = direction_set(lat, shape, T)
     box = IntervalBox(tuple(parse_interval(s) for s in args.I))
     exps = parse_complex_list(args.s)
     spec = MomentSpec(tuple(exps), cap=args.K)
@@ -560,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shape", default="annulus:0", help="annulus[:c] or square")
         p.add_argument("--T", type=parse_real, default=default_T)
         p.add_argument("--spec-json", help="JSON file with basis/shift/shape/T")
-        p.add_argument("--max-points", type=float, default=2e8, dest="max_points_raw")
 
     def add_common(p):
         p.add_argument("--out", help="output path (default: stdout)")
@@ -602,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="irrational", dest="xi_class")
         p.add_argument("--pq", help="p1,p2,q for the rational class")
         p.add_argument("--I", action="append", required=True)
-        p.add_argument("--n", type=lambda s: int(float(s)), default=100_000)
+        p.add_argument("--n", type=parse_count, default=100_000)
 
     p = sub.add_parser("limit-sample", help="Monte Carlo law of cone counts")
     add_limit_flags(p)
@@ -621,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("siegel", help="Gaussian lattice-sum mean values")
     add_common(p)
     p.add_argument("--which", choices=("classic", "affine_pair"), default="classic")
-    p.add_argument("--n", type=lambda s: int(float(s)), default=100_000)
+    p.add_argument("--n", type=parse_count, default=100_000)
     p.set_defaults(func=cmd_siegel)
 
     p = sub.add_parser("cusp-sum", help="horocycle averages of the cusp sum")
@@ -664,8 +671,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args._argv = argv
-    if hasattr(args, "max_points_raw"):
-        args.max_points = int(args.max_points_raw)
     try:
         return args.func(args)
     except CapacityError as exc:

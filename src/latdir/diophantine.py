@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from . import strips
@@ -21,12 +20,11 @@ from .lattice import AffineLatticeSpec, Annulus, Mat2, direction_set
 from .stats import counting_stat
 
 
-# Evaluated at 40 significant digits, then rounded once to float.
-with mpmath.workdps(40):
-    CBRT2 = float(mpmath.cbrt(2))
-    CBRT4 = float(mpmath.cbrt(4))
-    SQRT2 = float(mpmath.sqrt(2))
-    GOLDEN = float((1 + mpmath.sqrt(5)) / 2)
+# the doubles nearest to 2^(1/3), 4^(1/3), sqrt(2) and (1 + sqrt(5)) / 2
+CBRT2 = 1.2599210498948732
+CBRT4 = 1.5874010519681996
+SQRT2 = 1.4142135623730951
+GOLDEN = 1.618033988749895
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ def dioph_scan(xi, kappa: float, radius: int) -> DiophReport:
     first minimum of the full diamond lies in it.
 
     The rows r1 = -radius..0 are taken in blocks of whole rows, about
-    ``strips.CHUNK`` values each (``strips.expand_chunks``).  Each block
+    ``strips.CHUNK`` values each (``strips.runs``).  Each block
     keeps its first minimum, and a block's minimum replaces the running
     best only when strictly less, so ties resolve to the first (r1, r2) in
     row-major order.  Memory is O(radius) whatever the radius: the row
@@ -106,7 +104,8 @@ def dioph_scan(xi, kappa: float, radius: int) -> DiophReport:
     width = 2 * (radius + row) + 1
     width[-1] = radius
     best, arg = math.inf, None
-    for r2, r1 in strips.expand_chunks(-(radius + row), width, row, size=strips.CHUNK):
+    for a, b in strips.runs(width, strips.CHUNK):
+        r2, r1 = strips.expand(-(radius + row[a:b]), width[a:b], row[a:b])
         val = values(r1, r2)
         i = int(np.argmin(val))
         if val[i] < best:

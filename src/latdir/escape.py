@@ -4,11 +4,10 @@ The central object is a sum over cusp neighborhoods: for each coprime
 bottom row (c, d), the level v_g = v' / |c tau' + d|^2 of the transformed
 point enters through an indicator v_g >= R, a weight v_g^beta, and a
 rapidly decaying factor f evaluated on the shifted first coordinate of the
-transported torus variable.  At fixed (tau, R) only finitely many (c, d)
-survive the indicator (an ellipse), and the inner integer sum is truncated
-where the Gaussian f drops below 1e-16, so the evaluation is exact up to
-floating point.  All nodes of a horocycle average, or the one node of a
-single cusp sum, go through one vectorized evaluator.
+transported torus variable.  For R >= 1 at most four rows pass the
+indicator, +- the rows of the matrix that reduces tau' to the standard
+fundamental domain, and the inner integer sum stops where f drops below
+1e-16, so the evaluation is exact up to floating point.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ XMAX = math.sqrt(16.0 * math.log(10.0))
 
 COSET_FILTERS = ("all", "identity", "inverted")
 
-
 @dataclass(frozen=True)
 class CuspSpec:
     """Weight exponent, cusp height cutoff and Gaussian width.
@@ -41,59 +39,69 @@ class CuspSpec:
     f_width: float = 1.0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise InvalidInputError("beta must be nonnegative")
-        if self.R < 1.0:
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise InvalidInputError("beta must be finite and nonnegative")
+        if not self.R >= 1.0:
             raise InvalidInputError("R must be at least 1")
-        if self.f_width <= 0:
-            raise InvalidInputError("f_width must be positive")
+        if not (math.isfinite(self.f_width) and self.f_width > 0):
+            raise InvalidInputError("f_width must be finite and positive")
 
 
 def _cusp_sums(taus, xi, M: Mat2, spec: CuspSpec, cosets: str) -> np.ndarray:
     """Cusp sums at M . tau for each tau of ``taus`` (Python complex Moebius maps).
 
-    Coset candidates fill the ellipse c^2 v'^2 + (c u' + d)^2 <= v'/R by
-    c-strips, widened by one on each side so the exact v_g >= R test decides
-    ties.  A node's terms are added in (c, d) order (bincount): the ellipse
-    has area pi / R, so at most six coprime rows, and numpy sums fewer than
-    eight values in order too.  Chunks of whole nodes (~8k c-strips) stay in cache.
+    g in SL(2, Z), one per node, moves tau' = u + i v into F: a step
+    translates, u <- u - rint(u), then flips, (u, v) <- (-u / r, v / r) with
+    r = u^2 + v^2, where that raises the float v.  A flip starts from v < 1
+    and strictly raises v; a node that does not flip keeps |u| <= 1/2 and
+    stays, so the loop ends.  In F a row (c', d') with c' != 0 reaches
+    v_g >= 1 only at tau' = i, row (+-1, 0), so the candidates are +-(c, d)
+    and +-(a, b) of g (the same four on |tau'| = 1, however r rounds), and
+    the exact v_g >= R test decides them.  A node's terms add in (c, d) order.
     """
     if cosets not in COSET_FILTERS:
         raise InvalidInputError(f"cosets must be one of {COSET_FILTERS}")
+    if not np.all(np.isfinite(np.asarray(xi, dtype=float))):
+        raise InvalidInputError("xi must be finite")
+    M.require_unimodular()  # a non-finite entry fails it too
     images = [(M.a * tau + M.b) / (M.c * tau + M.d) for tau in taus]
     up = np.array([t.real for t in images])
     vp = np.array([t.imag for t in images])
-    if np.any(vp <= 0):
-        raise InvalidInputError("transformed point left the upper half plane")
+    # the floor keeps g's entries below (1 + |u'|) / min(v', 1) <= 2^52, exact; NaN fails it too
+    if not np.all(np.minimum(vp, 1.0) >= 2.0**-52 * (1.0 + np.abs(up))):
+        raise CapacityError(f"v' = {vp.min():.3g} lies below the height floor 2^-52 (1 + |u'|)")
+    g = np.tile(np.eye(2, dtype=np.int64), (vp.size, 1, 1))
+    u, v = up, vp
+    while True:
+        n = np.rint(u)
+        u = u - n
+        g[:, 0] -= n.astype(np.int64)[:, None] * g[:, 1]  # T^-n
+        r = u * u + v * v
+        flip = v / r > v
+        if not flip.any():
+            break
+        u = np.where(flip, -u / r, u)
+        v = np.where(flip, v / r, v)
+        g[flip] = g[flip, ::-1] * np.array([[-1], [1]])  # S = [[0, -1], [1, 0]]
+    node = np.repeat(np.arange(vp.size), 4)
+    rows = np.concatenate([g, -g], axis=1).reshape(-1, 2)
+    c, d = rows[np.lexsort((rows[:, 1], rows[:, 0], node))].T
+    vg = vp[node] / ((c * up[node] + d) ** 2 + (c * vp[node]) ** 2)
+    keep = vg >= spec.R
+    if cosets == "identity":
+        keep &= c == 0
+    elif cosets == "inverted":
+        keep &= d == 0
+    c, d, node, vg = c[keep], d[keep], node[keep], vg[keep]
     xi1, xi2 = float(xi[0]), float(xi[1])
-    budget = vp / spec.R
-    cmax = np.floor(np.sqrt(budget) / vp) + 1
-    if np.any(cmax > 1 << 20):  # bounds one node's arrays and keeps int64 exact
-        raise CapacityError(f"the coset ellipse at v' = {vp.min():.3g} spans over 2^21 c-strips")
-    cmax = cmax.astype(np.int64)
-    out = np.zeros(vp.size)
-    for c, node in strips.expand_chunks(-cmax, 2 * cmax + 1, np.arange(vp.size), size=1 << 13):
-        half = np.sqrt(np.maximum(budget[node] - (c * vp[node]) ** 2, 0.0))
-        dlo, dhi = strips.integer_range(-half, half, c * up[node])
-        d, c, node = strips.expand(dlo - 1, strips.widths(dlo - 1, dhi + 1), c, node)
-        keep = np.gcd(np.abs(c), np.abs(d)) == 1
-        if cosets == "identity":
-            keep &= c == 0
-        elif cosets == "inverted":
-            keep &= d == 0
-        c, d, node = c[keep], d[keep], node[keep]
-        vg = vp[node] / ((c * up[node] + d) ** 2 + (c * vp[node]) ** 2)
-        ok = vg >= spec.R
-        c, d, node, vg = c[ok], d[ok], node[ok], vg[ok]
-        w = d * xi1 - c * xi2
-        scale = np.sqrt(vg) / spec.f_width
-        reach = XMAX / scale
-        mlo, mhi = strips.integer_range(-reach, reach, w)
-        mm, wm, sm, owner = strips.expand(mlo, strips.widths(mlo, mhi), w, scale, np.arange(c.size))
-        arg = (wm + mm) * sm
-        msum = np.bincount(owner, weights=np.exp(-(arg**2)), minlength=c.size)
-        out += np.bincount(node, weights=vg**spec.beta * msum, minlength=vp.size)
-    return out
+    w = d * xi1 - c * xi2
+    scale = np.sqrt(vg) / spec.f_width
+    reach = XMAX / scale
+    mlo, mhi = strips.integer_range(-reach, reach, w)
+    mm, wm, sm, owner = strips.expand(mlo, strips.widths(mlo, mhi), w, scale, np.arange(c.size))
+    arg = (wm + mm) * sm
+    msum = np.bincount(owner, weights=np.exp(-(arg**2)), minlength=c.size)
+    return np.bincount(node, weights=vg**spec.beta * msum, minlength=vp.size)
 
 
 def cusp_window_sum(
@@ -114,8 +122,8 @@ def cusp_window_sum(
     ``cosets`` restricts the sum: "identity" keeps only the rows (0, +-1),
     "inverted" only (+-1, 0) — the leading term of the horocycle average.
     """
-    if tau.imag <= 0:
-        raise InvalidInputError("tau must lie in the upper half plane")
+    if not (math.isfinite(tau.real) and math.isfinite(tau.imag) and tau.imag > 0):
+        raise InvalidInputError("tau must be a finite point of the upper half plane")
     return float(_cusp_sums([tau], xi, M, spec, cosets)[0])
 
 
@@ -154,13 +162,13 @@ def horocycle_escape_integral(
     on ``h_support``.  Midpoint rule is used on purpose: the integrand has
     jump sets where coset membership flips, which defeat high-order rules.
     """
-    if v <= 0:
-        raise InvalidInputError("v must be positive")
+    if not (math.isfinite(v) and v > 0):
+        raise InvalidInputError("v must be finite and positive")
     if n_quad < 1:
         raise InvalidInputError("n_quad must be positive")
     lo, hi = float(h_support[0]), float(h_support[1])
-    if not lo < hi:
-        raise InvalidInputError("h_support must be a nondegenerate interval")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InvalidInputError("h_support must be a finite nondegenerate interval")
     spec = CuspSpec(beta, R, f_width)
     du = (hi - lo) / n_quad
     us = lo + (np.arange(n_quad) + 0.5) * du

@@ -75,12 +75,6 @@ def runs(counts, size):
         i = j
 
 
-def expand_chunks(lo, counts, *per_row, size):
-    """``expand`` in pieces of whole rows, about ``size`` values each, to bound the temporaries."""
-    for i, j in runs(counts, size):
-        yield expand(lo[i:j], counts[i:j], *(v[i:j] for v in per_row))
-
-
 def expand_pieces(lo, counts, shift, *per_row):
     """``expand`` plus ``shift``, as float64, in consecutive pieces of CHUNK values.
 

@@ -195,6 +195,53 @@ def brute_cusp_sum(tau, xi, M, spec, cmax):
     return total
 
 
+def ellipse_cusp_sums(taus, xi, M, spec, cosets):
+    """Cusp sums at M . tau over every coprime row in the coset ellipse.
+
+    Candidates fill c^2 v'^2 + (c u' + d)^2 <= v'/R by c-strips, each widened
+    by one on both sides so the exact v_g >= R test decides ties; a gcd
+    filter keeps the coprime rows.  A node's terms are added in (c, d)
+    order (bincount), and the inner integer sums are formed as in
+    ``latdir.escape``, so the result is the reference bit for bit.
+    """
+    from latdir import strips
+    from latdir.escape import XMAX
+
+    images = [(M.a * tau + M.b) / (M.c * tau + M.d) for tau in taus]
+    up = np.array([t.real for t in images])
+    vp = np.array([t.imag for t in images])
+    xi1, xi2 = float(xi[0]), float(xi[1])
+    budget = vp / spec.R
+    cmax = np.floor(np.sqrt(budget) / vp) + 1
+    assert np.all(cmax <= 1 << 20), "the coset ellipse spans over 2^21 c-strips"
+    cmax = cmax.astype(np.int64)
+    out = np.zeros(vp.size)
+    nodes, strip_counts = np.arange(vp.size), 2 * cmax + 1
+    for i, j in strips.runs(strip_counts, 1 << 13):
+        c, node = strips.expand(-cmax[i:j], strip_counts[i:j], nodes[i:j])
+        half = np.sqrt(np.maximum(budget[node] - (c * vp[node]) ** 2, 0.0))
+        dlo, dhi = strips.integer_range(-half, half, c * up[node])
+        d, c, node = strips.expand(dlo - 1, strips.widths(dlo - 1, dhi + 1), c, node)
+        keep = np.gcd(np.abs(c), np.abs(d)) == 1
+        if cosets == "identity":
+            keep &= c == 0
+        elif cosets == "inverted":
+            keep &= d == 0
+        c, d, node = c[keep], d[keep], node[keep]
+        vg = vp[node] / ((c * up[node] + d) ** 2 + (c * vp[node]) ** 2)
+        ok = vg >= spec.R
+        c, d, node, vg = c[ok], d[ok], node[ok], vg[ok]
+        w = d * xi1 - c * xi2
+        scale = np.sqrt(vg) / spec.f_width
+        reach = XMAX / scale
+        mlo, mhi = strips.integer_range(-reach, reach, w)
+        mm, wm, sm, owner = strips.expand(mlo, strips.widths(mlo, mhi), w, scale, np.arange(c.size))
+        arg = (wm + mm) * sm
+        msum = np.bincount(owner, weights=np.exp(-(arg**2)), minlength=c.size)
+        out += np.bincount(node, weights=vg**spec.beta * msum, minlength=vp.size)
+    return out
+
+
 def circular_match(a, b, tol):
     """Max distance between two sorted angle multisets on the circle."""
     a = np.sort(np.mod(a, 1.0))

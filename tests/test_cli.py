@@ -246,6 +246,24 @@ def test_threads_flag_removed():
     assert main(["enumerate", "--T", "3", "--threads", "2"]) == 2
 
 
+def test_max_points_flag_removed(capsys):
+    assert main(["enumerate", "--T", "3", "--max-points", "nan"]) == 2
+    assert "unrecognized arguments: --max-points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["siegel", "--n", "inf"],
+    ["limit-sample", "--I", "0:1", "--n", "1e400"],
+    ["limit-moments", "--I", "0:1", "--n", "nan"],
+    ["tails", "--I", "0:1", "--n=-inf"],
+])
+def test_non_finite_sample_count_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "argument --n: invalid parse_count value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cusp_sum_csv(tmp_path):
     out = tmp_path / "c.csv"
     rc = main(["cusp-sum", "--beta", "0.9", "--R", "2,8", "--v", "1e-3",
@@ -256,6 +274,35 @@ def test_cusp_sum_csv(tmp_path):
     rows = [line.split(",") for line in lines[2:]]
     assert len(rows) == 2
     assert float(rows[0][2]) >= float(rows[1][2])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--basis", "1,0,0,0"],
+    ["--basis", "2,0,0,1"],
+    ["--v", "nan"],
+    ["--xi", "nan,0"],
+    ["--basis", "nan,0,0,1"],
+    ["--v", "inf"],
+    ["--support=-inf:1"],
+    ["--beta", "nan"],
+    ["--R", "nan"],
+])
+def test_cusp_sum_invalid_input_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "c.csv"
+    assert main(["cusp-sum", *flags, "--n-quad", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_cusp_sum_at_small_heights(tmp_path, capsys):
+    # the reduction takes a few steps per node even at v = 1e-10; 1e-300 is below the float floor
+    out = tmp_path / "c.csv"
+    assert main(["cusp-sum", "--R", "1,2", "--v", "1e-8,1e-10", "--n-quad", "256", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 4
+    out.unlink()
+    assert main(["cusp-sum", "--R", "2", "--v", "1e-300", "--n-quad", "16", "--out", str(out)]) == 3
+    assert "below the height floor" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # SHA-256 of each output body (the text after the "# latdir ..." header line

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,27 @@ import pytest
 import latdir as ld
 from latdir import strips
 from latdir.diophantine import CBRT2, CBRT4, GOLDEN, SQRT2
+
+
+@pytest.mark.parametrize("x, power, value", [(CBRT2, 3, 2), (CBRT4, 3, 4), (SQRT2, 2, 2)])
+def test_constants_are_the_nearest_doubles(x, power, value):
+    # the root lies strictly within half an ulp of x, exactly
+    half = Fraction(math.ulp(x)) / 2
+    assert (Fraction(x) - half) ** power < value < (Fraction(x) + half) ** power
+
+
+def test_golden_is_the_nearest_double():
+    # g = (1 + sqrt(5)) / 2 solves (2 g - 1)^2 = 5
+    half = Fraction(math.ulp(GOLDEN)) / 2
+    assert (2 * (Fraction(GOLDEN) - half) - 1) ** 2 < 5 < (2 * (Fraction(GOLDEN) + half) - 1) ** 2
+
+
+def test_the_cli_imports_no_mpmath():
+    code = "import sys, latdir.cli; print('mpmath' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.stdout.strip() == "False"
 
 
 def test_constants_precision():

@@ -73,10 +73,47 @@ def test_invalid_inputs():
         ld.CuspSpec(beta=0.5, R=0.5)
 
 
-def test_huge_coset_ellipse_is_a_capacity_error():
-    # v' = 1e-300 would need about 1e150 c-strips
+def test_height_below_the_floor_is_a_capacity_error():
+    # v' = 1e-300 is far below 2^-52 (1 + |u'|): the reducing matrix would need entries near 1e300
     with pytest.raises(ld.CapacityError):
         ld.cusp_window_sum(complex(0.0, 1e-300), (0.3, 0.7), I2, ld.CuspSpec(1.0, 2.0))
+    with pytest.raises(ld.CapacityError):
+        ld.horocycle_escape_integral(I2, (0.3, 0.7), 1.0, 2.0, 1e-300, (-1, 1), n_quad=8)
+    # just above the floor the sum is evaluated
+    assert ld.cusp_window_sum(complex(0.25, 2.0**-51), (0.3, 0.7), I2, ld.CuspSpec(1.0, 2.0)) >= 0.0
+
+
+@pytest.mark.parametrize("tau, xi, M", [
+    (complex(0.0, math.nan), (0.3, 0.7), I2),
+    (complex(math.inf, 1.0), (0.3, 0.7), I2),
+    (complex(0.0, 1.0), (math.nan, 0.7), I2),
+    (complex(0.0, 1.0), (0.3, math.inf), I2),
+    (complex(0.0, 1.0), (0.3, 0.7), ld.Mat2(1.0, 0.0, 0.0, 0.0)),
+    (complex(0.0, 1.0), (0.3, 0.7), ld.Mat2(2.0, 0.0, 0.0, 1.0)),
+    (complex(0.0, 1.0), (0.3, 0.7), ld.Mat2(math.nan, 0.0, 0.0, 1.0)),
+    (complex(0.0, 1.0), (0.3, 0.7), ld.Mat2(math.inf, 0.0, 0.0, 1.0)),
+])
+def test_non_finite_or_non_unimodular_inputs_are_invalid(tau, xi, M):
+    spec = ld.CuspSpec(1.0, 2.0)
+    with pytest.raises(ld.InvalidInputError):
+        ld.cusp_window_sum(tau, xi, M, spec)
+    if math.isfinite(tau.imag) and math.isfinite(tau.real):
+        with pytest.raises(ld.InvalidInputError):
+            ld.horocycle_escape_integral(M, xi, 1.0, 2.0, 1e-3, (-1, 1), n_quad=8)
+
+
+@pytest.mark.parametrize("v, support", [(math.nan, (-1, 1)), (math.inf, (-1, 1)), (1e-3, (-math.inf, 1)),
+                                        (1e-3, (0, math.nan))])
+def test_non_finite_height_or_support_is_invalid(v, support):
+    with pytest.raises(ld.InvalidInputError):
+        ld.horocycle_escape_integral(I2, (0.3, 0.7), 1.0, 2.0, v, support, n_quad=8)
+
+
+@pytest.mark.parametrize("beta, R, f_width", [(math.nan, 2.0, 1.0), (math.inf, 2.0, 1.0), (1.0, math.nan, 1.0),
+                                              (1.0, 2.0, math.nan), (1.0, 2.0, math.inf)])
+def test_non_finite_spec_is_invalid(beta, R, f_width):
+    with pytest.raises(ld.InvalidInputError):
+        ld.CuspSpec(beta, R, f_width)
 
 
 def test_bump_window():

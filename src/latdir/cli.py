@@ -401,10 +401,10 @@ def cmd_paircorr(args) -> int:
 
 def cmd_moments(args) -> int:
     lat, shape, T = _lattice_from_args(args)
-    dirs = direction_set(lat, shape, T)
     box = IntervalBox(tuple(parse_interval(s) for s in args.I))
     exps = parse_complex_list(args.s)
     spec = MomentSpec(tuple(exps), cap=args.K)
+    dirs = direction_set(lat, shape, T)
     lam = MeasureSpec.uniform(args.grid)
     val = mixed_moment(dirs, box, spec, lam, shifted=args.shifted)
     obj = {

@@ -64,9 +64,14 @@ def _cusp_sums(taus, xi, M: Mat2, spec: CuspSpec, cosets: str) -> np.ndarray:
     if not np.all(np.isfinite(np.asarray(xi, dtype=float))):
         raise InvalidInputError("xi must be finite")
     M.require_unimodular()  # a non-finite entry fails it too
-    images = [(M.a * tau + M.b) / (M.c * tau + M.d) for tau in taus]
+    try:
+        images = [(M.a * tau + M.b) / (M.c * tau + M.d) for tau in taus]
+    except ZeroDivisionError:  # c tau + d underflowed to 0
+        raise CapacityError("M . tau lies beyond the float range: c tau + d underflows to 0") from None
     up = np.array([t.real for t in images])
     vp = np.array([t.imag for t in images])
+    if not np.all(np.isfinite(up) & np.isfinite(vp)):
+        raise CapacityError("M . tau lies beyond the float range")
     # the floor keeps g's entries below (1 + |u'|) / min(v', 1) <= 2^52, exact; NaN fails it too
     if not np.all(np.minimum(vp, 1.0) >= 2.0**-52 * (1.0 + np.abs(up))):
         raise CapacityError(f"v' = {vp.min():.3g} lies below the height floor 2^-52 (1 + |u'|)")

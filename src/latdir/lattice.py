@@ -254,6 +254,13 @@ def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
         q12, q22 = B.a * B.c + B.b * B.d, B.c**2 + B.d**2
         p1max = T * (abs(B.d) + abs(B.c))
         m1lo, m1hi = strips.integer_range(-p1max, p1max, xi1)
+    # A strip's chord, at most 2 T (annulus) or 2 sqrt(2) T (square) long, spans about that
+    # over |r2| = sqrt(q22) integers, whose int64 bounds overflow past strips.LIMIT; q22
+    # underflows to 0 for a basis as skewed as (1e300, 0, 0, 1e-300).
+    chord = 2.0 * T * (1.0 if isinstance(shape, Annulus) else math.sqrt(2.0))
+    per_strip = chord / math.sqrt(q22) if q22 > 0.0 else math.inf
+    if per_strip > strips.LIMIT:
+        raise CapacityError(f"a strip would span about {per_strip:.3g} integers, more than int64 can hold")
     if m1hi - m1lo + 1 > max_points:
         raise CapacityError(f"enumeration needs {m1hi - m1lo + 1} strips, cap is {max_points}")
     p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1

@@ -49,11 +49,12 @@ TWO_PI = 2.0 * math.pi
 # s y1 <= y2 for a window's lower slope, s y1 >= y2 for its upper one
 _SIDE = np.array([[1.0], [-1.0]])
 V_FLOOR = math.sqrt(3.0) / 2.0
-# Gaussian weights below 1e-16 are dropped: exp(-r^2) < 1e-16 for r > RCUT.
+# Siegel sums drop the m1-strips whose factor exp(-v p1^2) is below 1e-16:
+# exp(-r^2) < 1e-16 for r > RCUT.  Each kept strip is summed whole.
 RCUT = math.sqrt(16.0 * math.log(10.0))
 MOM_BLOCKS = 32
-# samples per sub-chunk of a Siegel batch: about 120k disc points, so the
-# per-point arrays stay in a core's cache
+# samples per sub-chunk of a Siegel batch: about 8.5k strips, so the
+# per-strip arrays stay in a core's cache
 SIEGEL_CHUNK = 1024
 
 
@@ -589,6 +590,8 @@ class CountDistribution:
         powers = np.atleast_1d(np.asarray(powers, dtype=float))
         if powers.size != self.m:
             raise InvalidInputError("one power per component required")
+        if not np.all(np.isfinite(powers)):
+            raise InvalidInputError("powers must be finite")
         ks = self.rows.astype(float)
         return np.prod(np.where((ks == 0) & (powers == 0), 1.0, ks**powers), axis=1)
 
@@ -742,6 +745,8 @@ def exact_limit_moment(powers, box) -> float | None:
     powers = [float(p) for p in powers]
     if len(powers) != box.m:
         raise InvalidInputError("need one power per interval")
+    if not all(map(math.isfinite, powers)):
+        raise InvalidInputError("powers must be finite")
     lengths = box.lengths
     if powers == [1.0]:
         return float(lengths[0])
@@ -771,40 +776,43 @@ def disc_count(A: np.ndarray, shift: np.ndarray, r: float) -> np.ndarray:
 
 
 def _gauss_sums(u, v, shift, squares: bool):
-    """Per sample, the sum of exp(-|x|^2) over x = (m + shift) n(u) a(v) k(phi), |x| <= RCUT.
+    """Per sample, the sum of exp(-|x|^2) over x = (m + shift) n(u) a(v) k(phi), |p1| <= RCUT / sqrt(v).
 
     |(p1, p2) n(u) a(v) k(phi)|^2 = v p1^2 + (p2 + u p1)^2 / v, so phi drops
-    out, each m1-strip has one factor exp(-v p1^2) and each point needs only
-    exp(-(m2 + c)^2 / v) with c = shift_2 + u p1.  The point terms are summed
-    per strip, then the strips per sample.  With ``squares`` the sums of
-    exp(-2 |x|^2) come second; otherwise None.
+    out and each m1-strip is exp(-v p1^2) times the sum over all m2 of
+    exp(-(m2 + c)^2 / v), c = shift_2 + u p1.  By Poisson summation that sum
+    is sqrt(pi v) (1 + 2 sum_k exp(-pi^2 v k^2) cos 2 pi k c), and that of
+    exp(-2 (m2 + c)^2 / v) is sqrt(pi v / 2) (1 + 2 sum_k exp(-pi^2 v k^2 / 2)
+    cos 2 pi k c).  For v >= V_FLOOR the terms past k = 2 (past k = 3 for the
+    second) are below 2e-33 (1e-29) relative, so each strip takes one cosine
+    of c mod 1 and its Chebyshev multiples.  The strips are summed per
+    sample.  With ``squares`` the sums of exp(-2 |x|^2) come second;
+    otherwise None.
     """
     n = u.size
     reach = RCUT / np.sqrt(v)
     m1lo, m1hi = strips.integer_range(-reach, reach, shift[:, 0])
-    m1, xi1, u, v, xi2, sample = strips.expand(
-        m1lo, strips.widths(m1lo, m1hi), shift[:, 0], u, v, shift[:, 1], np.arange(n)
+    q = np.exp(-0.5 * math.pi**2 * v)  # exp(-pi^2 v k^2 / 2) = q^(k^2)
+    m1, xi1, us, vs, c, q, sample = strips.expand(
+        m1lo, strips.widths(m1lo, m1hi), shift[:, 0], u, v, shift[:, 1], q, np.arange(n)
     )
     p1 = m1 + xi1
-    vp = v * p1 * p1
-    c = xi2 + u * p1
-    half = np.sqrt(np.maximum((RCUT * RCUT - vp) * v, 0.0))
-    m2lo, m2hi = strips.integer_range(-half, half, c)
-    counts = strips.widths(m2lo, m2hi)
-    full = counts > 0
-    counts, vp, sample = counts[full], vp[full], sample[full]
-    m2, c, scale = strips.expand(m2lo[full], counts, c[full], -1.0 / v[full])
-    x = m2 + c
-    x *= x
-    x *= scale
-    np.exp(x, out=x)
-    starts = np.cumsum(counts) - counts
-    f = np.exp(-vp)
-    s = np.bincount(sample, weights=f * np.add.reduceat(x, starts), minlength=n)
+    c += us * p1
+    c -= np.floor(c)
+    cos1 = np.cos(TWO_PI * c)
+    cos2 = 2.0 * cos1 * cos1 - 1.0
+    f = np.exp(-vs * p1 * p1)
+    q2 = q * q
+    q4 = q2 * q2
+    s = np.bincount(sample, weights=f * (1.0 + 2.0 * (q2 * cos1 + q4 * q4 * cos2)), minlength=n)
+    s = s * np.sqrt(math.pi * v)  # not in place: without strips, bincount gives int64
     if not squares:
         return s, None
-    x *= x
-    return s, np.bincount(sample, weights=f * f * np.add.reduceat(x, starts), minlength=n)
+    cos3 = 2.0 * cos1 * cos2 - cos1
+    f *= f
+    s2 = np.bincount(sample, weights=f * (1.0 + 2.0 * (q * cos1 + q4 * cos2 + q4 * q4 * q * cos3)),
+                     minlength=n)
+    return s, s2 * np.sqrt(0.5 * math.pi * v)
 
 
 def siegel_average(which: str, n: int, rng, batch: int = 50_000) -> MCResult:
@@ -815,15 +823,19 @@ def siegel_average(which: str, n: int, rng, batch: int = 50_000) -> MCResult:
     uniform torus shift, the sum over ordered pairs m1 != m2 of
     exp(-|x1|^2 - |x2|^2) at x_i = (m_i + shift) M equals pi^2, i.e.
     S^2 - S_2 with S the sum of exp(-|x|^2) and S_2 that of exp(-2 |x|^2).
-    The m-sums are truncated where the Gaussian drops below 1e-16.  For
-    M = n(u) a(v) k(phi) the Gaussian factors into a per-strip and a
-    per-point part (``_gauss_sums``); each batch is summed in sub-chunks
-    of SIEGEL_CHUNK samples.
+    For M = n(u) a(v) k(phi) the m-sums run over the m1-strips whose
+    Gaussian factor exp(-v p1^2) is 1e-16 or more, each strip's sum over m2
+    taken whole in closed form, which holds for v >= V_FLOOR
+    (``_gauss_sums``); each batch is summed in sub-chunks of SIEGEL_CHUNK
+    samples.  More than ``DEFAULT_MAX_POINTS`` samples raise CapacityError
+    before anything is drawn.
     """
     if which not in ("classic", "affine_pair"):
         raise InvalidInputError(f"unknown variant {which!r}")
     if n < 2:
         raise InvalidInputError("need at least two samples")
+    if n > DEFAULT_MAX_POINTS:
+        raise CapacityError(f"{n} samples is more than {DEFAULT_MAX_POINTS}")
     nblocks = (n + batch - 1) // batch
     streams = spawn_streams(rng, nblocks)
     vals = np.empty(n)

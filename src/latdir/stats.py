@@ -23,6 +23,7 @@ beside the direction set.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable
 
@@ -104,6 +105,8 @@ class MomentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "exponents", tuple(complex(s) for s in self.exponents))
+        if not all(cmath.isfinite(s) for s in self.exponents):
+            raise InvalidInputError("exponents must be finite")
         if self.cap is not None and self.cap < 0:
             raise InvalidInputError("cap must be nonnegative")
 

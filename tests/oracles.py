@@ -195,6 +195,36 @@ def brute_cusp_sum(tau, xi, M, spec, cmax):
     return total
 
 
+def strip_gauss_sums(u, v, phi, shift):
+    """Sums of exp(-|x|^2) and exp(-2 |x|^2), x = (m + shift) A, term by term.
+
+    A = n(u) a(v) k(phi) is gathered whole.  The m1-strips are those that
+    ``limit._gauss_sums`` keeps, |p1| <= RCUT / sqrt(v); each is scanned over
+    |m2 + shift_2 + u p1| <= RCUT sqrt(v) + 1, past which every term is below
+    1e-16 of the strip's largest, so the strip is summed whole, not cut at a
+    disc.
+    """
+    from latdir.limit import RCUT
+
+    A = ld.iwasawa_matrix(u, v, phi)
+    s = np.empty(u.size)
+    s2 = np.empty(u.size)
+    for i in range(u.size):
+        xi1, xi2 = shift[i]
+        reach = RCUT / math.sqrt(v[i])
+        p1 = np.arange(math.ceil(-reach - xi1), math.floor(reach - xi1) + 1) + xi1
+        c = xi2 + u[i] * p1
+        if not c.size:
+            s[i] = s2[i] = 0.0
+            continue
+        half = RCUT * math.sqrt(v[i]) + 1.0
+        p2 = np.arange(math.floor(-half - c.max()), math.ceil(half - c.min()) + 1) + xi2
+        y = np.stack(np.broadcast_arrays(p1[:, None], p2[None, :]), -1) @ A[i]
+        w = np.exp(-(y[..., 0] ** 2 + y[..., 1] ** 2))
+        s[i], s2[i] = w.sum(), (w * w).sum()
+    return s, s2
+
+
 def ellipse_cusp_sums(taus, xi, M, spec, cosets):
     """Cusp sums at M . tau over every coprime row in the coset ellipse.
 

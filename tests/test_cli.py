@@ -264,6 +264,27 @@ def test_non_finite_sample_count_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["siegel", "--n", "3e8"], 3),
+    (["siegel", "--n", "1e12"], 3),
+    (["moments", "--T", "10", "--I", "0:1", "--s", "nan"], 2),
+    (["moments", "--T", "10", "--I", "0:1", "--s", "1+nani"], 2),
+    (["limit-moments", "--I", "0:1", "--n", "1000", "--powers", "nan"], 2),
+    (["limit-moments", "--I", "0:1", "--I", "0.5:2", "--n", "1000", "--powers", "1,inf"], 2),
+    (["enumerate", "--xi", "0,0", "--T", "5", "--basis", "1e100,0,0,1e-100"], 3),
+    (["enumerate", "--xi", "0,0", "--T", "5", "--basis", "1e-300,0,0,1e300", "--shape", "square"], 3),
+    (["cusp-sum", "--basis", "0,-1e200,1e-200,0", "--v", "1e-200", "--support=-1:1", "--n-quad", "1",
+      "--R", "2"], 3),
+    (["cusp-sum", "--basis", "0,-1e150,1e-150,0", "--v", "1e-150", "--support=-1:1", "--n-quad", "1",
+      "--R", "2"], 3),
+])
+def test_out_of_range_input_leaves_no_file(tmp_path, capsys, argv, code):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_cusp_sum_csv(tmp_path):
     out = tmp_path / "c.csv"
     rc = main(["cusp-sum", "--beta", "0.9", "--R", "2,8", "--v", "1e-3",

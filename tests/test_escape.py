@@ -83,6 +83,17 @@ def test_height_below_the_floor_is_a_capacity_error():
     assert ld.cusp_window_sum(complex(0.25, 2.0**-51), (0.3, 0.7), I2, ld.CuspSpec(1.0, 2.0)) >= 0.0
 
 
+def test_image_beyond_the_float_range_is_a_capacity_error():
+    # c tau + d = 1e-200 * 1e-200 i underflows to 0, where Python's complex division raised
+    # ZeroDivisionError; at 1e-150 the image 1e450 i overflows to inf
+    spec = ld.CuspSpec(1.0, 2.0)
+    with pytest.raises(ld.CapacityError):
+        ld.cusp_window_sum(complex(0.0, 1e-200), (0.3, 0.7), ld.Mat2(0.0, -1e200, 1e-200, 0.0), spec)
+    with pytest.raises(ld.CapacityError):
+        ld.horocycle_escape_integral(ld.Mat2(0.0, -1e150, 1e-150, 0.0), (0.3, 0.7), 1.0, 2.0, 1e-150, (-1, 1),
+                                     n_quad=1)
+
+
 @pytest.mark.parametrize("tau, xi, M", [
     (complex(0.0, math.nan), (0.3, 0.7), I2),
     (complex(math.inf, 1.0), (0.3, 0.7), I2),

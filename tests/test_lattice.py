@@ -97,6 +97,18 @@ def test_capacity_cap():
         ld.enumerate_points(lat, ld.Annulus(0.0), 100.0, max_points=1000)
 
 
+@pytest.mark.parametrize("basis", [(1e300, 0.0, 0.0, 1e-300), (1e-300, 0.0, 0.0, 1e300),
+                                   (1e100, 0.0, 0.0, 1e-100), (0.0, 1e200, -1e-200, 0.0)])
+@pytest.mark.parametrize("shape", [ld.Annulus(0.0), ld.Annulus(0.5), ld.Square()])
+def test_overflowing_strip_is_a_capacity_error(basis, shape):
+    # about 1e101 to 1e301 points on the strip m1 = 0; at 1e300 its squared length underflows to 0
+    # and the strip solve once returned the point (0, -9.2e-282) from an int64 cast of NaN
+    lat = ld.AffineLatticeSpec(ld.Mat2(*basis))
+    for build in (ld.enumerate_points, ld.direction_set):
+        with pytest.raises(ld.CapacityError, match="int64"):
+            build(lat, shape, 5.0)
+
+
 def test_shear_enumerates_the_identity_point_set():
     # the shear's rows span 2e5 m1-strips; reduced, it is the identity basis
     lat = ld.AffineLatticeSpec(ld.Mat2(1.0, 0.0, 1000.0, 1.0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import latdir as ld
+from latdir.lattice import DEFAULT_MAX_POINTS
 from latdir.limit import RCUT, V_FLOOR, _gauss_sums, _haar_batch
 
 from oracles import brute_cone_count, brute_disc_count
@@ -299,6 +300,16 @@ def test_count_distribution_size_budget():
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_powers_are_invalid(bad):
+    dist = ld.sample_count_distribution(0.0, "irrational", [(0.0, 1.0)], 1000, np.random.default_rng(5))
+    with pytest.raises(ld.InvalidInputError):
+        ld.exact_limit_moment([bad], [(0.0, 1.0)])
+    for moment in (dist.moment, dist.moment_mom):
+        with pytest.raises(ld.InvalidInputError):
+            moment([bad])
+
+
 def test_exact_limit_moment():
     assert ld.exact_limit_moment([1.0], [(0.0, 1.5)]) == 1.5
     assert ld.exact_limit_moment([2], [(-1.0, 1.0)]) == 2.0 + 4.0
@@ -389,6 +400,27 @@ def test_gauss_sums_match_gather():
         assert s2 == pytest.approx(ref2, rel=1e-12, abs=1e-15)
         plain, none = _gauss_sums(u, v, shift, False)
         assert none is None and np.array_equal(plain, s)
+
+
+def test_gauss_sums_without_strips():
+    # at v = 1e6 a shift of 1/2 leaves no m1-strip with exp(-v p1^2) >= 1e-16: the sums are float zeros
+    u, v, shift = np.zeros(2), np.array([1e6, 1e6]), np.array([[0.5, 0.3], [0.5, 0.0]])
+    for squares in (False, True):
+        for sums in _gauss_sums(u, v, shift, squares):
+            if sums is not None:
+                assert sums.dtype == np.float64 and not sums.any()
+
+
+def test_siegel_sample_budget():
+    # n is checked against the budget before any stream or array: 3e8 samples would be a 2.4 GB array
+    tracemalloc.start()
+    try:
+        for n in (DEFAULT_MAX_POINTS + 1, 3 * 10**8, 10**12):
+            with pytest.raises(ld.CapacityError):
+                ld.siegel_average("classic", n, np.random.default_rng(0))
+        assert tracemalloc.get_traced_memory()[1] < 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def test_siegel_empty_support():

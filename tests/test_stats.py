@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -295,6 +296,12 @@ def test_measure_spec_validation():
         ld.MeasureSpec(lambda a: 2.0 * np.ones_like(a))
     lam = ld.MeasureSpec(lambda a: 2.0 * (np.asarray(a) < 0.5), 20_000)
     assert lam.weights().sum() == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0)])
+def test_moment_spec_rejects_non_finite_exponents(s):
+    with pytest.raises(ld.InvalidInputError):
+        ld.MomentSpec((1.0, s))
 
 
 def test_moment_spec_flags():

@@ -34,6 +34,7 @@ from .lattice import (
     DomainShape,
     Mat2,
     Square,
+    count_in_window,
     direction_set,
     directions,
     enumerate_points,

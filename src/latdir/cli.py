@@ -10,6 +10,7 @@ or unwritable file, 3 capacity.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import re
@@ -157,10 +158,17 @@ def parse_bins(s: str) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 def parse_complex_list(s: str):
+    """Comma-separated finite complex numbers; a trailing i or j is the imaginary unit."""
     out = []
     for t in s.split(","):
-        t = t.strip().replace("i", "j")
-        out.append(complex(t))
+        t = t.strip()
+        try:
+            z = complex(t[:-1] + "j" if t.endswith(("i", "I")) else t)
+        except ValueError:
+            raise ValueError(f"exponent {t!r} is not a complex number") from None
+        if not cmath.isfinite(z):
+            raise ValueError(f"exponent {t!r} must be finite")
+        out.append(z)
     return out
 
 

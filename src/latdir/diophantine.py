@@ -16,8 +16,7 @@ import numpy as np
 
 from . import strips
 from .errors import CapacityError, InvalidConstructionError, InvalidInputError
-from .lattice import AffineLatticeSpec, Annulus, Mat2, direction_set
-from .stats import counting_stat
+from .lattice import AffineLatticeSpec, Annulus, Mat2, count_in_window
 
 
 # the doubles nearest to 2^(1/3), 4^(1/3), sqrt(2) and (1 + sqrt(5)) / 2
@@ -185,7 +184,9 @@ def rational_divergence_probe(xi, r, eps: float, T_list, c: float = 0.0) -> list
 
     Requires an exact rational relation r . (xi + m) = 0 for some integer
     m (verified in exact arithmetic); the returned counts grow linearly in
-    T because a full line of lattice points shares that direction.
+    T because a full line of lattice points shares that direction.  Each
+    count comes from ``count_in_window``, in O(T) strips without a
+    direction set, so T may go far past the point budget.
     """
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
@@ -203,8 +204,4 @@ def rational_divergence_probe(xi, r, eps: float, T_list, c: float = 0.0) -> list
     alpha_r = math.atan2(r1, -r2) / (2.0 * math.pi) % 1.0
     lat = AffineLatticeSpec(Mat2.identity(), (float(x1), float(x2)))
     shape = Annulus(c)
-    counts = []
-    for T in T_list:
-        dirs = direction_set(lat, shape, T)
-        counts.append(counting_stat(dirs, (-eps, eps), alpha_r) if dirs.N else 0)
-    return counts
+    return [count_in_window(lat, shape, T, (-eps, eps), alpha_r)[0] for T in T_list]

@@ -47,8 +47,37 @@ class CuspSpec:
             raise InvalidInputError("f_width must be finite and positive")
 
 
+# The largest image height v' that is summed: r = u^2 + v^2 and |c tau' + d|^2 stay below
+# 2^1001, since |c| <= 1 where v' >= 1.  The weights v_g^beta stay below 2^1000.
+V_CEIL = 2.0**500
+
+
+def _moebius(M: Mat2, u, v):
+    """The image M . tau of tau = u + i v, bit for bit as Python complex arithmetic gives it.
+
+    ``(M.a * tau + M.b) / (M.c * tau + M.d)`` on CPython 3.10 and 3.11: a
+    float factor a is the complex (a + 0j) in a full complex product, a
+    float term b is (b + 0j), and the quotient is Smith's method
+    (``_Py_c_quot``), which scales by the part of the denominator that is
+    larger in size, the real part on a tie.  A zero denominator, where
+    Python raises ZeroDivisionError, is a CapacityError.  Returns the
+    arrays u' and v'; overflow is left as inf or nan for the caller.
+    """
+    with np.errstate(all="ignore"):
+        nr, ni = (M.a * u - 0.0 * v) + M.b, (M.a * v + 0.0 * u) + 0.0
+        dr, di = (M.c * u - 0.0 * v) + M.d, (M.c * v + 0.0 * u) + 0.0
+        by_real = np.abs(dr) >= np.abs(di)  # false where a part is nan: then so is the result
+        if np.any(by_real & (dr == 0.0)):
+            raise CapacityError("M . tau lies beyond the float range: c tau + d underflows to 0")
+        ratio = np.where(by_real, di / dr, dr / di)
+        denom = np.where(by_real, dr + di * ratio, dr * ratio + di)
+        re = np.where(by_real, (nr + ni * ratio) / denom, (nr * ratio + ni) / denom)
+        im = np.where(by_real, (ni - nr * ratio) / denom, (ni * ratio - nr) / denom)
+    return re, im
+
+
 def _cusp_sums(taus, xi, M: Mat2, spec: CuspSpec, cosets: str) -> np.ndarray:
-    """Cusp sums at M . tau for each tau of ``taus`` (Python complex Moebius maps).
+    """Cusp sums at M . tau for each complex tau of ``taus`` (``_moebius``).
 
     g in SL(2, Z), one per node, moves tau' = u + i v into F: a step
     translates, u <- u - rint(u), then flips, (u, v) <- (-u / r, v / r) with
@@ -58,23 +87,23 @@ def _cusp_sums(taus, xi, M: Mat2, spec: CuspSpec, cosets: str) -> np.ndarray:
     v_g >= 1 only at tau' = i, row (+-1, 0), so the candidates are +-(c, d)
     and +-(a, b) of g (the same four on |tau'| = 1, however r rounds), and
     the exact v_g >= R test decides them.  A node's terms add in (c, d) order.
+    An image above ``V_CEIL``, or a weight v_g^beta above 2^1000, is a
+    CapacityError, raised before anything overflows.
     """
     if cosets not in COSET_FILTERS:
         raise InvalidInputError(f"cosets must be one of {COSET_FILTERS}")
     if not np.all(np.isfinite(np.asarray(xi, dtype=float))):
         raise InvalidInputError("xi must be finite")
     M.require_unimodular()  # a non-finite entry fails it too
-    try:
-        images = [(M.a * tau + M.b) / (M.c * tau + M.d) for tau in taus]
-    except ZeroDivisionError:  # c tau + d underflowed to 0
-        raise CapacityError("M . tau lies beyond the float range: c tau + d underflows to 0") from None
-    up = np.array([t.real for t in images])
-    vp = np.array([t.imag for t in images])
+    taus = np.asarray(taus, dtype=complex)
+    up, vp = _moebius(M, taus.real, taus.imag)
     if not np.all(np.isfinite(up) & np.isfinite(vp)):
         raise CapacityError("M . tau lies beyond the float range")
     # the floor keeps g's entries below (1 + |u'|) / min(v', 1) <= 2^52, exact; NaN fails it too
     if not np.all(np.minimum(vp, 1.0) >= 2.0**-52 * (1.0 + np.abs(up))):
         raise CapacityError(f"v' = {vp.min():.3g} lies below the height floor 2^-52 (1 + |u'|)")
+    if np.any(vp > V_CEIL):
+        raise CapacityError(f"v' = {vp.max():.3g} lies above the height ceiling 2^500")
     g = np.tile(np.eye(2, dtype=np.int64), (vp.size, 1, 1))
     u, v = up, vp
     while True:
@@ -98,6 +127,8 @@ def _cusp_sums(taus, xi, M: Mat2, spec: CuspSpec, cosets: str) -> np.ndarray:
     elif cosets == "inverted":
         keep &= d == 0
     c, d, node, vg = c[keep], d[keep], node[keep], vg[keep]
+    if vg.size and spec.beta * math.log2(vg.max()) > 1000.0:
+        raise CapacityError(f"the weight v_g^beta = {vg.max():.3g}^{spec.beta:g} passes 2^1000")
     xi1, xi2 = float(xi[0]), float(xi[1])
     w = d * xi1 - c * xi2
     scale = np.sqrt(vg) / spec.f_width
@@ -179,7 +210,9 @@ def horocycle_escape_integral(
     us = lo + (np.arange(n_quad) + 0.5) * du
     hs = bump_window(us, (lo, hi))
     live = hs != 0.0
-    sums = _cusp_sums([complex(u, v) for u in us[live].tolist()], xi, M, spec, cosets)
+    taus = np.empty(np.count_nonzero(live), dtype=complex)
+    taus.real, taus.imag = us[live], v
+    sums = _cusp_sums(taus, xi, M, spec, cosets)
     # nodes are added one after another (cumsum), as a running total would
     total = np.cumsum(hs[live] * sums)
     return float(total[-1] if total.size else 0.0) * du

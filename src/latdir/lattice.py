@@ -10,10 +10,14 @@ Points are enumerated one m1-strip at a time, and each strip is a line,
 so its angles are monotone in m2.  ``direction_set`` uses that to build
 the sorted sequence in sector order: it cuts every strip where it crosses
 the K sector rays k/K (K from the point count), writes the angles sector
-by sector and sorts each sector in cache.  The result is exact by
-construction, whatever the float decisions at the cuts: the pieces
-partition the kept points, and a check of the sector boundaries sends any
-misplaced angle to one global sort.
+by sector and sorts each sector in cache.  The pieces partition the kept
+points, and the points within roundoff of a ray get the sector of their
+own angle, so the result is exact by construction; a check of the sector
+boundaries would send any misplaced angle to one global sort.
+
+``count_in_window`` uses the same cut (``_cut``) at the two rays of a
+window's ends: a window count is a sum of piece widths, in O(strips)
+time and memory, with no direction set at all.
 """
 
 from __future__ import annotations
@@ -43,9 +47,12 @@ ORIGIN_RADIUS = 2.0**-500
 # (1 MB) sorts in cache at about 8 ns a value; smaller sectors sort barely
 # faster per value and need more cuts.
 SECTOR = 2 * strips.CHUNK
+# Values that ``count_in_window`` holds per m1-strip at its peak (about 60 to 80 measured): its
+# strips are checked against the budget at this weight, as a point is by the enumerator.
+STRIP_VALUES = 96
 # Roundoff of a computed sector-ray crossing along a strip, per unit of its
 # scale |y|^2 / |p1| + |r1| |y| + |t| + 1: about 1e-14, times a margin of a
-# thousand.  A crossing closer than this to an integer is decided by ``_turns``.
+# thousand.  The integers this close to a crossing are decided by ``_turns``.
 CUT_TOL = 2.0**-36
 
 
@@ -230,7 +237,8 @@ def _kept_chunks(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
     return int(counts.sum()), _points(B, xi2, starts[order], counts[order], p1[key[order] >> 3])
 
 
-def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_points: int):
+def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_points: int,
+                 count_only: bool = False):
     """Validate the input, solve the m1-strips and return their kept m2 ranges.
 
     Every error is raised before anything point-sized is allocated.  Each
@@ -240,10 +248,14 @@ def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
     ends, the inner circle or the origin, which ``_inside`` decides
     (``_zones``).  Returns the reduced basis B, the shift's xi2, each
     strip's p1 and the kept ranges as ``_zones`` gives them.
+
+    ``max_points`` caps the boundary candidates and the strips, these at
+    ``STRIP_VALUES`` each when ``count_only`` (the ranges are only
+    counted); otherwise it caps the points and the candidates as well.
     """
     _require_scale(T)
     lat.basis.require_unimodular()
-    if expected_count(shape, T) > max_points:
+    if not count_only and expected_count(shape, T) > max_points:
         raise CapacityError(
             f"expected about {expected_count(shape, T):.3g} points, cap is {max_points}"
         )
@@ -261,8 +273,9 @@ def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
     per_strip = chord / math.sqrt(q22) if q22 > 0.0 else math.inf
     if per_strip > strips.LIMIT:
         raise CapacityError(f"a strip would span about {per_strip:.3g} integers, more than int64 can hold")
-    if m1hi - m1lo + 1 > max_points:
-        raise CapacityError(f"enumeration needs {m1hi - m1lo + 1} strips, cap is {max_points}")
+    cap = max_points // STRIP_VALUES if count_only else max_points
+    if m1hi - m1lo + 1 > cap:
+        raise CapacityError(f"enumeration needs {m1hi - m1lo + 1} strips, cap is {cap}")
     p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
     if isinstance(shape, Annulus):
         lo, hi = strips.root_pair(q12, q22, p1, xi2, T)[:2]
@@ -279,10 +292,11 @@ def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
         rhi -= 1
     else:
         rlo, rhi = lo, lo - 1
-    candidates = int(strips.widths(lo, hi).sum()
-                     - strips.widths(np.maximum(rlo, lo), np.minimum(rhi, hi)).sum())
-    if candidates > max_points:
-        raise CapacityError(f"enumeration needs {candidates} candidates, cap is {max_points}")
+    if not count_only:
+        candidates = int(strips.widths(lo, hi).sum()
+                         - strips.widths(np.maximum(rlo, lo), np.minimum(rhi, hi)).sum())
+        if candidates > max_points:
+            raise CapacityError(f"enumeration needs {candidates} candidates, cap is {max_points}")
     # the interior is narrowed by one integer, the excluded chord widened by one
     ilo += 1
     ihi -= 1
@@ -290,11 +304,11 @@ def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
     clo = np.where(meets, clo - 1, ihi + 1)
     chi = np.where(meets, chi + 1, ihi)
     ranges = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi,
-                    lambda m2, k: _inside(B, xi2, shape, T, m2, p1[k]))
+                    lambda m2, k: _inside(B, xi2, shape, T, m2, p1[k]), max_points)
     return (B, xi2, p1, *ranges)
 
 
-def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
+def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside, budget):
     """Kept m2 ranges of every strip, unordered, with a key that orders them.
 
     Per strip, [lo, hi] is the candidate range, [ilo, ihi] minus [clo, chi]
@@ -304,7 +318,8 @@ def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
     kept whole, outside zones dropped, and the boundary candidates kept
     where ``inside(m2, strip)`` holds, each as a range of one.  Returns the
     start, length and key 8 strip + zone of every kept range; a stable
-    argsort of the key puts them in (strip, m2) order.
+    argsort of the key puts them in (strip, m2) order.  More than
+    ``budget`` boundary candidates raise CapacityError before they are formed.
     """
     top = np.maximum(hi + 1, lo)
     b1 = np.clip(ilo, lo, top)
@@ -315,8 +330,10 @@ def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
     b6 = np.clip(ihi + 1, b5, top)
     key = 8 * np.arange(lo.size, dtype=np.int64)[:, None]
     first = np.column_stack([lo, b2, b4, b6])
-    m2, bkey = strips.expand(first.ravel(), (np.column_stack([b1, b3, b5, top]) - first).ravel(),
-                             (key + [0, 2, 4, 6]).ravel())
+    width = (np.column_stack([b1, b3, b5, top]) - first).ravel()
+    if int(width.sum()) > budget:
+        raise CapacityError(f"the strips have {int(width.sum())} boundary candidates, cap is {budget}")
+    m2, bkey = strips.expand(first.ravel(), width, (key + [0, 2, 4, 6]).ravel())
     keep = inside(m2, bkey >> 3)
     first = np.column_stack([b1, b5])
     starts = np.concatenate([first.ravel(), m2[keep]])
@@ -325,77 +342,93 @@ def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
     return starts, counts, np.concatenate([(key + [1, 5]).ravel(), bkey[keep]])
 
 
-def _sector_pieces(B: Mat2, xi2, p1, starts, counts, key, K: int, reach: float):
-    """Cut the kept m2 ranges at the K sector rays k/K into pieces, sector by sector.
+def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, budget=math.inf):
+    """Cut the kept m2 ranges at the rays of turns ``edges`` into pieces of one sector each.
 
-    Along a strip y = p1 r1 + t r2, t = m2 + xi2, the angle increases with
-    t when p1 > 0 and decreases when p1 < 0 (det B = 1).  The strip crosses
-    the ray u_k at t = |p1| w_k, w_k = -sign(p1) (r1 x u_k) / (r2 x u_k):
-    the rays with r2 x u_k < 0 when p1 > 0, those with r2 x u_k > 0 when
-    p1 < 0, in the order of w.  A p1 = 0 strip passes through the origin
-    and is cut there, exactly, between the directions of -r2 and r2.  The
-    first integer past a crossing starts the next sector's piece; where the
-    crossing lies within roundoff of an integer (``CUT_TOL``), the sectors
-    floor(K turns) of the two integers next to it, by ``_turns``, decide
-    instead.  The cuts are clipped into each range and made nondecreasing,
-    so the pieces partition the ranges whatever those decisions are.
-    ``reach`` bounds |y| on the domain.
+    ``edges`` is sorted, starts at 0.0 and has K entries; sector k holds the
+    angles t (``_turns``) with edges[k] <= t < edges[k + 1], the last one
+    those from edges[K - 1] on.  Along a strip y = p1 r1 + t r2, t = m2 +
+    xi2, the angle runs from the direction of -r2 (t -> -inf) through half
+    a turn, increasing when p1 > 0 and decreasing when p1 < 0 (det B = 1),
+    and it crosses the ray u_k at t = |p1| w_k, w_k = -sign(p1) (r1 x u_k) /
+    (r2 x u_k).  The crossed rays and their order come from the edges alone
+    (``_crossed``), so the sector between two crossings is known whatever
+    the roundoff of w.  A p1 = 0 strip passes through the origin and is cut
+    there, exactly, between the directions of -r2 and r2.
 
-    Returns the start, length and p1 of every piece, and the number of
-    points in each sector.  The pieces come sector by sector (within a
-    sector, in no particular order); some are empty.
+    Within roundoff of a crossing (``CUT_TOL`` times the strip's scale) the
+    float predicate decides: every integer in that band gets the sector of
+    its own ``_turns`` value.  Bands and the pieces between them are clipped
+    into each range and made nondecreasing, so the pieces partition the
+    ranges.  A range whose band would be as long as the range, and a p1 = 0
+    strip whose direction lies within ``CUT_TOL`` of a ray, is decided point
+    by point.  So each point lands in the sector of its own ``_turns`` value.
+    ``reach`` bounds |y| on the domain; more than ``budget`` points to decide
+    raise CapacityError before they are formed.
+
+    Returns the start, length, p1 and sector of every piece, in no
+    particular order; some are empty.
     """
+    K = edges.size
     ray = np.arange(K if K > 1 else 0)
-    cos, sin = np.cos(TWO_PI * ray / K), np.sin(TWO_PI * ray / K)
+    cos, sin = np.cos(TWO_PI * edges[ray]), np.sin(TWO_PI * edges[ray])
     a1, a2 = B.a * sin - B.b * cos, B.c * sin - B.d * cos  # r1 x u_k, r2 x u_k
     q = p1[key >> 3]
     r1 = math.hypot(B.a, B.b)
+    down, up = _turns_of([-B.c, B.c], [-B.d, B.d])  # the directions of -r2 and r2
+
+    def sector_of(turns):
+        return np.searchsorted(edges, turns, side="right") - 1
+
     groups = []
     for sign in (1, -1):
-        rays = ray[sign * a2 < 0]
-        with np.errstate(over="ignore"):
-            w = np.clip(-sign * a1[rays] / a2[rays], -strips.LIMIT, strips.LIMIT)
-        order = np.argsort(w)
-        w, rays = w[order], rays[order]
+        rays, past = _crossed(edges[ray], down, sign)
+        with np.errstate(over="ignore", divide="ignore"):
+            w = -sign * a1[rays] / a2[rays]
+        # a ray within roundoff of -r2 or r2 is crossed at the start or at the end of the strip
+        odd = sign * a2[rays] >= 0.0
+        w[odd] = np.where(past[odd] < 0.25, -strips.LIMIT, strips.LIMIT)
+        w = np.maximum.accumulate(np.clip(w, -strips.LIMIT, strips.LIMIT))
         # sector[j]: the sector of a strip's points past its first j crossings
         if rays.size:
             sector = np.concatenate([rays[:1] - int(sign > 0), rays - int(sign < 0)]) % K
         else:  # no ray is crossed: every point lies in the sector of p1 r1
-            sector = _sector(_turns_of([sign * B.a], [sign * B.b]), K)
-        groups.append((sign * q > 0, sign, w, sector))
-    groups.append((q == 0, 0, np.zeros(1), _sector(_turns_of([-B.c, B.c], [-B.d, B.d]), K)))
-    pieces = []
-    for mask, sign, w, sector in groups:
+            sector = sector_of(_turns_of([sign * B.a], [sign * B.b]))
+        groups.append((sign * q > 0, sign, w, sector, False))
+    gap = _frac(edges[ray, None] - [down, up])
+    on_ray = bool(np.any(np.minimum(gap, 1.0 - gap) < CUT_TOL))
+    groups.append((q == 0, 0, np.zeros(1), sector_of(np.array([down, up])), on_ray))
+    pieces, decided = [], 0
+    for mask, sign, w, sector, on_ray in groups:
         rows = np.flatnonzero(mask & (counts > 0))
         s, n, pr = starts[rows], counts[rows], q[rows]
         a = np.abs(pr) if sign else np.ones(rows.size)  # the p1 = 0 strip: t = 1 w
-        with np.errstate(over="ignore"):
-            # the crossings within one integer of each range
-            lo_w, hi_w = ((s - 1) + xi2) / a, ((s + n) + xi2) / a
-            lim = 0.5 - CUT_TOL * (reach * reach / a + r1 * reach + np.abs(s) + n + 1.0)
+        with np.errstate(over="ignore", divide="ignore"):
+            tol = CUT_TOL * (reach * reach / a + r1 * reach + np.abs(s) + n + 1.0)
         if not sign:
-            lim[:] = 0.5  # the cut at t = 0 is exact
+            tol[:] = np.inf if on_ray else 0.0  # the cut at t = 0 is exact
+        whole = tol >= n
+        with np.errstate(over="ignore"):  # the crossings whose bands reach into each range
+            lo_w, hi_w = ((s - 1) - tol + xi2) / a, ((s + n) + tol + xi2) / a
         j0 = np.searchsorted(w, lo_w, side="left")
-        per = np.searchsorted(w, hi_w, side="right") - j0 + 1
-        # piece k of range r: its points past j = j0 + k crossings, the last at w[j - 1]
+        per = np.where(whole, 1, np.searchsorted(w, hi_w, side="right") - j0 + 1)
+        # slot k of range r: the points past the crossing at w[j - 1], j = j0 + k, after its
+        # band; slot 0 starts at the range, and a whole range is its band
         jp, rp = strips.expand(j0, per, np.arange(rows.size))
         head = np.cumsum(per) - per
         m2 = a[rp] * np.concatenate([[0.0], w])[jp] - xi2
-        m2[head] = 0.5  # a range's first piece starts at the range
-        cut = np.floor(m2)
-        m2 -= cut
-        near = np.flatnonzero(np.abs(m2 - 0.5) > lim[rp])
+        band = tol[rp]
+        m2[head] = s
+        band[head] = 0.0
+        cut = m2 + band
+        np.floor(cut, out=cut)  # the last integer of the band
+        m2 -= band
+        del band
+        cut[head] = np.where(whole, s + n - 1, s - 1)
+        held = np.flatnonzero(m2 <= cut)  # the bands that hold an integer
+        first = np.ceil(m2[held])
         del m2
-        cut += 1.0  # the first integer past the crossing
-        if near.size:  # unless the two integers next to it decide otherwise
-            c = cut[near]
-            p2 = np.stack([c - 1.0, c]) + xi2
-            pn = pr[rp[near]]
-            turns = np.empty(p2.shape)
-            _turns(_affine_combo(pn, p2, B.a, B.c), _affine_combo(pn, p2, B.b, B.d), turns)
-            # past the crossing: within half a turn of its next sector, onwards
-            past = 2 * ((sign * (_sector(turns, K) - sector[jp[near]])) % K) < K
-            cut[near] = c + 1.0 - past[0] - (past[0] | past[1])
+        cut += 1.0
         # positions in the ranges laid end to end, clipped and made nondecreasing
         end = np.cumsum(n)
         off = end - n - s
@@ -403,12 +436,48 @@ def _sector_pieces(B: Mat2, xi2, p1, starts, counts, key, K: int, reach: float):
         del cut
         pos += off[rp]
         np.minimum(pos, end[rp], out=pos)
-        pos[head] = end - n
         np.maximum.accumulate(pos, out=pos)
         size = np.diff(pos, append=end[-1] if end.size else 0)
-        pos -= off[rp]
-        pieces.append((pos, size, pr[rp], sector[jp]))
-    starts, counts, p1, sector = (np.concatenate(x) for x in zip(*pieces))
+        # a band ends where its slot's points start, and starts no earlier than the slot before
+        owner = rp[held]
+        lo = np.maximum(first.astype(np.int64) + off[owner], np.where(held > 0, pos[held - 1], 0))
+        np.minimum(lo, pos[held], out=lo)
+        bands = pos[held] - lo
+        decided += int(bands.sum())
+        if decided > budget:
+            raise CapacityError(f"the cuts have more than {budget} points to decide")
+        size[held[held > 0] - 1] -= bands[held > 0]
+        m2, owner = strips.expand(lo - off[owner], bands, owner)
+        pieces.append((pos - off[rp], size, pr[rp], sector[jp]))
+        pieces.append((m2, np.ones(m2.size, dtype=np.int64), pr[owner],
+                       sector_of(_point_turns(B, xi2, pr[owner], m2))))
+    return tuple(np.concatenate(x) for x in zip(*pieces))
+
+
+def _crossed(edges, down, sign: int):
+    """The rays crossed by the strips of one sign of p1, in the order they are crossed.
+
+    A strip's angle runs through the open half turn after ``down`` (the
+    direction of -r2), forwards for sign 1 and backwards for sign -1.  The
+    crossed rays are those whose turns lie strictly inside, ordered by
+    their distance from ``down`` along the way; rays of equal float
+    distance keep the order of their edges along the way.  Returns the
+    rays and those distances.
+    """
+    past = _frac(sign * (edges - down))
+    rays = np.flatnonzero((past > 0.0) & (past < 0.5))[::sign]
+    rays = rays[np.argsort(past[rays], kind="stable")]
+    return rays, past[rays]
+
+
+def _sector_pieces(B: Mat2, xi2, p1, starts, counts, key, K: int, reach: float):
+    """Cut the kept m2 ranges at the K sector rays k/K into pieces, sector by sector.
+
+    ``_cut`` with the edges k/K.  Returns the start, length and p1 of every
+    piece, and the number of points in each sector.  The pieces come sector
+    by sector (within a sector, in no particular order); some are empty.
+    """
+    starts, counts, p1, sector = _cut(B, xi2, p1, starts, counts, key, np.arange(K) / K, reach)
     order = np.argsort(sector.astype(np.min_scalar_type(K)), kind="stable")
     sizes = np.bincount(sector, weights=counts, minlength=K).astype(np.int64)
     return starts[order], counts[order], p1[order], sizes
@@ -421,9 +490,12 @@ def _turns_of(y1, y2):
     return out
 
 
-def _sector(turns, K: int):
-    """The sector floor(K turns) of each angle, K - 1 where K turns rounds up to K."""
-    return np.minimum((turns * K).astype(np.int64), K - 1)
+def _point_turns(B: Mat2, xi2, p1, m2):
+    """``_turns`` of the points (p1, m2 + xi2) B, bit for bit as ``direction_set`` stores them."""
+    p2 = m2 + xi2
+    out = np.empty(p2.shape)
+    _turns(_affine_combo(p1, p2, B.a, B.c), _affine_combo(p1, p2, B.b, B.d), out)
+    return out
 
 
 def _in_order(alphas, sizes) -> bool:
@@ -554,9 +626,9 @@ def direction_set(
     nonempty sector's last angle is <= the next one's first (``_in_order``)
     either passes, so the whole array is sorted, or the whole array is
     sorted again.  ``_turns`` yields no NaN and no -0.0, so any sort of the
-    same multiset gives the same bytes; the decisions at the cuts only
-    decide how often that fallback runs.  N < 2 SECTOR gives K = 1: no ray
-    to cut at, and one sort.
+    same multiset gives the same bytes.  ``_cut`` puts every point in the
+    sector of its own angle, so the fallback is only a safety net.  N < 2
+    SECTOR gives K = 1: no ray to cut at, and one sort.
     """
     B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, max_points)
     total = int(counts.sum())
@@ -575,6 +647,60 @@ def direction_set(
     if not _in_order(alphas, sizes):
         alphas.sort()
     return DirectionSet(alphas, float(T), shape)
+
+
+def count_in_window(
+    lat: AffineLatticeSpec,
+    shape: DomainShape,
+    T: float,
+    interval,
+    alpha: float,
+    max_points: int = DEFAULT_MAX_POINTS,
+) -> tuple[int, int]:
+    """The window count at alpha and N, without the direction set.
+
+    Returns exactly ``(counting_stat(dirs, interval, alpha), dirs.N)`` for
+    ``dirs = direction_set(lat, shape, T)``, with count 0 when N = 0, in
+    O(strips) time and memory.  N is the total width of the kept ranges.
+    The window ends lo = frac(alpha + a/N) and hi = lo + (b - a)/N are
+    formed as ``stats.window_counts`` forms them, wrap included, and a
+    window of length >= 1 holds all N.  The count is J(hi) - J(lo) with
+    J(x) = #{turns < x - floor(x)} + N floor(x), and the two counts below
+    come from the kept ranges cut at the rays of the window ends (``_cut``):
+    piece widths, plus the float predicate lo <= turns < hi on the points
+    within roundoff of a ray, where ``_turns`` gives the value that
+    ``direction_set`` would store.
+
+    ``max_points`` caps the strips, at ``STRIP_VALUES`` each, and the
+    points decided one by one (the boundary candidates and the points next
+    to the rays), not N: T = 1e5 (N about 3.1e10) holds about 0.1 GB, and
+    T goes up to about 1e6 on a unit-square lattice.  Raises CapacityError
+    past it, before allocating, and InvalidInputError on a bad interval or
+    scale.
+    """
+    a, b = float(interval[0]), float(interval[1])
+    if not a < b:
+        raise InvalidInputError(f"bad interval ({a}, {b})")
+    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, max_points, count_only=True)
+    N = int(counts.sum())
+    if N == 0:
+        return 0, 0
+    width = (b - a) / N
+    if width >= 1.0:
+        return N, N
+    lo = _frac(np.float64(alpha) + a / N)
+    hi = lo + width
+    turns = np.floor(hi)
+    ends = np.array([lo, hi - turns])  # count the turns below each
+    edges = np.unique(np.concatenate([[0.0], ends[(ends > 0.0) & (ends < 1.0)]]))
+    if edges.size > 1:
+        pieces = _cut(B, xi2, p1, starts, counts, key, edges, math.sqrt(2.0) * T, max_points)
+        sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
+    else:
+        sizes = np.array([N])
+    below = np.concatenate([[0], np.cumsum(sizes)])  # below[k]: the turns under edges[k], N under 1
+    low, high = below[np.searchsorted(edges, ends, side="left")]
+    return int(high - low + N * int(turns)), N
 
 
 def rho_square(alpha):

@@ -42,7 +42,14 @@ from .errors import (
     InvalidInputError,
     UnsupportedError,
 )
-from .lattice import DEFAULT_MAX_POINTS, AffineLatticeSpec, DirectionSet, rotation
+from .lattice import (
+    DEFAULT_MAX_POINTS,
+    AffineLatticeSpec,
+    Annulus,
+    DirectionSet,
+    count_in_window,
+    rotation,
+)
 from .stats import as_box, counting_stat
 
 TWO_PI = 2.0 * math.pi
@@ -644,21 +651,43 @@ def _dense_rank(values):
     return (np.cumsum(seen) - 1)[values - lo], int(np.count_nonzero(seen))
 
 
-def _merge_blocks(rows, sizes) -> CountDistribution:
-    """Count law of the (n, m) count rows, the first sizes[0] of block 0 and so on.
+def _row_classes(rows):
+    """Class of each row of an (n, m) int64 array among its distinct rows, and their number.
 
     Each column is ranked among its distinct values, and the row classes
     are refined column by column (class * K_j + rank_j, ranked again), so
     class order is lexicographic row order without sorting the rows.
     """
-    block = np.repeat(np.arange(len(sizes)), sizes)
     cls, K = _dense_rank(rows[:, 0])
     for col in rows.T[1:]:
         rank, k = _dense_rank(col)
         cls, K = _dense_rank(cls * k + rank)
+    return cls, K
+
+
+def _count_table(rows):
+    """The distinct rows of an (n, m) count array, sorted lexicographically, and their numbers."""
+    col = rows[:, 0]
+    lo = int(col.min())
+    if rows.shape[1] == 1 and int(col.max()) - lo < 4 * col.size:  # one bincount
+        freq = np.bincount(col - lo)
+        seen = np.flatnonzero(freq)
+        return (seen + lo)[:, None], freq[seen]
+    cls, K = _row_classes(rows)
     distinct = np.empty((K, rows.shape[1]), dtype=np.int64)
     distinct[cls] = rows
-    hist = np.bincount(block * K + cls, minlength=len(sizes) * K).reshape(-1, K)
+    return distinct, np.bincount(cls, minlength=K)
+
+
+def _merge_tables(tables) -> CountDistribution:
+    """Count law of per-block (distinct rows, numbers) tables, block 0 first."""
+    rows = np.concatenate([r for r, _ in tables])
+    cls, K = _row_classes(rows)
+    distinct = np.empty((K, rows.shape[1]), dtype=np.int64)
+    distinct[cls] = rows
+    hist = np.zeros((len(tables), K), dtype=np.int64)
+    block = np.repeat(np.arange(len(tables)), [len(r) for r, _ in tables])
+    hist[block, cls] = np.concatenate([f for _, f in tables])  # a row occurs once per table
     return CountDistribution(distinct, hist)
 
 
@@ -681,9 +710,11 @@ def sample_count_distribution(
     the unit torus.  Sampling runs in ``blocks``
     independent substreams derived from ``rng``, so the merged result does
     not depend on scheduling and heavy-tailed moments can use
-    median-of-means over the same blocks.  More than ``DEFAULT_MAX_POINTS``
-    counts (n times the number of windows) raise CapacityError before
-    anything is drawn.
+    median-of-means over the same blocks.  Each block's counts are reduced
+    to its distinct rows and their numbers as soon as they are counted
+    (``_count_table``), and the tables are merged at the end.  More than
+    ``DEFAULT_MAX_POINTS`` counts (n times the number of windows) raise
+    CapacityError before anything is drawn.
     """
     if n < 1:
         raise InvalidInputError("need at least one sample")
@@ -700,8 +731,8 @@ def sample_count_distribution(
     blocks = min(blocks, n)
     streams = spawn_streams(rng, blocks)
     sizes = [n // blocks + (1 if i < n % blocks else 0) for i in range(blocks)]
-    counts = np.empty((n, len(intervals)), dtype=np.int64)
-    for stream, nb, end in zip(streams, sizes, np.cumsum(sizes)):
+    tables = []
+    for stream, nb in zip(streams, sizes):
         u, v, phi = _haar_batch(stream, nb)
         if xi_class == "integer":
             shift = np.zeros((nb, 2))
@@ -710,8 +741,8 @@ def sample_count_distribution(
         else:
             shift = _coset_shift(p, q, reps[stream.integers(0, len(reps), nb)])
         A = _iwasawa_entries(u, v, phi)
-        counts[end - nb : end] = _cone_kernel(A, shift[:, 0], shift[:, 1], c, intervals)
-    return _merge_blocks(counts, sizes)
+        tables.append(_count_table(_cone_kernel(A, shift[:, 0], shift[:, 1], c, intervals)))
+    return _merge_tables(tables)
 
 
 def tail_exponent(dist: CountDistribution, k_min: int, min_tail_count: int = 10) -> float:
@@ -890,10 +921,11 @@ def crude_bound_holds(
     if T < crude_bound_min_T(interval, theta):
         raise InvalidInputError("T below the safe scale for this window padding")
     if dirs is None:
-        from .lattice import Annulus, direction_set
-
-        dirs = direction_set(lat, Annulus(c), T)
-    lhs = counting_stat(dirs, interval, alpha)
+        lhs, N = count_in_window(lat, Annulus(c), T, interval, alpha)
+        if N == 0:
+            raise InvalidInputError("empty direction set")
+    else:
+        lhs = counting_stat(dirs, interval, alpha)
     flow = np.array([[1.0 / T, 0.0], [0.0, T]])
     A = lat.basis.array() @ rotation(TWO_PI * alpha).array() @ flow
     region = ConeRegion(0.0, (interval[0] - theta, interval[1] + theta))

@@ -286,6 +286,29 @@ def circular_match(a, b, tol):
     return best
 
 
+def merge_blocks(rows, sizes):
+    """Count law of (n, m) count rows, the first sizes[0] of block 0 and so on, in one pass.
+
+    Each column is ranked among its distinct values (``np.unique``), and
+    the row classes are refined column by column (class * K_j + rank_j,
+    ranked again), so class order is lexicographic row order; every row is
+    then scattered into the distinct rows and the block histogram.
+    """
+    def rank(values):
+        distinct, inverse = np.unique(values, return_inverse=True)
+        return inverse.ravel(), distinct.size
+
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    cls, K = rank(rows[:, 0])
+    for col in rows.T[1:]:
+        r, k = rank(col)
+        cls, K = rank(cls * k + r)
+    distinct = np.empty((K, rows.shape[1]), dtype=np.int64)
+    distinct[cls] = rows
+    hist = np.bincount(block * K + cls, minlength=len(sizes) * K).reshape(-1, K)
+    return ld.CountDistribution(distinct, hist)
+
+
 def random_unimodular(rng, length=None):
     """Random integer unimodular matrix as a short word in the generators."""
     S = np.array([[0, -1], [1, 0]])

@@ -285,6 +285,38 @@ def test_out_of_range_input_leaves_no_file(tmp_path, capsys, argv, code):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1+infi", "infj"])
+def test_non_finite_exponent_is_named(tmp_path, capsys, value):
+    out = tmp_path / "m.json"
+    assert main(["moments", "--T", "10", "--I", "0:1", "--s", f"1,{value}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: exponent {value!r} must be finite\n"
+    assert not out.exists()
+
+
+def test_exponents_take_i_or_j(tmp_path):
+    got = []
+    for s in ("2-0.5i", "2-0.5j", "2-0.5I"):
+        out = tmp_path / f"{s}.json"
+        assert main(["moments", "--T", "10", "--I", "0:1", "--s", s, "--out", str(out)]) == 0
+        got.append(json.loads(out.read_text()))
+    assert got[0]["s"] == [[2.0, -0.5]] and got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("beta", [None, "2", "11"])
+def test_cusp_sum_past_the_float_range_exits_3(tmp_path, beta):
+    # v' = 1e200 would overflow u^2 + v^2 and |c tau' + d|^2; v' = 1e100 with beta = 11 the weight
+    v, basis = ("1e-200", "1e200,0,0,1e-200") if beta != "11" else ("1", "1e50,0,0,1e-50")
+    out = tmp_path / "c.csv"
+    src = str(Path(ld.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "latdir", "cusp-sum", "--basis", basis,
+         "--v", v, "--support=-1:1", "--n-quad", "1", "--R", "2", *(["--beta", beta] if beta else []),
+         "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 3 and run.stderr.startswith("error: ") and "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 def test_cusp_sum_csv(tmp_path):
     out = tmp_path / "c.csv"
     rc = main(["cusp-sum", "--beta", "0.9", "--R", "2,8", "--v", "1e-3",

@@ -1,9 +1,11 @@
 """Property tests of the array-backed count law (latdir.limit.CountDistribution).
 
 Random per-block count vectors (m = 1, 2, 3; blocks of uneven sizes) are
-merged into a count law, and every statistic is recomputed by brute force
-from the raw per-sample rows: the distinct rows and block histogram, plain
-and median-of-means moments, survival and the tail exponent.
+reduced to per-block tables and merged into a count law, as the sampler
+does, and every statistic is recomputed by brute force from the raw
+per-sample rows: the distinct rows and block histogram, plain and
+median-of-means moments, survival and the tail exponent.  The tables'
+merge must also equal the one-pass merge of all rows in ``oracles``.
 """
 
 import math
@@ -13,7 +15,10 @@ import numpy as np
 import pytest
 
 import latdir as ld
-from latdir.limit import _merge_blocks
+from latdir import limit
+from latdir.limit import _count_table, _merge_tables
+
+from oracles import merge_blocks
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -36,7 +41,7 @@ def sample_blocks(draw, ms=(1, 2, 3)):
 
 
 def _law(blocks):
-    return _merge_blocks(np.concatenate(blocks), [len(b) for b in blocks])
+    return _merge_tables([_count_table(b) for b in blocks])
 
 
 def _values(samples, powers):
@@ -62,6 +67,32 @@ def test_rows_and_block_hist_match_raw_samples(blocks):
     for b, block in enumerate(blocks):
         tally = Counter(map(tuple, block.tolist()))
         assert dist.block_hist[b].tolist() == [tally[tuple(r)] for r in dist.rows.tolist()]
+
+
+@PROPS
+@given(sample_blocks() | sample_blocks(ms=(1,)).map(lambda bs: [b * 1000 for b in bs]))
+def test_block_tables_equal_the_one_pass_merge(blocks):
+    # spread-out values take the sorting path of the m = 1 table
+    dist = _law(blocks)
+    want = merge_blocks(np.concatenate(blocks), [len(b) for b in blocks])
+    assert dist.rows.tobytes() == want.rows.tobytes()
+    assert dist.block_hist.tobytes() == want.block_hist.tobytes()
+
+
+@pytest.mark.parametrize("c, xi_class, box, n, kw", [
+    (0.0, "irrational", [(0.0, 1.0)], 100_000, {}),
+    (0.0, "integer", [(0.0, 1.0)], 100_000, {}),
+    (0.0, "rational", [(0.0, 1.0), (0.5, 2.0)], 30_000, {"p": (1, 1), "q": 3}),
+])
+def test_sampler_tables_equal_the_one_pass_merge(monkeypatch, c, xi_class, box, n, kw):
+    # the per-block counts the sampler reduces, merged again in one pass
+    blocks = []
+    monkeypatch.setattr(limit, "_count_table", lambda rows: blocks.append(rows) or _count_table(rows))
+    dist = ld.sample_count_distribution(c, xi_class, box, n, np.random.default_rng(3), **kw)
+    want = merge_blocks(np.concatenate(blocks), [len(b) for b in blocks])
+    assert len(blocks) == limit.MOM_BLOCKS
+    assert dist.rows.tobytes() == want.rows.tobytes()
+    assert dist.block_hist.tobytes() == want.block_hist.tobytes()
 
 
 @PROPS

@@ -68,15 +68,16 @@ def test_benchmark_direction_sets_need_no_fallback(monkeypatch, basis, shift, sh
     # the finite-scale, skewed-square, shear and singular-probe sets of perfbench
     checks, ranges, candidates = [], [], []
     _spy(monkeypatch, "_in_order", lambda args, ok: checks.append(ok))
-    # the cut: nonempty ranges in, pieces out; every piece but a range's first starts at a cut
+    # the cut: nonempty ranges in, pieces out; a range's first piece, one piece past each
+    # crossing, and one piece for each point next to a crossing that the float test decides
     _spy(monkeypatch, "_sector_pieces",
          lambda args, out: ranges.append((np.count_nonzero(args[4] > 0), out[0].size)))
-    # the cut evaluates its candidates as (2, n) stacks; the fill and the sector tables in 1-D
-    _spy(monkeypatch, "_turns", lambda args, _: candidates.append(args[2].size * (args[2].ndim == 2)))
+    _spy(monkeypatch, "_point_turns", lambda args, _: candidates.append(args[3].size))
     ld.direction_set(ld.AffineLatticeSpec(ld.Mat2(*basis), shift), shape, T)
     (kept, pieces), = ranges
+    crossings = pieces - kept - sum(candidates)
     assert checks == [True]
-    assert sum(candidates) <= 2 * (pieces - kept)
+    assert sum(candidates) <= crossings
 
 
 def test_sector_count_follows_the_point_count(monkeypatch):

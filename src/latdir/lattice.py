@@ -17,7 +17,9 @@ boundaries would send any misplaced angle to one global sort.
 
 ``count_in_window`` uses the same cut (``_cut``) at the two rays of a
 window's ends: a window count is a sum of piece widths, in O(strips)
-time and memory, with no direction set at all.
+time and memory, with no direction set at all.  It has no sort to fall
+back on, so it tests the first and last point of every piece by their
+own angle and decides a range that fails point by point.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ STRIP_VALUES = 96
 # Roundoff of a computed sector-ray crossing along a strip, per unit of its
 # scale |y|^2 / |p1| + |r1| |y| + |t| + 1: about 1e-14, times a margin of a
 # thousand.  The integers this close to a crossing are decided by ``_turns``.
+# It is an estimate, not a proven bound: ``count_in_window`` checks the ends
+# of its pieces, and ``direction_set`` the order of its sectors.
 CUT_TOL = 2.0**-36
 
 
@@ -342,7 +346,8 @@ def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside, budget):
     return starts, counts, np.concatenate([(key + [1, 5]).ravel(), bkey[keep]])
 
 
-def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, budget=math.inf):
+def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, budget=math.inf,
+         check: bool = False):
     """Cut the kept m2 ranges at the rays of turns ``edges`` into pieces of one sector each.
 
     ``edges`` is sorted, starts at 0.0 and has K entries; sector k holds the
@@ -365,6 +370,11 @@ def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, budget=math
     by point.  So each point lands in the sector of its own ``_turns`` value.
     ``reach`` bounds |y| on the domain; more than ``budget`` points to decide
     raise CapacityError before they are formed.
+
+    ``CUT_TOL`` is an estimate of the roundoff of w.  With ``check``, the
+    first and last point of every piece are tested by ``_turns``, in O(pieces);
+    a range with a piece that fails is cut again, point by point.  A piece
+    is then wrong only if ``_turns`` is not monotone between its two ends.
 
     Returns the start, length, p1 and sector of every piece, in no
     particular order; some are empty.
@@ -407,51 +417,75 @@ def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, budget=math
             tol = CUT_TOL * (reach * reach / a + r1 * reach + np.abs(s) + n + 1.0)
         if not sign:
             tol[:] = np.inf if on_ray else 0.0  # the cut at t = 0 is exact
-        whole = tol >= n
-        with np.errstate(over="ignore"):  # the crossings whose bands reach into each range
-            lo_w, hi_w = ((s - 1) - tol + xi2) / a, ((s + n) + tol + xi2) / a
-        j0 = np.searchsorted(w, lo_w, side="left")
-        per = np.where(whole, 1, np.searchsorted(w, hi_w, side="right") - j0 + 1)
-        # slot k of range r: the points past the crossing at w[j - 1], j = j0 + k, after its
-        # band; slot 0 starts at the range, and a whole range is its band
-        jp, rp = strips.expand(j0, per, np.arange(rows.size))
-        head = np.cumsum(per) - per
-        m2 = a[rp] * np.concatenate([[0.0], w])[jp] - xi2
-        band = tol[rp]
-        m2[head] = s
-        band[head] = 0.0
-        cut = m2 + band
-        np.floor(cut, out=cut)  # the last integer of the band
-        m2 -= band
-        del band
-        cut[head] = np.where(whole, s + n - 1, s - 1)
-        held = np.flatnonzero(m2 <= cut)  # the bands that hold an integer
-        first = np.ceil(m2[held])
-        del m2
-        cut += 1.0
-        # positions in the ranges laid end to end, clipped and made nondecreasing
-        end = np.cumsum(n)
-        off = end - n - s
-        pos = cut.astype(np.int64)
-        del cut
-        pos += off[rp]
-        np.minimum(pos, end[rp], out=pos)
-        np.maximum.accumulate(pos, out=pos)
-        size = np.diff(pos, append=end[-1] if end.size else 0)
-        # a band ends where its slot's points start, and starts no earlier than the slot before
-        owner = rp[held]
-        lo = np.maximum(first.astype(np.int64) + off[owner], np.where(held > 0, pos[held - 1], 0))
-        np.minimum(lo, pos[held], out=lo)
-        bands = pos[held] - lo
-        decided += int(bands.sum())
-        if decided > budget:
-            raise CapacityError(f"the cuts have more than {budget} points to decide")
-        size[held[held > 0] - 1] -= bands[held > 0]
-        m2, owner = strips.expand(lo - off[owner], bands, owner)
-        pieces.append((pos - off[rp], size, pr[rp], sector[jp]))
+        while True:
+            first, size, rp, jp, m2, owner = _slots(s, n, a, tol, w, xi2, budget - decided)
+            if not check:
+                break
+            # a piece whose first or last point has a turns value outside its sector sends its
+            # whole range to be decided point by point; the second pass finds no such piece
+            full = np.flatnonzero(size > 0)
+            ends = np.concatenate([first[full], first[full] + size[full] - 1])
+            at = np.tile(rp[full], 2)
+            miss = sector_of(_point_turns(B, xi2, pr[at], ends)) != np.tile(sector[jp[full]], 2)
+            if not miss.any():
+                break
+            tol[at[miss]] = np.inf
+        decided += m2.size
+        pieces.append((first, size, pr[rp], sector[jp]))
         pieces.append((m2, np.ones(m2.size, dtype=np.int64), pr[owner],
                        sector_of(_point_turns(B, xi2, pr[owner], m2))))
     return tuple(np.concatenate(x) for x in zip(*pieces))
+
+
+def _slots(s, n, a, tol, w, xi2, budget):
+    """Split the ranges [s, s + n) of one p1 sign at their crossings t = a w[j], with bands.
+
+    ``w`` is nondecreasing; a range with ``tol >= n`` is one band.  Slot k
+    of range r holds the points past its crossing at w[j - 1], j = j0 + k,
+    and after that crossing's band (slot 0 starts at the range).  Returns
+    the start, length, range and j of every slot, and the m2 and range of
+    every band point; more than ``budget`` band points raise CapacityError
+    before they are formed.
+    """
+    whole = tol >= n
+    with np.errstate(over="ignore"):  # the crossings whose bands reach into each range
+        lo_w, hi_w = ((s - 1) - tol + xi2) / a, ((s + n) + tol + xi2) / a
+    j0 = np.searchsorted(w, lo_w, side="left")
+    per = np.where(whole, 1, np.searchsorted(w, hi_w, side="right") - j0 + 1)
+    jp, rp = strips.expand(j0, per, np.arange(s.size))
+    head = np.cumsum(per) - per
+    m2 = a[rp] * np.concatenate([[0.0], w])[jp] - xi2
+    band = tol[rp]
+    m2[head] = s
+    band[head] = 0.0
+    cut = m2 + band
+    np.floor(cut, out=cut)  # the last integer of the band
+    m2 -= band
+    del band
+    cut[head] = np.where(whole, s + n - 1, s - 1)
+    held = np.flatnonzero(m2 <= cut)  # the bands that hold an integer
+    first = np.ceil(m2[held])
+    del m2
+    cut += 1.0
+    # positions in the ranges laid end to end, clipped and made nondecreasing
+    end = np.cumsum(n)
+    off = end - n - s
+    pos = cut.astype(np.int64)
+    del cut
+    pos += off[rp]
+    np.minimum(pos, end[rp], out=pos)
+    np.maximum.accumulate(pos, out=pos)
+    size = np.diff(pos, append=end[-1] if end.size else 0)
+    # a band ends where its slot's points start, and starts no earlier than the slot before
+    owner = rp[held]
+    lo = np.maximum(first.astype(np.int64) + off[owner], np.where(held > 0, pos[held - 1], 0))
+    np.minimum(lo, pos[held], out=lo)
+    bands = pos[held] - lo
+    if int(bands.sum()) > budget:
+        raise CapacityError(f"the cuts have more than {budget} points to decide")
+    size[held[held > 0] - 1] -= bands[held > 0]
+    m2, owner = strips.expand(lo - off[owner], bands, owner)
+    return pos - off[rp], size, rp, jp, m2, owner
 
 
 def _crossed(edges, down, sign: int):
@@ -655,7 +689,6 @@ def count_in_window(
     T: float,
     interval,
     alpha: float,
-    max_points: int = DEFAULT_MAX_POINTS,
 ) -> tuple[int, int]:
     """The window count at alpha and N, without the direction set.
 
@@ -669,9 +702,10 @@ def count_in_window(
     come from the kept ranges cut at the rays of the window ends (``_cut``):
     piece widths, plus the float predicate lo <= turns < hi on the points
     within roundoff of a ray, where ``_turns`` gives the value that
-    ``direction_set`` would store.
+    ``direction_set`` would store.  The cut checks the two ends of every
+    piece by ``_turns`` as well, and cuts a range that fails point by point.
 
-    ``max_points`` caps the strips, at ``STRIP_VALUES`` each, and the
+    ``DEFAULT_MAX_POINTS`` caps the strips, at ``STRIP_VALUES`` each, and the
     points decided one by one (the boundary candidates and the points next
     to the rays), not N: T = 1e5 (N about 3.1e10) holds about 0.1 GB, and
     T goes up to about 1e6 on a unit-square lattice.  Raises CapacityError
@@ -681,7 +715,8 @@ def count_in_window(
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise InvalidInputError(f"bad interval ({a}, {b})")
-    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, max_points, count_only=True)
+    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, DEFAULT_MAX_POINTS,
+                                                   count_only=True)
     N = int(counts.sum())
     if N == 0:
         return 0, 0
@@ -694,7 +729,8 @@ def count_in_window(
     ends = np.array([lo, hi - turns])  # count the turns below each
     edges = np.unique(np.concatenate([[0.0], ends[(ends > 0.0) & (ends < 1.0)]]))
     if edges.size > 1:
-        pieces = _cut(B, xi2, p1, starts, counts, key, edges, math.sqrt(2.0) * T, max_points)
+        pieces = _cut(B, xi2, p1, starts, counts, key, edges, math.sqrt(2.0) * T,
+                      DEFAULT_MAX_POINTS, check=True)
         sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
     else:
         sizes = np.array([N])

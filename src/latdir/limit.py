@@ -667,12 +667,6 @@ def _row_classes(rows):
 
 def _count_table(rows):
     """The distinct rows of an (n, m) count array, sorted lexicographically, and their numbers."""
-    col = rows[:, 0]
-    lo = int(col.min())
-    if rows.shape[1] == 1 and int(col.max()) - lo < 4 * col.size:  # one bincount
-        freq = np.bincount(col - lo)
-        seen = np.flatnonzero(freq)
-        return (seen + lo)[:, None], freq[seen]
     cls, K = _row_classes(rows)
     distinct = np.empty((K, rows.shape[1]), dtype=np.int64)
     distinct[cls] = rows

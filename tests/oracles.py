@@ -309,6 +309,33 @@ def merge_blocks(rows, sizes):
     return ld.CountDistribution(distinct, hist)
 
 
+def moebius_py311(M, x, y):
+    """``(M.a * tau + M.b) / (M.c * tau + M.d)`` at tau = x + iy as CPython 3.10/3.11 computes it.
+
+    Spelled out in Python floats, one scalar at a time: a float factor is
+    the complex (a + 0j) in a full complex product, a float term is
+    (b + 0j), and the quotient is ``_Py_c_quot`` (Smith's method, scaled by
+    the larger part of the denominator, the real part on a tie; nan when a
+    part is nan).  Returns (re, im), or None where Python raises
+    ZeroDivisionError.  Later interpreters may skip the 0 * y terms.
+    """
+    def affine(a, b):  # (a + 0j)(x + iy) + (b + 0j)
+        return (a * x - 0.0 * y) + b, (a * y + 0.0 * x) + 0.0
+
+    (nr, ni), (dr, di) = affine(M.a, M.b), affine(M.c, M.d)
+    if abs(dr) >= abs(di):
+        if dr == 0.0:
+            return None
+        ratio = di / dr
+        denom = dr + di * ratio
+        return (nr + ni * ratio) / denom, (ni - nr * ratio) / denom
+    if abs(di) >= abs(dr):
+        ratio = dr / di
+        denom = dr * ratio + di
+        return (nr * ratio + ni) / denom, (ni * ratio - nr) / denom
+    return math.nan, math.nan
+
+
 def random_unimodular(rng, length=None):
     """Random integer unimodular matrix as a short word in the generators."""
     S = np.array([[0, -1], [1, 0]])

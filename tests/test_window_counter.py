@@ -99,6 +99,25 @@ def test_counter_on_every_direction(shift, shape, T):
             assert got == (ld.counting_stat(dirs, interval, alpha), dirs.N)
 
 
+def test_counter_repairs_a_misplaced_cut(monkeypatch):
+    # crossings moved far past their bands put whole runs of points in the wrong piece: the
+    # check of the piece ends must find those ranges and decide them point by point
+    lat = ld.AffineLatticeSpec(ld.Mat2(1.0, 0.0, 0.3, 1.0), (0.25, 1 / 3))
+    dirs = ld.direction_set(lat, ld.Annulus(0.2), 80.0)
+    slots, calls = ld.lattice._slots, []
+
+    def moved(s, n, a, tol, w, xi2, budget):
+        calls.append(np.isinf(tol).sum())
+        return slots(s, n, a, tol, w + 0.01 * (1.0 + np.abs(w)), xi2, budget)
+
+    monkeypatch.setattr(ld.lattice, "_slots", moved)
+    for alpha in (0.05, 0.3, 0.61, 0.97):
+        for interval in ((-5.0, 5.0), (0.0, 3000.0)):
+            got = ld.count_in_window(lat, ld.Annulus(0.2), 80.0, interval, alpha)
+            assert got == (ld.counting_stat(dirs, interval, alpha), dirs.N)
+    assert max(calls) > 0  # some ranges were cut again
+
+
 def test_probe_counts_unchanged():
     # singular_probe.csv of the benchmark: the counts of the full direction sets
     counts = ld.rational_divergence_probe((Fraction(1, 2), Fraction(1, 2)), (1, 1), 0.5,
@@ -130,10 +149,16 @@ def test_counter_budget():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # one strip of 2e13 points, whose ends hold about 1e4 boundary candidates each
-    thin = ld.AffineLatticeSpec(ld.Mat2(1e8, 0.0, 0.0, 1e-8), (0.0, 0.5))
-    with pytest.raises(ld.CapacityError, match="boundary candidates"):
-        ld.count_in_window(thin, ld.Annulus(0.0), 1e5, (-1.0, 1.0), 0.1, max_points=3000)
+    # one strip of 4e17 points, whose ends hold about 2e8 boundary candidates each
+    thin = ld.AffineLatticeSpec(ld.Mat2(1e12, 0.0, 0.0, 1e-12), (0.0, 0.5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ld.CapacityError, match="boundary candidates"):
+            ld.count_in_window(thin, ld.Annulus(0.0), 2e5, (-1.0, 1.0), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     with pytest.raises(ld.InvalidInputError):
         ld.count_in_window(lat, ld.Annulus(0.0), 10.0, (1.0, 1.0), 0.375)
 

@@ -409,7 +409,7 @@ def cmd_paircorr(args) -> int:
 
 def cmd_moments(args) -> int:
     lat, shape, T = _lattice_from_args(args)
-    box = IntervalBox(tuple(parse_interval(s) for s in args.I))
+    box = _box_from_args(args)
     exps = parse_complex_list(args.s)
     spec = MomentSpec(tuple(exps), cap=args.K)
     dirs = direction_set(lat, shape, T)
@@ -681,8 +681,8 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CapacityError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (LatdirError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

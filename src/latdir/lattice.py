@@ -367,7 +367,9 @@ def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, budget=math
     into each range and made nondecreasing, so the pieces partition the
     ranges.  A range whose band would be as long as the range, and a p1 = 0
     strip whose direction lies within ``CUT_TOL`` of a ray, is decided point
-    by point.  So each point lands in the sector of its own ``_turns`` value.
+    by point, unless r2 lies on an axis: then each half of that strip has
+    one exact ``_turns`` value and is decided whole.  So each point lands in
+    the sector of its own ``_turns`` value.
     ``reach`` bounds |y| on the domain; more than ``budget`` points to decide
     raise CapacityError before they are formed.
 
@@ -406,7 +408,9 @@ def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, budget=math
             sector = sector_of(_turns_of([sign * B.a], [sign * B.b]))
         groups.append((sign * q > 0, sign, w, sector, False))
     gap = _frac(edges[ray, None] - [down, up])
-    on_ray = bool(np.any(np.minimum(gap, 1.0 - gap) < CUT_TOL))
+    # with r2 on an axis, every point of each half of the p1 = 0 strip has the exact turns
+    # of -r2 or r2: arctan2 of (0, y2) or (y1, 0) is a multiple of a quarter turn
+    on_ray = B.c != 0.0 and B.d != 0.0 and bool(np.any(np.minimum(gap, 1.0 - gap) < CUT_TOL))
     groups.append((q == 0, 0, np.zeros(1), sector_of(np.array([down, up])), on_ray))
     pieces, decided = [], 0
     for mask, sign, w, sector, on_ray in groups:
@@ -695,15 +699,13 @@ def count_in_window(
     Returns exactly ``(counting_stat(dirs, interval, alpha), dirs.N)`` for
     ``dirs = direction_set(lat, shape, T)``, with count 0 when N = 0, in
     O(strips) time and memory.  N is the total width of the kept ranges.
-    The window ends lo = frac(alpha + a/N) and hi = lo + (b - a)/N are
-    formed as ``stats.window_counts`` forms them, wrap included, and a
-    window of length >= 1 holds all N.  The count is J(hi) - J(lo) with
-    J(x) = #{turns < x - floor(x)} + N floor(x), and the two counts below
-    come from the kept ranges cut at the rays of the window ends (``_cut``):
-    piece widths, plus the float predicate lo <= turns < hi on the points
-    within roundoff of a ray, where ``_turns`` gives the value that
-    ``direction_set`` would store.  The cut checks the two ends of every
-    piece by ``_turns`` as well, and cuts a range that fails point by point.
+    The window ends are those of ``stats.window_counts`` (``_window_count``),
+    and the directions under each end come from the kept ranges cut at the
+    rays of the window ends (``_cut``): piece widths, plus the float
+    predicate turns < end on the points within roundoff of a ray, where
+    ``_turns`` gives the value that ``direction_set`` would store.  The cut
+    checks the two ends of every piece by ``_turns`` as well, and cuts a
+    range that fails point by point.
 
     ``DEFAULT_MAX_POINTS`` caps the strips, at ``STRIP_VALUES`` each, and the
     points decided one by one (the boundary candidates and the points next
@@ -712,31 +714,47 @@ def count_in_window(
     past it, before allocating, and InvalidInputError on a bad interval or
     scale.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise InvalidInputError(f"bad interval ({a}, {b})")
+    _window_count(interval, 0, alpha, None)  # checks the interval before any strip is solved
     B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, DEFAULT_MAX_POINTS,
                                                    count_only=True)
     N = int(counts.sum())
-    if N == 0:
-        return 0, 0
-    width = (b - a) / N
+
+    def below(ends):
+        edges = np.unique(np.concatenate([[0.0], ends[(ends > 0.0) & (ends < 1.0)]]))
+        sizes = np.array([N])
+        if edges.size > 1:
+            pieces = _cut(B, xi2, p1, starts, counts, key, edges, math.sqrt(2.0) * T,
+                          DEFAULT_MAX_POINTS, check=True)
+            sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
+        under = np.concatenate([[0], np.cumsum(sizes)])  # under[k]: the turns under edges[k], N under 1
+        return under[np.searchsorted(edges, ends, side="left")]
+
+    return int(_window_count(interval, N, alpha, below)), N
+
+
+def _window_count(interval, N: int, alphas, below):
+    """Directions in the shrunk windows N^-1 * interval + alpha, one count per alpha.
+
+    The window is the half-open arc [alpha + a/N, alpha + b/N) on the
+    circle.  With lo = frac(alpha + a/N) and hi = lo + (b - a)/N the count
+    is J(hi) - J(lo), where J(x) = below(frac(x)) + N floor(x) counts the
+    lifted sequence under x, so wrap-around needs no branch.  ``below``
+    takes the ends stacked as (lo, frac(hi)) and returns the number of the
+    N directions under each.  A window of length >= 1, and N = 0, give N.
+    Raises InvalidInputError unless a < b.
+    """
+    a, b = float(interval[0]), float(interval[1])
+    if not a < b:
+        raise InvalidInputError(f"bad interval ({a}, {b})")
+    al = np.asarray(alphas, dtype=float)
+    width = (b - a) / N if N else math.inf
     if width >= 1.0:
-        return N, N
-    lo = _frac(np.float64(alpha) + a / N)
+        return np.full(al.shape, N, dtype=np.int64)
+    lo = _frac(al + a / N)
     hi = lo + width
     turns = np.floor(hi)
-    ends = np.array([lo, hi - turns])  # count the turns below each
-    edges = np.unique(np.concatenate([[0.0], ends[(ends > 0.0) & (ends < 1.0)]]))
-    if edges.size > 1:
-        pieces = _cut(B, xi2, p1, starts, counts, key, edges, math.sqrt(2.0) * T,
-                      DEFAULT_MAX_POINTS, check=True)
-        sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
-    else:
-        sizes = np.array([N])
-    below = np.concatenate([[0], np.cumsum(sizes)])  # below[k]: the turns under edges[k], N under 1
-    low, high = below[np.searchsorted(edges, ends, side="left")]
-    return int(high - low + N * int(turns)), N
+    low, high = below(np.stack([lo, hi - turns]))
+    return high - low + N * turns.astype(np.int64)
 
 
 def rho_square(alpha):

@@ -60,6 +60,8 @@ V_FLOOR = math.sqrt(3.0) / 2.0
 # exp(-r^2) < 1e-16 for r > RCUT.  Each kept strip is summed whole.
 RCUT = math.sqrt(16.0 * math.log(10.0))
 MOM_BLOCKS = 32
+# samples per Haar block of ``siegel_average``
+SIEGEL_BATCH = 50_000
 # samples per sub-chunk of a Siegel batch: about 8.5k strips, so the
 # per-strip arrays stay in a core's cache
 SIEGEL_CHUNK = 1024
@@ -76,10 +78,6 @@ class IwasawaPoint:
     def __post_init__(self):
         if not self.v > 0:
             raise InvalidInputError("v must be positive")
-
-    @property
-    def tau(self) -> complex:
-        return complex(self.u, self.v)
 
     def in_fundamental_domain(self) -> bool:
         return abs(self.u) <= 0.5 and self.u**2 + self.v**2 >= 1.0
@@ -164,15 +162,6 @@ class MCResult:
 # Haar sampling on the fundamental domain
 
 
-def spawn_streams(rng, n):
-    """Derive ``n`` child generators from ``rng``, deterministically.
-
-    Children are keyed by spawn index, so results merged over blocks do not
-    depend on how blocks are scheduled.
-    """
-    return list(rng.spawn(n))
-
-
 def _haar_batch(rng, n: int):
     """Arrays (u, v, phi) of n fundamental-domain samples.
 
@@ -195,6 +184,34 @@ def _haar_batch(rng, n: int):
         have += take
     phi = rng.uniform(0.0, TWO_PI, n)
     return us, vs, phi
+
+
+def _haar_blocks(rng, sizes, xi_class: str, p=None, q=None):
+    """Yield (u, v, phi, shift) for Haar blocks of the given sizes, in order.
+
+    Each block is drawn from its own child of ``rng.spawn``, keyed by its
+    index, so results merged over blocks do not depend on how blocks are
+    scheduled.  Within a block ``_haar_batch`` draws first, then the (n, 2)
+    shift by ``xi_class``: zeros for "integer", uniform on the unit torus
+    for "irrational", and for "rational" the shift (p gamma mod q) / q of a
+    uniform congruence coset gamma (``coset_reps``).  The class, p and q
+    are checked before any stream is spawned.
+    """
+    if xi_class == "rational":
+        if q is None or p is None:
+            raise InvalidInputError("rational class needs p and q")
+        reps = np.array(coset_reps(q))
+    elif xi_class not in ("integer", "irrational"):
+        raise InvalidInputError(f"unknown xi_class {xi_class!r}")
+    for stream, nb in zip(rng.spawn(len(sizes)), sizes):
+        u, v, phi = _haar_batch(stream, nb)
+        if xi_class == "integer":
+            shift = np.zeros((nb, 2))
+        elif xi_class == "irrational":
+            shift = stream.uniform(0.0, 1.0, (nb, 2))
+        else:
+            shift = _coset_shift(p, q, reps[stream.integers(0, len(reps), nb)])
+        yield u, v, phi, shift
 
 
 def haar_sample(rng) -> IwasawaPoint:
@@ -636,52 +653,51 @@ class CountDistribution:
         return out / self.total
 
 
-def _dense_rank(values):
-    """Rank of each int64 value among the distinct values in increasing order, and their number.
-
-    A lookup table over the value span replaces the sort when the span is
-    at most a few times the number of values.
-    """
-    lo = int(values.min())
-    span = int(values.max()) - lo + 1
-    if span > 4 * values.size:
-        distinct, rank = np.unique(values, return_inverse=True)
-        return rank, distinct.size
-    seen = np.bincount(values - lo, minlength=span) > 0
-    return (np.cumsum(seen) - 1)[values - lo], int(np.count_nonzero(seen))
-
-
-def _row_classes(rows):
-    """Class of each row of an (n, m) int64 array among its distinct rows, and their number.
-
-    Each column is ranked among its distinct values, and the row classes
-    are refined column by column (class * K_j + rank_j, ranked again), so
-    class order is lexicographic row order without sorting the rows.
-    """
-    cls, K = _dense_rank(rows[:, 0])
-    for col in rows.T[1:]:
-        rank, k = _dense_rank(col)
-        cls, K = _dense_rank(cls * k + rank)
-    return cls, K
-
-
 def _count_table(rows):
-    """The distinct rows of an (n, m) count array, sorted lexicographically, and their numbers."""
-    cls, K = _row_classes(rows)
-    distinct = np.empty((K, rows.shape[1]), dtype=np.int64)
-    distinct[cls] = rows
-    return distinct, np.bincount(cls, minlength=K)
+    """The distinct rows of an (n, m) int64 array in lexicographic order, their numbers, and
+    each row's index among them.
+
+    A key is refined column by column: the key of the columns so far times
+    the column's span, plus the column's value above its minimum, is ranked
+    among its distinct values.  The rank is one bincount over the key's
+    span, or ``np.unique`` where that span is more than 4n; a column spread
+    over more than 4n values is ranked among its distinct values first, so
+    the key stays below 4 n^2.  The distinct rows are decoded from each
+    column's distinct keys by ``divmod``, so no row is scattered.
+    """
+    n = len(rows)
+    index, K, levels = 0, 1, []
+    for col in rows.T:
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if span > 4 * n:
+            values, digit = np.unique(col, return_inverse=True)
+        else:
+            values, digit = np.arange(lo, lo + span), col - lo
+        key = index * values.size + digit
+        if K * values.size > 4 * n:
+            keys, index, numbers = np.unique(key, return_inverse=True, return_counts=True)
+        else:
+            numbers = np.bincount(key)
+            keys = np.flatnonzero(numbers)
+            index = (np.cumsum(numbers > 0) - 1)[key]
+            numbers = numbers[keys]
+        levels.append((keys, values))
+        K = keys.size
+    distinct = np.empty((K, len(levels)), dtype=np.int64)
+    at = np.arange(K)
+    for j, (keys, values) in reversed(list(enumerate(levels))):
+        at, digit = np.divmod(keys[at], values.size)
+        distinct[:, j] = values[digit]
+    return distinct, numbers, index
 
 
 def _merge_tables(tables) -> CountDistribution:
     """Count law of per-block (distinct rows, numbers) tables, block 0 first."""
-    rows = np.concatenate([r for r, _ in tables])
-    cls, K = _row_classes(rows)
-    distinct = np.empty((K, rows.shape[1]), dtype=np.int64)
-    distinct[cls] = rows
-    hist = np.zeros((len(tables), K), dtype=np.int64)
+    distinct, _, index = _count_table(np.concatenate([r for r, _ in tables]))
+    hist = np.zeros((len(tables), len(distinct)), dtype=np.int64)
     block = np.repeat(np.arange(len(tables)), [len(r) for r, _ in tables])
-    hist[block, cls] = np.concatenate([f for _, f in tables])  # a row occurs once per table
+    hist[block, index] = np.concatenate([f for _, f in tables])  # a row occurs once per table
     return CountDistribution(distinct, hist)
 
 
@@ -702,11 +718,11 @@ def sample_count_distribution(
     additionally draws a uniform congruence coset gamma, counted as the
     shift (p gamma mod q) / q; "irrational" draws the shift uniformly from
     the unit torus.  Sampling runs in ``blocks``
-    independent substreams derived from ``rng``, so the merged result does
-    not depend on scheduling and heavy-tailed moments can use
-    median-of-means over the same blocks.  Each block's counts are reduced
-    to its distinct rows and their numbers as soon as they are counted
-    (``_count_table``), and the tables are merged at the end.  More than
+    independent substreams derived from ``rng`` (``_haar_blocks``), so the
+    merged result does not depend on scheduling and heavy-tailed moments
+    can use median-of-means over the same blocks.  Each block's counts are
+    reduced to its distinct rows and their numbers as soon as they are
+    counted (``_count_table``), and the tables are merged at the end.  More than
     ``DEFAULT_MAX_POINTS`` counts (n times the number of windows) raise
     CapacityError before anything is drawn.
     """
@@ -716,26 +732,12 @@ def sample_count_distribution(
     intervals = [ConeRegion(c, iv).interval for iv in box.intervals]  # validates c and the windows
     if n * len(intervals) > DEFAULT_MAX_POINTS:
         raise CapacityError(f"{n} samples x {len(intervals)} windows is more than {DEFAULT_MAX_POINTS} counts")
-    if xi_class == "rational":
-        if q is None or p is None:
-            raise InvalidInputError("rational class needs p and q")
-        reps = np.array(coset_reps(q))
-    elif xi_class not in ("integer", "irrational"):
-        raise InvalidInputError(f"unknown xi_class {xi_class!r}")
     blocks = min(blocks, n)
-    streams = spawn_streams(rng, blocks)
     sizes = [n // blocks + (1 if i < n % blocks else 0) for i in range(blocks)]
     tables = []
-    for stream, nb in zip(streams, sizes):
-        u, v, phi = _haar_batch(stream, nb)
-        if xi_class == "integer":
-            shift = np.zeros((nb, 2))
-        elif xi_class == "irrational":
-            shift = stream.uniform(0.0, 1.0, (nb, 2))
-        else:
-            shift = _coset_shift(p, q, reps[stream.integers(0, len(reps), nb)])
-        A = _iwasawa_entries(u, v, phi)
-        tables.append(_count_table(_cone_kernel(A, shift[:, 0], shift[:, 1], c, intervals)))
+    for u, v, phi, shift in _haar_blocks(rng, sizes, xi_class, p, q):
+        counts = _cone_kernel(_iwasawa_entries(u, v, phi), shift[:, 0], shift[:, 1], c, intervals)
+        tables.append(_count_table(counts)[:2])
     return _merge_tables(tables)
 
 
@@ -840,7 +842,7 @@ def _gauss_sums(u, v, shift, squares: bool):
     return s, s2 * np.sqrt(0.5 * math.pi * v)
 
 
-def siegel_average(which: str, n: int, rng, batch: int = 50_000) -> MCResult:
+def siegel_average(which: str, n: int, rng) -> MCResult:
     """Monte Carlo check of the Gaussian lattice-sum mean values.
 
     ``which="classic"``: the Haar average of sum_{m != 0} exp(-|m M|^2)
@@ -851,9 +853,10 @@ def siegel_average(which: str, n: int, rng, batch: int = 50_000) -> MCResult:
     For M = n(u) a(v) k(phi) the m-sums run over the m1-strips whose
     Gaussian factor exp(-v p1^2) is 1e-16 or more, each strip's sum over m2
     taken whole in closed form, which holds for v >= V_FLOOR
-    (``_gauss_sums``); each batch is summed in sub-chunks of SIEGEL_CHUNK
-    samples.  More than ``DEFAULT_MAX_POINTS`` samples raise CapacityError
-    before anything is drawn.
+    (``_gauss_sums``).  The samples come in Haar blocks of SIEGEL_BATCH
+    (``_haar_blocks``), each summed in sub-chunks of SIEGEL_CHUNK samples.
+    More than ``DEFAULT_MAX_POINTS`` samples raise CapacityError before
+    anything is drawn.
     """
     if which not in ("classic", "affine_pair"):
         raise InvalidInputError(f"unknown variant {which!r}")
@@ -861,22 +864,16 @@ def siegel_average(which: str, n: int, rng, batch: int = 50_000) -> MCResult:
         raise InvalidInputError("need at least two samples")
     if n > DEFAULT_MAX_POINTS:
         raise CapacityError(f"{n} samples is more than {DEFAULT_MAX_POINTS}")
-    nblocks = (n + batch - 1) // batch
-    streams = spawn_streams(rng, nblocks)
+    sizes = [min(SIEGEL_BATCH, n - i) for i in range(0, n, SIEGEL_BATCH)]
+    xi_class = "integer" if which == "classic" else "irrational"
     vals = np.empty(n)
     done = 0
-    for stream in streams:
-        nb = min(batch, n - done)
-        u, v, _ = _haar_batch(stream, nb)  # the rotation k(phi) leaves |x| unchanged
-        if which == "classic":
-            shift = np.zeros((nb, 2))
-        else:
-            shift = stream.uniform(0.0, 1.0, (nb, 2))
-        for i in range(0, nb, SIEGEL_CHUNK):
-            j = min(i + SIEGEL_CHUNK, nb)
+    for u, v, _, shift in _haar_blocks(rng, sizes, xi_class):  # k(phi) leaves |x| unchanged
+        for i in range(0, u.size, SIEGEL_CHUNK):
+            j = min(i + SIEGEL_CHUNK, u.size)
             s, s2 = _gauss_sums(u[i:j], v[i:j], shift[i:j], which == "affine_pair")
             vals[done + i : done + j] = s - 1.0 if s2 is None else s * s - s2  # classic drops m = 0
-        done += nb
+        done += u.size
     exact = math.pi if which == "classic" else math.pi**2
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n))

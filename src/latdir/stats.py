@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError
-from .lattice import DirectionSet, _frac
+from .lattice import DirectionSet, _frac, _window_count
 
 
 @dataclass(frozen=True)
@@ -110,15 +110,6 @@ class MomentSpec:
         if self.cap is not None and self.cap < 0:
             raise InvalidInputError("cap must be nonnegative")
 
-    @property
-    def positive_real_sum(self) -> float:
-        return float(sum(max(s.real, 0.0) for s in self.exponents))
-
-    def requires_diophantine(self) -> bool:
-        """True when convergence of the uncapped moment needs a shift of
-        Diophantine type (positive real parts sum to 2 or more)."""
-        return self.positive_real_sum >= 2.0
-
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
@@ -156,26 +147,12 @@ def window_counts(dirs: DirectionSet, interval, alphas) -> np.ndarray:
 
     The window is the half-open arc [alpha + a/N, alpha + b/N) on the
     circle; a window of length >= 1 returns N.  Vectorized over ``alphas``.
-    With lo = frac(alpha + a/N) and hi = lo + (b - a)/N the count is
-    J(hi) - J(lo), where J(x) = searchsorted(A, frac(x)) + N floor(x)
-    counts the lifted sequence below x, so wrap-around needs no branch.
+    The ends are formed by ``lattice._window_count``, and the directions
+    under each are found by ``searchsorted``.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise InvalidInputError(f"bad interval ({a}, {b})")
-    N = dirs.N
-    if N == 0:
+    if dirs.N == 0:
         raise InvalidInputError("empty direction set")
-    al = np.asarray(alphas, dtype=float)
-    width = (b - a) / N
-    if width >= 1.0:
-        return np.full(al.shape, N, dtype=np.int64)
-    A = dirs.alphas
-    lo = _frac(al + a / N)
-    hi = lo + width
-    turns = np.floor(hi)
-    cnt = np.searchsorted(A, hi - turns, side="left") - np.searchsorted(A, lo, side="left")
-    return cnt + N * turns.astype(np.int64)
+    return _window_count(interval, dirs.N, alphas, lambda x: np.searchsorted(dirs.alphas, x, side="left"))
 
 
 def counting_stat(dirs: DirectionSet, interval, alpha: float) -> int:

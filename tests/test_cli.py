@@ -473,6 +473,22 @@ def test_failed_write_leaves_out_untouched(tmp_path, monkeypatch, earlier):
         assert out.read_bytes() == earlier
 
 
+def _out_of_memory_mid_write(fh, fmt, *columns):
+    fh.write("0.125\n")
+    raise MemoryError()
+
+
+def test_memory_error_exits_3_and_keeps_out(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "dirs.csv"
+    earlier = b"# an earlier run\nalpha\n0.5\n"
+    out.write_bytes(earlier)
+    monkeypatch.setattr(cli, "_write_rows", _out_of_memory_mid_write)
+    assert main(["enumerate", "--T", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n" and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["dirs.csv"] and out.read_bytes() == earlier
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(ld.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -604,6 +620,16 @@ def test_huge_sample_count_exits_3_without_allocating(tmp_path, capsys, command)
     out = tmp_path / "out"
     codes = []
     peak = _peak_bytes(lambda: codes.append(main([*command, "--I", "0:1", "--n", "1e12", "--out", str(out)])))
+    assert codes == [3] and peak < 1e6
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_node_count_exits_3_without_allocating(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    codes = []
+    peak = _peak_bytes(lambda: codes.append(main(["cusp-sum", "--n-quad", "1000000000000", "--out", str(out)])))
     assert codes == [3] and peak < 1e6
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -41,7 +41,7 @@ def sample_blocks(draw, ms=(1, 2, 3)):
 
 
 def _law(blocks):
-    return _merge_tables([_count_table(b) for b in blocks])
+    return _merge_tables([_count_table(b)[:2] for b in blocks])
 
 
 def _values(samples, powers):
@@ -79,18 +79,31 @@ def test_block_tables_equal_the_one_pass_merge(blocks):
     assert dist.block_hist.tobytes() == want.block_hist.tobytes()
 
 
+@PROPS
+@given(sample_blocks(), st.sampled_from([1, 2**40]))
+def test_count_table_indexes_its_rows(blocks, scale):
+    # 2^40 spreads every column past 4n values: each is ranked by np.unique before the key is
+    rows = np.concatenate(blocks) * scale - 2**61
+    distinct, numbers, index = _count_table(rows)
+    assert list(map(tuple, distinct.tolist())) == sorted(set(map(tuple, rows.tolist())))
+    assert distinct[index].tobytes() == rows.tobytes()
+    assert numbers.tolist() == np.bincount(index, minlength=len(distinct)).tolist()
+
+
 @pytest.mark.parametrize("c, xi_class, box, n, kw", [
     (0.0, "irrational", [(0.0, 1.0)], 100_000, {}),
     (0.0, "integer", [(0.0, 1.0)], 100_000, {}),
     (0.0, "rational", [(0.0, 1.0), (0.5, 2.0)], 30_000, {"p": (1, 1), "q": 3}),
 ])
 def test_sampler_tables_equal_the_one_pass_merge(monkeypatch, c, xi_class, box, n, kw):
-    # the per-block counts the sampler reduces, merged again in one pass
+    # the per-block counts the sampler reduces, merged again in one pass; the merge calls
+    # _count_table last, on the blocks' distinct rows
     blocks = []
     monkeypatch.setattr(limit, "_count_table", lambda rows: blocks.append(rows) or _count_table(rows))
     dist = ld.sample_count_distribution(c, xi_class, box, n, np.random.default_rng(3), **kw)
+    assert len(blocks) == limit.MOM_BLOCKS + 1
+    blocks = blocks[:-1]
     want = merge_blocks(np.concatenate(blocks), [len(b) for b in blocks])
-    assert len(blocks) == limit.MOM_BLOCKS
     assert dist.rows.tobytes() == want.rows.tobytes()
     assert dist.block_hist.tobytes() == want.block_hist.tobytes()
 

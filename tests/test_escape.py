@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,19 @@ def test_height_below_the_floor_is_a_capacity_error():
         ld.horocycle_escape_integral(I2, (0.3, 0.7), 1.0, 2.0, 1e-300, (-1, 1), n_quad=8)
     # just above the floor the sum is evaluated
     assert ld.cusp_window_sum(complex(0.25, 2.0**-51), (0.3, 0.7), I2, ld.CuspSpec(1.0, 2.0)) >= 0.0
+
+
+def test_node_budget_is_checked_before_allocating():
+    # 1e12 nodes would be 8 TB per node array: refused before np.arange
+    tracemalloc.start()
+    try:
+        for n_quad in (ld.lattice.DEFAULT_MAX_POINTS + 1, 10**12):
+            with pytest.raises(ld.CapacityError):
+                ld.horocycle_escape_integral(I2, (0.3, 0.7), 1.0, 2.0, 1e-3, (-1, 1), n_quad=n_quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_image_beyond_the_float_range_is_a_capacity_error():

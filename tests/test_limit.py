@@ -286,6 +286,21 @@ def test_count_distribution_digests(case, digest):
     assert hashlib.sha256(data).hexdigest()[:32] == digest
 
 
+@pytest.mark.parametrize("args, kw, error", [
+    ((0.0, "gaussian", [(0.0, 1.0)], 100), {}, ld.InvalidInputError),
+    ((0.0, "rational", [(0.0, 1.0)], 100), {"q": 3}, ld.InvalidInputError),
+    ((0.0, "rational", [(0.0, 1.0)], 100), {"p": (1, 1)}, ld.InvalidInputError),
+    ((0.0, "rational", [(0.0, 1.0)], 100), {"p": (1, 1), "q": 7}, ld.UnsupportedError),
+    ((0.0, "irrational", [(0.0, 1.0)], 10**12), {}, ld.CapacityError),
+])
+def test_sampler_input_errors_come_before_any_draw(args, kw, error):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(error):
+        ld.sample_count_distribution(*args, rng, **kw)
+    assert rng.bit_generator.state == state and rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
 def test_count_distribution_size_budget():
     # 1e12 samples would need 8 TB of counts: refused before anything is drawn
     tracemalloc.start()
@@ -365,6 +380,25 @@ def test_siegel_affine_pair_small():
     res = ld.siegel_average("affine_pair", 20_000, np.random.default_rng(4))
     assert res.exact == pytest.approx(math.pi**2)
     assert res.within(4.0)
+
+
+@pytest.mark.parametrize("which, seed, estimate, se", [
+    ("classic", 7, 3.164582446509205, 0.02436816730652084),
+    ("affine_pair", 9, 9.828238331211297, 0.16026045745260858),
+])
+def test_siegel_average_pinned(which, seed, estimate, se):
+    # recorded while each variant drew its own blocks: the shared Haar-block source keeps every draw
+    res = ld.siegel_average(which, 100_000, np.random.default_rng(seed))
+    assert (res.estimate, res.se) == (estimate, se)
+
+
+@pytest.mark.parametrize("which, n", [("pairs", 100), ("classic", 1), ("classic", 10**12)])
+def test_siegel_input_errors_come_before_any_draw(which, n):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises((ld.InvalidInputError, ld.CapacityError)):
+        ld.siegel_average(which, n, rng)
+    assert rng.bit_generator.state == state and rng.bit_generator.seed_seq.n_children_spawned == 0
 
 
 def _gather_gauss_sums(u, v, phi, shift):

@@ -304,12 +304,6 @@ def test_moment_spec_rejects_non_finite_exponents(s):
         ld.MomentSpec((1.0, s))
 
 
-def test_moment_spec_flags():
-    assert not ld.MomentSpec((1.0,)).requires_diophantine()
-    assert ld.MomentSpec((1.0, 1.0)).requires_diophantine()
-    assert ld.MomentSpec((2.5,)).requires_diophantine()
-
-
 # ---------------------------------------------------------------- exact pair integral
 
 

@@ -163,6 +163,28 @@ def test_counter_budget():
         ld.count_in_window(lat, ld.Annulus(0.0), 10.0, (1.0, 1.0), 0.375)
 
 
+def test_counter_decides_an_axis_strip_whole():
+    # the p1 = 0 strip holds 2e13 points whose directions are exactly up or down; the window
+    # ends lie within roundoff of up, so the strip was decided point by point past the budget
+    thin = ld.AffineLatticeSpec(ld.Mat2(1e8, 0.0, 0.0, 1e-8), (0.0, 0.5))
+    tracemalloc.start()
+    try:
+        got = ld.count_in_window(thin, ld.Annulus(0.0), 1e5, (-1.0, 1.0), 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (10**13, 2 * 10**13)
+    assert peak < 2**25  # the 2e4 boundary candidates at the chord's ends, not the strip
+    # the same on a small scale, against the direction set, for r2 on each axis
+    for basis in (ld.Mat2(8.0, 0.0, 0.0, 0.125), ld.Mat2(0.0, 8.0, -0.125, 0.0)):
+        lat = ld.AffineLatticeSpec(basis, (0.0, 0.5))
+        dirs = ld.direction_set(lat, ld.Annulus(0.0), 100.0)
+        for alpha in (0.0, 0.25, 0.5, 0.75):
+            for interval in ((-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0)):
+                got = ld.count_in_window(lat, ld.Annulus(0.0), 100.0, interval, alpha)
+                assert got == (ld.counting_stat(dirs, interval, alpha), dirs.N)
+
+
 def test_crude_bound_without_a_direction_set():
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.5, 0.5))
     dirs = ld.direction_set(lat, ld.Annulus(0.0), 120.0)

@@ -38,6 +38,7 @@ from .lattice import (
     DomainShape,
     Mat2,
     Square,
+    _check_budget,
     direction_set,
     lattice_from_json,
 )
@@ -384,6 +385,7 @@ def cmd_spacings(args) -> int:
     if ks[-1] >= dirs.N:
         raise ValueError(f"--k {args.k!r} needs k < N = {dirs.N}")
     edges = parse_bins(args.bins)
+    _check_budget(len(ks) * dirs.N, f"{len(ks)} spacing passes over N = {dirs.N} directions")
     for k in ks:
         hist = spacing_histogram(dirs, k, edges)
         if args.out and len(ks) > 1:
@@ -412,8 +414,8 @@ def cmd_moments(args) -> int:
     box = _box_from_args(args)
     exps = parse_complex_list(args.s)
     spec = MomentSpec(tuple(exps), cap=args.K)
-    dirs = direction_set(lat, shape, T)
     lam = MeasureSpec.uniform(args.grid)
+    dirs = direction_set(lat, shape, T)
     val = mixed_moment(dirs, box, spec, lam, shifted=args.shifted)
     obj = {
         "s": [[z.real, z.imag] for z in exps],

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import strips
 from .errors import CapacityError, InvalidConstructionError, InvalidInputError
-from .lattice import AffineLatticeSpec, Annulus, Mat2, count_in_window
+from .lattice import AffineLatticeSpec, Annulus, Mat2, _check_budget, count_in_window
 
 
 # the doubles nearest to 2^(1/3), 4^(1/3), sqrt(2) and (1 + sqrt(5)) / 2
@@ -76,7 +76,8 @@ def dioph_scan(xi, kappa: float, radius: int) -> DiophReport:
     Raises InvalidInputError, before anything is allocated, for a float
     xi component that is not finite, for a radius * |xi| that overflows,
     and for radius^kappa that is not a finite float, so no scanned value
-    is NaN or infinite.
+    is NaN or infinite; and CapacityError when the radius (radius + 1)
+    values of the half diamond pass the budget.
     """
     if radius < 1:
         raise InvalidInputError("radius must be at least 1")
@@ -90,6 +91,7 @@ def dioph_scan(xi, kappa: float, radius: int) -> DiophReport:
         top = math.inf
     if not math.isfinite(top):
         raise InvalidInputError(f"radius ** kappa must be a finite float, got {radius} ** {kappa!r}")
+    _check_budget(radius * (radius + 1), f"the half diamond of radius {radius}")
     if _is_exact(xi[0]) and _is_exact(xi[1]):
         x1, x2 = Fraction(xi[0]), Fraction(xi[1])
         values = _exact_scan(x1, x2, kappa, radius)

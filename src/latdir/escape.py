@@ -19,7 +19,7 @@ import numpy as np
 
 from . import strips
 from .errors import CapacityError, InvalidInputError
-from .lattice import DEFAULT_MAX_POINTS, Mat2
+from .lattice import Mat2, _check_budget
 
 # exp(-x^2) < 1e-16 beyond this point
 XMAX = math.sqrt(16.0 * math.log(10.0))
@@ -197,15 +197,14 @@ def horocycle_escape_integral(
     Integrates cusp_window_sum(u + i v) against the smooth bump supported
     on ``h_support``.  Midpoint rule is used on purpose: the integrand has
     jump sets where coset membership flips, which defeat high-order rules.
-    More than ``DEFAULT_MAX_POINTS`` nodes raise CapacityError before any
-    node array is allocated.
+    Nodes past the budget raise CapacityError before any node array is
+    allocated.
     """
     if not (math.isfinite(v) and v > 0):
         raise InvalidInputError("v must be finite and positive")
     if n_quad < 1:
         raise InvalidInputError("n_quad must be positive")
-    if n_quad > DEFAULT_MAX_POINTS:
-        raise CapacityError(f"{n_quad} quadrature nodes is more than {DEFAULT_MAX_POINTS}")
+    _check_budget(n_quad, "quadrature nodes")
     lo, hi = float(h_support[0]), float(h_support[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidInputError("h_support must be a finite nondegenerate interval")

@@ -36,6 +36,8 @@ from .errors import CapacityError, InvalidInputError
 
 TWO_PI = 2.0 * math.pi
 DET_TOL = 1e-12
+# The one size budget: every entry point estimates the values it would hold or walk and
+# passes the estimate to ``_check_budget`` before it allocates them.
 DEFAULT_MAX_POINTS = 200_000_000
 # Relative margin by which the enumerator shrinks the outer radius and the
 # square, and grows the inner radius, to solve each strip's certified
@@ -166,6 +168,16 @@ class DirectionSet:
         return int(self.alphas.size)
 
 
+def _check_budget(values, what: str) -> None:
+    """Raise CapacityError when ``values`` (an int or a float; NaN fails) pass the budget.
+
+    The budget is ``DEFAULT_MAX_POINTS`` as the module holds it at the call,
+    so setting that one name moves every cap of the package at once.
+    """
+    if not values <= DEFAULT_MAX_POINTS:
+        raise CapacityError(f"{what}: {values:.6g} values, more than the budget of {DEFAULT_MAX_POINTS}")
+
+
 def _require_scale(T) -> None:
     if not (math.isfinite(T) and T > 0):  # NaN fails both tests
         raise InvalidInputError(f"T must be finite and positive, got {T!r}")
@@ -230,19 +242,7 @@ def _reduced(basis: Mat2, shift):
     )
 
 
-def _kept_chunks(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_points: int):
-    """The strip loop behind ``enumerate_points``.
-
-    Returns the number of kept points and an iterator over (y1, y2) of the
-    kept points in (strip, m2) order, ``strips.CHUNK`` points at a time.
-    """
-    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, max_points)
-    order = np.argsort(key, kind="stable")
-    return int(counts.sum()), _points(B, xi2, starts[order], counts[order], p1[key[order] >> 3])
-
-
-def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_points: int,
-                 count_only: bool = False):
+def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, count_only: bool = False):
     """Validate the input, solve the m1-strips and return their kept m2 ranges.
 
     Every error is raised before anything point-sized is allocated.  Each
@@ -253,16 +253,15 @@ def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
     (``_zones``).  Returns the reduced basis B, the shift's xi2, each
     strip's p1 and the kept ranges as ``_zones`` gives them.
 
-    ``max_points`` caps the boundary candidates and the strips, these at
-    ``STRIP_VALUES`` each when ``count_only`` (the ranges are only
-    counted); otherwise it caps the points and the candidates as well.
+    The budget (``_check_budget``) caps the boundary candidates and the
+    strips, these at ``STRIP_VALUES`` each when ``count_only`` (the ranges
+    are only counted); otherwise it caps the points and the candidates as
+    well.
     """
     _require_scale(T)
     lat.basis.require_unimodular()
-    if not count_only and expected_count(shape, T) > max_points:
-        raise CapacityError(
-            f"expected about {expected_count(shape, T):.3g} points, cap is {max_points}"
-        )
+    if not count_only:
+        _check_budget(expected_count(shape, T), "points expected about the domain's area")
     B, (xi1, xi2) = _reduced(lat.basis, lat.shift)
     if isinstance(shape, Annulus):
         m1lo, m1hi, q12, q22 = strips.ellipse_span(B.a, B.b, B.c, B.d, T, xi1)
@@ -277,9 +276,8 @@ def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
     per_strip = chord / math.sqrt(q22) if q22 > 0.0 else math.inf
     if per_strip > strips.LIMIT:
         raise CapacityError(f"a strip would span about {per_strip:.3g} integers, more than int64 can hold")
-    cap = max_points // STRIP_VALUES if count_only else max_points
-    if m1hi - m1lo + 1 > cap:
-        raise CapacityError(f"enumeration needs {m1hi - m1lo + 1} strips, cap is {cap}")
+    rows = m1hi - m1lo + 1
+    _check_budget(rows * (STRIP_VALUES if count_only else 1), f"{rows} m1-strips")
     p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
     if isinstance(shape, Annulus):
         lo, hi = strips.root_pair(q12, q22, p1, xi2, T)[:2]
@@ -297,10 +295,9 @@ def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
     else:
         rlo, rhi = lo, lo - 1
     if not count_only:
-        candidates = int(strips.widths(lo, hi).sum()
-                         - strips.widths(np.maximum(rlo, lo), np.minimum(rhi, hi)).sum())
-        if candidates > max_points:
-            raise CapacityError(f"enumeration needs {candidates} candidates, cap is {max_points}")
+        candidates = (strips.widths(lo, hi).sum()
+                      - strips.widths(np.maximum(rlo, lo), np.minimum(rhi, hi)).sum())
+        _check_budget(int(candidates), "candidates")
     # the interior is narrowed by one integer, the excluded chord widened by one
     ilo += 1
     ihi -= 1
@@ -308,11 +305,11 @@ def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, max_point
     clo = np.where(meets, clo - 1, ihi + 1)
     chi = np.where(meets, chi + 1, ihi)
     ranges = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi,
-                    lambda m2, k: _inside(B, xi2, shape, T, m2, p1[k]), max_points)
+                    lambda m2, k: _inside(B, xi2, shape, T, m2, p1[k]))
     return (B, xi2, p1, *ranges)
 
 
-def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside, budget):
+def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
     """Kept m2 ranges of every strip, unordered, with a key that orders them.
 
     Per strip, [lo, hi] is the candidate range, [ilo, ihi] minus [clo, chi]
@@ -322,8 +319,8 @@ def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside, budget):
     kept whole, outside zones dropped, and the boundary candidates kept
     where ``inside(m2, strip)`` holds, each as a range of one.  Returns the
     start, length and key 8 strip + zone of every kept range; a stable
-    argsort of the key puts them in (strip, m2) order.  More than
-    ``budget`` boundary candidates raise CapacityError before they are formed.
+    argsort of the key puts them in (strip, m2) order.  Boundary candidates
+    past the budget raise CapacityError before they are formed.
     """
     top = np.maximum(hi + 1, lo)
     b1 = np.clip(ilo, lo, top)
@@ -335,8 +332,7 @@ def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside, budget):
     key = 8 * np.arange(lo.size, dtype=np.int64)[:, None]
     first = np.column_stack([lo, b2, b4, b6])
     width = (np.column_stack([b1, b3, b5, top]) - first).ravel()
-    if int(width.sum()) > budget:
-        raise CapacityError(f"the strips have {int(width.sum())} boundary candidates, cap is {budget}")
+    _check_budget(int(width.sum()), "boundary candidates")
     m2, bkey = strips.expand(first.ravel(), width, (key + [0, 2, 4, 6]).ravel())
     keep = inside(m2, bkey >> 3)
     first = np.column_stack([b1, b5])
@@ -346,8 +342,7 @@ def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside, budget):
     return starts, counts, np.concatenate([(key + [1, 5]).ravel(), bkey[keep]])
 
 
-def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, budget=math.inf,
-         check: bool = False):
+def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, check: bool = False):
     """Cut the kept m2 ranges at the rays of turns ``edges`` into pieces of one sector each.
 
     ``edges`` is sorted, starts at 0.0 and has K entries; sector k holds the
@@ -370,7 +365,7 @@ def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, budget=math
     by point, unless r2 lies on an axis: then each half of that strip has
     one exact ``_turns`` value and is decided whole.  So each point lands in
     the sector of its own ``_turns`` value.
-    ``reach`` bounds |y| on the domain; more than ``budget`` points to decide
+    ``reach`` bounds |y| on the domain; points to decide past the budget
     raise CapacityError before they are formed.
 
     ``CUT_TOL`` is an estimate of the roundoff of w.  With ``check``, the
@@ -422,7 +417,7 @@ def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, budget=math
         if not sign:
             tol[:] = np.inf if on_ray else 0.0  # the cut at t = 0 is exact
         while True:
-            first, size, rp, jp, m2, owner = _slots(s, n, a, tol, w, xi2, budget - decided)
+            first, size, rp, jp, lo, bands, owner = _slots(s, n, a, tol, w, xi2)
             if not check:
                 break
             # a piece whose first or last point has a turns value outside its sector sends its
@@ -434,22 +429,23 @@ def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, budget=math
             if not miss.any():
                 break
             tol[at[miss]] = np.inf
-        decided += m2.size
+        decided += int(bands.sum())
+        _check_budget(decided, "points to decide at the cuts")
+        m2, owner = strips.expand(lo, bands, owner)
         pieces.append((first, size, pr[rp], sector[jp]))
         pieces.append((m2, np.ones(m2.size, dtype=np.int64), pr[owner],
                        sector_of(_point_turns(B, xi2, pr[owner], m2))))
     return tuple(np.concatenate(x) for x in zip(*pieces))
 
 
-def _slots(s, n, a, tol, w, xi2, budget):
+def _slots(s, n, a, tol, w, xi2):
     """Split the ranges [s, s + n) of one p1 sign at their crossings t = a w[j], with bands.
 
     ``w`` is nondecreasing; a range with ``tol >= n`` is one band.  Slot k
     of range r holds the points past its crossing at w[j - 1], j = j0 + k,
     and after that crossing's band (slot 0 starts at the range).  Returns
-    the start, length, range and j of every slot, and the m2 and range of
-    every band point; more than ``budget`` band points raise CapacityError
-    before they are formed.
+    the start, length, range and j of every slot, and the first m2, length
+    and range of every band, whose points the caller forms.
     """
     whole = tol >= n
     with np.errstate(over="ignore"):  # the crossings whose bands reach into each range
@@ -485,11 +481,8 @@ def _slots(s, n, a, tol, w, xi2, budget):
     lo = np.maximum(first.astype(np.int64) + off[owner], np.where(held > 0, pos[held - 1], 0))
     np.minimum(lo, pos[held], out=lo)
     bands = pos[held] - lo
-    if int(bands.sum()) > budget:
-        raise CapacityError(f"the cuts have more than {budget} points to decide")
     size[held[held > 0] - 1] -= bands[held > 0]
-    m2, owner = strips.expand(lo - off[owner], bands, owner)
-    return pos - off[rp], size, rp, jp, m2, owner
+    return pos - off[rp], size, rp, jp, lo - off[owner], bands, owner
 
 
 def _crossed(edges, down, sign: int):
@@ -544,11 +537,25 @@ def _in_order(alphas, sizes) -> bool:
 
 
 def _square_range(B: Mat2, p1, xi2, t):
-    """Each strip's m2 range of the closed square |y1|, |y2| <= t."""
-    return strips.halfplanes(xi2, [
-        (B.c, -t - p1 * B.a, ">="), (B.c, t - p1 * B.a, "<="),
-        (B.d, -t - p1 * B.b, ">="), (B.d, t - p1 * B.b, "<="),
-    ])
+    """Each strip's m2 range of the closed square |y1|, |y2| <= t.
+
+    Per axis, with (r, q) = (B.a, B.c) or (B.b, B.d), the closed slab
+    -t <= p1 r + (m2 + xi2) q <= t puts m2 between (-t - p1 r) / q - xi2
+    and (t - p1 r) / q - xi2, saturated at ``strips.LIMIT``.  A zero q makes
+    the slab a test of the whole strip, -t - p1 r <= 0 <= t - p1 r; a strip
+    that fails it gets the empty range [1, 0].  det B = 1, so the other q is
+    nonzero and bounds the range.
+    """
+    lo, hi, ok = -strips.LIMIT, strips.LIMIT, True
+    for r, q in ((B.a, B.c), (B.b, B.d)):
+        below, above = -t - p1 * r, t - p1 * r
+        if q == 0.0:
+            ok = ok & (below <= 0.0) & (above >= 0.0)
+            continue
+        with np.errstate(over="ignore"):  # a tiny q gives inf, which the clip saturates
+            ends = np.clip([below / q - xi2, above / q - xi2], -strips.LIMIT, strips.LIMIT)
+        lo, hi = np.maximum(lo, ends.min(axis=0)), np.minimum(hi, ends.max(axis=0))
+    return np.where(ok, np.ceil(lo), 1).astype(np.int64), np.where(ok, np.floor(hi), 0).astype(np.int64)
 
 
 def _inside(B: Mat2, xi2, shape: DomainShape, T: float, m2, p1):
@@ -570,12 +577,7 @@ def _points(B: Mat2, xi2, starts, counts, p1):
         yield _affine_combo(p1, p2, B.a, B.c), _affine_combo(p1, p2, B.b, B.d)
 
 
-def enumerate_points(
-    lat: AffineLatticeSpec,
-    shape: DomainShape,
-    T: float,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> np.ndarray:
+def enumerate_points(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> np.ndarray:
     """All nonzero points of the affine lattice inside the open domain.
 
     Returns an (n, 2) array of points y = (m + shift) basis with
@@ -588,20 +590,23 @@ def enumerate_points(
     the identity in particular, is used as given.
 
     Each strip's certified interior is taken whole; the float domain test
-    decides only a few boundary candidates per strip (``_kept_chunks``), so
-    the result is exactly the points that pass that test.  The kept ranges
-    are expanded in pieces straight into the exactly sized result.  Use
-    ``direction_set`` when only the directions are needed.
+    decides only a few boundary candidates per strip (``_kept_ranges``), so
+    the result is exactly the points that pass that test.  The kept ranges,
+    put in (strip, m2) order, are expanded in pieces straight into the
+    exactly sized result.  Use ``direction_set`` when only the directions
+    are needed.
 
     Raises InvalidInputError unless T is finite and positive.  Raises
-    CapacityError when the expected point count exceeds ``max_points``,
-    before allocating anything; when the m1-strips do (a thin annulus, c
-    near 1, holds few points on many strips); or when the candidates do.
+    CapacityError, before allocating anything, when the expected point
+    count passes the budget (``_check_budget``); when the m1-strips do (a
+    thin annulus, c near 1, holds few points on many strips); or when the
+    candidates do.
     """
-    total, chunks = _kept_chunks(lat, shape, T, max_points)
-    out = np.empty((total, 2))
+    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T)
+    order = np.argsort(key, kind="stable")
+    out = np.empty((int(counts.sum()), 2))
     n = 0
-    for y1, y2 in chunks:
+    for y1, y2 in _points(B, xi2, starts[order], counts[order], p1[key[order] >> 3]):
         out[n:n + y1.size, 0] = y1
         out[n:n + y1.size, 1] = y2
         n += y1.size
@@ -642,16 +647,11 @@ def directions(points, T: float, shape: DomainShape) -> DirectionSet:
     return DirectionSet(alphas, float(T), shape)
 
 
-def direction_set(
-    lat: AffineLatticeSpec,
-    shape: DomainShape,
-    T: float,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> DirectionSet:
+def direction_set(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> DirectionSet:
     """Sorted directions of the lattice points in the domain, without the points.
 
-    Bit for bit ``directions(enumerate_points(lat, shape, T, max_points), T,
-    shape)``, with the same errors, but no (n, 2) array is built: the kept
+    Bit for bit ``directions(enumerate_points(lat, shape, T), T, shape)``,
+    with the same errors, but no (n, 2) array is built: the kept
     strip ranges are cut at K = N // SECTOR sector rays k/K
     (``_sector_pieces``) and their angles written sector by sector, one
     cache-sized piece at a time, into one exactly sized array.  Each sector
@@ -668,7 +668,7 @@ def direction_set(
     sector of its own angle, so the fallback is only a safety net.  N < 2
     SECTOR gives K = 1: no ray to cut at, and one sort.
     """
-    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, max_points)
+    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T)
     total = int(counts.sum())
     K = max(total // SECTOR, 1)
     starts, counts, p1, sizes = _sector_pieces(B, xi2, p1, starts, counts, key, K,
@@ -707,24 +707,22 @@ def count_in_window(
     checks the two ends of every piece by ``_turns`` as well, and cuts a
     range that fails point by point.
 
-    ``DEFAULT_MAX_POINTS`` caps the strips, at ``STRIP_VALUES`` each, and the
-    points decided one by one (the boundary candidates and the points next
-    to the rays), not N: T = 1e5 (N about 3.1e10) holds about 0.1 GB, and
-    T goes up to about 1e6 on a unit-square lattice.  Raises CapacityError
-    past it, before allocating, and InvalidInputError on a bad interval or
-    scale.
+    The budget (``_check_budget``) caps the strips, at ``STRIP_VALUES``
+    each, and the points decided one by one (the boundary candidates and the
+    points next to the rays), not N: T = 1e5 (N about 3.1e10) holds about
+    0.1 GB, and T goes up to about 1e6 on a unit-square lattice.  Raises
+    CapacityError past it, before allocating, and InvalidInputError on a bad
+    interval or scale.
     """
     _window_count(interval, 0, alpha, None)  # checks the interval before any strip is solved
-    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, DEFAULT_MAX_POINTS,
-                                                   count_only=True)
+    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, count_only=True)
     N = int(counts.sum())
 
     def below(ends):
         edges = np.unique(np.concatenate([[0.0], ends[(ends > 0.0) & (ends < 1.0)]]))
         sizes = np.array([N])
         if edges.size > 1:
-            pieces = _cut(B, xi2, p1, starts, counts, key, edges, math.sqrt(2.0) * T,
-                          DEFAULT_MAX_POINTS, check=True)
+            pieces = _cut(B, xi2, p1, starts, counts, key, edges, math.sqrt(2.0) * T, check=True)
             sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
         under = np.concatenate([[0], np.cumsum(sizes)])  # under[k]: the turns under edges[k], N under 1
         return under[np.searchsorted(edges, ends, side="left")]

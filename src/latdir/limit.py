@@ -36,17 +36,12 @@ from functools import partial
 import numpy as np
 
 from . import strips
-from .errors import (
-    CapacityError,
-    InsufficientDataError,
-    InvalidInputError,
-    UnsupportedError,
-)
+from .errors import InsufficientDataError, InvalidInputError, UnsupportedError
 from .lattice import (
-    DEFAULT_MAX_POINTS,
     AffineLatticeSpec,
     Annulus,
     DirectionSet,
+    _check_budget,
     count_in_window,
     rotation,
 )
@@ -274,6 +269,10 @@ def _cone_kernel(A, xi1, xi2, c: float, intervals) -> np.ndarray:
     each end of its m1 range, so a point that rounds onto the edge from
     beyond is a candidate, and a strip whose test lies within ``tol`` of 0
     is counted point by point (see ``_cone_pass``).
+
+    Raises CapacityError before the first pass when an m1 bound does not fit
+    int64 (``strips.integer_range``) or when the strips times the windows
+    pass the budget.
     """
     a11, a12, a21, a22 = A
     if np.any((a21 == 0.0) & (a22 == 0.0)):
@@ -290,8 +289,10 @@ def _cone_kernel(A, xi1, xi2, c: float, intervals) -> np.ndarray:
     if zero.any():
         m1lo[zero] -= 1
         m1hi[zero] += 1
+    rows = strips.widths(m1lo, m1hi)
+    _check_budget(rows.sum(dtype=float) * len(intervals), "cone strips times windows")
     out = np.zeros((a11.size, len(intervals)), dtype=np.int64)
-    for i, j in strips.runs(strips.widths(m1lo, m1hi), strips.CHUNK):
+    for i, j in strips.runs(rows, strips.CHUNK):
         part = [a[i:j] for a in A]
         out[i:j] = _cone_pass(part, xi1[i:j], xi2[i:j], c, intervals, slopes, k[..., i:j], m1lo[i:j], m1hi[i:j])
     return out
@@ -466,11 +467,10 @@ def _inside(region: ConeRegion, p1, xi2, A, m2) -> np.ndarray:
 def _count_inside(region: ConeRegion, lo, hi, p1, xi2, A) -> np.ndarray:
     """Per strip, the m2 in [lo, hi] that ``_inside`` keeps, testing each one.
 
-    Raises CapacityError past ``DEFAULT_MAX_POINTS`` candidates.
+    Raises CapacityError when the candidates pass the budget.
     """
     width = strips.widths(lo, hi)
-    if width.sum(dtype=float) > DEFAULT_MAX_POINTS:
-        raise CapacityError(f"a zero-coefficient strip has more than {DEFAULT_MAX_POINTS} candidate points")
+    _check_budget(width.sum(dtype=float), "zero-coefficient strip candidates")
     out = np.zeros(lo.size, dtype=np.int64)
     for m2, row in strips.expand_pieces(lo, width, 0.0, np.arange(lo.size)):
         keep = _inside(region, p1[row], xi2[row], [a[row] for a in A], m2)
@@ -722,16 +722,22 @@ def sample_count_distribution(
     merged result does not depend on scheduling and heavy-tailed moments
     can use median-of-means over the same blocks.  Each block's counts are
     reduced to its distinct rows and their numbers as soon as they are
-    counted (``_count_table``), and the tables are merged at the end.  More than
-    ``DEFAULT_MAX_POINTS`` counts (n times the number of windows) raise
-    CapacityError before anything is drawn.
+    counted (``_count_table``), and the tables are merged at the end.
+
+    CapacityError is raised before anything is drawn when the most cone
+    strips the samples can need, times the windows, pass the budget.  A
+    fundamental-domain sample has v >= sqrt(3) / 2 and a slope coefficient
+    |k| <= (1 + s) / sqrt(v), s = 2 max |a|, |b| / (1 - c^2), so its m1
+    range is at most 2.15 (1 + s) long, and holds at most 2.15 (1 + s) + 3
+    strips with the two that a zero coefficient adds.
     """
     if n < 1:
         raise InvalidInputError("need at least one sample")
     box = as_box(box)
     intervals = [ConeRegion(c, iv).interval for iv in box.intervals]  # validates c and the windows
-    if n * len(intervals) > DEFAULT_MAX_POINTS:
-        raise CapacityError(f"{n} samples x {len(intervals)} windows is more than {DEFAULT_MAX_POINTS} counts")
+    # in Python floats an overflow is inf, which fails the check, not a RuntimeWarning
+    s = 2.0 * max(abs(x) for iv in intervals for x in iv) / (1.0 - float(c) ** 2)
+    _check_budget(n * len(intervals) * (2.15 * (1.0 + s) + 3.0), f"{n} samples x {len(intervals)} windows")
     blocks = min(blocks, n)
     sizes = [n // blocks + (1 if i < n % blocks else 0) for i in range(blocks)]
     tables = []
@@ -791,11 +797,16 @@ def exact_limit_moment(powers, box) -> float | None:
 
 
 def disc_count(A: np.ndarray, shift: np.ndarray, r: float) -> np.ndarray:
-    """Number of points (m + shift) A inside the closed disc of radius r, |det A| = 1."""
+    """Number of points (m + shift) A inside the closed disc of radius r, |det A| = 1.
+
+    Raises CapacityError before any strip is formed when an m1 bound does
+    not fit int64 (``strips.integer_range``) or the strips pass the budget.
+    """
     A = np.asarray(A, dtype=float).reshape(-1, 2, 2)
     shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1, 2), (A.shape[0], 2))
     m1lo, m1hi, q12, q22 = strips.ellipse_span(*A.reshape(-1, 4).T, r, shift[:, 0])
     rows = strips.widths(m1lo, m1hi)
+    _check_budget(rows.sum(dtype=float), "disc strips")
     m1, xi1, q12, q22, xi2 = strips.expand(m1lo, rows, shift[:, 0], q12, q22, shift[:, 1])
     m2lo, m2hi, disc = strips.root_pair(q12, q22, m1 + xi1, xi2, r)
     m2hi = np.where(disc >= 0.0, m2hi, m2lo - 1)
@@ -855,15 +866,13 @@ def siegel_average(which: str, n: int, rng) -> MCResult:
     taken whole in closed form, which holds for v >= V_FLOOR
     (``_gauss_sums``).  The samples come in Haar blocks of SIEGEL_BATCH
     (``_haar_blocks``), each summed in sub-chunks of SIEGEL_CHUNK samples.
-    More than ``DEFAULT_MAX_POINTS`` samples raise CapacityError before
-    anything is drawn.
+    Samples past the budget raise CapacityError before anything is drawn.
     """
     if which not in ("classic", "affine_pair"):
         raise InvalidInputError(f"unknown variant {which!r}")
     if n < 2:
         raise InvalidInputError("need at least two samples")
-    if n > DEFAULT_MAX_POINTS:
-        raise CapacityError(f"{n} samples is more than {DEFAULT_MAX_POINTS}")
+    _check_budget(n, "samples")
     sizes = [min(SIEGEL_BATCH, n - i) for i in range(0, n, SIEGEL_BATCH)]
     xi_class = "integer" if which == "classic" else "irrational"
     vals = np.empty(n)

@@ -30,7 +30,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError
-from .lattice import DirectionSet, _frac, _window_count
+from .lattice import DirectionSet, _check_budget, _frac, _window_count
+
+# Values that ``mixed_moment`` holds per quadrature point at its peak (about 13 measured): a
+# ``MeasureSpec`` grid is checked against the budget at this weight.
+GRID_VALUES = 16
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,9 @@ class MeasureSpec:
     """Probability measure on the circle given by a continuous density.
 
     The density is evaluated on a uniform grid of ``quadrature_points``;
-    the grid must integrate it to 1 within 1e-6.
+    the grid must integrate it to 1 within 1e-6.  A grid whose
+    ``GRID_VALUES`` values a point pass the budget raises CapacityError
+    before the density is evaluated.
     """
 
     density: Callable
@@ -79,6 +85,7 @@ class MeasureSpec:
     def __post_init__(self):
         if self.quadrature_points < 2:
             raise InvalidInputError("quadrature_points must be at least 2")
+        _check_budget(GRID_VALUES * self.quadrature_points, f"{self.quadrature_points} quadrature points")
         total = float(np.sum(self.weights()))
         if abs(total - 1.0) > 1e-6:
             raise InvalidInputError(f"density integrates to {total}, not 1")
@@ -335,7 +342,8 @@ def pair_correlation(
 
     Implemented as the neighbour passes of ``_near_pairs`` up to the bins'
     reach W, each block binned while in cache, so the cost is O(N * W) for
-    bins inside [-W, W] and the memory O(2^16 + N/4).
+    bins inside [-W, W] and the memory O(2^16 + N/4).  N (1 + W) past the
+    budget raises CapacityError before the first pass.
     """
     edges = _checked_edges(edges)
     if fold and edges[0] < 0:
@@ -346,6 +354,7 @@ def pair_correlation(
     W = max(abs(edges[0]), abs(edges[-1]))
     if W >= N / 2:
         raise InvalidInputError(f"window reach {W} must be below N/2 = {N / 2}")
+    _check_budget(N * (1.0 + W), f"N = {N} directions times 1 + the reach {W:g}")
     A = dirs.alphas
     counts = np.zeros(edges.size - 1)
     for d, start, keep, vals in _near_pairs(A, W):
@@ -386,12 +395,15 @@ def mixed_moment(
     prod_j count_j^{s_j}.  With ``spec.cap = K`` set, grid points where any
     window holds more than K directions are zeroed (restricted moment).
     The integrand is piecewise constant in alpha, so the uniform-grid error
-    scales like N * |I| / quadrature_points.
+    scales like N * |I| / quadrature_points.  Window counts (windows times
+    quadrature points) past the budget raise CapacityError before any is
+    made.
     """
     box = as_box(box)
     if len(spec.exponents) != box.m:
         raise InvalidInputError("one exponent per interval required")
     lam = lam if lam is not None else MeasureSpec.uniform()
+    _check_budget(box.m * lam.quadrature_points, f"{box.m} windows x {lam.quadrature_points} quadrature points")
     grid = lam.grid()
     weights = lam.weights()
     offset = 1.0 if shifted else 0.0
@@ -423,7 +435,8 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
     neighbour passes of ``_near_pairs`` up to reach
     max(|a1 - b2|, |b1 - a2|), each giving s for one order of the pair and
     -s for the other; the cost is O(N * (1 + reach)), as for
-    ``pair_correlation``.  The result is a finite sum (no quadrature).
+    ``pair_correlation``, and past the budget it raises CapacityError
+    before the first pass.  The result is a finite sum (no quadrature).
     """
     a1, b1 = float(interval1[0]), float(interval1[1])
     a2, b2 = float(interval2[0]), float(interval2[1])
@@ -441,11 +454,13 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
         return 0.0  # no pairs
     k = round((a1 + b1 - a2 - b2) / (2 * N))
     a2, b2 = a2 + k * N, b2 + k * N
+    reach = max(abs(a1 - b2), abs(b1 - a2))
+    _check_budget(N * (1.0 + reach), f"N = {N} directions times 1 + the reach {reach:g}")
 
     def overlap(s):
         return np.maximum(np.minimum(b1, b2 + s) - np.maximum(a1, a2 + s), 0.0)
 
     total = 0.0
-    for *_, s in _near_pairs(dirs.alphas, max(abs(a1 - b2), abs(b1 - a2))):
+    for *_, s in _near_pairs(dirs.alphas, reach):
         total += overlap(s).sum() + overlap(-s).sum()
     return total / N

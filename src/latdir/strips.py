@@ -1,11 +1,10 @@
 """Affine lattice points p = m + xi in a convex region, one m1-strip at a time.
 
 Per integer m1, the admissible m2 form one inclusive int64 range
-(``integer_range``; ``ellipse_span`` and ``root_pair`` for an ellipse,
-``halfplanes`` for linear constraints).  Counters sum the ranges
-(``widths``, ``totals``); enumerators expand them into points (``expand``,
-``expand_pieces``).  ``runs`` cuts the rows into passes of whole rows of
-about ``CHUNK`` values.
+(``integer_range``; ``ellipse_span`` and ``root_pair`` for an ellipse).
+Counters sum the ranges (``widths``, ``totals``); enumerators expand them
+into points (``expand``, ``expand_pieces``).  ``runs`` cuts the rows into
+passes of whole rows of about ``CHUNK`` values.
 
 Invariant: the float predicate decides, but only near a boundary.  The
 lattice enumerator solves each strip twice: on its domain, for the
@@ -22,23 +21,26 @@ change its answer.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import CapacityError
 
 # Solved bounds are saturated here, so hi - lo + 1 always fits in int64.
 LIMIT = 2.0**61
 # Values per piece of ``expand_pieces``: a few float64 arrays of this length fit in cache.
 CHUNK = 1 << 16
-_I64 = np.iinfo(np.int64)
-_KINDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 def integer_range(lo, hi, xi):
-    """Inclusive int64 range of the integers m with lo <= m + xi <= hi."""
-    return np.ceil(lo - xi).astype(np.int64), np.floor(hi - xi).astype(np.int64)
+    """Inclusive int64 range of the integers m with lo <= m + xi <= hi.
+
+    Raises CapacityError, before the int64 cast, unless every bound lo - xi
+    and hi - xi lies within +-LIMIT (a NaN bound fails too).
+    """
+    lo, hi = lo - xi, hi - xi
+    if not all(-LIMIT <= np.min(b, initial=0.0) and np.max(b, initial=0.0) <= LIMIT for b in (lo, hi)):
+        raise CapacityError("an integer range reaches past +-2^61, beyond what int64 bounds can hold")
+    return np.ceil(lo).astype(np.int64), np.floor(hi).astype(np.int64)
 
 
 def widths(lo, hi):
@@ -147,32 +149,3 @@ def settle(lo, hi, inside):
     lo = np.where(ends[0], lo - 1, np.where(ends[1], lo, lo + 1))
     hi = np.where(ends[3], hi + 1, np.where(ends[2], hi, hi - 1))
     return lo, hi
-
-
-def halfplanes(xi2, constraints):
-    """Integer m2 range with coef * (m2 + xi2) <kind> rhs for every constraint.
-
-    ``constraints`` holds (coef, rhs, kind) triples, kind one of ">", ">=",
-    "<", "<=".  A zero coefficient makes its constraint a feasibility test
-    of 0 <kind> rhs; infeasible strips get the empty range [1, 0].  A
-    feasible strip left unbounded (det A = 0) raises InvalidInputError.
-    """
-    shape = np.broadcast_shapes(np.shape(xi2), *(np.shape(rhs) for _, rhs, _ in constraints))
-    lo = np.full(shape, _I64.min)
-    hi = np.full(shape, _I64.max)
-    ok = np.ones(shape, dtype=bool)
-    for coef, rhs, kind in constraints:
-        with np.errstate(over="ignore"):  # a tiny coefficient gives inf, which the clip saturates
-            t = np.clip(rhs / np.where(coef == 0.0, 1.0, coef) - xi2, -LIMIT, LIMIT)
-        lower, upper = (coef > 0.0, coef < 0.0) if kind[0] == ">" else (coef < 0.0, coef > 0.0)
-        if np.any(lower):
-            bound = np.ceil(t) if kind.endswith("=") else np.floor(t) + 1.0
-            np.maximum(lo, bound.astype(np.int64), out=lo, where=lower)
-        if np.any(upper):
-            bound = np.floor(t) if kind.endswith("=") else np.ceil(t) - 1.0
-            np.minimum(hi, bound.astype(np.int64), out=hi, where=upper)
-        if np.any(coef == 0.0):
-            ok &= (coef != 0.0) | _KINDS[kind](0.0, rhs)
-    if np.any(ok & ((lo == _I64.min) | (hi == _I64.max))):
-        raise InvalidInputError("a strip is unbounded: the matrix must have |det| = 1")
-    return np.where(ok, lo, 1), np.where(ok, hi, 0)

@@ -8,7 +8,7 @@ import pytest
 import latdir as ld
 from latdir import lattice
 from latdir.diophantine import CBRT2, CBRT4
-from latdir.lattice import DEFAULT_MAX_POINTS, _kept_chunks, _reduced
+from latdir.lattice import _reduced
 
 from oracles import brute_points, circular_match
 
@@ -91,10 +91,11 @@ def test_non_finite_or_non_positive_scale_rejected(T):
             ld.directions([(1.0, 0.0)], T, shape)
 
 
-def test_capacity_cap():
+def test_capacity_cap(monkeypatch):
+    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 1000)
     lat = ld.AffineLatticeSpec(ld.Mat2.identity())
     with pytest.raises(ld.CapacityError):
-        ld.enumerate_points(lat, ld.Annulus(0.0), 100.0, max_points=1000)
+        ld.enumerate_points(lat, ld.Annulus(0.0), 100.0)
 
 
 @pytest.mark.parametrize("basis", [(1e300, 0.0, 0.0, 1e-300), (1e-300, 0.0, 0.0, 1e300),
@@ -109,19 +110,21 @@ def test_overflowing_strip_is_a_capacity_error(basis, shape):
             build(lat, shape, 5.0)
 
 
-def test_shear_enumerates_the_identity_point_set():
+def test_shear_enumerates_the_identity_point_set(monkeypatch):
     # the shear's rows span 2e5 m1-strips; reduced, it is the identity basis
+    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 100_000)
     lat = ld.AffineLatticeSpec(ld.Mat2(1.0, 0.0, 1000.0, 1.0))
-    got = ld.enumerate_points(lat, ld.Annulus(0.0), 100.0, max_points=100_000)
+    got = ld.enumerate_points(lat, ld.Annulus(0.0), 100.0)
     want = ld.enumerate_points(ld.AffineLatticeSpec(ld.Mat2.identity()), ld.Annulus(0.0), 100.0)
     assert np.array_equal(got, want)
 
 
-def test_strip_cap_before_allocating():
+def test_strip_cap_before_allocating(monkeypatch):
     # a thin annulus holds ~630 points on ~2e4 strips: the strip count hits the cap
+    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 1000)
     lat = ld.AffineLatticeSpec(ld.Mat2.identity())
     with pytest.raises(ld.CapacityError, match="strips"):
-        ld.enumerate_points(lat, ld.Annulus(0.999999), 1e4, max_points=1000)
+        ld.enumerate_points(lat, ld.Annulus(0.999999), 1e4)
 
 
 @pytest.mark.parametrize("shape, T", [(ld.Annulus(0.0), 800.0), (ld.Annulus(0.7), 900.0),
@@ -133,16 +136,17 @@ def test_direction_set_over_several_chunks(shape, T):
     assert ld.direction_set(lat, shape, T).alphas.tobytes() == want.alphas.tobytes()
 
 
-@pytest.mark.parametrize("shape, T, max_points, what", [
-    (ld.Annulus(0.0), 1e9, DEFAULT_MAX_POINTS, "expected about"),  # 3e18 points: no allocation
+@pytest.mark.parametrize("shape, T, budget, what", [
+    (ld.Annulus(0.0), 1e9, lattice.DEFAULT_MAX_POINTS, "expected about"),  # 3e18 points: no allocation
     (ld.Annulus(0.999999), 1e4, 1000, "strips"),
     (ld.Annulus(0.5), 100.0, 23_600, "candidates"),  # 23 562 expected, 23 767 candidates
 ])
-def test_direction_set_capacity(shape, T, max_points, what):
+def test_direction_set_capacity(monkeypatch, shape, T, budget, what):
+    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", budget)
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.7))
     for build in (ld.enumerate_points, ld.direction_set):
         with pytest.raises(ld.CapacityError, match=what):
-            build(lat, shape, T, max_points=max_points)
+            build(lat, shape, T)
 
 
 def test_thin_annulus_candidates_follow_the_annulus(monkeypatch):
@@ -151,9 +155,8 @@ def test_thin_annulus_candidates_follow_the_annulus(monkeypatch):
     inside = lattice._inside
     monkeypatch.setattr(lattice, "_inside", lambda *args: seen.append(args[4].size) or inside(*args))
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.7))
-    total, chunks = _kept_chunks(lat, ld.Annulus(0.99), 300.0, DEFAULT_MAX_POINTS)
-    kept = sum(y1.size for y1, _ in chunks)
-    assert kept == total == 5622 and sum(seen) < kept
+    kept = len(ld.enumerate_points(lat, ld.Annulus(0.99), 300.0))
+    assert kept == 5622 and sum(seen) < kept
 
 
 @pytest.mark.parametrize("basis", [

@@ -15,13 +15,14 @@ same matrix, and the float predicate decides.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import latdir as ld
-from latdir import strips
+from latdir import lattice, strips
 
 from oracles import brute_cone_count, brute_cusp_sum, brute_disc_count, brute_points
 
@@ -32,6 +33,14 @@ from hypothesis import strategies as st  # noqa: E402
 PROPS = settings(derandomize=True, deadline=None, max_examples=40)
 JIGGLE = math.sqrt(2) / 97
 SHAPES = [ld.Annulus(0.0), ld.Annulus(0.4), ld.Square()]
+
+
+@contextmanager
+def small_budget():
+    """The package's one size budget shrunk to 10,000 values, so no example can grow large."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "DEFAULT_MAX_POINTS", 10_000)
+        yield
 
 rational = st.fractions(min_value=-1, max_value=1, max_denominator=12).map(float)
 real = st.floats(-1.0, 1.0).map(lambda x: x if abs(x - round(x)) > 1e-9 else float(round(x)))
@@ -102,7 +111,8 @@ def test_annulus_enumeration_matches_brute(gA0, xi, t, c):
     T = t + JIGGLE
     basis = ld.Mat2.from_array(g @ A0)
     assume(abs(basis.det - 1.0) <= 1e-12)
-    got = ld.enumerate_points(ld.AffineLatticeSpec(basis, xi), ld.Annulus(c), T, max_points=10_000)
+    with small_budget():
+        got = ld.enumerate_points(ld.AffineLatticeSpec(basis, xi), ld.Annulus(c), T)
     plain = ld.AffineLatticeSpec(ld.Mat2.from_array(A0), tuple(_moved_shift(xi, g)))
     _same_points(got, brute_points(plain, ld.Annulus(c), T, _box(T, A0)))
 
@@ -118,8 +128,9 @@ def test_direction_set_is_directions_of_points(gA0, xi, T, shape):
     basis = ld.Mat2.from_array(g @ A0)
     assume(abs(basis.det - 1.0) <= 1e-12)
     lat = ld.AffineLatticeSpec(basis, xi)
-    want = ld.directions(ld.enumerate_points(lat, shape, T, max_points=10_000), T, shape)
-    got = ld.direction_set(lat, shape, T, max_points=10_000)
+    with small_budget():
+        want = ld.directions(ld.enumerate_points(lat, shape, T), T, shape)
+        got = ld.direction_set(lat, shape, T)
     assert got.T == want.T and got.shape == want.shape
     assert got.alphas.tobytes() == want.alphas.tobytes()
 
@@ -156,7 +167,8 @@ def test_enumerate_points_reduces_integer_bases(g, xi, t, shape):
     # strips follow the rows of g: a shear of 1e7 would walk 1e7 T of them unreduced
     T = t + JIGGLE
     lat = ld.AffineLatticeSpec(ld.Mat2.from_array(g), xi)
-    got = ld.enumerate_points(lat, shape, T, max_points=10_000)
+    with small_budget():
+        got = ld.enumerate_points(lat, shape, T)
     plain = ld.AffineLatticeSpec(ld.Mat2.identity(), tuple(_moved_shift(xi, g)))
     _same_points(got, brute_points(plain, shape, T, int(T) + 2))
 
@@ -169,7 +181,8 @@ def test_enumerate_points_reduces_real_bases(gA0, xi, t, shape):
     T = t + JIGGLE
     basis = ld.Mat2.from_array(g @ A0)
     assume(abs(basis.det - 1.0) <= 1e-12)  # else the float product is not unimodular enough
-    got = ld.enumerate_points(ld.AffineLatticeSpec(basis, xi), shape, T, max_points=10_000)
+    with small_budget():
+        got = ld.enumerate_points(ld.AffineLatticeSpec(basis, xi), shape, T)
     plain = ld.AffineLatticeSpec(ld.Mat2.from_array(A0), tuple(_moved_shift(xi, g)))
     _same_points(got, brute_points(plain, shape, T, _box(T, A0)))
 
@@ -328,18 +341,19 @@ def test_settle_moves_each_end_by_the_predicate():
     assert strips.widths(lo, hi).tolist() == [4, 4, 4, 1, 0]
 
 
-def test_halfplanes_strict_closed_and_zero_coefficients():
-    lo, hi = strips.halfplanes(0.0, [(1.0, np.array([2.0]), ">"), (1.0, np.array([5.0]), "<=")])
-    assert (lo[0], hi[0]) == (3, 5)
-    lo, hi = strips.halfplanes(0.5, [(-2.0, np.array([-9.0]), ">="), (-2.0, np.array([1.0]), "<")])
-    assert (lo[0], hi[0]) == (0, 4)  # -1/2 < m2 + 1/2 <= 9/2
-    # a zero coefficient only tests feasibility: an infeasible strip is empty
-    lo, hi = strips.halfplanes(0.0, [(1.0, np.array([0.0, 0.0]), ">="),
-                                     (1.0, np.array([4.0, 4.0]), "<="),
-                                     (0.0, np.array([1.0, -1.0]), "<")])
-    assert strips.widths(lo, hi).tolist() == [5, 0]
-
-
-def test_halfplanes_rejects_unbounded_strip():
-    with pytest.raises(ld.InvalidInputError):
-        strips.halfplanes(0.0, [(0.0, np.array([-1.0]), ">"), (1.0, np.array([3.0]), "<")])
+def test_square_range_solves_closed_slabs():
+    # -t <= p1 r + (m2 + xi2) q <= t per axis: closed, so ends on an integer are kept
+    p1 = np.array([-3.0, -1.0, 0.0, 1.5, 3.0])
+    for basis, xi2, t in [(ld.Mat2.identity(), 0.0, 2.0), (ld.Mat2(0.0, -1.0, 1.0, 0.0), 0.5, 2.5),
+                          (ld.Mat2(1.0, 0.5, -2.0, 0.0), 0.5, 4.5), (ld.Mat2(2.0, 1.0, 1.0, 1.0), 0.25, 3.25)]:
+        lo, hi = lattice._square_range(basis, p1, xi2, t)
+        for k, x in enumerate(p1):
+            m2 = np.arange(-40, 41)
+            y1, y2 = x * basis.a + (m2 + xi2) * basis.c, x * basis.b + (m2 + xi2) * basis.d
+            inside = m2[(np.abs(y1) <= t) & (np.abs(y2) <= t)]
+            assert strips.widths(lo[k], hi[k]) == inside.size
+            if inside.size:
+                assert (lo[k], hi[k]) == (inside[0], inside[-1])
+    # a zero coefficient q (here B.c = 0) tests the whole strip: |p1 B.a| <= t, else the range is [1, 0]
+    lo, hi = lattice._square_range(ld.Mat2.identity(), np.array([2.0, -2.0, 2.5]), 0.0, 2.0)
+    assert lo.tolist() == [-2, -2, 1] and hi.tolist() == [2, 2, 0]

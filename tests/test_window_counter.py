@@ -106,9 +106,9 @@ def test_counter_repairs_a_misplaced_cut(monkeypatch):
     dirs = ld.direction_set(lat, ld.Annulus(0.2), 80.0)
     slots, calls = ld.lattice._slots, []
 
-    def moved(s, n, a, tol, w, xi2, budget):
+    def moved(s, n, a, tol, w, xi2):
         calls.append(np.isinf(tol).sum())
-        return slots(s, n, a, tol, w + 0.01 * (1.0 + np.abs(w)), xi2, budget)
+        return slots(s, n, a, tol, w + 0.01 * (1.0 + np.abs(w)), xi2)
 
     monkeypatch.setattr(ld.lattice, "_slots", moved)
     for alpha in (0.05, 0.3, 0.61, 0.97):

@@ -32,15 +32,22 @@ CHUNK = 1 << 16
 
 
 def integer_range(lo, hi, xi):
-    """Inclusive int64 range of the integers m with lo <= m + xi <= hi.
+    """Inclusive int64 range of the integers m with lo <= m + xi <= hi, for bounds lo <= hi.
 
-    Raises CapacityError, before the int64 cast, unless every bound lo - xi
-    and hi - xi lies within +-LIMIT (a NaN bound fails too).
+    Raises CapacityError unless every bound lies within about +-LIMIT: a
+    NaN, infinite or 2^63-sized bound fails the int64 cast itself, and the
+    least lower and the greatest upper integer are checked after it, which
+    bounds the others since lo <= hi.  No pass over the bounds is added to
+    the cast but the two integer reductions.
     """
-    lo, hi = lo - xi, hi - xi
-    if not all(-LIMIT <= np.min(b, initial=0.0) and np.max(b, initial=0.0) <= LIMIT for b in (lo, hi)):
+    with np.errstate(invalid="raise"):
+        try:
+            lo, hi = np.ceil(lo - xi).astype(np.int64), np.floor(hi - xi).astype(np.int64)
+        except FloatingPointError:
+            lo = None
+    if lo is None or np.size(lo) and not (np.min(lo) >= -LIMIT and np.max(hi) <= LIMIT):
         raise CapacityError("an integer range reaches past +-2^61, beyond what int64 bounds can hold")
-    return np.ceil(lo).astype(np.int64), np.floor(hi).astype(np.int64)
+    return lo, hi
 
 
 def widths(lo, hi):

@@ -21,6 +21,7 @@ import pytest
 
 import latdir as ld
 from latdir import lattice, stats
+from latdir.cli import main
 from latdir.limit import disc_count
 
 ARGV = [shlex.split(line) for line in (Path(__file__).parent / "over_budget_argv.txt").read_text().splitlines()]
@@ -110,6 +111,17 @@ def test_large_statistics_are_refused_before_allocating():
     assert _peak(ld.pair_correlation_integral, dirs, (0.0, 1.0), (W, W + 1.0)) < 1e6
     assert _peak(ld.MeasureSpec.uniform, 10**8) < 1e6  # 1e8 points hold about 1.3e9 values
     assert _peak(ld.dioph_scan, (0.3, 0.7), 2.0, 10**6) < 1e6  # 1e12 values of the half diamond
+
+
+def test_spacings_check_every_k_before_the_first_file(monkeypatch, tmp_path):
+    # each k is one pass over the N directions: k = 1..2 fit in 2 N values, k = 1..3 write nothing
+    N = ld.direction_set(ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.7)), ld.Annulus(0.0), 20.0).N
+    _budget(monkeypatch, 2 * N)
+    argv = ["spacings", "--xi", "0.3,0.7", "--T", "20", "--out", str(tmp_path / "s.csv")]
+    assert main([*argv, "--k", "1..3"]) == 3
+    assert list(tmp_path.iterdir()) == []
+    assert main([*argv, "--k", "1..2"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s_k01.csv", "s_k02.csv"]
 
 
 def test_dioph_radius_budget(monkeypatch):

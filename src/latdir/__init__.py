@@ -8,6 +8,8 @@ the space of affine lattices.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .diophantine import (
     CBRT2,
     CBRT4,
@@ -46,18 +48,14 @@ from .lattice import (
 from .limit import (
     ConeRegion,
     CountDistribution,
-    HomSample,
-    IwasawaPoint,
     MCResult,
     cone_counts,
     coset_reps,
-    count_in_region,
     crude_bound_holds,
     crude_bound_min_T,
     cusp_bound_holds,
     disc_count,
     exact_limit_moment,
-    haar_sample,
     haar_v_cdf,
     iwasawa_matrix,
     sample_count_distribution,
@@ -77,4 +75,7 @@ from .stats import (
     window_counts,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every name imported above, and no submodule: the import lists are the one list of public names
+__all__ = sorted(
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

@@ -362,7 +362,7 @@ def _write_histogram(path, args, seed, hist):
 
 
 def _write_json(path, obj):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)  # NaN or inf is no JSON
     with _Out(path) as fh:
         fh.write(text + "\n")
 

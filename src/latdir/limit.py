@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from . import strips
-from .errors import InsufficientDataError, InvalidInputError, UnsupportedError
+from .errors import CapacityError, InsufficientDataError, InvalidInputError, UnsupportedError
 from .lattice import (
     AffineLatticeSpec,
     Annulus,
@@ -60,46 +60,6 @@ SIEGEL_BATCH = 50_000
 # samples per sub-chunk of a Siegel batch: about 8.5k strips, so the
 # per-strip arrays stay in a core's cache
 SIEGEL_CHUNK = 1024
-
-
-@dataclass(frozen=True)
-class IwasawaPoint:
-    """Coordinates (u, v, phi) of n(u) a(v) k(phi); v > 0."""
-
-    u: float
-    v: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not self.v > 0:
-            raise InvalidInputError("v must be positive")
-
-    def in_fundamental_domain(self) -> bool:
-        return abs(self.u) <= 0.5 and self.u**2 + self.v**2 >= 1.0
-
-
-@dataclass(frozen=True)
-class HomSample:
-    """A point of the space of affine lattices: Iwasawa part plus shift.
-
-    ``coset`` carries an integer unimodular representative when sampling a
-    congruence cover (rational shift classes).
-    """
-
-    point: IwasawaPoint
-    xi: tuple[float, float] = (0.0, 0.0)
-    coset: np.ndarray | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", (float(self.xi[0]), float(self.xi[1])))
-        if not (0.0 <= self.xi[0] < 1.0 and 0.0 <= self.xi[1] < 1.0):
-            raise InvalidInputError("xi components must lie in [0, 1)")
-        if self.coset is not None:
-            co = np.asarray(self.coset)
-            if co.shape != (2, 2) or not np.issubdtype(co.dtype, np.integer):
-                raise InvalidInputError("coset must be an integer 2x2 matrix")
-            if round(float(co[0, 0] * co[1, 1] - co[0, 1] * co[1, 0])) != 1:
-                raise InvalidInputError("coset must have determinant 1")
 
 
 @dataclass(frozen=True)
@@ -207,12 +167,6 @@ def _haar_blocks(rng, sizes, xi_class: str, p=None, q=None):
         else:
             shift = _coset_shift(p, q, reps[stream.integers(0, len(reps), nb)])
         yield u, v, phi, shift
-
-
-def haar_sample(rng) -> IwasawaPoint:
-    """One Haar-distributed Iwasawa point in the fundamental domain."""
-    u, v, phi = _haar_batch(rng, 1)
-    return IwasawaPoint(float(u[0]), float(v[0]), float(phi[0]))
 
 
 def haar_v_cdf(v):
@@ -495,37 +449,10 @@ def cone_counts(A: np.ndarray, shift: np.ndarray, region: ConeRegion) -> np.ndar
     return _cone_kernel(entries, shift[:, 0], shift[:, 1], region.c, [region.interval])[:, 0]
 
 
-def _coset_shift(p, q: int, coset) -> np.ndarray:
+def _coset_shift(p, q: int, gamma) -> np.ndarray:
     """(p gamma mod q) / q for integer cosets gamma (..., 2, 2): the shift of (Z^2 + p/q) gamma."""
-    pg = np.einsum("i,...ij->...j", np.asarray(p, dtype=np.int64), coset)
+    pg = np.einsum("i,...ij->...j", np.asarray(p, dtype=np.int64), gamma)
     return np.mod(pg, q) / q
-
-
-def count_in_region(sample: HomSample, regions, xi_mode: str = "generic", pq=None) -> np.ndarray:
-    """Window counts of one affine-lattice sample in each cone region.
-
-    ``xi_mode="generic"`` counts (m + xi) n(u) a(v) k(phi); with
-    ``xi_mode="fixed_rational"`` and ``pq=(p1, p2, q)`` the lattice is
-    (Z^2 + p/q) gamma n(u) a(v) k(phi) for the sample's integer coset gamma,
-    counted as (Z^2 + (p gamma mod q) / q) n(u) a(v) k(phi).
-    """
-    regions = [regions] if isinstance(regions, ConeRegion) else list(regions)
-    if not regions:
-        raise InvalidInputError("need at least one region")
-    pt = sample.point
-    A = _iwasawa_entries(*(np.array([t]) for t in (pt.u, pt.v, pt.phi)))
-    if xi_mode == "generic":
-        shift = np.array(sample.xi)
-    elif xi_mode == "fixed_rational":
-        if pq is None:
-            raise InvalidInputError("fixed_rational mode needs pq=(p1, p2, q)")
-        p1, p2, q = pq
-        coset = np.eye(2, dtype=np.int64) if sample.coset is None else sample.coset
-        shift = _coset_shift((p1, p2), q, coset)
-    else:
-        raise InvalidInputError(f"unknown xi_mode {xi_mode!r}")
-    xi1, xi2 = shift[:1], shift[1:]
-    return np.array([int(_cone_kernel(A, xi1, xi2, reg.c, [reg.interval])[0, 0]) for reg in regions])
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +544,14 @@ class CountDistribution:
         if not np.all(np.isfinite(powers)):
             raise InvalidInputError("powers must be finite")
         ks = self.rows.astype(float)
-        return np.prod(np.where((ks == 0) & (powers == 0), 1.0, ks**powers), axis=1)
+        zero = ks == 0
+        with np.errstate(over="ignore", invalid="ignore"):  # a value past the float range is refused below
+            # 0^0 = 1 and 0^s = 0 for s != 0, as in stats._power; a count k != 0 gives k^s
+            vals = np.prod(np.where(zero, powers == 0, (ks + zero) ** powers), axis=1)
+        # the moments sum value^2 over the samples, so that sum must stay in the float range too
+        if not np.all(vals <= math.sqrt(np.finfo(float).max / (4.0 * self.total))):  # NaN fails too
+            raise CapacityError(f"moment of powers {powers.tolist()} passes the float range")
+        return vals
 
     def moment(self, powers) -> MCResult:
         """Plain-mean estimate of E[prod_j k_j^{p_j}] with its standard error."""
@@ -933,27 +867,30 @@ def crude_bound_holds(
     return lhs <= rhs
 
 
-def cusp_bound_holds(sample: HomSample, r: float, sigmas=(1.5, 2.0, 2.5)) -> bool:
-    """High-cusp count bound for the disc of radius r.
+def cusp_bound_holds(u: float, v: float, phi: float, xi, r: float, sigmas=(1.5, 2.0, 2.5)) -> bool:
+    """High-cusp count bound for the disc of radius r, at (m + xi) n(u) a(v) k(phi).
 
     For v >= 1 the number of affine lattice points in the closed disc is
     at most (2 r sqrt(v) + 1) times the number of shifted integers in
     [-r/sqrt(v), r/sqrt(v)]; for v > 4 r^2 the same holds with both sides
-    raised to each sigma (the integer factor is then 0 or 1).
+    raised to each sigma (the integer factor is then 0 or 1).  The shift
+    xi must lie in [0, 1)^2.
     """
-    pt = sample.point
-    if pt.v < 1.0:
+    xi = (float(xi[0]), float(xi[1]))
+    if not (0.0 <= xi[0] < 1.0 and 0.0 <= xi[1] < 1.0):  # NaN and inf fail too
+        raise InvalidInputError("xi components must lie in [0, 1)")
+    if not v >= 1.0:
         raise InvalidInputError("cusp bound requires v >= 1")
-    if r < 0:
+    if not r >= 0:
         raise InvalidInputError("radius must be nonnegative")
-    A = iwasawa_matrix(pt.u, pt.v, pt.phi)
-    lhs = int(disc_count(A, np.array(sample.xi), r)[0])
-    half = r / math.sqrt(pt.v)
-    n_int = int(strips.widths(*strips.integer_range(-half, half, sample.xi[0])))
-    factor = 2.0 * r * math.sqrt(pt.v) + 1.0
+    A = iwasawa_matrix(u, v, phi)
+    lhs = int(disc_count(A, np.array(xi), r)[0])
+    half = r / math.sqrt(v)
+    n_int = int(strips.widths(*strips.integer_range(-half, half, xi[0])))
+    factor = 2.0 * r * math.sqrt(v) + 1.0
     if lhs > factor * n_int:
         return False
-    if pt.v > 4.0 * r * r and r > 0:
+    if v > 4.0 * r * r and r > 0:
         for sigma in sigmas:
             if float(lhs) ** sigma > factor**sigma * n_int:
                 return False

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import CapacityError, InvalidInputError
 from .lattice import DirectionSet, _check_budget, _frac, _window_count
 
 # Values that ``mixed_moment`` holds per quadrature point at its peak (about 13 measured): a
@@ -397,7 +397,9 @@ def mixed_moment(
     The integrand is piecewise constant in alpha, so the uniform-grid error
     scales like N * |I| / quadrature_points.  Window counts (windows times
     quadrature points) past the budget raise CapacityError before any is
-    made.
+    made, and so does a moment whose terms pass the float range once they
+    are summed.  A zero base follows ``_power``: 0^0 = 1 and 0^s = 0 for
+    s != 0.
     """
     box = as_box(box)
     if len(spec.exponents) != box.m:
@@ -409,13 +411,17 @@ def mixed_moment(
     offset = 1.0 if shifted else 0.0
     vals = np.ones(grid.shape, dtype=complex)
     max_count = np.zeros(grid.shape, dtype=np.int64)
-    for interval, s in zip(box.intervals, spec.exponents):
-        cnt = window_counts(dirs, interval, grid)
-        np.maximum(max_count, cnt, out=max_count)
-        vals *= _power(cnt + offset, s)
-    if spec.cap is not None:
-        vals = np.where(max_count <= spec.cap, vals, 0.0)
-    return complex(np.sum(weights * vals))
+    with np.errstate(over="ignore", invalid="ignore"):  # a term past the float range is refused below
+        for interval, s in zip(box.intervals, spec.exponents):
+            cnt = window_counts(dirs, interval, grid)
+            np.maximum(max_count, cnt, out=max_count)
+            vals *= _power(cnt + offset, s)
+        if spec.cap is not None:
+            vals = np.where(max_count <= spec.cap, vals, 0.0)
+        value = complex(np.sum(weights * vals))
+    if not cmath.isfinite(value):
+        raise CapacityError(f"moment of exponents {list(spec.exponents)} passes the float range")
+    return value
 
 
 def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float:

@@ -134,14 +134,10 @@ def test_criterion_11_property_suites(cbrt_lat, dirs_500):
 
     cusp_ok = all(
         ld.cusp_bound_holds(
-            ld.HomSample(
-                ld.IwasawaPoint(
-                    float(rng.uniform(-0.5, 0.5)),
-                    float(rng.uniform(1.0, 100.0)),
-                    float(rng.uniform(0, 2 * math.pi)),
-                ),
-                tuple(rng.uniform(0, 1, 2)),
-            ),
+            float(rng.uniform(-0.5, 0.5)),
+            float(rng.uniform(1.0, 100.0)),
+            float(rng.uniform(0, 2 * math.pi)),
+            rng.uniform(0, 1, 2),
             float(rng.choice([1.0, 5.0])),
         )
         for _ in range(200)

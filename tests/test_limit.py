@@ -7,7 +7,7 @@ import pytest
 
 import latdir as ld
 from latdir.lattice import DEFAULT_MAX_POINTS
-from latdir.limit import RCUT, V_FLOOR, _gauss_sums, _haar_batch
+from latdir.limit import RCUT, V_FLOOR, _coset_shift, _gauss_sums, _haar_batch
 
 from oracles import brute_cone_count, brute_disc_count
 
@@ -40,53 +40,40 @@ def test_haar_v_cdf_against_sample():
 
 
 def test_haar_sample_single():
-    pt = ld.haar_sample(np.random.default_rng(0))
-    assert pt.in_fundamental_domain()
+    u, v, _ = _haar_batch(np.random.default_rng(0), 1)
+    assert abs(u[0]) <= 0.5 and u[0] ** 2 + v[0] ** 2 >= 1.0
 
 
 # ---------------------------------------------------------------- counting
 
 
 def test_count_in_region_identity_sample():
-    s = ld.HomSample(ld.IwasawaPoint(0.0, 1.0, 0.0))
-    assert ld.count_in_region(s, ld.ConeRegion(0.0, (0.0, 1.0)))[0] == 0
+    assert ld.cone_counts(ld.iwasawa_matrix(0.0, 1.0, 0.0), np.zeros(2), ld.ConeRegion(0.0, (0.0, 1.0)))[0] == 0
 
 
 def test_count_in_region_low_sample():
     # outside the fundamental domain, allowed as a direct input
-    s = ld.HomSample(ld.IwasawaPoint(0.0, 0.25, 0.0))
-    assert ld.count_in_region(s, ld.ConeRegion(0.0, (0.0, 1.0)))[0] == 1
+    assert ld.cone_counts(ld.iwasawa_matrix(0.0, 0.25, 0.0), np.zeros(2), ld.ConeRegion(0.0, (0.0, 1.0)))[0] == 1
 
 
 def test_count_in_region_rational_mode():
+    # (Z^2 + p/q) gamma A is counted as (Z^2 + (p gamma mod q) / q) A
     rng = np.random.default_rng(19)
     reps = ld.coset_reps(3)
     reg = ld.ConeRegion(0.0, (-0.5, 1.5))
     for _ in range(25):
-        pt = ld.IwasawaPoint(rng.uniform(-1, 1), rng.uniform(0.3, 3.0), rng.uniform(0, 2 * np.pi))
+        A = ld.iwasawa_matrix(rng.uniform(-1, 1), rng.uniform(0.3, 3.0), rng.uniform(0, 2 * np.pi))
         coset = reps[rng.integers(len(reps))]
-        s = ld.HomSample(pt, (0.0, 0.0), coset=coset)
-        got = ld.count_in_region(s, reg, xi_mode="fixed_rational", pq=(1, 2, 3))[0]
-        A = coset.astype(float) @ ld.iwasawa_matrix(pt.u, pt.v, pt.phi)[0]
-        want = int(ld.cone_counts(A[None], np.array([1 / 3, 2 / 3]), reg)[0])
+        got = ld.cone_counts(A, _coset_shift((1, 2), 3, coset), reg)[0]
+        want = int(ld.cone_counts(coset.astype(float) @ A[0], np.array([1 / 3, 2 / 3]), reg)[0])
         assert got == want
 
 
-def test_hom_sample_validation():
-    pt = ld.IwasawaPoint(0.0, 1.0, 0.0)
-    with pytest.raises(ld.InvalidInputError):
-        ld.HomSample(pt, (1.2, 0.0))
-    with pytest.raises(ld.InvalidInputError):
-        ld.HomSample(pt, (0.0, 0.0), coset=np.array([[2, 0], [0, 1]]))
-    with pytest.raises(ld.InvalidInputError):
-        ld.IwasawaPoint(0.0, -1.0, 0.0)
-
-
 def test_count_window_shrinks_to_zero():
-    s = ld.HomSample(ld.IwasawaPoint(0.17, 1.3, 0.9), (0.21, 0.47))
+    A = ld.iwasawa_matrix(0.17, 1.3, 0.9)
     prev = None
     for eps in (1.0, 0.3, 0.1, 0.01, 1e-4):
-        k = ld.count_in_region(s, ld.ConeRegion(0.0, (0.25, 0.25 + eps)))[0]
+        k = ld.cone_counts(A, np.array([0.21, 0.47]), ld.ConeRegion(0.0, (0.25, 0.25 + eps)))[0]
         if prev is not None:
             assert k <= prev
         prev = k
@@ -165,13 +152,11 @@ def test_region_shear_translation_exact():
         for _ in range(40):
             u0 = rng.uniform(-3, 3)
             v0 = rng.uniform(0.2, 4.0)
-            xi = tuple(rng.uniform(0, 1, 2))
+            xi = rng.uniform(0, 1, 2)
             r = float(rng.uniform(-1.5, 1.5))
-            s_shift = ld.HomSample(ld.IwasawaPoint(u0, v0, 0.0), xi)
-            k1 = ld.count_in_region(s_shift, base.shifted(r))[0]
+            k1 = ld.cone_counts(ld.iwasawa_matrix(u0, v0, 0.0), xi, base.shifted(r))[0]
             u_new = u0 - 2.0 * r * v0 / (1.0 - c * c)
-            s_moved = ld.HomSample(ld.IwasawaPoint(u_new, v0, 0.0), xi)
-            k2 = ld.count_in_region(s_moved, base)[0]
+            k2 = ld.cone_counts(ld.iwasawa_matrix(u_new, v0, 0.0), xi, base)[0]
             assert k1 == k2
 
 
@@ -488,22 +473,28 @@ def test_crude_bound_scale_gate():
 def test_cusp_bound_random():
     rng = np.random.default_rng(23)
     for _ in range(120):
-        s = ld.HomSample(
-            ld.IwasawaPoint(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 100.0), rng.uniform(0, 2 * np.pi)),
-            tuple(rng.uniform(0, 1, 2)),
-        )
-        assert ld.cusp_bound_holds(s, float(rng.choice([1.0, 5.0])))
+        assert ld.cusp_bound_holds(rng.uniform(-0.5, 0.5), rng.uniform(1.0, 100.0), rng.uniform(0, 2 * np.pi),
+                                   rng.uniform(0, 1, 2), float(rng.choice([1.0, 5.0])))
 
 
 def test_cusp_bound_zero_factor_forces_zero():
-    s = ld.HomSample(ld.IwasawaPoint(0.3, 1.0, 0.7), (0.5, 0.2))
     A = ld.iwasawa_matrix(0.3, 1.0, 0.7)
     assert int(ld.disc_count(A, np.array([0.5, 0.2]), 0.4)[0]) == 0
-    assert ld.cusp_bound_holds(s, 0.4)
-    assert ld.cusp_bound_holds(s, 0.0)
+    assert ld.cusp_bound_holds(0.3, 1.0, 0.7, (0.5, 0.2), 0.4)
+    assert ld.cusp_bound_holds(0.3, 1.0, 0.7, (0.5, 0.2), 0.0)
 
 
 def test_cusp_bound_requires_high_point():
-    s = ld.HomSample(ld.IwasawaPoint(0.0, 0.5, 0.0))
-    with pytest.raises(ld.InvalidInputError):
-        ld.cusp_bound_holds(s, 1.0)
+    for v in (0.5, -1.0, float("nan")):
+        with pytest.raises(ld.InvalidInputError, match="v >= 1"):
+            ld.cusp_bound_holds(0.0, v, 0.0, (0.0, 0.0), 1.0)
+
+
+def test_cusp_bound_validation():
+    # a shift outside [0, 1)^2 or not finite, and a negative or NaN radius
+    for xi in ((1.2, 0.0), (0.0, -0.1), (float("nan"), 0.0), (0.0, float("inf"))):
+        with pytest.raises(ld.InvalidInputError, match=r"\[0, 1\)"):
+            ld.cusp_bound_holds(0.0, 1.0, 0.0, xi, 1.0)
+    for r in (-1.0, float("nan")):
+        with pytest.raises(ld.InvalidInputError, match="radius"):
+            ld.cusp_bound_holds(0.0, 1.0, 0.0, (0.0, 0.0), r)

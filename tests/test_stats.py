@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,31 @@ def test_mixed_moment_complex_exponent(regular8):
     s = 0.5 + 0.25j
     val = ld.mixed_moment(regular8, [(0.0, 1.0)], ld.MomentSpec((s,)))
     assert val == pytest.approx(2.0**s, rel=1e-9)
+
+
+def test_zero_power_rule_at_both_layers(regular8):
+    # 0^0 = 1 and 0^s = 0 for s != 0, in the finite layer and in the limit's count law: the window
+    # (0, 1/2) holds one of the eight directions at 8 of 16 grid points and none at the other 8
+    lam = ld.MeasureSpec.uniform(16)
+    law = ld.CountDistribution(np.array([[0], [1]]), np.array([[8, 8]]))
+    for s, want in ((-1.0, 0.5), (0.0, 1.0), (2.0, 0.5)):
+        assert ld.mixed_moment(regular8, [(0.0, 0.5)], ld.MomentSpec((s,)), lam, shifted=False) == want
+        assert law.moment([s]).estimate == law.moment_mom([s]).estimate == want
+
+
+def test_moment_past_the_float_range_is_a_capacity_error(regular8):
+    # 9^800 overflows; 3^400 is finite but its square, which the standard error sums, is not
+    law = ld.CountDistribution(np.array([[0], [3]]), np.array([[1, 1]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ld.CapacityError, match="float range"):
+            ld.mixed_moment(regular8, [(0.0, 8.0)], ld.MomentSpec((800.0,)))
+        for powers in ([1e308], [400.0]):
+            with pytest.raises(ld.CapacityError, match="float range"):
+                law.moment(powers)
+            with pytest.raises(ld.CapacityError, match="float range"):
+                law.moment_mom(powers)
+        assert law.moment([200.0]).estimate == pytest.approx(0.5 * 3.0**200)
 
 
 def test_restricted_moment_monotone(dirs_small=None):

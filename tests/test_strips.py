@@ -23,6 +23,7 @@ import pytest
 
 import latdir as ld
 from latdir import lattice, strips
+from latdir.limit import _coset_shift
 
 from oracles import brute_cone_count, brute_cusp_sum, brute_disc_count, brute_points
 
@@ -290,12 +291,11 @@ def rational_samples(draw):
 def test_fixed_rational_counts_move_the_coset_into_the_shift(pq, u, v, phi, c, windows):
     # (Z^2 + p/q) gamma A is counted as (Z^2 + (p gamma mod q) / q) A
     p1, p2, q, gamma = pq
-    pt = ld.IwasawaPoint(u + JIGGLE, v, phi + JIGGLE)
+    A = ld.iwasawa_matrix(u + JIGGLE, v, phi + JIGGLE)
     regions = [ld.ConeRegion(c, (a + JIGGLE, a + JIGGLE + w)) for a, w in windows]
-    got = ld.count_in_region(ld.HomSample(pt, coset=gamma), regions, "fixed_rational", pq=(p1, p2, q))
-    A = gamma.astype(float) @ ld.iwasawa_matrix(pt.u, pt.v, pt.phi)[0]
-    want = [int(ld.cone_counts(A[None], np.array([p1 / q, p2 / q]), reg)[0]) for reg in regions]
-    assert got.tolist() == want
+    got = [int(ld.cone_counts(A, _coset_shift((p1, p2), q, gamma), reg)[0]) for reg in regions]
+    want = [int(ld.cone_counts(gamma.astype(float) @ A[0], np.array([p1 / q, p2 / q]), reg)[0]) for reg in regions]
+    assert got == want
 
 
 @PROPS

@@ -67,7 +67,6 @@ from .stats import (
     IntervalBox,
     MeasureSpec,
     MomentSpec,
-    counting_stat,
     mixed_moment,
     pair_correlation,
     pair_correlation_integral,

@@ -206,4 +206,4 @@ def rational_divergence_probe(xi, r, eps: float, T_list, c: float = 0.0) -> list
     alpha_r = math.atan2(r1, -r2) / (2.0 * math.pi) % 1.0
     lat = AffineLatticeSpec(Mat2.identity(), (float(x1), float(x2)))
     shape = Annulus(c)
-    return [count_in_window(lat, shape, T, (-eps, eps), alpha_r)[0] for T in T_list]
+    return [int(count_in_window(lat, shape, T, (-eps, eps), alpha_r)[0]) for T in T_list]

@@ -76,8 +76,17 @@ def _moebius(M: Mat2, u, v):
     return re, im
 
 
-def _cusp_sums(taus, xi, M: Mat2, spec: CuspSpec, cosets: str) -> np.ndarray:
-    """Cusp sums at M . tau for each complex tau of ``taus`` (``_moebius``).
+def cusp_window_sum(taus, xi, M: Mat2, spec: CuspSpec, cosets: str = "all") -> np.ndarray:
+    """Exact finite evaluation of the cusp excursion sum at M n(u) a(v), one per node.
+
+    Each complex node ``tau = u + i v`` of ``taus`` fixes the horocycle
+    coordinates; the Iwasawa level of the composed matrix is the Moebius
+    image tau' = M . tau (``_moebius``).  Each surviving coprime pair (c, d)
+    contributes v_g^beta * sum_m f((d xi_1 - c xi_2 + m) sqrt(v_g)) with
+    v_g = v' / |c tau' + d|^2 >= R.  Returns the sums in the shape of
+    ``taus`` (a 0-d array for one node).  ``cosets`` restricts the sum:
+    "identity" keeps only the rows (0, +-1), "inverted" only (+-1, 0) --
+    the leading term of the horocycle average.
 
     g in SL(2, Z), one per node, moves tau' = u + i v into F: a step
     translates, u <- u - rint(u), then flips, (u, v) <- (-u / r, v / r) with
@@ -87,8 +96,9 @@ def _cusp_sums(taus, xi, M: Mat2, spec: CuspSpec, cosets: str) -> np.ndarray:
     v_g >= 1 only at tau' = i, row (+-1, 0), so the candidates are +-(c, d)
     and +-(a, b) of g (the same four on |tau'| = 1, however r rounds), and
     the exact v_g >= R test decides them.  A node's terms add in (c, d) order.
-    An image above ``V_CEIL``, or a weight v_g^beta above 2^1000, is a
-    CapacityError, raised before anything overflows.
+    Nodes past the budget raise CapacityError before the reduction; so does
+    an image above ``V_CEIL``, or a weight v_g^beta above 2^1000, before
+    anything overflows.
     """
     if cosets not in COSET_FILTERS:
         raise InvalidInputError(f"cosets must be one of {COSET_FILTERS}")
@@ -96,7 +106,10 @@ def _cusp_sums(taus, xi, M: Mat2, spec: CuspSpec, cosets: str) -> np.ndarray:
         raise InvalidInputError("xi must be finite")
     M.require_unimodular()  # a non-finite entry fails it too
     taus = np.asarray(taus, dtype=complex)
-    up, vp = _moebius(M, taus.real, taus.imag)
+    if not np.all(np.isfinite(taus) & (taus.imag > 0)):
+        raise InvalidInputError("tau must be a finite point of the upper half plane")
+    _check_budget(taus.size, "cusp nodes")
+    up, vp = _moebius(M, taus.real.ravel(), taus.imag.ravel())
     if not np.all(np.isfinite(up) & np.isfinite(vp)):
         raise CapacityError("M . tau lies beyond the float range")
     # the floor keeps g's entries below (1 + |u'|) / min(v', 1) <= 2^52, exact; NaN fails it too
@@ -137,30 +150,7 @@ def _cusp_sums(taus, xi, M: Mat2, spec: CuspSpec, cosets: str) -> np.ndarray:
     mm, wm, sm, owner = strips.expand(mlo, strips.widths(mlo, mhi), w, scale, np.arange(c.size))
     arg = (wm + mm) * sm
     msum = np.bincount(owner, weights=np.exp(-(arg**2)), minlength=c.size)
-    return np.bincount(node, weights=vg**spec.beta * msum, minlength=vp.size)
-
-
-def cusp_window_sum(
-    tau: complex,
-    xi,
-    M: Mat2,
-    spec: CuspSpec,
-    cosets: str = "all",
-) -> float:
-    """Exact finite evaluation of the cusp excursion sum at M n(u) a(v).
-
-    ``tau = u + i v`` fixes the horocycle coordinates; the Iwasawa level of
-    the composed matrix is the Moebius image tau' = M . tau.  Each
-    surviving coprime pair (c, d) contributes
-    v_g^beta * sum_m f((d xi_1 - c xi_2 + m) sqrt(v_g)) with
-    v_g = v' / |c tau' + d|^2 >= R.
-
-    ``cosets`` restricts the sum: "identity" keeps only the rows (0, +-1),
-    "inverted" only (+-1, 0) — the leading term of the horocycle average.
-    """
-    if not (math.isfinite(tau.real) and math.isfinite(tau.imag) and tau.imag > 0):
-        raise InvalidInputError("tau must be a finite point of the upper half plane")
-    return float(_cusp_sums([tau], xi, M, spec, cosets)[0])
+    return np.bincount(node, weights=vg**spec.beta * msum, minlength=vp.size).reshape(taus.shape)
 
 
 def bump_window(u, support) -> np.ndarray:
@@ -215,7 +205,7 @@ def horocycle_escape_integral(
     live = hs != 0.0
     taus = np.empty(np.count_nonzero(live), dtype=complex)
     taus.real, taus.imag = us[live], v
-    sums = _cusp_sums(taus, xi, M, spec, cosets)
+    sums = cusp_window_sum(taus, xi, M, spec, cosets)
     # nodes are added one after another (cumsum), as a running total would
     total = np.cumsum(hs[live] * sums)
     return float(total[-1] if total.size else 0.0) * du

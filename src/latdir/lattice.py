@@ -15,11 +15,11 @@ points, and the points within roundoff of a ray get the sector of their
 own angle, so the result is exact by construction; a check of the sector
 boundaries would send any misplaced angle to one global sort.
 
-``count_in_window`` uses the same cut (``_cut``) at the two rays of a
-window's ends: a window count is a sum of piece widths, in O(strips)
-time and memory, with no direction set at all.  It has no sort to fall
-back on, so it tests the first and last point of every piece by their
-own angle and decides a range that fails point by point.
+``count_in_window`` uses the same cut (``_cut``) at the rays of the
+window ends: a window count is a sum of piece widths, in O(strips) time
+and memory per window end, with no direction set at all.  It has no sort
+to fall back on, so it tests the first and last point of every piece by
+their own angle and decides a range that fails point by point.
 """
 
 from __future__ import annotations
@@ -54,6 +54,9 @@ SECTOR = 2 * strips.CHUNK
 # Values that ``count_in_window`` holds per m1-strip at its peak (about 60 to 80 measured): its
 # strips are checked against the budget at this weight, as a point is by the enumerator.
 STRIP_VALUES = 96
+# Values that ``_cut`` holds per m1-strip and window end of ``count_in_window`` (about 2.6 to 2.8
+# measured over 100 to 2000 positions): the strips times the distinct ends are checked at this weight.
+END_VALUES = 4
 # Roundoff of a computed sector-ray crossing along a strip, per unit of its
 # scale |y|^2 / |p1| + |r1| |y| + |t| + 1: about 1e-14, times a margin of a
 # thousand.  The integers this close to a crossing are decided by ``_turns``.
@@ -692,29 +695,32 @@ def count_in_window(
     shape: DomainShape,
     T: float,
     interval,
-    alpha: float,
-) -> tuple[int, int]:
-    """The window count at alpha and N, without the direction set.
+    alphas,
+) -> tuple[np.ndarray, int]:
+    """The window counts at the positions ``alphas`` and N, without the direction set.
 
-    Returns exactly ``(counting_stat(dirs, interval, alpha), dirs.N)`` for
-    ``dirs = direction_set(lat, shape, T)``, with count 0 when N = 0, in
-    O(strips) time and memory.  N is the total width of the kept ranges.
-    The window ends are those of ``stats.window_counts`` (``_window_count``),
-    and the directions under each end come from the kept ranges cut at the
-    rays of the window ends (``_cut``): piece widths, plus the float
-    predicate turns < end on the points within roundoff of a ray, where
-    ``_turns`` gives the value that ``direction_set`` would store.  The cut
-    checks the two ends of every piece by ``_turns`` as well, and cuts a
-    range that fails point by point.
+    Returns exactly ``(window_counts(dirs, interval, alphas), dirs.N)`` for
+    ``dirs = direction_set(lat, shape, T)``, with the counts in the shape of
+    ``alphas`` (0 when N = 0), in O(strips times window ends) time and
+    memory.  N is the total width of the kept ranges.  The window ends are
+    those of ``stats.window_counts`` (``_window_count``), and the directions
+    under each end come from the kept ranges cut once at the rays of all
+    distinct window ends (``_cut``): piece widths, plus the float predicate
+    turns < end on the points within roundoff of a ray, where ``_turns``
+    gives the value that ``direction_set`` would store.  The cut checks the
+    two ends of every piece by ``_turns`` as well, and cuts a range that
+    fails point by point.
 
     The budget (``_check_budget``) caps the strips, at ``STRIP_VALUES``
-    each, and the points decided one by one (the boundary candidates and the
-    points next to the rays), not N: T = 1e5 (N about 3.1e10) holds about
-    0.1 GB, and T goes up to about 1e6 on a unit-square lattice.  Raises
-    CapacityError past it, before allocating, and InvalidInputError on a bad
-    interval or scale.
+    each; past one position, whose three ends weigh less than a strip, the
+    strips times the distinct window ends, at ``END_VALUES`` each; and the
+    points decided one by one (the boundary candidates and the points next
+    to the rays), not N.  At one position T = 1e5 (N about 3.1e10) holds
+    about 0.1 GB, and T goes up to about 1e6 on a unit-square lattice.
+    Raises CapacityError past it, before allocating, and InvalidInputError
+    on a bad interval or scale.
     """
-    _window_count(interval, 0, alpha, None)  # checks the interval before any strip is solved
+    _window_count(interval, 0, alphas, None)  # checks the interval before any strip is solved
     B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, count_only=True)
     N = int(counts.sum())
 
@@ -722,12 +728,13 @@ def count_in_window(
         edges = np.unique(np.concatenate([[0.0], ends[(ends > 0.0) & (ends < 1.0)]]))
         sizes = np.array([N])
         if edges.size > 1:
+            _check_budget(p1.size * edges.size * END_VALUES, f"{p1.size} m1-strips x {edges.size} window ends")
             pieces = _cut(B, xi2, p1, starts, counts, key, edges, math.sqrt(2.0) * T, check=True)
             sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
         under = np.concatenate([[0], np.cumsum(sizes)])  # under[k]: the turns under edges[k], N under 1
         return under[np.searchsorted(edges, ends, side="left")]
 
-    return int(_window_count(interval, N, alpha, below)), N
+    return _window_count(interval, N, alphas, below), N
 
 
 def _window_count(interval, N: int, alphas, below):

@@ -37,15 +37,8 @@ import numpy as np
 
 from . import strips
 from .errors import CapacityError, InsufficientDataError, InvalidInputError, UnsupportedError
-from .lattice import (
-    AffineLatticeSpec,
-    Annulus,
-    DirectionSet,
-    _check_budget,
-    count_in_window,
-    rotation,
-)
-from .stats import as_box, counting_stat
+from .lattice import AffineLatticeSpec, Annulus, _check_budget, count_in_window, rotation
+from .stats import as_box
 
 TWO_PI = 2.0 * math.pi
 # s y1 <= y2 for a window's lower slope, s y1 >= y2 for its upper one
@@ -443,10 +436,20 @@ def cone_counts(A: np.ndarray, shift: np.ndarray, region: ConeRegion) -> np.ndar
     decides the integers at both ends of it, so the count is the number of
     lattice points the exact filter keeps.
     """
-    A = np.asarray(A, dtype=float).reshape(-1, 2, 2)
-    shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1, 2), (A.shape[0], 2))
+    A, shift = _samples(A, shift)
     entries = A.reshape(-1, 4).T
     return _cone_kernel(entries, shift[:, 0], shift[:, 1], region.c, [region.interval])[:, 0]
+
+
+def _samples(A, shift):
+    """``A`` as (n, 2, 2) and ``shift`` broadcast to (n, 2); InvalidInputError unless both are finite."""
+    A = np.asarray(A, dtype=float).reshape(-1, 2, 2)
+    shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1, 2), (A.shape[0], 2))
+    if not np.all(np.isfinite(A)):
+        raise InvalidInputError("the matrix must be finite")
+    if not np.all(np.isfinite(shift)):
+        raise InvalidInputError("the shift must be finite")
+    return A, shift
 
 
 def _coset_shift(p, q: int, gamma) -> np.ndarray:
@@ -516,6 +519,8 @@ class CountDistribution:
             raise InvalidInputError("rows and block_hist must be integer arrays (K, m) and (blocks, K)")
         if np.any(hist < 0) or hist.sum() <= 0:
             raise InvalidInputError("block counts must be nonnegative with a positive total")
+        if np.any(rows < 0):
+            raise InvalidInputError("count rows must be nonnegative")
         step = np.diff(rows, axis=0)
         if np.any(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] <= 0):
             raise InvalidInputError("rows must be distinct and sorted lexicographically")
@@ -733,11 +738,13 @@ def exact_limit_moment(powers, box) -> float | None:
 def disc_count(A: np.ndarray, shift: np.ndarray, r: float) -> np.ndarray:
     """Number of points (m + shift) A inside the closed disc of radius r, |det A| = 1.
 
-    Raises CapacityError before any strip is formed when an m1 bound does
-    not fit int64 (``strips.integer_range``) or the strips pass the budget.
+    Raises InvalidInputError unless r >= 0 and A and the shift are finite,
+    and CapacityError before any strip is formed when an m1 bound does not
+    fit int64 (``strips.integer_range``) or the strips pass the budget.
     """
-    A = np.asarray(A, dtype=float).reshape(-1, 2, 2)
-    shift = np.broadcast_to(np.asarray(shift, dtype=float).reshape(-1, 2), (A.shape[0], 2))
+    if not r >= 0:  # NaN fails too
+        raise InvalidInputError(f"the radius must be nonnegative, got {r!r}")
+    A, shift = _samples(A, shift)
     m1lo, m1hi, q12, q22 = strips.ellipse_span(*A.reshape(-1, 4).T, r, shift[:, 0])
     rows = strips.widths(m1lo, m1hi)
     _check_budget(rows.sum(dtype=float), "disc strips")
@@ -834,37 +841,28 @@ def crude_bound_min_T(interval, theta: float) -> float:
     return 10.0 * (1.0 + reach) / theta
 
 
-def crude_bound_holds(
-    lat: AffineLatticeSpec,
-    alpha: float,
-    T: float,
-    interval,
-    theta: float,
-    c: float = 0.0,
-    dirs: DirectionSet | None = None,
-) -> bool:
-    """Window count at scale T bounded by a padded cone count.
+def crude_bound_holds(lat: AffineLatticeSpec, alphas, T: float, interval, theta: float) -> np.ndarray:
+    """Window counts at scale T bounded by padded cone counts, one bool per position.
 
-    The left side counts directions in the shrunk window; the right side
-    counts lattice points of (m + shift) M0 k(2*pi*alpha) diag(1/T, T)
-    inside the c = 0 cone over the theta-padded interval.  Requires
+    At each position alpha of ``alphas`` the left side counts directions in
+    the shrunk window (``count_in_window``, one call for all positions); the
+    right side counts lattice points of (m + shift) M0 k(2*pi*alpha)
+    diag(1/T, T) inside the c = 0 cone over the theta-padded interval
+    (``cone_counts``, one call over the stacked matrices).  Requires
     T >= crude_bound_min_T(interval, theta); theta > 0.
     """
     if theta <= 0:
         raise InvalidInputError("theta must be positive")
     if T < crude_bound_min_T(interval, theta):
         raise InvalidInputError("T below the safe scale for this window padding")
-    if dirs is None:
-        lhs, N = count_in_window(lat, Annulus(c), T, interval, alpha)
-        if N == 0:
-            raise InvalidInputError("empty direction set")
-    else:
-        lhs = counting_stat(dirs, interval, alpha)
+    alphas = np.asarray(alphas, dtype=float)
+    lhs, N = count_in_window(lat, Annulus(0.0), T, interval, alphas)
+    if N == 0:
+        raise InvalidInputError("empty direction set")
     flow = np.array([[1.0 / T, 0.0], [0.0, T]])
-    A = lat.basis.array() @ rotation(TWO_PI * alpha).array() @ flow
+    A = [lat.basis.array() @ rotation(TWO_PI * a).array() @ flow for a in alphas.ravel().tolist()]
     region = ConeRegion(0.0, (interval[0] - theta, interval[1] + theta))
-    rhs = int(cone_counts(A[None], np.array(lat.shift), region)[0])
-    return lhs <= rhs
+    return lhs <= cone_counts(np.array(A), np.array(lat.shift), region).reshape(alphas.shape)
 
 
 def cusp_bound_holds(u: float, v: float, phi: float, xi, r: float, sigmas=(1.5, 2.0, 2.5)) -> bool:
@@ -881,9 +879,7 @@ def cusp_bound_holds(u: float, v: float, phi: float, xi, r: float, sigmas=(1.5, 
         raise InvalidInputError("xi components must lie in [0, 1)")
     if not v >= 1.0:
         raise InvalidInputError("cusp bound requires v >= 1")
-    if not r >= 0:
-        raise InvalidInputError("radius must be nonnegative")
-    A = iwasawa_matrix(u, v, phi)
+    A = iwasawa_matrix(u, v, phi)  # disc_count refuses a negative or NaN radius
     lhs = int(disc_count(A, np.array(xi), r)[0])
     half = r / math.sqrt(v)
     n_int = int(strips.widths(*strips.integer_range(-half, half, xi[0])))

@@ -162,11 +162,6 @@ def window_counts(dirs: DirectionSet, interval, alphas) -> np.ndarray:
     return _window_count(interval, dirs.N, alphas, lambda x: np.searchsorted(dirs.alphas, x, side="left"))
 
 
-def counting_stat(dirs: DirectionSet, interval, alpha: float) -> int:
-    """Scalar window count at a single circle position."""
-    return int(window_counts(dirs, interval, np.array([alpha]))[0])
-
-
 def spacing_histogram(dirs: DirectionSet, k: int, edges) -> Histogram:
     """Histogram of scaled k-th neighbor spacings N*(alpha_{j+k} - alpha_j).
 

@@ -1,6 +1,6 @@
 """Property tests for the SL(2, Z) reduction behind ``latdir.escape``.
 
-``_cusp_sums`` proposes four rows per node, +-(c, d) and +-(a, b) of the
+``cusp_window_sum`` proposes four rows per node, +-(c, d) and +-(a, b) of the
 matrix that reduces tau' = M . tau to the standard fundamental domain.
 Its sums must equal, bit for bit, the ellipse reference that scans every
 coprime row c^2 v'^2 + (c u' + d)^2 <= v'/R, for random M, xi, R in
@@ -83,7 +83,7 @@ def cusp_cases(draw):
 @given(case=cusp_cases())
 def test_reduction_equals_the_ellipse_bit_for_bit(case):
     M, xi, spec, cosets, taus = case
-    got = escape._cusp_sums(taus, xi, M, spec, cosets)
+    got = ld.cusp_window_sum(taus, xi, M, spec, cosets)
     want = ellipse_cusp_sums(taus, xi, M, spec, cosets)
     assert got.tobytes() == want.tobytes()
 
@@ -114,7 +114,7 @@ def test_reduction_ends_on_boundary_nodes(R):
     previous = signal.signal(signal.SIGALRM, _raise_hang)
     signal.alarm(20)
     try:
-        got = escape._cusp_sums(taus, (0.3, 0.1), ld.Mat2.identity(), spec, "all")
+        got = ld.cusp_window_sum(taus, (0.3, 0.1), ld.Mat2.identity(), spec, "all")
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

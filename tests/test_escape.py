@@ -84,7 +84,7 @@ def test_height_below_the_floor_is_a_capacity_error():
     assert ld.cusp_window_sum(complex(0.25, 2.0**-51), (0.3, 0.7), I2, ld.CuspSpec(1.0, 2.0)) >= 0.0
 
 
-def test_node_budget_is_checked_before_allocating():
+def test_node_budget_is_checked_before_allocating(monkeypatch):
     # 1e12 nodes would be 8 TB per node array: refused before np.arange
     tracemalloc.start()
     try:
@@ -95,6 +95,10 @@ def test_node_budget_is_checked_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+    # the batch cusp sum checks its own nodes against the budget before the reduction
+    monkeypatch.setattr(ld.lattice, "DEFAULT_MAX_POINTS", 3)
+    with pytest.raises(ld.CapacityError, match="cusp nodes"):
+        ld.cusp_window_sum([1j, 2j, 3j, 4j], (0.3, 0.7), I2, ld.CuspSpec(1.0, 2.0))
 
 
 def test_image_beyond_the_float_range_is_a_capacity_error():
@@ -243,7 +247,9 @@ def test_batched_sums_match_brute_force():
     for _ in range(12):
         M, xi, spec, _ = _random_case(rng)
         taus = [complex(u, v) for u, v in zip(rng.uniform(-1, 1, 20), 10.0 ** rng.uniform(-1.5, 0.5, 20))]
-        vals = ld.escape._cusp_sums(taus, xi, M, spec, "all")
+        vals = ld.cusp_window_sum(taus, xi, M, spec, "all")
+        # the sums come in the shape of the nodes, with the same bits
+        assert ld.cusp_window_sum(np.reshape(taus, (4, 5)), xi, M, spec).tobytes() == vals.tobytes()
         for tau, val in zip(taus, vals):
             taup = (M.a * tau + M.b) / (M.c * tau + M.d)
             reach = math.sqrt(taup.imag / spec.R)  # bounds |c| and |c u' + d| on the ellipse

@@ -244,6 +244,12 @@ def test_count_distribution_bookkeeping():
     assert probs.sum() == pytest.approx(1.0)
 
 
+def test_count_distribution_rejects_negative_counts():
+    # a count is never negative: such a row is an input error, not a moment past the float range
+    with pytest.raises(ld.InvalidInputError, match="nonnegative"):
+        ld.CountDistribution([[-2], [1]], [[1, 1]])
+
+
 def test_count_distribution_reproducible():
     d1 = ld.sample_count_distribution(0.0, "irrational", [(0.0, 1.0)], 20_000, np.random.default_rng(5))
     d2 = ld.sample_count_distribution(0.0, "irrational", [(0.0, 1.0)], 20_000, np.random.default_rng(5))
@@ -453,14 +459,10 @@ def test_siegel_empty_support():
 
 def test_crude_bound_small_scale():
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.7))
-    shape = ld.Annulus(0.0)
-    dirs = ld.directions(ld.enumerate_points(lat, shape, 120.0), 120.0, shape)
     rng = np.random.default_rng(17)
-    for a in rng.uniform(0, 1, 25):
-        assert ld.crude_bound_holds(lat, float(a), 120.0, (-1.0, 1.0), 0.5, dirs=dirs)
+    assert ld.crude_bound_holds(lat, rng.uniform(0, 1, 25), 120.0, (-1.0, 1.0), 0.5).all()
     # padded window dominates a tiny window trivially
-    for a in rng.uniform(0, 1, 5):
-        assert ld.crude_bound_holds(lat, float(a), 120.0, (0.0, 0.001), 1.0, dirs=dirs)
+    assert ld.crude_bound_holds(lat, rng.uniform(0, 1, 5), 120.0, (0.0, 0.001), 1.0).all()
 
 
 def test_crude_bound_scale_gate():
@@ -482,6 +484,19 @@ def test_cusp_bound_zero_factor_forces_zero():
     assert int(ld.disc_count(A, np.array([0.5, 0.2]), 0.4)[0]) == 0
     assert ld.cusp_bound_holds(0.3, 1.0, 0.7, (0.5, 0.2), 0.4)
     assert ld.cusp_bound_holds(0.3, 1.0, 0.7, (0.5, 0.2), 0.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda A: ld.disc_count(A, np.zeros(2), math.nan), "radius"),
+    (lambda A: ld.disc_count(A, (math.nan, 0.0), 1.0), "shift"),
+    (lambda A: ld.cone_counts(A, (math.nan, 0.0), ld.ConeRegion(0.0, (0.0, 1.0))), "shift"),
+    (lambda A: ld.cone_counts(np.full_like(A, math.nan), (0.3, 0.4), ld.ConeRegion(0.0, (0.0, 1.0))), "matrix"),
+], ids=["disc-radius", "disc-shift", "cone-shift", "cone-matrix"])
+def test_nan_input_of_the_batch_counters_is_invalid(call, name):
+    # a NaN radius, shift or matrix is refused by name before any strip is solved, not
+    # reported as an integer range past int64
+    with pytest.raises(ld.InvalidInputError, match=name):
+        call(ld.iwasawa_matrix(0.1, 1.2, 0.3))
 
 
 def test_cusp_bound_requires_high_point():

@@ -20,17 +20,17 @@ def shift_dirs(dirs, delta):
 
 
 def test_counting_stat_regular(regular8):
-    assert ld.counting_stat(regular8, (0.0, 1.0), 0.0) == 1
-    assert ld.counting_stat(regular8, (-1.0, 1.0), 0.0) == 2
-    assert ld.counting_stat(regular8, (0.0, 8.0), 0.123) == 8
-    assert ld.counting_stat(regular8, (0.0, 9.5), 0.99) == 8
+    assert ld.window_counts(regular8, (0.0, 1.0), 0.0) == 1
+    assert ld.window_counts(regular8, (-1.0, 1.0), 0.0) == 2
+    assert ld.window_counts(regular8, (0.0, 8.0), 0.123) == 8
+    assert ld.window_counts(regular8, (0.0, 9.5), 0.99) == 8
 
 
 def test_counting_stat_wrap(regular8):
     # windows shorter than the 1/8 spacing, positioned to straddle 1
-    assert ld.counting_stat(regular8, (-0.25, 0.25), 0.93) == 0
-    assert ld.counting_stat(regular8, (-0.25, 0.25), 0.999) == 1
-    assert ld.counting_stat(regular8, (-2.0, 2.0), 0.97) == 4
+    assert ld.window_counts(regular8, (-0.25, 0.25), 0.93) == 0
+    assert ld.window_counts(regular8, (-0.25, 0.25), 0.999) == 1
+    assert ld.window_counts(regular8, (-2.0, 2.0), 0.97) == 4
 
 
 def test_counting_translation_invariance():
@@ -42,8 +42,8 @@ def test_counting_translation_invariance():
         b = a + rng.uniform(0.1, 3)
         alpha = rng.uniform(0, 1)
         delta = rng.uniform(0, 1)
-        lhs = ld.counting_stat(dirs, (a, b), alpha)
-        rhs = ld.counting_stat(shift_dirs(dirs, delta), (a, b), (alpha + delta) % 1.0)
+        lhs = ld.window_counts(dirs, (a, b), alpha)
+        rhs = ld.window_counts(shift_dirs(dirs, delta), (a, b), (alpha + delta) % 1.0)
         assert lhs == rhs
 
 
@@ -56,15 +56,15 @@ def test_counting_window_additivity():
         b = a + rng.uniform(0.05, 2)
         c = b + rng.uniform(0.05, 2)
         alpha = rng.uniform(0, 1)
-        whole = ld.counting_stat(dirs, (a, c), alpha)
-        parts = ld.counting_stat(dirs, (a, b), alpha) + ld.counting_stat(dirs, (b, c), alpha)
+        whole = ld.window_counts(dirs, (a, c), alpha)
+        parts = ld.window_counts(dirs, (a, b), alpha) + ld.window_counts(dirs, (b, c), alpha)
         assert whole == parts
 
 
 def test_counting_empty_set_rejected():
     empty = ld.DirectionSet(np.array([]), 1.0, ld.Annulus(0.0))
     with pytest.raises(ld.InvalidInputError):
-        ld.counting_stat(empty, (0.0, 1.0), 0.0)
+        ld.window_counts(empty, (0.0, 1.0), 0.0)
     with pytest.raises(ld.InvalidInputError):
         ld.pair_correlation_integral(empty, (0.0, 1.0), (0.0, 1.0))
 

@@ -1,9 +1,9 @@
-"""``count_in_window`` against ``counting_stat`` of the full direction set.
+"""``count_in_window`` against ``window_counts`` of the full direction set.
 
-The counter cuts the kept strip ranges at the two rays of a window's ends
-and sums piece widths, letting ``_turns`` decide the points within
-roundoff of a ray.  So it must return exactly the count that
-``counting_stat(direction_set(...))`` returns, and N, on every input:
+The counter cuts the kept strip ranges at the rays of the window ends and
+sums piece widths, letting ``_turns`` decide the points within roundoff of
+a ray.  So it must return exactly the counts that
+``window_counts(direction_set(...))`` returns, and N, on every input:
 random and skewed determinant-1 bases, zero, random and small-q rational
 shifts, both domains, and windows that wrap past 0, that are far thinner
 than the gap between two directions, or whose ends sit exactly on a
@@ -69,16 +69,23 @@ def windows(draw, dirs):
 
 @PROPS
 @given(bases(), shifts, shapes, st.floats(1.0, 300.0), st.data())
-def test_counter_matches_counting_stat(basis, shift, shape, T, data):
+def test_counter_matches_window_counts(basis, shift, shape, T, data):
     lat = ld.AffineLatticeSpec(basis, shift)
     dirs = ld.direction_set(lat, shape, T)
     if dirs.N == 0:
         assert ld.count_in_window(lat, shape, T, (-1.0, 1.0), 0.3) == (0, 0)
         return
+    alphas = []
     for _ in range(6):
         interval, alpha = data.draw(windows(dirs))
-        want = ld.counting_stat(dirs, interval, alpha)
+        want = ld.window_counts(dirs, interval, alpha)
         assert ld.count_in_window(lat, shape, T, interval, alpha) == (want, dirs.N)
+        alphas.append(alpha)
+    # one array-valued call over the drawn positions, in their shape, against the same counts
+    alphas = np.array(alphas).reshape(2, 3)
+    counts, N = ld.count_in_window(lat, shape, T, interval, alphas)
+    assert N == dirs.N and counts.shape == (2, 3)
+    assert np.array_equal(counts, ld.window_counts(dirs, interval, alphas))
 
 
 @pytest.mark.parametrize("shift, shape, T", [
@@ -93,10 +100,14 @@ def test_counter_on_every_direction(shift, shape, T):
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), shift)
     dirs = ld.direction_set(lat, shape, T)
     distinct = np.unique(dirs.alphas)
-    for t in distinct[:: max(1, distinct.size // 120)].tolist():
+    ts = distinct[:: max(1, distinct.size // 120)]
+    for t in ts.tolist():
         for interval, alpha in (((0.0, 1.0), t), ((-1.0, 0.0), t), ((0.0, 1e-9), t)):
             got = ld.count_in_window(lat, shape, T, interval, alpha)
-            assert got == (ld.counting_stat(dirs, interval, alpha), dirs.N)
+            assert got == (ld.window_counts(dirs, interval, alpha), dirs.N)
+    for interval in ((0.0, 1.0), (-1.0, 0.0), (0.0, 1e-9)):  # every position in one call
+        counts, N = ld.count_in_window(lat, shape, T, interval, ts)
+        assert N == dirs.N and np.array_equal(counts, ld.window_counts(dirs, interval, ts))
 
 
 def test_counter_repairs_a_misplaced_cut(monkeypatch):
@@ -114,7 +125,7 @@ def test_counter_repairs_a_misplaced_cut(monkeypatch):
     for alpha in (0.05, 0.3, 0.61, 0.97):
         for interval in ((-5.0, 5.0), (0.0, 3000.0)):
             got = ld.count_in_window(lat, ld.Annulus(0.2), 80.0, interval, alpha)
-            assert got == (ld.counting_stat(dirs, interval, alpha), dirs.N)
+            assert got == (ld.window_counts(dirs, interval, alpha), dirs.N)
     assert max(calls) > 0  # some ranges were cut again
 
 
@@ -182,13 +193,30 @@ def test_counter_decides_an_axis_strip_whole():
         for alpha in (0.0, 0.25, 0.5, 0.75):
             for interval in ((-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0)):
                 got = ld.count_in_window(lat, ld.Annulus(0.0), 100.0, interval, alpha)
-                assert got == (ld.counting_stat(dirs, interval, alpha), dirs.N)
+                assert got == (ld.window_counts(dirs, interval, alpha), dirs.N)
 
 
-def test_crude_bound_without_a_direction_set():
+def test_counter_budget_counts_strips_times_window_ends():
+    # 4e4 strips times about 2e4 distinct window ends pass the 2e8 values of the budget, though
+    # one position at T = 2e4 is far inside it: refused before any piece is formed
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.5, 0.5))
-    dirs = ld.direction_set(lat, ld.Annulus(0.0), 120.0)
-    for a in (0.1, 0.375, 0.9):
-        for interval, theta in (((-1.0, 1.0), 0.5), ((0.0, 0.001), 1.0)):
-            assert ld.crude_bound_holds(lat, a, 120.0, interval, theta) == \
-                ld.crude_bound_holds(lat, a, 120.0, interval, theta, dirs=dirs)
+    alphas = np.random.default_rng(5).uniform(0.0, 1.0, 10**4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ld.CapacityError, match="window ends"):
+            ld.count_in_window(lat, ld.Annulus(0.0), 2e4, (-1.0, 1.0), alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26
+    assert ld.count_in_window(lat, ld.Annulus(0.0), 2e4, (-1.0, 1.0), 0.1)[1] > 0
+
+
+def test_crude_bound_array_equals_per_position_calls():
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.5, 0.5))
+    alphas = np.array([[0.1, 0.375, 0.9], [0.0, 0.25, 0.6180339887]])
+    for interval, theta in (((-1.0, 1.0), 0.5), ((0.0, 0.001), 1.0)):
+        got = ld.crude_bound_holds(lat, alphas, 120.0, interval, theta)
+        assert got.shape == alphas.shape
+        want = [[ld.crude_bound_holds(lat, a, 120.0, interval, theta) for a in row] for row in alphas.tolist()]
+        assert got.tolist() == want

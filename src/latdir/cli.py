@@ -29,7 +29,7 @@ from .diophantine import (
     dioph_scan,
     rational_divergence_probe,
 )
-from .errors import CapacityError, LatdirError
+from .errors import CapacityError, InvalidInputError, LatdirError
 from .escape import horocycle_escape_integral
 from .lattice import (
     DEFAULT_MAX_POINTS,
@@ -39,7 +39,9 @@ from .lattice import (
     Mat2,
     Square,
     _check_budget,
+    count_in_window,
     direction_set,
+    expected_count,
     lattice_from_json,
 )
 from .limit import (
@@ -52,7 +54,7 @@ from .stats import (
     IntervalBox,
     MeasureSpec,
     MomentSpec,
-    mixed_moment,
+    _grid_moment,
     pair_correlation,
     spacing_histogram,
 )
@@ -415,8 +417,16 @@ def cmd_moments(args) -> int:
     exps = parse_complex_list(args.s)
     spec = MomentSpec(tuple(exps), cap=args.K)
     lam = MeasureSpec.uniform(args.grid)
-    dirs = direction_set(lat, shape, T)
-    val = mixed_moment(dirs, box, spec, lam, shifted=args.shifted)
+    # the sweep walks every direction: refused before any strip is solved, as a direction set is
+    _check_budget(expected_count(shape, T), "points expected about the domain's area")
+
+    def count(windows, grid):  # every window at every grid point, from the lattice with no direction set
+        counts, N = count_in_window(lat, shape, T, windows, grid)
+        if N == 0:
+            raise InvalidInputError("empty direction set")
+        return counts
+
+    val = _grid_moment(count, box, spec, lam, shifted=args.shifted)
     obj = {
         "s": [[z.real, z.imag] for z in exps],
         "K": args.K,

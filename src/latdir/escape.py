@@ -98,7 +98,8 @@ def cusp_window_sum(taus, xi, M: Mat2, spec: CuspSpec, cosets: str = "all") -> n
     the exact v_g >= R test decides them.  A node's terms add in (c, d) order.
     Nodes past the budget raise CapacityError before the reduction; so does
     an image above ``V_CEIL``, or a weight v_g^beta above 2^1000, before
-    anything overflows.
+    anything overflows, and inner m-sum terms past the budget (their number
+    grows with ``spec.f_width``) before they are formed.
     """
     if cosets not in COSET_FILTERS:
         raise InvalidInputError(f"cosets must be one of {COSET_FILTERS}")
@@ -147,7 +148,9 @@ def cusp_window_sum(taus, xi, M: Mat2, spec: CuspSpec, cosets: str = "all") -> n
     scale = np.sqrt(vg) / spec.f_width
     reach = XMAX / scale
     mlo, mhi = strips.integer_range(-reach, reach, w)
-    mm, wm, sm, owner = strips.expand(mlo, strips.widths(mlo, mhi), w, scale, np.arange(c.size))
+    terms = strips.widths(mlo, mhi)
+    _check_budget(int(terms.sum()), "inner m-sum terms")
+    mm, wm, sm, owner = strips.expand(mlo, terms, w, scale, np.arange(c.size))
     arg = (wm + mm) * sm
     msum = np.bincount(owner, weights=np.exp(-(arg**2)), minlength=c.size)
     return np.bincount(node, weights=vg**spec.beta * msum, minlength=vp.size).reshape(taus.shape)

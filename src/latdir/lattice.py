@@ -8,18 +8,24 @@ angles, measured in turns (angle / 2*pi, mod 1), with multiplicity.
 
 Points are enumerated one m1-strip at a time, and each strip is a line,
 so its angles are monotone in m2.  ``direction_set`` uses that to build
-the sorted sequence in sector order: it cuts every strip where it crosses
-the K sector rays k/K (K from the point count), writes the angles sector
-by sector and sorts each sector in cache.  The pieces partition the kept
-points, and the points within roundoff of a ray get the sector of their
-own angle, so the result is exact by construction; a check of the sector
-boundaries would send any misplaced angle to one global sort.
+the sorted sequence in sector order (``_sorted_sectors``): it cuts every
+strip where it crosses the K sector rays k/K (K = N // SECTOR), writes
+the angles sector by sector and sorts each sector in cache.  The pieces
+partition the kept points, and the cut (``_cut``) tests the first and
+last point of every piece by their own angle and decides a range that
+fails point by point, so every point lies in the sector of its own angle
+and the result is exact by construction.  Time is O(N log SECTOR), and
+memory the N angles plus the pieces, about strips times K / 2.
 
-``count_in_window`` uses the same cut (``_cut``) at the rays of the
-window ends: a window count is a sum of piece widths, in O(strips) time
-and memory per window end, with no direction set at all.  It has no sort
-to fall back on, so it tests the first and last point of every piece by
-their own angle and decides a range that fails point by point.
+``count_in_window`` counts directions under window ends with the same
+cut and no direction set.  A few ends are cut at directly: a window count
+is then a sum of piece widths, in O(strips) time and memory per end.
+When the distinct ends outnumber the K sectors, as on the quadrature grid
+of a moment, one sweep over the sectors forms and sorts each sector's
+angles in one reused buffer and searches the ends inside it: O(N log
+SECTOR) time, and memory one sector plus the pieces, which grow as
+N T / SECTOR (a peak of 16 MB at T = 2000 and 163 MB at T = 5000 on the
+unit lattice, under tracemalloc), not O(SECTOR).
 """
 
 from __future__ import annotations
@@ -47,21 +53,22 @@ MARGIN = 1e-9
 # misses this disc holds no point that rounds to the origin, and the
 # squares of radii above it are normal floats.
 ORIGIN_RADIUS = 2.0**-500
-# Target angles per sector of ``direction_set``.  A sector of 2^17 values
+# Target angles per sector of ``_sorted_sectors``.  A sector of 2^17 values
 # (1 MB) sorts in cache at about 8 ns a value; smaller sectors sort barely
 # faster per value and need more cuts.
 SECTOR = 2 * strips.CHUNK
 # Values that ``count_in_window`` holds per m1-strip at its peak (about 60 to 80 measured): its
 # strips are checked against the budget at this weight, as a point is by the enumerator.
 STRIP_VALUES = 96
-# Values that ``_cut`` holds per m1-strip and window end of ``count_in_window`` (about 2.6 to 2.8
-# measured over 100 to 2000 positions): the strips times the distinct ends are checked at this weight.
+# Values that ``_cut`` holds per m1-strip and ray it cuts at (about 2.6 to 2.8 measured for the window
+# ends of ``count_in_window`` over 100 to 2000 positions): the strips times the distinct ends, or times
+# the sector rays of ``_sorted_sectors``, are checked at this weight.
 END_VALUES = 4
 # Roundoff of a computed sector-ray crossing along a strip, per unit of its
 # scale |y|^2 / |p1| + |r1| |y| + |t| + 1: about 1e-14, times a margin of a
 # thousand.  The integers this close to a crossing are decided by ``_turns``.
-# It is an estimate, not a proven bound: ``count_in_window`` checks the ends
-# of its pieces, and ``direction_set`` the order of its sectors.
+# It is an estimate, not a proven bound: ``_cut`` checks the ends of its
+# pieces for ``count_in_window`` and ``direction_set`` alike.
 CUT_TOL = 2.0**-36
 
 
@@ -504,17 +511,42 @@ def _crossed(edges, down, sign: int):
     return rays, past[rays]
 
 
-def _sector_pieces(B: Mat2, xi2, p1, starts, counts, key, K: int, reach: float):
-    """Cut the kept m2 ranges at the K sector rays k/K into pieces, sector by sector.
+def _sorted_sectors(B: Mat2, xi2, p1, starts, counts, key, reach: float, out=None):
+    """The directions of the kept m2 ranges, sector by sector, each sector sorted in place.
 
-    ``_cut`` with the edges k/K.  Returns the start, length and p1 of every
-    piece, and the number of points in each sector.  The pieces come sector
-    by sector (within a sector, in no particular order); some are empty.
+    The ranges are cut at the K = N // SECTOR sector rays k/K (``_cut`` with
+    its check, so every point lies in the sector of its own ``_turns``
+    value; N < 2 SECTOR gives K = 1 and no ray to cut at), and the pieces
+    are put in sector order.  Each sector's angles are written, one
+    cache-sized piece at a time, into ``out`` and sorted there.  An ``out``
+    of N values holds every sector at its place in the sorted sequence;
+    without one, a buffer of the largest sector holds each sector in turn,
+    overwritten by the next.  Yields, per sector, its turns [lo, hi), the
+    number of directions under lo and its sorted angles, a view of the
+    buffer valid until the next sector.  The strips times the K rays past
+    the budget (``END_VALUES`` each) raise CapacityError before any piece
+    is formed.
     """
-    starts, counts, p1, sector = _cut(B, xi2, p1, starts, counts, key, np.arange(K) / K, reach)
+    N = int(counts.sum())
+    K = max(N // SECTOR, 1)
+    _check_budget(p1.size * K * END_VALUES, f"{p1.size} m1-strips x {K} sector rays")
+    edges = np.arange(K) / K
+    starts, counts, p1, sector = _cut(B, xi2, p1, starts, counts, key, edges, reach, check=True)
     order = np.argsort(sector.astype(np.min_scalar_type(K)), kind="stable")
+    starts, counts, p1, sector = starts[order], counts[order], p1[order], sector[order]
     sizes = np.bincount(sector, weights=counts, minlength=K).astype(np.int64)
-    return starts[order], counts[order], p1[order], sizes
+    under = np.cumsum(sizes) - sizes
+    first = np.searchsorted(sector, np.arange(K + 1))  # the pieces of sector k: first[k]:first[k + 1]
+    buf = np.empty(sizes.max()) if out is None else None
+    for k, (lo, hi) in enumerate(zip(edges, np.append(edges[1:], 1.0))):
+        vals = buf[:sizes[k]] if out is None else out[under[k]:under[k] + sizes[k]]
+        n = 0
+        i, j = first[k], first[k + 1]
+        for y1, y2 in _points(B, xi2, starts[i:j], counts[i:j], p1[i:j]):
+            _turns(y1, y2, vals[n:n + y1.size])
+            n += y1.size
+        vals.sort()  # values only, no NaN or -0.0: any sort gives the same bytes
+        yield lo, hi, int(under[k]), vals
 
 
 def _turns_of(y1, y2):
@@ -530,13 +562,6 @@ def _point_turns(B: Mat2, xi2, p1, m2):
     out = np.empty(p2.shape)
     _turns(_affine_combo(p1, p2, B.a, B.c), _affine_combo(p1, p2, B.b, B.d), out)
     return out
-
-
-def _in_order(alphas, sizes) -> bool:
-    """Whether each nonempty sector's last angle is <= the first angle of the next one."""
-    end = np.cumsum(sizes)[sizes > 0]
-    first = (end - sizes[sizes > 0])[1:]
-    return bool(np.all(alphas[end[:-1] - 1] <= alphas[first]))
 
 
 def _square_range(B: Mat2, p1, xi2, t):
@@ -654,39 +679,27 @@ def direction_set(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Direc
     """Sorted directions of the lattice points in the domain, without the points.
 
     Bit for bit ``directions(enumerate_points(lat, shape, T), T, shape)``,
-    with the same errors, but no (n, 2) array is built: the kept
-    strip ranges are cut at K = N // SECTOR sector rays k/K
-    (``_sector_pieces``) and their angles written sector by sector, one
-    cache-sized piece at a time, into one exactly sized array.  Each sector
-    is then sorted in place, in cache.
+    with the same errors and one more (the strips times the sector rays
+    past the budget, on a thin annulus), but no (n, 2) array is built: the
+    kept strip ranges are cut at K = N // SECTOR sector rays k/K and their
+    angles written sector by sector, one cache-sized piece at a time, into
+    one exactly sized array, where each sector is sorted in cache
+    (``_sorted_sectors``).
 
     Exact by construction, in two parts.  The multiset: the cuts are
     clipped into each range and made nondecreasing, so the pieces
     partition the kept ranges whatever the float decisions at the cuts
-    are.  The order: each sector is sorted, and an O(K) check that every
-    nonempty sector's last angle is <= the next one's first (``_in_order``)
-    either passes, so the whole array is sorted, or the whole array is
-    sorted again.  ``_turns`` yields no NaN and no -0.0, so any sort of the
-    same multiset gives the same bytes.  ``_cut`` puts every point in the
-    sector of its own angle, so the fallback is only a safety net.  N < 2
-    SECTOR gives K = 1: no ray to cut at, and one sort.
+    are.  The order: the cut checks the first and last point of every
+    piece by ``_turns`` and cuts a range that fails point by point, so
+    every point lies in the sector of its own angle and the sorted sectors
+    follow each other in order.  ``_turns`` yields no NaN and no -0.0, so
+    any sort of the same multiset gives the same bytes.  ``DirectionSet``
+    checks the order once more.
     """
     B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T)
-    total = int(counts.sum())
-    K = max(total // SECTOR, 1)
-    starts, counts, p1, sizes = _sector_pieces(B, xi2, p1, starts, counts, key, K,
-                                               math.sqrt(2.0) * T)
-    assert int(counts.sum()) == total
-    alphas = np.empty(total)
-    n = 0
-    for y1, y2 in _points(B, xi2, starts, counts, p1):
-        _turns(y1, y2, alphas[n:n + y1.size])
-        n += y1.size
-    end = np.cumsum(sizes)
-    for a, b in zip(end - sizes, end):
-        alphas[a:b].sort()
-    if not _in_order(alphas, sizes):
-        alphas.sort()
+    alphas = np.empty(int(counts.sum()))
+    for _ in _sorted_sectors(B, xi2, p1, starts, counts, key, math.sqrt(2.0) * T, alphas):
+        pass
     return DirectionSet(alphas, float(T), shape)
 
 
@@ -700,66 +713,102 @@ def count_in_window(
     """The window counts at the positions ``alphas`` and N, without the direction set.
 
     Returns exactly ``(window_counts(dirs, interval, alphas), dirs.N)`` for
-    ``dirs = direction_set(lat, shape, T)``, with the counts in the shape of
-    ``alphas`` (0 when N = 0), in O(strips times window ends) time and
-    memory.  N is the total width of the kept ranges.  The window ends are
-    those of ``stats.window_counts`` (``_window_count``), and the directions
-    under each end come from the kept ranges cut once at the rays of all
-    distinct window ends (``_cut``): piece widths, plus the float predicate
-    turns < end on the points within roundoff of a ray, where ``_turns``
-    gives the value that ``direction_set`` would store.  The cut checks the
-    two ends of every piece by ``_turns`` as well, and cuts a range that
-    fails point by point.
+    ``dirs = direction_set(lat, shape, T)``: ``interval`` is one window
+    (a, b), with the counts in the shape of ``alphas``, or m windows of
+    shape (m, 2), with the counts of window j in row j (0 when N = 0).  N
+    is the total width of the kept ranges.  The window ends of all windows
+    are those of ``stats.window_counts`` (``_window_count``), and the
+    directions under each distinct end come from one of two passes, both
+    through ``_cut`` with its check, which tests the two ends of every
+    piece by ``_turns`` and cuts a range that fails point by point:
 
+    - a few ends (no more than K = N // SECTOR, or 2): the kept ranges are
+      cut once at the rays of the ends, and the directions under an end are
+      piece widths, plus the float predicate turns < end on the points
+      within roundoff of a ray.  Time and memory are O(strips times ends),
+      with no direction formed but those next to a ray;
+    - more ends than that: one sweep over the K sectors
+      (``_sorted_sectors``), whose angles are formed and sorted one sector
+      at a time in one reused buffer, where the ends inside the sector are
+      searched.  Time is O(N log SECTOR), and memory O(SECTOR) plus the
+      pieces, about strips times K / 2 of them: that grows as N T /
+      SECTOR: the peak is 16 MB at T = 2000 and 163 MB at T = 5000 on
+      the unit lattice (tracemalloc), against 8 N bytes (100 MB and
+      628 MB) for the direction set alone.
+
+    In both ``_turns`` gives the value that ``direction_set`` would store.
     The budget (``_check_budget``) caps the strips, at ``STRIP_VALUES``
-    each; past one position, whose three ends weigh less than a strip, the
-    strips times the distinct window ends, at ``END_VALUES`` each; and the
-    points decided one by one (the boundary candidates and the points next
-    to the rays), not N.  At one position T = 1e5 (N about 3.1e10) holds
-    about 0.1 GB, and T goes up to about 1e6 on a unit-square lattice.
-    Raises CapacityError past it, before allocating, and InvalidInputError
-    on a bad interval or scale.
+    each; the strips times the distinct window ends, or times the K rays
+    of a sweep, at ``END_VALUES`` each (one position, whose three ends
+    weigh less than a strip, stays inside the strip check); the N
+    directions of a sweep; and the points decided one by one (the boundary
+    candidates and the points next to the rays).  At one position T = 1e5
+    (N about 3.1e10) holds about 0.1 GB, and T goes up to about 1e6 on a
+    unit-square lattice.  Raises CapacityError past it, before allocating,
+    and InvalidInputError on a bad interval, position or scale.
     """
-    _window_count(interval, 0, alphas, None)  # checks the interval before any strip is solved
+    _window_count(interval, 0, alphas, None)  # checks the input before any strip is solved
     B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, count_only=True)
     N = int(counts.sum())
+    reach = math.sqrt(2.0) * T
 
     def below(ends):
         edges = np.unique(np.concatenate([[0.0], ends[(ends > 0.0) & (ends < 1.0)]]))
-        sizes = np.array([N])
-        if edges.size > 1:
-            _check_budget(p1.size * edges.size * END_VALUES, f"{p1.size} m1-strips x {edges.size} window ends")
-            pieces = _cut(B, xi2, p1, starts, counts, key, edges, math.sqrt(2.0) * T, check=True)
-            sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
-        under = np.concatenate([[0], np.cumsum(sizes)])  # under[k]: the turns under edges[k], N under 1
+        # under[k]: the turns under edges[k], and N under 1
+        if edges.size - 1 > max(N // SECTOR, 2):
+            _check_budget(N, f"N = {N} directions swept for {edges.size - 1} distinct window ends")
+            under = np.append(np.zeros(edges.size, dtype=np.int64), N)
+            for lo, hi, n, vals in _sorted_sectors(B, xi2, p1, starts, counts, key, reach):
+                i, j = np.searchsorted(edges, [lo, hi], side="left")
+                under[i:j] = n + np.searchsorted(vals, edges[i:j], side="left")
+        else:
+            sizes = np.array([N])
+            if edges.size > 1:
+                _check_budget(p1.size * edges.size * END_VALUES, f"{p1.size} m1-strips x {edges.size} window ends")
+                pieces = _cut(B, xi2, p1, starts, counts, key, edges, reach, check=True)
+                sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
+            under = np.concatenate([[0], np.cumsum(sizes)])
         return under[np.searchsorted(edges, ends, side="left")]
 
     return _window_count(interval, N, alphas, below), N
 
 
 def _window_count(interval, N: int, alphas, below):
-    """Directions in the shrunk windows N^-1 * interval + alpha, one count per alpha.
+    """Directions in the shrunk windows N^-1 * interval + alpha, one count per window and alpha.
 
-    The window is the half-open arc [alpha + a/N, alpha + b/N) on the
-    circle.  With lo = frac(alpha + a/N) and hi = lo + (b - a)/N the count
-    is J(hi) - J(lo), where J(x) = below(frac(x)) + N floor(x) counts the
-    lifted sequence under x, so wrap-around needs no branch.  ``below``
-    takes the ends stacked as (lo, frac(hi)) and returns the number of the
+    ``interval`` is one window (a, b), which gives the counts in the shape
+    of ``alphas``, or m windows of shape (m, 2), which give them in shape
+    (m, *alphas.shape).  The window is the half-open arc [alpha + a/N,
+    alpha + b/N) on the circle.  With lo = frac(alpha + a/N) and hi = lo +
+    (b - a)/N the count is J(hi) - J(lo), where J(x) = below(frac(x)) + N
+    floor(x) counts the lifted sequence under x, so wrap-around needs no
+    branch.  ``below`` takes the ends of every window shorter than 1,
+    stacked as (lo, frac(hi)), in one call, and returns the number of the
     N directions under each.  A window of length >= 1, and N = 0, give N.
-    Raises InvalidInputError unless a < b.
+    Raises InvalidInputError unless a < b for every window and every alpha
+    is finite.
     """
-    a, b = float(interval[0]), float(interval[1])
-    if not a < b:
-        raise InvalidInputError(f"bad interval ({a}, {b})")
+    iv = np.asarray(interval, dtype=float)
+    if iv.shape[-1:] != (2,) or iv.ndim > 2:
+        raise InvalidInputError(f"an interval must have shape (2,) or (m, 2), got {iv.shape}")
+    a, b = iv.reshape(-1, 2).T
+    bad = np.flatnonzero(~(a < b))
+    if bad.size:
+        raise InvalidInputError(f"bad interval ({a[bad[0]]}, {b[bad[0]]})")
     al = np.asarray(alphas, dtype=float)
-    width = (b - a) / N if N else math.inf
-    if width >= 1.0:
-        return np.full(al.shape, N, dtype=np.int64)
-    lo = _frac(al + a / N)
-    hi = lo + width
-    turns = np.floor(hi)
-    low, high = below(np.stack([lo, hi - turns]))
-    return high - low + N * turns.astype(np.int64)
+    if not np.all(np.isfinite(al)):
+        raise InvalidInputError("window positions must be finite")
+    counts = np.full((a.size, *al.shape), N, dtype=np.int64)
+    width = (b - a) / N if N else np.full(a.shape, math.inf)
+    short = np.flatnonzero(width < 1.0)
+    if short.size:
+        per_window = (-1,) + (1,) * al.ndim
+        lo = _frac(al + (a[short] / N).reshape(per_window))
+        hi = lo + width[short].reshape(per_window)
+        turns = np.floor(hi)
+        low, high = below(np.stack([lo, hi - turns]))
+        counts[short] = high - low + N * turns.astype(np.int64)
+    return counts if iv.ndim == 2 else counts[0]
 
 
 def rho_square(alpha):

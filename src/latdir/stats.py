@@ -10,7 +10,9 @@ nondecreasing.  Window counts are two binary searches on it.  Spacings
 are one offset pass L(j + k) - L(j) over all j.  The two-point
 correlation bins, and the pair statistic sums window overlaps over, the
 same close pairs: the neighbour passes d = 1, 2, ... of ``_near_pairs``.
-Mixed moments evaluate window counts on the measure's quadrature grid.
+Mixed moments evaluate window counts on the measure's quadrature grid
+(``_grid_moment``, which also takes the counts of
+``lattice.count_in_window``).
 
 Every pass is cache-blocked.  It walks j in blocks of ``_BLOCK`` = 2^16
 (``_gap_blocks``: contiguous slices of A, the last d entries wrapping
@@ -153,9 +155,11 @@ def window_counts(dirs: DirectionSet, interval, alphas) -> np.ndarray:
     """Number of directions in the shrunk window N^-1 * interval + alpha.
 
     The window is the half-open arc [alpha + a/N, alpha + b/N) on the
-    circle; a window of length >= 1 returns N.  Vectorized over ``alphas``.
-    The ends are formed by ``lattice._window_count``, and the directions
-    under each are found by ``searchsorted``.
+    circle; a window of length >= 1 returns N.  Vectorized over ``alphas``,
+    and over windows: an ``interval`` of shape (m, 2) gives the counts of
+    window j in row j.  The ends are formed by ``lattice._window_count``,
+    and the directions under each are found by ``searchsorted``.  A
+    position that is not finite raises InvalidInputError.
     """
     if dirs.N == 0:
         raise InvalidInputError("empty direction set")
@@ -390,11 +394,25 @@ def mixed_moment(
     prod_j count_j^{s_j}.  With ``spec.cap = K`` set, grid points where any
     window holds more than K directions are zeroed (restricted moment).
     The integrand is piecewise constant in alpha, so the uniform-grid error
-    scales like N * |I| / quadrature_points.  Window counts (windows times
-    quadrature points) past the budget raise CapacityError before any is
-    made, and so does a moment whose terms pass the float range once they
-    are summed.  A zero base follows ``_power``: 0^0 = 1 and 0^s = 0 for
-    s != 0.
+    scales like N * |I| / quadrature_points.  The counts of every window
+    at every grid point are one ``window_counts`` call.  The rule, with its
+    budget and float-range checks (CapacityError), is ``_grid_moment``'s,
+    which ``latdir moments`` applies to the counts of
+    ``lattice.count_in_window`` with the same bytes.  A zero base follows
+    ``_power``: 0^0 = 1 and 0^s = 0 for s != 0.
+    """
+    return _grid_moment(lambda windows, grid: window_counts(dirs, windows, grid), box, spec, lam, shifted)
+
+
+def _grid_moment(count, box, spec: MomentSpec, lam: MeasureSpec | None = None, shifted: bool = True) -> complex:
+    """The quadrature rule of ``mixed_moment``, given the window counts as ``count(windows, grid)``.
+
+    ``count`` gets the (m, 2) array of the box's windows and the measure's
+    grid and returns the (m, grid) counts.  Window counts (windows times
+    quadrature points) past the budget raise CapacityError before
+    ``count`` is called, and so does a moment whose terms pass the float
+    range once they are summed.  A zero base follows ``_power``: 0^0 = 1
+    and 0^s = 0 for s != 0.
     """
     box = as_box(box)
     if len(spec.exponents) != box.m:
@@ -403,16 +421,14 @@ def mixed_moment(
     _check_budget(box.m * lam.quadrature_points, f"{box.m} windows x {lam.quadrature_points} quadrature points")
     grid = lam.grid()
     weights = lam.weights()
+    counts = count(np.array(box.intervals), grid)
     offset = 1.0 if shifted else 0.0
     vals = np.ones(grid.shape, dtype=complex)
-    max_count = np.zeros(grid.shape, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # a term past the float range is refused below
-        for interval, s in zip(box.intervals, spec.exponents):
-            cnt = window_counts(dirs, interval, grid)
-            np.maximum(max_count, cnt, out=max_count)
+        for cnt, s in zip(counts, spec.exponents):
             vals *= _power(cnt + offset, s)
         if spec.cap is not None:
-            vals = np.where(max_count <= spec.cap, vals, 0.0)
+            vals = np.where(counts.max(axis=0) <= spec.cap, vals, 0.0)
         value = complex(np.sum(weights * vals))
     if not cmath.isfinite(value):
         raise CapacityError(f"moment of exponents {list(spec.exponents)} passes the float range")

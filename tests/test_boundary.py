@@ -116,12 +116,16 @@ def test_domain_test_sees_a_few_candidates_per_strip(monkeypatch, shape, per_str
 def test_rays_through_lattice_points(monkeypatch, shift, shape, T):
     # with K divisible by 8 the axes and diagonals are sector rays, and lattice points lie
     # on them; an integer first shift component puts a strip through the origin, and a
-    # tiny second one puts its points next to the origin on both sides
-    seen = []
-    in_order = lattice._in_order
-    monkeypatch.setattr(lattice, "_in_order", lambda *args: seen.append(in_order(*args)) or seen[-1])
+    # tiny second one puts its points next to the origin on both sides.  The cut puts every
+    # point in its own sector at once: its check of the piece ends cuts no range again, so each
+    # cut solves the slots of its three strip groups once
+    cuts, slots = [], []
+    cut, solve = lattice._cut, lattice._slots
+    monkeypatch.setattr(lattice, "_cut", lambda *args, **kw: cuts.append(kw) or cut(*args, **kw))
+    monkeypatch.setattr(lattice, "_slots", lambda *args: slots.append(1) or solve(*args))
     _assert_exact(ld.Mat2.identity(), shift, shape, T)
-    assert len(seen) > 2 and all(seen)
+    assert len(cuts) > 2 and all(kw == {"check": True} for kw in cuts)
+    assert len(slots) == 3 * len(cuts)
 
 
 @pytest.mark.parametrize("shape", [ld.Annulus(0.0), ld.Square()])

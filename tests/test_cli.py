@@ -124,6 +124,61 @@ def test_moments_shifted_flag(tmp_path):
     assert obj["value_re"] == pytest.approx(2.0, abs=0.2)
 
 
+@pytest.mark.parametrize("flags", [
+    ["--xi", "cbrt4,cbrt2", "--T", "150", "--I", "0:1", "--I", "0.5:2", "--s", "1,1"],
+    ["--xi", "cbrt4,cbrt2", "--T", "120", "--I=-1:1", "--I", "0:3", "--s", "1,2", "--K", "4"],
+    ["--xi", "1/2,1/3", "--T", "90", "--I", "0:1", "--s", "2", "--shifted"],
+    ["--xi", "golden,sqrt2", "--T", "80", "--I", "0:1", "--I=-2:0.5", "--s", "0.5+0.25i,-1-1i",
+     "--shifted"],
+    ["--xi", "1/2,1/2", "--shape", "square", "--T", "70", "--I", "0:2", "--s", "1"],
+    ["--xi", "1/3,1/4", "--basis", "1,0,37,1", "--shape", "annulus:0.3", "--T", "100",
+     "--I", "0:1", "--I", "0.5:1e9", "--s", "1,1", "--grid", "997"],
+])
+def test_moments_writes_the_bytes_of_the_direction_set_path(tmp_path, flags):
+    # latdir moments counts its windows from the lattice, in one sweep; the moment of the full
+    # direction set, written the same way, has the same bytes
+    out = tmp_path / "m.json"
+    assert main(["moments", *flags, "--out", str(out)]) == 0
+    args = cli.build_parser().parse_args(["moments", *flags])
+    lat, shape, T = cli._lattice_from_args(args)
+    exps = parse_complex_list(args.s)
+    val = ld.mixed_moment(ld.direction_set(lat, shape, T), cli._box_from_args(args),
+                          ld.MomentSpec(tuple(exps), cap=args.K), ld.MeasureSpec.uniform(args.grid),
+                          shifted=args.shifted)
+    want = tmp_path / "want.json"
+    cli._write_json(str(want), {"s": [[z.real, z.imag] for z in exps], "K": args.K,
+                                "value_re": val.real, "value_im": val.imag, "shifted": bool(args.shifted)})
+    assert out.read_bytes() == want.read_bytes()
+
+
+def test_moments_at_T_2000_without_the_direction_set(tmp_path):
+    # the benchmark's moments job: 12.6M directions are 100 MB as one array, but the sweep holds
+    # one sector and its pieces, with the same value
+    out = tmp_path / "m.json"
+    argv = ["moments", "--xi", "cbrt4,cbrt2", "--T", "2000", "--I", "0:1", "--I", "0.5:2", "--s", "1,1",
+            "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(out.read_text())["value_re"] == 1.9066046697665118
+    assert peak < 32 * 2**20
+
+
+def test_moments_past_the_point_budget_exit_before_solving_strips(tmp_path):
+    # N = 3.1e12 at T = 1e6: refused on the expected count, not after 2e6 strips are solved
+    out = tmp_path / "m.json"
+    tracemalloc.start()
+    try:
+        assert main(["moments", "--T", "1e6", "--I", "0:1", "--out", str(out)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 and not out.exists()
+
+
 def test_tails_json(tmp_path):
     out = tmp_path / "t.json"
     rc = main(["tails", "--xi-class", "integer", "--I", "0:1", "--n", "100000",

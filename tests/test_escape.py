@@ -101,6 +101,24 @@ def test_node_budget_is_checked_before_allocating(monkeypatch):
         ld.cusp_window_sum([1j, 2j, 3j, 4j], (0.3, 0.7), I2, ld.CuspSpec(1.0, 2.0))
 
 
+def test_inner_sum_terms_are_checked_before_allocating(monkeypatch):
+    # the inner m-sum of a kept row spans about 2 XMAX f_width / sqrt(v_g) integers: 64 nodes at
+    # tau = 2i hold about 1.1e7 terms at f_width 1e4 (587 MB of temporaries unchecked), which
+    # pass a budget of 1e6 values before any term is formed
+    taus = np.full(64, 2j)
+    monkeypatch.setattr(ld.lattice, "DEFAULT_MAX_POINTS", 10**6)
+    want = ld.cusp_window_sum(taus, (0.3, 0.7), I2, ld.CuspSpec(1.0, 1.0, f_width=10.0))
+    assert want.shape == (64,) and np.all(want > 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ld.CapacityError, match="inner m-sum terms"):
+            ld.cusp_window_sum(taus, (0.3, 0.7), I2, ld.CuspSpec(1.0, 1.0, f_width=1e4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_image_beyond_the_float_range_is_a_capacity_error():
     # c tau + d = 1e-200 * 1e-200 i underflows to 0, where Python's complex division raised
     # ZeroDivisionError; at 1e-150 the image 1e450 i overflows to inf

@@ -1,9 +1,10 @@
-"""Guards on the sector path of ``direction_set``: its fallback and the cost of its cuts.
+"""Guards on the sector path of ``direction_set``: its checked cut and the cost of its cuts.
 
-``direction_set`` cuts the kept strip ranges at K sector rays, sorts each
-sector and sorts the whole array again only when an O(K) check finds two
-sectors out of order.  A wrong cut must therefore cost time, never bytes,
-and on the benchmark's direction sets no cut may be wrong.
+``direction_set`` cuts the kept strip ranges at K sector rays, checks the
+first and last point of every piece by its own angle, cuts a range that
+fails that check again point by point, and sorts each sector.  A wrong
+cut must therefore cost time, never bytes, and on the benchmark's
+direction sets no cut may be wrong.
 """
 
 import numpy as np
@@ -18,41 +19,31 @@ def _spy(monkeypatch, name, record):
     """Replace lattice.<name> by a wrapper that passes its arguments and result to ``record``."""
     original = getattr(lattice, name)
 
-    def wrapper(*args):
-        result = original(*args)
+    def wrapper(*args, **kwargs):
+        result = original(*args, **kwargs)
         record(args, result)
         return result
 
     monkeypatch.setattr(lattice, name, wrapper)
 
 
-def test_a_moved_cut_falls_back_to_one_sort(monkeypatch):
+def test_a_moved_cut_is_cut_again_point_by_point(monkeypatch):
+    # crossings moved far past their bands put whole runs of points in the wrong sector: the
+    # check of the piece ends must find those ranges and decide them point by point
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
     shape, T = ld.Annulus(0.0), 300.0
-    pieces = lattice._sector_pieces
-
-    def move_one_cut(*args):
-        # the last point of a piece moves into the piece that follows it on its strip
-        starts, counts, p1, sizes = (x.copy() for x in pieces(*args))
-        nxt = {(p, s): j for j, (p, s) in enumerate(zip(p1.tolist(), starts.tolist()))}
-        i = next(i for i in range(counts.size // 2, counts.size)
-                 if counts[i] > 1 and (p1[i], starts[i] + counts[i]) in nxt)
-        j = nxt[p1[i], starts[i] + counts[i]]
-        sector = np.searchsorted(np.cumsum(sizes), np.cumsum(counts)[[i, j]] - 1, side="right")
-        assert sector[0] != sector[1]
-        counts[i] -= 1
-        starts[j] -= 1
-        counts[j] += 1
-        sizes[sector] += [-1, 1]
-        return starts, counts, p1, sizes
-
-    monkeypatch.setattr(lattice, "_sector_pieces", move_one_cut)
-    checks = []
-    _spy(monkeypatch, "_in_order", lambda args, ok: checks.append(ok))
-    got = ld.direction_set(lat, shape, T)
     want = ld.directions(ld.enumerate_points(lat, shape, T), T, shape)
+    assert want.N // lattice.SECTOR > 1
+    slots, recut = lattice._slots, []
+
+    def moved(s, n, a, tol, w, xi2):
+        recut.append(int(np.isinf(tol).sum()))
+        return slots(s, n, a, tol, w + 0.01 * (1.0 + np.abs(w)), xi2)
+
+    monkeypatch.setattr(lattice, "_slots", moved)
+    got = ld.direction_set(lat, shape, T)
     assert got.N == want.N and got.alphas.tobytes() == want.alphas.tobytes()
-    assert checks == [False]
+    assert max(recut) > 0
 
 
 @pytest.mark.parametrize("basis, shift, shape, T", [
@@ -66,25 +57,23 @@ def test_a_moved_cut_falls_back_to_one_sort(monkeypatch):
 ])
 def test_benchmark_direction_sets_need_no_fallback(monkeypatch, basis, shift, shape, T):
     # the finite-scale, skewed-square, shear and singular-probe sets of perfbench
-    checks, ranges, candidates = [], [], []
-    _spy(monkeypatch, "_in_order", lambda args, ok: checks.append(ok))
+    ranges, slots = [], []
     # the cut: nonempty ranges in, pieces out; a range's first piece, one piece past each
     # crossing, and one piece for each point next to a crossing that the float test decides
-    _spy(monkeypatch, "_sector_pieces",
-         lambda args, out: ranges.append((np.count_nonzero(args[4] > 0), out[0].size)))
-    _spy(monkeypatch, "_point_turns", lambda args, _: candidates.append(args[3].size))
+    _spy(monkeypatch, "_cut", lambda args, out: ranges.append((np.count_nonzero(args[4] > 0), out[0].size)))
+    _spy(monkeypatch, "_slots", lambda args, out: slots.append(int(out[5].sum())))
     ld.direction_set(ld.AffineLatticeSpec(ld.Mat2(*basis), shift), shape, T)
     (kept, pieces), = ranges
-    crossings = pieces - kept - sum(candidates)
-    assert checks == [True]
-    assert sum(candidates) <= crossings
+    crossings = pieces - kept - sum(slots)
+    assert len(slots) == 3  # one solve per strip group: the check cut no range again
+    assert sum(slots) <= crossings
 
 
 def test_sector_count_follows_the_point_count(monkeypatch):
     # K = N // SECTOR sectors, and K = 1 below 2 SECTOR: one piece per range, one sort
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
     seen = []
-    _spy(monkeypatch, "_sector_pieces", lambda args, out: seen.append((args[6], out[3].size)))
+    _spy(monkeypatch, "_cut", lambda args, out: seen.append((args[6].size, int(out[3].max()) + 1)))
     for T in (100.0, 1000.0):
         dirs = ld.direction_set(lat, ld.Annulus(0.0), T)
         assert seen[-1] == (max(dirs.N // lattice.SECTOR, 1),) * 2

@@ -1,9 +1,11 @@
 """``count_in_window`` against ``window_counts`` of the full direction set.
 
-The counter cuts the kept strip ranges at the rays of the window ends and
-sums piece widths, letting ``_turns`` decide the points within roundoff of
-a ray.  So it must return exactly the counts that
-``window_counts(direction_set(...))`` returns, and N, on every input:
+The counter cuts the kept strip ranges at the rays of a few window ends
+and sums piece widths, letting ``_turns`` decide the points within
+roundoff of a ray, or, when the ends outnumber the sectors, sweeps the
+sectors one sorted sector at a time.  So it must return exactly the
+counts that ``window_counts(direction_set(...))`` returns, and N, on
+every input:
 random and skewed determinant-1 bases, zero, random and small-q rational
 shifts, both domains, and windows that wrap past 0, that are far thinner
 than the gap between two directions, or whose ends sit exactly on a
@@ -12,6 +14,7 @@ lattice direction or on a rational direction atan2(r1, -r2).
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -220,3 +223,75 @@ def test_crude_bound_array_equals_per_position_calls():
         assert got.shape == alphas.shape
         want = [[ld.crude_bound_holds(lat, a, 120.0, interval, theta) for a in row] for row in alphas.tolist()]
         assert got.tolist() == want
+
+
+def test_non_finite_positions_are_invalid():
+    # a NaN or infinite position gave a garbage count with only a RuntimeWarning from the cast
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.5, 0.5))
+    dirs = ld.direction_set(lat, ld.Annulus(0.0), 120.0)
+    for alphas in ([math.nan, 0.2, math.inf], math.nan, [0.1, -math.inf]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ld.InvalidInputError, match="positions must be finite"):
+                ld.window_counts(dirs, (-1.0, 1.0), alphas)
+            with pytest.raises(ld.InvalidInputError, match="positions must be finite"):
+                ld.count_in_window(lat, ld.Annulus(0.0), 120.0, [(-1.0, 1.0), (0.0, 2.0)], alphas)
+            with pytest.raises(ld.InvalidInputError, match="positions must be finite"):
+                ld.crude_bound_holds(lat, np.atleast_1d(alphas), 120.0, (-1.0, 1.0), 0.5)
+
+
+@st.composite
+def positions(draw, dirs, own):
+    """Window positions: the windows' own, uniform ones, grid points and directions themselves."""
+    n = draw(st.sampled_from([1, 3, 40, 400]))
+    kind = draw(st.sampled_from(["uniform", "grid", "directions"]))
+    if kind == "uniform":
+        extra = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(0.0, 1.0, n)
+    elif kind == "grid":
+        extra = np.arange(n) / n
+    else:
+        extra = dirs.alphas[np.linspace(0, dirs.N - 1, n).astype(int)]
+    return np.concatenate([own, extra])
+
+
+@PROPS
+@given(bases(), shifts, shapes, st.floats(2.0, 120.0), st.integers(1, 3),
+       st.sampled_from([16, 64, 512, None]), st.data())
+def test_window_batches_match_window_counts(basis, shift, shape, T, m, sector, data):
+    # m windows at many positions in one call: a few distinct ends are cut at, more than the
+    # K = N // SECTOR sectors are swept; a small SECTOR gives K > 1 at this N, so both run
+    lat = ld.AffineLatticeSpec(basis, shift)
+    dirs = ld.direction_set(lat, shape, T)
+    with pytest.MonkeyPatch.context() as mp:
+        if sector is not None:
+            mp.setattr(ld.lattice, "SECTOR", sector)
+        if dirs.N == 0:
+            counts, N = ld.count_in_window(lat, shape, T, [(-1.0, 1.0)] * m, [0.3, 0.7])
+            assert N == 0 and counts.shape == (m, 2) and not counts.any()
+            return
+        drawn = [data.draw(windows(dirs)) for _ in range(m)]
+        intervals = np.array([iv for iv, _ in drawn])
+        alphas = data.draw(positions(dirs, [alpha for _, alpha in drawn]))
+        counts, N = ld.count_in_window(lat, shape, T, intervals, alphas)
+    assert N == dirs.N and counts.shape == (m, alphas.size)
+    assert np.array_equal(counts, ld.window_counts(dirs, intervals, alphas))
+    for iv, row in zip(intervals, counts):
+        assert np.array_equal(row, ld.window_counts(dirs, tuple(iv), alphas))
+
+
+@pytest.mark.parametrize("positions, m, swept", [(1, 1, False), (1, 2, False), (2, 1, False), (300, 1, True)])
+def test_few_ends_are_cut_at_and_many_are_swept(monkeypatch, positions, m, swept):
+    # N = 785,389 at T = 500 gives K = 5 sectors: m windows at a position have 2 m distinct ends,
+    # and up to 5 of them are cut at, while 300 positions are swept; both give the same counts
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.5, 0.5))
+    dirs = ld.direction_set(lat, ld.Annulus(0.0), 500.0)
+    assert dirs.N // ld.lattice.SECTOR == 5
+    sweeps = []
+    sectors = ld.lattice._sorted_sectors
+    monkeypatch.setattr(ld.lattice, "_sorted_sectors", lambda *args: sweeps.append(1) or sectors(*args))
+    alphas = np.linspace(0.0, 1.0, positions, endpoint=False) + 0.01
+    intervals = [(-1.0, 1.0), (0.0, 40.0)][:m]
+    counts, N = ld.count_in_window(lat, ld.Annulus(0.0), 500.0, intervals, alphas)
+    assert N == dirs.N and counts.shape == (m, positions)
+    assert np.array_equal(counts, ld.window_counts(dirs, intervals, alphas))
+    assert len(sweeps) == swept

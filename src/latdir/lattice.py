@@ -15,7 +15,7 @@ partition the kept points, and the cut (``_cut``) tests the first and
 last point of every piece by their own angle and decides a range that
 fails point by point, so every point lies in the sector of its own angle
 and the result is exact by construction.  Time is O(N log SECTOR), and
-memory the N angles plus the pieces, about strips times K / 2.
+memory the N angles plus the pieces, about strips times K / 3.
 
 ``count_in_window`` counts directions under window ends with the same
 cut and no direction set.  A few ends are cut at directly: a window count
@@ -60,10 +60,15 @@ SECTOR = 2 * strips.CHUNK
 # Values that ``count_in_window`` holds per m1-strip at its peak (about 60 to 80 measured): its
 # strips are checked against the budget at this weight, as a point is by the enumerator.
 STRIP_VALUES = 96
-# Values that ``_cut`` holds per m1-strip and ray it cuts at (about 2.6 to 2.8 measured for the window
-# ends of ``count_in_window`` over 100 to 2000 positions): the strips times the distinct ends, or times
-# the sector rays of ``_sorted_sectors``, are checked at this weight.
+# Values that ``_cut`` holds per m1-strip and window end of ``count_in_window`` (about 2.6 to 2.8
+# measured over 100 to 2000 positions): the strips times the distinct ends are checked at this weight.
 END_VALUES = 4
+# Values that ``_cut`` holds, at its peak, per piece it cuts off a range at a ray crossing (about 10
+# to 11 measured on a disc and a square, where a strip crosses a third of the rays in its ranges),
+# and ``_sorted_sectors`` no more: the crossings are checked at this weight before any piece is
+# formed.  The ranges themselves weigh in their strips.  So on a disc or a square the check binds
+# after the strips times the window ends, and a sweep whose N is inside the budget passes it.
+PIECE_VALUES = 10
 # Roundoff of a computed sector-ray crossing along a strip, per unit of its
 # scale |y|^2 / |p1| + |r1| |y| + |t| + 1: about 1e-14, times a margin of a
 # thousand.  The integers this close to a crossing are decided by ``_turns``.
@@ -352,7 +357,7 @@ def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
     return starts, counts, np.concatenate([(key + [1, 5]).ravel(), bkey[keep]])
 
 
-def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, check: bool = False):
+def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float):
     """Cut the kept m2 ranges at the rays of turns ``edges`` into pieces of one sector each.
 
     ``edges`` is sorted, starts at 0.0 and has K entries; sector k holds the
@@ -375,13 +380,13 @@ def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, check: bool
     by point, unless r2 lies on an axis: then each half of that strip has
     one exact ``_turns`` value and is decided whole.  So each point lands in
     the sector of its own ``_turns`` value.
-    ``reach`` bounds |y| on the domain; points to decide past the budget
-    raise CapacityError before they are formed.
+    ``reach`` bounds |y| on the domain; pieces and points to decide past
+    the budget raise CapacityError before they are formed.
 
-    ``CUT_TOL`` is an estimate of the roundoff of w.  With ``check``, the
-    first and last point of every piece are tested by ``_turns``, in O(pieces);
-    a range with a piece that fails is cut again, point by point.  A piece
-    is then wrong only if ``_turns`` is not monotone between its two ends.
+    ``CUT_TOL`` is an estimate of the roundoff of w, so the first and last
+    point of every piece are tested by ``_turns``, in O(pieces); a range
+    with a piece that fails is cut again, point by point.  A piece is then
+    wrong only if ``_turns`` is not monotone between its two ends.
 
     Returns the start, length, p1 and sector of every piece, in no
     particular order; some are empty.
@@ -417,7 +422,7 @@ def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, check: bool
     # of -r2 or r2: arctan2 of (0, y2) or (y1, 0) is a multiple of a quarter turn
     on_ray = B.c != 0.0 and B.d != 0.0 and bool(np.any(np.minimum(gap, 1.0 - gap) < CUT_TOL))
     groups.append((q == 0, 0, np.zeros(1), sector_of(np.array([down, up])), on_ray))
-    pieces, decided = [], 0
+    pieces, decided, crossed = [], 0, 0
     for mask, sign, w, sector, on_ray in groups:
         rows = np.flatnonzero(mask & (counts > 0))
         s, n, pr = starts[rows], counts[rows], q[rows]
@@ -427,9 +432,7 @@ def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, check: bool
         if not sign:
             tol[:] = np.inf if on_ray else 0.0  # the cut at t = 0 is exact
         while True:
-            first, size, rp, jp, lo, bands, owner = _slots(s, n, a, tol, w, xi2)
-            if not check:
-                break
+            first, size, rp, jp, lo, bands, owner = _slots(s, n, a, tol, w, xi2, crossed)
             # a piece whose first or last point has a turns value outside its sector sends its
             # whole range to be decided point by point; the second pass finds no such piece
             full = np.flatnonzero(size > 0)
@@ -439,6 +442,7 @@ def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, check: bool
             if not miss.any():
                 break
             tol[at[miss]] = np.inf
+        crossed += first.size - s.size
         decided += int(bands.sum())
         _check_budget(decided, "points to decide at the cuts")
         m2, owner = strips.expand(lo, bands, owner)
@@ -448,20 +452,24 @@ def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float, check: bool
     return tuple(np.concatenate(x) for x in zip(*pieces))
 
 
-def _slots(s, n, a, tol, w, xi2):
+def _slots(s, n, a, tol, w, xi2, crossed: int):
     """Split the ranges [s, s + n) of one p1 sign at their crossings t = a w[j], with bands.
 
     ``w`` is nondecreasing; a range with ``tol >= n`` is one band.  Slot k
     of range r holds the points past its crossing at w[j - 1], j = j0 + k,
     and after that crossing's band (slot 0 starts at the range).  Returns
     the start, length, range and j of every slot, and the first m2, length
-    and range of every band, whose points the caller forms.
+    and range of every band, whose points the caller forms.  The
+    crossings in the ranges, with the ``crossed`` ones already cut, past
+    the budget (``PIECE_VALUES`` each) raise CapacityError before any
+    slot is formed.
     """
     whole = tol >= n
     with np.errstate(over="ignore"):  # the crossings whose bands reach into each range
         lo_w, hi_w = ((s - 1) - tol + xi2) / a, ((s + n) + tol + xi2) / a
     j0 = np.searchsorted(w, lo_w, side="left")
     per = np.where(whole, 1, np.searchsorted(w, hi_w, side="right") - j0 + 1)
+    _check_budget(PIECE_VALUES * (crossed + int(per.sum()) - s.size), "ray crossings cut in the ranges")
     jp, rp = strips.expand(j0, per, np.arange(s.size))
     head = np.cumsum(per) - per
     m2 = a[rp] * np.concatenate([[0.0], w])[jp] - xi2
@@ -523,15 +531,12 @@ def _sorted_sectors(B: Mat2, xi2, p1, starts, counts, key, reach: float, out=Non
     without one, a buffer of the largest sector holds each sector in turn,
     overwritten by the next.  Yields, per sector, its turns [lo, hi), the
     number of directions under lo and its sorted angles, a view of the
-    buffer valid until the next sector.  The strips times the K rays past
-    the budget (``END_VALUES`` each) raise CapacityError before any piece
-    is formed.
+    buffer valid until the next sector.
     """
     N = int(counts.sum())
     K = max(N // SECTOR, 1)
-    _check_budget(p1.size * K * END_VALUES, f"{p1.size} m1-strips x {K} sector rays")
     edges = np.arange(K) / K
-    starts, counts, p1, sector = _cut(B, xi2, p1, starts, counts, key, edges, reach, check=True)
+    starts, counts, p1, sector = _cut(B, xi2, p1, starts, counts, key, edges, reach)
     order = np.argsort(sector.astype(np.min_scalar_type(K)), kind="stable")
     starts, counts, p1, sector = starts[order], counts[order], p1[order], sector[order]
     sizes = np.bincount(sector, weights=counts, minlength=K).astype(np.int64)
@@ -679,11 +684,10 @@ def direction_set(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Direc
     """Sorted directions of the lattice points in the domain, without the points.
 
     Bit for bit ``directions(enumerate_points(lat, shape, T), T, shape)``,
-    with the same errors and one more (the strips times the sector rays
-    past the budget, on a thin annulus), but no (n, 2) array is built: the
-    kept strip ranges are cut at K = N // SECTOR sector rays k/K and their
-    angles written sector by sector, one cache-sized piece at a time, into
-    one exactly sized array, where each sector is sorted in cache
+    with the same errors, but no (n, 2) array is built: the kept strip
+    ranges are cut at K = N // SECTOR sector rays k/K and their angles
+    written sector by sector, one cache-sized piece at a time, into one
+    exactly sized array, where each sector is sorted in cache
     (``_sorted_sectors``).
 
     Exact by construction, in two parts.  The multiset: the cuts are
@@ -694,7 +698,10 @@ def direction_set(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Direc
     every point lies in the sector of its own angle and the sorted sectors
     follow each other in order.  ``_turns`` yields no NaN and no -0.0, so
     any sort of the same multiset gives the same bytes.  ``DirectionSet``
-    checks the order once more.
+    checks the order once more.  The cut checks its ray crossings against
+    the budget (``PIECE_VALUES``), but they number under N (1 - c) T /
+    SECTOR (c = 0 on a disc or a square), so that check passes wherever
+    the expected point count does.
     """
     B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T)
     alphas = np.empty(int(counts.sum()))
@@ -731,20 +738,20 @@ def count_in_window(
       (``_sorted_sectors``), whose angles are formed and sorted one sector
       at a time in one reused buffer, where the ends inside the sector are
       searched.  Time is O(N log SECTOR), and memory O(SECTOR) plus the
-      pieces, about strips times K / 2 of them: that grows as N T /
+      pieces, about strips times K / 3 of them: that grows as N T /
       SECTOR: the peak is 16 MB at T = 2000 and 163 MB at T = 5000 on
       the unit lattice (tracemalloc), against 8 N bytes (100 MB and
       628 MB) for the direction set alone.
 
     In both ``_turns`` gives the value that ``direction_set`` would store.
     The budget (``_check_budget``) caps the strips, at ``STRIP_VALUES``
-    each; the strips times the distinct window ends, or times the K rays
-    of a sweep, at ``END_VALUES`` each (one position, whose three ends
-    weigh less than a strip, stays inside the strip check); the N
-    directions of a sweep; and the points decided one by one (the boundary
-    candidates and the points next to the rays).  At one position T = 1e5
-    (N about 3.1e10) holds about 0.1 GB, and T goes up to about 1e6 on a
-    unit-square lattice.  Raises CapacityError past it, before allocating,
+    each; past one position, whose three ends weigh less than a strip, the
+    strips times the distinct window ends, at ``END_VALUES`` each; the N
+    directions of a sweep; the ray crossings that the cut forms pieces at,
+    at ``PIECE_VALUES`` each; and the points decided one by one (the
+    boundary candidates and the points next to the rays).  At one position
+    T = 1e5 (N about 3.1e10) holds about 0.1 GB, and T goes up to about
+    1e6 on a unit-square lattice.  Raises CapacityError past it, before allocating,
     and InvalidInputError on a bad interval, position or scale.
     """
     _window_count(interval, 0, alphas, None)  # checks the input before any strip is solved
@@ -765,7 +772,7 @@ def count_in_window(
             sizes = np.array([N])
             if edges.size > 1:
                 _check_budget(p1.size * edges.size * END_VALUES, f"{p1.size} m1-strips x {edges.size} window ends")
-                pieces = _cut(B, xi2, p1, starts, counts, key, edges, reach, check=True)
+                pieces = _cut(B, xi2, p1, starts, counts, key, edges, reach)
                 sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
             under = np.concatenate([[0], np.cumsum(sizes)])
         return under[np.searchsorted(edges, ends, side="left")]

@@ -179,6 +179,18 @@ def test_moments_past_the_point_budget_exit_before_solving_strips(tmp_path):
     assert peak < 2**20 and not out.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--basis", "2,0,0,1", "--T", "1e6"], "determinant 1"),
+    (["--basis", "2,0,0,1", "--T", "1e6", "--s", "1,1"], "determinant 1"),
+    (["--T", "nan", "--s", "1,1"], "T must be finite"),
+])
+def test_moments_checks_the_lattice_before_the_budget_and_the_exponents(tmp_path, capsys, flags, named):
+    # the lattice is checked first, as when the direction set was built before the moment
+    out = tmp_path / "m.json"
+    assert main(["moments", *flags, "--I", "0:1", "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err and not out.exists()
+
+
 def test_tails_json(tmp_path):
     out = tmp_path / "t.json"
     rc = main(["tails", "--xi-class", "integer", "--I", "0:1", "--n", "100000",

@@ -36,9 +36,9 @@ def test_a_moved_cut_is_cut_again_point_by_point(monkeypatch):
     assert want.N // lattice.SECTOR > 1
     slots, recut = lattice._slots, []
 
-    def moved(s, n, a, tol, w, xi2):
+    def moved(s, n, a, tol, w, xi2, crossed):
         recut.append(int(np.isinf(tol).sum()))
-        return slots(s, n, a, tol, w + 0.01 * (1.0 + np.abs(w)), xi2)
+        return slots(s, n, a, tol, w + 0.01 * (1.0 + np.abs(w)), xi2, crossed)
 
     monkeypatch.setattr(lattice, "_slots", moved)
     got = ld.direction_set(lat, shape, T)
@@ -78,3 +78,27 @@ def test_sector_count_follows_the_point_count(monkeypatch):
         dirs = ld.direction_set(lat, ld.Annulus(0.0), T)
         assert seen[-1] == (max(dirs.N // lattice.SECTOR, 1),) * 2
     assert seen[0][0] == 1 and seen[1][0] > 16
+
+
+def test_thin_annulus_checks_the_crossings_it_cuts(monkeypatch):
+    # a thin annulus holds few points on many strips, and each strip's ranges cross few of the
+    # K rays: 4000 strips times K = 976 rays pass the budget, the 13k crossings cut do not
+    monkeypatch.setattr(lattice, "SECTOR", 256)
+    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 1_000_000)
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
+    shape, T = ld.Annulus(0.99), 2000.0
+    got = ld.direction_set(lat, shape, T)
+    want = ld.directions(ld.enumerate_points(lat, shape, T), T, shape)
+    assert got.N // lattice.SECTOR * 4 * (2 * T) > lattice.DEFAULT_MAX_POINTS
+    assert got.alphas.tobytes() == want.alphas.tobytes()
+
+
+def test_crossings_past_the_budget_are_refused(monkeypatch):
+    # K = 1963 rays of 16 angles each on a disc of N = 31422: 126k crossings at 10 values each
+    monkeypatch.setattr(lattice, "SECTOR", 16)
+    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 1_000_000)
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
+    with pytest.raises(ld.CapacityError, match="ray crossings"):
+        ld.direction_set(lat, ld.Annulus(0.0), 100.0)
+    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 2_000_000)
+    assert ld.direction_set(lat, ld.Annulus(0.0), 100.0).N == 31422

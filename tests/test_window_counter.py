@@ -120,9 +120,9 @@ def test_counter_repairs_a_misplaced_cut(monkeypatch):
     dirs = ld.direction_set(lat, ld.Annulus(0.2), 80.0)
     slots, calls = ld.lattice._slots, []
 
-    def moved(s, n, a, tol, w, xi2):
+    def moved(s, n, a, tol, w, xi2, crossed):
         calls.append(np.isinf(tol).sum())
-        return slots(s, n, a, tol, w + 0.01 * (1.0 + np.abs(w)), xi2)
+        return slots(s, n, a, tol, w + 0.01 * (1.0 + np.abs(w)), xi2, crossed)
 
     monkeypatch.setattr(ld.lattice, "_slots", moved)
     for alpha in (0.05, 0.3, 0.61, 0.97):

@@ -33,11 +33,13 @@ from .lattice import (
     AffineLatticeSpec,
     Annulus,
     DirectionSet,
+    DirectionStream,
     DomainShape,
     Mat2,
     Square,
     count_in_window,
     direction_set,
+    direction_stream,
     directions,
     enumerate_points,
     expected_count,

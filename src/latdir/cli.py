@@ -40,7 +40,7 @@ from .lattice import (
     Square,
     _check_budget,
     count_in_window,
-    direction_set,
+    direction_stream,
     expected_count,
     lattice_from_json,
 )
@@ -371,11 +371,12 @@ def _write_json(path, obj):
 
 def cmd_enumerate(args) -> int:
     lat, shape, T = _lattice_from_args(args)
-    dirs = direction_set(lat, shape, T)
+    dirs = direction_stream(lat, shape, T)
     with _Out(args.out) as fh:
         fh.write(_header(args, "none") + "\n")
         fh.write("alpha\n")
-        _write_rows(fh, "{:.17g}", dirs.alphas)
+        for sector in dirs.chunks():  # each written as it is formed: no direction set is held
+            _write_rows(fh, "{:.17g}", sector)
     print(f"enumerate: N={dirs.N} directions at T={T} -> {args.out or 'stdout'}")
     return 0
 
@@ -383,13 +384,12 @@ def cmd_enumerate(args) -> int:
 def cmd_spacings(args) -> int:
     ks = parse_krange(args.k)
     lat, shape, T = _lattice_from_args(args)
-    dirs = direction_set(lat, shape, T)
+    dirs = direction_stream(lat, shape, T)
     if ks[-1] >= dirs.N:
         raise ValueError(f"--k {args.k!r} needs k < N = {dirs.N}")
     edges = parse_bins(args.bins)
     _check_budget(len(ks) * dirs.N, f"{len(ks)} spacing passes over N = {dirs.N} directions")
-    for k in ks:
-        hist = spacing_histogram(dirs, k, edges)
+    for k, hist in zip(ks, spacing_histogram(dirs, ks, edges)):  # every k in one sweep
         if args.out and len(ks) > 1:
             stem, dot, suffix = args.out.rpartition(".")
             path = f"{stem}_k{k:02d}.{suffix}" if dot else f"{args.out}_k{k:02d}"
@@ -402,7 +402,7 @@ def cmd_spacings(args) -> int:
 
 def cmd_paircorr(args) -> int:
     lat, shape, T = _lattice_from_args(args)
-    dirs = direction_set(lat, shape, T)
+    dirs = direction_stream(lat, shape, T)
     edges = parse_bins(args.bins)
     hist = pair_correlation(dirs, edges, fold=args.fold)
     _write_histogram(args.out, args, "none", hist)

@@ -16,6 +16,12 @@ last point of every piece by their own angle and decides a range that
 fails point by point, so every point lies in the sector of its own angle
 and the result is exact by construction.  Time is O(N log SECTOR), and
 memory the N angles plus the pieces, about strips times K / 3.
+``direction_stream`` gives the same sectors without the N angles: each
+is formed and sorted in one reused buffer and handed on before the next
+(a ``DirectionStream``, which checks that each sector starts at or after
+the end of the one before).  The statistics that walk the directions
+once in order, spacings and pair sums, take it as they take a
+``DirectionSet``, so their memory is one sector plus the pieces.
 
 ``count_in_window`` counts directions under window ends with the same
 cut and no direction set.  A few ends are cut at directly: a window count
@@ -32,13 +38,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import strips
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, InvalidInputError, LatdirError
 
 TWO_PI = 2.0 * math.pi
 DET_TOL = 1e-12
@@ -57,8 +63,8 @@ ORIGIN_RADIUS = 2.0**-500
 # (1 MB) sorts in cache at about 8 ns a value; smaller sectors sort barely
 # faster per value and need more cuts.
 SECTOR = 2 * strips.CHUNK
-# Values that ``count_in_window`` holds per m1-strip at its peak (about 60 to 80 measured): its
-# strips are checked against the budget at this weight, as a point is by the enumerator.
+# Values that ``count_in_window`` holds per m1-strip at its peak (about 60 to 80 measured), and a
+# sector sweep about as many: every path checks its strips against the budget at this weight.
 STRIP_VALUES = 96
 # Values that ``_cut`` holds per m1-strip and window end of ``count_in_window`` (about 2.6 to 2.8
 # measured over 100 to 2000 positions): the strips times the distinct ends are checked at this weight.
@@ -182,6 +188,38 @@ class DirectionSet:
     def N(self) -> int:
         return int(self.alphas.size)
 
+    def chunks(self):
+        """The sorted angles as one chunk, the form the statistics' sweeps take."""
+        yield self.alphas
+
+
+@dataclass(frozen=True, eq=False)
+class DirectionStream:
+    """The sorted directions of points at scale T, formed one sector at a time.
+
+    ``N`` is known from the kept ranges before any direction is formed.
+    Each ``chunks()`` sweeps the sectors (``_sorted_sectors``) and yields
+    each one's sorted angles, a view of one reused buffer that is valid
+    until the next is drawn.  A sector that starts below the end of the
+    one before, or an angle outside [0, 1), raises LatdirError: the check
+    that ``DirectionSet`` makes over its whole array.
+    """
+
+    N: int
+    T: float
+    shape: DomainShape
+    ranges: tuple = field(repr=False)  # what ``_kept_ranges`` returns
+
+    def chunks(self):
+        end = 0.0
+        for _, _, _, vals in _sorted_sectors(*self.ranges, math.sqrt(2.0) * self.T):
+            if vals.size:
+                if vals[0] < end or vals[-1] >= 1.0:
+                    raise LatdirError(f"sector of angles [{vals[0]!r}, {vals[-1]!r}] after {end!r}: "
+                                      "the sectors must follow each other in [0, 1)")
+                end = vals[-1]
+                yield vals
+
 
 def _check_budget(values, what: str) -> None:
     """Raise CapacityError when ``values`` (an int or a float; NaN fails) pass the budget.
@@ -269,9 +307,9 @@ def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, count_onl
     strip's p1 and the kept ranges as ``_zones`` gives them.
 
     The budget (``_check_budget``) caps the boundary candidates and the
-    strips, these at ``STRIP_VALUES`` each when ``count_only`` (the ranges
-    are only counted); otherwise it caps the points and the candidates as
-    well.
+    strips, at ``STRIP_VALUES`` each, which is what they weigh in the cut
+    of every path; unless ``count_only`` (the ranges are only counted) it
+    caps the points and the candidates as well.
     """
     _require_scale(T)
     lat.basis.require_unimodular()
@@ -292,7 +330,7 @@ def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, count_onl
     if per_strip > strips.LIMIT:
         raise CapacityError(f"a strip would span about {per_strip:.3g} integers, more than int64 can hold")
     rows = m1hi - m1lo + 1
-    _check_budget(rows * (STRIP_VALUES if count_only else 1), f"{rows} m1-strips")
+    _check_budget(rows * STRIP_VALUES, f"{rows} m1-strips")
     p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
     if isinstance(shape, Annulus):
         lo, hi = strips.root_pair(q12, q22, p1, xi2, T)[:2]
@@ -708,6 +746,23 @@ def direction_set(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Direc
     for _ in _sorted_sectors(B, xi2, p1, starts, counts, key, math.sqrt(2.0) * T, alphas):
         pass
     return DirectionSet(alphas, float(T), shape)
+
+
+def direction_stream(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> DirectionStream:
+    """The directions of ``direction_set``, bit for bit and in order, one sorted sector at a time.
+
+    Solves the kept strip ranges, with the errors and the budget checks of
+    ``direction_set``, and returns a ``DirectionStream`` that holds them
+    and N, their total width.  No direction is formed until its
+    ``chunks()`` is iterated: then the ranges are cut at the K sector rays
+    (the cut's own checks run there) and each sector's angles are formed
+    and sorted in one reused buffer.  A sweep holds one sector and the
+    pieces, about strips times K / 3 of them, instead of the 8 N bytes of
+    the direction set: the statistics that walk the directions once, in
+    order (``pair_correlation``, ``spacing_histogram``), take either.
+    """
+    ranges = _kept_ranges(lat, shape, T)
+    return DirectionStream(int(ranges[4].sum()), float(T), shape, ranges)
 
 
 def count_in_window(

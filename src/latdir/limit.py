@@ -361,13 +361,10 @@ def _cone_pass(A, xi1, xi2, c: float, intervals, slopes, k, m1lo, m1hi) -> np.nd
                 pointwise.append((w, on[np.abs(test) < tol[on]]))
         # the origin y = 0 is never inside, so on a strip through it (p1 = 0, xi2 in Z) a bound
         # of exactly 0 moves half a step: it then decides the integers without rounding
-        apex = np.flatnonzero(p1 == 0.0)
-        apex = apex[xi2[apex] == np.rint(xi2[apex])]
-        if apex.size:
+        apex = (p1 == 0.0) & (xi2 == np.rint(xi2))
+        if apex.any():
             for end, half in ((lower, 0.5), (upper, -0.5)):
-                at = end[:, apex]
-                at[at == 0.0] = half
-                end[:, apex] = at
+                end[(end == 0.0) & apex] = half
         bound -= xi2
         np.clip(bound, -strips.LIMIT, strips.LIMIT, out=bound)
         off = np.rint(bound, out=t.reshape(bound.shape))

@@ -4,23 +4,24 @@ Window counts, k-th neighbor spacing histograms, the two-point correlation
 of scaled direction differences, mixed moments against a measure on the
 circle, and an exact two-window pair statistic.
 
-All operations are read-only over a DirectionSet, whose ``alphas`` array A
-is sorted, so the lifted sequence L(k) = A[k mod N] + k div N is
-nondecreasing.  Window counts are two binary searches on it.  Spacings
-are one offset pass L(j + k) - L(j) over all j.  The two-point
-correlation bins, and the pair statistic sums window overlaps over, the
-same close pairs: the neighbour passes d = 1, 2, ... of ``_near_pairs``.
-Mixed moments evaluate window counts on the measure's quadrature grid
-(``_grid_moment``, which also takes the counts of
-``lattice.count_in_window``).
-
-Every pass is cache-blocked.  It walks j in blocks of ``_BLOCK`` = 2^16
-(``_gap_blocks``: contiguous slices of A, the last d entries wrapping
-past 1), and each block is filtered, scaled and binned (``_bin_sums``)
-while it is in cache.  Once a neighbour pass keeps fewer than N/4 of the
-j, the passes after it gather only the survivors, again 2^16 at a time.
-So no pass allocates an N-long temporary: memory is O(2^16 + survivors)
-beside the direction set.
+The N sorted angles A come as a DirectionSet, one array, or as a
+``lattice.DirectionStream``, its sectors one at a time.  The lifted
+sequence L(k) = A[k mod N] + k div N is nondecreasing.  Window counts and
+mixed moments search the whole array: two binary searches per window end,
+on the measure's quadrature grid for a moment (``_grid_moment``, which
+also takes the counts of ``lattice.count_in_window``).  Spacings
+L(j + k) - L(j), and the close pairs that the two-point correlation bins
+and the pair statistic sums window overlaps over, need only the values
+near each other, so they take A as an iterator of sorted chunks: one
+sweep (``_sweep``) in blocks of ``_BLOCK`` = 2^16 values, each after the
+values carried from before it that it can pair with (the last k for
+spacings, those within reach for pairs), and at the end the pairs that
+wrap past 1, against the head of A lifted by whole turns.  Each block is
+paired, filtered, scaled and binned (``_bin_sums``) while it is in cache,
+and every difference is the same float operation however A is chunked,
+so the counts do not depend on the chunks.  No pass allocates an N-long
+temporary: memory is O(2^16 + the values within reach of a block's end
+and of 0) beside the chunks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .lattice import DirectionSet, _check_budget, _frac, _window_count
+from . import strips
+from .lattice import DirectionSet, DirectionStream, _check_budget, _frac, _window_count
 
 # Values that ``mixed_moment`` holds per quadrature point at its peak (about 13 measured): a
 # ``MeasureSpec`` grid is checked against the budget at this weight.
@@ -166,136 +168,213 @@ def window_counts(dirs: DirectionSet, interval, alphas) -> np.ndarray:
     return _window_count(interval, dirs.N, alphas, lambda x: np.searchsorted(dirs.alphas, x, side="left"))
 
 
-def spacing_histogram(dirs: DirectionSet, k: int, edges) -> Histogram:
+def spacing_histogram(dirs: DirectionSet | DirectionStream, k, edges) -> Histogram | list[Histogram]:
     """Histogram of scaled k-th neighbor spacings N*(alpha_{j+k} - alpha_j).
 
     Spacings are cyclic (the last entries wrap past 1) and the histogram is
-    density-normalized so the in-range mass is 1.  The spacings are one
-    offset pass over j in blocks of ``_BLOCK`` (``_gap_blocks``); in each
-    block those outside [edges[0], edges[-1]] are dropped and the rest are
-    binned as ``np.histogram`` bins them (last bin closed), so the counts
-    are the same.  Memory is O(``_BLOCK``) beside the direction set.
+    density-normalized so the in-range mass is 1.  ``k`` is one offset,
+    which gives one Histogram, or a sequence of them, which gives a list
+    in the same order from one sweep (``_spacings``) over ``dirs``: a
+    ``DirectionSet`` or the sectors of a ``DirectionStream``.  In each
+    block of the sweep the spacings outside [edges[0], edges[-1]] are
+    dropped and the rest are binned as ``np.histogram`` bins them (last bin
+    closed), so the counts are the same.  Memory is O(``_BLOCK`` + k)
+    beside the directions.
     """
     N = dirs.N
-    if not 1 <= k < N:
-        raise InvalidInputError(f"need 1 <= k < N, got k={k}, N={N}")
+    ks = [int(x) for x in np.atleast_1d(k)]
+    if not ks or any(x != y for x, y in zip(ks, np.atleast_1d(k))):
+        raise InvalidInputError(f"k must be an integer or a nonempty sequence of integers, got {k!r}")
+    for x in ks:
+        if not 1 <= x < N:
+            raise InvalidInputError(f"need 1 <= k < N, got k={x}, N={N}")
     edges = _checked_edges(edges)
-    counts = np.zeros(edges.size - 1, dtype=np.intp)
-    for _, scaled in _gap_blocks(dirs.alphas, k):
-        scaled *= N
+    counts = np.zeros((len(ks), edges.size - 1), dtype=np.intp)
+    for i, scaled in _spacings(N, dirs.chunks(), ks):
         keep = scaled <= edges[-1]
         if edges[0] > 0:  # cyclic spacings are never negative
             keep &= scaled >= edges[0]
-        counts += _bin_sums(np.compress(keep, scaled), edges, None, False)[0]
-    total = counts.sum()
+        counts[i] += _bin_sums(_kept(keep, scaled), edges, None, False)[0]
     widths = np.diff(edges)
-    masses = counts / (total * widths) if total > 0 else np.zeros(counts.shape)
-    return Histogram(edges, masses)
+    hists = [Histogram(edges, c / (c.sum() * widths) if c.sum() > 0 else np.zeros(c.shape)) for c in counts]
+    return hists[0] if np.ndim(k) == 0 else hists
 
 
-_BLOCK = 65536  # values per block of every pass: sorted, filtered and binned while in cache
+_BLOCK = 65536  # values per block of the sweep: paired with the values carried before it while in cache
+# Slack of the searches for the values within reach: far above the roundoff of a difference of
+# two values below 4, far below any reach.  They find a superset, which the exact predicate filters.
+_SLACK = 2.0**-40
+# A pass over every value of a block stops once it keeps fewer than 1 in _SPARSE of them: the
+# pairs left are then gathered row by row.
+_SPARSE = 16
 
 
-def _gap_blocks(A, d):
-    """Yields ``(start, gaps)``: gaps[i] = alpha_{j+d} - alpha_j for j = start + i, 0 < d < N.
+def _sweep(N: int, chunks, thresh: float, count: int = 0):
+    """The sorted sequence A of N directions in blocks, each after the values before it that it can pair with.
 
-    The blocks of ``_BLOCK`` consecutive j cover 0..N-1 in order; the last
-    d entries wrap past 1.  Bit for bit ``concat(A, A + 1)[j + d] - A[j]``,
-    from contiguous slices of A, into one reused buffer that the caller
-    may change but that the next block overwrites.
+    ``chunks`` yields sorted arrays, each valid until the next is drawn,
+    that lay A end to end.  Yields ``(Y, c, wrap)``: the first c values of
+    Y are carried from before, the rest are the next ``_BLOCK`` or fewer
+    values of a chunk.  Y is a view of the chunk where the carry lies in
+    it, and of one reused buffer elsewhere: it is read only, and valid
+    until the next yield.  Carried are the last ``count`` values and those
+    within ``thresh`` of the block's last value: every later value is at
+    least that one, and float subtraction is monotone.  So a pair j < l of
+    the lifted sequence L(i) = A[i mod N] + i div N, with l < N and
+    L(l) - L(j) <= thresh or l - j <= ``count``, lies in one Y with its l
+    past the carry.
+
+    The last Y, with ``wrap`` set, holds the carry, the last c entries of
+    A, and the lifted head L(N), L(N + 1), ..., each A[i] + q formed as one
+    float addition of q = 1 + i div N, as far as a pair with the carry
+    reaches: the first ``count``, and all within ``thresh`` of the last
+    value.  So Y is the stretch L(N - c), ... of L, and its pairs are
+    those with j < c.  The head is kept while the chunks go by: the first
+    ``count`` values and those within ``thresh`` of 0.  With ``thresh`` =
+    -inf only ``count`` decides.
     """
-    N = A.size
-    buf = np.empty(min(N, _BLOCK))
-    for start in range(0, N, _BLOCK):
-        stop = min(start + _BLOCK, N)
-        out = buf[: stop - start]
-        flat = min(max(N - d - start, 0), out.size)  # the j + d < N of the block
-        np.subtract(A[start + d : start + d + flat], A[start : start + flat], out=out[:flat])
-        wrap = out[flat:]
-        np.add(A[start + flat + d - N : stop + d - N], 1.0, out=wrap)
-        np.subtract(wrap, A[start + flat : stop], out=wrap)
-        yield start, out
+    buf = np.empty(0)  # the carry, where it does not lie in the chunk just before the block
+    c, head, held, last = 0, [], 0, None
+    for X in chunks:
+        front = max(min(count - held, X.size), int(np.searchsorted(X, thresh + _SLACK, side="right")))
+        if front:  # a prefix of A: a later chunk has no value within reach of 0 once this one has one past it
+            head.append(X[:front].copy())
+            held += front
+        for start in range(0, X.size, _BLOCK):
+            stop = min(start + _BLOCK, X.size)
+            if start >= c:
+                Y = X[start - c:stop]
+            else:
+                Y = buf[:c + stop - start]
+                Y[c:] = X[start:stop]
+            yield Y, c, False
+            last = Y[-1]
+            p = min(int(np.searchsorted(Y, last - (thresh + _SLACK), side="left")), Y.size - min(count, Y.size))
+            c = Y.size - p
+            if stop == X.size or stop < c:  # the next block's carry is not in the chunk before it
+                if buf.size < c + _BLOCK:
+                    buf, Y = np.empty(2 * c + _BLOCK), Y[p:].copy()
+                buf[:c] = Y[Y.size - c:]
+    if last is None:
+        return
+    head = np.concatenate(head) if head else np.empty(0)
+    lifted, q = [], 1
+    while True:  # turn q + 1 is reached only past all of turn q
+        n = int(np.searchsorted(head, last + (thresh + _SLACK) - q, side="right"))
+        n = min(max(n, count if q == 1 else 0), head.size)
+        if n:
+            lifted.append(head[:n] + float(q))
+        if n < N:
+            break
+        q += 1
+    if lifted:
+        yield np.concatenate([buf[:c], *lifted]), c, True
 
 
-def _ahead(A, idx):
-    """Entries ``idx`` (sorted, nonnegative) of the lifted sequence A[k mod N] + k div N.
+def _near_pairs(N: int, chunks, reach: float, ends: bool = False):
+    """Scaled differences N * (L(l) - L(j)) <= reach of the lifted sequence, j < N, j < l.
 
-    Bit for bit ``concat(A, A + 1, A + 2, ...)[idx]``, without building it:
-    the indices in turn q are one slice of the sorted ``idx``, and q is added
-    to that slice once (adding an integer array would cast every entry).
+    L(i) = A[i mod N] + i div N for the N sorted directions A that
+    ``chunks`` lays end to end (``_sweep``).  Pairs l - j = 0 (mod N), a
+    direction and its own image, are skipped.  Each difference is computed
+    as ``A[l] - A[j]``, or ``(A[l - qN] + q) - A[j]`` past the end, and then
+    multiplied by N, so the values are the same however A is chunked.
+    Yields them in batches; with ``ends`` set, each comes with the pairs'
+    two values A[j] and L(l) (else None).  The cost is
+    O(N * (1 + reach)), the memory O(``_BLOCK``) beside the values carried
+    and the head of A within reach of the wrap, which is all of A only
+    when reach >= N.
+
+    In a block (``_close``) pass d = 1, 2, ... takes L(l) - L(l - d) over
+    every l of the block, while cache-resident, until a pass keeps fewer
+    than 1 in ``_SPARSE``; the pairs of the l it kept are then gathered
+    row by row (``_gathered``).  The pairs of the last block of
+    ``_sweep``, those that wrap past 1, are gathered directly.
     """
-    out = A.take(idx, mode="wrap")
-    q, start = 1, np.searchsorted(idx, A.size)
-    while start < idx.size:
-        stop = np.searchsorted(idx, (q + 1) * A.size)
-        out[start:stop] += q
-        q, start = q + 1, stop
-    return out
-
-
-def _near_pairs(A, reach):
-    """Neighbour passes over the lifted sequence L(k) = A[k mod N] + k div N.
-
-    Pass d = 1, 2, ... yields, block by block, ``(d, start, keep, vals)``:
-    ``vals`` are, in order of j, the scaled differences N * (L(j + d) -
-    L(j)) with L(j + d) - L(j) <= reach / N, and ``_rows(start, keep)``
-    their j.  Passes with d = 0 (mod N) are skipped, since a direction is
-    never a pair with its own image, and the passes end at the first one
-    that keeps nothing, so the cost is O(N * (1 + reach)).  Needs N >= 2.
-
-    The kept j shrink from pass to pass (the difference grows with d).
-    While more than a quarter of them survive, a pass walks all j in the
-    blocks of ``_gap_blocks``, and ``keep`` is the block's mask, valid
-    until the next block.  The pass after the first that keeps fewer than
-    N/4 (or pass N - 1) also writes its kept j into one array, int32 while
-    N < 2^31; from then on each pass gathers only those j, ``_BLOCK`` at a
-    time, compacts the array in place, and ``keep`` is the kept j of the
-    chunk.  Memory is O(``_BLOCK`` + N/4) beside A, with no N-long
-    temporary.
-    """
-    N = A.size
     thresh = reach / N
-    mask = np.empty(min(N, _BLOCK), dtype=bool)
-    d, kept, active = 0, N, None
-    while active is None:  # d < N, as _gap_blocks needs: pass N - 1 starts the gathering
-        d += 1
-        if 4 * kept < N or d == N - 1:
-            active = np.empty(kept, dtype=np.int32 if N < 2**31 else np.int64)
-        kept = 0
-        for start, gaps in _gap_blocks(A, d):
-            near = np.less_equal(gaps, thresh, out=mask[: gaps.size])
-            vals = np.compress(near, gaps)
-            if active is not None:
-                active[kept : kept + vals.size] = np.flatnonzero(near) + start
-            kept += vals.size
-            if vals.size:
-                vals *= N
-                yield d, start, near, vals
-        if not kept:
-            return
+    work = np.empty(_BLOCK), np.empty(_BLOCK, dtype=bool)  # reused by every block
+    for Y, c, wrap in _sweep(N, chunks, thresh):
+        pairs = _gathered(Y, np.arange(c, Y.size), c, thresh, N, ends) if wrap else _close(Y, c, thresh, ends, work)
+        for vals, pair in pairs:
+            vals *= N
+            yield vals, pair
+
+
+def _close(Y, c: int, thresh: float, ends: bool, work):
+    """Differences Y[l] - Y[j] <= thresh, c <= l, j < l: passes d = 1, 2, ... , then ``_gathered``.
+
+    The passes write into ``work``, a float and a bool array of at least
+    Y.size - c values.
+    """
+    gaps, mask = work
+    n = Y.size
+    d = 0
     while True:
         d += 1
-        if d % N == 0:
-            continue
-        n, kept = kept, 0
-        for i in range(0, n, _BLOCK):
-            j = active[i : min(i + _BLOCK, n)].astype(np.int64)
-            diff = _ahead(A, j + d)
-            diff -= A[j]
-            near = diff <= thresh
-            j, vals = np.compress(near, j), np.compress(near, diff)
-            active[kept : kept + j.size] = j  # kept <= i: the unread chunks stay intact
-            kept += j.size
-            if vals.size:
-                vals *= N
-                yield d, 0, j, vals
-        if not kept:
+        lo = max(c, d)
+        if lo >= n:
+            return
+        m = n - lo
+        near = np.less_equal(np.subtract(Y[lo:], Y[lo - d:n - d], out=gaps[:m]), thresh, out=mask[:m])
+        vals = _kept(near, gaps[:m])
+        if vals.size:
+            yield vals, (_kept(near, Y[lo - d:n - d]), _kept(near, Y[lo:])) if ends else None
+        if _SPARSE * vals.size < m:  # the values past pass d of the few l it kept
+            rows = lo + np.flatnonzero(near)
+            yield from _gathered(Y, rows, rows - d, thresh, None, ends)
             return
 
 
-def _rows(start, keep):
-    """The j of one block that ``_near_pairs`` yields."""
-    return start + np.flatnonzero(keep) if keep.dtype == bool else keep
+def _kept(mask, x):
+    """``x[mask]``: a boolean index where the mask keeps most values, ``np.compress`` elsewhere.
+
+    The boolean copy loop predicts well on a dense mask and badly on a
+    mixed one; ``np.compress`` gathers through an index array, which is
+    cheap when it is short.  They cross over at about 3 in 4 kept.
+    """
+    return x[mask] if 4 * np.count_nonzero(mask) > 3 * mask.size else np.compress(mask, x)
+
+
+def _gathered(Y, rows, top, thresh: float, N: int | None, ends: bool):
+    """Differences Y[l] - Y[j] <= thresh for l in ``rows`` and j < ``top``, skipping l - j = 0 (mod N).
+
+    Each row's j start at a search for Y[l] - thresh, less ``_SLACK``, and
+    the rows are expanded into pairs about ``_BLOCK`` at a time
+    (``strips.runs``), so the memory is O(``_BLOCK`` + the longest row).
+    Without N no pair is skipped.
+    """
+    first = np.searchsorted(Y, Y[rows] - (thresh + _SLACK), side="left")
+    width = np.maximum(top - first, 0)
+    for i, k in strips.runs(width, _BLOCK):
+        j, l = strips.expand(first[i:k], width[i:k], rows[i:k])
+        vals = Y.take(l)
+        vals -= Y.take(j)
+        near = vals <= thresh
+        if N is not None:
+            near &= (l - j) % N != 0
+        vals = vals[near]
+        if vals.size:
+            yield vals, (Y.take(j[near]), Y.take(l[near])) if ends else None
+
+
+def _spacings(N: int, chunks, ks):
+    """``(i, gaps)`` batches: the scaled spacings N * (L(j + k) - L(j)), k = ks[i], of every j < N.
+
+    One ``_sweep`` that carries and lifts the last and first max(ks)
+    values; each difference is ``A[j + k] - A[j]`` or, past the end,
+    ``(A[j + k - N] + 1.0) - A[j]``, then multiplied by N.  The batches
+    are views of one reused buffer, valid until the next.
+    """
+    work = np.empty(max(_BLOCK, *ks))  # a block, or the k lifted values of the wrap
+    for Y, c, wrap in _sweep(N, chunks, -np.inf, max(ks)):
+        n = Y.size
+        top = c if wrap else n
+        for i, k in enumerate(ks):
+            lo, hi = max(c, k), min(n, top + k)
+            if lo < hi:
+                gaps = np.subtract(Y[lo:hi], Y[lo - k:hi - k], out=work[:hi - lo])
+                gaps *= N
+                yield i, gaps
 
 
 def _bin_sums(vals, edges, weights, mirrored: bool):
@@ -325,7 +404,7 @@ def _bin_sums(vals, edges, weights, mirrored: bool):
 
 
 def pair_correlation(
-    dirs: DirectionSet,
+    dirs: DirectionSet | DirectionStream,
     edges,
     density: Callable | None = None,
     fold: bool = False,
@@ -339,10 +418,12 @@ def pair_correlation(
     weighted by 1/(rho(alpha_j1)*rho(alpha_j2)), which renormalizes a
     non-uniform direction density back to unit level.
 
-    Implemented as the neighbour passes of ``_near_pairs`` up to the bins'
-    reach W, each block binned while in cache, so the cost is O(N * W) for
-    bins inside [-W, W] and the memory O(2^16 + N/4).  N (1 + W) past the
-    budget raises CapacityError before the first pass.
+    Implemented as one sweep of ``_near_pairs`` up to the bins' reach W,
+    over a ``DirectionSet`` or the sectors of a ``DirectionStream``, each
+    batch binned while in cache, so the cost is O(N * W) for bins inside
+    [-W, W] and the memory O(2^16 + the values within W / N of each block
+    and of 0) beside the directions.  N (1 + W) past the budget raises
+    CapacityError before the sweep.
     """
     edges = _checked_edges(edges)
     if fold and edges[0] < 0:
@@ -354,13 +435,11 @@ def pair_correlation(
     if W >= N / 2:
         raise InvalidInputError(f"window reach {W} must be below N/2 = {N / 2}")
     _check_budget(N * (1.0 + W), f"N = {N} directions times 1 + the reach {W:g}")
-    A = dirs.alphas
     counts = np.zeros(edges.size - 1)
-    for d, start, keep, vals in _near_pairs(A, W):
+    for vals, pair in _near_pairs(N, dirs.chunks(), W, ends=density is not None):
         w = None
-        if density is not None:
-            j = _rows(start, keep)
-            w = 1.0 / (np.asarray(density(A[j])) * np.asarray(density(_frac(_ahead(A, j + d)))))
+        if pair is not None:
+            w = 1.0 / (np.asarray(density(pair[0])) * np.asarray(density(_frac(pair[1]))))
         plus, minus = _bin_sums(vals, edges, w, mirrored=not fold)
         if fold:
             counts += 2.0 * plus
@@ -435,7 +514,7 @@ def _grid_moment(count, box, spec: MomentSpec, lam: MeasureSpec | None = None, s
     return value
 
 
-def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float:
+def pair_correlation_integral(dirs: DirectionSet | DirectionStream, interval1, interval2) -> float:
     """Exact circle average of the two-window ordered-pair count.
 
     Integrates, over the window position alpha, the number of ordered pairs
@@ -448,12 +527,12 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
     circle images m, of the overlap of window 1 with window 2 moved by
     s = N (alpha_j1 - alpha_j2 + m); only s in (a1 - b2, b1 - a2) count.
     Moving window 2 by a whole number of turns kN only renumbers m, so it
-    is first moved to put that support near 0.  The pairs are the
-    neighbour passes of ``_near_pairs`` up to reach
-    max(|a1 - b2|, |b1 - a2|), each giving s for one order of the pair and
-    -s for the other; the cost is O(N * (1 + reach)), as for
-    ``pair_correlation``, and past the budget it raises CapacityError
-    before the first pass.  The result is a finite sum (no quadrature).
+    is first moved to put that support near 0.  The pairs are one sweep
+    of ``_near_pairs`` up to reach max(|a1 - b2|, |b1 - a2|), which can
+    pass one turn (N), each giving s for one order of the pair and -s for
+    the other; the cost is O(N * (1 + reach)), as for ``pair_correlation``,
+    and past the budget it raises CapacityError before the sweep.  The
+    result is a finite sum (no quadrature).
     """
     a1, b1 = float(interval1[0]), float(interval1[1])
     a2, b2 = float(interval2[0]), float(interval2[1])
@@ -478,6 +557,6 @@ def pair_correlation_integral(dirs: DirectionSet, interval1, interval2) -> float
         return np.maximum(np.minimum(b1, b2 + s) - np.maximum(a1, a2 + s), 0.0)
 
     total = 0.0
-    for *_, s in _near_pairs(dirs.alphas, reach):
+    for s, _ in _near_pairs(N, dirs.chunks(), reach):
         total += overlap(s).sum() + overlap(-s).sum()
     return total / N

@@ -29,6 +29,9 @@ from .errors import CapacityError
 LIMIT = 2.0**61
 # Values per piece of ``expand_pieces``: a few float64 arrays of this length fit in cache.
 CHUNK = 1 << 16
+# 0.0, 1.0, ..., CHUNK - 1: the offsets that ``expand_pieces`` adds to each piece, built once
+_RAMP = np.arange(CHUNK, dtype=float)
+_RAMP.flags.writeable = False
 
 
 def integer_range(lo, hi, xi):
@@ -97,14 +100,13 @@ def expand_pieces(lo, counts, shift, *per_row):
     end = np.cumsum(counts)
     begin = end - counts
     total = int(end[-1]) if end.size else 0
-    ramp = np.arange(CHUNK, dtype=float)
     for a in range(0, total, CHUNK):
         b = min(a + CHUNK, total)
         i = int(np.searchsorted(end, a, side="right"))  # the row holding value a
         j = int(np.searchsorted(end, b, side="left")) + 1  # one past the row holding value b - 1
         count = np.minimum(end[i:j], b) - np.maximum(begin[i:j], a)
         values = np.repeat((lo[i:j] - begin[i:j] + a).astype(float), count)
-        values += ramp[:b - a]
+        values += _RAMP[:b - a]
         values += shift
         yield (values, *(np.repeat(v[i:j], count) for v in per_row))
 

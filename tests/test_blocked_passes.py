@@ -1,8 +1,12 @@
-"""Property tests for the blocked neighbour passes of ``latdir.stats``.
+"""Property tests for the blocked neighbour sweep of ``latdir.stats``.
 
-Every pass walks j in blocks of ``stats._BLOCK`` values and, once a pass
-keeps fewer than N/4 of them, gathers the survivors instead.  With the
-block patched down to a few values, ``spacing_histogram`` and
+The sweep takes the directions in blocks of ``stats._BLOCK`` values, each
+after the values carried from the blocks before it.  Passes d = 1, 2, ...
+go over every value of a block until one keeps fewer than 1 in
+``stats._SPARSE``, and the pairs of the values it kept are then gathered.
+The cases below switch from the passes over all j to the survivors at
+pass 1, mid-way or never, as counted over the whole set.  With the block
+patched down to a few values, ``spacing_histogram`` and
 ``pair_correlation`` must still match their ``np.histogram`` references
 byte for byte (the density-weighted one within 1e-12), and
 ``pair_correlation_integral`` the overlap-sum oracle within 1e-12.

@@ -115,14 +115,28 @@ def test_large_statistics_are_refused_before_allocating():
 
 
 def test_spacings_check_every_k_before_the_first_file(monkeypatch, tmp_path):
-    # each k is one pass over the N directions: k = 1..2 fit in 2 N values, k = 1..3 write nothing
-    N = ld.direction_set(ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.7)), ld.Annulus(0.0), 20.0).N
+    # each k is one pass over the N directions: k = 1..2 fit in 2 N values, k = 1..3 write nothing;
+    # at T = 60 the 121 strips, at STRIP_VALUES each, weigh less than 2 N
+    N = ld.direction_set(ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.7)), ld.Annulus(0.0), 60.0).N
+    assert 121 * lattice.STRIP_VALUES < 2 * N
     _budget(monkeypatch, 2 * N)
-    argv = ["spacings", "--xi", "0.3,0.7", "--T", "20", "--out", str(tmp_path / "s.csv")]
+    argv = ["spacings", "--xi", "0.3,0.7", "--T", "60", "--out", str(tmp_path / "s.csv")]
     assert main([*argv, "--k", "1..3"]) == 3
     assert list(tmp_path.iterdir()) == []
     assert main([*argv, "--k", "1..2"]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s_k01.csv", "s_k02.csv"]
+
+
+def test_every_direction_path_weighs_the_strips_alike(monkeypatch):
+    # a thin annulus holds few points on many strips, which the cut of every path holds at
+    # STRIP_VALUES each: 1571 points expected, but 10 000 strips weigh 960 000 values
+    _budget(monkeypatch, 500_000)
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.7))
+    shape, T = ld.Annulus(0.99999), 5000.0
+    assert ld.expected_count(shape, T) < 2000
+    for fn, *args in [(ld.direction_set,), (ld.direction_stream,), (ld.count_in_window, (-1.0, 1.0), 0.1)]:
+        with pytest.raises(ld.CapacityError, match="10000 m1-strips"):
+            fn(lat, shape, T, *args)
 
 
 def test_dioph_radius_budget(monkeypatch):

@@ -744,7 +744,7 @@ def test_stream_commands_write_the_direction_set_bytes(monkeypatch, tmp_path, se
 
 def test_stream_commands_hold_no_direction_set(tmp_path):
     # N = 3.1M at T = 1000: the direction set alone is 25 MB, and the three commands peaked at
-    # 27.7 to 30.4 MiB with it; on the sector stream they hold one sector and the pieces
+    # 27.6 to 30.2 MiB with it; on the sector stream they hold one sector and the pieces
     flags = ["--xi", "cbrt4,cbrt2", "--T", "1000", "--out", str(tmp_path / "out.csv")]
     for command in (["enumerate"], ["spacings", "--k", "1..15"], ["paircorr", "--bins=-10:10:0.5"]):
         codes = []

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+from . import __version__, lattice
 from .diophantine import (
     CBRT2,
     CBRT4,
@@ -29,19 +29,16 @@ from .diophantine import (
     dioph_scan,
     rational_divergence_probe,
 )
-from .errors import CapacityError, InvalidInputError, LatdirError
+from .errors import CapacityError, LatdirError
 from .escape import horocycle_escape_integral
 from .lattice import (
-    DEFAULT_MAX_POINTS,
     AffineLatticeSpec,
     Annulus,
     DomainShape,
     Mat2,
     Square,
     _check_budget,
-    count_in_window,
     direction_stream,
-    expected_count,
     lattice_from_json,
 )
 from .limit import (
@@ -54,7 +51,7 @@ from .stats import (
     IntervalBox,
     MeasureSpec,
     MomentSpec,
-    _grid_moment,
+    mixed_moment,
     pair_correlation,
     spacing_histogram,
 )
@@ -154,8 +151,8 @@ def parse_bins(s: str) -> np.ndarray:
     if not np.isfinite(steps):
         raise ValueError(f"bin spec {s!r} has no finite number of steps")
     n = int(round(steps))
-    if n + 1 > DEFAULT_MAX_POINTS:
-        raise ValueError(f"bin spec {s!r} needs {n + 1} edges, more than {DEFAULT_MAX_POINTS}")
+    if n + 1 > lattice.DEFAULT_MAX_POINTS:  # the budget as the module holds it at the call
+        raise ValueError(f"bin spec {s!r} needs {n + 1} edges, more than {lattice.DEFAULT_MAX_POINTS}")
     if n < 1 or abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
         raise ValueError(f"bin range {s!r} is not a whole number of steps")
     return lo + step * np.arange(n + 1)
@@ -417,16 +414,8 @@ def cmd_moments(args) -> int:
     exps = parse_complex_list(args.s)
     spec = MomentSpec(tuple(exps), cap=args.K)
     lam = MeasureSpec.uniform(args.grid)
-    # the sweep walks every direction: refused before any strip is solved, as a direction set is
-    _check_budget(expected_count(shape, T), "points expected about the domain's area")
-
-    def count(windows, grid):  # every window at every grid point, from the lattice with no direction set
-        counts, N = count_in_window(lat, shape, T, windows, grid)
-        if N == 0:
-            raise InvalidInputError("empty direction set")
-        return counts
-
-    val = _grid_moment(count, box, spec, lam, shifted=args.shifted)
+    # every window at every grid point from one sweep over the sectors, with no direction set
+    val = mixed_moment(direction_stream(lat, shape, T), box, spec, lam, shifted=args.shifted)
     obj = {
         "s": [[z.real, z.imag] for z in exps],
         "K": args.K,

@@ -20,18 +20,18 @@ memory the N angles plus the pieces, about strips times K / 3.
 is formed and sorted in one reused buffer and handed on before the next
 (a ``DirectionStream``, which checks that each sector starts at or after
 the end of the one before).  The statistics that walk the directions
-once in order, spacings and pair sums, take it as they take a
-``DirectionSet``, so their memory is one sector plus the pieces.
+once in order, spacings, pair sums and window counts, take it as they
+take a ``DirectionSet``, so their memory is one sector plus the pieces,
+which grow as N T / SECTOR (a peak of 16 MB at T = 2000 and 163 MB at
+T = 5000 on the unit lattice, under tracemalloc).  The directions under
+a set of window ends come from one walk over the sorted chunks of
+either (``_below``).
 
 ``count_in_window`` counts directions under window ends with the same
 cut and no direction set.  A few ends are cut at directly: a window count
 is then a sum of piece widths, in O(strips) time and memory per end.
-When the distinct ends outnumber the K sectors, as on the quadrature grid
-of a moment, one sweep over the sectors forms and sorts each sector's
-angles in one reused buffer and searches the ends inside it: O(N log
-SECTOR) time, and memory one sector plus the pieces, which grow as
-N T / SECTOR (a peak of 16 MB at T = 2000 and 163 MB at T = 5000 on the
-unit lattice, under tracemalloc), not O(SECTOR).
+When the distinct ends outnumber the K sectors it walks the sectors of a
+``DirectionStream`` with ``_below``: O(N log SECTOR) time.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ class DirectionStream:
 
     def chunks(self):
         end = 0.0
-        for _, _, _, vals in _sorted_sectors(*self.ranges, math.sqrt(2.0) * self.T):
+        for vals in _sorted_sectors(*self.ranges, math.sqrt(2.0) * self.T):
             if vals.size:
                 if vals[0] < end or vals[-1] >= 1.0:
                     raise LatdirError(f"sector of angles [{vals[0]!r}, {vals[-1]!r}] after {end!r}: "
@@ -567,9 +567,8 @@ def _sorted_sectors(B: Mat2, xi2, p1, starts, counts, key, reach: float, out=Non
     cache-sized piece at a time, into ``out`` and sorted there.  An ``out``
     of N values holds every sector at its place in the sorted sequence;
     without one, a buffer of the largest sector holds each sector in turn,
-    overwritten by the next.  Yields, per sector, its turns [lo, hi), the
-    number of directions under lo and its sorted angles, a view of the
-    buffer valid until the next sector.
+    overwritten by the next.  Yields each sector's sorted angles, a view of
+    ``out`` or of the buffer, valid until the next sector.
     """
     N = int(counts.sum())
     K = max(N // SECTOR, 1)
@@ -581,7 +580,7 @@ def _sorted_sectors(B: Mat2, xi2, p1, starts, counts, key, reach: float, out=Non
     under = np.cumsum(sizes) - sizes
     first = np.searchsorted(sector, np.arange(K + 1))  # the pieces of sector k: first[k]:first[k + 1]
     buf = np.empty(sizes.max()) if out is None else None
-    for k, (lo, hi) in enumerate(zip(edges, np.append(edges[1:], 1.0))):
+    for k in range(K):
         vals = buf[:sizes[k]] if out is None else out[under[k]:under[k] + sizes[k]]
         n = 0
         i, j = first[k], first[k + 1]
@@ -589,7 +588,7 @@ def _sorted_sectors(B: Mat2, xi2, p1, starts, counts, key, reach: float, out=Non
             _turns(y1, y2, vals[n:n + y1.size])
             n += y1.size
         vals.sort()  # values only, no NaN or -0.0: any sort gives the same bytes
-        yield lo, hi, int(under[k]), vals
+        yield vals
 
 
 def _turns_of(y1, y2):
@@ -759,7 +758,8 @@ def direction_stream(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Di
     and sorted in one reused buffer.  A sweep holds one sector and the
     pieces, about strips times K / 3 of them, instead of the 8 N bytes of
     the direction set: the statistics that walk the directions once, in
-    order (``pair_correlation``, ``spacing_histogram``), take either.
+    order (``pair_correlation``, ``spacing_histogram``, ``window_counts``
+    and ``mixed_moment``), take either.
     """
     ranges = _kept_ranges(lat, shape, T)
     return DirectionStream(int(ranges[4].sum()), float(T), shape, ranges)
@@ -789,14 +789,14 @@ def count_in_window(
       piece widths, plus the float predicate turns < end on the points
       within roundoff of a ray.  Time and memory are O(strips times ends),
       with no direction formed but those next to a ray;
-    - more ends than that: one sweep over the K sectors
-      (``_sorted_sectors``), whose angles are formed and sorted one sector
-      at a time in one reused buffer, where the ends inside the sector are
-      searched.  Time is O(N log SECTOR), and memory O(SECTOR) plus the
-      pieces, about strips times K / 3 of them: that grows as N T /
-      SECTOR: the peak is 16 MB at T = 2000 and 163 MB at T = 5000 on
-      the unit lattice (tracemalloc), against 8 N bytes (100 MB and
-      628 MB) for the direction set alone.
+    - more ends than that: one walk (``_below``, the search of
+      ``stats.window_counts``) over the sectors of a ``DirectionStream``
+      on the same kept ranges, whose angles are formed and sorted one
+      sector at a time in one reused buffer.  Time is O(N log SECTOR),
+      and memory O(SECTOR) plus the pieces, about strips times K / 3 of
+      them: that grows as N T / SECTOR: the peak is 16 MB at T = 2000 and
+      163 MB at T = 5000 on the unit lattice (tracemalloc), against 8 N
+      bytes (100 MB and 628 MB) for the direction set alone.
 
     In both ``_turns`` gives the value that ``direction_set`` would store.
     The budget (``_check_budget``) caps the strips, at ``STRIP_VALUES``
@@ -810,29 +810,44 @@ def count_in_window(
     and InvalidInputError on a bad interval, position or scale.
     """
     _window_count(interval, 0, alphas, None)  # checks the input before any strip is solved
-    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T, count_only=True)
+    B, xi2, p1, starts, counts, key = ranges = _kept_ranges(lat, shape, T, count_only=True)
     N = int(counts.sum())
-    reach = math.sqrt(2.0) * T
 
     def below(ends):
         edges = np.unique(np.concatenate([[0.0], ends[(ends > 0.0) & (ends < 1.0)]]))
-        # under[k]: the turns under edges[k], and N under 1
         if edges.size - 1 > max(N // SECTOR, 2):
             _check_budget(N, f"N = {N} directions swept for {edges.size - 1} distinct window ends")
-            under = np.append(np.zeros(edges.size, dtype=np.int64), N)
-            for lo, hi, n, vals in _sorted_sectors(B, xi2, p1, starts, counts, key, reach):
-                i, j = np.searchsorted(edges, [lo, hi], side="left")
-                under[i:j] = n + np.searchsorted(vals, edges[i:j], side="left")
-        else:
-            sizes = np.array([N])
-            if edges.size > 1:
-                _check_budget(p1.size * edges.size * END_VALUES, f"{p1.size} m1-strips x {edges.size} window ends")
-                pieces = _cut(B, xi2, p1, starts, counts, key, edges, reach)
-                sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
-            under = np.concatenate([[0], np.cumsum(sizes)])
+            return _below(DirectionStream(N, T, shape, ranges).chunks(), N, ends)
+        sizes = np.array([N])
+        if edges.size > 1:
+            _check_budget(p1.size * edges.size * END_VALUES, f"{p1.size} m1-strips x {edges.size} window ends")
+            pieces = _cut(B, xi2, p1, starts, counts, key, edges, math.sqrt(2.0) * T)
+            sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
+        under = np.concatenate([[0], np.cumsum(sizes)])  # the turns under each edge, and N under 1
         return under[np.searchsorted(edges, ends, side="left")]
 
     return _window_count(interval, N, alphas, below), N
+
+
+def _below(chunks, N: int, ends) -> np.ndarray:
+    """The number of the N sorted directions under each of ``ends``, in the shape of ``ends``.
+
+    ``chunks`` yields nonempty sorted arrays that lay the N directions end
+    to end (``chunks()`` of a ``DirectionSet`` or a ``DirectionStream``).  The
+    distinct ends are sorted once; each chunk takes those not yet taken up
+    to its last value, and gives each the directions before the chunk plus
+    a left search in the chunk, as every later direction is at least that
+    last value.  The ends past the last chunk get N.  So each count is
+    ``np.searchsorted(A, end, side="left")`` of the whole sequence A.
+    """
+    edges = np.unique(ends)
+    under = np.full(edges.size, N, dtype=np.int64)
+    i = n = 0
+    for vals in chunks:
+        j = np.searchsorted(edges, vals[-1], side="right")
+        under[i:j] = n + np.searchsorted(vals, edges[i:j], side="left")
+        i, n = j, n + vals.size
+    return under[np.searchsorted(edges, ends, side="left")]
 
 
 def _window_count(interval, N: int, alphas, below):

@@ -6,10 +6,10 @@ circle, and an exact two-window pair statistic.
 
 The N sorted angles A come as a DirectionSet, one array, or as a
 ``lattice.DirectionStream``, its sectors one at a time.  The lifted
-sequence L(k) = A[k mod N] + k div N is nondecreasing.  Window counts and
-mixed moments search the whole array: two binary searches per window end,
-on the measure's quadrature grid for a moment (``_grid_moment``, which
-also takes the counts of ``lattice.count_in_window``).  Spacings
+sequence L(k) = A[k mod N] + k div N is nondecreasing.  Window counts,
+and the mixed moments on the measure's quadrature grid that are built on
+them, walk the chunks once: the distinct window ends are sorted, and each
+chunk searches those up to its last value (``lattice._below``).  Spacings
 L(j + k) - L(j), and the close pairs that the two-point correlation bins
 and the pair statistic sums window overlaps over, need only the values
 near each other, so they take A as an iterator of sorted chunks: one
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError
 from . import strips
-from .lattice import DirectionSet, DirectionStream, _check_budget, _frac, _window_count
+from .lattice import DirectionSet, DirectionStream, _below, _check_budget, _frac, _window_count
 
 # Values that ``mixed_moment`` holds per quadrature point at its peak (about 13 measured): a
 # ``MeasureSpec`` grid is checked against the budget at this weight.
@@ -153,19 +153,36 @@ def _checked_edges(edges) -> np.ndarray:
     return e
 
 
-def window_counts(dirs: DirectionSet, interval, alphas) -> np.ndarray:
+def _density(counts, scale, edges) -> np.ndarray:
+    """``counts / (scale * width)`` per bin; a density that is not finite raises InvalidInputError.
+
+    A bin narrower than about 1e-308 / ``scale`` (a subnormal width) would
+    overflow with any count in it.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = counts / (scale * np.diff(edges))
+    bad = np.flatnonzero(~np.isfinite(out))[:1]
+    if bad.size:
+        raise InvalidInputError(f"bin {edges[bad[0]:bad[0] + 2].tolist()} is too narrow for a finite density")
+    return out
+
+
+def window_counts(dirs: DirectionSet | DirectionStream, interval, alphas) -> np.ndarray:
     """Number of directions in the shrunk window N^-1 * interval + alpha.
 
     The window is the half-open arc [alpha + a/N, alpha + b/N) on the
     circle; a window of length >= 1 returns N.  Vectorized over ``alphas``,
     and over windows: an ``interval`` of shape (m, 2) gives the counts of
     window j in row j.  The ends are formed by ``lattice._window_count``,
-    and the directions under each are found by ``searchsorted``.  A
-    position that is not finite raises InvalidInputError.
+    and the directions under all of them come from one walk over
+    ``dirs.chunks()`` (``lattice._below``): the array of a ``DirectionSet``,
+    or the sectors of a ``DirectionStream``, which then holds one sector at
+    a time.  The counts are the same integers either way.  A position that
+    is not finite raises InvalidInputError.
     """
     if dirs.N == 0:
         raise InvalidInputError("empty direction set")
-    return _window_count(interval, dirs.N, alphas, lambda x: np.searchsorted(dirs.alphas, x, side="left"))
+    return _window_count(interval, dirs.N, alphas, lambda ends: _below(dirs.chunks(), dirs.N, ends))
 
 
 def spacing_histogram(dirs: DirectionSet | DirectionStream, k, edges) -> Histogram | list[Histogram]:
@@ -195,8 +212,7 @@ def spacing_histogram(dirs: DirectionSet | DirectionStream, k, edges) -> Histogr
         if edges[0] > 0:  # cyclic spacings are never negative
             keep &= scaled >= edges[0]
         counts[i] += _bin_sums(_kept(keep, scaled), edges, None, False)[0]
-    widths = np.diff(edges)
-    hists = [Histogram(edges, c / (c.sum() * widths) if c.sum() > 0 else np.zeros(c.shape)) for c in counts]
+    hists = [Histogram(edges, _density(c, max(c.sum(), 1), edges)) for c in counts]
     return hists[0] if np.ndim(k) == 0 else hists
 
 
@@ -446,8 +462,7 @@ def pair_correlation(
         else:
             counts += plus
             counts += minus
-    masses = counts / (N * np.diff(edges))
-    return Histogram(edges, masses)
+    return Histogram(edges, _density(counts, N, edges))
 
 
 def _power(base: np.ndarray, s: complex) -> np.ndarray:
@@ -461,7 +476,7 @@ def _power(base: np.ndarray, s: complex) -> np.ndarray:
 
 
 def mixed_moment(
-    dirs: DirectionSet,
+    dirs: DirectionSet | DirectionStream,
     box,
     spec: MomentSpec,
     lam: MeasureSpec | None = None,
@@ -474,24 +489,13 @@ def mixed_moment(
     window holds more than K directions are zeroed (restricted moment).
     The integrand is piecewise constant in alpha, so the uniform-grid error
     scales like N * |I| / quadrature_points.  The counts of every window
-    at every grid point are one ``window_counts`` call.  The rule, with its
-    budget and float-range checks (CapacityError), is ``_grid_moment``'s,
-    which ``latdir moments`` applies to the counts of
-    ``lattice.count_in_window`` with the same bytes.  A zero base follows
+    at every grid point are one ``window_counts`` call, over a
+    ``DirectionSet`` or, without the N-long array, the sectors of a
+    ``DirectionStream`` (``latdir moments``), with the same bytes.  Window
+    counts (windows times quadrature points) past the budget raise
+    CapacityError before any is counted, and so does a moment whose terms
+    pass the float range once they are summed.  A zero base follows
     ``_power``: 0^0 = 1 and 0^s = 0 for s != 0.
-    """
-    return _grid_moment(lambda windows, grid: window_counts(dirs, windows, grid), box, spec, lam, shifted)
-
-
-def _grid_moment(count, box, spec: MomentSpec, lam: MeasureSpec | None = None, shifted: bool = True) -> complex:
-    """The quadrature rule of ``mixed_moment``, given the window counts as ``count(windows, grid)``.
-
-    ``count`` gets the (m, 2) array of the box's windows and the measure's
-    grid and returns the (m, grid) counts.  Window counts (windows times
-    quadrature points) past the budget raise CapacityError before
-    ``count`` is called, and so does a moment whose terms pass the float
-    range once they are summed.  A zero base follows ``_power``: 0^0 = 1
-    and 0^s = 0 for s != 0.
     """
     box = as_box(box)
     if len(spec.exponents) != box.m:
@@ -500,7 +504,7 @@ def _grid_moment(count, box, spec: MomentSpec, lam: MeasureSpec | None = None, s
     _check_budget(box.m * lam.quadrature_points, f"{box.m} windows x {lam.quadrature_points} quadrature points")
     grid = lam.grid()
     weights = lam.weights()
-    counts = count(np.array(box.intervals), grid)
+    counts = window_counts(dirs, np.array(box.intervals), grid)
     offset = 1.0 if shifted else 0.0
     vals = np.ones(grid.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # a term past the float range is refused below

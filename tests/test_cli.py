@@ -41,6 +41,38 @@ def test_parse_bins_and_complex():
     assert parse_complex_list("0.5+0.25i") == [0.5 + 0.25j]
 
 
+def test_parse_bins_reads_the_budget_at_the_call(tmp_path, capsys, monkeypatch):
+    # one setattr of the budget moves the cap on --bins too; it stays an input error
+    assert len(parse_bins("0:1:0.0001")) == 10_001
+    monkeypatch.setattr(ld.lattice, "DEFAULT_MAX_POINTS", 5000)
+    with pytest.raises(ValueError, match="10001 edges, more than 5000"):
+        parse_bins("0:1:0.0001")
+    out = tmp_path / "p.csv"
+    assert main(["paircorr", "--T", "5", "--bins", "0:1:0.0001", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "10001 edges" in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["paircorr", "--xi", "1/2,1/2", "--T", "20", "--fold", "--bins=0:1e-320:1e-321"],
+    ["spacings", "--xi", "1/2,1/2", "--T", "20", "--bins=0:1e-320:1e-321"],
+])
+def test_subnormal_bin_widths_are_an_input_error(tmp_path, argv):
+    # a count over a bin 1e-321 wide is no finite density: it was written as inf, and under
+    # -W error::RuntimeWarning it ended in a traceback at the division
+    out = tmp_path / "h.csv"
+    src = str(Path(ld.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "latdir", *argv, "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    lines = run.stderr.splitlines()
+    assert run.returncode == 2 and len(lines) == 1 and "too narrow" in lines[0], run.stderr
+    assert lines[0].startswith("error: ") and not out.exists()
+    dirs = ld.direction_set(ld.AffineLatticeSpec(ld.Mat2.identity(), (0.5, 0.5)), ld.Annulus(0.0), 20.0)
+    with pytest.raises(ld.InvalidInputError, match="too narrow"):
+        ld.pair_correlation(dirs, parse_bins("0:1e-320:1e-321"), fold=True)
+
+
 def test_enumerate_csv(tmp_path):
     out = tmp_path / "dirs.csv"
     rc = main(["enumerate", "--xi", "1/2,1/2", "--T", "3", "--out", str(out)])

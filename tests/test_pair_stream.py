@@ -136,6 +136,6 @@ def test_stream_checks_the_sector_order(monkeypatch):
     stream = ld.direction_stream(lat, ld.Annulus(0.0), 20.0)
     assert stream.N == ld.direction_set(lat, ld.Annulus(0.0), 20.0).N
     for sectors in ([np.array([0.1, 0.5]), np.array([0.4, 0.6])], [np.array([0.1, 1.0])]):
-        monkeypatch.setattr(lattice, "_sorted_sectors", lambda *args, s=sectors: ((0, 0, 0, v) for v in s))
+        monkeypatch.setattr(lattice, "_sorted_sectors", lambda *args, s=sectors: iter(s))
         with pytest.raises(ld.LatdirError, match="sector"):
             list(stream.chunks())

@@ -706,13 +706,17 @@ def directions(points, T: float, shape: DomainShape) -> DirectionSet:
     """Sorted direction angles (turns in [0, 1)) of the given nonzero points.
 
     Multiplicities are preserved: k points sharing a direction produce k
-    equal entries.  The branch point at angle zero maps to 0.0.
+    equal entries.  The branch point at angle zero maps to 0.0.  The zero
+    check and the angles run ``strips.CHUNK`` points at a time, so their
+    temporaries stay cache-sized.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if np.any((pts[:, 0] == 0.0) & (pts[:, 1] == 0.0)):
-        raise InvalidInputError("zero vector has no direction")
     alphas = np.empty(len(pts))
-    _turns(pts[:, 0], pts[:, 1], alphas)
+    for i in range(0, len(pts), strips.CHUNK):
+        y1, y2 = pts[i:i + strips.CHUNK].T
+        if np.any((y1 == 0.0) & (y2 == 0.0)):
+            raise InvalidInputError("zero vector has no direction")
+        _turns(y1, y2, alphas[i:i + strips.CHUNK])
     alphas.sort()  # values only, no NaN or -0.0: any sort gives the same bytes
     return DirectionSet(alphas, float(T), shape)
 

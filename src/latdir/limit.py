@@ -9,9 +9,12 @@ Siegel mean-value identities.
 Cone counts work on the m1-strips that cross the pull-back of the cone
 polygon, whose corners are (x, 2 x a / (1 - c^2)) and (x, 2 x b / (1 - c^2))
 for x in {c, 1}.  Each strip's m2 range comes in closed form from the two
-x-bounds and the two slope bounds, from factors formed once per sample;
-where a bound lies within roundoff of an integer, the float test of
-``ConeRegion.contains`` decides that end of the range, so a count is the
+x-bounds and the two slope bounds, from factors formed once per sample in
+the first columns of a per-strip table and gathered only to the strips
+past each sample's first; the whole table is bounded, rounded and counted
+in one sweep, in place.  Where a bound lies within roundoff of an
+integer, the float test of ``ConeRegion.contains`` decides that end of
+the range, for every window in one call per pass, so a count is the
 number of lattice points the exact filter keeps.  A zero slope
 coefficient (a22 = s a21 in floats) makes that edge the level line p1 = 0;
 the strips next to it are counted point by point with the same float
@@ -81,10 +84,7 @@ class ConeRegion:
 
     def contains(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        x, y = pts[:, 0], pts[:, 1]
-        a, b = self.interval
-        om = 1.0 - self.c**2
-        return (x > self.c) & (x < 1.0) & (om * y >= 2.0 * x * a) & (om * y <= 2.0 * x * b)
+        return _in_cone(self.c, *self.interval, pts[:, 0], pts[:, 1])
 
     def shifted(self, r: float) -> "ConeRegion":
         a, b = self.interval
@@ -205,10 +205,10 @@ def _cone_kernel(A, xi1, xi2, c: float, intervals) -> np.ndarray:
 
     ``A`` holds the entries (a11, a12, a21, a22) of one |det| = 1 matrix per
     sample.  The m1-strips span the pull-back of the hull polygon of the
-    windows.  The samples go through ``_cone_pass`` in passes of whole
-    samples, each cut where its strips reach ``strips.CHUNK``
-    (``strips.runs``); a pass forms the per-sample factors once for every
-    window and bounds all windows at once.
+    windows.  The slope coefficients, the strip ranges and the masks of the
+    flat and zero-coefficient samples are formed once, here; the samples
+    then go through ``_cone_pass`` in passes of whole samples, each cut
+    where its strips reach ``strips.CHUNK`` (``strips.runs``).
 
     A zero slope coefficient k = a22 - s a21 makes its edge the level line
     p1 = 0, where the polygon's p1 range ends, and its bound a test of the
@@ -222,38 +222,42 @@ def _cone_kernel(A, xi1, xi2, c: float, intervals) -> np.ndarray:
     pass the budget.
     """
     a11, a12, a21, a22 = A
-    if np.any((a21 == 0.0) & (a22 == 0.0)):
+    flat = None if a21.all() else a21 == 0.0  # y1 = e on the whole strip
+    if flat is not None and np.any(flat & (a22 == 0.0)):
         raise InvalidInputError("the matrix must have |det| = 1")
     om = 1.0 - c**2
     slopes = np.array([(2.0 * a / om, 2.0 * b / om) for a, b in intervals])
     k = a22 - slopes[..., None] * a21  # (m, 2, n)
     # p1 = y1 a22 - y2 a21 is extreme at a corner (x, s x) of the hull polygon, x in {c, 1}
     ka, kb = k[np.argmin(slopes[:, 0]), 0], k[np.argmax(slopes[:, 1]), 1]
-    kmin, kmax = np.minimum(ka, kb), np.maximum(ka, kb)
-    m1lo, m1hi = strips.integer_range(np.minimum(kmin, c * kmin), np.maximum(kmax, c * kmax), xi1)
-    del kmin, kmax  # freed before the passes
-    zero = (k == 0.0).any(axis=(0, 1))
-    if zero.any():
+    lo, hi = np.minimum(ka, kb), np.maximum(ka, kb)
+    m1lo, m1hi = strips.integer_range(np.minimum(lo, c * lo, out=lo), np.maximum(hi, c * hi, out=hi), xi1)
+    del lo, hi  # freed before the passes
+    zero = None if k.all() else (k == 0.0).any(axis=(0, 1))
+    if zero is not None:
         m1lo[zero] -= 1
         m1hi[zero] += 1
     rows = strips.widths(m1lo, m1hi)
     _check_budget(rows.sum(dtype=float) * len(intervals), "cone strips times windows")
-    out = np.zeros((a11.size, len(intervals)), dtype=np.int64)
+    out = np.zeros((len(intervals), a11.size), dtype=np.int64).T  # one contiguous column per window
     for i, j in strips.runs(rows, strips.CHUNK):
-        part = [a[i:j] for a in A]
-        out[i:j] = _cone_pass(part, xi1[i:j], xi2[i:j], c, intervals, slopes, k[..., i:j], m1lo[i:j], m1hi[i:j])
+        masks = [None if x is None or not x[i:j].any() else x[i:j] for x in (flat, zero)]
+        out[i:j] = _cone_pass([a[i:j] for a in A], xi1[i:j], xi2[i:j], c, intervals, slopes, k[..., i:j],
+                              m1lo[i:j], m1hi[i:j], rows[i:j], *masks)
     return out
 
 
-def _cone_factors(A, xi1, xi2, c: float, slopes, k, m1lo, m1hi) -> np.ndarray:
-    """Per-sample factors of ``_cone_pass``, one row each: step, x0lo, x0hi, tol, then the
-    m x 2 slope bounds' factors as lower bounds and as upper bounds, nan where the bound has
-    the other role."""
+def _cone_factors(A, xi1, xi2, c: float, slopes, k, p1, m1hi, flat, width) -> np.ndarray:
+    """Per-sample factors of ``_cone_pass``, in the first n columns of a table (4 + 4m, width), one
+    row each: step, x0lo, x0hi, tol, then per window the factors of its lower slope's bound as
+    a lower and as an upper bound, nan where the bound has the other role, and those of its upper
+    slope's bound: rows (side, role, window).  p1 = m1lo + xi1 is each sample's first strip."""
     a11, a12, a21, a22 = A
     m, n = len(slopes), a11.size
-    f = np.empty((4 + 4 * m, n))
-    step, x0lo, x0hi, tol = f[:4]
-    qlo, qhi = f[4:].reshape(2, m, 2, n)
+    f = np.empty((4 + 4 * m, width))
+    step, x0lo, x0hi, tol = f[:4, :n]
+    roles = f[4:].reshape(2, 2, m, width)[..., :n]
+    q, ks = roles[:, 1], k.transpose(1, 0, 2)  # (side, window, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the x-bounds are x0 - p1 step: x0 in {c / a21, 1 / a21}, step = a11 / a21
         r = 1.0 / a21
@@ -261,48 +265,48 @@ def _cone_factors(A, xi1, xi2, c: float, slopes, k, m1lo, m1hi) -> np.ndarray:
         np.multiply(c, r, out=x0lo)
         np.maximum(x0lo, r, out=x0hi)
         np.minimum(x0lo, r, out=x0lo)
-        flat = a21 == 0.0  # y1 = e on the whole strip
-        if np.any(flat):
+        if flat is not None:
             step[flat], x0lo[flat], x0hi[flat] = 0.0, -strips.LIMIT, strips.LIMIT
-        # q = (s a11 - a12) / k, formed in the rows of qhi; 0 / False adds the nan of the other role
-        q = np.multiply(slopes[..., None], a11, out=qhi)
+        # z = (1 + |xi2| + reach) (1 + max |s|) inv (|a11| + |a12| + |a21| + |a22|), with reach the
+        # largest |p1| of the sample's strips and inv = 1 / |a21| + the sum of 1 / |k|, bounds the
+        # size, in p2 units, of every term of a bound and of the predicate, so their rounding stays
+        # below about 1e-15 z^2; tol = 1e-9 z (1 + z) is far above that and reaches 1 (every end is
+        # settled) near z = 3e4
+        inv = np.abs(r, out=r)
+        rk = np.divide(1.0, ks)
+        for t in rk.reshape(2 * m, n):
+            inv += np.abs(t, out=tol)
+        # q = (s a11 - a12) / k bounds p2 from below where side k > 0, from above where side k < 0
+        # (side = 1 for a window's lower slope, -1 for its upper one): gate g / g is 1 in the role
+        # and nan outside it, for g = max(side k, 0) and min(side k, 0); q itself goes last
+        np.multiply(slopes.T[..., None], a11, out=q)
         q -= a12
-        q /= k
-        sk = _SIDE * k
-        np.divide(0.0, sk > 0.0, out=qlo)
-        qlo += q
-        q += np.divide(0.0, sk < 0.0)
-        # z = (1 + |xi2| + reach) (1 + max |s|) inv (|a11| + |a12| + |a21| + |a22|), with inv =
-        # 1 / |a21| + the sum of 1 / |k|, bounds the size, in p2 units, of every term of a bound
-        # and of the predicate, so their rounding stays below about 1e-15 z^2; tol = 1e-9 z (1 + z)
-        # is far above that and reaches 1 (every end is settled) near z = 3e4
-        inv = np.abs(r)
-        for t in np.divide(1.0, np.abs(k.reshape(2 * m, n), out=sk.reshape(2 * m, n))):
-            inv += t
-        z = m1lo + xi1
-        np.abs(z, out=z)
-        reach = m1hi + xi1
-        np.abs(reach, out=reach)
-        np.maximum(z, reach, out=reach)
-        np.abs(xi2, out=z)
+        q *= rk
+        gate = rk  # free from here
+        for out, (gate_a, gate_b) in ((roles[:, 0], (np.fmax, np.fmin)), (q, (np.fmin, np.fmax))):
+            gate_a(ks[0], 0.0, out=gate[0])
+            gate_b(ks[1], 0.0, out=gate[1])
+            gate /= gate
+            np.multiply(q, gate, out=out)
+        # reach = max(-p1, p1 of the last strip) where the sample has a strip
+        reach = np.add(m1hi, xi1, out=gate[0, 0])
+        np.maximum(reach, np.negative(p1, out=gate[1, 0]), out=reach)
+        z = np.abs(xi2, out=tol)
         z += 1.0
         z += reach
         z *= 1.0 + np.abs(slopes).max()
         z *= inv
         size = np.abs(a11, out=inv)
-        size += np.abs(a12, out=reach)
-        size += np.abs(a21, out=reach)
-        size += np.abs(a22, out=reach)
+        for a in (a12, a21, a22):
+            size += np.abs(a, out=reach)
         z *= size
-        np.multiply(z, 1e-9, out=tol)
-        z += 1.0
-        tol *= z
-        np.minimum(tol, 1.0, out=tol)
+        z *= np.add(z, 1.0, out=size)
+        np.minimum(np.multiply(z, 1e-9, out=z), 1.0, out=tol)
     return f
 
 
-def _cone_pass(A, xi1, xi2, c: float, intervals, slopes, k, m1lo, m1hi) -> np.ndarray:
-    """``_cone_kernel`` on a run of samples with m1-strips [m1lo, m1hi]: counts (n, m).
+def _cone_pass(A, xi1, xi2, c: float, intervals, slopes, k, m1lo, m1hi, rows, flat, zero) -> np.ndarray:
+    """``_cone_kernel`` on a run of samples with m1-strips [m1lo, m1hi], ``rows`` of them: counts (n, m).
 
     The windows share the m1-strips and the x-bounds.  On the strip of m1,
     with p1 = m1 + xi1, e = p1 a11 and g = p1 a12, the point of p2 = m2 +
@@ -314,101 +318,110 @@ def _cone_pass(A, xi1, xi2, c: float, intervals, slopes, k, m1lo, m1hi) -> np.nd
     fixes per sample whether it is a lower or an upper bound.  Rounding
     moves a bound by far less than ``tol``; where one lies within ``tol``
     of an integer, the float predicate of ``ConeRegion.contains`` decides
-    the range end (``strips.settle``).
+    the range end: one ``strips.settle`` call takes those ends of every
+    window and strip of the pass.
 
     A zero coefficient k makes its bound a test of the whole strip, the
     sign of s e - g.  Where the test lies within ``tol`` of 0 (tol is 1 on
     such a sample: z is infinite), the strip is counted point by point over
     the candidate m2 range of its x-bounds, finite because a21 != 0 where
-    k == 0.
+    k == 0.  ``flat`` and ``zero`` mark the samples with a21 = 0 and with a
+    zero k, or are None.
 
-    The per-sample factors (``_cone_factors``) are formed once.  Every
-    sample's first strip is bounded straight from them; the factors are
-    gathered only to the other strips.
+    All strips are bounded in one sweep over a table of per-strip factors
+    (``_cone_factors``): its first n columns, each sample's first strip,
+    are formed straight from the samples, and the factors are gathered only
+    to the other strips, which follow.
     """
     a11, a12, a21, a22 = A
     n, m = a11.size, len(intervals)
-    f = _cone_factors(A, xi1, xi2, c, slopes, k, m1lo, m1hi)
-    flat = a21 == 0.0
-    flat = flat if flat.any() else None
-    zero = k == 0.0
-    zero = zero if zero.any() else None
+    more, most = np.flatnonzero(rows > 1), np.flatnonzero(rows > 2)
+    m1, s = strips.expand(m1lo[most] + 2, rows[most] - 2, most)  # the third strips and on
+    m1, s = np.concatenate((m1lo[more] + 1, m1)), np.concatenate((more, s))  # the second strips first
+    p1 = np.empty(n + s.size)
+    np.add(m1lo, xi1, out=p1[:n])
+    np.add(m1, xi1[s], out=p1[n:])
+    f = _cone_factors(A, xi1, xi2, c, slopes, k, p1[:n], m1hi, flat, p1.size)
+    for row in f:  # row by row: 1-d takes are the fast kind (s is in range, so "wrap" never wraps)
+        np.take(row[:n], s, out=row[n:], mode="wrap")
+    step, x0lo, x0hi, tol = f[:4]
 
-    def widths(g, p1, xi2, s):
-        """Per window, the number of m2 on the strips (m, len(p1)); strip i has p1[i], xi2[i] and the
-        factors g[:, i] of its sample s[i]."""
-        step, x0lo, x0hi, tol = g[:4]
-        bound = np.empty((2, m, p1.size))
-        lower, upper = bound
-        t = np.multiply(p1, g[4:4 + 2 * m].reshape(m, 2, -1))
-        np.fmax(t[:, 0], t[:, 1], out=lower)  # fmax and fmin skip nan
-        np.multiply(p1, g[4 + 2 * m:].reshape(m, 2, -1), out=t)
-        np.fmin(t[:, 0], t[:, 1], out=upper)
-        shift, x = t.reshape(2 * m, -1)[:2]  # t's buffer is free until the near test
-        np.multiply(p1, step, out=shift)
-        np.fmax(lower, np.subtract(x0lo, shift, out=x), out=lower)
-        np.fmin(upper, np.subtract(x0hi, shift, out=x), out=upper)
-        if flat is not None and flat[s].any():
-            on = np.flatnonzero(flat[s])
-            e = p1[on] * a11[s[on]]
-            lower[:, on[~((e > c) & (e < 1.0))]] = np.inf
-        pointwise = []
-        if zero is not None:
-            for w, b in zip(*np.nonzero(zero.any(axis=-1))):
-                on = np.flatnonzero(zero[w, b, s])
-                test = _SIDE[b, 0] * (slopes[w, b] * (p1[on] * a11[s[on]]) - p1[on] * a12[s[on]])
-                lower[w, on[test >= tol[on]]] = np.inf  # 0 >= side (s e - g) fails on the strip
-                pointwise.append((w, on[np.abs(test) < tol[on]]))
-        # the origin y = 0 is never inside, so on a strip through it (p1 = 0, xi2 in Z) a bound
-        # of exactly 0 moves half a step: it then decides the integers without rounding
-        apex = (p1 == 0.0) & (xi2 == np.rint(xi2))
-        if apex.any():
-            for end, half in ((lower, 0.5), (upper, -0.5)):
-                end[(end == 0.0) & apex] = half
-        bound -= xi2
+    def owner(j):  # the sample of each strip in j
+        return np.where(j < n, j, s[np.maximum(j - n, 0)]) if s.size else j
+    bound, other = np.multiply(p1, f[4:], out=f[4:]).reshape(2, 2, m, -1)  # (role, window, strip)
+    lower, upper = bound
+    np.fmax(lower, other[0], out=lower)  # fmax and fmin skip nan
+    np.fmin(upper, other[1], out=upper)
+    shift, x = other.reshape(2 * m, -1)[:2]  # other's rows are free from here
+    np.multiply(p1, step, out=shift)
+    np.fmax(lower, np.subtract(x0lo, shift, out=x), out=lower)
+    np.fmin(upper, np.subtract(x0hi, shift, out=x), out=upper)
+    if flat is not None:
+        on = np.flatnonzero(flat[owner(np.arange(p1.size))])
+        e = p1[on] * a11[owner(on)]
+        lower[:, on[~((e > c) & (e < 1.0))]] = np.inf
+    pointwise = []
+    if zero is not None:
+        zk = k == 0.0
+        for w, b in zip(*np.nonzero(zk.any(axis=-1))):
+            on = np.flatnonzero(zk[w, b, owner(np.arange(p1.size))])
+            at = owner(on)
+            test = _SIDE[b, 0] * (slopes[w, b] * (p1[on] * a11[at]) - p1[on] * a12[at])
+            lower[w, on[test >= tol[on]]] = np.inf  # 0 >= side (s e - g) fails on the strip
+            pointwise.append((w, on[np.abs(test) < tol[on]]))
+    # the origin y = 0 is never inside, so on a strip through it (p1 = 0, xi2 in Z) a bound of
+    # exactly 0 moves half a step: it then decides the integers without rounding
+    whole = xi2 == np.rint(xi2)
+    apex = whole.any() and (p1 == 0.0) & np.concatenate((whole, whole[s]))
+    if np.any(apex):
+        for end, half in zip(bound.reshape(2 * m, -1), np.repeat([0.5, -0.5], m)):
+            end += (apex & (end == 0.0)) * half
+    bound -= np.concatenate((xi2, xi2[s]))
+    if not -strips.LIMIT <= bound.min() <= bound.max() <= strips.LIMIT:  # NaN fails too
         np.clip(bound, -strips.LIMIT, strips.LIMIT, out=bound)
-        off = np.rint(bound, out=t.reshape(bound.shape))
-        off -= bound
-        near = np.abs(off, out=off) < tol
-        del t, off
-        lo, hi = np.ceil(lower, out=lower).astype(np.int64), np.floor(upper, out=upper).astype(np.int64)
-        del bound, lower, upper
-        for w, (interval, near_w) in enumerate(zip(intervals, near[0] | near[1])):
-            on = np.flatnonzero(near_w)
-            if on.size:
-                at = s[on]
-                inside = partial(_inside, ConeRegion(c, interval), p1[on], xi2[on], [a[at] for a in A])
-                lo[w, on], hi[w, on] = strips.settle(lo[w, on], hi[w, on], inside)
-        count = strips.widths(lo, hi)
-        for w, on in pointwise:
-            shift = p1[on] * step[on]
-            cand = np.clip(np.stack((x0lo[on] - shift, x0hi[on] - shift)) - xi2[on], -strips.LIMIT, strips.LIMIT)
-            count[w, on] = _count_inside(ConeRegion(c, intervals[w]), np.ceil(cand[0]).astype(np.int64) - 1,
-                                         np.floor(cand[1]).astype(np.int64) + 1, p1[on], xi2[on],
-                                         [a[s[on]] for a in A])
-        return count
-
-    rows = strips.widths(m1lo, m1hi)
-    count = widths(f, m1lo + xi1, xi2, np.arange(n))  # the first strip, m1lo, of every sample
-    none, more = np.flatnonzero(rows == 0), np.flatnonzero(rows > 1)
-    extra = rows[more] - 1  # the other strips, with the factors gathered to them
-    m1, s = strips.expand(m1lo[more] + 1, extra, more)
-    sums = strips.totals(widths(f.take(s, axis=1), m1 + xi1[s], xi2[s], s), extra)
-    for row, add in zip(count, sums):  # row by row: 1-d fancy indexing is the fast kind
-        row[none] = 0
-        row[more] += add
-    return count.T
+    off = np.abs(np.subtract(np.rint(bound, out=other), bound, out=other), out=other)
+    near = np.minimum(off[0], off[1], out=off[0]) < tol  # window w on strip j is entry w W + j
+    np.ceil(lower, out=lower)
+    np.floor(upper, out=upper)
+    on = np.flatnonzero(near)
+    lo, hi = lower.reshape(-1)[on].astype(np.int64), upper.reshape(-1)[on].astype(np.int64)
+    # where no end lies within tol of an integer, tol < 1, so z < 3.2e4 and every bound is below
+    # 4 z in size: there upper - lower + 1 counts exactly in floats
+    upper -= lower - 1.0
+    count = np.maximum(upper, 0.0, out=upper).astype(np.int64)
+    if on.size:
+        w, j = np.divmod(on, p1.size)
+        at = owner(j)
+        inside = partial(_inside, c, np.array(intervals)[w], p1[j], xi2[at], [a[at] for a in A])
+        count.reshape(-1)[on] = strips.widths(*strips.settle(lo, hi, inside))
+    for w, on in pointwise:
+        at = owner(on)
+        cand = np.stack((x0lo[on], x0hi[on])) - p1[on] * step[on] - xi2[at]
+        np.clip(cand, -strips.LIMIT, strips.LIMIT, out=cand)
+        lo, hi = np.ceil(cand[0]).astype(np.int64) - 1, np.floor(cand[1]).astype(np.int64) + 1
+        count[w, on] = _count_inside(c, intervals[w], lo, hi, p1[on], xi2[at], [a[at] for a in A])
+    np.multiply(count[:, :n], rows > 0, out=count[:, :n])  # a sample without strips has no first one
+    for row in count:  # the other strips' counts, to their sample's first strip
+        np.add.at(row, s, row[n:])
+    return count[:, :n].T
 
 
-def _inside(region: ConeRegion, p1, xi2, A, m2) -> np.ndarray:
-    """``region.contains`` at the points (p1, m2 + xi2) A, for an integer array m2 of strips."""
+def _in_cone(c: float, a, b, x, y) -> np.ndarray:
+    """The test of ``ConeRegion.contains`` at the points (x, y); the window ends a, b may be arrays."""
+    oy, tx = (1.0 - c**2) * y, 2.0 * x
+    return (x > c) & (x < 1.0) & (oy >= tx * a) & (oy <= tx * b)
+
+
+def _inside(c: float, interval, p1, xi2, A, m2) -> np.ndarray:
+    """``ConeRegion(c, interval).contains`` at the points (p1, m2 + xi2) A, for an integer array m2 of
+    strips; ``interval`` is one (a, b), or one per strip as an array (n, 2)."""
     a11, a12, a21, a22 = A
     p2 = m2 + xi2
-    y = np.stack((p1 * a11 + p2 * a21, p1 * a12 + p2 * a22), axis=-1)
-    return region.contains(y).reshape(m2.shape)
+    a, b = np.asarray(interval, dtype=float).T
+    return _in_cone(c, a, b, p1 * a11 + p2 * a21, p1 * a12 + p2 * a22)
 
 
-def _count_inside(region: ConeRegion, lo, hi, p1, xi2, A) -> np.ndarray:
+def _count_inside(c: float, interval, lo, hi, p1, xi2, A) -> np.ndarray:
     """Per strip, the m2 in [lo, hi] that ``_inside`` keeps, testing each one.
 
     Raises CapacityError when the candidates pass the budget.
@@ -417,7 +430,7 @@ def _count_inside(region: ConeRegion, lo, hi, p1, xi2, A) -> np.ndarray:
     _check_budget(width.sum(dtype=float), "zero-coefficient strip candidates")
     out = np.zeros(lo.size, dtype=np.int64)
     for m2, row in strips.expand_pieces(lo, width, 0.0, np.arange(lo.size)):
-        keep = _inside(region, p1[row], xi2[row], [a[row] for a in A], m2)
+        keep = _inside(c, interval, p1[row], xi2[row], [a[row] for a in A], m2)
         out += np.bincount(row[keep], minlength=lo.size)
     return out
 
@@ -435,7 +448,7 @@ def cone_counts(A: np.ndarray, shift: np.ndarray, region: ConeRegion) -> np.ndar
     """
     A, shift = _samples(A, shift)
     entries = A.reshape(-1, 4).T
-    return _cone_kernel(entries, shift[:, 0], shift[:, 1], region.c, [region.interval])[:, 0]
+    return _cone_kernel(entries, *np.ascontiguousarray(shift.T), region.c, [region.interval])[:, 0]
 
 
 def _samples(A, shift):
@@ -678,7 +691,7 @@ def sample_count_distribution(
     sizes = [n // blocks + (1 if i < n % blocks else 0) for i in range(blocks)]
     tables = []
     for u, v, phi, shift in _haar_blocks(rng, sizes, xi_class, p, q):
-        counts = _cone_kernel(_iwasawa_entries(u, v, phi), shift[:, 0], shift[:, 1], c, intervals)
+        counts = _cone_kernel(_iwasawa_entries(u, v, phi), *np.ascontiguousarray(shift.T), c, intervals)
         tables.append(_count_table(counts)[:2])
     return _merge_tables(tables)
 

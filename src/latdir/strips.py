@@ -45,7 +45,8 @@ def integer_range(lo, hi, xi):
     """
     with np.errstate(invalid="raise"):
         try:
-            lo, hi = np.ceil(lo - xi).astype(np.int64), np.floor(hi - xi).astype(np.int64)
+            lo, hi = np.asarray(lo - xi, dtype=float), np.asarray(hi - xi, dtype=float)
+            lo, hi = np.ceil(lo, out=lo).astype(np.int64), np.floor(hi, out=hi).astype(np.int64)
         except FloatingPointError:
             lo = None
     if lo is None or np.size(lo) and not (np.min(lo) >= -LIMIT and np.max(hi) <= LIMIT):
@@ -55,7 +56,9 @@ def integer_range(lo, hi, xi):
 
 def widths(lo, hi):
     """Number of integers in each inclusive range [lo, hi]; 0 where hi < lo."""
-    return np.maximum(hi - lo + 1, 0)
+    w = np.asarray(hi - lo)
+    w += 1
+    return np.maximum(w, 0, out=w)
 
 
 def expand(lo, counts, *per_row):
@@ -78,6 +81,10 @@ def runs(counts, size):
     A run is whole rows, at least one: it ends at the first row that brings
     it to ``size`` values or more.  Runs without values are skipped.
     """
+    if np.sum(counts) < size:  # one run, without the cumulative sums
+        if np.any(counts):
+            yield 0, len(counts)
+        return
     cum = np.concatenate([[0], np.cumsum(counts)])
     i = 0
     while i < len(counts):

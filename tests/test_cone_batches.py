@@ -7,7 +7,8 @@ them.  A stack whose strips straddle a pass boundary must count each sample
 as it counts alone, and as the brute-force oracle does where its box is
 small.  The stacks mix the kernel's special cases: flat samples (a21 = 0),
 strips through the cone apex (p1 = 0, integer xi2), zero slope
-coefficients (a22 = s a21), high-cusp samples and many-strip filler.
+coefficients (a22 = s a21), exact-third shifts of the rational class,
+high-cusp samples and many-strip filler.
 """
 
 import math
@@ -51,6 +52,10 @@ def _stack(seed, c, intervals):
     zero = np.stack([np.stack([a11, (a11 * a22 - 1.0) / a21], -1), np.stack([a21, a22], -1)], 1)
     A = np.concatenate([haar, filler, cusp, flat, zero])
     xi = rng.uniform(0.0, 1.0, (len(A), 2))
+    # exact thirds, the shifts of the rational class at q = 3: many bounds land on integers
+    third = rng.random(len(A)) < 0.25
+    reps = np.array(limit.coset_reps(3))
+    xi[third] = limit._coset_shift(rng.integers(1, 3, 2), 3, reps[rng.integers(0, len(reps), int(third.sum()))])
     apex = rng.random(len(A)) < 0.25
     xi[apex] = rng.integers(-1, 2, (int(apex.sum()), 2))
     near = rng.random(len(A)) < 0.1  # within roundoff of an integer, on either side

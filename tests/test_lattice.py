@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import latdir as ld
-from latdir import lattice
+from latdir import lattice, strips
 from latdir.diophantine import CBRT2, CBRT4
 from latdir.lattice import _reduced
 
@@ -57,6 +57,17 @@ def test_regular_eight_direction_set():
 def test_zero_vector_rejected():
     with pytest.raises(ld.InvalidInputError):
         ld.directions([(0.0, 0.0)], 1.0, ld.Annulus(0.0))
+
+
+def test_directions_chunk_by_chunk():
+    # the zero check and the angles run one strips.CHUNK of points at a time
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
+    shape, T = ld.Annulus(0.0), 250.0
+    pts = ld.enumerate_points(lat, shape, T)
+    assert len(pts) > 2 * strips.CHUNK
+    assert ld.directions(pts, T, shape).alphas.tobytes() == ld.direction_set(lat, shape, T).alphas.tobytes()
+    with pytest.raises(ld.InvalidInputError):
+        ld.directions(np.concatenate([pts, [[0.0, 0.0]]]), T, shape)  # in the last chunk only
 
 
 def test_non_unimodular_basis_rejected():

@@ -266,6 +266,8 @@ SAMPLER_DIGESTS = [
      "f1ad73b314a598d3677d65a216cdc47e"),
     # one block of about 150k strips: three passes of the cone kernel
     ((0.0, "irrational", [(-1.0, 2.0)], 60_000, 14, {}, 1), "20878dabe12f4bceee9dae3100bc4ac3"),
+    # the tails configuration: every sample has an apex strip (p1 = 0, xi2 = 0)
+    ((0.0, "integer", [(0.0, 1.0)], 20_000, 15, {}, 32), "dc292c9d5683216ca47db8bf75b19685"),
 ]
 
 

@@ -37,7 +37,6 @@ from .lattice import (
     DomainShape,
     Mat2,
     Square,
-    count_in_window,
     direction_set,
     direction_stream,
     directions,

@@ -39,6 +39,7 @@ from .lattice import (
     Square,
     _check_budget,
     direction_stream,
+    expected_count,
     lattice_from_json,
 )
 from .limit import (
@@ -382,11 +383,11 @@ def cmd_spacings(args) -> int:
     ks = parse_krange(args.k)
     lat, shape, T = _lattice_from_args(args)
     dirs = direction_stream(lat, shape, T)
+    _check_budget(expected_count(shape, T), "points expected about the domain's area")  # before N is solved
     if ks[-1] >= dirs.N:
         raise ValueError(f"--k {args.k!r} needs k < N = {dirs.N}")
-    edges = parse_bins(args.bins)
-    _check_budget(len(ks) * dirs.N, f"{len(ks)} spacing passes over N = {dirs.N} directions")
-    for k, hist in zip(ks, spacing_histogram(dirs, ks, edges)):  # every k in one sweep
+    # every k in one sweep, with N per k checked against the budget, before the first file
+    for k, hist in zip(ks, spacing_histogram(dirs, ks, parse_bins(args.bins))):
         if args.out and len(ks) > 1:
             stem, dot, suffix = args.out.rpartition(".")
             path = f"{stem}_k{k:02d}.{suffix}" if dot else f"{args.out}_k{k:02d}"

@@ -16,7 +16,8 @@ import numpy as np
 
 from . import strips
 from .errors import CapacityError, InvalidConstructionError, InvalidInputError
-from .lattice import AffineLatticeSpec, Annulus, Mat2, _check_budget, count_in_window
+from .lattice import AffineLatticeSpec, Annulus, Mat2, _check_budget, direction_stream
+from .stats import window_counts
 
 
 # the doubles nearest to 2^(1/3), 4^(1/3), sqrt(2) and (1 + sqrt(5)) / 2
@@ -187,8 +188,10 @@ def rational_divergence_probe(xi, r, eps: float, T_list, c: float = 0.0) -> list
     Requires an exact rational relation r . (xi + m) = 0 for some integer
     m (verified in exact arithmetic); the returned counts grow linearly in
     T because a full line of lattice points shares that direction.  Each
-    count comes from ``count_in_window``, in O(T) strips without a
-    direction set, so T may go far past the point budget.
+    count is ``window_counts`` on ``direction_stream``, which cuts O(T)
+    strips at the two window ends without forming a direction, so T may go
+    far past the point budget.  A scale below the first point counts 0,
+    from the stream's N, where ``window_counts`` would refuse the empty set.
     """
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
@@ -205,5 +208,5 @@ def rational_divergence_probe(xi, r, eps: float, T_list, c: float = 0.0) -> list
         raise InvalidInputError("no integer m solves r . (xi + m) = 0")
     alpha_r = math.atan2(r1, -r2) / (2.0 * math.pi) % 1.0
     lat = AffineLatticeSpec(Mat2.identity(), (float(x1), float(x2)))
-    shape = Annulus(c)
-    return [int(count_in_window(lat, shape, T, (-eps, eps), alpha_r)[0]) for T in T_list]
+    streams = (direction_stream(lat, Annulus(c), T) for T in T_list)
+    return [int(window_counts(s, (-eps, eps), alpha_r)) if s.N else 0 for s in streams]

@@ -23,23 +23,24 @@ the end of the one before).  The statistics that walk the directions
 once in order, spacings, pair sums and window counts, take it as they
 take a ``DirectionSet``, so their memory is one sector plus the pieces,
 which grow as N T / SECTOR (a peak of 16 MB at T = 2000 and 163 MB at
-T = 5000 on the unit lattice, under tracemalloc).  The directions under
-a set of window ends come from one walk over the sorted chunks of
-either (``_below``).
+T = 5000 on the unit lattice, under tracemalloc).
 
-``count_in_window`` counts directions under window ends with the same
-cut and no direction set.  A few ends are cut at directly: a window count
-is then a sum of piece widths, in O(strips) time and memory per end.
-When the distinct ends outnumber the K sectors it walks the sectors of a
-``DirectionStream`` with ``_below``: O(N log SECTOR) time.
+Both count the directions under a set of window ends with one method,
+``window_counter``.  A set searches its array (``_below``).  A stream
+solves its strips on first use, so it can count where N is far past the
+budget: with a few ends, no more than K or 2, it cuts the kept ranges
+once at the rays of the ends, and a count is a sum of piece widths, in
+O(strips) time and memory per end; with more, it walks its sectors with
+``_below``, in O(N log SECTOR) time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -63,11 +64,13 @@ ORIGIN_RADIUS = 2.0**-500
 # (1 MB) sorts in cache at about 8 ns a value; smaller sectors sort barely
 # faster per value and need more cuts.
 SECTOR = 2 * strips.CHUNK
-# Values that ``count_in_window`` holds per m1-strip at its peak (about 60 to 80 measured), and a
-# sector sweep about as many: every path checks its strips against the budget at this weight.
+# Values that the cut at a few window ends holds per m1-strip at its peak (about 60 to 80
+# measured), and a sector sweep about as many: every path checks its strips against the budget
+# at this weight when the strips are spanned, before any is solved.
 STRIP_VALUES = 96
-# Values that ``_cut`` holds per m1-strip and window end of ``count_in_window`` (about 2.6 to 2.8
-# measured over 100 to 2000 positions): the strips times the distinct ends are checked at this weight.
+# Values that ``_cut`` holds per m1-strip and window end when a stream counts by the cut (about
+# 2.6 to 2.8 measured over 100 to 2000 positions): the strips times the window ends are checked
+# at this weight before any strip is solved.
 END_VALUES = 4
 # Values that ``_cut`` holds, at its peak, per piece it cuts off a range at a ray crossing (about 10
 # to 11 measured on a disc and a square, where a strip crosses a third of the rays in its ranges),
@@ -79,7 +82,7 @@ PIECE_VALUES = 10
 # scale |y|^2 / |p1| + |r1| |y| + |t| + 1: about 1e-14, times a margin of a
 # thousand.  The integers this close to a crossing are decided by ``_turns``.
 # It is an estimate, not a proven bound: ``_cut`` checks the ends of its
-# pieces for ``count_in_window`` and ``direction_set`` alike.
+# pieces for the window counts of a stream and for the sector sweeps alike.
 CUT_TOL = 2.0**-36
 
 
@@ -192,33 +195,160 @@ class DirectionSet:
         """The sorted angles as one chunk, the form the statistics' sweeps take."""
         yield self.alphas
 
+    def window_counter(self, ends: int):
+        """N, and a function that counts the directions under window ends: a search of the array."""
+        return self.N, lambda at: _below(self.chunks(), self.N, at)
+
 
 @dataclass(frozen=True, eq=False)
 class DirectionStream:
-    """The sorted directions of points at scale T, formed one sector at a time.
+    """The sorted directions of the lattice points in the domain at scale T, formed one sector at a time.
 
-    ``N`` is known from the kept ranges before any direction is formed.
-    Each ``chunks()`` sweeps the sectors (``_sorted_sectors``) and yields
-    each one's sorted angles, a view of one reused buffer that is valid
-    until the next is drawn.  A sector that starts below the end of the
-    one before, or an angle outside [0, 1), raises LatdirError: the check
-    that ``DirectionSet`` makes over its whole array.
+    The strips are solved on first use (``N``, ``chunks()`` or
+    ``window_counter``), so a stream can exist, and count, where N is far
+    past the budget.  Each ``chunks()`` sweeps the sectors
+    (``_sorted_sectors``) and yields each one's sorted angles, a view of
+    one reused buffer that is valid until the next is drawn.  A sweep
+    forms the N directions, so it checks the points expected (before any
+    strip is solved) and the candidates against the budget.  A sector that
+    starts below the end of the one before, or an angle outside [0, 1),
+    raises LatdirError: the check that ``DirectionSet`` makes over its
+    whole array.
     """
 
-    N: int
-    T: float
+    lat: AffineLatticeSpec
     shape: DomainShape
-    ranges: tuple = field(repr=False)  # what ``_kept_ranges`` returns
+    T: float
+
+    @cached_property
+    def _span(self):
+        """Validate the input and span the m1-strips of the domain, without solving any.
+
+        Returns the reduced basis B, the shift (xi1, xi2) it takes, the
+        first and last m1 and the Gram entries q12, q22 of B.  A strip that
+        would span past int64, and strips past the budget at
+        ``STRIP_VALUES`` each, which is what they weigh in the cut of every
+        path, raise CapacityError.
+        """
+        _require_scale(self.T)
+        self.lat.basis.require_unimodular()
+        B, (xi1, xi2) = _reduced(self.lat.basis, self.lat.shift)
+        if isinstance(self.shape, Annulus):
+            m1lo, m1hi, q12, q22 = strips.ellipse_span(B.a, B.b, B.c, B.d, self.T, xi1)
+        else:
+            q12, q22 = B.a * B.c + B.b * B.d, B.c**2 + B.d**2
+            p1max = self.T * (abs(B.d) + abs(B.c))
+            m1lo, m1hi = strips.integer_range(-p1max, p1max, xi1)
+        # A strip's chord, at most 2 T (annulus) or 2 sqrt(2) T (square) long, spans about that
+        # over |r2| = sqrt(q22) integers, whose int64 bounds overflow past strips.LIMIT; q22
+        # underflows to 0 for a basis as skewed as (1e300, 0, 0, 1e-300).
+        chord = 2.0 * self.T * (1.0 if isinstance(self.shape, Annulus) else math.sqrt(2.0))
+        per_strip = chord / math.sqrt(q22) if q22 > 0.0 else math.inf
+        if per_strip > strips.LIMIT:
+            raise CapacityError(f"a strip would span about {per_strip:.3g} integers, more than int64 can hold")
+        _check_budget((m1hi - m1lo + 1) * STRIP_VALUES, f"{m1hi - m1lo + 1} m1-strips")
+        return B, xi1, xi2, m1lo, m1hi, q12, q22
+
+    @cached_property
+    def _kept(self):
+        """Solve the m1-strips and return their kept m2 ranges, and the candidates.
+
+        Each strip's candidate m2 range (its chord, minus the inner-disc
+        chord shrunk by one integer on an annulus with c > 0) splits into a
+        certified interior, taken whole, and a few boundary candidates near
+        the range ends, the inner circle or the origin, which ``_inside``
+        decides (``_zones``, which checks the boundary candidates against
+        the budget).  Returns the reduced basis B, the shift's xi2, each
+        strip's p1 and the kept ranges as ``_zones`` gives them, and the
+        candidates: the total width of the candidate ranges, which a pass
+        that forms every point checks against the budget.
+        """
+        B, xi1, xi2, m1lo, m1hi, q12, q22 = self._span
+        p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
+        if isinstance(self.shape, Annulus):
+            lo, hi = strips.root_pair(q12, q22, p1, xi2, self.T)[:2]
+            ilo, ihi = strips.root_pair(q12, q22, p1, xi2, self.T * (1.0 - MARGIN))[:2]
+            r = self.shape.c * self.T
+        else:
+            lo, hi = _square_range(B, p1, xi2, self.T)
+            ilo, ihi = _square_range(B, p1, xi2, self.T * (1.0 - MARGIN))
+            r = 0.0
+        clo, chi, disc = strips.root_pair(q12, q22, p1, xi2, max(r * (1.0 + MARGIN), ORIGIN_RADIUS))
+        candidates = int(strips.widths(lo, hi).sum())
+        if r > 0:  # the candidates skip the inner chord shrunk by one integer at each end
+            rlo, rhi = strips.root_pair(q12, q22, p1, xi2, r)[:2]
+            rlo += 1
+            rhi -= 1
+            candidates -= int(strips.widths(np.maximum(rlo, lo), np.minimum(rhi, hi)).sum())
+        else:
+            rlo, rhi = lo, lo - 1
+        # the interior is narrowed by one integer, the excluded chord widened by one
+        ilo += 1
+        ihi -= 1
+        meets = disc >= 0.0
+        clo = np.where(meets, clo - 1, ihi + 1)
+        chi = np.where(meets, chi + 1, ihi)
+        return (B, xi2, p1, *_zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi,
+                                    lambda m2, k: _inside(B, xi2, self.shape, self.T, m2, p1[k]))), candidates
+
+    @cached_property
+    def N(self) -> int:
+        return int(self._kept[0][4].sum())
+
+    def _formed(self):
+        """The kept ranges of a pass that forms the N directions, with its budget checks."""
+        _check_budget(expected_count(self.shape, self.T), "points expected about the domain's area")
+        _check_budget(self._kept[1], "candidates")
+        return self._kept[0]
 
     def chunks(self):
-        end = 0.0
-        for vals in _sorted_sectors(*self.ranges, math.sqrt(2.0) * self.T):
-            if vals.size:
-                if vals[0] < end or vals[-1] >= 1.0:
-                    raise LatdirError(f"sector of angles [{vals[0]!r}, {vals[-1]!r}] after {end!r}: "
-                                      "the sectors must follow each other in [0, 1)")
-                end = vals[-1]
-                yield vals
+        # the sweep's budget checks run at the call, before any strip is solved or sector drawn
+        return _in_order(_sorted_sectors(*self._formed(), math.sqrt(2.0) * self.T))
+
+    def window_counter(self, ends: int):
+        """N, and a function that counts the directions under at most ``ends`` window ends.
+
+        The choice of pass, and its budget check, need only the strips'
+        span, the points expected and ``ends``, so a count past the budget
+        is refused before any strip is solved.  With no more ends than the
+        K = expected // SECTOR sectors (or 2), the function cuts the kept
+        ranges once at the rays of the distinct ends (``_cut`` with its
+        check, which tests the two ends of every piece by ``_turns`` and
+        cuts a range that fails point by point), and the directions under
+        an end are piece widths: O(strips times ends) time and memory, and
+        the strips times the ends are checked at ``END_VALUES``.  With more,
+        it walks the sectors (``_below``), in O(N log SECTOR) time and
+        O(SECTOR) memory plus the pieces, and the points expected are
+        checked.  Either gives the integers ``_below`` gives on the
+        direction set.
+        """
+        expected = expected_count(self.shape, self.T)
+        if ends > max(expected / SECTOR, 2):
+            _check_budget(expected, f"{expected:.6g} directions expected, swept for {ends} window ends")
+            return self.N, lambda at: _below(self.chunks(), self.N, at)
+        rows = self._span[4] - self._span[3] + 1
+        _check_budget(rows * (ends + 1) * END_VALUES, f"{rows} m1-strips x {ends + 1} window ends")
+
+        def below(at):
+            edges = np.unique(np.concatenate([[0.0], at[(at > 0.0) & (at < 1.0)]]))
+            pieces = _cut(*self._kept[0], edges, math.sqrt(2.0) * self.T)
+            sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
+            under = np.concatenate([[0], np.cumsum(sizes)])  # the turns under each edge, and N under 1
+            return under[np.searchsorted(edges, at, side="left")]
+
+        return self.N, below
+
+
+def _in_order(sectors):
+    """The nonempty ``sectors``, each checked to start at or after the end of the one before, in [0, 1)."""
+    end = 0.0
+    for vals in sectors:
+        if vals.size:
+            if vals[0] < end or vals[-1] >= 1.0:
+                raise LatdirError(f"sector of angles [{vals[0]!r}, {vals[-1]!r}] after {end!r}: "
+                                  "the sectors must follow each other in [0, 1)")
+            end = vals[-1]
+            yield vals
 
 
 def _check_budget(values, what: str) -> None:
@@ -293,73 +423,6 @@ def _reduced(basis: Mat2, shift):
         Mat2(*(float(x) for row in rows for x in row)),
         (float(s1 - round(s1)), float(s2 - round(s2))),
     )
-
-
-def _kept_ranges(lat: AffineLatticeSpec, shape: DomainShape, T: float, count_only: bool = False):
-    """Validate the input, solve the m1-strips and return their kept m2 ranges.
-
-    Every error is raised before anything point-sized is allocated.  Each
-    strip's candidate m2 range (its chord, minus the inner-disc chord
-    shrunk by one integer on an annulus with c > 0) splits into a certified
-    interior, taken whole, and a few boundary candidates near the range
-    ends, the inner circle or the origin, which ``_inside`` decides
-    (``_zones``).  Returns the reduced basis B, the shift's xi2, each
-    strip's p1 and the kept ranges as ``_zones`` gives them.
-
-    The budget (``_check_budget``) caps the boundary candidates and the
-    strips, at ``STRIP_VALUES`` each, which is what they weigh in the cut
-    of every path; unless ``count_only`` (the ranges are only counted) it
-    caps the points and the candidates as well.
-    """
-    _require_scale(T)
-    lat.basis.require_unimodular()
-    if not count_only:
-        _check_budget(expected_count(shape, T), "points expected about the domain's area")
-    B, (xi1, xi2) = _reduced(lat.basis, lat.shift)
-    if isinstance(shape, Annulus):
-        m1lo, m1hi, q12, q22 = strips.ellipse_span(B.a, B.b, B.c, B.d, T, xi1)
-    else:
-        q12, q22 = B.a * B.c + B.b * B.d, B.c**2 + B.d**2
-        p1max = T * (abs(B.d) + abs(B.c))
-        m1lo, m1hi = strips.integer_range(-p1max, p1max, xi1)
-    # A strip's chord, at most 2 T (annulus) or 2 sqrt(2) T (square) long, spans about that
-    # over |r2| = sqrt(q22) integers, whose int64 bounds overflow past strips.LIMIT; q22
-    # underflows to 0 for a basis as skewed as (1e300, 0, 0, 1e-300).
-    chord = 2.0 * T * (1.0 if isinstance(shape, Annulus) else math.sqrt(2.0))
-    per_strip = chord / math.sqrt(q22) if q22 > 0.0 else math.inf
-    if per_strip > strips.LIMIT:
-        raise CapacityError(f"a strip would span about {per_strip:.3g} integers, more than int64 can hold")
-    rows = m1hi - m1lo + 1
-    _check_budget(rows * STRIP_VALUES, f"{rows} m1-strips")
-    p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
-    if isinstance(shape, Annulus):
-        lo, hi = strips.root_pair(q12, q22, p1, xi2, T)[:2]
-        ilo, ihi = strips.root_pair(q12, q22, p1, xi2, T * (1.0 - MARGIN))[:2]
-        r = shape.c * T
-    else:
-        lo, hi = _square_range(B, p1, xi2, T)
-        ilo, ihi = _square_range(B, p1, xi2, T * (1.0 - MARGIN))
-        r = 0.0
-    clo, chi, disc = strips.root_pair(q12, q22, p1, xi2, max(r * (1.0 + MARGIN), ORIGIN_RADIUS))
-    if r > 0:  # the candidates skip the inner chord shrunk by one integer at each end
-        rlo, rhi = strips.root_pair(q12, q22, p1, xi2, r)[:2]
-        rlo += 1
-        rhi -= 1
-    else:
-        rlo, rhi = lo, lo - 1
-    if not count_only:
-        candidates = (strips.widths(lo, hi).sum()
-                      - strips.widths(np.maximum(rlo, lo), np.minimum(rhi, hi)).sum())
-        _check_budget(int(candidates), "candidates")
-    # the interior is narrowed by one integer, the excluded chord widened by one
-    ilo += 1
-    ihi -= 1
-    meets = disc >= 0.0
-    clo = np.where(meets, clo - 1, ihi + 1)
-    chi = np.where(meets, chi + 1, ihi)
-    ranges = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi,
-                    lambda m2, k: _inside(B, xi2, shape, T, m2, p1[k]))
-    return (B, xi2, p1, *ranges)
 
 
 def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
@@ -660,8 +723,9 @@ def enumerate_points(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> np
     the identity in particular, is used as given.
 
     Each strip's certified interior is taken whole; the float domain test
-    decides only a few boundary candidates per strip (``_kept_ranges``), so
-    the result is exactly the points that pass that test.  The kept ranges,
+    decides only a few boundary candidates per strip
+    (``DirectionStream._kept``), so the result is exactly the points that
+    pass that test.  The kept ranges,
     put in (strip, m2) order, are expanded in pieces straight into the
     exactly sized result.  Use ``direction_set`` when only the directions
     are needed.
@@ -672,7 +736,7 @@ def enumerate_points(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> np
     thin annulus, c near 1, holds few points on many strips); or when the
     candidates do.
     """
-    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T)
+    B, xi2, p1, starts, counts, key = DirectionStream(lat, shape, T)._formed()
     order = np.argsort(key, kind="stable")
     out = np.empty((int(counts.sum()), 2))
     n = 0
@@ -744,9 +808,9 @@ def direction_set(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Direc
     SECTOR (c = 0 on a disc or a square), so that check passes wherever
     the expected point count does.
     """
-    B, xi2, p1, starts, counts, key = _kept_ranges(lat, shape, T)
-    alphas = np.empty(int(counts.sum()))
-    for _ in _sorted_sectors(B, xi2, p1, starts, counts, key, math.sqrt(2.0) * T, alphas):
+    ranges = DirectionStream(lat, shape, T)._formed()
+    alphas = np.empty(int(ranges[4].sum()))
+    for _ in _sorted_sectors(*ranges, math.sqrt(2.0) * T, alphas):
         pass
     return DirectionSet(alphas, float(T), shape)
 
@@ -754,83 +818,23 @@ def direction_set(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Direc
 def direction_stream(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> DirectionStream:
     """The directions of ``direction_set``, bit for bit and in order, one sorted sector at a time.
 
-    Solves the kept strip ranges, with the errors and the budget checks of
-    ``direction_set``, and returns a ``DirectionStream`` that holds them
-    and N, their total width.  No direction is formed until its
-    ``chunks()`` is iterated: then the ranges are cut at the K sector rays
+    Checks the input and spans the m1-strips, with the errors of
+    ``direction_set`` and its budget check of the strips, and returns a
+    ``DirectionStream`` that solves them on first use.  No direction is
+    formed until its ``chunks()`` is iterated: then the points expected and
+    the candidates are checked, the ranges are cut at the K sector rays
     (the cut's own checks run there) and each sector's angles are formed
     and sorted in one reused buffer.  A sweep holds one sector and the
     pieces, about strips times K / 3 of them, instead of the 8 N bytes of
     the direction set: the statistics that walk the directions once, in
     order (``pair_correlation``, ``spacing_histogram``, ``window_counts``
-    and ``mixed_moment``), take either.
+    and ``mixed_moment``), take either.  ``window_counts`` on a stream cuts
+    at a few window ends without forming the directions, so it counts
+    where N is far past the budget (``window_counter``).
     """
-    ranges = _kept_ranges(lat, shape, T)
-    return DirectionStream(int(ranges[4].sum()), float(T), shape, ranges)
-
-
-def count_in_window(
-    lat: AffineLatticeSpec,
-    shape: DomainShape,
-    T: float,
-    interval,
-    alphas,
-) -> tuple[np.ndarray, int]:
-    """The window counts at the positions ``alphas`` and N, without the direction set.
-
-    Returns exactly ``(window_counts(dirs, interval, alphas), dirs.N)`` for
-    ``dirs = direction_set(lat, shape, T)``: ``interval`` is one window
-    (a, b), with the counts in the shape of ``alphas``, or m windows of
-    shape (m, 2), with the counts of window j in row j (0 when N = 0).  N
-    is the total width of the kept ranges.  The window ends of all windows
-    are those of ``stats.window_counts`` (``_window_count``), and the
-    directions under each distinct end come from one of two passes, both
-    through ``_cut`` with its check, which tests the two ends of every
-    piece by ``_turns`` and cuts a range that fails point by point:
-
-    - a few ends (no more than K = N // SECTOR, or 2): the kept ranges are
-      cut once at the rays of the ends, and the directions under an end are
-      piece widths, plus the float predicate turns < end on the points
-      within roundoff of a ray.  Time and memory are O(strips times ends),
-      with no direction formed but those next to a ray;
-    - more ends than that: one walk (``_below``, the search of
-      ``stats.window_counts``) over the sectors of a ``DirectionStream``
-      on the same kept ranges, whose angles are formed and sorted one
-      sector at a time in one reused buffer.  Time is O(N log SECTOR),
-      and memory O(SECTOR) plus the pieces, about strips times K / 3 of
-      them: that grows as N T / SECTOR: the peak is 16 MB at T = 2000 and
-      163 MB at T = 5000 on the unit lattice (tracemalloc), against 8 N
-      bytes (100 MB and 628 MB) for the direction set alone.
-
-    In both ``_turns`` gives the value that ``direction_set`` would store.
-    The budget (``_check_budget``) caps the strips, at ``STRIP_VALUES``
-    each; past one position, whose three ends weigh less than a strip, the
-    strips times the distinct window ends, at ``END_VALUES`` each; the N
-    directions of a sweep; the ray crossings that the cut forms pieces at,
-    at ``PIECE_VALUES`` each; and the points decided one by one (the
-    boundary candidates and the points next to the rays).  At one position
-    T = 1e5 (N about 3.1e10) holds about 0.1 GB, and T goes up to about
-    1e6 on a unit-square lattice.  Raises CapacityError past it, before allocating,
-    and InvalidInputError on a bad interval, position or scale.
-    """
-    _window_count(interval, 0, alphas, None)  # checks the input before any strip is solved
-    B, xi2, p1, starts, counts, key = ranges = _kept_ranges(lat, shape, T, count_only=True)
-    N = int(counts.sum())
-
-    def below(ends):
-        edges = np.unique(np.concatenate([[0.0], ends[(ends > 0.0) & (ends < 1.0)]]))
-        if edges.size - 1 > max(N // SECTOR, 2):
-            _check_budget(N, f"N = {N} directions swept for {edges.size - 1} distinct window ends")
-            return _below(DirectionStream(N, T, shape, ranges).chunks(), N, ends)
-        sizes = np.array([N])
-        if edges.size > 1:
-            _check_budget(p1.size * edges.size * END_VALUES, f"{p1.size} m1-strips x {edges.size} window ends")
-            pieces = _cut(B, xi2, p1, starts, counts, key, edges, math.sqrt(2.0) * T)
-            sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
-        under = np.concatenate([[0], np.cumsum(sizes)])  # the turns under each edge, and N under 1
-        return under[np.searchsorted(edges, ends, side="left")]
-
-    return _window_count(interval, N, alphas, below), N
+    stream = DirectionStream(lat, shape, T)
+    stream._span  # the strips are checked against the budget when the stream is made
+    return stream
 
 
 def _below(chunks, N: int, ends) -> np.ndarray:
@@ -852,44 +856,6 @@ def _below(chunks, N: int, ends) -> np.ndarray:
         under[i:j] = n + np.searchsorted(vals, edges[i:j], side="left")
         i, n = j, n + vals.size
     return under[np.searchsorted(edges, ends, side="left")]
-
-
-def _window_count(interval, N: int, alphas, below):
-    """Directions in the shrunk windows N^-1 * interval + alpha, one count per window and alpha.
-
-    ``interval`` is one window (a, b), which gives the counts in the shape
-    of ``alphas``, or m windows of shape (m, 2), which give them in shape
-    (m, *alphas.shape).  The window is the half-open arc [alpha + a/N,
-    alpha + b/N) on the circle.  With lo = frac(alpha + a/N) and hi = lo +
-    (b - a)/N the count is J(hi) - J(lo), where J(x) = below(frac(x)) + N
-    floor(x) counts the lifted sequence under x, so wrap-around needs no
-    branch.  ``below`` takes the ends of every window shorter than 1,
-    stacked as (lo, frac(hi)), in one call, and returns the number of the
-    N directions under each.  A window of length >= 1, and N = 0, give N.
-    Raises InvalidInputError unless a < b for every window and every alpha
-    is finite.
-    """
-    iv = np.asarray(interval, dtype=float)
-    if iv.shape[-1:] != (2,) or iv.ndim > 2:
-        raise InvalidInputError(f"an interval must have shape (2,) or (m, 2), got {iv.shape}")
-    a, b = iv.reshape(-1, 2).T
-    bad = np.flatnonzero(~(a < b))
-    if bad.size:
-        raise InvalidInputError(f"bad interval ({a[bad[0]]}, {b[bad[0]]})")
-    al = np.asarray(alphas, dtype=float)
-    if not np.all(np.isfinite(al)):
-        raise InvalidInputError("window positions must be finite")
-    counts = np.full((a.size, *al.shape), N, dtype=np.int64)
-    width = (b - a) / N if N else np.full(a.shape, math.inf)
-    short = np.flatnonzero(width < 1.0)
-    if short.size:
-        per_window = (-1,) + (1,) * al.ndim
-        lo = _frac(al + (a[short] / N).reshape(per_window))
-        hi = lo + width[short].reshape(per_window)
-        turns = np.floor(hi)
-        low, high = below(np.stack([lo, hi - turns]))
-        counts[short] = high - low + N * turns.astype(np.int64)
-    return counts if iv.ndim == 2 else counts[0]
 
 
 def rho_square(alpha):

@@ -40,8 +40,8 @@ import numpy as np
 
 from . import strips
 from .errors import CapacityError, InsufficientDataError, InvalidInputError, UnsupportedError
-from .lattice import AffineLatticeSpec, Annulus, _check_budget, count_in_window, rotation
-from .stats import as_box
+from .lattice import AffineLatticeSpec, Annulus, _check_budget, direction_stream, rotation
+from .stats import as_box, window_counts
 
 TWO_PI = 2.0 * math.pi
 # s y1 <= y2 for a window's lower slope, s y1 >= y2 for its upper one
@@ -855,7 +855,9 @@ def crude_bound_holds(lat: AffineLatticeSpec, alphas, T: float, interval, theta:
     """Window counts at scale T bounded by padded cone counts, one bool per position.
 
     At each position alpha of ``alphas`` the left side counts directions in
-    the shrunk window (``count_in_window``, one call for all positions); the
+    the shrunk window (``window_counts`` on ``direction_stream``, one call
+    for all positions, which cuts the strips at a few window ends and
+    refuses an empty lattice); the
     right side counts lattice points of (m + shift) M0 k(2*pi*alpha)
     diag(1/T, T) inside the c = 0 cone over the theta-padded interval
     (``cone_counts``, one call over the stacked matrices).  Requires
@@ -866,9 +868,7 @@ def crude_bound_holds(lat: AffineLatticeSpec, alphas, T: float, interval, theta:
     if T < crude_bound_min_T(interval, theta):
         raise InvalidInputError("T below the safe scale for this window padding")
     alphas = np.asarray(alphas, dtype=float)
-    lhs, N = count_in_window(lat, Annulus(0.0), T, interval, alphas)
-    if N == 0:
-        raise InvalidInputError("empty direction set")
+    lhs = window_counts(direction_stream(lat, Annulus(0.0), T), interval, alphas)
     flow = np.array([[1.0 / T, 0.0], [0.0, T]])
     A = [lat.basis.array() @ rotation(TWO_PI * a).array() @ flow for a in alphas.ravel().tolist()]
     region = ConeRegion(0.0, (interval[0] - theta, interval[1] + theta))

@@ -8,8 +8,9 @@ The N sorted angles A come as a DirectionSet, one array, or as a
 ``lattice.DirectionStream``, its sectors one at a time.  The lifted
 sequence L(k) = A[k mod N] + k div N is nondecreasing.  Window counts,
 and the mixed moments on the measure's quadrature grid that are built on
-them, walk the chunks once: the distinct window ends are sorted, and each
-chunk searches those up to its last value (``lattice._below``).  Spacings
+them, take the directions under their window ends from the source's one
+``window_counter``: a set searches its array, and a stream cuts its strips
+at a few ends or walks its sectors once (``lattice._below``).  Spacings
 L(j + k) - L(j), and the close pairs that the two-point correlation bins
 and the pair statistic sums window overlaps over, need only the values
 near each other, so they take A as an iterator of sorted chunks: one
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import CapacityError, InvalidInputError
 from . import strips
-from .lattice import DirectionSet, DirectionStream, _below, _check_budget, _frac, _window_count
+from .lattice import DirectionSet, DirectionStream, _check_budget, _frac
 
 # Values that ``mixed_moment`` holds per quadrature point at its peak (about 13 measured): a
 # ``MeasureSpec`` grid is checked against the budget at this weight.
@@ -173,16 +174,41 @@ def window_counts(dirs: DirectionSet | DirectionStream, interval, alphas) -> np.
     The window is the half-open arc [alpha + a/N, alpha + b/N) on the
     circle; a window of length >= 1 returns N.  Vectorized over ``alphas``,
     and over windows: an ``interval`` of shape (m, 2) gives the counts of
-    window j in row j.  The ends are formed by ``lattice._window_count``,
-    and the directions under all of them come from one walk over
-    ``dirs.chunks()`` (``lattice._below``): the array of a ``DirectionSet``,
-    or the sectors of a ``DirectionStream``, which then holds one sector at
-    a time.  The counts are the same integers either way.  A position that
-    is not finite raises InvalidInputError.
+    window j in row j, in shape (m, *alphas.shape).  With lo = frac(alpha +
+    a/N) and hi = lo + (b - a)/N the count is J(hi) - J(lo), where J(x)
+    counts the lifted sequence under x, the directions under frac(x) plus
+    N floor(x), so wrap-around needs no branch.  The directions under the
+    ends of every window shorter than 1, stacked as (lo, frac(hi)), come
+    from one call to ``dirs.window_counter``, which is first told the
+    bound of 2 m positions on the ends: a ``DirectionSet`` searches its
+    array, and a ``DirectionStream`` cuts at a few ends or sweeps its
+    sectors, with a budget check before any strip is solved.  The counts are the same
+    integers either way.  Raises InvalidInputError unless a < b for every
+    window and every position is finite, and on an empty set.
     """
-    if dirs.N == 0:
+    iv = np.asarray(interval, dtype=float)
+    if iv.shape[-1:] != (2,) or iv.ndim > 2:
+        raise InvalidInputError(f"an interval must have shape (2,) or (m, 2), got {iv.shape}")
+    a, b = iv.reshape(-1, 2).T
+    bad = np.flatnonzero(~(a < b))
+    if bad.size:
+        raise InvalidInputError(f"bad interval ({a[bad[0]]}, {b[bad[0]]})")
+    al = np.asarray(alphas, dtype=float)
+    if not np.all(np.isfinite(al)):
+        raise InvalidInputError("window positions must be finite")
+    N, below = dirs.window_counter(2 * a.size * al.size)
+    if N == 0:
         raise InvalidInputError("empty direction set")
-    return _window_count(interval, dirs.N, alphas, lambda ends: _below(dirs.chunks(), dirs.N, ends))
+    counts = np.full((a.size, *al.shape), N, dtype=np.int64)
+    short = np.flatnonzero((b - a) / N < 1.0)
+    if short.size:
+        per_window = (-1,) + (1,) * al.ndim
+        lo = _frac(al + (a[short] / N).reshape(per_window))
+        hi = lo + ((b - a)[short] / N).reshape(per_window)
+        turns = np.floor(hi)
+        low, high = below(np.stack([lo, hi - turns]))
+        counts[short] = high - low + N * turns.astype(np.int64)
+    return counts if iv.ndim == 2 else counts[0]
 
 
 def spacing_histogram(dirs: DirectionSet | DirectionStream, k, edges) -> Histogram | list[Histogram]:
@@ -196,9 +222,11 @@ def spacing_histogram(dirs: DirectionSet | DirectionStream, k, edges) -> Histogr
     block of the sweep the spacings outside [edges[0], edges[-1]] are
     dropped and the rest are binned as ``np.histogram`` bins them (last bin
     closed), so the counts are the same.  Memory is O(``_BLOCK`` + k)
-    beside the directions.
+    beside the directions.  Each k is one pass over the N directions, so N
+    times the offsets past the budget raises CapacityError before the
+    sweep.
     """
-    N = dirs.N
+    chunks, N = dirs.chunks(), dirs.N  # a stream checks its sweep before it solves its strips
     ks = [int(x) for x in np.atleast_1d(k)]
     if not ks or any(x != y for x, y in zip(ks, np.atleast_1d(k))):
         raise InvalidInputError(f"k must be an integer or a nonempty sequence of integers, got {k!r}")
@@ -206,8 +234,9 @@ def spacing_histogram(dirs: DirectionSet | DirectionStream, k, edges) -> Histogr
         if not 1 <= x < N:
             raise InvalidInputError(f"need 1 <= k < N, got k={x}, N={N}")
     edges = _checked_edges(edges)
+    _check_budget(len(ks) * N, f"{len(ks)} spacing passes over N = {N} directions")
     counts = np.zeros((len(ks), edges.size - 1), dtype=np.intp)
-    for i, scaled in _spacings(N, dirs.chunks(), ks):
+    for i, scaled in _spacings(N, chunks, ks):
         keep = scaled <= edges[-1]
         if edges[0] > 0:  # cyclic spacings are never negative
             keep &= scaled >= edges[0]
@@ -444,7 +473,7 @@ def pair_correlation(
     edges = _checked_edges(edges)
     if fold and edges[0] < 0:
         raise InvalidInputError("folded histogram needs nonnegative edges")
-    N = dirs.N
+    chunks, N = dirs.chunks(), dirs.N  # a stream checks its sweep before it solves its strips
     if N < 2:
         raise InvalidInputError("need at least two directions")
     W = max(abs(edges[0]), abs(edges[-1]))
@@ -452,7 +481,7 @@ def pair_correlation(
         raise InvalidInputError(f"window reach {W} must be below N/2 = {N / 2}")
     _check_budget(N * (1.0 + W), f"N = {N} directions times 1 + the reach {W:g}")
     counts = np.zeros(edges.size - 1)
-    for vals, pair in _near_pairs(N, dirs.chunks(), W, ends=density is not None):
+    for vals, pair in _near_pairs(N, chunks, W, ends=density is not None):
         w = None
         if pair is not None:
             w = 1.0 / (np.asarray(density(pair[0])) * np.asarray(density(_frac(pair[1]))))
@@ -490,8 +519,9 @@ def mixed_moment(
     The integrand is piecewise constant in alpha, so the uniform-grid error
     scales like N * |I| / quadrature_points.  The counts of every window
     at every grid point are one ``window_counts`` call, over a
-    ``DirectionSet`` or, without the N-long array, the sectors of a
-    ``DirectionStream`` (``latdir moments``), with the same bytes.  Window
+    ``DirectionSet`` or, without the N-long array, a ``DirectionStream``
+    (``latdir moments``), which cuts at the ends of a small grid and
+    sweeps its sectors for a large one, with the same bytes.  Window
     counts (windows times quadrature points) past the budget raise
     CapacityError before any is counted, and so does a moment whose terms
     pass the float range once they are summed.  A zero base follows
@@ -542,7 +572,7 @@ def pair_correlation_integral(dirs: DirectionSet | DirectionStream, interval1, i
     a2, b2 = float(interval2[0]), float(interval2[1])
     if not (a1 < b1 and a2 < b2):
         raise InvalidInputError("intervals must be nondegenerate")
-    N = dirs.N
+    chunks, N = dirs.chunks(), dirs.N  # a stream checks its sweep before it solves its strips
     if N == 0:
         raise InvalidInputError("empty direction set")
     wide1, wide2 = (b1 - a1) / N >= 1.0, (b2 - a2) / N >= 1.0
@@ -561,6 +591,6 @@ def pair_correlation_integral(dirs: DirectionSet | DirectionStream, interval1, i
         return np.maximum(np.minimum(b1, b2 + s) - np.maximum(a1, a2 + s), 0.0)
 
     total = 0.0
-    for s, _ in _near_pairs(N, dirs.chunks(), reach):
+    for s, _ in _near_pairs(N, chunks, reach):
         total += overlap(s).sum() + overlap(-s).sum()
     return total / N

@@ -64,7 +64,7 @@ def test_one_global_shrinks_every_cap(monkeypatch):
     calls = [
         (ld.enumerate_points, lat, ld.Annulus(0.0), 10.0),
         (ld.direction_set, lat, ld.Annulus(0.0), 10.0),
-        (ld.count_in_window, lat, ld.Annulus(0.0), 10.0, (-1.0, 1.0), 0.1),
+        (lambda *args: ld.window_counts(ld.direction_stream(*args), (-1.0, 1.0), 0.1), lat, ld.Annulus(0.0), 10.0),
         (ld.sample_count_distribution, 0.0, "irrational", [(0.0, 1.0)], 20, rng),
         (ld.siegel_average, "classic", 101, rng),
         (ld.horocycle_escape_integral, ld.Mat2.identity(), (0.3, 0.7), 1.0, 2.0, 1e-2, (-1, 1), 101),
@@ -134,9 +134,12 @@ def test_every_direction_path_weighs_the_strips_alike(monkeypatch):
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.7))
     shape, T = ld.Annulus(0.99999), 5000.0
     assert ld.expected_count(shape, T) < 2000
-    for fn, *args in [(ld.direction_set,), (ld.direction_stream,), (ld.count_in_window, (-1.0, 1.0), 0.1)]:
+    def counted(*args):
+        return ld.window_counts(ld.direction_stream(*args), (-1.0, 1.0), 0.1)
+
+    for fn in (ld.direction_set, ld.direction_stream, counted):
         with pytest.raises(ld.CapacityError, match="10000 m1-strips"):
-            fn(lat, shape, T, *args)
+            fn(lat, shape, T)
 
 
 def test_dioph_radius_budget(monkeypatch):

@@ -1,10 +1,12 @@
 """Window counts and mixed moments over a direction stream.
 
-``window_counts`` finds the directions under its window ends in one walk
-over ``dirs.chunks()`` (``lattice._below``), so it takes a ``DirectionSet``,
-whose array is one chunk, or a ``DirectionStream``, whose sectors are the
-chunks, each in one reused buffer.  The counts are integers and must be
-the same either way, and so must every bit of a moment built on them.
+``window_counts`` finds the directions under its window ends with the
+source's ``window_counter``: one walk over ``dirs.chunks()``
+(``lattice._below``) for a ``DirectionSet``, whose array is one chunk, or
+for a ``DirectionStream`` with more ends than sectors, whose sectors are the
+chunks, each in one reused buffer; a stream with a few ends cuts its strips
+at them.  The counts are integers and must be the same either way, and so
+must every bit of a moment built on them.
 ``latdir moments`` runs ``mixed_moment`` on the stream, the path the
 library exposes.
 """
@@ -16,6 +18,7 @@ import pytest
 
 import latdir as ld
 from latdir import cli, lattice, stats
+from latdir.diophantine import CBRT2, CBRT4
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -108,3 +111,21 @@ def test_latdir_moments_runs_the_public_moment_on_the_stream(tmp_path, monkeypat
     assert cli.main([*argv, "--out", str(got)]) == 0
     assert calls == [("mixed_moment", ld.DirectionStream), ("window_counts", ld.DirectionStream)]
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_small_grid_moment_on_the_stream_cuts_without_a_sweep(monkeypatch):
+    # 3 grid points and 2 windows give at most 12 window ends, fewer than the K = 23 sectors at
+    # T = 1000: the stream cuts its strips at them and forms no sector, with the moment bits of
+    # the direction set
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
+    shape, T = ld.Annulus(0.0), 1000.0
+    box, spec, lam = [(0.0, 1.0), (0.5, 2.0)], ld.MomentSpec((1, 1)), ld.MeasureSpec.uniform(3)
+    want = ld.mixed_moment(ld.direction_set(lat, shape, T), box, spec, lam)
+    stream = ld.direction_stream(lat, shape, T)
+    assert stream.N // lattice.SECTOR == 23
+    sweeps = []
+    sectors = lattice._sorted_sectors
+    monkeypatch.setattr(lattice, "_sorted_sectors", lambda *args: sweeps.append(1) or sectors(*args))
+    got = ld.mixed_moment(stream, box, spec, lam)
+    assert sweeps == []
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()

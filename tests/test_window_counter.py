@@ -1,11 +1,12 @@
-"""``count_in_window`` against ``window_counts`` of the full direction set.
+"""``window_counts`` on a direction stream against ``window_counts`` of the full direction set.
 
-The counter cuts the kept strip ranges at the rays of a few window ends
-and sums piece widths, letting ``_turns`` decide the points within
-roundoff of a ray, or, when the ends outnumber the sectors, sweeps the
-sectors one sorted sector at a time.  So it must return exactly the
-counts that ``window_counts(direction_set(...))`` returns, and N, on
-every input:
+A stream counts without forming its directions: it cuts the kept strip
+ranges at the rays of a few window ends and sums piece widths, letting
+``_turns`` decide the points within roundoff of a ray, or, when the ends
+outnumber the sectors, sweeps the sectors one sorted sector at a time.
+So ``window_counts(direction_stream(...))`` must return exactly the
+counts that ``window_counts(direction_set(...))`` returns, and the stream
+the same N, on every input:
 random and skewed determinant-1 bases, zero, random and small-q rational
 shifts, both domains, and windows that wrap past 0, that are far thinner
 than the gap between two directions, or whose ends sit exactly on a
@@ -27,6 +28,12 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 PROPS = settings(derandomize=True, deadline=None, max_examples=50)
+
+
+def counted(lat, shape, T, interval, alphas):
+    """The window counts of a direction stream, and its N, read after the count."""
+    stream = ld.direction_stream(lat, shape, T)
+    return ld.window_counts(stream, interval, alphas), stream.N
 
 rational = st.fractions(min_value=-1, max_value=1, max_denominator=6).map(float)
 shifts = (st.just((0.0, 0.0)) | st.tuples(rational, rational)
@@ -76,17 +83,20 @@ def test_counter_matches_window_counts(basis, shift, shape, T, data):
     lat = ld.AffineLatticeSpec(basis, shift)
     dirs = ld.direction_set(lat, shape, T)
     if dirs.N == 0:
-        assert ld.count_in_window(lat, shape, T, (-1.0, 1.0), 0.3) == (0, 0)
+        stream = ld.direction_stream(lat, shape, T)
+        with pytest.raises(ld.InvalidInputError, match="empty"):
+            ld.window_counts(stream, (-1.0, 1.0), 0.3)
+        assert stream.N == 0
         return
     alphas = []
     for _ in range(6):
         interval, alpha = data.draw(windows(dirs))
         want = ld.window_counts(dirs, interval, alpha)
-        assert ld.count_in_window(lat, shape, T, interval, alpha) == (want, dirs.N)
+        assert counted(lat, shape, T, interval, alpha) == (want, dirs.N)
         alphas.append(alpha)
     # one array-valued call over the drawn positions, in their shape, against the same counts
     alphas = np.array(alphas).reshape(2, 3)
-    counts, N = ld.count_in_window(lat, shape, T, interval, alphas)
+    counts, N = counted(lat, shape, T, interval, alphas)
     assert N == dirs.N and counts.shape == (2, 3)
     assert np.array_equal(counts, ld.window_counts(dirs, interval, alphas))
 
@@ -106,10 +116,10 @@ def test_counter_on_every_direction(shift, shape, T):
     ts = distinct[:: max(1, distinct.size // 120)]
     for t in ts.tolist():
         for interval, alpha in (((0.0, 1.0), t), ((-1.0, 0.0), t), ((0.0, 1e-9), t)):
-            got = ld.count_in_window(lat, shape, T, interval, alpha)
+            got = counted(lat, shape, T, interval, alpha)
             assert got == (ld.window_counts(dirs, interval, alpha), dirs.N)
     for interval in ((0.0, 1.0), (-1.0, 0.0), (0.0, 1e-9)):  # every position in one call
-        counts, N = ld.count_in_window(lat, shape, T, interval, ts)
+        counts, N = counted(lat, shape, T, interval, ts)
         assert N == dirs.N and np.array_equal(counts, ld.window_counts(dirs, interval, ts))
 
 
@@ -127,7 +137,7 @@ def test_counter_repairs_a_misplaced_cut(monkeypatch):
     monkeypatch.setattr(ld.lattice, "_slots", moved)
     for alpha in (0.05, 0.3, 0.61, 0.97):
         for interval in ((-5.0, 5.0), (0.0, 3000.0)):
-            got = ld.count_in_window(lat, ld.Annulus(0.2), 80.0, interval, alpha)
+            got = counted(lat, ld.Annulus(0.2), 80.0, interval, alpha)
             assert got == (ld.window_counts(dirs, interval, alpha), dirs.N)
     assert max(calls) > 0  # some ranges were cut again
 
@@ -158,7 +168,7 @@ def test_counter_budget():
     try:  # 4e6 strips of about 96 values are more than the 2e8 values of the budget
         for T in (2e6, 1e12):
             with pytest.raises(ld.CapacityError, match="strips"):
-                ld.count_in_window(lat, ld.Annulus(0.0), T, (-1.0, 1.0), 0.375)
+                counted(lat, ld.Annulus(0.0), T, (-1.0, 1.0), 0.375)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -168,13 +178,13 @@ def test_counter_budget():
     tracemalloc.start()
     try:
         with pytest.raises(ld.CapacityError, match="boundary candidates"):
-            ld.count_in_window(thin, ld.Annulus(0.0), 2e5, (-1.0, 1.0), 0.1)
+            counted(thin, ld.Annulus(0.0), 2e5, (-1.0, 1.0), 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     with pytest.raises(ld.InvalidInputError):
-        ld.count_in_window(lat, ld.Annulus(0.0), 10.0, (1.0, 1.0), 0.375)
+        counted(lat, ld.Annulus(0.0), 10.0, (1.0, 1.0), 0.375)
 
 
 def test_counter_decides_an_axis_strip_whole():
@@ -183,7 +193,7 @@ def test_counter_decides_an_axis_strip_whole():
     thin = ld.AffineLatticeSpec(ld.Mat2(1e8, 0.0, 0.0, 1e-8), (0.0, 0.5))
     tracemalloc.start()
     try:
-        got = ld.count_in_window(thin, ld.Annulus(0.0), 1e5, (-1.0, 1.0), 0.25)
+        got = counted(thin, ld.Annulus(0.0), 1e5, (-1.0, 1.0), 0.25)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -195,24 +205,25 @@ def test_counter_decides_an_axis_strip_whole():
         dirs = ld.direction_set(lat, ld.Annulus(0.0), 100.0)
         for alpha in (0.0, 0.25, 0.5, 0.75):
             for interval in ((-1.0, 1.0), (0.0, 1.0), (-1.0, 0.0)):
-                got = ld.count_in_window(lat, ld.Annulus(0.0), 100.0, interval, alpha)
+                got = counted(lat, ld.Annulus(0.0), 100.0, interval, alpha)
                 assert got == (ld.window_counts(dirs, interval, alpha), dirs.N)
 
 
 def test_counter_budget_counts_strips_times_window_ends():
-    # 4e4 strips times about 2e4 distinct window ends pass the 2e8 values of the budget, though
-    # one position at T = 2e4 is far inside it: refused before any piece is formed
+    # 1e4 positions give 2e4 window ends, more than the 9587 sectors, so they would be swept, and
+    # the 1.26e9 directions expected pass the 2e8 values of the budget, though one position at
+    # T = 2e4 is cut at far inside it: refused before any strip is solved
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.5, 0.5))
     alphas = np.random.default_rng(5).uniform(0.0, 1.0, 10**4)
     tracemalloc.start()
     try:
         with pytest.raises(ld.CapacityError, match="window ends"):
-            ld.count_in_window(lat, ld.Annulus(0.0), 2e4, (-1.0, 1.0), alphas)
+            counted(lat, ld.Annulus(0.0), 2e4, (-1.0, 1.0), alphas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**26
-    assert ld.count_in_window(lat, ld.Annulus(0.0), 2e4, (-1.0, 1.0), 0.1)[1] > 0
+    assert counted(lat, ld.Annulus(0.0), 2e4, (-1.0, 1.0), 0.1)[1] > 0
 
 
 def test_crude_bound_array_equals_per_position_calls():
@@ -235,7 +246,7 @@ def test_non_finite_positions_are_invalid():
             with pytest.raises(ld.InvalidInputError, match="positions must be finite"):
                 ld.window_counts(dirs, (-1.0, 1.0), alphas)
             with pytest.raises(ld.InvalidInputError, match="positions must be finite"):
-                ld.count_in_window(lat, ld.Annulus(0.0), 120.0, [(-1.0, 1.0), (0.0, 2.0)], alphas)
+                counted(lat, ld.Annulus(0.0), 120.0, [(-1.0, 1.0), (0.0, 2.0)], alphas)
             with pytest.raises(ld.InvalidInputError, match="positions must be finite"):
                 ld.crude_bound_holds(lat, np.atleast_1d(alphas), 120.0, (-1.0, 1.0), 0.5)
 
@@ -266,13 +277,15 @@ def test_window_batches_match_window_counts(basis, shift, shape, T, m, sector, d
         if sector is not None:
             mp.setattr(ld.lattice, "SECTOR", sector)
         if dirs.N == 0:
-            counts, N = ld.count_in_window(lat, shape, T, [(-1.0, 1.0)] * m, [0.3, 0.7])
-            assert N == 0 and counts.shape == (m, 2) and not counts.any()
+            stream = ld.direction_stream(lat, shape, T)
+            with pytest.raises(ld.InvalidInputError, match="empty"):
+                ld.window_counts(stream, [(-1.0, 1.0)] * m, [0.3, 0.7])
+            assert stream.N == 0
             return
         drawn = [data.draw(windows(dirs)) for _ in range(m)]
         intervals = np.array([iv for iv, _ in drawn])
         alphas = data.draw(positions(dirs, [alpha for _, alpha in drawn]))
-        counts, N = ld.count_in_window(lat, shape, T, intervals, alphas)
+        counts, N = counted(lat, shape, T, intervals, alphas)
     assert N == dirs.N and counts.shape == (m, alphas.size)
     assert np.array_equal(counts, ld.window_counts(dirs, intervals, alphas))
     for iv, row in zip(intervals, counts):
@@ -291,7 +304,7 @@ def test_few_ends_are_cut_at_and_many_are_swept(monkeypatch, positions, m, swept
     monkeypatch.setattr(ld.lattice, "_sorted_sectors", lambda *args: sweeps.append(1) or sectors(*args))
     alphas = np.linspace(0.0, 1.0, positions, endpoint=False) + 0.01
     intervals = [(-1.0, 1.0), (0.0, 40.0)][:m]
-    counts, N = ld.count_in_window(lat, ld.Annulus(0.0), 500.0, intervals, alphas)
+    counts, N = counted(lat, ld.Annulus(0.0), 500.0, intervals, alphas)
     assert N == dirs.N and counts.shape == (m, positions)
     assert np.array_equal(counts, ld.window_counts(dirs, intervals, alphas))
     assert len(sweeps) == swept

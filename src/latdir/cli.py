@@ -1,8 +1,11 @@
 """Command-line front end: reproducible experiments with CSV/JSON output.
 
-Every stochastic command takes an explicit --seed and records (seed, n) in
-its output; CSV files start with a comment header
-``# latdir v<version>, seed=<seed>, cmd=<command line>`` so runs are
+Each command takes only the options it reads, and refuses any other with
+exit 2.  The four that draw random samples, ``limit-sample``,
+``limit-moments``, ``tails`` and ``siegel``, take ``--seed`` and record it
+in their output; the other seven are deterministic.  CSV files start with
+a comment header ``# latdir v<version>, seed=<seed>, cmd=<command line>``,
+with ``seed=none`` for a deterministic command, so runs are
 self-describing.  Exit codes: 0 success, 2 invalid input or an unreadable
 or unwritable file, 3 capacity.
 """
@@ -216,13 +219,18 @@ def _merge_negative_values(argv):
 
 
 def _lattice_from_args(args):
-    if getattr(args, "spec_json", None):
+    if args.spec_json:
         with open(args.spec_json, encoding="utf-8") as fh:
             return lattice_from_json(fh.read())
     basis = Mat2.from_array(np.array(parse_reals(args.basis, 4)).reshape(2, 2))
     xi = parse_reals(args.xi, 2)
     shape = parse_shape(args.shape)
     return AffineLatticeSpec(basis, (xi[0], xi[1])), shape, args.T
+
+
+def _stream_from_args(args):
+    """The direction stream of the lattice flags or --spec-json: what the four lattice commands read."""
+    return direction_stream(*_lattice_from_args(args))
 
 
 class _Out:
@@ -262,9 +270,10 @@ class _Out:
         return False
 
 
-def _header(args, seed) -> str:
+def _header(args) -> str:
+    """The CSV comment line: version, the seed of a sampling command (else none) and the argv."""
     cmd = shlex.join(args._argv)
-    return f"# latdir v{__version__}, seed={seed}, cmd={cmd}"
+    return f"# latdir v{__version__}, seed={getattr(args, 'seed', 'none')}, cmd={cmd}"
 
 
 def _g17(x, out):
@@ -354,9 +363,9 @@ def _write_rows(fh, fmt, *columns):
         fh.write(buf.tobytes().translate(None, b"\0"))
 
 
-def _write_histogram(path, args, seed, hist):
+def _write_histogram(path, args, hist):
     with _Out(path) as fh:
-        fh.write(_header(args, seed) + "\n")
+        fh.write(_header(args) + "\n")
         fh.write("bin_lo,bin_hi,density\n")
         _write_rows(fh, "{:.17g},{:.17g},{:.17g}", hist.bin_edges[:-1], hist.bin_edges[1:], hist.masses)
 
@@ -368,22 +377,20 @@ def _write_json(path, obj):
 
 
 def cmd_enumerate(args) -> int:
-    lat, shape, T = _lattice_from_args(args)
-    dirs = direction_stream(lat, shape, T)
+    dirs = _stream_from_args(args)
     with _Out(args.out) as fh:
-        fh.write(_header(args, "none") + "\n")
+        fh.write(_header(args) + "\n")
         fh.write("alpha\n")
         for sector in dirs.chunks():  # each written as it is formed: no direction set is held
             _write_rows(fh, "{:.17g}", sector)
-    print(f"enumerate: N={dirs.N} directions at T={T} -> {args.out or 'stdout'}")
+    print(f"enumerate: N={dirs.N} directions at T={dirs.T} -> {args.out or 'stdout'}")
     return 0
 
 
 def cmd_spacings(args) -> int:
     ks = parse_krange(args.k)
-    lat, shape, T = _lattice_from_args(args)
-    dirs = direction_stream(lat, shape, T)
-    _check_budget(expected_count(shape, T), "points expected about the domain's area")  # before N is solved
+    dirs = _stream_from_args(args)
+    _check_budget(expected_count(dirs.shape, dirs.T), "points expected about the domain's area")  # before N is solved
     if ks[-1] >= dirs.N:
         raise ValueError(f"--k {args.k!r} needs k < N = {dirs.N}")
     # every k in one sweep, with N per k checked against the budget, before the first file
@@ -393,30 +400,29 @@ def cmd_spacings(args) -> int:
             path = f"{stem}_k{k:02d}.{suffix}" if dot else f"{args.out}_k{k:02d}"
         else:
             path = args.out
-        _write_histogram(path, args, "none", hist)
+        _write_histogram(path, args, hist)
     print(f"spacings: N={dirs.N}, k={ks[0]}..{ks[-1]}, {len(ks)} histogram(s)")
     return 0
 
 
 def cmd_paircorr(args) -> int:
-    lat, shape, T = _lattice_from_args(args)
-    dirs = direction_stream(lat, shape, T)
+    dirs = _stream_from_args(args)
     edges = parse_bins(args.bins)
     hist = pair_correlation(dirs, edges, fold=args.fold)
-    _write_histogram(args.out, args, "none", hist)
+    _write_histogram(args.out, args, hist)
     dev = float(np.mean(np.abs(hist.masses - 1.0)))
     print(f"paircorr: N={dirs.N}, {hist.masses.size} bins, mean |density-1| = {dev:.4f}")
     return 0
 
 
 def cmd_moments(args) -> int:
-    lat, shape, T = _lattice_from_args(args)
+    dirs = _stream_from_args(args)
     box = _box_from_args(args)
     exps = parse_complex_list(args.s)
     spec = MomentSpec(tuple(exps), cap=args.K)
     lam = MeasureSpec.uniform(args.grid)
     # every window at every grid point from one sweep over the sectors, with no direction set
-    val = mixed_moment(direction_stream(lat, shape, T), box, spec, lam, shifted=args.shifted)
+    val = mixed_moment(dirs, box, spec, lam, shifted=args.shifted)
     obj = {
         "s": [[z.real, z.imag] for z in exps],
         "K": args.K,
@@ -433,35 +439,38 @@ def _box_from_args(args) -> IntervalBox:
     return IntervalBox(tuple(parse_interval(s) for s in args.I))
 
 
-def _class_args(args):
+def _count_law(args):
+    """The cone-count law of --c, --xi-class, --pq, --I and --n, drawn with --seed.
+
+    --pq goes to the sampler whenever it is given, which refuses it outside
+    the rational class.
+    """
     kw = {}
-    if args.xi_class == "rational":
-        if not args.pq:
-            raise LatdirError("rational class needs --pq p1,p2,q")
+    if args.pq:
         p1, p2, q = (int(t) for t in args.pq.split(","))
         kw = {"p": (p1, p2), "q": q}
-    return kw
+    elif args.xi_class == "rational":
+        raise LatdirError("rational class needs --pq p1,p2,q")
+    rng = np.random.default_rng(args.seed)
+    return sample_count_distribution(args.c, args.xi_class, _box_from_args(args), args.n, rng, **kw)
 
 
 def cmd_limit_sample(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    box = _box_from_args(args)
-    dist = sample_count_distribution(args.c, args.xi_class, box, args.n, rng, **_class_args(args))
+    dist = _count_law(args)
+    m = dist.rows.shape[1]
     with _Out(args.out) as fh:
-        fh.write(_header(args, args.seed) + "\n")
-        fh.write(",".join(f"k{j + 1}" for j in range(box.m)) + ",count\n")
-        _write_rows(fh, ",".join(["{}"] * (box.m + 1)), *dist.rows.T, dist.counts)
-    mean = dist.moment([1.0] * box.m if box.m == 1 else [1.0] + [0.0] * (box.m - 1))
+        fh.write(_header(args) + "\n")
+        fh.write(",".join(f"k{j + 1}" for j in range(m)) + ",count\n")
+        _write_rows(fh, ",".join(["{}"] * (m + 1)), *dist.rows.T, dist.counts)
+    mean = dist.moment([1.0] + [0.0] * (m - 1))
     print(f"limit-sample: n={args.n}, classes={len(dist.rows)}, mean k1 = {mean.estimate:.4f}")
     return 0
 
 
 def cmd_limit_moments(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    box = _box_from_args(args)
     powers = parse_reals(args.powers)
-    exact = exact_limit_moment(powers, box)
-    dist = sample_count_distribution(args.c, args.xi_class, box, args.n, rng, **_class_args(args))
+    exact = exact_limit_moment(powers, _box_from_args(args))  # the powers are checked before any draw
+    dist = _count_law(args)
     heavy_at = 1.5 if args.xi_class in ("integer", "rational") else 2.0
     if sum(powers) >= heavy_at:
         res = dist.moment_mom(powers)
@@ -484,10 +493,7 @@ def cmd_limit_moments(args) -> int:
 
 
 def cmd_tails(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    box = _box_from_args(args)
-    dist = sample_count_distribution(args.c, args.xi_class, box, args.n, rng, **_class_args(args))
-    slope = tail_exponent(dist, args.kmin)
+    slope = tail_exponent(_count_law(args), args.kmin)
     obj = {
         "slope": slope,
         "k_min": args.kmin,
@@ -530,7 +536,7 @@ def cmd_cusp_sum(args) -> int:
             )
             rows.append((R, v, val))
     with _Out(args.out) as fh:
-        fh.write(_header(args, "none") + "\n")
+        fh.write(_header(args) + "\n")
         fh.write("R,v,integral\n")
         _write_rows(fh, "{:.17g},{:.17g},{:.17g}", *np.array(rows, dtype=float).reshape(-1, 3).T)
     print(f"cusp-sum: {len(rows)} (R, v) points, beta={args.beta}")
@@ -557,7 +563,7 @@ def cmd_singular_probe(args) -> int:
     Ts = parse_reals(args.T_list)
     counts = rational_divergence_probe(xi, r, args.eps, Ts, c=args.c)
     with _Out(args.out) as fh:
-        fh.write(_header(args, "none") + "\n")
+        fh.write(_header(args) + "\n")
         fh.write("T,count\n")
         _write_rows(fh, "{:.17g},{}", np.array(Ts, dtype=float), np.array(counts, dtype=np.int64))
     print(f"singular-probe: counts {counts} at T={Ts}")
@@ -572,39 +578,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"latdir {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_lattice_flags(p, default_T=1000.0):
+    def add_common(p):
+        p.add_argument("--out", help="output path (default: stdout)")
+
+    def add_lattice_flags(p):
         p.add_argument("--xi", default="0,0", help="shift vector, e.g. cbrt4,cbrt2 or 1/2,1/2")
         p.add_argument("--basis", default="1,0,0,1", help="row-major basis a,b,c,d (det 1)")
         p.add_argument("--shape", default="annulus:0", help="annulus[:c] or square")
-        p.add_argument("--T", type=parse_real, default=default_T)
+        p.add_argument("--T", type=parse_real, default=1000.0)
         p.add_argument("--spec-json", help="JSON file with basis/shift/shape/T")
-
-    def add_common(p):
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0)
+        add_common(p)
 
     p = sub.add_parser("enumerate", help="emit the sorted direction angles as CSV")
     add_lattice_flags(p)
-    add_common(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("spacings", help="k-th neighbor spacing histograms")
     add_lattice_flags(p)
-    add_common(p)
     p.add_argument("--k", default="1", help="single k or a range like 1..15")
     p.add_argument("--bins", default="0:6:0.1")
     p.set_defaults(func=cmd_spacings)
 
     p = sub.add_parser("paircorr", help="two-point correlation histogram")
     add_lattice_flags(p)
-    add_common(p)
     p.add_argument("--bins", default="-10:10:0.5")
     p.add_argument("--fold", action="store_true", help="histogram |difference| instead")
     p.set_defaults(func=cmd_paircorr)
 
     p = sub.add_parser("moments", help="mixed window-count moments")
     add_lattice_flags(p)
-    add_common(p)
     p.add_argument("--I", action="append", required=True, help="interval a:b (repeatable)")
     p.add_argument("--s", default="1", help="comma-separated exponents, complex as re+imi")
     p.add_argument("--K", type=int, default=None, help="restrict to max count <= K")
@@ -614,6 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_limit_flags(p):
         add_common(p)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--c", type=parse_real, default=0.0)
         p.add_argument("--xi-class", choices=("integer", "rational", "irrational"),
                        default="irrational", dest="xi_class")
@@ -637,6 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("siegel", help="Gaussian lattice-sum mean values")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--which", choices=("classic", "affine_pair"), default="classic")
     p.add_argument("--n", type=parse_count, default=100_000)
     p.set_defaults(func=cmd_siegel)

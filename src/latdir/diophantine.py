@@ -185,16 +185,19 @@ def singular_vector(n, omega: float, l):
 def rational_divergence_probe(xi, r, eps: float, T_list, c: float = 0.0) -> list[int]:
     """Window counts along the rational direction fixed by r, one per T.
 
-    Requires an exact rational relation r . (xi + m) = 0 for some integer
-    m (verified in exact arithmetic); the returned counts grow linearly in
-    T because a full line of lattice points shares that direction.  Each
-    count is ``window_counts`` on ``direction_stream``, which cuts O(T)
-    strips at the two window ends without forming a direction, so T may go
-    far past the point budget.  A scale below the first point counts 0,
-    from the stream's N, where ``window_counts`` would refuse the empty set.
+    Requires 2-vectors xi and r with an exact rational relation
+    r . (xi + m) = 0 for some integer m (verified in exact arithmetic); the
+    returned counts grow linearly in T because a full line of lattice
+    points shares that direction.  Each count is ``window_counts`` on
+    ``direction_stream``, which cuts O(T) strips at the two window ends
+    without forming a direction, so T may go far past the point budget.  A
+    scale below the first point counts 0, from the stream's N, where
+    ``window_counts`` would refuse the empty set.
     """
     if eps <= 0:
         raise InvalidInputError("eps must be positive")
+    if len(xi) != 2 or len(r) != 2:
+        raise InvalidInputError(f"xi and r must be 2-vectors, got {len(xi)} and {len(r)} components")
     r1, r2 = int(r[0]), int(r[1])
     if r1 == 0 and r2 == 0:
         raise InvalidInputError("r must be nonzero")

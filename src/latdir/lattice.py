@@ -7,23 +7,23 @@ square ``(-T, T)^2`` and turns them into the sorted sequence of direction
 angles, measured in turns (angle / 2*pi, mod 1), with multiplicity.
 
 Points are enumerated one m1-strip at a time, and each strip is a line,
-so its angles are monotone in m2.  ``direction_set`` uses that to build
-the sorted sequence in sector order (``_sorted_sectors``): it cuts every
+so its angles are monotone in m2.  One sector fill (``_sorted_sectors``)
+uses that to form the sorted sequence in sector order: it cuts every
 strip where it crosses the K sector rays k/K (K = N // SECTOR), writes
-the angles sector by sector and sorts each sector in cache.  The pieces
-partition the kept points, and the cut (``_cut``) tests the first and
-last point of every piece by their own angle and decides a range that
-fails point by point, so every point lies in the sector of its own angle
-and the result is exact by construction.  Time is O(N log SECTOR), and
-memory the N angles plus the pieces, about strips times K / 3.
-``direction_stream`` gives the same sectors without the N angles: each
-is formed and sorted in one reused buffer and handed on before the next
-(a ``DirectionStream``, which checks that each sector starts at or after
-the end of the one before).  The statistics that walk the directions
-once in order, spacings, pair sums and window counts, take it as they
-take a ``DirectionSet``, so their memory is one sector plus the pieces,
-which grow as N T / SECTOR (a peak of 16 MB at T = 2000 and 163 MB at
-T = 5000 on the unit lattice, under tracemalloc).
+the angles of each sector into one reused buffer and sorts them there,
+in cache.  The pieces partition the kept points, and the cut (``_cut``)
+tests the first and last point of every piece by their own angle and
+decides a range that fails point by point, so every point lies in the
+sector of its own angle and the result is exact by construction.  Time
+is O(N log SECTOR), and memory one sector plus the pieces, about strips
+times K / 3, which grow as N T / SECTOR.  ``direction_stream`` hands the
+sectors on one at a time (a ``DirectionStream``, which checks that each
+sector starts at or after the end of the one before), and
+``direction_set`` copies them end to end into one array of N angles.
+The statistics that walk the directions once in order, spacings, pair
+sums and window counts, take a stream as they take a ``DirectionSet``,
+so their memory is one sector plus the pieces (a peak of 16 MB at T =
+2000 and 163 MB at T = 5000 on the unit lattice, under tracemalloc).
 
 Both count the directions under a set of window ends with one method,
 ``window_counter``.  A set searches its array (``_below``).  A stream
@@ -31,7 +31,10 @@ solves its strips on first use, so it can count where N is far past the
 budget: with a few ends, no more than K or 2, it cuts the kept ranges
 once at the rays of the ends, and a count is a sum of piece widths, in
 O(strips) time and memory per end; with more, it walks its sectors with
-``_below``, in O(N log SECTOR) time.
+``_below``, in O(N log SECTOR) time.  A window at least as long as N
+holds every direction and has no end to count, so a stream counts only
+the ends of windows shorter than a bound on N that its strips' span
+gives before any strip is solved.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ class DirectionSet:
         """The sorted angles as one chunk, the form the statistics' sweeps take."""
         yield self.alphas
 
-    def window_counter(self, ends: int):
+    def window_counter(self, lengths, positions: int):
         """N, and a function that counts the directions under window ends: a search of the array."""
         return self.N, lambda at: _below(self.chunks(), self.N, at)
 
@@ -225,10 +228,12 @@ class DirectionStream:
         """Validate the input and span the m1-strips of the domain, without solving any.
 
         Returns the reduced basis B, the shift (xi1, xi2) it takes, the
-        first and last m1 and the Gram entries q12, q22 of B.  A strip that
-        would span past int64, and strips past the budget at
-        ``STRIP_VALUES`` each, which is what they weigh in the cut of every
-        path, raise CapacityError.
+        first and last m1, the Gram entries q12, q22 of B and a bound on N:
+        a strip's open chord holds fewer points than its length over |r2|
+        plus one, so N is under the strips times that.  A strip that would
+        span past int64, and strips past the budget at ``STRIP_VALUES``
+        each, which is what they weigh in the cut of every path, raise
+        CapacityError.
         """
         _require_scale(self.T)
         self.lat.basis.require_unimodular()
@@ -247,7 +252,7 @@ class DirectionStream:
         if per_strip > strips.LIMIT:
             raise CapacityError(f"a strip would span about {per_strip:.3g} integers, more than int64 can hold")
         _check_budget((m1hi - m1lo + 1) * STRIP_VALUES, f"{m1hi - m1lo + 1} m1-strips")
-        return B, xi1, xi2, m1lo, m1hi, q12, q22
+        return B, xi1, xi2, m1lo, m1hi, q12, q22, (m1hi - m1lo + 1) * (per_strip + 1.0)
 
     @cached_property
     def _kept(self):
@@ -263,7 +268,7 @@ class DirectionStream:
         candidates: the total width of the candidate ranges, which a pass
         that forms every point checks against the budget.
         """
-        B, xi1, xi2, m1lo, m1hi, q12, q22 = self._span
+        B, xi1, xi2, m1lo, m1hi, q12, q22, _ = self._span
         p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
         if isinstance(self.shape, Annulus):
             lo, hi = strips.root_pair(q12, q22, p1, xi2, self.T)[:2]
@@ -305,12 +310,16 @@ class DirectionStream:
         # the sweep's budget checks run at the call, before any strip is solved or sector drawn
         return _in_order(_sorted_sectors(*self._formed(), math.sqrt(2.0) * self.T))
 
-    def window_counter(self, ends: int):
-        """N, and a function that counts the directions under at most ``ends`` window ends.
+    def window_counter(self, lengths, positions: int):
+        """N, and a function that counts the directions under the ends of the windows.
 
-        The choice of pass, and its budget check, need only the strips'
-        span, the points expected and ``ends``, so a count past the budget
-        is refused before any strip is solved.  With no more ends than the
+        The windows have the ``lengths`` b - a, each at ``positions``
+        positions.  Only a window shorter than N has ends to count, two at
+        each position; a window at least as long as the strips' bound on N
+        (``_span``) has none.  The choice
+        of pass, and its budget check, need only the strips' span, the
+        points expected and those ends, so a count past the budget is
+        refused before any strip is solved.  With no more ends than the
         K = expected // SECTOR sectors (or 2), the function cuts the kept
         ranges once at the rays of the distinct ends (``_cut`` with its
         check, which tests the two ends of every piece by ``_turns`` and
@@ -322,6 +331,7 @@ class DirectionStream:
         checked.  Either gives the integers ``_below`` gives on the
         direction set.
         """
+        ends = 2 * positions * int(np.count_nonzero(lengths < self._span[7]))
         expected = expected_count(self.shape, self.T)
         if ends > max(expected / SECTOR, 2):
             _check_budget(expected, f"{expected:.6g} directions expected, swept for {ends} window ends")
@@ -620,18 +630,16 @@ def _crossed(edges, down, sign: int):
     return rays, past[rays]
 
 
-def _sorted_sectors(B: Mat2, xi2, p1, starts, counts, key, reach: float, out=None):
+def _sorted_sectors(B: Mat2, xi2, p1, starts, counts, key, reach: float):
     """The directions of the kept m2 ranges, sector by sector, each sector sorted in place.
 
     The ranges are cut at the K = N // SECTOR sector rays k/K (``_cut`` with
     its check, so every point lies in the sector of its own ``_turns``
     value; N < 2 SECTOR gives K = 1 and no ray to cut at), and the pieces
     are put in sector order.  Each sector's angles are written, one
-    cache-sized piece at a time, into ``out`` and sorted there.  An ``out``
-    of N values holds every sector at its place in the sorted sequence;
-    without one, a buffer of the largest sector holds each sector in turn,
-    overwritten by the next.  Yields each sector's sorted angles, a view of
-    ``out`` or of the buffer, valid until the next sector.
+    cache-sized piece at a time, into a buffer of the largest sector and
+    sorted there, overwriting the sector before.  Yields each sector's
+    sorted angles, a view of the buffer, valid until the next sector.
     """
     N = int(counts.sum())
     K = max(N // SECTOR, 1)
@@ -640,11 +648,10 @@ def _sorted_sectors(B: Mat2, xi2, p1, starts, counts, key, reach: float, out=Non
     order = np.argsort(sector.astype(np.min_scalar_type(K)), kind="stable")
     starts, counts, p1, sector = starts[order], counts[order], p1[order], sector[order]
     sizes = np.bincount(sector, weights=counts, minlength=K).astype(np.int64)
-    under = np.cumsum(sizes) - sizes
     first = np.searchsorted(sector, np.arange(K + 1))  # the pieces of sector k: first[k]:first[k + 1]
-    buf = np.empty(sizes.max()) if out is None else None
+    buf = np.empty(sizes.max())
     for k in range(K):
-        vals = buf[:sizes[k]] if out is None else out[under[k]:under[k] + sizes[k]]
+        vals = buf[:sizes[k]]
         n = 0
         i, j = first[k], first[k + 1]
         for y1, y2 in _points(B, xi2, starts[i:j], counts[i:j], p1[i:j]):
@@ -789,11 +796,10 @@ def direction_set(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Direc
     """Sorted directions of the lattice points in the domain, without the points.
 
     Bit for bit ``directions(enumerate_points(lat, shape, T), T, shape)``,
-    with the same errors, but no (n, 2) array is built: the kept strip
-    ranges are cut at K = N // SECTOR sector rays k/K and their angles
-    written sector by sector, one cache-sized piece at a time, into one
-    exactly sized array, where each sector is sorted in cache
-    (``_sorted_sectors``).
+    with the same errors, but no (n, 2) array is built: the sorted sectors
+    of a ``DirectionStream`` (``chunks()``, which cuts the kept strip
+    ranges at K = N // SECTOR sector rays k/K and sorts each sector in
+    cache) are copied end to end into one exactly sized array.
 
     Exact by construction, in two parts.  The multiset: the cuts are
     clipped into each range and made nondecreasing, so the pieces
@@ -808,10 +814,12 @@ def direction_set(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Direc
     SECTOR (c = 0 on a disc or a square), so that check passes wherever
     the expected point count does.
     """
-    ranges = DirectionStream(lat, shape, T)._formed()
-    alphas = np.empty(int(ranges[4].sum()))
-    for _ in _sorted_sectors(*ranges, math.sqrt(2.0) * T, alphas):
-        pass
+    stream = DirectionStream(lat, shape, T)
+    sectors = stream.chunks()  # the budget checks run here, before N is solved
+    alphas, n = np.empty(stream.N), 0
+    for vals in sectors:
+        alphas[n:n + vals.size] = vals
+        n += vals.size
     return DirectionSet(alphas, float(T), shape)
 
 

@@ -143,7 +143,8 @@ def _haar_blocks(rng, sizes, xi_class: str, p=None, q=None):
     shift by ``xi_class``: zeros for "integer", uniform on the unit torus
     for "irrational", and for "rational" the shift (p gamma mod q) / q of a
     uniform congruence coset gamma (``coset_reps``).  The class, p and q
-    are checked before any stream is spawned.
+    are checked before any stream is spawned: p and q are needed by the
+    rational class and refused by the others.
     """
     if xi_class == "rational":
         if q is None or p is None:
@@ -151,6 +152,8 @@ def _haar_blocks(rng, sizes, xi_class: str, p=None, q=None):
         reps = np.array(coset_reps(q))
     elif xi_class not in ("integer", "irrational"):
         raise InvalidInputError(f"unknown xi_class {xi_class!r}")
+    elif p is not None or q is not None:
+        raise InvalidInputError(f"p and q fix the rational class's shift, not the {xi_class} class's")
     for stream, nb in zip(rng.spawn(len(sizes)), sizes):
         u, v, phi = _haar_batch(stream, nb)
         if xi_class == "integer":

@@ -180,10 +180,11 @@ def window_counts(dirs: DirectionSet | DirectionStream, interval, alphas) -> np.
     N floor(x), so wrap-around needs no branch.  The directions under the
     ends of every window shorter than 1, stacked as (lo, frac(hi)), come
     from one call to ``dirs.window_counter``, which is first told the
-    bound of 2 m positions on the ends: a ``DirectionSet`` searches its
-    array, and a ``DirectionStream`` cuts at a few ends or sweeps its
-    sectors, with a budget check before any strip is solved.  The counts are the same
-    integers either way.  Raises InvalidInputError unless a < b for every
+    windows' lengths b - a and the number of positions: a ``DirectionSet``
+    searches its array, and a ``DirectionStream`` cuts at a few ends or
+    sweeps its sectors, with a budget check before any strip is solved
+    that counts two ends per position of each window that can be shorter
+    than N.  The counts are the same integers either way.  Raises InvalidInputError unless a < b for every
     window and every position is finite, and on an empty set.
     """
     iv = np.asarray(interval, dtype=float)
@@ -196,7 +197,7 @@ def window_counts(dirs: DirectionSet | DirectionStream, interval, alphas) -> np.
     al = np.asarray(alphas, dtype=float)
     if not np.all(np.isfinite(al)):
         raise InvalidInputError("window positions must be finite")
-    N, below = dirs.window_counter(2 * a.size * al.size)
+    N, below = dirs.window_counter(b - a, al.size)
     if N == 0:
         raise InvalidInputError("empty direction set")
     counts = np.full((a.size, *al.shape), N, dtype=np.int64)

@@ -189,3 +189,14 @@ def test_over_budget_command_exits_3(tmp_path, argv):
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in run.stderr
     assert not out.exists() and list(tmp_path.iterdir()) == []
+
+
+def test_windows_longer_than_N_add_no_ends_to_the_budget():
+    # N = 31,415,926,932 at T = 1e5: a window of 1e11 / N turns holds every direction at every
+    # position, so its 20,000 ends are not counted against the budget, which 200,000 m1-strips
+    # times them would pass; the strips are solved once, for N
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.5, 0.5))
+    stream = ld.direction_stream(lat, ld.Annulus(0.0), 1e5)
+    counts = ld.window_counts(stream, (0.0, 1e11), np.linspace(0.0, 1.0, 10_000))
+    assert stream.N == 31_415_926_932
+    assert counts.shape == (10_000,) and np.all(counts == stream.N)

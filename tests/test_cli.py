@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -200,7 +202,8 @@ def test_moments_at_T_2000_without_the_direction_set(tmp_path):
 
 
 def test_moments_past_the_point_budget_exit_before_solving_strips(tmp_path):
-    # N = 3.1e12 at T = 1e6: refused on the expected count, not after 2e6 strips are solved
+    # N = 3.1e12 at T = 1e6: refused on its 2e6 m1-strips times its 40,003 window ends, before
+    # any strip is solved
     out = tmp_path / "m.json"
     tracemalloc.start()
     try:
@@ -783,3 +786,90 @@ def test_stream_commands_hold_no_direction_set(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             peak = _peak_bytes(lambda: codes.append(main([*command, *flags])))
         assert codes == [0] and peak < 12 * 2**20, (command, peak)
+
+
+SAMPLING = ("limit-sample", "limit-moments", "tails", "siegel")
+# a small argv that each deterministic command runs to exit 0
+DETERMINISTIC = {
+    "enumerate": ["--T", "2"],
+    "spacings": ["--T", "3"],
+    "paircorr": ["--T", "3"],
+    "moments": ["--T", "3", "--I", "0:1", "--grid", "11"],
+    "cusp-sum": ["--R", "2", "--v", "1e-2", "--n-quad", "16"],
+    "dioph": ["--xi", "cbrt4,cbrt2", "--radius", "10"],
+    "singular-probe": ["--xi", "1/2,1/2", "--r", "1,1", "--T-list", "10"],
+}
+
+
+def test_seed_is_an_option_of_the_sampling_commands_only(capsys):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SAMPLING) | set(DETERMINISTIC)
+    for command in sub.choices:
+        assert main([command, "--help"]) == 0
+        assert ("--seed" in capsys.readouterr().out) == (command in SAMPLING), command
+
+
+@pytest.mark.parametrize("command", sorted(DETERMINISTIC))
+def test_deterministic_commands_refuse_a_seed(tmp_path, capsys, command):
+    # a seed that nothing reads is refused, not written as seed=none beside the argv that set it
+    out = tmp_path / "out"
+    assert main([command, *DETERMINISTIC[command], "--seed", "5", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([command, *DETERMINISTIC[command], "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def _readme_argvs():
+    """The ``latdir ...`` lines of the README's bash blocks, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in text.split("```bash\n")[1:] for line in block.split("```", 1)[0].splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("latdir ")]
+
+
+def _design_argvs():
+    """The argv of every command job of the benchmark design, its seed placeholder set."""
+    design = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "design.json").read_text())
+    jobs = [job for workload in design["workloads"].values() for job in workload["jobs"]]
+    return [[tok.replace("{seed}", "1") for tok in job["argv"]] for job in jobs if "argv" in job]
+
+
+@pytest.mark.parametrize("argv", _readme_argvs() + _design_argvs(), ids=" ".join)
+def test_every_shipped_argv_parses(argv):
+    # the README's examples and the benchmark's jobs use only options their commands take
+    args = cli.build_parser().parse_args(cli._merge_negative_values(argv))
+    assert args.command == argv[0] and hasattr(args, "seed") == (argv[0] in SAMPLING)
+
+
+def test_shipped_argvs_cover_every_command():
+    assert len(_readme_argvs()) >= 11 and len(_design_argvs()) >= 10
+    assert {argv[0] for argv in _readme_argvs()} == set(SAMPLING) | set(DETERMINISTIC)
+
+
+@pytest.mark.parametrize("argv", [
+    ["singular-probe", "--xi", "1/2,1/2,9", "--r", "1,1,4", "--T-list", "10"],
+    ["singular-probe", "--xi", "1/2,1/2,9", "--r", "1,1", "--T-list", "10"],
+    ["singular-probe", "--xi", "1/2,1/2", "--r", "1,1,4", "--T-list", "10"],
+    ["limit-sample", "--xi-class", "irrational", "--pq", "1,1,3", "--I", "0:1", "--n", "100"],
+    ["limit-sample", "--xi-class", "integer", "--pq", "1,1,3", "--I", "0:1", "--n", "100"],
+    ["limit-moments", "--pq", "1,1,3", "--I", "0:1", "--n", "100"],
+    ["tails", "--xi-class", "integer", "--pq", "1,1,3", "--I", "0:1", "--n", "100"],
+])
+def test_input_a_command_would_drop_is_refused(tmp_path, capsys, argv):
+    # a third shift or direction component, or --pq outside the rational class, would be ignored
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_moments_of_windows_longer_than_N_run_at_T_1e5(tmp_path):
+    # N = 31,415,926,932: every window of length 1e11 holds all N directions, so the command
+    # solves the strips for N and counts no window end; all 20,000 would pass the cut's budget
+    out = tmp_path / "m.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["moments", "--xi", "1/2,1/2", "--T", "1e5", "--I", "0:1e11", "--grid", "10000",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["value_re"] == pytest.approx(31_415_926_932, rel=1e-9)

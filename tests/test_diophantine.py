@@ -206,3 +206,15 @@ def test_divergence_probe_requires_relation():
         ld.rational_divergence_probe(
             (Fraction(CBRT4), Fraction(CBRT2)), (1, 1), 0.5, [100.0]
         )
+
+
+@pytest.mark.parametrize("xi, r", [
+    ((Fraction(1, 2), Fraction(1, 2), Fraction(9)), (1, 1, 4)),
+    ((Fraction(1, 2), Fraction(1, 2), Fraction(9)), (1, 1)),
+    ((Fraction(1, 2), Fraction(1, 2)), (1, 1, 4)),
+    ((Fraction(1, 2),), (1,)),
+])
+def test_divergence_probe_takes_2_vectors_only(xi, r):
+    # a third component is not dropped: it is refused
+    with pytest.raises(ld.InvalidInputError, match="2-vectors"):
+        ld.rational_divergence_probe(xi, r, 0.5, [10.0])

@@ -515,3 +515,14 @@ def test_cusp_bound_validation():
     for r in (-1.0, float("nan")):
         with pytest.raises(ld.InvalidInputError, match="radius"):
             ld.cusp_bound_holds(0.0, 1.0, 0.0, (0.0, 0.0), r)
+
+
+@pytest.mark.parametrize("xi_class", ["integer", "irrational"])
+@pytest.mark.parametrize("kw", [{"p": (1, 1), "q": 3}, {"p": (1, 1)}, {"q": 3}])
+def test_p_and_q_are_refused_outside_the_rational_class(xi_class, kw):
+    # p and q fix the rational class's shift: another class would ignore them, so it refuses them
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ld.InvalidInputError, match="rational class"):
+        ld.sample_count_distribution(0.0, xi_class, [(0.0, 1.0)], 100, rng, **kw)
+    assert rng.bit_generator.state == state and rng.bit_generator.seed_seq.n_children_spawned == 0

@@ -156,7 +156,7 @@ def parse_bins(s: str) -> np.ndarray:
         raise ValueError(f"bin spec {s!r} has no finite number of steps")
     n = int(round(steps))
     if n + 1 > lattice.DEFAULT_MAX_POINTS:  # the budget as the module holds it at the call
-        raise ValueError(f"bin spec {s!r} needs {n + 1} edges, more than {lattice.DEFAULT_MAX_POINTS}")
+        raise ValueError(f"bin spec {s!r} needs {n + 1:.6g} edges, more than {lattice.DEFAULT_MAX_POINTS}")
     if n < 1 or abs(lo + n * step - hi) > 1e-9 * max(1.0, abs(hi)):
         raise ValueError(f"bin range {s!r} is not a whole number of steps")
     return lo + step * np.arange(n + 1)

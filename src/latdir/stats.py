@@ -23,6 +23,16 @@ and every difference is the same float operation however A is chunked,
 so the counts do not depend on the chunks.  No pass allocates an N-long
 temporary: memory is O(2^16 + the values within reach of a block's end
 and of 0) beside the chunks.
+
+A block is binned by sorting float32 keys of its values, half the bytes
+of the float64 values, and searching them for the keys of the edges.
+The float64 -> float32 cast rounds to nearest, so it is monotone, also
+where it overflows to +-inf or underflows to 0: key(v) < key(e) implies
+v < e, and key(v) > key(e) implies v > e.  Only the values whose key
+equals an edge's key are compared with that edge in float64, with the
+rule of ``np.histogram`` (v < e at each left end, v <= e at the closed
+last edge).  So the counts are those of the float64 values, whatever
+the sort kernel.
 """
 
 from __future__ import annotations
@@ -219,10 +229,13 @@ def spacing_histogram(dirs: DirectionSet | DirectionStream, k, edges) -> Histogr
     density-normalized so the in-range mass is 1.  ``k`` is one offset,
     which gives one Histogram, or a sequence of them, which gives a list
     in the same order from one sweep (``_spacings``) over ``dirs``: a
-    ``DirectionSet`` or the sectors of a ``DirectionStream``.  In each
-    block of the sweep the spacings outside [edges[0], edges[-1]] are
-    dropped and the rest are binned as ``np.histogram`` bins them (last bin
-    closed), so the counts are the same.  Memory is O(``_BLOCK`` + k)
+    ``DirectionSet`` or the sectors of a ``DirectionStream``.  Each pass
+    of a block is binned as ``np.histogram`` bins it (last bin closed), on
+    float32 sort keys decided in float64 where a spacing shares an edge's
+    key (``_bin_sums``), so the counts are the same.  The spacings under
+    edges[0] or over edges[-1] fall in no bin, so a pass is binned whole,
+    unless fewer than half of it lie in [edges[0], edges[-1]]: then those
+    are copied out, and the sort skips the rest.  Memory is O(``_BLOCK`` + k)
     beside the directions.  Each k is one pass over the N directions, so N
     times the offsets past the budget raises CapacityError before the
     sweep.
@@ -237,11 +250,14 @@ def spacing_histogram(dirs: DirectionSet | DirectionStream, k, edges) -> Histogr
     edges = _checked_edges(edges)
     _check_budget(len(ks) * N, f"{len(ks)} spacing passes over N = {N} directions")
     counts = np.zeros((len(ks), edges.size - 1), dtype=np.intp)
+    keys = _keys(edges)
     for i, scaled in _spacings(N, chunks, ks):
         keep = scaled <= edges[-1]
         if edges[0] > 0:  # cyclic spacings are never negative
             keep &= scaled >= edges[0]
-        counts[i] += _bin_sums(_kept(keep, scaled), edges, None, False)[0]
+        if 2 * np.count_nonzero(keep) < keep.size:  # a sparse pass: sort only the spacings in range
+            scaled = np.compress(keep, scaled)
+        counts[i] += _bin_sums(scaled, edges, keys, None, False)[0]
     hists = [Histogram(edges, _density(c, max(c.sum(), 1), edges)) for c in counts]
     return hists[0] if np.ndim(k) == 0 else hists
 
@@ -253,6 +269,9 @@ _SLACK = 2.0**-40
 # A pass over every value of a block stops once it keeps fewer than 1 in _SPARSE of them: the
 # pairs left are then gathered row by row.
 _SPARSE = 16
+# Thresholds that share their float32 key with a value and are each decided by one float64 count
+# over the block in ``_under``: past this many, one sort of the values in their cells is cheaper.
+_FEW = 4
 
 
 def _sweep(N: int, chunks, thresh: float, count: int = 0):
@@ -423,30 +442,75 @@ def _spacings(N: int, chunks, ks):
                 yield i, gaps
 
 
-def _bin_sums(vals, edges, weights, mirrored: bool):
+def _keys(x):
+    """float32 sort keys of float64 values: the cast rounds to nearest, so it never reverses an order."""
+    with np.errstate(over="ignore"):  # past the float32 range the key is +-inf
+        return x.astype(np.float32)
+
+
+def _bin_sums(vals, edges, keys, weights, mirrored: bool):
     """``np.histogram(vals, edges, weights=weights)[0]`` and, if ``mirrored``, that of -vals.
 
-    ``vals`` (one block) is sorted once, in place when there are no
-    weights.  Bins are [e_i, e_{i+1}) with the last one closed, as in
-    np.histogram, so the values below each edge end at a left search (a
-    right one at the last edge).  Since -v < e means v > -e, the -vals
-    below each edge are the values above -e: those from a right search at
-    -e (a left one at the last edge) to the end of the block.  Without
+    ``keys`` are ``_keys(edges)``.  Bins are [e_i, e_{i+1}) with the last
+    one closed, as in np.histogram, so the values below each edge are
+    those under a left search (a right one at the last edge).  Since
+    -v < e means v > -e, the -vals below each edge are the values above
+    -e: all but those under a right search at -e (a left one at the last
+    edge).  Without weights the searches run on the sorted float32 keys of
+    ``vals`` (``_under``), half the bytes of the values to sort; ``vals``
+    is left as it is.  With weights ``vals`` is argsorted in float64 and
+    the sums are differences of the weights' cumulative sum.  Without
     ``mirrored`` the second result is None.
     """
     if weights is None:
-        vals.sort()
-        sv, cum = vals, None
-    else:
-        order = np.argsort(vals)
-        sv = vals[order]
-        cum = np.concatenate((np.zeros(1), weights[order].cumsum()))
+        sk = _keys(vals)
+        sk.sort()
+        plus = np.diff(_under(sk, vals, edges, keys, "left"))
+        if not mirrored:
+            return plus, None
+        return plus, np.diff(vals.size - _under(sk, vals, -edges, -keys, "right"))
+    order = np.argsort(vals)
+    sv = vals[order]
+    cum = np.concatenate((np.zeros(1), weights[order].cumsum()))
     below = np.concatenate((sv.searchsorted(edges[:-1], "left"), sv.searchsorted(edges[-1:], "right")))
-    plus = np.diff(below if cum is None else cum[below])
+    plus = np.diff(cum[below])
     if not mirrored:
         return plus, None
     above = np.concatenate((sv.searchsorted(-edges[:-1], "right"), sv.searchsorted(-edges[-1:], "left")))
-    return plus, np.diff(sv.size - above if cum is None else cum[-1] - cum[above])
+    return plus, np.diff(cum[-1] - cum[above])
+
+
+def _under(sk, vals, t, kt, side: str):
+    """``np.sort(vals).searchsorted(t, side)``, with the other side at the last threshold, from ``sk``.
+
+    ``sk`` are the sorted ``_keys(vals)`` and ``kt`` = ``_keys(t)``.  The
+    cast is monotone, so key(v) < key(t) implies v < t and key(v) > key(t)
+    implies v > t: a threshold whose key no value shares has the values
+    under it at a search of ``sk`` for its key.  A threshold whose key some
+    value shares (an edge at 0 against exact zeros, say) is decided in
+    float64: by one count over ``vals`` each, where ``_FEW`` or fewer are.
+    Past that (many edges inside one float32 cell), every threshold whose
+    key lies between the least and the greatest shared key, k0 and k1, lies
+    strictly between the float32 values a just below k0 and b just past
+    k1, so the values under it are those under a and those it passes in
+    the sorted cell [a, b].
+    """
+    under = sk.searchsorted(kt, "left")
+    tied = np.flatnonzero(sk.searchsorted(kt, "right") > under)
+    if tied.size <= _FEW:
+        for i in tied:
+            strict = (side == "left") != (i == t.size - 1)
+            under[i] = np.count_nonzero(vals < t[i] if strict else vals <= t[i])
+        return under
+    k0, k1 = np.min(kt[tied]), np.max(kt[tied])
+    inside = np.flatnonzero((kt >= k0) & (kt <= k1))
+    past = vals < np.nextafter(k0, -np.inf)
+    cell = np.sort(vals[~past & (vals <= np.nextafter(k1, np.inf))])
+    under[inside] = np.count_nonzero(past) + cell.searchsorted(t[inside], side)
+    if inside[-1] == t.size - 1:  # the values equal to the last threshold go to its other side
+        equal = cell.searchsorted(t[-1], "right") - cell.searchsorted(t[-1], "left")
+        under[-1] += equal if side == "left" else -equal
+    return under
 
 
 def pair_correlation(
@@ -462,11 +526,14 @@ def pair_correlation(
     ``fold=True`` each pair lands at its absolute difference instead (edges
     must then be nonnegative).  If ``density`` is given, every pair is
     weighted by 1/(rho(alpha_j1)*rho(alpha_j2)), which renormalizes a
-    non-uniform direction density back to unit level.
+    non-uniform direction density back to unit level; its values, broadcast
+    to the directions' shape (a constant may be a scalar), must be finite
+    and positive, else InvalidInputError.
 
     Implemented as one sweep of ``_near_pairs`` up to the bins' reach W,
     over a ``DirectionSet`` or the sectors of a ``DirectionStream``, each
-    batch binned while in cache, so the cost is O(N * W) for bins inside
+    batch binned while in cache (``_bin_sums``: float32 sort keys without
+    a density, a float64 argsort with one), so the cost is O(N * W) for bins inside
     [-W, W] and the memory O(2^16 + the values within W / N of each block
     and of 0) beside the directions.  N (1 + W) past the budget raises
     CapacityError before the sweep.
@@ -482,17 +549,30 @@ def pair_correlation(
         raise InvalidInputError(f"window reach {W} must be below N/2 = {N / 2}")
     _check_budget(N * (1.0 + W), f"N = {N} directions times 1 + the reach {W:g}")
     counts = np.zeros(edges.size - 1)
+    keys = _keys(edges)
     for vals, pair in _near_pairs(N, chunks, W, ends=density is not None):
         w = None
         if pair is not None:
-            w = 1.0 / (np.asarray(density(pair[0])) * np.asarray(density(_frac(pair[1]))))
-        plus, minus = _bin_sums(vals, edges, w, mirrored=not fold)
+            w = 1.0 / (_density_at(density, pair[0]) * _density_at(density, _frac(pair[1])))
+        plus, minus = _bin_sums(vals, edges, keys, w, mirrored=not fold)
         if fold:
             counts += 2.0 * plus
         else:
             counts += plus
             counts += minus
     return Histogram(edges, _density(counts, N, edges))
+
+
+def _density_at(density, alphas) -> np.ndarray:
+    """``density(alphas)`` broadcast to the directions' shape; InvalidInputError unless finite and positive."""
+    values = density(alphas)
+    try:
+        rho = np.broadcast_to(np.asarray(values, dtype=float), alphas.shape)
+    except (TypeError, ValueError):
+        raise InvalidInputError("density must give one real value per direction") from None
+    if not np.all(np.isfinite(rho) & (rho > 0)):
+        raise InvalidInputError("density must be finite and positive at every direction")
+    return rho
 
 
 def _power(base: np.ndarray, s: complex) -> np.ndarray:

@@ -55,6 +55,15 @@ def test_parse_bins_reads_the_budget_at_the_call(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "10001 edges" in err and not out.exists()
 
 
+def test_bin_spec_past_the_budget_names_a_short_count(tmp_path, capsys):
+    # the edge count was printed with all its 301 digits
+    out = tmp_path / "p.csv"
+    assert main(["paircorr", "--T", "5", "--bins=-5:5:1e-300", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "needs 1e+301 edges" in err and len(err) < 200
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["paircorr", "--xi", "1/2,1/2", "--T", "20", "--fold", "--bins=0:1e-320:1e-321"],
     ["spacings", "--xi", "1/2,1/2", "--T", "20", "--bins=0:1e-320:1e-321"],

@@ -218,6 +218,31 @@ def test_pair_correlation_density_correction(cbrt_lat):
     assert cor.masses.mean() == pytest.approx(1.0, rel=0.05)
 
 
+@pytest.mark.parametrize("density", [
+    lambda a: np.zeros_like(a),  # a divide-by-zero warning, then "too narrow for a finite density"
+    lambda a: np.full_like(a, np.nan),  # the same wrong message
+    lambda a: -np.ones_like(a),  # masses with no error
+    lambda a: np.where(a < 0.5, 1.0, -1.0),  # negative on half the circle: masses with no error
+], ids=["zero", "nan", "negative", "negative-on-half"])
+def test_pair_correlation_refuses_densities_not_finite_and_positive(cbrt_lat, density):
+    stream = ld.direction_stream(cbrt_lat, ld.Annulus(0.0), 30.0)
+    with pytest.raises(ld.InvalidInputError, match="finite and positive at every direction"):
+        ld.pair_correlation(stream, np.linspace(-2.0, 2.0, 9), density=density)
+
+
+@pytest.mark.parametrize("density", [lambda a: 1.0, lambda a: np.ones(3)], ids=["scalar", "wrong-shape"])
+def test_pair_correlation_broadcasts_the_density(cbrt_lat, density):
+    # both raised IndexError, a traceback and no LatdirError; a constant scalar is a valid density
+    edges = np.linspace(-2.0, 2.0, 9)
+    stream = ld.direction_stream(cbrt_lat, ld.Annulus(0.0), 30.0)
+    if np.ndim(density(np.zeros(2))) == 0:
+        assert ld.pair_correlation(stream, edges, density=density).masses.tobytes() == \
+            ld.pair_correlation(stream, edges, density=lambda a: np.ones_like(a)).masses.tobytes()
+    else:
+        with pytest.raises(ld.InvalidInputError, match="one real value per direction"):
+            ld.pair_correlation(stream, edges, density=density)
+
+
 # ---------------------------------------------------------------- moments
 
 

@@ -63,20 +63,26 @@ from .stats import (
 CONSTANTS = {"cbrt2": CBRT2, "cbrt4": CBRT4, "sqrt2": SQRT2, "golden": GOLDEN}
 
 # rows per formatted block of a CSV body: bounds the text held in memory, and
-# keeps a block's arrays small enough to be reused from block to block
+# keeps a block's arrays small enough to be reused from block to block.  A
+# block's "%.17g" slot is cut past the leading NULs all its rows share; in a
+# sorted column the zeros after the point change only at the decade edges, so
+# only a block that crosses one keeps leading NULs to delete
 _CSV_CHUNK_ROWS = 16_384
-# the longest "%.17g" text, e.g. -2.2250738585072014e-308, and the longest int64 str
-_G17_WIDTH = 24
-_INT_WIDTH = 20
-# "%04d" % i for i < 10**4 as one native uint32 of four ASCII digits
-_DIGIT_QUADS = (
-    (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
-    .astype(np.uint8).view(np.uint32)[:, 0]
-)
-# masks for the two words of the last 16 digits that turn the last c of them into NULs
-_KEEP = ((np.arange(16) < 16 - np.arange(17)[:, None]) * 255).astype(np.uint8).view(np.uint64)
-# "0.", z zeros and a '0' that the lead digit is added to, right-aligned in one
-# native uint64 after NUL padding, for z = 0..3
+
+
+def _digit_quads():
+    """``"%04d" % i`` for i < 10**4 as native uint32s of ASCII digits, then with trailing '0's as NULs."""
+    digits = (np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    trailing = np.cumprod(digits[:, ::-1] == ord("0"), axis=1, dtype=bool)[:, ::-1]
+    return np.concatenate([digits, np.where(trailing, 0, digits)]).view(np.uint32)[:, 0]
+
+
+# _g17 looks up the quad of digits i at i, or at 10**4 + i while every digit
+# to its right is a trailing zero, which "%.17g" drops: 0 gives four NULs
+_DIGIT_QUADS = _digit_quads()
+# word 0 of a slot, for z = 0..3 zeros after the point: 5 - z NULs, "0.", the
+# z zeros and a '0' that the lead digit is added to, as one native uint64.  A
+# block whose rows have at most z zeros has NULs in its first 5 - z columns
 _FIXED_PREFIX = np.frombuffer(
     b"".join(("0." + "0" * z).rjust(7, "\0").encode() + b"0" for z in range(4)), np.uint64
 )
@@ -277,10 +283,12 @@ def _header(args) -> str:
 
 
 def _g17(x, out):
-    """Write ``"%.17g" % v`` for each float v of x into the rows of ``out`` (n, 24 uint8).
+    """Write ``"%.17g" % v`` for each float v of x into a slot; return the slot's cut column.
 
-    A value in [1e-4, 1), which every direction angle is in practice, takes
-    an exact float path.  With z zeros after the point, the 17 digits are
+    ``out`` is one field's slot of a block, (n, 4) native uint64, whose
+    first three words, 24 bytes, take a row's text.  A value in [1e-4, 1),
+    which every direction angle is in practice, takes an exact float path.
+    With z zeros after the point, the 17 digits are
     D = round_half_even(x P) for P = 10^(17 + z), an exact double.  Dekker's
     product with Veltkamp's split (Numer. Math. 18, 1971) gives x P = hi + lo
     exactly, hi = fl(x P).  As x P > 10^16 > 2^53, hi is an even integer,
@@ -289,78 +297,94 @@ def _g17(x, out):
     exact and so is rint(lo), which rounds half to even; hi being even,
     D = hi + rint(lo).  D < 10^17 always: the largest doubles below 1, 0.1,
     0.01 and 0.001 lie at least 8e-17 of the power below it, far more than
-    the 5e-18 that would round up into an 18th digit.  The row, three
-    native uint64 words, holds "0.", z zeros and D, padded with NULs; the
-    trailing zeros of D, in the rows that end in '0', become NULs too.  Any
-    other value (zero, negative, exponent form, subnormal, inf or nan) is
-    formatted by Python, NUL-padded.
+    the 5e-18 that would round up into an 18th digit.  The three words are
+    written in place, right-aligned: 5 - z NULs, "0.", z zeros and D,
+    whose trailing zeros are NULs, as their quads are looked up among
+    those with trailing NULs.  Any other value (zero, negative, exponent
+    form, subnormal, inf or nan) is formatted by Python and written
+    left-aligned by ``_put_text``.
+
+    The cut column is 5 - (the most zeros after the point of any row), the
+    number of leading columns that are NUL in every row, or 0 when some row
+    was formatted by Python.
     """
     x = np.asarray(x, dtype=np.float64)
     fast = (x >= 1e-4) & (x < 1.0)
     a = np.where(fast, x, 0.5)
     zeros = (a < 0.1).astype(np.intp) + (a < 0.01) + (a < 0.001)
-    p, ph, pl = _POW10.take(zeros, axis=1)
+    top = int(zeros.max())
+    # a chunk of one decade, as all but a few chunks of a sorted column are, takes one power
+    p, ph, pl = _POW10[:, top] if zeros.min() == top else _POW10.take(zeros, axis=1)
     ah, al = _split(a)
     hi = a * p
     lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    words = np.empty((x.size, 3), np.uint64)
-    text, quads = words.view(np.uint8), words.view(np.uint32)
-    words[:, 0] = _FIXED_PREFIX.take(zeros)
+    text, quads = out.view(np.uint8), out.view(np.uint32)
+    out[:, 0] = _FIXED_PREFIX.take(zeros)
+    trim = np.full(x.size, 10**4)  # to the quads with trailing NULs while D's later digits are all '0'
     for j in (5, 4, 3, 2):  # four digits at a time from the right
         upper = d // 10**4
-        quads[:, j] = _DIGIT_QUADS[d - upper * 10**4]
+        d -= upper * 10**4
+        quads[:, j] = _DIGIT_QUADS.take(d + trim)
+        trim *= d == 0
         d = upper
     text[:, 7] += d.astype(np.uint8)  # the lead digit, never '0', ends every run of zeros
-    ends_in_zero = np.flatnonzero(text[:, 23] == ord("0"))
-    cut = np.argmax(text[ends_in_zero, :6:-1] != ord("0"), axis=1)
-    words[ends_in_zero, 1:] &= _KEEP[cut]
-    out[:] = text
     slow = np.flatnonzero(~fast)
     if slow.size:
         _put_text(out, slow, [format(v, ".17g") for v in x[slow].tolist()])
+        return 0
+    return 5 - top
 
 
 def _str_field(col, out):
-    """Write ``str`` of each value of an integer column into the rows of ``out``."""
+    """Write ``str`` of each value of an integer column into a slot; its cut column is 0."""
     _put_text(out, slice(None), list(map(str, np.asarray(col).tolist())))
+    return 0
 
 
 def _put_text(out, rows, strings):
-    """Write ASCII strings, NUL-padded, into the given rows of ``out``."""
+    """Write ASCII strings into the text of the given rows of a slot, left-aligned and NUL-padded."""
     raw = np.array(strings, dtype="S")
-    if raw.itemsize > out.shape[1]:
+    if raw.itemsize > 24:
         raise ValueError(f"a CSV field of {raw.itemsize} characters is too wide")
-    out[rows] = raw.astype(f"S{out.shape[1]}").view(np.uint8).reshape(-1, out.shape[1])
+    out.view(np.uint8)[rows, :24] = raw.astype("S24").view(np.uint8).reshape(-1, 24)
 
 
-_FIELDS = {"{:.17g}": (_G17_WIDTH, _g17), "{}": (_INT_WIDTH, _str_field)}
+_FIELDS = {"{:.17g}": _g17, "{}": _str_field}
 
 
 def _write_rows(fh, fmt, *columns):
     """One line ``fmt.format(*row)`` per row of the columns, in chunks, as bytes.
 
-    ``fmt`` joins ``{:.17g}`` and ``{}`` fields with commas.  A chunk is
-    laid out in one uint8 row buffer, a fixed-width slot per field and a
-    byte for its comma or newline.  Each slot holds its text padded with
-    NULs, which no field contains, so deleting every NUL of the buffer in
-    one ``bytes.translate`` leaves the chunk's lines.  ``{:.17g}`` slots
-    are filled by ``_g17``, which computes Python's exact digits in float
-    arithmetic instead of one call per value; ``{}`` slots (small integer
-    columns) by ``str``.
+    ``fmt`` joins ``{:.17g}`` and ``{}`` fields with commas.  Each chunk is
+    laid out in one uint64 row buffer, the same for every chunk, with an
+    8-byte-aligned slot of four words per field: 24 bytes of NUL-padded
+    text (the longest "%.17g" is -2.2250738585072014e-308; an int64 takes
+    at most 20), then its comma or newline, then 7 bytes that are never
+    read.  ``{:.17g}`` slots are filled in place by ``_g17``, which
+    computes Python's exact digits in float arithmetic instead of one call
+    per value; ``{}`` slots (small integer columns) by ``str``.  Each fill
+    returns its cut column, before which every row of the slot is NUL.  The slots, cut there and taken
+    through their separators, are one strided slice or one concatenation,
+    and one ``bytes.replace`` deletes every NUL of it.  No field contains a
+    NUL and the cut drops only NULs, so that leaves exactly the chunk's
+    lines, as deleting every NUL of the whole buffer would.  The cut leaves
+    few NULs for ``replace`` to find in a sorted column: the trailing zeros,
+    in about one row in ten, and the leading NULs of a chunk that crosses a
+    decade edge.
     """
-    fields = [_FIELDS[field] for field in fmt.split(",")]
-    width = sum(w + 1 for w, _ in fields)
+    fills = [_FIELDS[field] for field in fmt.split(",")]
+    buf = np.empty((min(len(columns[0]), _CSV_CHUNK_ROWS), 4 * len(fills)), np.uint64)
+    text = buf.view(np.uint8)
+    text[:, 24:-8:32] = ord(",")  # the fills write only the text, so one buffer serves every chunk
+    text[:, -8] = ord("\n")
     for first in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
         rows = slice(first, first + _CSV_CHUNK_ROWS)
-        buf = np.empty((len(columns[0][rows]), width), np.uint8)
-        at = 0
-        for (w, fill), col in zip(fields, columns):
-            fill(col[rows], buf[:, at:at + w])
-            buf[:, at + w] = ord(",")
-            at += w + 1
-        buf[:, -1] = ord("\n")
-        fh.write(buf.tobytes().translate(None, b"\0"))
+        n = len(columns[0][rows])
+        slots = [text[:n, 32 * i + fill(col[rows], buf[:n, 4 * i:4 * i + 4]):32 * i + 25]
+                 for i, (fill, col) in enumerate(zip(fills, columns))]
+        lines = slots[0] if len(slots) == 1 else np.concatenate(slots, axis=1)
+        fh.write(lines.tobytes().replace(b"\0", b""))
 
 
 def _write_histogram(path, args, hist):

@@ -88,10 +88,12 @@ def as_box(box) -> IntervalBox:
 class MeasureSpec:
     """Probability measure on the circle given by a continuous density.
 
-    The density is evaluated on a uniform grid of ``quadrature_points``;
-    the grid must integrate it to 1 within 1e-6.  A grid whose
-    ``GRID_VALUES`` values a point pass the budget raises CapacityError
-    before the density is evaluated.
+    The density is evaluated on a uniform grid of ``quadrature_points``,
+    and its values are broadcast to the grid, so a constant may be one
+    scalar.  They must be finite and nonnegative, and the grid must
+    integrate them to 1 within 1e-6; else InvalidInputError names what
+    failed.  A grid whose ``GRID_VALUES`` values a point pass the budget
+    raises CapacityError before the density is evaluated.
     """
 
     density: Callable
@@ -114,8 +116,10 @@ class MeasureSpec:
         return np.arange(n, dtype=float) / n
 
     def weights(self) -> np.ndarray:
-        g = self.grid()
-        return np.asarray(self.density(g), dtype=float) / self.quadrature_points
+        rho = _density_values(self.density, self.grid(), "grid point")
+        if not np.all(np.isfinite(rho) & (rho >= 0)):
+            raise InvalidInputError("density must be finite and nonnegative at every grid point")
+        return rho / self.quadrature_points
 
 
 @dataclass(frozen=True)
@@ -563,13 +567,20 @@ def pair_correlation(
     return Histogram(edges, _density(counts, N, edges))
 
 
+def _density_values(density, alphas, where) -> np.ndarray:
+    """``density(alphas)`` as floats broadcast to the shape of alphas; InvalidInputError unless real."""
+    values = np.asarray(density(alphas))
+    if not np.iscomplexobj(values):
+        try:
+            return np.broadcast_to(values.astype(float), alphas.shape)
+        except (TypeError, ValueError):
+            pass
+    raise InvalidInputError(f"density must give one real value per {where}")
+
+
 def _density_at(density, alphas) -> np.ndarray:
     """``density(alphas)`` broadcast to the directions' shape; InvalidInputError unless finite and positive."""
-    values = density(alphas)
-    try:
-        rho = np.broadcast_to(np.asarray(values, dtype=float), alphas.shape)
-    except (TypeError, ValueError):
-        raise InvalidInputError("density must give one real value per direction") from None
+    rho = _density_values(density, alphas, "direction")
     if not np.all(np.isfinite(rho) & (rho > 0)):
         raise InvalidInputError("density must be finite and positive at every direction")
     return rho

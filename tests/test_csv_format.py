@@ -5,7 +5,9 @@ two-product for values in [1e-4, 1) and hands every other value to
 Python, so Python's formatting is a complete oracle: random float64 bit
 patterns reach every exponent, subnormals, signed zeros, inf and nan.
 Every output is also checked for the NUL padding the formatter deletes
-and for blanks, which no field contains.
+and for blanks, which no field contains.  A chunk's "%.17g" slots are cut
+at the column before which every row is NUL, so in a chunk of one decade
+the bytes left to compact hold no NUL but the trailing-zero padding.
 """
 
 import io
@@ -51,6 +53,29 @@ EDGE_FLOATS = sorted(
        float(np.nextafter(1.0, 0.0)), float(np.nextafter(1e-4, 0.0)), 1e-4},
     key=str,
 ) + [math.nan]
+
+
+def _trailing_zeros(v):
+    """How many of the 17 significant digits of v "%.17g" drops as trailing zeros."""
+    digits = ("%.16e" % v).partition("e")[0].replace(".", "")
+    return len(digits) - len(digits.rstrip("0"))
+
+
+def _one_decade(z):
+    """Sorted values of [10^-(z+1), 10^-z) whose digits end in each count 0..16 of zeros, two each."""
+    rng = np.random.default_rng(z)
+    out = []
+    for zeros in range(17):
+        k = 17 - zeros  # digits up to the last nonzero one
+        fit = [v for v in (float(f"{j}e-{k + z}") for j in rng.integers(10 ** (k - 1), 10**k, 200))
+               if 10.0 ** -(z + 1) <= v < 10.0**-z and _trailing_zeros(v) == zeros]
+        assert len(fit) >= 2, (z, zeros)
+        out += fit[:2]
+    return sorted(out)
+
+
+# one decade per count z = 0..3 of zeros after the point: the fast path's four layouts
+ONE_DECADE = {z: _one_decade(z) for z in range(4)}
 
 
 def _bits_to_floats(words):
@@ -103,11 +128,37 @@ def test_slow_path_rows_in_every_layout():
 
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(st.lists(st.tuples(st.floats(allow_nan=True), st.integers(-2**63, 2**63 - 1),
-                          st.floats(1e-4, 1.0, exclude_max=True)), min_size=1, max_size=50))
+                          st.floats(1e-4, 1.0, exclude_max=True), st.floats(0.1, 1.0, exclude_max=True)),
+                min_size=1, max_size=50))
 def test_row_formatter_multi_column(rows):
-    a, k, b = (np.array(col) for col in zip(*rows))
-    written = _written("{:.17g},{},{:.17g}", a, k.astype(np.int64), b)
-    assert written == "".join(f"{x:.17g},{j},{y:.17g}\n" for x, j, y in rows)
+    # the last column lies in one decade, so its slot is cut past column 0 beside uncut ones
+    a, k, b, c = (np.array(col) for col in zip(*rows))
+    written = _written("{:.17g},{},{:.17g},{:.17g}", a, k.astype(np.int64), b, c)
+    assert written == "".join(f"{x:.17g},{j},{y:.17g},{w:.17g}\n" for x, j, y, w in rows)
+
+
+@pytest.mark.parametrize("z", sorted(ONE_DECADE))
+def test_one_decade_chunk_leaves_only_trailing_zeros_to_compact(z, monkeypatch):
+    slots = []
+
+    def recording(col, out):
+        cut = cli._g17(col, out)
+        slots.append(out.view(np.uint8)[:, cut:25])  # the bytes of the slot that are compacted
+        return cut
+
+    monkeypatch.setitem(cli._FIELDS, "{:.17g}", recording)
+    x = ONE_DECADE[z]
+    assert _written("{:.17g}", np.array(x)) == "".join("%.17g\n" % v for v in x)
+    (compacted,) = slots
+    assert compacted.shape[1] == 25 - (5 - z)  # "0.", z zeros, 17 digits and the newline
+    assert np.count_nonzero(compacted == 0) == sum(map(_trailing_zeros, x))
+
+
+@pytest.mark.parametrize("slow", [0.0, 1.0, 5e-324, math.nan])
+@pytest.mark.parametrize("z", sorted(ONE_DECADE))
+def test_slow_value_inside_a_one_decade_chunk(z, slow):
+    x = ONE_DECADE[z][:17] + [slow] + ONE_DECADE[z][17:]
+    assert _written("{:.17g}", np.array(x)) == "".join("%.17g\n" % v for v in x)
 
 
 def test_row_formatter_chunks_and_empty_columns(monkeypatch):
@@ -115,6 +166,10 @@ def test_row_formatter_chunks_and_empty_columns(monkeypatch):
     x = np.random.default_rng(3).random(30) * 1e-3
     assert _written("{},{:.17g}", np.arange(30), x) == "".join(
         f"{j},{v:.17g}\n" for j, v in enumerate(x))
+    # sorted runs whose chunks cross 1e-3, 1e-2 and 0.1, so the rows of one chunk differ in z
+    run = sorted(_ulp_steps(c, k) for c in (1e-3, 1e-2, 0.1) for k in range(-10, 11))
+    run += sorted(ONE_DECADE[3][-4:] + ONE_DECADE[2] + ONE_DECADE[1][:5] + ONE_DECADE[0][:3])
+    assert _written("{:.17g}", np.array(run)) == "".join("%.17g\n" % v for v in run)
     assert _written("{:.17g}", np.empty(0)) == ""
     # many integer fields, as limit-sample writes for many windows
     k = np.array([[-2**63, 2**63 - 1, 0, 7, -1, 10**18, 3, 99]] * 5)

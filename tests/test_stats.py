@@ -230,7 +230,8 @@ def test_pair_correlation_refuses_densities_not_finite_and_positive(cbrt_lat, de
         ld.pair_correlation(stream, np.linspace(-2.0, 2.0, 9), density=density)
 
 
-@pytest.mark.parametrize("density", [lambda a: 1.0, lambda a: np.ones(3)], ids=["scalar", "wrong-shape"])
+@pytest.mark.parametrize("density", [lambda a: 1.0, lambda a: np.ones(3), lambda a: np.ones_like(a) * (1 + 1j)],
+                         ids=["scalar", "wrong-shape", "complex"])
 def test_pair_correlation_broadcasts_the_density(cbrt_lat, density):
     # both raised IndexError, a traceback and no LatdirError; a constant scalar is a valid density
     edges = np.linspace(-2.0, 2.0, 9)
@@ -336,6 +337,22 @@ def test_measure_spec_validation():
         ld.MeasureSpec(lambda a: 2.0 * np.ones_like(a))
     lam = ld.MeasureSpec(lambda a: 2.0 * (np.asarray(a) < 0.5), 20_000)
     assert lam.weights().sum() == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("density, reason", [
+    (lambda a: np.where(a < 0.5, np.nan, 1.0), "finite and nonnegative"),  # total nan: no distance to 1
+    (lambda a: 1 + 1.5 * np.cos(2 * np.pi * a), "finite and nonnegative"),  # integrates to 1
+    (lambda a: np.ones(3), "one real value per grid point"),
+    (lambda a: np.ones_like(a) * (1 + 1j), "one real value per grid point"),  # its real part integrates to 1
+], ids=["nan", "negative", "wrong-shape", "complex"])
+def test_measure_spec_names_why_a_density_is_refused(density, reason):
+    with pytest.raises(ld.InvalidInputError, match=reason):
+        ld.MeasureSpec(density, 1001)
+
+
+def test_measure_spec_broadcasts_a_constant_density():
+    lam = ld.MeasureSpec(lambda a: 1.0, 1001)
+    assert np.array_equal(lam.weights(), ld.MeasureSpec.uniform(1001).weights())
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0)])

@@ -321,13 +321,25 @@ def _g17(x, out):
     d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     text, quads = out.view(np.uint8), out.view(np.uint32)
     out[:, 0] = _FIXED_PREFIX.take(zeros)
-    trim = np.full(x.size, 10**4)  # to the quads with trailing NULs while D's later digits are all '0'
-    for j in (5, 4, 3, 2):  # four digits at a time from the right
+    # four digits at a time from the right; the last quad is looked up among those with trailing
+    # NULs, and only the rows where it reads 0000 carry that on to the quads before it
+    upper = d // 10**4
+    d -= upper * 10**4
+    quads[:, 5] = _DIGIT_QUADS.take(d + 10**4)
+    zero = np.flatnonzero(d == 0)
+    rest, d = upper[zero], upper
+    for j in (4, 3, 2):
         upper = d // 10**4
         d -= upper * 10**4
-        quads[:, j] = _DIGIT_QUADS.take(d + trim)
-        trim *= d == 0
+        quads[:, j] = _DIGIT_QUADS.take(d)
         d = upper
+    trim = np.full(zero.size, 10**4)
+    for j in (4, 3, 2):
+        upper = rest // 10**4
+        rest -= upper * 10**4
+        quads[zero, j] = _DIGIT_QUADS.take(rest + trim)
+        trim *= rest == 0
+        rest = upper
     text[:, 7] += d.astype(np.uint8)  # the lead digit, never '0', ends every run of zeros
     slow = np.flatnonzero(~fast)
     if slow.size:

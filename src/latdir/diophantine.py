@@ -189,7 +189,8 @@ def rational_divergence_probe(xi, r, eps: float, T_list, c: float = 0.0) -> list
     r . (xi + m) = 0 for some integer m (verified in exact arithmetic); the
     returned counts grow linearly in T because a full line of lattice
     points shares that direction.  Each count is ``window_counts`` on
-    ``direction_stream``, which cuts O(T) strips at the two window ends
+    ``direction_stream``, which solves O(T) strips for N and counts the
+    window on a few reduced strips, taking the line of points whole,
     without forming a direction, so T may go far past the point budget.  A
     scale below the first point counts 0, from the stream's N, where
     ``window_counts`` would refuse the empty set.

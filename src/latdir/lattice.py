@@ -25,16 +25,21 @@ sums and window counts, take a stream as they take a ``DirectionSet``,
 so their memory is one sector plus the pieces (a peak of 16 MB at T =
 2000 and 163 MB at T = 5000 on the unit lattice, under tracemalloc).
 
-Both count the directions under a set of window ends with one method,
-``window_counter``.  A set searches its array (``_below``).  A stream
-solves its strips on first use, so it can count where N is far past the
-budget: with a few ends, no more than K or 2, it cuts the kept ranges
-once at the rays of the ends, and a count is a sum of piece widths, in
-O(strips) time and memory per end; with more, it walks its sectors with
-``_below``, in O(N log SECTOR) time.  A window at least as long as N
-holds every direction and has no end to count, so a stream counts only
-the ends of windows shorter than a bound on N that its strips' span
-gives before any strip is solved.
+Both count windows [lo, hi) with one method, ``window_counter``.  A set
+searches its array (``_searched``).  A stream solves its strips on first
+use, so it can count where N is far past the budget, and counts each
+window without forming a direction.  At scale T the directions in a
+window come from the lattice points in a thin sector, and a linear
+frame, the rotation k(alpha) followed by a diagonal flow, maps that
+sector onto a fixed triangle, as the limit law maps its cones (Marklof
+and Strombergsson, Annals of Math. 173, 2010).  Each window splits into
+arcs of at most 1/8 turn (``_split_arcs``); each arc's frame is
+Gauss-reduced with its integer change of basis kept exactly
+(``_frames``), and the reduced strips that meet the triangle hold the
+candidates, whose certified interior is taken whole and the rest decided
+by the sweep's own tests (``_arc_counts``): O(1) strips for a window that
+holds O(1) directions.  Where the reduced strips would cost more than
+the N directions, the stream walks its sectors with ``_below`` instead.
 """
 
 from __future__ import annotations
@@ -67,25 +72,36 @@ ORIGIN_RADIUS = 2.0**-500
 # (1 MB) sorts in cache at about 8 ns a value; smaller sectors sort barely
 # faster per value and need more cuts.
 SECTOR = 2 * strips.CHUNK
-# Values that the cut at a few window ends holds per m1-strip at its peak (about 60 to 80
-# measured), and a sector sweep about as many: every path checks its strips against the budget
-# at this weight when the strips are spanned, before any is solved.
+# Values that a sector sweep holds per m1-strip at its peak, and the window counter per reduced
+# strip: every path checks its strips against the budget at this weight before any is solved.
 STRIP_VALUES = 96
-# Values that ``_cut`` holds per m1-strip and window end when a stream counts by the cut (about
-# 2.6 to 2.8 measured over 100 to 2000 positions): the strips times the window ends are checked
-# at this weight before any strip is solved.
-END_VALUES = 4
+# Directions of a sector sweep that take about as long to form and search as one reduced strip
+# of the window counter (about 1 us against 15 to 50 ns measured at T = 500 and 2000): the counter
+# sweeps where its strips weigh more than the N directions at this rate.
+STRIP_COST = 32
+# Values that the window counter holds per arc of at most 1/8 turn, with its window's (about 17
+# measured, beside one block of frames and strips): the arcs are checked at this weight before
+# any is formed.
+ARC_VALUES = 64
+# Turns by which the window counter widens each arc before it maps the arc's sector onto a
+# triangle, and narrows it to certify an interior: far above the roundoff of ``_turns`` and of the
+# frame (a few 1e-16), and below the half-width, 5e-14, of a window 2 / N wide at N = 2e13.
+ARC_TOL = 2.0**-46
+# Arcs, and reduced strips, that the window counter takes at a time: its temporaries stay a few MB.
+BLOCK = 1 << 13
+# Steps after which a frame's Gauss reduction that has not settled raises LatdirError.
+GAUSS_STEPS = 256
 # Values that ``_cut`` holds, at its peak, per piece it cuts off a range at a ray crossing (about 10
 # to 11 measured on a disc and a square, where a strip crosses a third of the rays in its ranges),
 # and ``_sorted_sectors`` no more: the crossings are checked at this weight before any piece is
-# formed.  The ranges themselves weigh in their strips.  So on a disc or a square the check binds
-# after the strips times the window ends, and a sweep whose N is inside the budget passes it.
+# formed.  The ranges themselves weigh in their strips.  So a sweep whose N is inside the budget
+# passes it.
 PIECE_VALUES = 10
 # Roundoff of a computed sector-ray crossing along a strip, per unit of its
 # scale |y|^2 / |p1| + |r1| |y| + |t| + 1: about 1e-14, times a margin of a
 # thousand.  The integers this close to a crossing are decided by ``_turns``.
 # It is an estimate, not a proven bound: ``_cut`` checks the ends of its
-# pieces for the window counts of a stream and for the sector sweeps alike.
+# pieces for the sector sweeps.
 CUT_TOL = 2.0**-36
 
 
@@ -198,9 +214,9 @@ class DirectionSet:
         """The sorted angles as one chunk, the form the statistics' sweeps take."""
         yield self.alphas
 
-    def window_counter(self, lengths, positions: int):
-        """N, and a function that counts the directions under window ends: a search of the array."""
-        return self.N, lambda at: _below(self.chunks(), self.N, at)
+    def window_counter(self, lo, hi):
+        """The directions in each window [lo, hi) of the lifted circle: a search of the array (``_searched``)."""
+        return _searched(self.chunks(), self.N, lo, hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,12 +244,9 @@ class DirectionStream:
         """Validate the input and span the m1-strips of the domain, without solving any.
 
         Returns the reduced basis B, the shift (xi1, xi2) it takes, the
-        first and last m1, the Gram entries q12, q22 of B and a bound on N:
-        a strip's open chord holds fewer points than its length over |r2|
-        plus one, so N is under the strips times that.  A strip that would
-        span past int64, and strips past the budget at ``STRIP_VALUES``
-        each, which is what they weigh in the cut of every path, raise
-        CapacityError.
+        first and last m1 and the Gram entries q12, q22 of B.  A strip that
+        would span past int64, and strips past the budget at
+        ``STRIP_VALUES`` each, raise CapacityError.
         """
         _require_scale(self.T)
         self.lat.basis.require_unimodular()
@@ -252,7 +265,7 @@ class DirectionStream:
         if per_strip > strips.LIMIT:
             raise CapacityError(f"a strip would span about {per_strip:.3g} integers, more than int64 can hold")
         _check_budget((m1hi - m1lo + 1) * STRIP_VALUES, f"{m1hi - m1lo + 1} m1-strips")
-        return B, xi1, xi2, m1lo, m1hi, q12, q22, (m1hi - m1lo + 1) * (per_strip + 1.0)
+        return B, xi1, xi2, m1lo, m1hi, q12, q22
 
     @cached_property
     def _kept(self):
@@ -268,16 +281,11 @@ class DirectionStream:
         candidates: the total width of the candidate ranges, which a pass
         that forms every point checks against the budget.
         """
-        B, xi1, xi2, m1lo, m1hi, q12, q22, _ = self._span
+        B, xi1, xi2, m1lo, m1hi, q12, q22 = self._span
         p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
-        if isinstance(self.shape, Annulus):
-            lo, hi = strips.root_pair(q12, q22, p1, xi2, self.T)[:2]
-            ilo, ihi = strips.root_pair(q12, q22, p1, xi2, self.T * (1.0 - MARGIN))[:2]
-            r = self.shape.c * self.T
-        else:
-            lo, hi = _square_range(B, p1, xi2, self.T)
-            ilo, ihi = _square_range(B, p1, xi2, self.T * (1.0 - MARGIN))
-            r = 0.0
+        lo, hi = _candidates(self._span, self.shape, p1, self.T)
+        ilo, ihi = _candidates(self._span, self.shape, p1, self.T * (1.0 - MARGIN))
+        r = self.shape.c * self.T if isinstance(self.shape, Annulus) else 0.0
         clo, chi, disc = strips.root_pair(q12, q22, p1, xi2, max(r * (1.0 + MARGIN), ORIGIN_RADIUS))
         candidates = int(strips.widths(lo, hi).sum())
         if r > 0:  # the candidates skip the inner chord shrunk by one integer at each end
@@ -310,43 +318,50 @@ class DirectionStream:
         # the sweep's budget checks run at the call, before any strip is solved or sector drawn
         return _in_order(_sorted_sectors(*self._formed(), math.sqrt(2.0) * self.T))
 
-    def window_counter(self, lengths, positions: int):
-        """N, and a function that counts the directions under the ends of the windows.
+    def window_counter(self, lo, hi):
+        """The directions in each window [lo, hi) of the lifted circle, counted without forming them.
 
-        The windows have the ``lengths`` b - a, each at ``positions``
-        positions.  Only a window shorter than N has ends to count, two at
-        each position; a window at least as long as the strips' bound on N
-        (``_span``) has none.  The choice
-        of pass, and its budget check, need only the strips' span, the
-        points expected and those ends, so a count past the budget is
-        refused before any strip is solved.  With no more ends than the
-        K = expected // SECTOR sectors (or 2), the function cuts the kept
-        ranges once at the rays of the distinct ends (``_cut`` with its
-        check, which tests the two ends of every piece by ``_turns`` and
-        cuts a range that fails point by point), and the directions under
-        an end are piece widths: O(strips times ends) time and memory, and
-        the strips times the ends are checked at ``END_VALUES``.  With more,
-        it walks the sectors (``_below``), in O(N log SECTOR) time and
-        O(SECTOR) memory plus the pieces, and the points expected are
-        checked.  Either gives the integers ``_below`` gives on the
-        direction set.
+        ``lo`` lies in [0, 1) and lo <= hi < lo + 1.  With h = hi -
+        floor(hi), a window holds N floor(hi) directions plus those in
+        [lo, h), or less those in [h, lo) where h < lo; an arc longer than
+        half a turn counts its complement, so every arc to count is at most
+        half a turn long.  The arcs are split into arcs of at most 1/8 turn
+        (``_split_arcs``), whose frames map their sectors onto a triangle
+        (``_frames``), and each is counted on the reduced strips of its
+        frame (``_arc_counts``): O(1) strips for a window that holds O(1)
+        directions.  Every point is decided by the tests of the sweep,
+        ``_inside`` and ``_turns`` against the float ends, so the counts are
+        the integers the direction set gives.  The arcs are reduced and
+        counted ``BLOCK`` at a time; once the reduced strips so far, at
+        ``STRIP_COST`` directions each, outweigh the N directions, the
+        sectors are swept instead (``_searched``), so the strips wasted
+        cost no more than one sweep.  The arcs and the reduced strips are
+        checked against the budget before they are formed, and the
+        candidates in ``_zones``.
         """
-        ends = 2 * positions * int(np.count_nonzero(lengths < self._span[7]))
-        expected = expected_count(self.shape, self.T)
-        if ends > max(expected / SECTOR, 2):
-            _check_budget(expected, f"{expected:.6g} directions expected, swept for {ends} window ends")
-            return self.N, lambda at: _below(self.chunks(), self.N, at)
-        rows = self._span[4] - self._span[3] + 1
-        _check_budget(rows * (ends + 1) * END_VALUES, f"{rows} m1-strips x {ends + 1} window ends")
-
-        def below(at):
-            edges = np.unique(np.concatenate([[0.0], at[(at > 0.0) & (at < 1.0)]]))
-            pieces = _cut(*self._kept[0], edges, math.sqrt(2.0) * self.T)
-            sizes = np.bincount(pieces[3], weights=pieces[1], minlength=edges.size).astype(np.int64)
-            under = np.concatenate([[0], np.cumsum(sizes)])  # the turns under each edge, and N under 1
-            return under[np.searchsorted(edges, at, side="left")]
-
-        return self.N, below
+        N = self.N
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        turns = np.floor(hi)
+        h = (hi - turns).ravel()
+        x, y = np.minimum(lo.ravel(), h), np.maximum(lo.ravel(), h)
+        sign = np.where(h < lo.ravel(), -1, 1)
+        flip = y - x > 0.5  # [x, y) holds N less the directions in its complement, [y, 1) and [0, x)
+        base = N * turns.ravel().astype(np.int64) + np.where(flip, sign * N, 0)
+        sign[flip] *= -1
+        x, y, owner = _split_arcs(np.where(flip, y, x), np.where(flip, x, y))
+        counts = np.zeros(base.size, dtype=np.int64)
+        rows = 0
+        for i in range(0, x.size, BLOCK):
+            frame = _frames(self._span, self.shape, self.T, x[i:i + BLOCK], y[i:i + BLOCK])
+            rows += int(frame[-1].sum())
+            if rows * STRIP_COST > N:
+                return _searched(self.chunks(), N, lo, hi)
+            _check_budget(rows * STRIP_VALUES, f"{rows} reduced strips")
+            for a, b in strips.runs(frame[-1], BLOCK):
+                part = slice(i + a, i + b)
+                np.add.at(counts, owner[part], _arc_counts(self._span, self.shape, self.T, x[part], y[part],
+                                                           *(v[..., a:b] for v in frame)))
+        return (base + sign * counts).reshape(lo.shape)
 
 
 def _in_order(sectors):
@@ -676,6 +691,14 @@ def _point_turns(B: Mat2, xi2, p1, m2):
     return out
 
 
+def _candidates(span, shape: DomainShape, p1, t):
+    """The m2 range of each m1-strip p1 in the closed domain at scale t, elementwise: the same bits for any p1."""
+    B, _, xi2, _, _, q12, q22 = span
+    if isinstance(shape, Annulus):
+        return strips.root_pair(q12, q22, p1, xi2, t)[:2]
+    return _square_range(B, p1, xi2, t)
+
+
 def _square_range(B: Mat2, p1, xi2, t):
     """Each strip's m2 range of the closed square |y1|, |y2| <= t.
 
@@ -836,8 +859,8 @@ def direction_stream(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Di
     pieces, about strips times K / 3 of them, instead of the 8 N bytes of
     the direction set: the statistics that walk the directions once, in
     order (``pair_correlation``, ``spacing_histogram``, ``window_counts``
-    and ``mixed_moment``), take either.  ``window_counts`` on a stream cuts
-    at a few window ends without forming the directions, so it counts
+    and ``mixed_moment``), take either.  ``window_counts`` on a stream
+    counts on reduced strips without forming the directions, so it counts
     where N is far past the budget (``window_counter``).
     """
     stream = DirectionStream(lat, shape, T)
@@ -864,6 +887,270 @@ def _below(chunks, N: int, ends) -> np.ndarray:
         under[i:j] = n + np.searchsorted(vals, edges[i:j], side="left")
         i, n = j, n + vals.size
     return under[np.searchsorted(edges, ends, side="left")]
+
+
+def _searched(chunks, N: int, lo, hi) -> np.ndarray:
+    """The directions in each window [lo, hi), lo in [0, 1), of the N sorted ones that ``chunks`` lays out.
+
+    J(hi) - J(lo), where J(x) counts the lifted sequence under x: the
+    directions under frac(x), found by one walk (``_below``), plus N floor(x).
+    """
+    turns = np.floor(hi)
+    low, high = _below(chunks, N, np.stack([lo, hi - turns]))
+    return high - low + N * turns.astype(np.int64)
+
+
+def _split_arcs(x, y):
+    """Split each arc [x, y) of the circle, at most half a turn long, into arcs of at most 1/8 turn.
+
+    An arc with x > y wraps past 1: it is t >= x or t < y, as for every
+    piece.  The pieces of an arc end at its own float ends x, y and at
+    frac(x + j L / n) between, for its length L and n = ceil(8 L), in
+    order along it, so as predicates on a float t they partition it.
+    Returns the start, end and arc of every piece; an empty arc has none.
+    Pieces past the budget (``ARC_VALUES`` each) raise CapacityError before
+    any is formed.
+    """
+    length = _frac(y - x)
+    n = np.where(length > 0.0, np.ceil(8.0 * length), 0).astype(np.int64)
+    _check_budget(int(n.sum()) * ARC_VALUES, f"{int(n.sum())} window arcs")
+    j, arc = strips.expand(np.zeros(n.size, dtype=np.int64), n, np.arange(x.size))
+    step = (length / np.maximum(n, 1))[arc]
+    at, end = _frac(x[arc] + j * step), _frac(x[arc] + (j + 1) * step)
+    last = j == n[arc] - 1
+    end[last] = y[arc[last]]
+    return at, end, arc
+
+
+def _gauss(g):
+    """Lagrange-Gauss reduction of the float bases with rows (g[0], g[1]) and (g[2], g[3]).
+
+    Returns gamma, a (4, n) float64 array of the entries of gamma in SL(2, Z),
+    row-major, each an exact integer below 2^52.  The rows a, b take turns:
+    each step subtracts rint(mu) b from a, mu = <a, b> / |b|^2, and then a
+    and b change roles, so |mu| <= 1/2 after every step; a basis stops when
+    its new a is no shorter than b, with its shorter row second.  It stops
+    partly reduced where a step would take gamma to 2^52, past the integers
+    float64 holds.  A basis still moving after ``GAUSS_STEPS`` steps raises
+    LatdirError.
+    """
+    n = g.shape[1]
+    # rows 0-3: the first basis row and its gamma row, rows 4-7 the second
+    m = np.zeros((8, n))
+    m[[0, 1, 4, 5]] = g
+    m[2] = m[7] = 1.0
+    nb = m[4] * m[4] + m[5] * m[5]
+    out, live = np.zeros((4, n)), np.arange(n)
+    done, odd = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    bound = 1.0  # at least max |gamma| over the live bases
+    for step in range(GAUSS_STEPS):
+        a, b = (m[:4], m[4:]) if step % 2 == 0 else (m[4:], m[:4])  # the row reduced now, and the other
+        q = a[0] * b[0]
+        q += a[1] * b[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q /= nb
+        np.rint(q, out=q)
+        np.copyto(q, 0.0, where=done)
+        top = float(np.abs(q).max(initial=0.0))
+        if bound * (1.0 + top) >= 2.0**52:
+            bound = float(np.abs(m[[2, 3, 6, 7]]).max(initial=1.0))
+            far = np.abs(q) * np.maximum(np.abs(b[2]), np.abs(b[3])) + np.maximum(np.abs(a[2]), np.abs(a[3])) >= 2.0**52
+            np.copyto(q, 0.0, where=far)
+            done |= far
+            if step % 2:
+                odd |= far
+            top = float(np.abs(q).max(initial=0.0))
+        bound *= 1.0 + top
+        a -= q * b
+        na = a[0] * a[0] + a[1] * a[1]
+        new = na >= nb
+        new &= ~done
+        done |= new
+        if step % 2:
+            odd |= new
+        nb = na
+        if 2 * np.count_nonzero(done) >= done.size:  # write the settled bases out, shorter row second
+            gam = m[[2, 3, 6, 7]][:, done]
+            flip = odd[done]
+            gam[:, flip] = np.concatenate([-gam[2:, flip], gam[:2, flip]])
+            out[:, live[done]] = gam
+            keep = ~done
+            live = live[keep]
+            if not live.size:
+                return out
+            m, nb, done, odd = m[:, keep], nb[keep], done[keep], odd[keep]
+    raise LatdirError(f"the reduction of {live.size} window frames did not settle in {GAUSS_STEPS} steps")
+
+
+def _frames(span, shape: DomainShape, T: float, x, y):
+    """The reduced frame of each arc [x, y) of at most 1/8 turn, and its strips.
+
+    With u the direction of x - ``ARC_TOL``, u' = u turned a quarter, the
+    width w = y - x + 2 ``ARC_TOL`` and t = tan(2 pi w), the map y ->
+    (y.u / R, y.u' / (R t)) takes the sector of the widened arc inside the
+    disc of radius R (T, or sqrt(2) T on the square) onto the triangle
+    (0, 0), (1, 0), (1, 1).  It takes the points (m + xi) B to (k + eta) g
+    on the Gauss-reduced basis g = gamma B map (``_gauss``), k = m
+    gamma^-1 + s with s = rint(xi gamma^-1).  The triangle, cut at z1 =
+    c cos 2 pi w on an annulus, is widened by ``MARGIN`` on its far side and
+    by e on every side, where e bounds the roundoff of (k + eta) g: of eta,
+    which grows with gamma, and of the products.  The strips k1 that meet
+    it hold every candidate.  Returns t, the cut (less the widening), gamma,
+    s, eta, g, det g, e and the first k1 and number of strips of each arc.
+    """
+    B, xi1, xi2 = span[:3]
+    R = T if isinstance(shape, Annulus) else math.sqrt(2.0) * T
+    phi, w = TWO_PI * (x - ARC_TOL), TWO_PI * (_frac(y - x) + 2.0 * ARC_TOL)
+    u1, u2, t = np.cos(phi), np.sin(phi), np.tan(w)
+    base = np.stack([(B.a * u1 + B.b * u2) / R, (B.b * u1 - B.a * u2) / (R * t),
+                     (B.c * u1 + B.d * u2) / R, (B.d * u1 - B.c * u2) / (R * t)])
+    G = _gauss(base)
+    g = np.stack([G[0] * base[0] + G[1] * base[2], G[0] * base[1] + G[1] * base[3],
+                  G[2] * base[0] + G[3] * base[2], G[2] * base[1] + G[3] * base[3]])
+    det = g[0] * g[3] - g[1] * g[2]
+    v = np.stack([xi1 * G[3] - xi2 * G[2], xi2 * G[0] - xi1 * G[1]])  # xi gamma^-1
+    s = np.rint(v)
+    eta = v - s
+    far = 1.0 + MARGIN
+    # |k1 + eta1| on the strips that meet the triangle, and the roundoff of eta and of (k + eta) g
+    reach = (far + 1.0) * np.hypot(g[2], g[3]) / det
+    norm1, norm2 = np.abs(g[0]) + np.abs(g[1]), np.abs(g[2]) + np.abs(g[3])
+    e = 2.0**-50 * ((np.abs(xi1 * G[3]) + np.abs(xi2 * G[2])) * norm1 + (np.abs(xi2 * G[0]) + np.abs(xi1 * G[1])) * norm2)
+    e += 2.0**-47 * (2.0 + 2.0 * reach * norm1)
+    cut = shape.c * np.cos(w) if isinstance(shape, Annulus) else np.zeros(x.size)
+    left = np.maximum(cut * (1.0 - MARGIN) - e, -2.0 * e)  # z1 >= left on the widened triangle
+    f = [(z1 * g[3] - z2 * g[2]) / det for z1, z2 in  # k1 + eta1 at the corners
+         ((left, -e), (far + e, -e), (far + e, far + 2.0 * e), (left, left + e))]
+    k1lo, k1hi = strips.integer_range(np.minimum.reduce(f), np.maximum.reduce(f), eta[0])
+    return t, left, G.astype(np.int64), s.astype(np.int64), eta, g, det, e, k1lo, strips.widths(k1lo, k1hi)
+
+
+def _side(lo, hi, P1, P2, g1, g2, n1, n2, c):
+    """Narrow each strip's range [lo, hi] of s to the half-plane n . (P + s g) <= c, in place."""
+    d = n1 * g1 + n2 * g2
+    r = c - (n1 * P1 + n2 * P2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        b = r / d
+    np.maximum(lo, np.where(d < 0.0, b, -np.inf), out=lo)
+    np.minimum(hi, np.where(d > 0.0, b, np.where((d == 0.0) & (r < 0.0), -np.inf, np.inf)), out=hi)
+
+
+def _chord(P1, P2, g1, g2, t, pD, rho):
+    """Each strip's range of s in the disc z1^2 + (t z2)^2 <= rho^2 of z = P + s g, and whether it meets it.
+
+    In the metric of y / R the strip lies at distance |t pD| / |g| from the
+    origin, pD = P x g, so the half-chord needs no difference of squares.
+    """
+    tg2 = t * g2
+    a = g1 * g1 + tg2 * tg2
+    mid = -(P1 * g1 + t * P2 * tg2) / a
+    disc = rho * rho - (t * pD) ** 2 / a
+    half = np.sqrt(np.maximum(disc, 0.0) / a)
+    return mid - half, mid + half, disc >= 0.0
+
+
+def _in_arc(turns, x, y):
+    """Is each turns value in its arc [x, y), which wraps past 1 where x > y?"""
+    after, before = turns >= x, turns < y
+    return np.where(x > y, after | before, after & before)
+
+
+def _arc_counts(span, shape: DomainShape, T: float, x, y, t, left, gam, s, eta, g, det, e, k1lo, rows):
+    """The directions in each arc [x, y) of at most 1/8 turn, on the reduced strips of its frame (``_frames``).
+
+    Along strip k1 the points are z = P + (k2 + eta2) g2, P = (k1 + eta1) g1.
+    Its candidate range is the widened triangle and the domain grown by
+    ``MARGIN`` and e; its certified interior the arc narrowed by
+    ``ARC_TOL`` on each side and the domain shrunk by ``MARGIN`` and e,
+    narrowed by one integer, less the inner chord grown by one, as
+    ``DirectionStream._kept`` solves an m1-strip: ``_zones`` takes it whole
+    and decides the rest point by point, at m = (k - s) gamma in int64, by
+    ``_inside`` and ``_turns`` against the float ends.  The first and last
+    point of every interior range are decided too, and a strip where one
+    fails is decided point by point.  So a long strip costs O(1), and
+    every count is that of the points the sweep keeps.
+    """
+    B, xi1, xi2, m1lo, m1hi = span[:5]
+    k1, arc = strips.expand(k1lo, rows, np.arange(x.size))
+    p = k1 + eta[0][arc]
+    P1, P2, g1, g2, tt, ee = p * g[0][arc], p * g[1][arc], g[2][arc], g[3][arc], t[arc], e[arc]
+    pD = p * det[arc]
+    annulus = isinstance(shape, Annulus)
+    c = shape.c if annulus else 0.0
+    R = T if annulus else math.sqrt(2.0) * T
+
+    def solved(lo, hi):
+        return strips.integer_range(np.clip(lo, -strips.LIMIT, strips.LIMIT),
+                                    np.clip(hi, -strips.LIMIT, strips.LIMIT), eta[1][arc])
+
+    def domain(lo, hi, grow):
+        if annulus:
+            clo, chi, meets = _chord(P1, P2, g1, g2, tt, pD, 1.0 + grow)
+            np.maximum(lo, clo, out=lo)
+            np.minimum(hi, np.where(meets, chi, -np.inf), out=hi)
+            return
+        u1, u2 = np.cos(TWO_PI * (x - ARC_TOL))[arc], np.sin(TWO_PI * (x - ARC_TOL))[arc]
+        for n1, n2 in ((u1, -tt * u2), (u2, tt * u1)):  # y / R in the frame, per axis
+            _side(lo, hi, P1, P2, g1, g2, n1, n2, (1.0 + grow) / math.sqrt(2.0))
+            _side(lo, hi, P1, P2, g1, g2, -n1, -n2, (1.0 + grow) / math.sqrt(2.0))
+
+    lo, hi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
+    for n1, n2, bound in ((0.0, -1.0, ee), (1.0, 0.0, 1.0 + MARGIN + ee), (-1.0, 1.0, ee), (-1.0, 0.0, -left[arc])):
+        _side(lo, hi, P1, P2, g1, g2, n1, n2, bound)
+    domain(lo, hi, MARGIN + ee)
+    ilo, ihi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
+    slope = np.tan(TWO_PI * np.stack([np.full(x.size, 2.0 * ARC_TOL), _frac(y - x)])) / t
+    for n1, n2, bound in ((slope[0][arc], -1.0, -ee), (-slope[1][arc], 1.0, -ee), (-1.0, 0.0, 0.0)):
+        _side(ilo, ihi, P1, P2, g1, g2, n1, n2, bound)
+    domain(ilo, ihi, -MARGIN - ee)
+    if B.c == 0.0 or B.d == 0.0:  # r2 on an axis: each half of the p1 = 0 strip has one exact turns value
+        on = np.flatnonzero((gam[2][arc] == 0) & ((k1 - s[0][arc]) * gam[0][arc] + xi1 == 0.0))
+        if on.size:  # so it keeps its candidates, and its interior is the domain's, on the halves in the arc
+            a, (up, down) = arc[on], _turns_of([B.c, -B.c], [B.d, -B.d])
+            ahead = _in_arc(np.where(gam[3][a] > 0, up, down), x[a], y[a])  # s > 0, where p2 gam22 > 0
+            behind = _in_arc(np.where(gam[3][a] > 0, down, up), x[a], y[a])
+            dlo, dhi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
+            domain(dlo, dhi, -MARGIN - ee)
+            for first, last, start, end in ((lo, hi, lo[on], hi[on]), (ilo, ihi, dlo[on], dhi[on])):
+                first[on] = np.where(behind, start, np.where(ahead, np.maximum(start, 0.0), np.inf))
+                last[on] = np.where(ahead, end, np.where(behind, np.minimum(end, 0.0), -np.inf))
+    lo, hi = solved(lo, hi)
+    ilo, ihi = solved(ilo, ihi)
+    ilo += 1
+    ihi -= 1
+    clo, chi, meets = _chord(P1, P2, g1, g2, tt, pD, max(c * (1.0 + MARGIN), ORIGIN_RADIUS / R) + ee)
+    clo, chi = solved(clo, chi)
+    clo = np.where(meets, clo - 1, ihi + 1)
+    chi = np.where(meets, chi + 1, ihi)
+    if c > 0.0:  # the inner chord shrunk by one integer at each end holds no point
+        rlo, rhi, meets = _chord(P1, P2, g1, g2, tt, pD, c * (1.0 - MARGIN) - ee)
+        rlo, rhi = solved(rlo, rhi)
+        rlo, rhi = np.where(meets, rlo + 1, lo), np.where(meets, rhi - 1, lo - 1)
+    else:
+        rlo, rhi = lo, lo - 1
+
+    def decide(k2, strip):
+        a = arc[strip]
+        a1, a2 = k1[strip] - s[0][a], k2 - s[1][a]
+        m1 = a1 * gam[0][a] + a2 * gam[2][a]
+        m2 = a1 * gam[1][a] + a2 * gam[3][a]
+        p1 = m1 + xi1
+        lo, hi = _candidates(span, shape, p1, T)  # the points the sweep tests: its candidates
+        kept = (m1 >= m1lo) & (m1 <= m1hi) & (m2 >= lo) & (m2 <= hi) & _inside(B, xi2, shape, T, m2, p1)
+        return kept & _in_arc(_point_turns(B, xi2, p1, m2), x[a], y[a])
+
+    while True:
+        starts, counts, key = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, decide)
+        inner = np.flatnonzero(((key & 3) == 1) & (counts > 0))  # the interior zones 1 and 5
+        ends = np.concatenate([starts[inner], starts[inner] + counts[inner] - 1])
+        at = np.tile(key[inner] >> 3, 2)
+        miss = at[~decide(ends, at)]
+        if not miss.size:
+            break
+        ihi[miss] = ilo[miss] - 1
+    total = np.zeros(x.size, dtype=np.int64)
+    np.add.at(total, arc[key >> 3], counts)
+    return total
 
 
 def rho_square(alpha):

@@ -859,8 +859,8 @@ def crude_bound_holds(lat: AffineLatticeSpec, alphas, T: float, interval, theta:
 
     At each position alpha of ``alphas`` the left side counts directions in
     the shrunk window (``window_counts`` on ``direction_stream``, one call
-    for all positions, which cuts the strips at a few window ends and
-    refuses an empty lattice); the
+    for all positions, which counts on reduced strips and refuses an
+    empty lattice); the
     right side counts lattice points of (m + shift) M0 k(2*pi*alpha)
     diag(1/T, T) inside the c = 0 cone over the theta-padded interval
     (``cone_counts``, one call over the stacked matrices).  Requires

@@ -8,10 +8,11 @@ The N sorted angles A come as a DirectionSet, one array, or as a
 ``lattice.DirectionStream``, its sectors one at a time.  The lifted
 sequence L(k) = A[k mod N] + k div N is nondecreasing.  Window counts,
 and the mixed moments on the measure's quadrature grid that are built on
-them, take the directions under their window ends from the source's one
-``window_counter``: a set searches its array, and a stream cuts its strips
-at a few ends or walks its sectors once (``lattice._below``).  Spacings
-L(j + k) - L(j), and the close pairs that the two-point correlation bins
+them, take the counts of their windows from the source's one
+``window_counter``: a set searches its array (``lattice._below``), and a
+stream counts each window on the reduced strips of a frame that maps its
+sector onto a triangle, or walks its sectors once where those cost more.
+Spacings L(j + k) - L(j), and the close pairs that the two-point correlation bins
 and the pair statistic sums window overlaps over, need only the values
 near each other, so they take A as an iterator of sorted chunks: one
 sweep (``_sweep``) in blocks of ``_BLOCK`` = 2^16 values, each after the
@@ -191,14 +192,13 @@ def window_counts(dirs: DirectionSet | DirectionStream, interval, alphas) -> np.
     window j in row j, in shape (m, *alphas.shape).  With lo = frac(alpha +
     a/N) and hi = lo + (b - a)/N the count is J(hi) - J(lo), where J(x)
     counts the lifted sequence under x, the directions under frac(x) plus
-    N floor(x), so wrap-around needs no branch.  The directions under the
-    ends of every window shorter than 1, stacked as (lo, frac(hi)), come
-    from one call to ``dirs.window_counter``, which is first told the
-    windows' lengths b - a and the number of positions: a ``DirectionSet``
-    searches its array, and a ``DirectionStream`` cuts at a few ends or
-    sweeps its sectors, with a budget check before any strip is solved
-    that counts two ends per position of each window that can be shorter
-    than N.  The counts are the same integers either way.  Raises InvalidInputError unless a < b for every
+    N floor(x), so wrap-around needs no branch.  The counts of every window
+    shorter than 1 come from one call to ``dirs.window_counter(lo, hi)``:
+    a ``DirectionSet`` searches its array, and a ``DirectionStream``
+    counts on the reduced strips of each window's frame, or sweeps its
+    sectors where those would cost more, with budget checks of its arcs
+    and strips before it forms them.  The counts are the same integers
+    either way.  Raises InvalidInputError unless a < b for every
     window and every position is finite, and on an empty set.
     """
     iv = np.asarray(interval, dtype=float)
@@ -211,7 +211,7 @@ def window_counts(dirs: DirectionSet | DirectionStream, interval, alphas) -> np.
     al = np.asarray(alphas, dtype=float)
     if not np.all(np.isfinite(al)):
         raise InvalidInputError("window positions must be finite")
-    N, below = dirs.window_counter(b - a, al.size)
+    N = dirs.N
     if N == 0:
         raise InvalidInputError("empty direction set")
     counts = np.full((a.size, *al.shape), N, dtype=np.int64)
@@ -219,10 +219,7 @@ def window_counts(dirs: DirectionSet | DirectionStream, interval, alphas) -> np.
     if short.size:
         per_window = (-1,) + (1,) * al.ndim
         lo = _frac(al + (a[short] / N).reshape(per_window))
-        hi = lo + ((b - a)[short] / N).reshape(per_window)
-        turns = np.floor(hi)
-        low, high = below(np.stack([lo, hi - turns]))
-        counts[short] = high - low + N * turns.astype(np.int64)
+        counts[short] = dirs.window_counter(lo, lo + ((b - a)[short] / N).reshape(per_window))
     return counts if iv.ndim == 2 else counts[0]
 
 
@@ -612,9 +609,9 @@ def mixed_moment(
     scales like N * |I| / quadrature_points.  The counts of every window
     at every grid point are one ``window_counts`` call, over a
     ``DirectionSet`` or, without the N-long array, a ``DirectionStream``
-    (``latdir moments``), which cuts at the ends of a small grid and
-    sweeps its sectors for a large one, with the same bytes.  Window
-    counts (windows times quadrature points) past the budget raise
+    (``latdir moments``), which counts the windows on reduced strips, or
+    sweeps its sectors where those would cost more, with the same bytes.
+    Window counts (windows times quadrature points) past the budget raise
     CapacityError before any is counted, and so does a moment whose terms
     pass the float range once they are summed.  A zero base follows
     ``_power``: 0^0 = 1 and 0^s = 0 for s != 0.

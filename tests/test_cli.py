@@ -211,12 +211,12 @@ def test_moments_at_T_2000_without_the_direction_set(tmp_path):
 
 
 def test_moments_past_the_point_budget_exit_before_solving_strips(tmp_path):
-    # N = 3.1e12 at T = 1e6: refused on its 2e6 m1-strips times its 40,003 window ends, before
-    # any strip is solved
+    # N = 3.1e14 at T = 1e7: refused on its 2e7 m1-strips, before any strip is solved (at T = 1e6
+    # the reduced strips of its 40,002 windows fit the budget, and the N solve is what costs)
     out = tmp_path / "m.json"
     tracemalloc.start()
     try:
-        assert main(["moments", "--T", "1e6", "--I", "0:1", "--out", str(out)]) == 3
+        assert main(["moments", "--T", "1e7", "--I", "0:1", "--out", str(out)]) == 3
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,9 +1,10 @@
 """``window_counts`` on a direction stream against ``window_counts`` of the full direction set.
 
-A stream counts without forming its directions: it cuts the kept strip
-ranges at the rays of a few window ends and sums piece widths, letting
-``_turns`` decide the points within roundoff of a ray, or, when the ends
-outnumber the sectors, sweeps the sectors one sorted sector at a time.
+A stream counts without forming its directions: it maps each window's
+sector onto a triangle, takes the certified interior of the reduced
+strips that meet it whole and lets ``_inside`` and ``_turns`` decide the
+rest, or, when the strips outweigh the N directions, sweeps the sectors
+one sorted sector at a time.
 So ``window_counts(direction_stream(...))`` must return exactly the
 counts that ``window_counts(direction_set(...))`` returns, and the stream
 the same N, on every input:
@@ -124,8 +125,9 @@ def test_counter_on_every_direction(shift, shape, T):
 
 
 def test_counter_repairs_a_misplaced_cut(monkeypatch):
-    # crossings moved far past their bands put whole runs of points in the wrong piece: the
-    # check of the piece ends must find those ranges and decide them point by point
+    # crossings moved far past their bands put whole runs of points in the wrong piece of the
+    # sector sweep that ``direction_set`` runs: the check of the piece ends must find those
+    # ranges and decide them point by point, so the set and the stream's counts keep their values
     lat = ld.AffineLatticeSpec(ld.Mat2(1.0, 0.0, 0.3, 1.0), (0.25, 1 / 3))
     dirs = ld.direction_set(lat, ld.Annulus(0.2), 80.0)
     slots, calls = ld.lattice._slots, []
@@ -134,11 +136,15 @@ def test_counter_repairs_a_misplaced_cut(monkeypatch):
         calls.append(np.isinf(tol).sum())
         return slots(s, n, a, tol, w + 0.01 * (1.0 + np.abs(w)), xi2, crossed)
 
+    monkeypatch.setattr(ld.lattice, "SECTOR", 64)  # hundreds of sector rays to cut at
     monkeypatch.setattr(ld.lattice, "_slots", moved)
+    cut = ld.direction_set(lat, ld.Annulus(0.2), 80.0)
+    assert np.array_equal(cut.alphas, dirs.alphas)
     for alpha in (0.05, 0.3, 0.61, 0.97):
         for interval in ((-5.0, 5.0), (0.0, 3000.0)):
             got = counted(lat, ld.Annulus(0.2), 80.0, interval, alpha)
             assert got == (ld.window_counts(dirs, interval, alpha), dirs.N)
+            assert ld.window_counts(cut, interval, alpha) == got[0]
     assert max(calls) > 0  # some ranges were cut again
 
 
@@ -210,15 +216,29 @@ def test_counter_decides_an_axis_strip_whole():
 
 
 def test_counter_budget_counts_strips_times_window_ends():
-    # 1e4 positions give 2e4 window ends, more than the 9587 sectors, so they would be swept, and
-    # the 1.26e9 directions expected pass the 2e8 values of the budget, though one position at
-    # T = 2e4 is cut at far inside it: refused before any strip is solved
+    # 1e4 positions at T = 2e4, where the 1.26e9 directions expected pass the 2e8 values of the
+    # budget, are counted on about as many reduced strips as windows, without a sweep and with
+    # the counts of one position at a time; windows of 0.45 turn split into arcs whose reduced
+    # strips outweigh the N directions, so they would be swept, and the sweep's check of the
+    # directions expected refuses them before any strip is formed
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.5, 0.5))
     alphas = np.random.default_rng(5).uniform(0.0, 1.0, 10**4)
     tracemalloc.start()
     try:
-        with pytest.raises(ld.CapacityError, match="window ends"):
-            counted(lat, ld.Annulus(0.0), 2e4, (-1.0, 1.0), alphas)
+        counts, N = counted(lat, ld.Annulus(0.0), 2e4, (-1.0, 1.0), alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**26
+    assert N > 10**9 and counts.shape == alphas.shape
+    for i in (0, 1, 4567, 9999):
+        assert counted(lat, ld.Annulus(0.0), 2e4, (-1.0, 1.0), alphas[i])[0] == counts[i]
+    stream = ld.direction_stream(lat, ld.Annulus(0.0), 2e4)
+    stream.N
+    tracemalloc.start()
+    try:
+        with pytest.raises(ld.CapacityError, match="points expected"):
+            ld.window_counts(stream, (0.0, 0.45 * N), alphas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -294,8 +314,9 @@ def test_window_batches_match_window_counts(basis, shift, shape, T, m, sector, d
 
 @pytest.mark.parametrize("positions, m, swept", [(1, 1, False), (1, 2, False), (2, 1, False), (300, 1, True)])
 def test_few_ends_are_cut_at_and_many_are_swept(monkeypatch, positions, m, swept):
-    # N = 785,389 at T = 500 gives K = 5 sectors: m windows at a position have 2 m distinct ends,
-    # and up to 5 of them are cut at, while 300 positions are swept; both give the same counts
+    # N = 785,389 at T = 500: a few short windows are counted on a few reduced strips each, and
+    # 300 windows of 0.45 turn on about 575,000, which at STRIP_COST directions each outweigh the
+    # N directions, so the sectors are swept; both give the same counts
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (0.5, 0.5))
     dirs = ld.direction_set(lat, ld.Annulus(0.0), 500.0)
     assert dirs.N // ld.lattice.SECTOR == 5
@@ -303,7 +324,7 @@ def test_few_ends_are_cut_at_and_many_are_swept(monkeypatch, positions, m, swept
     sectors = ld.lattice._sorted_sectors
     monkeypatch.setattr(ld.lattice, "_sorted_sectors", lambda *args: sweeps.append(1) or sectors(*args))
     alphas = np.linspace(0.0, 1.0, positions, endpoint=False) + 0.01
-    intervals = [(-1.0, 1.0), (0.0, 40.0)][:m]
+    intervals = [(0.0, 0.45 * dirs.N)] if swept else [(-1.0, 1.0), (0.0, 40.0)][:m]
     counts, N = counted(lat, ld.Annulus(0.0), 500.0, intervals, alphas)
     assert N == dirs.N and counts.shape == (m, positions)
     assert np.array_equal(counts, ld.window_counts(dirs, intervals, alphas))

@@ -1,12 +1,12 @@
 """Window counts and mixed moments over a direction stream.
 
-``window_counts`` finds the directions under its window ends with the
-source's ``window_counter``: one walk over ``dirs.chunks()``
-(``lattice._below``) for a ``DirectionSet``, whose array is one chunk, or
-for a ``DirectionStream`` with more ends than sectors, whose sectors are the
-chunks, each in one reused buffer; a stream with a few ends cuts its strips
-at them.  The counts are integers and must be the same either way, and so
-must every bit of a moment built on them.
+``window_counts`` takes the counts of its windows from the source's
+``window_counter``: one walk over ``dirs.chunks()`` (``lattice._below``)
+for a ``DirectionSet``, whose array is one chunk, or for a
+``DirectionStream`` whose reduced strips would cost more than a sweep,
+whose sectors are the chunks, each in one reused buffer; otherwise a stream
+counts on reduced strips.  The counts are integers and must be the same
+either way, and so must every bit of a moment built on them.
 ``latdir moments`` runs ``mixed_moment`` on the stream, the path the
 library exposes.
 """
@@ -114,9 +114,9 @@ def test_latdir_moments_runs_the_public_moment_on_the_stream(tmp_path, monkeypat
 
 
 def test_small_grid_moment_on_the_stream_cuts_without_a_sweep(monkeypatch):
-    # 3 grid points and 2 windows give at most 12 window ends, fewer than the K = 23 sectors at
-    # T = 1000: the stream cuts its strips at them and forms no sector, with the moment bits of
-    # the direction set
+    # 3 grid points and 2 windows take a few reduced strips, far fewer than the N = 3.1M
+    # directions at T = 1000: the stream counts on them and forms no sector, with the moment bits
+    # of the direction set
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
     shape, T = ld.Annulus(0.0), 1000.0
     box, spec, lam = [(0.0, 1.0), (0.5, 2.0)], ld.MomentSpec((1, 1)), ld.MeasureSpec.uniform(3)

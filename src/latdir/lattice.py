@@ -20,10 +20,10 @@ times K / 3, which grow as N T / SECTOR.  ``direction_stream`` hands the
 sectors on one at a time (a ``DirectionStream``, which checks that each
 sector starts at or after the end of the one before), and
 ``direction_set`` copies them end to end into one array of N angles.
-The statistics that walk the directions once in order, spacings, pair
-sums and window counts, take a stream as they take a ``DirectionSet``,
-so their memory is one sector plus the pieces (a peak of 16 MB at T =
-2000 and 163 MB at T = 5000 on the unit lattice, under tracemalloc).
+The statistics that walk the directions once in order, spacings and
+pair sums, take a stream as they take a ``DirectionSet``, so their
+memory is one sector plus the pieces (a peak of 16 MB at T = 2000 and
+163 MB at T = 5000 on the unit lattice, under tracemalloc).
 
 Both count windows [lo, hi) with one method, ``window_counter``.  A set
 searches its array (``_searched``).  A stream solves its strips on first

@@ -88,7 +88,7 @@ ARC_VALUES = 64
 # frame (a few 1e-16), and below the half-width, 5e-14, of a window 2 / N wide at N = 2e13.
 ARC_TOL = 2.0**-46
 # Arcs, and reduced strips, that the window counter takes at a time: its temporaries stay a few MB.
-BLOCK = 1 << 13
+BLOCK = 1 << 12
 # Steps after which a frame's Gauss reduction that has not settled raises LatdirError.
 GAUSS_STEPS = 256
 # Values that ``_cut`` holds, at its peak, per piece it cuts off a range at a ray crossing (about 10

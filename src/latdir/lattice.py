@@ -6,40 +6,42 @@ the nonzero points inside an open annulus ``c*T < |y| < T`` or an open
 square ``(-T, T)^2`` and turns them into the sorted sequence of direction
 angles, measured in turns (angle / 2*pi, mod 1), with multiplicity.
 
-Points are enumerated one m1-strip at a time, and each strip is a line,
-so its angles are monotone in m2.  One sector fill (``_sorted_sectors``)
-uses that to form the sorted sequence in sector order: it cuts every
-strip where it crosses the K sector rays k/K (K = N // SECTOR), writes
-the angles of each sector into one reused buffer and sorts them there,
-in cache.  The pieces partition the kept points, and the cut (``_cut``)
-tests the first and last point of every piece by their own angle and
-decides a range that fails point by point, so every point lies in the
-sector of its own angle and the result is exact by construction.  Time
-is O(N log SECTOR), and memory one sector plus the pieces, about strips
-times K / 3, which grow as N T / SECTOR.  ``direction_stream`` hands the
-sectors on one at a time (a ``DirectionStream``, which checks that each
-sector starts at or after the end of the one before), and
+Points are enumerated one m1-strip at a time: each strip's certified
+interior is taken whole and the domain test decides the few candidates
+near its ends (``DirectionStream._kept``).  Which kept points have a
+direction in an arc [x, y) is answered by one engine.  At scale T the
+directions in an arc come from the lattice points in a thin sector, and
+a linear frame, the rotation k(alpha) followed by a diagonal flow, maps
+that sector onto a fixed triangle, as the limit law maps its cones
+(Marklof and Strombergsson, Annals of Math. 173, 2010).  Each arc of at
+most 1/8 turn (``_split_arcs``) has its frame Gauss-reduced with its
+integer change of basis kept exactly (``_frames``); the reduced strips
+that meet the triangle hold the candidates, whose certified interior is
+taken whole and the rest decided by the kept points (``_holds``) and the
+point's own float angle (``DirectionStream._arc_ranges``).  A long strip
+costs O(1).
+
+The sorted sequence is formed in sector order (``_sorted_sectors``):
+each of the K = N // SECTOR sectors [k/K, (k+1)/K) is split into arcs,
+the arcs' ranges are expanded into points, and each sector's angles are
+written into one reused buffer and sorted there, in cache.  Every point
+lies in the sector of its own angle, so the result is exact by
+construction.  Time is O(N log SECTOR), and memory one sector plus the
+reduced strips of a few thousand at a time.  ``direction_stream`` hands
+the sectors on one at a time (a ``DirectionStream``, which checks that
+each sector starts at or after the end of the one before), and
 ``direction_set`` copies them end to end into one array of N angles.
 The statistics that walk the directions once in order, spacings and
 pair sums, take a stream as they take a ``DirectionSet``, so their
-memory is one sector plus the pieces (a peak of 16 MB at T = 2000 and
-163 MB at T = 5000 on the unit lattice, under tracemalloc).
+memory is about one sector.
 
 Both count windows [lo, hi) with one method, ``window_counter``.  A set
 searches its array (``_searched``).  A stream solves its strips on first
 use, so it can count where N is far past the budget, and counts each
-window without forming a direction.  At scale T the directions in a
-window come from the lattice points in a thin sector, and a linear
-frame, the rotation k(alpha) followed by a diagonal flow, maps that
-sector onto a fixed triangle, as the limit law maps its cones (Marklof
-and Strombergsson, Annals of Math. 173, 2010).  Each window splits into
-arcs of at most 1/8 turn (``_split_arcs``); each arc's frame is
-Gauss-reduced with its integer change of basis kept exactly
-(``_frames``), and the reduced strips that meet the triangle hold the
-candidates, whose certified interior is taken whole and the rest decided
-by the sweep's own tests (``_arc_counts``): O(1) strips for a window that
-holds O(1) directions.  Where the reduced strips would cost more than
-the N directions, the stream walks its sectors with ``_below`` instead.
+window's arcs on their reduced strips without forming a direction: O(1)
+strips for a window that holds O(1) directions.  Where the reduced
+strips would cost more than the N directions, the stream walks its
+sectors with ``_below`` instead.
 """
 
 from __future__ import annotations
@@ -70,14 +72,15 @@ MARGIN = 1e-9
 ORIGIN_RADIUS = 2.0**-500
 # Target angles per sector of ``_sorted_sectors``.  A sector of 2^17 values
 # (1 MB) sorts in cache at about 8 ns a value; smaller sectors sort barely
-# faster per value and need more cuts.
+# faster per value and need more reduced strips.
 SECTOR = 2 * strips.CHUNK
-# Values that a sector sweep holds per m1-strip at its peak, and the window counter per reduced
-# strip: every path checks its strips against the budget at this weight before any is solved.
+# Values that a stream holds per m1-strip at its peak, and the window counter per reduced strip:
+# every path checks its strips against the budget at this weight before any is solved.
 STRIP_VALUES = 96
 # Directions of a sector sweep that take about as long to form and search as one reduced strip
 # of the window counter (about 1 us against 15 to 50 ns measured at T = 500 and 2000): the counter
-# sweeps where its strips weigh more than the N directions at this rate.
+# sweeps where its strips weigh more than the N directions at this rate, and the sweep, which holds
+# its own reduced strips 4 BLOCK at a time (about 60 values each), checks them at this weight.
 STRIP_COST = 32
 # Values that the window counter holds per arc of at most 1/8 turn, with its window's (about 17
 # measured, beside one block of frames and strips): the arcs are checked at this weight before
@@ -87,22 +90,11 @@ ARC_VALUES = 64
 # triangle, and narrows it to certify an interior: far above the roundoff of ``_turns`` and of the
 # frame (a few 1e-16), and below the half-width, 5e-14, of a window 2 / N wide at N = 2e13.
 ARC_TOL = 2.0**-46
-# Arcs, and reduced strips, that the window counter takes at a time: its temporaries stay a few MB.
+# Arcs, and reduced strips, that the window counter takes at a time, and a quarter of the reduced
+# strips the sector sweep takes: their temporaries stay a few MB.
 BLOCK = 1 << 12
 # Steps after which a frame's Gauss reduction that has not settled raises LatdirError.
 GAUSS_STEPS = 256
-# Values that ``_cut`` holds, at its peak, per piece it cuts off a range at a ray crossing (about 10
-# to 11 measured on a disc and a square, where a strip crosses a third of the rays in its ranges),
-# and ``_sorted_sectors`` no more: the crossings are checked at this weight before any piece is
-# formed.  The ranges themselves weigh in their strips.  So a sweep whose N is inside the budget
-# passes it.
-PIECE_VALUES = 10
-# Roundoff of a computed sector-ray crossing along a strip, per unit of its
-# scale |y|^2 / |p1| + |r1| |y| + |t| + 1: about 1e-14, times a margin of a
-# thousand.  The integers this close to a crossing are decided by ``_turns``.
-# It is an estimate, not a proven bound: ``_cut`` checks the ends of its
-# pieces for the sector sweeps.
-CUT_TOL = 2.0**-36
 
 
 @dataclass(frozen=True)
@@ -226,13 +218,14 @@ class DirectionStream:
     The strips are solved on first use (``N``, ``chunks()`` or
     ``window_counter``), so a stream can exist, and count, where N is far
     past the budget.  Each ``chunks()`` sweeps the sectors
-    (``_sorted_sectors``) and yields each one's sorted angles, a view of
-    one reused buffer that is valid until the next is drawn.  A sweep
-    forms the N directions, so it checks the points expected (before any
-    strip is solved) and the candidates against the budget.  A sector that
-    starts below the end of the one before, or an angle outside [0, 1),
-    raises LatdirError: the check that ``DirectionSet`` makes over its
-    whole array.
+    (``_sorted_sectors``), each formed from the reduced strips of its
+    arcs' frames, the window counter's engine, and yields each one's
+    sorted angles, a view of one reused buffer that is valid until the
+    next is drawn.  A sweep forms the N directions, so it checks the
+    points expected (before any strip is solved), the candidates and the
+    reduced strips against the budget.  A sector that starts below the end
+    of the one before, or an angle outside [0, 1), raises LatdirError: the
+    check that ``DirectionSet`` makes over its whole array.
     """
 
     lat: AffineLatticeSpec
@@ -276,10 +269,15 @@ class DirectionStream:
         certified interior, taken whole, and a few boundary candidates near
         the range ends, the inner circle or the origin, which ``_inside``
         decides (``_zones``, which checks the boundary candidates against
-        the budget).  Returns the reduced basis B, the shift's xi2, each
-        strip's p1 and the kept ranges as ``_zones`` gives them, and the
-        candidates: the total width of the candidate ranges, which a pass
-        that forms every point checks against the budget.
+        the budget).  Returns the kept ranges as ``_zones`` gives them; the
+        index that ``_holds`` searches: each strip's candidate range lo and
+        its width, where it starts among the candidates of all strips laid
+        end to end, its two interior zones [a1, b1) and [a5, b5), and the
+        positions there of the other kept points, ranges of one in (strip,
+        m2) order; and the candidates: the total width of the candidate
+        ranges, which a pass that forms every point checks against the
+        budget.  The boundary candidates' budget keeps that total far below
+        2^63.
         """
         B, xi1, xi2, m1lo, m1hi, q12, q22 = self._span
         p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
@@ -287,7 +285,8 @@ class DirectionStream:
         ilo, ihi = _candidates(self._span, self.shape, p1, self.T * (1.0 - MARGIN))
         r = self.shape.c * self.T if isinstance(self.shape, Annulus) else 0.0
         clo, chi, disc = strips.root_pair(q12, q22, p1, xi2, max(r * (1.0 + MARGIN), ORIGIN_RADIUS))
-        candidates = int(strips.widths(lo, hi).sum())
+        width = strips.widths(lo, hi)
+        candidates = int(width.sum())
         if r > 0:  # the candidates skip the inner chord shrunk by one integer at each end
             rlo, rhi = strips.root_pair(q12, q22, p1, xi2, r)[:2]
             rlo += 1
@@ -301,22 +300,51 @@ class DirectionStream:
         meets = disc >= 0.0
         clo = np.where(meets, clo - 1, ihi + 1)
         chi = np.where(meets, chi + 1, ihi)
-        return (B, xi2, p1, *_zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi,
-                                    lambda m2, k: _inside(B, xi2, self.shape, self.T, m2, p1[k]))), candidates
+        starts, counts, key = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi,
+                                     lambda m2, k: _inside(B, xi2, self.shape, self.T, m2, p1[k]))
+        offset = np.cumsum(width) - width
+        single = key[2 * lo.size:] >> 3
+        zones = [v[i:2 * lo.size:2] for i in (0, 1) for v in (starts, starts + counts)]
+        index = (lo, width, offset, *zones, offset[single] + starts[2 * lo.size:] - lo[single])
+        return (starts, counts, key), index, candidates
 
     @cached_property
     def N(self) -> int:
-        return int(self._kept[0][4].sum())
+        return int(self._kept[0][1].sum())
 
     def _formed(self):
         """The kept ranges of a pass that forms the N directions, with its budget checks."""
         _check_budget(expected_count(self.shape, self.T), "points expected about the domain's area")
-        _check_budget(self._kept[1], "candidates")
+        _check_budget(self._kept[2], "candidates")
         return self._kept[0]
 
+    def _holds(self, m1, m2):
+        """Is each point m = (m1, m2), int64, one that the strips keep (``_kept``)?
+
+        A point of a strip's interior zones is kept; any other point of its
+        candidate range is kept if its position among the candidates of all
+        strips laid end to end is one of the kept points the domain test
+        decided.  So the domain test runs once per candidate, in ``_kept``,
+        and every path keeps the same points.
+        """
+        lo, width, offset, a1, b1, a5, b5, decided = self._kept[1]
+        if not lo.size:
+            return np.zeros(np.shape(m1), dtype=bool)
+        strip = m1 - self._span[3]
+        ok = (strip >= 0) & (strip < lo.size)
+        strip = np.where(ok, strip, 0)
+        pos = m2 - lo[strip]
+        ok &= (pos >= 0) & (pos < width[strip])
+        held = ok & (((m2 >= a1[strip]) & (m2 < b1[strip])) | ((m2 >= a5[strip]) & (m2 < b5[strip])))
+        rest = np.flatnonzero(ok & ~held)
+        pos = pos[rest] + offset[strip[rest]]
+        held[rest] = np.searchsorted(decided, pos, side="right") > np.searchsorted(decided, pos, side="left")
+        return held
+
     def chunks(self):
-        # the sweep's budget checks run at the call, before any strip is solved or sector drawn
-        return _in_order(_sorted_sectors(*self._formed(), math.sqrt(2.0) * self.T))
+        # the points and candidates are checked at the call, the reduced strips at the first draw
+        self._formed()
+        return _in_order(_sorted_sectors(self))
 
     def window_counter(self, lo, hi):
         """The directions in each window [lo, hi) of the lifted circle, counted without forming them.
@@ -328,10 +356,11 @@ class DirectionStream:
         half a turn long.  The arcs are split into arcs of at most 1/8 turn
         (``_split_arcs``), whose frames map their sectors onto a triangle
         (``_frames``), and each is counted on the reduced strips of its
-        frame (``_arc_counts``): O(1) strips for a window that holds O(1)
-        directions.  Every point is decided by the tests of the sweep,
-        ``_inside`` and ``_turns`` against the float ends, so the counts are
-        the integers the direction set gives.  The arcs are reduced and
+        frame (``_arc_ranges``, the sweep's own engine): O(1) strips for a
+        window that holds O(1) directions.  Every point is decided as the
+        sweep decides it, by the kept points of the strips and ``_turns``
+        against the float ends, so the counts are the integers the
+        direction set gives.  The arcs are reduced and
         counted ``BLOCK`` at a time; once the reduced strips so far, at
         ``STRIP_COST`` directions each, outweigh the N directions, the
         sectors are swept instead (``_searched``), so the strips wasted
@@ -359,9 +388,115 @@ class DirectionStream:
             _check_budget(rows * STRIP_VALUES, f"{rows} reduced strips")
             for a, b in strips.runs(frame[-1], BLOCK):
                 part = slice(i + a, i + b)
-                np.add.at(counts, owner[part], _arc_counts(self._span, self.shape, self.T, x[part], y[part],
-                                                           *(v[..., a:b] for v in frame)))
+                arc, _, n = self._arc_ranges(x[part], y[part], [v[..., a:b] for v in frame])
+                np.add.at(counts, owner[part][arc], n)
         return (base + sign * counts).reshape(lo.shape)
+
+    def _arc_ranges(self, x, y, frame):
+        """The kept points in each arc [x, y) of at most 1/8 turn, as ranges on the reduced strips of its frame (``_frames``).
+
+        Along strip k1 the points are z = P + (k2 + eta2) g2, P = (k1 +
+        eta1) g1.  Its candidate range is the widened triangle and the
+        domain grown by ``MARGIN`` and e; its certified interior the arc
+        narrowed by ``ARC_TOL`` on each side and the domain shrunk by
+        ``MARGIN`` and e, less the inner chord grown by one integer:
+        ``_zones`` takes it whole and decides the rest point by point, at m
+        = (k - s) gamma in int64, by the strips' kept points (``_holds``)
+        and ``_turns`` against the float ends.  The first and last point of
+        every interior range are decided too, and a strip where one fails
+        is decided point by point: the arc and each side of the domain
+        meet a strip in an interval, so an interior range that reaches
+        past one holds a point past it at an end.  So a long strip costs
+        O(1), and the ranges hold exactly the kept points whose turns lie
+        in the arc.
+
+        Returns the arc, the first point m (two int64 arrays) and the length
+        of every kept range, nonempty and in no particular order; the
+        points of a range step by its arc's gamma row 2, m + j (gamma21,
+        gamma22).
+        """
+        B, xi1, xi2 = self._span[:3]
+        t, left, gam, s, eta, g, det, e, R, k1lo, rows = frame
+        k1, arc = strips.expand(k1lo, rows, np.arange(x.size))
+        p = k1 + eta[0][arc]
+        P1, P2, g1, g2, tt, ee = p * g[0][arc], p * g[1][arc], g[2][arc], g[3][arc], t[arc], e[arc]
+        pD = p * det[arc]
+        annulus = isinstance(self.shape, Annulus)
+        c = self.shape.c if annulus else 0.0
+        if not annulus:  # per axis, the square is the slab |y_i| <= T, |n . z| <= T / R in the frame
+            u1, u2 = np.cos(TWO_PI * (x - ARC_TOL))[arc], np.sin(TWO_PI * (x - ARC_TOL))[arc]
+            axes, half = ((u1, -tt * u2), (u2, tt * u1)), (self.T / R)[arc]
+
+        def solved(lo, hi):
+            return strips.integer_range(np.clip(lo, -strips.LIMIT, strips.LIMIT),
+                                        np.clip(hi, -strips.LIMIT, strips.LIMIT), eta[1][arc])
+
+        def domain(lo, hi, grow):
+            if annulus:
+                clo, chi, meets = _chord(P1, P2, g1, g2, tt, pD, 1.0 + grow)
+                np.maximum(lo, clo, out=lo)
+                np.minimum(hi, np.where(meets, chi, -np.inf), out=hi)
+                return
+            for n1, n2 in axes:
+                _side(lo, hi, P1, P2, g1, g2, n1, n2, (1.0 + grow) * half, slab=True)
+
+        lo, hi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
+        for n1, n2, bound in ((0.0, -1.0, ee), (1.0, 0.0, 1.0 + MARGIN + ee), (-1.0, 1.0, ee), (-1.0, 0.0, -left[arc])):
+            _side(lo, hi, P1, P2, g1, g2, n1, n2, bound)
+        domain(lo, hi, MARGIN + ee)
+        ilo, ihi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
+        slope = np.tan(TWO_PI * np.stack([np.full(x.size, 2.0 * ARC_TOL), _frac(y - x)])) / t
+        for n1, n2, bound in ((slope[0][arc], -1.0, -ee), (-slope[1][arc], 1.0, -ee), (-1.0, 0.0, 0.0)):
+            _side(ilo, ihi, P1, P2, g1, g2, n1, n2, bound)
+        domain(ilo, ihi, -MARGIN - ee)
+        # r2 on an axis: each half of the p1 = 0 strip, which needs an integral xi1, has one exact turns value
+        if (B.c == 0.0 or B.d == 0.0) and xi1 == math.floor(xi1):
+            on = np.flatnonzero((gam[2][arc] == 0) & ((k1 - s[0][arc]) * gam[0][arc] + xi1 == 0.0))
+            if on.size:  # so it keeps its candidates, and its interior is the domain's, on the halves in the arc
+                a, (up, down) = arc[on], _point_turns(B, 0.0, np.zeros(2), np.array([1.0, -1.0]))  # of r2, -r2
+                ahead = _in_arc(np.where(gam[3][a] > 0, up, down), x[a], y[a])  # s > 0, where p2 gam22 > 0
+                behind = _in_arc(np.where(gam[3][a] > 0, down, up), x[a], y[a])
+                dlo, dhi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
+                domain(dlo, dhi, -MARGIN - ee)
+                for first, last, start, end in ((lo, hi, lo[on], hi[on]), (ilo, ihi, dlo[on], dhi[on])):
+                    first[on] = np.where(behind, start, np.where(ahead, np.maximum(start, 0.0), np.inf))
+                    last[on] = np.where(ahead, end, np.where(behind, np.minimum(end, 0.0), -np.inf))
+        lo, hi = solved(lo, hi)
+        ilo, ihi = solved(ilo, ihi)
+        clo, chi, meets = _chord(P1, P2, g1, g2, tt, pD, np.maximum(c * (1.0 + MARGIN), ORIGIN_RADIUS / R[arc]) + ee)
+        clo, chi = solved(clo, chi)
+        clo = np.where(meets, clo - 1, ihi + 1)
+        chi = np.where(meets, chi + 1, ihi)
+        if c > 0.0:  # the inner chord shrunk by one integer at each end holds no point
+            rlo, rhi, meets = _chord(P1, P2, g1, g2, tt, pD, c * (1.0 - MARGIN) - ee)
+            rlo, rhi = solved(rlo, rhi)
+            rlo, rhi = np.where(meets, rlo + 1, lo), np.where(meets, rhi - 1, lo - 1)
+        else:
+            rlo, rhi = lo, lo - 1
+
+        # the int64 point m = (k - s) gamma of each strip at k2 = 0, and its step along the strip
+        base = [(k1 - s[0][arc]) * gam[i][arc] - s[1][arc] * gam[i + 2][arc] for i in (0, 1)]
+        step = gam[2][arc], gam[3][arc]
+
+        def point(k2, strip):  # the arc and the point m of each k2 on its strip
+            return arc[strip], [b[strip] + k2 * g[strip] for b, g in zip(base, step)]
+
+        def decide(k2, strip):
+            a, (m1, m2) = point(k2, strip)
+            return self._holds(m1, m2) & _in_arc(_point_turns(B, xi2, m1 + xi1, m2), x[a], y[a])
+
+        while True:
+            starts, counts, key = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, decide)
+            inner = np.flatnonzero(((key & 3) == 1) & (counts > 0))  # the interior zones 1 and 5
+            ends = np.concatenate([starts[inner], starts[inner] + counts[inner] - 1])
+            at = np.tile(key[inner] >> 3, 2)
+            miss = at[~decide(ends, at)]
+            if not miss.size:
+                break
+            ihi[miss] = ilo[miss] - 1
+        full = counts > 0
+        a, m = point(starts[full], key[full] >> 3)
+        return a, m, counts[full]
 
 
 def _in_order(sectors):
@@ -459,9 +594,12 @@ def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
     boundary, outside, boundary, interior, boundary.  Interior zones are
     kept whole, outside zones dropped, and the boundary candidates kept
     where ``inside(m2, strip)`` holds, each as a range of one.  Returns the
-    start, length and key 8 strip + zone of every kept range; a stable
-    argsort of the key puts them in (strip, m2) order.  Boundary candidates
-    past the budget raise CapacityError before they are formed.
+    start, length and key 8 strip + zone of every kept range: the two
+    interior zones of each strip first, in strip order, some of them
+    empty, then the kept boundary candidates in (strip, m2) order; a
+    stable argsort of the key puts them all in (strip, m2) order.
+    Boundary candidates past the budget raise CapacityError before they
+    are formed.
     """
     top = np.maximum(hi + 1, lo)
     b1 = np.clip(ilo, lo, top)
@@ -483,204 +621,50 @@ def _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, inside):
     return starts, counts, np.concatenate([(key + [1, 5]).ravel(), bkey[keep]])
 
 
-def _cut(B: Mat2, xi2, p1, starts, counts, key, edges, reach: float):
-    """Cut the kept m2 ranges at the rays of turns ``edges`` into pieces of one sector each.
+def _sorted_sectors(stream: DirectionStream):
+    """The directions of the stream's kept points, sector by sector, each sector sorted in place.
 
-    ``edges`` is sorted, starts at 0.0 and has K entries; sector k holds the
-    angles t (``_turns``) with edges[k] <= t < edges[k + 1], the last one
-    those from edges[K - 1] on.  Along a strip y = p1 r1 + t r2, t = m2 +
-    xi2, the angle runs from the direction of -r2 (t -> -inf) through half
-    a turn, increasing when p1 > 0 and decreasing when p1 < 0 (det B = 1),
-    and it crosses the ray u_k at t = |p1| w_k, w_k = -sign(p1) (r1 x u_k) /
-    (r2 x u_k).  The crossed rays and their order come from the edges alone
-    (``_crossed``), so the sector between two crossings is known whatever
-    the roundoff of w.  A p1 = 0 strip passes through the origin and is cut
-    there, exactly, between the directions of -r2 and r2.
-
-    Within roundoff of a crossing (``CUT_TOL`` times the strip's scale) the
-    float predicate decides: every integer in that band gets the sector of
-    its own ``_turns`` value.  Bands and the pieces between them are clipped
-    into each range and made nondecreasing, so the pieces partition the
-    ranges.  A range whose band would be as long as the range, and a p1 = 0
-    strip whose direction lies within ``CUT_TOL`` of a ray, is decided point
-    by point, unless r2 lies on an axis: then each half of that strip has
-    one exact ``_turns`` value and is decided whole.  So each point lands in
-    the sector of its own ``_turns`` value.
-    ``reach`` bounds |y| on the domain; pieces and points to decide past
-    the budget raise CapacityError before they are formed.
-
-    ``CUT_TOL`` is an estimate of the roundoff of w, so the first and last
-    point of every piece are tested by ``_turns``, in O(pieces); a range
-    with a piece that fails is cut again, point by point.  A piece is then
-    wrong only if ``_turns`` is not monotone between its two ends.
-
-    Returns the start, length, p1 and sector of every piece, in no
-    particular order; some are empty.
-    """
-    K = edges.size
-    ray = np.arange(K if K > 1 else 0)
-    cos, sin = np.cos(TWO_PI * edges[ray]), np.sin(TWO_PI * edges[ray])
-    a1, a2 = B.a * sin - B.b * cos, B.c * sin - B.d * cos  # r1 x u_k, r2 x u_k
-    q = p1[key >> 3]
-    r1 = math.hypot(B.a, B.b)
-    down, up = _turns_of([-B.c, B.c], [-B.d, B.d])  # the directions of -r2 and r2
-
-    def sector_of(turns):
-        return np.searchsorted(edges, turns, side="right") - 1
-
-    groups = []
-    for sign in (1, -1):
-        rays, past = _crossed(edges[ray], down, sign)
-        with np.errstate(over="ignore", divide="ignore"):
-            w = -sign * a1[rays] / a2[rays]
-        # a ray within roundoff of -r2 or r2 is crossed at the start or at the end of the strip
-        odd = sign * a2[rays] >= 0.0
-        w[odd] = np.where(past[odd] < 0.25, -strips.LIMIT, strips.LIMIT)
-        w = np.maximum.accumulate(np.clip(w, -strips.LIMIT, strips.LIMIT))
-        # sector[j]: the sector of a strip's points past its first j crossings
-        if rays.size:
-            sector = np.concatenate([rays[:1] - int(sign > 0), rays - int(sign < 0)]) % K
-        else:  # no ray is crossed: every point lies in the sector of p1 r1
-            sector = sector_of(_turns_of([sign * B.a], [sign * B.b]))
-        groups.append((sign * q > 0, sign, w, sector, False))
-    gap = _frac(edges[ray, None] - [down, up])
-    # with r2 on an axis, every point of each half of the p1 = 0 strip has the exact turns
-    # of -r2 or r2: arctan2 of (0, y2) or (y1, 0) is a multiple of a quarter turn
-    on_ray = B.c != 0.0 and B.d != 0.0 and bool(np.any(np.minimum(gap, 1.0 - gap) < CUT_TOL))
-    groups.append((q == 0, 0, np.zeros(1), sector_of(np.array([down, up])), on_ray))
-    pieces, decided, crossed = [], 0, 0
-    for mask, sign, w, sector, on_ray in groups:
-        rows = np.flatnonzero(mask & (counts > 0))
-        s, n, pr = starts[rows], counts[rows], q[rows]
-        a = np.abs(pr) if sign else np.ones(rows.size)  # the p1 = 0 strip: t = 1 w
-        with np.errstate(over="ignore", divide="ignore"):
-            tol = CUT_TOL * (reach * reach / a + r1 * reach + np.abs(s) + n + 1.0)
-        if not sign:
-            tol[:] = np.inf if on_ray else 0.0  # the cut at t = 0 is exact
-        while True:
-            first, size, rp, jp, lo, bands, owner = _slots(s, n, a, tol, w, xi2, crossed)
-            # a piece whose first or last point has a turns value outside its sector sends its
-            # whole range to be decided point by point; the second pass finds no such piece
-            full = np.flatnonzero(size > 0)
-            ends = np.concatenate([first[full], first[full] + size[full] - 1])
-            at = np.tile(rp[full], 2)
-            miss = sector_of(_point_turns(B, xi2, pr[at], ends)) != np.tile(sector[jp[full]], 2)
-            if not miss.any():
-                break
-            tol[at[miss]] = np.inf
-        crossed += first.size - s.size
-        decided += int(bands.sum())
-        _check_budget(decided, "points to decide at the cuts")
-        m2, owner = strips.expand(lo, bands, owner)
-        pieces.append((first, size, pr[rp], sector[jp]))
-        pieces.append((m2, np.ones(m2.size, dtype=np.int64), pr[owner],
-                       sector_of(_point_turns(B, xi2, pr[owner], m2))))
-    return tuple(np.concatenate(x) for x in zip(*pieces))
-
-
-def _slots(s, n, a, tol, w, xi2, crossed: int):
-    """Split the ranges [s, s + n) of one p1 sign at their crossings t = a w[j], with bands.
-
-    ``w`` is nondecreasing; a range with ``tol >= n`` is one band.  Slot k
-    of range r holds the points past its crossing at w[j - 1], j = j0 + k,
-    and after that crossing's band (slot 0 starts at the range).  Returns
-    the start, length, range and j of every slot, and the first m2, length
-    and range of every band, whose points the caller forms.  The
-    crossings in the ranges, with the ``crossed`` ones already cut, past
-    the budget (``PIECE_VALUES`` each) raise CapacityError before any
-    slot is formed.
-    """
-    whole = tol >= n
-    with np.errstate(over="ignore"):  # the crossings whose bands reach into each range
-        lo_w, hi_w = ((s - 1) - tol + xi2) / a, ((s + n) + tol + xi2) / a
-    j0 = np.searchsorted(w, lo_w, side="left")
-    per = np.where(whole, 1, np.searchsorted(w, hi_w, side="right") - j0 + 1)
-    _check_budget(PIECE_VALUES * (crossed + int(per.sum()) - s.size), "ray crossings cut in the ranges")
-    jp, rp = strips.expand(j0, per, np.arange(s.size))
-    head = np.cumsum(per) - per
-    m2 = a[rp] * np.concatenate([[0.0], w])[jp] - xi2
-    band = tol[rp]
-    m2[head] = s
-    band[head] = 0.0
-    cut = m2 + band
-    np.floor(cut, out=cut)  # the last integer of the band
-    m2 -= band
-    del band
-    cut[head] = np.where(whole, s + n - 1, s - 1)
-    held = np.flatnonzero(m2 <= cut)  # the bands that hold an integer
-    first = np.ceil(m2[held])
-    del m2
-    cut += 1.0
-    # positions in the ranges laid end to end, clipped and made nondecreasing
-    end = np.cumsum(n)
-    off = end - n - s
-    pos = cut.astype(np.int64)
-    del cut
-    pos += off[rp]
-    np.minimum(pos, end[rp], out=pos)
-    np.maximum.accumulate(pos, out=pos)
-    size = np.diff(pos, append=end[-1] if end.size else 0)
-    # a band ends where its slot's points start, and starts no earlier than the slot before
-    owner = rp[held]
-    lo = np.maximum(first.astype(np.int64) + off[owner], np.where(held > 0, pos[held - 1], 0))
-    np.minimum(lo, pos[held], out=lo)
-    bands = pos[held] - lo
-    size[held[held > 0] - 1] -= bands[held > 0]
-    return pos - off[rp], size, rp, jp, lo - off[owner], bands, owner
-
-
-def _crossed(edges, down, sign: int):
-    """The rays crossed by the strips of one sign of p1, in the order they are crossed.
-
-    A strip's angle runs through the open half turn after ``down`` (the
-    direction of -r2), forwards for sign 1 and backwards for sign -1.  The
-    crossed rays are those whose turns lie strictly inside, ordered by
-    their distance from ``down`` along the way; rays of equal float
-    distance keep the order of their edges along the way.  Returns the
-    rays and those distances.
-    """
-    past = _frac(sign * (edges - down))
-    rays = np.flatnonzero((past > 0.0) & (past < 0.5))[::sign]
-    rays = rays[np.argsort(past[rays], kind="stable")]
-    return rays, past[rays]
-
-
-def _sorted_sectors(B: Mat2, xi2, p1, starts, counts, key, reach: float):
-    """The directions of the kept m2 ranges, sector by sector, each sector sorted in place.
-
-    The ranges are cut at the K = N // SECTOR sector rays k/K (``_cut`` with
-    its check, so every point lies in the sector of its own ``_turns``
-    value; N < 2 SECTOR gives K = 1 and no ray to cut at), and the pieces
-    are put in sector order.  Each sector's angles are written, one
-    cache-sized piece at a time, into a buffer of the largest sector and
-    sorted there, overwriting the sector before.  Yields each sector's
+    Sector k of the K = N // SECTOR sectors holds the angles t (``_turns``)
+    with k / K <= t < (k + 1) / K; K = 1, the whole circle, is taken as its
+    two halves.  Each sector splits into arcs of at most 1/8 turn
+    (``_split_arcs``), which as predicates on t partition it, and the
+    kept points of each arc come from the reduced strips of its frame
+    (``_frames``, ``DirectionStream._arc_ranges``), the window counter's
+    engine: so every kept point lies in the sector of its own ``_turns``
+    value.  The reduced strips past the budget (``STRIP_COST`` each) raise
+    CapacityError before any is solved.  The strips of whole sectors are
+    solved about 4 ``BLOCK`` at a time, and each sector's angles are
+    written, one arc and one cache-sized piece at a time, into one reused
+    buffer, stepping along each range by its arc's gamma row
+    (``strips.expand_steps``), and sorted there.  Yields each sector's
     sorted angles, a view of the buffer, valid until the next sector.
     """
-    N = int(counts.sum())
-    K = max(N // SECTOR, 1)
-    edges = np.arange(K) / K
-    starts, counts, p1, sector = _cut(B, xi2, p1, starts, counts, key, edges, reach)
-    order = np.argsort(sector.astype(np.min_scalar_type(K)), kind="stable")
-    starts, counts, p1, sector = starts[order], counts[order], p1[order], sector[order]
-    sizes = np.bincount(sector, weights=counts, minlength=K).astype(np.int64)
-    first = np.searchsorted(sector, np.arange(K + 1))  # the pieces of sector k: first[k]:first[k + 1]
-    buf = np.empty(sizes.max())
-    for k in range(K):
-        vals = buf[:sizes[k]]
-        n = 0
-        i, j = first[k], first[k + 1]
-        for y1, y2 in _points(B, xi2, starts[i:j], counts[i:j], p1[i:j]):
-            _turns(y1, y2, vals[n:n + y1.size])
-            n += y1.size
-        vals.sort()  # values only, no NaN or -0.0: any sort gives the same bytes
-        yield vals
-
-
-def _turns_of(y1, y2):
-    """``_turns`` of a few points given as lists."""
-    out = np.empty(len(y1))
-    _turns(np.array(y1, dtype=float), np.array(y2, dtype=float), out)
-    return out
+    B, xi1, xi2 = stream._span[:3]
+    K = max(stream.N // SECTOR, 1)
+    ends = np.arange(max(K, 2) + 1) / max(K, 2)
+    x, y, sector = _split_arcs(ends[:-1], ends[1:])
+    sector = sector * K // max(K, 2)
+    frame = _frames(stream._span, stream.shape, stream.T, x, y)
+    rows = frame[-1]
+    _check_budget(int(rows.sum()) * STRIP_COST, f"{int(rows.sum())} reduced strips")
+    first = np.searchsorted(sector, np.arange(K + 1))  # the arcs of sector k: first[k]:first[k + 1]
+    for a, b in strips.runs(np.add.reduceat(rows, first[:-1]), 4 * BLOCK):
+        i, j = first[a], first[b]
+        arc, m, n = stream._arc_ranges(x[i:j], y[i:j], [v[..., i:j] for v in frame])
+        size = np.bincount(sector[i + arc] - a, weights=n, minlength=b - a).astype(np.int64)
+        buf = np.empty(size.max())  # one buffer for the run's sectors
+        order = np.argsort(arc, kind="stable")  # the ranges grouped by arc: arc c's are held[c]:held[c + 1]
+        m1, m2, n = m[0][order], m[1][order], n[order]
+        held = np.concatenate([[0], np.cumsum(np.bincount(arc, minlength=j - i))])
+        for k in range(a, b):
+            vals, at = buf[:size[k - a]], 0
+            for c in range(first[k], first[k + 1]):
+                r = slice(held[c - i], held[c - i + 1])
+                for y1, y2 in _points(B, (m1[r], m2[r]), n[r], frame[2][2:, c], (xi1, xi2)):
+                    _turns(y1, y2, vals[at:at + y1.size], x[c], y[c])
+                    at += y1.size
+            vals.sort()  # values only, no NaN or -0.0: any sort gives the same bytes
+            yield vals
 
 
 def _point_turns(B: Mat2, xi2, p1, m2):
@@ -734,9 +718,9 @@ def _inside(B: Mat2, xi2, shape: DomainShape, T: float, m2, p1):
     return (np.abs(y1) < T) & (np.abs(y2) < T) & ((y1 != 0.0) | (y2 != 0.0))
 
 
-def _points(B: Mat2, xi2, starts, counts, p1):
-    """The points (y1, y2) of the kept ranges, ``strips.CHUNK`` at a time."""
-    for p2, p1 in strips.expand_pieces(starts, counts, xi2, p1):
+def _points(B: Mat2, first, counts, step, shift):
+    """The points (y1, y2) = (m + xi) B of ranges m = first + j step, ``strips.CHUNK`` at a time (``strips.expand_steps``)."""
+    for p1, p2 in strips.expand_steps(first, counts, step, shift):
         yield _affine_combo(p1, p2, B.a, B.c), _affine_combo(p1, p2, B.b, B.d)
 
 
@@ -766,11 +750,13 @@ def enumerate_points(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> np
     thin annulus, c near 1, holds few points on many strips); or when the
     candidates do.
     """
-    B, xi2, p1, starts, counts, key = DirectionStream(lat, shape, T)._formed()
+    stream = DirectionStream(lat, shape, T)
+    starts, counts, key = stream._formed()
     order = np.argsort(key, kind="stable")
+    B, xi1, xi2, m1lo = stream._span[:4]
     out = np.empty((int(counts.sum()), 2))
     n = 0
-    for y1, y2 in _points(B, xi2, starts[order], counts[order], p1[key[order] >> 3]):
+    for y1, y2 in _points(B, ((key[order] >> 3) + m1lo, starts[order]), counts[order], (0, 1), (xi1, xi2)):
         out[n:n + y1.size, 0] = y1
         out[n:n + y1.size, 1] = y2
         n += y1.size
@@ -788,12 +774,21 @@ def _frac(x, out=None):
     return np.subtract(x, np.floor(x), out=out)
 
 
-def _turns(y1, y2, out):
-    """Direction angles of the points (y1, y2) in turns, in [0, 1), written to ``out``."""
+def _turns(y1, y2, out, x=0.0, y=1.0):
+    """Direction angles of the points (y1, y2) in turns, in [0, 1), written to ``out``.
+
+    Points known to have turns in the arc [x, y), x < y, skip the wrap where
+    the arc decides it: arctan2 / 2 pi lies in (-1/2, 1/2], so on an arc
+    inside (0, 1/2) it is the turns value itself, and on an arc inside
+    (1/2, 1) it is negative and the turns value is it plus 1, bit for bit.
+    """
     np.arctan2(y2, y1, out=out)
     out /= TWO_PI
-    _frac(out, out=out)
-    out[out >= 1.0] = 0.0  # tiny negative angles round up to 1.0
+    if 0.5 < x < y:
+        out += 1.0
+    elif not 0.0 < x < y <= 0.5:
+        _frac(out, out=out)
+        out[out >= 1.0] = 0.0  # tiny negative angles round up to 1.0
 
 
 def directions(points, T: float, shape: DomainShape) -> DirectionSet:
@@ -820,22 +815,21 @@ def direction_set(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Direc
 
     Bit for bit ``directions(enumerate_points(lat, shape, T), T, shape)``,
     with the same errors, but no (n, 2) array is built: the sorted sectors
-    of a ``DirectionStream`` (``chunks()``, which cuts the kept strip
-    ranges at K = N // SECTOR sector rays k/K and sorts each sector in
-    cache) are copied end to end into one exactly sized array.
+    of a ``DirectionStream`` (``chunks()``, which forms each of the K = N
+    // SECTOR sectors from the reduced strips of its arcs' frames and
+    sorts it in cache) are copied end to end into one exactly sized array.
 
-    Exact by construction, in two parts.  The multiset: the cuts are
-    clipped into each range and made nondecreasing, so the pieces
-    partition the kept ranges whatever the float decisions at the cuts
-    are.  The order: the cut checks the first and last point of every
-    piece by ``_turns`` and cuts a range that fails point by point, so
-    every point lies in the sector of its own angle and the sorted sectors
-    follow each other in order.  ``_turns`` yields no NaN and no -0.0, so
-    any sort of the same multiset gives the same bytes.  ``DirectionSet``
-    checks the order once more.  The cut checks its ray crossings against
-    the budget (``PIECE_VALUES``), but they number under N (1 - c) T /
-    SECTOR (c = 0 on a disc or a square), so that check passes wherever
-    the expected point count does.
+    Exact by construction, in two parts.  The multiset: the arcs of a
+    sector, as predicates on a float angle, partition it, and each arc's
+    ranges hold exactly the kept points of the strips whose ``_turns``
+    value lies in the arc, each point formed from its int64 m as the
+    enumerator forms it.  The order: so every point lies in the sector of
+    its own angle, and the sorted sectors follow each other in order.
+    ``_turns`` yields no NaN and no -0.0, so any sort of the same multiset
+    gives the same bytes.  ``DirectionSet`` checks the order once more.
+    The reduced strips are checked against the budget at ``STRIP_COST``
+    each; they number about N / 300 past 2 SECTOR points, and a few times
+    the m1-strips below.
     """
     stream = DirectionStream(lat, shape, T)
     sectors = stream.chunks()  # the budget checks run here, before N is solved
@@ -852,14 +846,14 @@ def direction_stream(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Di
     Checks the input and spans the m1-strips, with the errors of
     ``direction_set`` and its budget check of the strips, and returns a
     ``DirectionStream`` that solves them on first use.  No direction is
-    formed until its ``chunks()`` is iterated: then the points expected and
-    the candidates are checked, the ranges are cut at the K sector rays
-    (the cut's own checks run there) and each sector's angles are formed
-    and sorted in one reused buffer.  A sweep holds one sector and the
-    pieces, about strips times K / 3 of them, instead of the 8 N bytes of
-    the direction set: the statistics that walk the directions once, in
-    order (``pair_correlation``, ``spacing_histogram``, ``window_counts``
-    and ``mixed_moment``), take either.  ``window_counts`` on a stream
+    formed until ``chunks()`` is called: then the points expected, the
+    candidates and the reduced strips of the K sectors' frames are
+    checked, and as it is iterated each sector's angles are formed and
+    sorted in one reused buffer.  A sweep holds one sector and the reduced
+    strips of a few sectors, instead of the 8 N bytes of the direction
+    set: the statistics that walk the directions once, in order
+    (``pair_correlation``, ``spacing_histogram``, ``window_counts`` and
+    ``mixed_moment``), take either.  ``window_counts`` on a stream
     counts on reduced strips without forming the directions, so it counts
     where N is far past the budget (``window_counter``).
     """
@@ -988,19 +982,24 @@ def _frames(span, shape: DomainShape, T: float, x, y):
     With u the direction of x - ``ARC_TOL``, u' = u turned a quarter, the
     width w = y - x + 2 ``ARC_TOL`` and t = tan(2 pi w), the map y ->
     (y.u / R, y.u' / (R t)) takes the sector of the widened arc inside the
-    disc of radius R (T, or sqrt(2) T on the square) onto the triangle
-    (0, 0), (1, 0), (1, 1).  It takes the points (m + xi) B to (k + eta) g
+    disc of radius R onto the triangle (0, 0), (1, 0), (1, 1).  R is T on
+    an annulus; on the square it is the square's farthest reach in the
+    arc, T / max(|cos|, |sin|) at the arc end nearer a diagonal, or sqrt(2)
+    T where the arc holds one, so no strip is spent past the square.  It takes the points (m + xi) B to (k + eta) g
     on the Gauss-reduced basis g = gamma B map (``_gauss``), k = m
     gamma^-1 + s with s = rint(xi gamma^-1).  The triangle, cut at z1 =
     c cos 2 pi w on an annulus, is widened by ``MARGIN`` on its far side and
     by e on every side, where e bounds the roundoff of (k + eta) g: of eta,
     which grows with gamma, and of the products.  The strips k1 that meet
     it hold every candidate.  Returns t, the cut (less the widening), gamma,
-    s, eta, g, det g, e and the first k1 and number of strips of each arc.
+    s, eta, g, det g, e, R and the first k1 and number of strips of each
+    arc.
     """
     B, xi1, xi2 = span[:3]
-    R = T if isinstance(shape, Annulus) else math.sqrt(2.0) * T
     phi, w = TWO_PI * (x - ARC_TOL), TWO_PI * (_frac(y - x) + 2.0 * ARC_TOL)
+    near = np.minimum(*(np.maximum(np.abs(np.cos(a)), np.abs(np.sin(a))) for a in (phi, phi + w)))
+    near[np.mod(0.25 * math.pi - phi, 0.5 * math.pi) <= w] = math.sqrt(0.5)  # a diagonal in the arc
+    R = np.full(x.size, T) if isinstance(shape, Annulus) else T / near
     u1, u2, t = np.cos(phi), np.sin(phi), np.tan(w)
     base = np.stack([(B.a * u1 + B.b * u2) / R, (B.b * u1 - B.a * u2) / (R * t),
                      (B.c * u1 + B.d * u2) / R, (B.d * u1 - B.c * u2) / (R * t)])
@@ -1022,17 +1021,24 @@ def _frames(span, shape: DomainShape, T: float, x, y):
     f = [(z1 * g[3] - z2 * g[2]) / det for z1, z2 in  # k1 + eta1 at the corners
          ((left, -e), (far + e, -e), (far + e, far + 2.0 * e), (left, left + e))]
     k1lo, k1hi = strips.integer_range(np.minimum.reduce(f), np.maximum.reduce(f), eta[0])
-    return t, left, G.astype(np.int64), s.astype(np.int64), eta, g, det, e, k1lo, strips.widths(k1lo, k1hi)
+    return t, left, G.astype(np.int64), s.astype(np.int64), eta, g, det, e, R, k1lo, strips.widths(k1lo, k1hi)
 
 
-def _side(lo, hi, P1, P2, g1, g2, n1, n2, c):
-    """Narrow each strip's range [lo, hi] of s to the half-plane n . (P + s g) <= c, in place."""
+def _side(lo, hi, P1, P2, g1, g2, n1, n2, c, slab=False):
+    """Narrow each strip's range [lo, hi] of s to the half-plane n . (P + s g) <= c, in place.
+
+    With ``slab`` also to -n . (P + s g) <= c, from the same n . g and n . P:
+    negating them is exact, so the bounds are those of the two half-planes.
+    """
     d = n1 * g1 + n2 * g2
-    r = c - (n1 * P1 + n2 * P2)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b = r / d
-    np.maximum(lo, np.where(d < 0.0, b, -np.inf), out=lo)
-    np.minimum(hi, np.where(d > 0.0, b, np.where((d == 0.0) & (r < 0.0), -np.inf, np.inf)), out=hi)
+    nP = n1 * P1 + n2 * P2
+    for d, r in ((d, c - nP), (-d, c + nP)) if slab else ((d, c - nP),):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            b = r / d
+        np.maximum(lo, np.where(d < 0.0, b, -np.inf), out=lo)
+        np.minimum(hi, np.where(d > 0.0, b, np.inf), out=hi)
+        if not d.all():  # a strip parallel to the side lies inside it whole or not at all
+            np.minimum(hi, -np.inf, out=hi, where=(d == 0.0) & (r < 0.0))
 
 
 def _chord(P1, P2, g1, g2, t, pD, rho):
@@ -1053,104 +1059,6 @@ def _in_arc(turns, x, y):
     """Is each turns value in its arc [x, y), which wraps past 1 where x > y?"""
     after, before = turns >= x, turns < y
     return np.where(x > y, after | before, after & before)
-
-
-def _arc_counts(span, shape: DomainShape, T: float, x, y, t, left, gam, s, eta, g, det, e, k1lo, rows):
-    """The directions in each arc [x, y) of at most 1/8 turn, on the reduced strips of its frame (``_frames``).
-
-    Along strip k1 the points are z = P + (k2 + eta2) g2, P = (k1 + eta1) g1.
-    Its candidate range is the widened triangle and the domain grown by
-    ``MARGIN`` and e; its certified interior the arc narrowed by
-    ``ARC_TOL`` on each side and the domain shrunk by ``MARGIN`` and e,
-    narrowed by one integer, less the inner chord grown by one, as
-    ``DirectionStream._kept`` solves an m1-strip: ``_zones`` takes it whole
-    and decides the rest point by point, at m = (k - s) gamma in int64, by
-    ``_inside`` and ``_turns`` against the float ends.  The first and last
-    point of every interior range are decided too, and a strip where one
-    fails is decided point by point.  So a long strip costs O(1), and
-    every count is that of the points the sweep keeps.
-    """
-    B, xi1, xi2, m1lo, m1hi = span[:5]
-    k1, arc = strips.expand(k1lo, rows, np.arange(x.size))
-    p = k1 + eta[0][arc]
-    P1, P2, g1, g2, tt, ee = p * g[0][arc], p * g[1][arc], g[2][arc], g[3][arc], t[arc], e[arc]
-    pD = p * det[arc]
-    annulus = isinstance(shape, Annulus)
-    c = shape.c if annulus else 0.0
-    R = T if annulus else math.sqrt(2.0) * T
-
-    def solved(lo, hi):
-        return strips.integer_range(np.clip(lo, -strips.LIMIT, strips.LIMIT),
-                                    np.clip(hi, -strips.LIMIT, strips.LIMIT), eta[1][arc])
-
-    def domain(lo, hi, grow):
-        if annulus:
-            clo, chi, meets = _chord(P1, P2, g1, g2, tt, pD, 1.0 + grow)
-            np.maximum(lo, clo, out=lo)
-            np.minimum(hi, np.where(meets, chi, -np.inf), out=hi)
-            return
-        u1, u2 = np.cos(TWO_PI * (x - ARC_TOL))[arc], np.sin(TWO_PI * (x - ARC_TOL))[arc]
-        for n1, n2 in ((u1, -tt * u2), (u2, tt * u1)):  # y / R in the frame, per axis
-            _side(lo, hi, P1, P2, g1, g2, n1, n2, (1.0 + grow) / math.sqrt(2.0))
-            _side(lo, hi, P1, P2, g1, g2, -n1, -n2, (1.0 + grow) / math.sqrt(2.0))
-
-    lo, hi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
-    for n1, n2, bound in ((0.0, -1.0, ee), (1.0, 0.0, 1.0 + MARGIN + ee), (-1.0, 1.0, ee), (-1.0, 0.0, -left[arc])):
-        _side(lo, hi, P1, P2, g1, g2, n1, n2, bound)
-    domain(lo, hi, MARGIN + ee)
-    ilo, ihi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
-    slope = np.tan(TWO_PI * np.stack([np.full(x.size, 2.0 * ARC_TOL), _frac(y - x)])) / t
-    for n1, n2, bound in ((slope[0][arc], -1.0, -ee), (-slope[1][arc], 1.0, -ee), (-1.0, 0.0, 0.0)):
-        _side(ilo, ihi, P1, P2, g1, g2, n1, n2, bound)
-    domain(ilo, ihi, -MARGIN - ee)
-    if B.c == 0.0 or B.d == 0.0:  # r2 on an axis: each half of the p1 = 0 strip has one exact turns value
-        on = np.flatnonzero((gam[2][arc] == 0) & ((k1 - s[0][arc]) * gam[0][arc] + xi1 == 0.0))
-        if on.size:  # so it keeps its candidates, and its interior is the domain's, on the halves in the arc
-            a, (up, down) = arc[on], _turns_of([B.c, -B.c], [B.d, -B.d])
-            ahead = _in_arc(np.where(gam[3][a] > 0, up, down), x[a], y[a])  # s > 0, where p2 gam22 > 0
-            behind = _in_arc(np.where(gam[3][a] > 0, down, up), x[a], y[a])
-            dlo, dhi = np.full(p.size, -np.inf), np.full(p.size, np.inf)
-            domain(dlo, dhi, -MARGIN - ee)
-            for first, last, start, end in ((lo, hi, lo[on], hi[on]), (ilo, ihi, dlo[on], dhi[on])):
-                first[on] = np.where(behind, start, np.where(ahead, np.maximum(start, 0.0), np.inf))
-                last[on] = np.where(ahead, end, np.where(behind, np.minimum(end, 0.0), -np.inf))
-    lo, hi = solved(lo, hi)
-    ilo, ihi = solved(ilo, ihi)
-    ilo += 1
-    ihi -= 1
-    clo, chi, meets = _chord(P1, P2, g1, g2, tt, pD, max(c * (1.0 + MARGIN), ORIGIN_RADIUS / R) + ee)
-    clo, chi = solved(clo, chi)
-    clo = np.where(meets, clo - 1, ihi + 1)
-    chi = np.where(meets, chi + 1, ihi)
-    if c > 0.0:  # the inner chord shrunk by one integer at each end holds no point
-        rlo, rhi, meets = _chord(P1, P2, g1, g2, tt, pD, c * (1.0 - MARGIN) - ee)
-        rlo, rhi = solved(rlo, rhi)
-        rlo, rhi = np.where(meets, rlo + 1, lo), np.where(meets, rhi - 1, lo - 1)
-    else:
-        rlo, rhi = lo, lo - 1
-
-    def decide(k2, strip):
-        a = arc[strip]
-        a1, a2 = k1[strip] - s[0][a], k2 - s[1][a]
-        m1 = a1 * gam[0][a] + a2 * gam[2][a]
-        m2 = a1 * gam[1][a] + a2 * gam[3][a]
-        p1 = m1 + xi1
-        lo, hi = _candidates(span, shape, p1, T)  # the points the sweep tests: its candidates
-        kept = (m1 >= m1lo) & (m1 <= m1hi) & (m2 >= lo) & (m2 <= hi) & _inside(B, xi2, shape, T, m2, p1)
-        return kept & _in_arc(_point_turns(B, xi2, p1, m2), x[a], y[a])
-
-    while True:
-        starts, counts, key = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, decide)
-        inner = np.flatnonzero(((key & 3) == 1) & (counts > 0))  # the interior zones 1 and 5
-        ends = np.concatenate([starts[inner], starts[inner] + counts[inner] - 1])
-        at = np.tile(key[inner] >> 3, 2)
-        miss = at[~decide(ends, at)]
-        if not miss.size:
-            break
-        ihi[miss] = ilo[miss] - 1
-    total = np.zeros(x.size, dtype=np.int64)
-    np.add.at(total, arc[key >> 3], counts)
-    return total
 
 
 def rho_square(alpha):
@@ -1175,19 +1083,12 @@ def lattice_from_json(text: str):
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"bad lattice JSON: {exc}") from exc
-    try:
         basis = Mat2.from_array(obj["basis"])
         shift = tuple(float(x) for x in obj.get("shift", (0.0, 0.0)))
         shape_obj = obj.get("shape", {"annulus": 0.0})
+        shape: DomainShape = Square() if shape_obj == "square" else Annulus(float(shape_obj["annulus"]))
         T = float(obj["T"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInputError(f"bad lattice JSON: {exc}") from exc
-    if shape_obj == "square":
-        shape: DomainShape = Square()
-    elif isinstance(shape_obj, dict) and "annulus" in shape_obj:
-        shape = Annulus(float(shape_obj["annulus"]))
-    else:
-        raise InvalidInputError(f"bad shape field: {shape_obj!r}")
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError and InvalidInputError are ValueErrors
+        raise InvalidInputError(f"bad lattice JSON (basis, shift, T and a shape \"square\" or {{\"annulus\": c}}): "
+                                f"{exc}") from exc
     return AffineLatticeSpec(basis, shift), shape, T

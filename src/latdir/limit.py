@@ -432,7 +432,8 @@ def _count_inside(c: float, interval, lo, hi, p1, xi2, A) -> np.ndarray:
     width = strips.widths(lo, hi)
     _check_budget(width.sum(dtype=float), "zero-coefficient strip candidates")
     out = np.zeros(lo.size, dtype=np.int64)
-    for m2, row in strips.expand_pieces(lo, width, 0.0, np.arange(lo.size)):
+    for m2, row in strips.expand_steps((lo, np.arange(lo.size)), width, (1, 0), (0.0, 0.0)):
+        row = row.astype(np.int64)
         keep = _inside(c, interval, p1[row], xi2[row], [a[row] for a in A], m2)
         out += np.bincount(row[keep], minlength=lo.size)
     return out

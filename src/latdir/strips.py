@@ -3,7 +3,8 @@
 Per integer m1, the admissible m2 form one inclusive int64 range
 (``integer_range``; ``ellipse_span`` and ``root_pair`` for an ellipse).
 Counters sum the ranges (``widths``, ``totals``); enumerators expand them
-into points (``expand``, ``expand_pieces``).  ``runs`` cuts the rows into
+into points (``expand``, and ``expand_steps`` in cache-sized pieces for rows
+of points that step by one integer vector).  ``runs`` cuts the rows into
 passes of whole rows of about ``CHUNK`` values.
 
 Invariant: the float predicate decides, but only near a boundary.  The
@@ -27,9 +28,9 @@ from .errors import CapacityError
 
 # Solved bounds are saturated here, so hi - lo + 1 always fits in int64.
 LIMIT = 2.0**61
-# Values per piece of ``expand_pieces``: a few float64 arrays of this length fit in cache.
+# Values per piece of ``expand_steps``: a few float64 arrays of this length fit in cache.
 CHUNK = 1 << 16
-# 0.0, 1.0, ..., CHUNK - 1: the offsets that ``expand_pieces`` adds to each piece, built once
+# 0.0, 1.0, ..., CHUNK - 1: the offsets that ``expand_steps`` adds to each piece, built once
 _RAMP = np.arange(CHUNK, dtype=float)
 _RAMP.flags.writeable = False
 
@@ -94,28 +95,39 @@ def runs(counts, size):
         i = j
 
 
-def expand_pieces(lo, counts, shift, *per_row):
-    """``expand`` plus ``shift``, as float64, in consecutive pieces of CHUNK values.
+def expand_steps(first, counts, step, shift):
+    """The points first_i + j step + shift, j < counts_i, of rows that share one integer step, as float64.
 
-    Yields the values lo_i + j + shift, j < counts_i, row by row, and each
-    array of ``per_row`` repeated to match; the last piece is shorter.  A
-    row that crosses a piece edge is split there, so the temporaries stay
-    cache-sized however long a row is.  Each value is the integer
-    lo_i + j, exact in float64 below 2^53, plus ``shift``, rounded once:
-    bit for bit what adding ``shift`` to ``expand``'s int64 values gives.
+    ``first`` holds an int64 array, ``step`` an integer and ``shift`` a
+    float per coordinate.  Yields one array per coordinate for each piece of
+    at most CHUNK points, row by row; a row that crosses a piece edge is
+    split there.  A piece is short enough that j step stays below 2^52,
+    so each value is the integer first_i + j step, exact in float64 while
+    it is below 2^52 in size, plus ``shift``, rounded once: bit for bit
+    what adding ``shift`` to the int64 coordinate gives.  A coordinate of
+    step 0 is shifted once per row.
     """
     end = np.cumsum(counts)
     begin = end - counts
     total = int(end[-1]) if end.size else 0
-    for a in range(0, total, CHUNK):
-        b = min(a + CHUNK, total)
+    size = min(CHUNK, 2**52 // max(1, *(abs(int(g)) for g in step)))
+    # each row's value at position 0 of the ramp, first_i - begin_i step, and shifted at step 0
+    base = [f - begin * g if g else f + x for f, g, x in zip(first, step, shift)]
+    for a in range(0, total, size):
+        b = min(a + size, total)
         i = int(np.searchsorted(end, a, side="right"))  # the row holding value a
         j = int(np.searchsorted(end, b, side="left")) + 1  # one past the row holding value b - 1
         count = np.minimum(end[i:j], b) - np.maximum(begin[i:j], a)
-        values = np.repeat((lo[i:j] - begin[i:j] + a).astype(float), count)
-        values += _RAMP[:b - a]
-        values += shift
-        yield (values, *(np.repeat(v[i:j], count) for v in per_row))
+        pieces = []
+        for v, g, x in zip(base, step, shift):
+            if not g:
+                pieces.append(np.repeat(v[i:j], count))
+                continue
+            values = np.repeat((v[i:j] + a * g).astype(float), count)
+            values += _RAMP[:b - a] if g == 1 else _RAMP[:b - a] * g
+            values += x
+            pieces.append(values)
+        yield pieces
 
 
 def totals(per_value, rows):

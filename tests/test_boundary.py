@@ -3,8 +3,8 @@
 ``enumerate_points`` takes each strip's certified interior whole and runs
 the float domain test only on a few boundary candidates.  So its result
 must be exactly the points of an m-box that pass that test, in (m1, m2)
-order, and ``direction_set`` exactly their sorted angles, also when it cuts
-the strips into many sectors.  Unlike the property tests in test_strips.py
+order, and ``direction_set`` exactly their sorted angles, also when it
+frames many sectors.  Unlike the property tests in test_strips.py
 nothing is moved off the boundary here: Pythagorean radii, half-integer
 and integer shifts and integer square sizes put lattice points exactly on
 the circles, edges and sector rays, and the strict float test must drop
@@ -116,16 +116,29 @@ def test_domain_test_sees_a_few_candidates_per_strip(monkeypatch, shape, per_str
 def test_rays_through_lattice_points(monkeypatch, shift, shape, T):
     # with K divisible by 8 the axes and diagonals are sector rays, and lattice points lie
     # on them; an integer first shift component puts a strip through the origin, and a
-    # tiny second one puts its points next to the origin on both sides.  The cut puts every
-    # point in its own sector at once: its check of the piece ends cuts no range again, so each
-    # cut solves the slots of its three strip groups once
-    cuts, slots = [], []
-    cut, solve = lattice._cut, lattice._slots
-    monkeypatch.setattr(lattice, "_cut", lambda *args: cuts.append(1) or cut(*args))
-    monkeypatch.setattr(lattice, "_slots", lambda *args: slots.append(1) or solve(*args))
+    # tiny second one puts its points next to the origin on both sides.  The frames put every
+    # point in its own sector at once: the check of the interior ends decides no strip again, so
+    # each sweep solves the zones of its reduced strips once
+    solves, active = [], []
+    arc_ranges, zones = ld.DirectionStream._arc_ranges, lattice._zones
+
+    def counted_arcs(self, *args):
+        active.append(0)
+        try:
+            return arc_ranges(self, *args)
+        finally:
+            solves.append(active.pop())
+
+    def counted_zones(*args):
+        if active:
+            active[-1] += 1
+        return zones(*args)
+
+    monkeypatch.setattr(ld.DirectionStream, "_arc_ranges", counted_arcs)
+    monkeypatch.setattr(lattice, "_zones", counted_zones)
     _assert_exact(ld.Mat2.identity(), shift, shape, T)
-    assert len(cuts) > 2
-    assert len(slots) == 3 * len(cuts)
+    assert len(solves) > 2
+    assert set(solves) == {1}
 
 
 @pytest.mark.parametrize("shape", [ld.Annulus(0.0), ld.Square()])

@@ -353,6 +353,17 @@ def test_missing_spec_json_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("ratio", [[0.5], None, "x"])
+def test_spec_json_ratio_that_is_no_number_exits_2(tmp_path, capsys, ratio):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"basis": [[1, 0], [0, 1]], "shape": {"annulus": ratio}, "T": 3}))
+    out = tmp_path / "dirs.csv"
+    assert main(["enumerate", "--spec-json", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad lattice JSON") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_threads_flag_removed():
     assert main(["enumerate", "--T", "3", "--threads", "2"]) == 2
 

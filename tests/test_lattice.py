@@ -326,3 +326,11 @@ def test_lattice_from_json():
         ld.lattice_from_json("{bad json")
     with pytest.raises(ld.InvalidInputError):
         ld.lattice_from_json(json.dumps({"basis": [[2, 0], [0, 1]], "shape": "square", "T": 3}))
+
+
+@pytest.mark.parametrize("ratio", [[0.5], None, "x"])
+def test_lattice_from_json_refuses_a_ratio_that_is_no_number(ratio):
+    # the ratio was read after the checks: a list or null raised TypeError, a string ValueError
+    spec = {"basis": [[1, 0], [0, 1]], "shape": {"annulus": ratio}, "T": 3}
+    with pytest.raises(ld.InvalidInputError, match="bad lattice JSON"):
+        ld.lattice_from_json(json.dumps(spec))

@@ -1,10 +1,11 @@
-"""Guards on the sector path of ``direction_set``: its checked cut and the cost of its cuts.
+"""Guards on the sector path of ``direction_set``: its frames, its repair and the cost of its strips.
 
-``direction_set`` cuts the kept strip ranges at K sector rays, checks the
-first and last point of every piece by its own angle, cuts a range that
-fails that check again point by point, and sorts each sector.  A wrong
-cut must therefore cost time, never bytes, and on the benchmark's
-direction sets no cut may be wrong.
+``direction_set`` splits the circle into K sectors, each into arcs of at
+most 1/8 turn, maps each arc's sector onto a triangle by its reduced frame,
+takes the certified interior of each reduced strip whole, decides the rest
+and the ends of every interior point by point, and sorts each sector.  A
+wrong interior must therefore cost time, never bytes, and on the
+benchmark's direction sets no interior may be wrong.
 """
 
 import numpy as np
@@ -14,36 +15,71 @@ import latdir as ld
 from latdir import lattice
 from latdir.diophantine import CBRT2, CBRT4
 
+from oracles import brute_kept_points, brute_turns
 
-def _spy(monkeypatch, name, record):
-    """Replace lattice.<name> by a wrapper that passes its arguments and result to ``record``."""
-    original = getattr(lattice, name)
+
+def _spy(monkeypatch, name, record, owner=lattice):
+    """Replace owner.<name> by a wrapper that passes its arguments and result to ``record``."""
+    original = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         result = original(*args, **kwargs)
         record(args, result)
         return result
 
-    monkeypatch.setattr(lattice, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
 
 
-def test_a_moved_cut_is_cut_again_point_by_point(monkeypatch):
-    # crossings moved far past their bands put whole runs of points in the wrong sector: the
-    # check of the piece ends must find those ranges and decide them point by point
+def _zone_solves(monkeypatch):
+    """The number of ``_zones`` solves in each ``_arc_ranges`` call, appended as each call returns."""
+    solves, active = [], []
+    arc_ranges, zones = ld.DirectionStream._arc_ranges, lattice._zones
+
+    def counted_arcs(self, *args):
+        active.append(0)
+        try:
+            return arc_ranges(self, *args)
+        finally:
+            solves.append(active.pop())
+
+    def counted_zones(*args):
+        if active:
+            active[-1] += 1
+        return zones(*args)
+
+    monkeypatch.setattr(ld.DirectionStream, "_arc_ranges", counted_arcs)
+    monkeypatch.setattr(lattice, "_zones", counted_zones)
+    return solves
+
+
+def _widened(zones):
+    """``_zones`` with every candidate range and nonempty interior widened by 3 integers at each end.
+
+    The interior then reaches past the arc or the domain, wrongly: the check of its ends must
+    find it.  An emptied interior stays empty, so the strips decided again keep their ranges.
+    """
+    def moved(lo, hi, ilo, ihi, *rest):
+        held = ihi >= ilo
+        return zones(lo - 3, hi + 3, np.where(held, ilo - 3, ilo), np.where(held, ihi + 3, ihi), *rest)
+
+    return moved
+
+
+def test_a_wrong_interior_is_decided_again_point_by_point(monkeypatch):
+    # interiors widened past their certified ends take points past the arc or the circle: the
+    # check of the interior ends must find those strips and decide them point by point
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
     shape, T = ld.Annulus(0.0), 300.0
     want = ld.directions(ld.enumerate_points(lat, shape, T), T, shape)
     assert want.N // lattice.SECTOR > 1
-    slots, recut = lattice._slots, []
-
-    def moved(s, n, a, tol, w, xi2, crossed):
-        recut.append(int(np.isinf(tol).sum()))
-        return slots(s, n, a, tol, w + 0.01 * (1.0 + np.abs(w)), xi2, crossed)
-
-    monkeypatch.setattr(lattice, "_slots", moved)
-    got = ld.direction_set(lat, shape, T)
-    assert got.N == want.N and got.alphas.tobytes() == want.alphas.tobytes()
-    assert max(recut) > 0
+    stream = ld.direction_stream(lat, shape, T)
+    stream.N  # the m1-strips are solved before the interiors are moved
+    interiors = []
+    monkeypatch.setattr(lattice, "_zones", _widened(lattice._zones))
+    _spy(monkeypatch, "_zones", lambda args, out: interiors.append(int(np.count_nonzero(args[3] >= args[2]))))
+    got = np.concatenate([vals.copy() for vals in stream.chunks()])
+    assert got.tobytes() == want.alphas.tobytes()
+    assert len(interiors) > 1 and interiors[-1] < interiors[0]  # some strips were decided again
 
 
 @pytest.mark.parametrize("basis, shift, shape, T", [
@@ -56,49 +92,57 @@ def test_a_moved_cut_is_cut_again_point_by_point(monkeypatch):
     ((1.0, 0.0, 0.0, 1.0), (0.5, 0.5), ld.Annulus(0.0), 1000.0),
 ])
 def test_benchmark_direction_sets_need_no_fallback(monkeypatch, basis, shift, shape, T):
-    # the finite-scale, skewed-square, shear and singular-probe sets of perfbench
-    ranges, slots = [], []
-    # the cut: nonempty ranges in, pieces out; a range's first piece, one piece past each
-    # crossing, and one piece for each point next to a crossing that the float test decides
-    _spy(monkeypatch, "_cut", lambda args, out: ranges.append((np.count_nonzero(args[4] > 0), out[0].size)))
-    _spy(monkeypatch, "_slots", lambda args, out: slots.append(int(out[5].sum())))
-    ld.direction_set(ld.AffineLatticeSpec(ld.Mat2(*basis), shift), shape, T)
-    (kept, pieces), = ranges
-    crossings = pieces - kept - sum(slots)
-    assert len(slots) == 3  # one solve per strip group: the check cut no range again
-    assert sum(slots) <= crossings
+    # the finite-scale, skewed-square, shear and singular-probe sets of perfbench: every reduced
+    # strip's interior ends pass their check, so each call solves its zones once
+    solves = _zone_solves(monkeypatch)
+    dirs = ld.direction_set(ld.AffineLatticeSpec(ld.Mat2(*basis), shift), shape, T)
+    assert solves and set(solves) == {1}
+    assert dirs.N > 100_000
 
 
 def test_sector_count_follows_the_point_count(monkeypatch):
-    # K = N // SECTOR sectors, and K = 1 below 2 SECTOR: one piece per range, one sort
+    # K = N // SECTOR sectors, and K = 1 below 2 SECTOR: the whole circle, framed as its two
+    # halves of four arcs each; at K >= 8 every sector is one arc
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
-    seen = []
-    _spy(monkeypatch, "_cut", lambda args, out: seen.append((args[6].size, int(out[3].max()) + 1)))
-    for T in (100.0, 1000.0):
-        dirs = ld.direction_set(lat, ld.Annulus(0.0), T)
-        assert seen[-1] == (max(dirs.N // lattice.SECTOR, 1),) * 2
-    assert seen[0][0] == 1 and seen[1][0] > 16
+    arcs = []
+    _spy(monkeypatch, "_frames", lambda args, out: arcs.append(args[3].size))
+    for T, arc_count in ((100.0, 8), (1000.0, 23)):
+        stream = ld.direction_stream(lat, ld.Annulus(0.0), T)
+        chunks = sum(1 for _ in stream.chunks())
+        assert chunks == max(stream.N // lattice.SECTOR, 1)
+        assert arcs[-1] == arc_count
+    assert chunks == 23
 
 
-def test_thin_annulus_checks_the_crossings_it_cuts(monkeypatch):
-    # a thin annulus holds few points on many strips, and each strip's ranges cross few of the
-    # K rays: 4000 strips times K = 976 rays pass the budget, the 13k crossings cut do not
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("basis", [ld.Mat2.identity(), ld.Mat2(2.0, -0.2, 0.0, 0.5)])
+@pytest.mark.parametrize("shift", [(0.5, 1 / 3), (CBRT4, CBRT2)])
+@pytest.mark.parametrize("shape, T", [(ld.Annulus(0.0), 50.0), (ld.Square(), 40.0)])
+def test_sectors_wider_than_an_eighth_turn(monkeypatch, K, basis, shift, shape, T):
+    # fewer than 8 sectors split into arcs of at most 1/8 turn, ceil(8 / K) each, and K = 1, the
+    # whole circle, into its two halves: every arc's points, and only those, land in its sector
+    want = brute_turns(brute_kept_points(basis.array(), shift, shape, T))
+    monkeypatch.setattr(lattice, "SECTOR", want.size // K)
+    assert want.size // lattice.SECTOR == K
+    arcs = []
+    _spy(monkeypatch, "_frames", lambda args, out: arcs.append(args[3].size))
+    chunks = [vals.copy() for vals in ld.direction_stream(ld.AffineLatticeSpec(basis, shift), shape, T).chunks()]
+    assert np.concatenate(chunks).tobytes() == want.tobytes()
+    assert len(chunks) == K
+    assert arcs == [max(K, 2) * -(-8 // max(K, 2))]
+
+
+def test_reduced_strips_past_the_budget_are_refused(monkeypatch):
+    # a thin annulus holds few points on many strips: at K = 976 sectors of 256 angles its N =
+    # 250,066 points and 4000 m1-strips pass a budget of 1e6 values, but its sectors' frames hold
+    # 70,234 reduced strips, which at STRIP_COST directions each weigh 2.2e6
     monkeypatch.setattr(lattice, "SECTOR", 256)
-    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 1_000_000)
     lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
     shape, T = ld.Annulus(0.99), 2000.0
-    got = ld.direction_set(lat, shape, T)
     want = ld.directions(ld.enumerate_points(lat, shape, T), T, shape)
-    assert got.N // lattice.SECTOR * 4 * (2 * T) > lattice.DEFAULT_MAX_POINTS
-    assert got.alphas.tobytes() == want.alphas.tobytes()
-
-
-def test_crossings_past_the_budget_are_refused(monkeypatch):
-    # K = 1963 rays of 16 angles each on a disc of N = 31422: 126k crossings at 10 values each
-    monkeypatch.setattr(lattice, "SECTOR", 16)
+    assert ld.expected_count(shape, T) < 1_000_000 and 4000 * lattice.STRIP_VALUES < 1_000_000
     monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 1_000_000)
-    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
-    with pytest.raises(ld.CapacityError, match="ray crossings"):
-        ld.direction_set(lat, ld.Annulus(0.0), 100.0)
-    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 2_000_000)
-    assert ld.direction_set(lat, ld.Annulus(0.0), 100.0).N == 31422
+    with pytest.raises(ld.CapacityError, match="reduced strips"):
+        ld.direction_set(lat, shape, T)
+    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 20_000_000)
+    assert ld.direction_set(lat, shape, T).alphas.tobytes() == want.alphas.tobytes()

@@ -124,28 +124,38 @@ def test_counter_on_every_direction(shift, shape, T):
         assert N == dirs.N and np.array_equal(counts, ld.window_counts(dirs, interval, ts))
 
 
-def test_counter_repairs_a_misplaced_cut(monkeypatch):
-    # crossings moved far past their bands put whole runs of points in the wrong piece of the
-    # sector sweep that ``direction_set`` runs: the check of the piece ends must find those
-    # ranges and decide them point by point, so the set and the stream's counts keep their values
-    lat = ld.AffineLatticeSpec(ld.Mat2(1.0, 0.0, 0.3, 1.0), (0.25, 1 / 3))
-    dirs = ld.direction_set(lat, ld.Annulus(0.2), 80.0)
-    slots, calls = ld.lattice._slots, []
+def test_counter_repairs_a_wrong_interior(monkeypatch):
+    # interiors widened 3 integers past their certified ends, in the sector sweep and in the
+    # counter alike, take points past the arc or the domain: the check of the interior ends must
+    # find those strips and decide them point by point, so the swept set and the stream's counts
+    # keep their values
+    lat, shape, T = ld.AffineLatticeSpec(ld.Mat2(1.0, 0.0, 0.3, 1.0), (0.25, 1 / 3)), ld.Annulus(0.2), 80.0
+    dirs = ld.direction_set(lat, shape, T)
+    monkeypatch.setattr(ld.lattice, "SECTOR", 64)  # hundreds of sectors to frame
+    streams = [ld.direction_stream(lat, shape, T) for _ in range(9)]
+    for stream in streams:
+        stream.N  # the m1-strips are solved before the interiors are widened
+    calls, zones, arc_ranges = [0, 0], ld.lattice._zones, ld.DirectionStream._arc_ranges
 
-    def moved(s, n, a, tol, w, xi2, crossed):
-        calls.append(np.isinf(tol).sum())
-        return slots(s, n, a, tol, w + 0.01 * (1.0 + np.abs(w)), xi2, crossed)
+    def widened(lo, hi, ilo, ihi, *rest):
+        calls[0] += 1
+        held = ihi >= ilo
+        return zones(lo - 3, hi + 3, np.where(held, ilo - 3, ilo), np.where(held, ihi + 3, ihi), *rest)
 
-    monkeypatch.setattr(ld.lattice, "SECTOR", 64)  # hundreds of sector rays to cut at
-    monkeypatch.setattr(ld.lattice, "_slots", moved)
-    cut = ld.direction_set(lat, ld.Annulus(0.2), 80.0)
-    assert np.array_equal(cut.alphas, dirs.alphas)
-    for alpha in (0.05, 0.3, 0.61, 0.97):
-        for interval in ((-5.0, 5.0), (0.0, 3000.0)):
-            got = counted(lat, ld.Annulus(0.2), 80.0, interval, alpha)
-            assert got == (ld.window_counts(dirs, interval, alpha), dirs.N)
-            assert ld.window_counts(cut, interval, alpha) == got[0]
-    assert max(calls) > 0  # some ranges were cut again
+    def counted_arcs(self, *args):
+        calls[1] += 1
+        return arc_ranges(self, *args)
+
+    monkeypatch.setattr(ld.lattice, "_zones", widened)
+    monkeypatch.setattr(ld.DirectionStream, "_arc_ranges", counted_arcs)
+    swept = ld.DirectionSet(np.concatenate([vals.copy() for vals in streams[0].chunks()]), T, shape)
+    assert np.array_equal(swept.alphas, dirs.alphas)
+    windows = [(alpha, interval) for alpha in (0.05, 0.3, 0.61, 0.97) for interval in ((-5.0, 5.0), (0.0, 3000.0))]
+    for stream, (alpha, interval) in zip(streams[1:], windows):
+        got = ld.window_counts(stream, interval, alpha)
+        assert got == ld.window_counts(dirs, interval, alpha)
+        assert ld.window_counts(swept, interval, alpha) == got
+    assert calls[0] > calls[1]  # some strips were decided again
 
 
 def test_probe_counts_unchanged():

@@ -132,6 +132,31 @@ def test_sectors_wider_than_an_eighth_turn(monkeypatch, K, basis, shift, shape, 
     assert arcs == [max(K, 2) * -(-8 // max(K, 2))]
 
 
+def test_thin_annulus_checks_the_crossings_it_cuts(monkeypatch):
+    # a thin annulus holds few points on many strips, and each sector's frames cross few of them:
+    # 4000 strips times K = 976 sectors pass the budget, the 70k reduced strips framed do not
+    monkeypatch.setattr(lattice, "SECTOR", 256)
+    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 3_000_000)
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
+    shape, T = ld.Annulus(0.99), 2000.0
+    got = ld.direction_set(lat, shape, T)
+    want = ld.directions(ld.enumerate_points(lat, shape, T), T, shape)
+    assert got.N // lattice.SECTOR * 4 * (2 * T) > lattice.DEFAULT_MAX_POINTS
+    assert got.alphas.tobytes() == want.alphas.tobytes()
+
+
+def test_crossings_past_the_budget_are_refused(monkeypatch):
+    # K = 1963 sectors of 16 angles each on a disc of N = 31422: the sweep's work past its
+    # strips, once its ray crossings, is its 8259 reduced strips at STRIP_COST values each
+    monkeypatch.setattr(lattice, "SECTOR", 16)
+    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 250_000)
+    lat = ld.AffineLatticeSpec(ld.Mat2.identity(), (CBRT4, CBRT2))
+    with pytest.raises(ld.CapacityError, match="8259 reduced strips"):
+        ld.direction_set(lat, ld.Annulus(0.0), 100.0)
+    monkeypatch.setattr(lattice, "DEFAULT_MAX_POINTS", 300_000)
+    assert ld.direction_set(lat, ld.Annulus(0.0), 100.0).N == 31422
+
+
 def test_reduced_strips_past_the_budget_are_refused(monkeypatch):
     # a thin annulus holds few points on many strips: at K = 976 sectors of 256 angles its N =
     # 250,066 points and 4000 m1-strips pass a budget of 1e6 values, but its sectors' frames hold

@@ -302,19 +302,31 @@ def _g17(x, out):
     whose trailing zeros are NULs, as their quads are looked up among
     those with trailing NULs.  Any other value (zero, negative, exponent
     form, subnormal, inf or nan) is formatted by Python and written
-    left-aligned by ``_put_text``.
+    left-aligned by ``_put_text``.  The decade is decided once per chunk
+    where it can be: when the least and the greatest value of x lie in one
+    decade of [1e-4, 1), so does every value between them, and the chunk
+    takes its z, its prefix word and its power from those two values, with
+    no per-value test.  Any other chunk decides each value alone.
 
     The cut column is 5 - (the most zeros after the point of any row), the
     number of leading columns that are NUL in every row, or 0 when some row
     was formatted by Python.
     """
     x = np.asarray(x, dtype=np.float64)
-    fast = (x >= 1e-4) & (x < 1.0)
-    a = np.where(fast, x, 0.5)
-    zeros = (a < 0.1).astype(np.intp) + (a < 0.01) + (a < 0.001)
+    ends = np.array([x.min(), x.max()])
+    zeros = _zeros_after_point(ends)
+    # a chunk of one decade, as all but a few chunks of a sorted column are; a NaN makes both
+    # ends NaN, which fails the test
+    if 1e-4 <= ends[0] and ends[1] < 1.0 and zeros[0] == zeros[1]:
+        a, zeros, slow = x, zeros[0], ()
+        p, ph, pl = _POW10[:, zeros]
+    else:
+        fast = (x >= 1e-4) & (x < 1.0)
+        a = np.where(fast, x, 0.5)
+        zeros = _zeros_after_point(a)
+        p, ph, pl = _POW10.take(zeros, axis=1)
+        slow = np.flatnonzero(~fast)
     top = int(zeros.max())
-    # a chunk of one decade, as all but a few chunks of a sorted column are, takes one power
-    p, ph, pl = _POW10[:, top] if zeros.min() == top else _POW10.take(zeros, axis=1)
     ah, al = _split(a)
     hi = a * p
     lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
@@ -341,11 +353,15 @@ def _g17(x, out):
         trim *= rest == 0
         rest = upper
     text[:, 7] += d.astype(np.uint8)  # the lead digit, never '0', ends every run of zeros
-    slow = np.flatnonzero(~fast)
-    if slow.size:
+    if len(slow):
         _put_text(out, slow, [format(v, ".17g") for v in x[slow].tolist()])
         return 0
     return 5 - top
+
+
+def _zeros_after_point(a):
+    """How many zeros "%.17g" writes after the point of each value of a in [1e-4, 1): 0 to 3."""
+    return (a < 0.1).astype(np.intp) + (a < 0.01) + (a < 0.001)
 
 
 def _str_field(col, out):

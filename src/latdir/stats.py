@@ -337,19 +337,24 @@ def _sweep(N: int, chunks, thresh: float, count: int = 0):
         yield np.concatenate([buf[:c], *lifted]), c, True
 
 
-def _near_pairs(N: int, chunks, reach: float, ends: bool = False):
+def _near_pairs(N: int, chunks, reach: float, ends: bool | None = False):
     """Scaled differences N * (L(l) - L(j)) <= reach of the lifted sequence, j < N, j < l.
 
     L(i) = A[i mod N] + i div N for the N sorted directions A that
     ``chunks`` lays end to end (``_sweep``).  Pairs l - j = 0 (mod N), a
     direction and its own image, are skipped.  Each difference is computed
     as ``A[l] - A[j]``, or ``(A[l - qN] + q) - A[j]`` past the end, and then
-    multiplied by N, so the values are the same however A is chunked.
-    Yields them in batches; with ``ends`` set, each comes with the pairs'
-    two values A[j] and L(l) (else None).  The cost is
-    O(N * (1 + reach)), the memory O(``_BLOCK``) beside the values carried
-    and the head of A within reach of the wrap, which is all of A only
-    when reach >= N.
+    multiplied by N, so the values are the same however A is chunked.  A
+    difference is kept when its scaled value is within reach, decided as
+    one compare of the unscaled value with the greatest float whose scaled
+    value is: rounding is monotone.  Yields them in batches; with ``ends``
+    True, each comes with the pairs' two values A[j] and L(l) (else None).
+    With ``ends`` None the caller bins the values and nothing else, so a
+    dense block pass may come whole (``_close``), with values past the
+    reach: they lie past every edge within the reach and fall in no bin.
+    The cost is O(N * (1 + reach)), the memory O(``_BLOCK``) beside the
+    values carried and the head of A within reach of the wrap, which is
+    all of A only when reach >= N.
 
     In a block (``_close``) pass d = 1, 2, ... takes L(l) - L(l - d) over
     every l of the block, while cache-resident, until a pass keeps fewer
@@ -358,6 +363,10 @@ def _near_pairs(N: int, chunks, reach: float, ends: bool = False):
     ``_sweep``, those that wrap past 1, are gathered directly.
     """
     thresh = reach / N
+    while N * thresh > reach:
+        thresh = np.nextafter(thresh, -np.inf)
+    while N * np.nextafter(thresh, np.inf) <= reach:
+        thresh = np.nextafter(thresh, np.inf)
     work = np.empty(_BLOCK), np.empty(_BLOCK, dtype=bool)  # reused by every block
     for Y, c, wrap in _sweep(N, chunks, thresh):
         pairs = _gathered(Y, np.arange(c, Y.size), c, thresh, N, ends) if wrap else _close(Y, c, thresh, ends, work)
@@ -366,11 +375,14 @@ def _near_pairs(N: int, chunks, reach: float, ends: bool = False):
             yield vals, pair
 
 
-def _close(Y, c: int, thresh: float, ends: bool, work):
+def _close(Y, c: int, thresh: float, ends: bool | None, work):
     """Differences Y[l] - Y[j] <= thresh, c <= l, j < l: passes d = 1, 2, ... , then ``_gathered``.
 
     The passes write into ``work``, a float and a bool array of at least
-    Y.size - c values.
+    Y.size - c values.  With ``ends`` None a pass that keeps more than 3
+    in 4 of its values is yielded whole, as a view of ``work`` that holds
+    the differences past ``thresh`` too: only a caller that bins may ask
+    for that, as compacting them would cost more than binning them.
     """
     gaps, mask = work
     n = Y.size
@@ -382,26 +394,30 @@ def _close(Y, c: int, thresh: float, ends: bool, work):
             return
         m = n - lo
         near = np.less_equal(np.subtract(Y[lo:], Y[lo - d:n - d], out=gaps[:m]), thresh, out=mask[:m])
-        vals = _kept(near, gaps[:m])
-        if vals.size:
-            yield vals, (_kept(near, Y[lo - d:n - d]), _kept(near, Y[lo:])) if ends else None
-        if _SPARSE * vals.size < m:  # the values past pass d of the few l it kept
+        kept = np.count_nonzero(near)
+        dense = 4 * kept > 3 * m
+        if dense and ends is None:
+            yield gaps[:m], None
+        elif kept:
+            vals = _kept(near, gaps[:m], dense)
+            yield vals, (_kept(near, Y[lo - d:n - d], dense), _kept(near, Y[lo:], dense)) if ends else None
+        if _SPARSE * kept < m:  # the values past pass d of the few l it kept
             rows = lo + np.flatnonzero(near)
             yield from _gathered(Y, rows, rows - d, thresh, None, ends)
             return
 
 
-def _kept(mask, x):
-    """``x[mask]``: a boolean index where the mask keeps most values, ``np.compress`` elsewhere.
+def _kept(mask, x, dense: bool):
+    """``x[mask]``: a boolean index where the mask keeps most values (``dense``), ``np.compress`` elsewhere.
 
     The boolean copy loop predicts well on a dense mask and badly on a
     mixed one; ``np.compress`` gathers through an index array, which is
     cheap when it is short.  They cross over at about 3 in 4 kept.
     """
-    return x[mask] if 4 * np.count_nonzero(mask) > 3 * mask.size else np.compress(mask, x)
+    return x[mask] if dense else np.compress(mask, x)
 
 
-def _gathered(Y, rows, top, thresh: float, N: int | None, ends: bool):
+def _gathered(Y, rows, top, thresh: float, N: int | None, ends: bool | None):
     """Differences Y[l] - Y[j] <= thresh for l in ``rows`` and j < ``top``, skipping l - j = 0 (mod N).
 
     Each row's j start at a search for Y[l] - thresh, less ``_SLACK``, and
@@ -534,7 +550,14 @@ def pair_correlation(
     Implemented as one sweep of ``_near_pairs`` up to the bins' reach W,
     over a ``DirectionSet`` or the sectors of a ``DirectionStream``, each
     batch binned while in cache (``_bin_sums``: float32 sort keys without
-    a density, a float64 argsort with one), so the cost is O(N * W) for bins inside
+    a density, a float64 argsort with one).  A pair is counted when its
+    scaled difference, rounded, lies in a bin, so a difference that rounds
+    onto the outermost edge is counted.  Without a density a neighbour pass
+    that keeps more than 3 in 4 of its block is binned whole, uncompacted:
+    its values past W lie past the outermost edge (below -W once
+    mirrored), so they fall in no bin and the counts are those of the kept
+    values.  With a density the pass is compacted, as the weights need
+    the pairs' ends.  The cost is O(N * W) for bins inside
     [-W, W] and the memory O(2^16 + the values within W / N of each block
     and of 0) beside the directions.  N (1 + W) past the budget raises
     CapacityError before the sweep.
@@ -551,7 +574,7 @@ def pair_correlation(
     _check_budget(N * (1.0 + W), f"N = {N} directions times 1 + the reach {W:g}")
     counts = np.zeros(edges.size - 1)
     keys = _keys(edges)
-    for vals, pair in _near_pairs(N, chunks, W, ends=density is not None):
+    for vals, pair in _near_pairs(N, chunks, W, ends=None if density is None else True):
         w = None
         if pair is not None:
             w = 1.0 / (_density_at(density, pair[0]) * _density_at(density, _frac(pair[1])))

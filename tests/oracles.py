@@ -102,15 +102,15 @@ def two_histogram_pair_correlation(dirs, edges, density=None, fold=False):
     """Reference: every neighbour pass histograms vals and -vals with np.histogram."""
     N, A = dirs.N, dirs.alphas
     aug = np.concatenate([A, A + 1.0])
-    thresh = max(abs(edges[0]), abs(edges[-1])) / N
+    reach = max(abs(edges[0]), abs(edges[-1]))
     counts = np.zeros(edges.size - 1)
     active = np.arange(N)
     d = 1
     while active.size and d < N:
-        diff = aug[active + d] - A[active]
-        near = diff <= thresh
+        scaled = N * (aug[active + d] - A[active])
+        near = scaled <= reach  # a difference that rounds onto the outermost edge is in its bin
         active = active[near]
-        vals = N * diff[near]
+        vals = scaled[near]
         if vals.size:
             w = None
             if density is not None:

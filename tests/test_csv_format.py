@@ -137,28 +137,53 @@ def test_row_formatter_multi_column(rows):
     assert written == "".join(f"{x:.17g},{j},{y:.17g},{w:.17g}\n" for x, j, y, w in rows)
 
 
-@pytest.mark.parametrize("z", sorted(ONE_DECADE))
-def test_one_decade_chunk_leaves_only_trailing_zeros_to_compact(z, monkeypatch):
+def _compacted_slots(x, monkeypatch):
+    """The cut column ``_g17`` returns for each chunk of x, and the slot bytes compacted after it."""
     slots = []
 
     def recording(col, out):
         cut = cli._g17(col, out)
-        slots.append(out.view(np.uint8)[:, cut:25])  # the bytes of the slot that are compacted
+        slots.append((cut, out.view(np.uint8)[:, cut:25]))
         return cut
 
     monkeypatch.setitem(cli._FIELDS, "{:.17g}", recording)
-    x = ONE_DECADE[z]
     assert _written("{:.17g}", np.array(x)) == "".join("%.17g\n" % v for v in x)
-    (compacted,) = slots
+    return slots
+
+
+# sorted chunks of one decade, with the zeros after the point of their values: the chunk's two
+# ends decide its decade, also at the ends of [1e-4, 1)
+ONE_DECADE_CHUNKS = {
+    **{z: (ONE_DECADE[z], z) for z in sorted(ONE_DECADE)},
+    "min-1e-4": (sorted({1e-4, *ONE_DECADE[3]}), 3),
+    "max-below-1": (ONE_DECADE[0] + [float(np.nextafter(1.0, 0.0))], 0),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_DECADE_CHUNKS))
+def test_one_decade_chunk_leaves_only_trailing_zeros_to_compact(case, monkeypatch):
+    x, z = ONE_DECADE_CHUNKS[case]
+    ((cut, compacted),) = _compacted_slots(x, monkeypatch)
+    assert cut == 5 - z
     assert compacted.shape[1] == 25 - (5 - z)  # "0.", z zeros, 17 digits and the newline
     assert np.count_nonzero(compacted == 0) == sum(map(_trailing_zeros, x))
 
 
+@pytest.mark.parametrize("x, z", [([0.09999999999999999, 0.1], 1), ([0.009999999999999998, 0.01], 2)])
+def test_chunk_across_a_decade_edge_decides_each_value(x, z, monkeypatch):
+    # the lower end has z zeros after the point, one more than the upper end, which keeps one
+    # leading NUL past the cut
+    ((cut, compacted),) = _compacted_slots(x, monkeypatch)
+    assert cut == 5 - z
+    assert np.count_nonzero(compacted == 0) == 1 + sum(map(_trailing_zeros, x))
+
+
 @pytest.mark.parametrize("slow", [0.0, 1.0, 5e-324, math.nan])
 @pytest.mark.parametrize("z", sorted(ONE_DECADE))
-def test_slow_value_inside_a_one_decade_chunk(z, slow):
+def test_slow_value_inside_a_one_decade_chunk(z, slow, monkeypatch):
+    # a slow value, a NaN too, sends the chunk to the per-value path, which cuts no column
     x = ONE_DECADE[z][:17] + [slow] + ONE_DECADE[z][17:]
-    assert _written("{:.17g}", np.array(x)) == "".join("%.17g\n" % v for v in x)
+    assert [cut for cut, _ in _compacted_slots(x, monkeypatch)] == [0]
 
 
 def test_row_formatter_chunks_and_empty_columns(monkeypatch):

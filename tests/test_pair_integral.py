@@ -149,3 +149,19 @@ def test_pair_integral_passes_past_one_turn(xi, shape, T, f1, f2, u1, u2, swap):
         I1, I2 = I2, I1
     got = ld.pair_correlation_integral(dirs, I1, I2)
     assert got == pytest.approx(brute_pair_integral(dirs, I1, I2, m_range=5), rel=1e-9, abs=1e-9)
+
+
+# the finite-scale benchmark's pair_integral job at its default seed 1: shift (cbrt4, cbrt2),
+# T = 500, one overlapping and one disjoint window pair, and the values it gave as float.hex
+BENCH_PAIRS = [
+    ([-0.6516082063574697, 1.1925954364690967], [-0.010683856835313255, 1.7413241684728722]),
+    ([-0.00338378051516397, 0.19677712685019838], [1.0670019467285357, 2.0412769946929203]),
+]
+BENCH_VALUES = ["0x1.95b02f53cbaafp+1", "0x1.8adc394f2e5e6p-3"]
+
+
+def test_bench_pair_integrals_bit_for_bit():
+    # the sum's order is part of the value: a pass that handed the integral extra exact zeros
+    # would regroup numpy's pairwise sums and move the last bit
+    dirs = _dirs((ld.CBRT4, ld.CBRT2), ld.Annulus(0.0), 500.0)
+    assert [ld.pair_correlation_integral(dirs, I1, I2).hex() for I1, I2 in BENCH_PAIRS] == BENCH_VALUES

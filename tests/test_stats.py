@@ -141,6 +141,24 @@ def test_pair_correlation_multiplicity():
     assert h.masses[0] * 3 * 0.5 == pytest.approx(2.0)  # 2 ordered pairs at 0
 
 
+def test_pair_correlation_counts_a_difference_rounding_onto_the_last_edge():
+    # 3 * nextafter(1/3) rounds to 1.0, the closed last edge, though the difference lies past
+    # fl(1/3), the reach over N: every pair through np.histogram counts it
+    dirs = ld.DirectionSet(np.array([0.0, np.nextafter(1 / 3, np.inf), 0.5]), 10.0, ld.Annulus(0.0))
+    A, N = dirs.alphas, dirs.N
+    lifted = np.concatenate([A, A + 1.0])
+    diffs = np.array([N * (lifted[l] - A[j]) for j in range(N) for l in range(j + 1, j + N)])
+    signed, folded = np.array([-1.0, -0.5, 0.0, 0.5, 1.0]), np.array([0.0, 0.5, 1.0])
+    want = (np.histogram(diffs, signed)[0] + np.histogram(-diffs, signed)[0]) / (N * 0.5)
+    want_folded = 2.0 * np.histogram(diffs, folded)[0] / (N * 0.5)
+    assert np.allclose(want, 2 / 3) and np.allclose(want_folded, 4 / 3)
+    for density in (None, np.ones_like):  # binned whole, and compacted with the pairs' ends
+        assert ld.pair_correlation(dirs, signed, density=density).masses.tolist() == want.tolist()
+        assert ld.pair_correlation(dirs, folded, density=density, fold=True).masses.tolist() == want_folded.tolist()
+    assert two_histogram_pair_correlation(dirs, signed).tolist() == want.tolist()
+    assert two_histogram_pair_correlation(dirs, folded, fold=True).tolist() == want_folded.tolist()
+
+
 def test_pair_correlation_window_too_wide(regular8):
     with pytest.raises(ld.InvalidInputError):
         ld.pair_correlation(regular8, np.array([-4.0, 4.0]))

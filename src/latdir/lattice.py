@@ -6,20 +6,23 @@ the nonzero points inside an open annulus ``c*T < |y| < T`` or an open
 square ``(-T, T)^2`` and turns them into the sorted sequence of direction
 angles, measured in turns (angle / 2*pi, mod 1), with multiplicity.
 
-Points are enumerated one m1-strip at a time: each strip's certified
-interior is taken whole and the domain test decides the few candidates
-near its ends (``DirectionStream._kept``).  Which kept points have a
-direction in an arc [x, y) is answered by one engine.  At scale T the
-directions in an arc come from the lattice points in a thin sector, and
-a linear frame, the rotation k(alpha) followed by a diagonal flow, maps
-that sector onto a fixed triangle, as the limit law maps its cones
-(Marklof and Strombergsson, Annals of Math. 173, 2010).  Each arc of at
-most 1/8 turn (``_split_arcs``) has its frame Gauss-reduced with its
-integer change of basis kept exactly (``_frames``); the reduced strips
-that meet the triangle hold the candidates, whose certified interior is
-taken whole and the rest decided by the kept points (``_holds``) and the
-point's own float angle (``DirectionStream._arc_ranges``).  A long strip
-costs O(1).
+One rule decides which points are in the domain: the strict float test
+``_inside``.  Every path takes its candidates from the domain grown by
+``MARGIN``, takes whole a certified interior solved on the domain shrunk
+by it, and lets ``_inside`` decide the rest, so each keeps exactly the
+points that ``_inside`` keeps.  Points are enumerated one m1-strip at a
+time, the domain test deciding the few candidates near each strip's ends
+(``DirectionStream._kept``).  Which kept points have a direction in an
+arc [x, y) is answered by one engine.  At scale T the directions in an
+arc come from the lattice points in a thin sector, and a linear frame,
+the rotation k(alpha) followed by a diagonal flow, maps that sector onto
+a fixed triangle, as the limit law maps its cones (Marklof and
+Strombergsson, Annals of Math. 173, 2010).  Each arc of at most 1/8 turn
+(``_split_arcs``) has its frame Gauss-reduced with its integer change of
+basis kept exactly (``_frames``); the reduced strips that meet the
+triangle hold the candidates, whose certified interior is taken whole and
+the rest decided by ``_inside`` and the point's own float angle
+(``DirectionStream._arc_ranges``).  A long strip costs O(1).
 
 The sorted sequence is formed in sector order (``_sorted_sectors``):
 each of the K = N // SECTOR sectors [k/K, (k+1)/K) is split into arcs,
@@ -62,9 +65,10 @@ DET_TOL = 1e-12
 # The one size budget: every entry point estimates the values it would hold or walk and
 # passes the estimate to ``_check_budget`` before it allocates them.
 DEFAULT_MAX_POINTS = 200_000_000
-# Relative margin by which the enumerator shrinks the outer radius and the
-# square, and grows the inner radius, to solve each strip's certified
-# interior: far above the roundoff of y and |y|^2 on a reduced basis.
+# Relative margin by which every strip solve grows the domain to take its
+# candidates, and shrinks the outer radius and the square, and grows the
+# inner radius, to solve each strip's certified interior: far above the
+# roundoff of y and |y|^2 on a reduced basis.
 MARGIN = 1e-9
 # The smallest inner radius the interior is solved with.  A strip that
 # misses this disc holds no point that rounds to the origin, and the
@@ -234,7 +238,7 @@ class DirectionStream:
 
     @cached_property
     def _span(self):
-        """Validate the input and span the m1-strips of the domain, without solving any.
+        """Validate the input and span the m1-strips of the domain grown by ``MARGIN``, without solving any.
 
         Returns the reduced basis B, the shift (xi1, xi2) it takes, the
         first and last m1 and the Gram entries q12, q22 of B.  A strip that
@@ -244,11 +248,12 @@ class DirectionStream:
         _require_scale(self.T)
         self.lat.basis.require_unimodular()
         B, (xi1, xi2) = _reduced(self.lat.basis, self.lat.shift)
+        grown = self.T * (1.0 + MARGIN)
         if isinstance(self.shape, Annulus):
-            m1lo, m1hi, q12, q22 = strips.ellipse_span(B.a, B.b, B.c, B.d, self.T, xi1)
+            m1lo, m1hi, q12, q22 = strips.ellipse_span(B.a, B.b, B.c, B.d, grown, xi1)
         else:
             q12, q22 = B.a * B.c + B.b * B.d, B.c**2 + B.d**2
-            p1max = self.T * (abs(B.d) + abs(B.c))
+            p1max = grown * (abs(B.d) + abs(B.c))
             m1lo, m1hi = strips.integer_range(-p1max, p1max, xi1)
         # A strip's chord, at most 2 T (annulus) or 2 sqrt(2) T (square) long, spans about that
         # over |r2| = sqrt(q22) integers, whose int64 bounds overflow past strips.LIMIT; q22
@@ -264,29 +269,25 @@ class DirectionStream:
     def _kept(self):
         """Solve the m1-strips and return their kept m2 ranges, and the candidates.
 
-        Each strip's candidate m2 range (its chord, minus the inner-disc
-        chord shrunk by one integer on an annulus with c > 0) splits into a
-        certified interior, taken whole, and a few boundary candidates near
-        the range ends, the inner circle or the origin, which ``_inside``
-        decides (``_zones``, which checks the boundary candidates against
-        the budget).  Returns the kept ranges as ``_zones`` gives them; the
-        index that ``_holds`` searches: each strip's candidate range lo and
-        its width, where it starts among the candidates of all strips laid
-        end to end, its two interior zones [a1, b1) and [a5, b5), and the
-        positions there of the other kept points, ranges of one in (strip,
-        m2) order; and the candidates: the total width of the candidate
-        ranges, which a pass that forms every point checks against the
-        budget.  The boundary candidates' budget keeps that total far below
-        2^63.
+        Each strip's candidate m2 range (its chord in the domain grown by
+        ``MARGIN``, minus the inner-disc chord shrunk by one integer on an
+        annulus with c > 0) splits into a certified interior, taken whole,
+        and a few boundary candidates near the range ends, the inner circle
+        or the origin, which ``_inside`` decides (``_zones``, which checks
+        the boundary candidates against the budget).  So the kept points are
+        exactly those that ``_inside`` keeps.  Returns the kept ranges as
+        ``_zones`` gives them, and the candidates: the total width of the
+        candidate ranges, which a pass that forms every point checks against
+        the budget.  The boundary candidates' budget keeps that total far
+        below 2^63.
         """
         B, xi1, xi2, m1lo, m1hi, q12, q22 = self._span
         p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
-        lo, hi = _candidates(self._span, self.shape, p1, self.T)
+        lo, hi = _candidates(self._span, self.shape, p1, self.T * (1.0 + MARGIN))
         ilo, ihi = _candidates(self._span, self.shape, p1, self.T * (1.0 - MARGIN))
         r = self.shape.c * self.T if isinstance(self.shape, Annulus) else 0.0
         clo, chi, disc = strips.root_pair(q12, q22, p1, xi2, max(r * (1.0 + MARGIN), ORIGIN_RADIUS))
-        width = strips.widths(lo, hi)
-        candidates = int(width.sum())
+        candidates = int(strips.widths(lo, hi).sum())
         if r > 0:  # the candidates skip the inner chord shrunk by one integer at each end
             rlo, rhi = strips.root_pair(q12, q22, p1, xi2, r)[:2]
             rlo += 1
@@ -300,13 +301,9 @@ class DirectionStream:
         meets = disc >= 0.0
         clo = np.where(meets, clo - 1, ihi + 1)
         chi = np.where(meets, chi + 1, ihi)
-        starts, counts, key = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi,
-                                     lambda m2, k: _inside(B, xi2, self.shape, self.T, m2, p1[k]))
-        offset = np.cumsum(width) - width
-        single = key[2 * lo.size:] >> 3
-        zones = [v[i:2 * lo.size:2] for i in (0, 1) for v in (starts, starts + counts)]
-        index = (lo, width, offset, *zones, offset[single] + starts[2 * lo.size:] - lo[single])
-        return (starts, counts, key), index, candidates
+        zones = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi,
+                       lambda m2, k: _inside(B, xi2, self.shape, self.T, m2, p1[k]))
+        return zones, candidates
 
     @cached_property
     def N(self) -> int:
@@ -315,31 +312,8 @@ class DirectionStream:
     def _formed(self):
         """The kept ranges of a pass that forms the N directions, with its budget checks."""
         _check_budget(expected_count(self.shape, self.T), "points expected about the domain's area")
-        _check_budget(self._kept[2], "candidates")
+        _check_budget(self._kept[1], "candidates")
         return self._kept[0]
-
-    def _holds(self, m1, m2):
-        """Is each point m = (m1, m2), int64, one that the strips keep (``_kept``)?
-
-        A point of a strip's interior zones is kept; any other point of its
-        candidate range is kept if its position among the candidates of all
-        strips laid end to end is one of the kept points the domain test
-        decided.  So the domain test runs once per candidate, in ``_kept``,
-        and every path keeps the same points.
-        """
-        lo, width, offset, a1, b1, a5, b5, decided = self._kept[1]
-        if not lo.size:
-            return np.zeros(np.shape(m1), dtype=bool)
-        strip = m1 - self._span[3]
-        ok = (strip >= 0) & (strip < lo.size)
-        strip = np.where(ok, strip, 0)
-        pos = m2 - lo[strip]
-        ok &= (pos >= 0) & (pos < width[strip])
-        held = ok & (((m2 >= a1[strip]) & (m2 < b1[strip])) | ((m2 >= a5[strip]) & (m2 < b5[strip])))
-        rest = np.flatnonzero(ok & ~held)
-        pos = pos[rest] + offset[strip[rest]]
-        held[rest] = np.searchsorted(decided, pos, side="right") > np.searchsorted(decided, pos, side="left")
-        return held
 
     def chunks(self):
         # the points and candidates are checked at the call, the reduced strips at the first draw
@@ -358,10 +332,9 @@ class DirectionStream:
         (``_frames``), and each is counted on the reduced strips of its
         frame (``_arc_ranges``, the sweep's own engine): O(1) strips for a
         window that holds O(1) directions.  Every point is decided as the
-        sweep decides it, by the kept points of the strips and ``_turns``
-        against the float ends, so the counts are the integers the
-        direction set gives.  The arcs are reduced and
-        counted ``BLOCK`` at a time; once the reduced strips so far, at
+        sweep decides it, by ``_inside`` and ``_turns`` against the float
+        ends, so the counts are the integers the direction set gives.  The
+        arcs are reduced and counted ``BLOCK`` at a time; once the reduced strips so far, at
         ``STRIP_COST`` directions each, outweigh the N directions, the
         sectors are swept instead (``_searched``), so the strips wasted
         cost no more than one sweep.  The arcs and the reduced strips are
@@ -401,14 +374,14 @@ class DirectionStream:
         narrowed by ``ARC_TOL`` on each side and the domain shrunk by
         ``MARGIN`` and e, less the inner chord grown by one integer:
         ``_zones`` takes it whole and decides the rest point by point, at m
-        = (k - s) gamma in int64, by the strips' kept points (``_holds``)
-        and ``_turns`` against the float ends.  The first and last point of
-        every interior range are decided too, and a strip where one fails
-        is decided point by point: the arc and each side of the domain
-        meet a strip in an interval, so an interior range that reaches
-        past one holds a point past it at an end.  So a long strip costs
-        O(1), and the ranges hold exactly the kept points whose turns lie
-        in the arc.
+        = (k - s) gamma in int64, by ``_inside`` and ``_turns`` against the
+        float ends.  The first and last point of every interior range are
+        decided too, and a strip where one fails is decided point by point:
+        the arc and each side of the domain meet a strip in an interval, so
+        an interior range that reaches past one holds a point past it at an
+        end.  So a long strip costs
+        O(1), and the ranges hold exactly the points that ``_inside`` keeps
+        whose turns lie in the arc.
 
         Returns the arc, the first point m (two int64 arrays) and the length
         of every kept range, nonempty and in no particular order; the
@@ -483,7 +456,8 @@ class DirectionStream:
 
         def decide(k2, strip):
             a, (m1, m2) = point(k2, strip)
-            return self._holds(m1, m2) & _in_arc(_point_turns(B, xi2, m1 + xi1, m2), x[a], y[a])
+            p1 = m1 + xi1
+            return _inside(B, xi2, self.shape, self.T, m2, p1) & _in_arc(_point_turns(B, xi2, p1, m2), x[a], y[a])
 
         while True:
             starts, counts, key = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi, decide)
@@ -736,13 +710,13 @@ def enumerate_points(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> np
     basis; the cost is proportional to the domain area.  A reduced basis,
     the identity in particular, is used as given.
 
-    Each strip's certified interior is taken whole; the float domain test
-    decides only a few boundary candidates per strip
+    Each strip's candidates come from the domain grown by ``MARGIN`` and
+    its certified interior is taken whole; the float domain test
+    (``_inside``) decides only a few boundary candidates per strip
     (``DirectionStream._kept``), so the result is exactly the points that
-    pass that test.  The kept ranges,
-    put in (strip, m2) order, are expanded in pieces straight into the
-    exactly sized result.  Use ``direction_set`` when only the directions
-    are needed.
+    pass that test.  The kept ranges, put in (strip, m2) order, are
+    expanded in pieces straight into the exactly sized result.  Use
+    ``direction_set`` when only the directions are needed.
 
     Raises InvalidInputError unless T is finite and positive.  Raises
     CapacityError, before allocating anything, when the expected point
@@ -821,10 +795,11 @@ def direction_set(lat: AffineLatticeSpec, shape: DomainShape, T: float) -> Direc
 
     Exact by construction, in two parts.  The multiset: the arcs of a
     sector, as predicates on a float angle, partition it, and each arc's
-    ranges hold exactly the kept points of the strips whose ``_turns``
+    ranges hold exactly the points that ``_inside`` keeps whose ``_turns``
     value lies in the arc, each point formed from its int64 m as the
-    enumerator forms it.  The order: so every point lies in the sector of
-    its own angle, and the sorted sectors follow each other in order.
+    enumerator forms it: the points ``enumerate_points`` lists.  The
+    order: so every point lies in the sector of its own angle, and the
+    sorted sectors follow each other in order.
     ``_turns`` yields no NaN and no -0.0, so any sort of the same multiset
     gives the same bytes.  ``DirectionSet`` checks the order once more.
     The reduced strips are checked against the budget at ``STRIP_COST``

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import strips
 from .errors import CapacityError, InsufficientDataError, InvalidInputError, UnsupportedError
-from .lattice import AffineLatticeSpec, Annulus, _check_budget, direction_stream, rotation
+from .lattice import MARGIN, AffineLatticeSpec, Annulus, _check_budget, direction_stream, rotation
 from .stats import as_box, window_counts
 
 TWO_PI = 2.0 * math.pi
@@ -752,6 +752,12 @@ def exact_limit_moment(powers, box) -> float | None:
 def disc_count(A: np.ndarray, shift: np.ndarray, r: float) -> np.ndarray:
     """Number of points (m + shift) A inside the closed disc of radius r, |det A| = 1.
 
+    The float test y1^2 + y2^2 <= r^2 decides, with y = (m + shift) A formed
+    entry by entry, y_i = p1 a_1i + p2 a_2i.  The m1-strips span the disc
+    grown by ``MARGIN``, and each strip's closed-form m2 range has both
+    ends decided by that test (``strips.settle``); a strip that misses the
+    disc keeps its centre for the test to decide.
+
     Raises InvalidInputError unless r >= 0 and A and the shift are finite,
     and CapacityError before any strip is formed when an m1 bound does not
     fit int64 (``strips.integer_range``) or the strips pass the budget.
@@ -759,13 +765,20 @@ def disc_count(A: np.ndarray, shift: np.ndarray, r: float) -> np.ndarray:
     if not r >= 0:  # NaN fails too
         raise InvalidInputError(f"the radius must be nonnegative, got {r!r}")
     A, shift = _samples(A, shift)
-    m1lo, m1hi, q12, q22 = strips.ellipse_span(*A.reshape(-1, 4).T, r, shift[:, 0])
+    a = A.reshape(-1, 4).T
+    m1lo, m1hi, q12, q22 = strips.ellipse_span(*a, r * (1.0 + MARGIN), shift[:, 0])
     rows = strips.widths(m1lo, m1hi)
     _check_budget(rows.sum(dtype=float), "disc strips")
-    m1, xi1, q12, q22, xi2 = strips.expand(m1lo, rows, shift[:, 0], q12, q22, shift[:, 1])
-    m2lo, m2hi, disc = strips.root_pair(q12, q22, m1 + xi1, xi2, r)
-    m2hi = np.where(disc >= 0.0, m2hi, m2lo - 1)
-    return strips.totals(strips.widths(m2lo, m2hi), rows)
+    m1, xi1, q12, q22, xi2, a11, a12, a21, a22 = strips.expand(m1lo, rows, shift[:, 0], q12, q22, shift[:, 1], *a)
+    p1 = m1 + xi1
+    m2lo, m2hi = strips.root_pair(q12, q22, p1, xi2, r)[:2]
+
+    def inside(m2):
+        p2 = m2 + xi2
+        y1, y2 = p1 * a11 + p2 * a21, p1 * a12 + p2 * a22
+        return y1 * y1 + y2 * y2 <= r * r
+
+    return strips.totals(strips.widths(*strips.settle(m2lo, m2hi, inside)), rows)
 
 
 def _gauss_sums(u, v, shift, squares: bool):

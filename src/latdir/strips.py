@@ -7,17 +7,17 @@ into points (``expand``, and ``expand_steps`` in cache-sized pieces for rows
 of points that step by one integer vector).  ``runs`` cuts the rows into
 passes of whole rows of about ``CHUNK`` values.
 
-Invariant: the float predicate decides, but only near a boundary.  The
-lattice enumerator solves each strip twice: on its domain, for the
-candidate range, and on the domain shrunk by a small relative margin,
-for an interior that it narrows by one more integer.  Every point of
-that certified interior passes the predicate, so it is taken whole; the
-predicate runs only on the few candidates between the two ranges and
-beside the inner circle or the origin.  The cone counter likewise lets
-its region's predicate decide the integers at both ends of a
-closed-form range (``settle``).  ``disc_count`` still counts the integers
-that meet its float-evaluated root pair, so widening its ranges would
-change its answer.
+Invariant: every consumer takes its candidates from the region grown a
+little, so that no point its float predicate keeps lies outside them, and
+lets that predicate decide the candidates near a boundary.  The lattice
+enumerator and the window frames solve each strip twice: on the domain
+grown by a small relative margin, for the candidate range, and on the
+domain shrunk by it, for an interior that they narrow by one more
+integer.  Every point of that certified interior passes the predicate,
+so it is taken whole; the predicate runs only on the few candidates
+between the two ranges and beside the inner circle or the origin.  The
+cone counter and ``disc_count`` let the predicate decide the integers at
+both ends of a closed-form range and the one past each (``settle``).
 """
 
 from __future__ import annotations

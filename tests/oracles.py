@@ -84,10 +84,17 @@ def brute_cone_count(A, shift, region, M):
 
 
 def brute_disc_count(A, shift, r, M):
+    """Points of (Z^2 + shift) A in the closed disc of radius r, scanning the [-M, M]^2 box of m.
+
+    y = (m + shift) A is formed entry by entry, y_i = p1 a_1i + p2 a_2i, as
+    the float test of ``disc_count`` forms it; ``p @ A`` rounds some points
+    differently and can move one across the circle.
+    """
     m1, m2 = np.meshgrid(np.arange(-M, M + 1), np.arange(-M, M + 1), indexing="ij")
-    p = np.stack([m1.ravel() + shift[0], m2.ravel() + shift[1]], 1)
-    y = p @ A
-    return int(np.sum(y[:, 0] ** 2 + y[:, 1] ** 2 <= r * r))
+    p1 = m1.ravel() + shift[0]
+    p2 = m2.ravel() + shift[1]
+    y1, y2 = p1 * A[0][0] + p2 * A[1][0], p1 * A[0][1] + p2 * A[1][1]
+    return int(np.sum(y1 * y1 + y2 * y2 <= r * r))
 
 
 def histogram_spacings(dirs, k, edges):

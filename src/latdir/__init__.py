@@ -48,8 +48,6 @@ from .lattice import (
 )
 from .limit import (
     ConeRegion,
-    CountDistribution,
-    MCResult,
     cone_counts,
     coset_reps,
     crude_bound_holds,
@@ -64,14 +62,17 @@ from .limit import (
     tail_exponent,
 )
 from .stats import (
+    CountDistribution,
     Histogram,
     IntervalBox,
+    MCResult,
     MeasureSpec,
     MomentSpec,
     mixed_moment,
     pair_correlation,
     pair_correlation_integral,
     spacing_histogram,
+    window_count_law,
     window_counts,
 )
 

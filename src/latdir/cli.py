@@ -124,10 +124,10 @@ def _ratio(tok: str) -> Fraction:
 
 
 def parse_count(s: str) -> int:
-    """A count such as 100000 or 1e6; inf, nan and 1e400 (inf as a float) are a ValueError."""
+    """A whole count such as 100000, 1e6 or 2.0; 2.9, inf, nan and 1e400 (inf as a float) are a ValueError."""
     x = float(s)
-    if not np.isfinite(x):
-        raise ValueError(f"count {s!r} is not finite")
+    if not x.is_integer():  # inf and nan are not either
+        raise ValueError(f"count {s!r} is not a whole finite number")
     return int(x)
 
 

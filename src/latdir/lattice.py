@@ -44,7 +44,7 @@ use, so it can count where N is far past the budget, and counts each
 window's arcs on their reduced strips without forming a direction: O(1)
 strips for a window that holds O(1) directions.  Where the reduced
 strips would cost more than the N directions, the stream walks its
-sectors with ``_below`` instead.
+sectors with ``_searched`` instead.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
 """Monte Carlo on the space of (affine) planar lattices.
 
 Samples the Iwasawa coordinates (u, v, phi) of a random unimodular lattice
-from the standard fundamental domain, takes the rotation's cosine and sine
-from a table-driven kernel of IEEE basic operations (``_sincos``), counts
-affine lattice points inside cone-shaped test regions, and estimates the
-limiting distribution of window counts together with its moments, tail
-exponents and the classical Siegel mean-value identities.
+from the standard fundamental domain, takes the rotation's cosine and sine,
+and the Siegel sums' cosines, from a table-driven kernel of IEEE basic
+operations (``_sincos``), counts affine lattice points inside cone-shaped
+test regions, and estimates the limiting distribution of window counts,
+a ``stats.CountDistribution`` of integer sample numbers, together with its
+moments, tail exponents and the classical Siegel mean-value identities.
 
 Cone counts work on the m1-strips that cross the pull-back of the cone
 polygon, whose corners are (x, 2 x a / (1 - c^2)) and (x, 2 x b / (1 - c^2))
@@ -24,11 +25,6 @@ test.  The counter walks its samples in passes of whole samples, about
 one pass.  A congruence coset acts on the shift, not on the matrix:
 (Z^2 + p/q) gamma A is counted as (Z^2 + (p gamma mod q) / q) A, with the
 shift rounded once.
-
-Counts are integers, so a merged run is reproducible regardless of how
-sample blocks are scheduled.  A count law is the sorted distinct count
-vectors plus a per-block histogram over them, built by ranking the count
-columns, without sorting the samples.
 """
 
 from __future__ import annotations
@@ -39,10 +35,10 @@ from functools import partial
 
 import numpy as np
 
-from . import strips
+from . import stats, strips
 from .errors import CapacityError, InsufficientDataError, InvalidInputError, UnsupportedError
 from .lattice import MARGIN, AffineLatticeSpec, Annulus, _check_budget, direction_stream, rotation
-from .stats import as_box, window_counts
+from .stats import CountDistribution, MCResult, as_box, window_counts
 
 TWO_PI = 2.0 * math.pi
 # s y1 <= y2 for a window's lower slope, s y1 >= y2 for its upper one
@@ -90,21 +86,6 @@ class ConeRegion:
     def shifted(self, r: float) -> "ConeRegion":
         a, b = self.interval
         return ConeRegion(self.c, (a + r, b + r))
-
-
-@dataclass
-class MCResult:
-    """A stochastic estimate with its standard error and sample size."""
-
-    estimate: float
-    se: float
-    n: int
-    exact: float | None = None
-
-    def within(self, k_se: float = 3.0) -> bool:
-        if self.exact is None:
-            raise InvalidInputError("no exact reference attached")
-        return abs(self.estimate - self.exact) <= k_se * self.se
 
 
 # ---------------------------------------------------------------------------
@@ -609,147 +590,6 @@ def coset_reps(q: int) -> list[np.ndarray]:
 # Count-distribution estimation
 
 
-@dataclass(frozen=True, eq=False)
-class CountDistribution:
-    """Empirical distribution of count vectors over Monte Carlo samples.
-
-    ``rows`` holds the distinct count vectors as an int64 array of shape
-    (K, m), sorted lexicographically; ``block_hist[b, i]`` is the number of
-    samples of block b with count vector ``rows[i]``.  The block split lets
-    heavy-tailed moments be estimated by median-of-means.
-    """
-
-    rows: np.ndarray
-    block_hist: np.ndarray
-
-    def __post_init__(self):
-        rows, hist = np.asarray(self.rows), np.asarray(self.block_hist)
-        if not (rows.ndim == hist.ndim == 2 and rows.shape[1] > 0 and hist.shape[1] == len(rows)
-                and rows.dtype.kind == hist.dtype.kind == "i"):
-            raise InvalidInputError("rows and block_hist must be integer arrays (K, m) and (blocks, K)")
-        if np.any(hist < 0) or hist.sum() <= 0:
-            raise InvalidInputError("block counts must be nonnegative with a positive total")
-        if np.any(rows < 0):
-            raise InvalidInputError("count rows must be nonnegative")
-        step = np.diff(rows, axis=0)
-        if np.any(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] <= 0):
-            raise InvalidInputError("rows must be distinct and sorted lexicographically")
-        object.__setattr__(self, "rows", rows.astype(np.int64))
-        object.__setattr__(self, "block_hist", hist.astype(np.int64))
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self.block_hist.sum(axis=0)
-
-    @property
-    def total(self) -> int:
-        return int(self.block_hist.sum())
-
-    @property
-    def m(self) -> int:
-        return self.rows.shape[1]
-
-    def probabilities(self) -> np.ndarray:
-        return self.counts / self.total
-
-    def _values(self, powers) -> np.ndarray:
-        powers = np.atleast_1d(np.asarray(powers, dtype=float))
-        if powers.size != self.m:
-            raise InvalidInputError("one power per component required")
-        if not np.all(np.isfinite(powers)):
-            raise InvalidInputError("powers must be finite")
-        ks = self.rows.astype(float)
-        zero = ks == 0
-        with np.errstate(over="ignore", invalid="ignore"):  # a value past the float range is refused below
-            # 0^0 = 1 and 0^s = 0 for s != 0, as in stats._power; a count k != 0 gives k^s
-            vals = np.prod(np.where(zero, powers == 0, (ks + zero) ** powers), axis=1)
-        # the moments sum value^2 over the samples, so that sum must stay in the float range too
-        if not np.all(vals <= math.sqrt(np.finfo(float).max / (4.0 * self.total))):  # NaN fails too
-            raise CapacityError(f"moment of powers {powers.tolist()} passes the float range")
-        return vals
-
-    def moment(self, powers) -> MCResult:
-        """Plain-mean estimate of E[prod_j k_j^{p_j}] with its standard error."""
-        vals = self._values(powers)
-        cnt = self.counts.astype(float)
-        mean = float(np.sum(vals * cnt) / self.total)
-        var = float(np.sum(vals**2 * cnt) / self.total - mean**2)
-        return MCResult(mean, math.sqrt(max(var, 0.0) / self.total), self.total)
-
-    def moment_mom(self, powers) -> MCResult:
-        """Median-of-means estimate over the stored sample blocks.
-
-        Block means add count * value over the rows present, in row order
-        (a cumsum: a BLAS dot would reorder the sum).  The standard error is
-        1.4826 * MAD / sqrt(blocks), the MAD taken over the block means.
-        """
-        vals = self._values(powers)
-        hist = self.block_hist
-        terms = np.where(hist > 0, hist * vals, 0.0)
-        means = np.cumsum(terms, axis=1)[:, -1] / hist.sum(axis=1)
-        med = float(np.median(means))
-        mad = float(np.median(np.abs(means - med)))
-        return MCResult(med, 1.4826 * mad / math.sqrt(means.size), self.total)
-
-    def survival(self, k_values) -> np.ndarray:
-        """P(N >= k) for scalar count distributions, vectorized over k."""
-        if self.m != 1:
-            raise InvalidInputError("survival needs a scalar count distribution")
-        ks = self.rows[:, 0]
-        tail = np.cumsum(self.counts[::-1].astype(float))[::-1]
-        idx = np.searchsorted(ks, np.asarray(k_values))
-        out = np.where(idx < ks.size, tail[np.minimum(idx, ks.size - 1)], 0.0)
-        return out / self.total
-
-
-def _count_table(rows):
-    """The distinct rows of an (n, m) int64 array in lexicographic order, their numbers, and
-    each row's index among them.
-
-    A key is refined column by column: the key of the columns so far times
-    the column's span, plus the column's value above its minimum, is ranked
-    among its distinct values.  The rank is one bincount over the key's
-    span, or ``np.unique`` where that span is more than 4n; a column spread
-    over more than 4n values is ranked among its distinct values first, so
-    the key stays below 4 n^2.  The distinct rows are decoded from each
-    column's distinct keys by ``divmod``, so no row is scattered.
-    """
-    n = len(rows)
-    index, K, levels = 0, 1, []
-    for col in rows.T:
-        lo = int(col.min())
-        span = int(col.max()) - lo + 1
-        if span > 4 * n:
-            values, digit = np.unique(col, return_inverse=True)
-        else:
-            values, digit = np.arange(lo, lo + span), col - lo
-        key = index * values.size + digit
-        if K * values.size > 4 * n:
-            keys, index, numbers = np.unique(key, return_inverse=True, return_counts=True)
-        else:
-            numbers = np.bincount(key)
-            keys = np.flatnonzero(numbers)
-            index = (np.cumsum(numbers > 0) - 1)[key]
-            numbers = numbers[keys]
-        levels.append((keys, values))
-        K = keys.size
-    distinct = np.empty((K, len(levels)), dtype=np.int64)
-    at = np.arange(K)
-    for j, (keys, values) in reversed(list(enumerate(levels))):
-        at, digit = np.divmod(keys[at], values.size)
-        distinct[:, j] = values[digit]
-    return distinct, numbers, index
-
-
-def _merge_tables(tables) -> CountDistribution:
-    """Count law of per-block (distinct rows, numbers) tables, block 0 first."""
-    distinct, _, index = _count_table(np.concatenate([r for r, _ in tables]))
-    hist = np.zeros((len(tables), len(distinct)), dtype=np.int64)
-    block = np.repeat(np.arange(len(tables)), [len(r) for r, _ in tables])
-    hist[block, index] = np.concatenate([f for _, f in tables])  # a row occurs once per table
-    return CountDistribution(distinct, hist)
-
-
 def sample_count_distribution(
     c: float,
     xi_class: str,
@@ -771,7 +611,7 @@ def sample_count_distribution(
     merged result does not depend on scheduling and heavy-tailed moments
     can use median-of-means over the same blocks.  Each block's counts are
     reduced to its distinct rows and their numbers as soon as they are
-    counted (``_count_table``), and the tables are merged at the end.
+    counted (``stats._count_table``), and the tables are merged at the end.
 
     CapacityError is raised before anything is drawn when the most cone
     strips the samples can need, times the windows, pass the budget.  A
@@ -792,8 +632,8 @@ def sample_count_distribution(
     tables = []
     for u, v, phi, shift in _haar_blocks(rng, sizes, xi_class, p, q):
         counts = _cone_kernel(_iwasawa_entries(u, v, phi), *np.ascontiguousarray(shift.T), c, intervals)
-        tables.append(_count_table(counts)[:2])
-    return _merge_tables(tables)
+        tables.append(stats._count_table(counts)[:2])
+    return stats._merge_tables(tables)
 
 
 def tail_exponent(dist: CountDistribution, k_min: int, min_tail_count: int = 10) -> float:
@@ -887,9 +727,9 @@ def _gauss_sums(u, v, shift, squares: bool):
     exp(-2 (m2 + c)^2 / v) is sqrt(pi v / 2) (1 + 2 sum_k exp(-pi^2 v k^2 / 2)
     cos 2 pi k c).  For v >= V_FLOOR the terms past k = 2 (past k = 3 for the
     second) are below 2e-33 (1e-29) relative, so each strip takes one cosine
-    of c mod 1 and its Chebyshev multiples.  The strips are summed per
-    sample.  With ``squares`` the sums of exp(-2 |x|^2) come second;
-    otherwise None.
+    of c mod 1 (``_sincos``) and its Chebyshev multiples.  The strips are
+    summed per sample.  With ``squares`` the sums of exp(-2 |x|^2) come
+    second; otherwise None.
     """
     n = u.size
     reach = RCUT / np.sqrt(v)
@@ -901,7 +741,7 @@ def _gauss_sums(u, v, shift, squares: bool):
     p1 = m1 + xi1
     c += us * p1
     c -= np.floor(c)
-    cos1 = np.cos(TWO_PI * c)
+    cos1 = _sincos(TWO_PI * c, np.empty((6, c.size)))[0]
     cos2 = 2.0 * cos1 * cos1 - 1.0
     f = np.exp(-vs * p1 * p1)
     q2 = q * q

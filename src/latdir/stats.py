@@ -1,16 +1,17 @@
 """Finite-scale observables of a direction sequence.
 
-Window counts, k-th neighbor spacing histograms, the two-point correlation
-of scaled direction differences, mixed moments against a measure on the
-circle, and an exact two-window pair statistic.
+Window counts and the law of their count vector, k-th neighbor spacing
+histograms, the two-point correlation of scaled direction differences,
+mixed moments against a measure on the circle, and an exact two-window
+pair statistic.
 
 The N sorted angles A come as a DirectionSet, one array, or as a
 ``lattice.DirectionStream``, its sectors one at a time.  The lifted
 sequence L(k) = A[k mod N] + k div N is nondecreasing.  Window counts,
-and the mixed moments on the measure's quadrature grid that are built on
-them, take the counts of their windows from the source's one
-``window_counter``: a set searches its array (``lattice._below``), and a
-stream counts each window on the reduced strips of a frame that maps its
+and the count law on the measure's quadrature grid that is built on them,
+take the counts of their windows from the source's one
+``window_counter``: a set searches its array (``lattice._searched``), and
+a stream counts each window on the reduced strips of a frame that maps its
 sector onto a triangle, or walks its sectors once where those cost more.
 Spacings L(j + k) - L(j), and the close pairs that the two-point correlation bins
 and the pair statistic sums window overlaps over, need only the values
@@ -34,11 +35,23 @@ equals an edge's key are compared with that edge in float64, with the
 rule of ``np.histogram`` (v < e at each left end, v <= e at the closed
 last edge).  So the counts are those of the float64 values, whatever
 the sort kernel.
+
+A count law (``CountDistribution``) is the sorted distinct count vectors
+plus a per-block weight of each, built by ranking the count columns,
+without sorting the samples (``_count_table``).  The limit layer's Monte
+Carlo law holds the number of samples of each block with each vector:
+counts are integers, so a merged run is reproducible regardless of how
+sample blocks are scheduled.  The finite scale's grid law
+(``window_count_law``) holds, in one block, the quadrature weight of the
+grid points with each vector, and a mixed moment is its weighted sum.
+Both layers raise the counts by one rule (``_powers``): 0^0 = 1 and 0^s =
+0 for s != 0.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,7 +61,7 @@ from .errors import CapacityError, InvalidInputError
 from . import strips
 from .lattice import DirectionSet, DirectionStream, _check_budget, _frac
 
-# Values that ``mixed_moment`` holds per quadrature point at its peak (about 13 measured): a
+# Values that ``window_count_law`` holds per quadrature point at its peak (about 13 measured): a
 # ``MeasureSpec`` grid is checked against the budget at this weight.
 GRID_VALUES = 16
 
@@ -116,11 +129,15 @@ class MeasureSpec:
         n = self.quadrature_points
         return np.arange(n, dtype=float) / n
 
-    def weights(self) -> np.ndarray:
+    def values(self) -> np.ndarray:
+        """The density at each grid point; InvalidInputError unless finite and nonnegative."""
         rho = _density_values(self.density, self.grid(), "grid point")
         if not np.all(np.isfinite(rho) & (rho >= 0)):
             raise InvalidInputError("density must be finite and nonnegative at every grid point")
-        return rho / self.quadrature_points
+        return rho
+
+    def weights(self) -> np.ndarray:
+        return self.values() / self.quadrature_points
 
 
 @dataclass(frozen=True)
@@ -606,14 +623,195 @@ def _density_at(density, alphas) -> np.ndarray:
     return rho
 
 
-def _power(base: np.ndarray, s: complex) -> np.ndarray:
-    # (k)^s with the principal log; 0^0 = 1, 0^s = 0 for s != 0.
-    if s == 0:
-        return np.ones(base.shape, dtype=complex)
-    out = np.zeros(base.shape, dtype=complex)
-    pos = base > 0
-    out[pos] = np.exp(s * np.log(base[pos]))
-    return out
+@dataclass
+class MCResult:
+    """A stochastic estimate with its standard error and sample size."""
+
+    estimate: float
+    se: float
+    n: int
+    exact: float | None = None
+
+    def within(self, k_se: float = 3.0) -> bool:
+        if self.exact is None:
+            raise InvalidInputError("no exact reference attached")
+        return abs(self.estimate - self.exact) <= k_se * self.se
+
+
+@dataclass(frozen=True, eq=False)
+class CountDistribution:
+    """Distribution of count vectors, as distinct vectors with a weight per block.
+
+    ``rows`` holds the distinct count vectors as an int64 array of shape
+    (K, m), sorted lexicographically; ``block_hist[b, i]`` is the weight of
+    ``rows[i]`` in block b: the number of Monte Carlo samples of block b
+    with that count vector (int64), or the quadrature weight of the grid
+    points where the windows hold it (float64, ``window_count_law``).  The
+    block split lets heavy-tailed moments be estimated by median-of-means.
+    """
+
+    rows: np.ndarray
+    block_hist: np.ndarray
+
+    def __post_init__(self):
+        rows, hist = np.asarray(self.rows), np.asarray(self.block_hist)
+        if not (rows.ndim == hist.ndim == 2 and rows.shape[1] > 0 and hist.shape[1] == len(rows)
+                and rows.dtype.kind == "i" and hist.dtype.kind in "if"):
+            raise InvalidInputError("rows and block_hist must be arrays (K, m) of integers and (blocks, K) of numbers")
+        if not (np.all(hist >= 0) and 0 < hist.sum() < np.inf):  # NaN fails too
+            raise InvalidInputError("block weights must be nonnegative with a finite positive total")
+        if np.any(rows < 0):
+            raise InvalidInputError("count rows must be nonnegative")
+        step = np.diff(rows, axis=0)
+        if np.any(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] <= 0):
+            raise InvalidInputError("rows must be distinct and sorted lexicographically")
+        object.__setattr__(self, "rows", rows.astype(np.int64))
+        object.__setattr__(self, "block_hist", hist.astype(np.int64 if hist.dtype.kind == "i" else float))
+
+    @property
+    def counts(self) -> np.ndarray:
+        return self.block_hist.sum(axis=0)
+
+    @property
+    def total(self) -> int | float:
+        return self.block_hist.sum().item()
+
+    @property
+    def m(self) -> int:
+        return self.rows.shape[1]
+
+    def probabilities(self) -> np.ndarray:
+        return self.counts / self.total
+
+    def _values(self, powers) -> np.ndarray:
+        powers = np.atleast_1d(np.asarray(powers, dtype=float))
+        if powers.size != self.m:
+            raise InvalidInputError("one power per component required")
+        if not np.all(np.isfinite(powers)):
+            raise InvalidInputError("powers must be finite")
+        vals = _powers(self.rows, powers)
+        # the moments sum value^2 over the samples, so that sum must stay in the float range too
+        if not np.all(vals <= math.sqrt(np.finfo(float).max / (4.0 * self.total))):  # NaN fails too
+            raise CapacityError(f"moment of powers {powers.tolist()} passes the float range")
+        return vals
+
+    def moment(self, powers) -> MCResult:
+        """Plain-mean estimate of E[prod_j k_j^{p_j}] with its standard error."""
+        vals = self._values(powers)
+        cnt = self.counts.astype(float)
+        mean = float(np.sum(vals * cnt) / self.total)
+        var = float(np.sum(vals**2 * cnt) / self.total - mean**2)
+        return MCResult(mean, math.sqrt(max(var, 0.0) / self.total), self.total)
+
+    def moment_mom(self, powers) -> MCResult:
+        """Median-of-means estimate over the stored sample blocks.
+
+        Block means add count * value over the rows present, in row order
+        (a cumsum: a BLAS dot would reorder the sum).  The standard error is
+        1.4826 * MAD / sqrt(blocks), the MAD taken over the block means.
+        """
+        vals = self._values(powers)
+        hist = self.block_hist
+        terms = np.where(hist > 0, hist * vals, 0.0)
+        means = np.cumsum(terms, axis=1)[:, -1] / hist.sum(axis=1)
+        med = float(np.median(means))
+        mad = float(np.median(np.abs(means - med)))
+        return MCResult(med, 1.4826 * mad / math.sqrt(means.size), self.total)
+
+    def survival(self, k_values) -> np.ndarray:
+        """P(N >= k) for scalar count distributions, vectorized over k."""
+        if self.m != 1:
+            raise InvalidInputError("survival needs a scalar count distribution")
+        ks = self.rows[:, 0]
+        tail = np.cumsum(self.counts[::-1].astype(float))[::-1]
+        idx = np.searchsorted(ks, np.asarray(k_values))
+        out = np.where(idx < ks.size, tail[np.minimum(idx, ks.size - 1)], 0.0)
+        return out / self.total
+
+
+def _powers(rows, exponents) -> np.ndarray:
+    """prod_j k_j^{s_j} for each row k of a count array (K, m): 0^0 = 1 and 0^s = 0 for s != 0.
+
+    A nonzero count k is raised by ``**`` when no s_j has an imaginary
+    part, so real powers keep their bits, and as exp(s_j log k), the
+    principal branch, when one has.  A value past the float range comes
+    out inf or nan, for the caller to refuse.
+    """
+    s = np.asarray(exponents)
+    s = s if np.any(s.imag) else s.real
+    ks = np.maximum(rows, 1).astype(float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raised = np.exp(s * np.log(ks)) if np.iscomplexobj(s) else ks**s
+        return np.prod(np.where(rows == 0, s == 0, raised), axis=1)
+
+
+def _count_table(rows):
+    """The distinct rows of an (n, m) int64 array in lexicographic order, their numbers, and
+    each row's index among them.
+
+    A key is refined column by column: the key of the columns so far times
+    the column's span, plus the column's value above its minimum, is ranked
+    among its distinct values.  The rank is one bincount over the key's
+    span, or ``np.unique`` where that span is more than 4n; a column spread
+    over more than 4n values is ranked among its distinct values first, so
+    the key stays below 4 n^2.  The distinct rows are decoded from each
+    column's distinct keys by ``divmod``, so no row is scattered.
+    """
+    n = len(rows)
+    index, K, levels = 0, 1, []
+    for col in rows.T:
+        lo = int(col.min())
+        span = int(col.max()) - lo + 1
+        if span > 4 * n:
+            values, digit = np.unique(col, return_inverse=True)
+        else:
+            values, digit = np.arange(lo, lo + span), col - lo
+        key = index * values.size + digit
+        if K * values.size > 4 * n:
+            keys, index, numbers = np.unique(key, return_inverse=True, return_counts=True)
+        else:
+            numbers = np.bincount(key)
+            keys = np.flatnonzero(numbers)
+            index = (np.cumsum(numbers > 0) - 1)[key]
+            numbers = numbers[keys]
+        levels.append((keys, values))
+        K = keys.size
+    distinct = np.empty((K, len(levels)), dtype=np.int64)
+    at = np.arange(K)
+    for j, (keys, values) in reversed(list(enumerate(levels))):
+        at, digit = np.divmod(keys[at], values.size)
+        distinct[:, j] = values[digit]
+    return distinct, numbers, index
+
+
+def _merge_tables(tables) -> CountDistribution:
+    """Count law of per-block (distinct rows, numbers) tables, block 0 first."""
+    distinct, _, index = _count_table(np.concatenate([r for r, _ in tables]))
+    hist = np.zeros((len(tables), len(distinct)), dtype=np.int64)
+    block = np.repeat(np.arange(len(tables)), [len(r) for r, _ in tables])
+    hist[block, index] = np.concatenate([f for _, f in tables])  # a row occurs once per table
+    return CountDistribution(distinct, hist)
+
+
+def window_count_law(dirs: DirectionSet | DirectionStream, box, lam: MeasureSpec | None = None) -> CountDistribution:
+    """Grid law of the count vector of the windows of ``box`` under the measure ``lam`` (uniform by default).
+
+    One ``window_counts`` call counts every window at every point of the
+    measure's quadrature grid, over a ``DirectionSet`` or a
+    ``DirectionStream``; the law's rows are the distinct count vectors
+    (``_count_table``), in one block that holds the quadrature weight of
+    each, a zero weight included: the density's values summed per vector,
+    then divided by the number of points, so a uniform measure's weight is
+    the vector's share of the points, rounded once.  Window counts
+    (windows times quadrature points) past the budget raise CapacityError
+    before any is counted.
+    """
+    box = as_box(box)
+    lam = lam if lam is not None else MeasureSpec.uniform()
+    _check_budget(box.m * lam.quadrature_points, f"{box.m} windows x {lam.quadrature_points} quadrature points")
+    counts = window_counts(dirs, np.array(box.intervals), lam.grid())
+    rows, _, index = _count_table(counts.T)
+    return CountDistribution(rows, np.bincount(index, lam.values(), len(rows))[None] / lam.quadrature_points)
 
 
 def mixed_moment(
@@ -623,38 +821,30 @@ def mixed_moment(
     lam: MeasureSpec | None = None,
     shifted: bool = True,
 ) -> complex:
-    """Quadrature of prod_j (count_j + 1)^{s_j} over the measure ``lam``.
+    """Quadrature of prod_j (count_j + 1)^{s_j} over the measure ``lam``: the weighted sum of its grid law.
 
     ``shifted=False`` drops the +1 offset and integrates the raw product
-    prod_j count_j^{s_j}.  With ``spec.cap = K`` set, grid points where any
-    window holds more than K directions are zeroed (restricted moment).
-    The integrand is piecewise constant in alpha, so the uniform-grid error
-    scales like N * |I| / quadrature_points.  The counts of every window
-    at every grid point are one ``window_counts`` call, over a
+    prod_j count_j^{s_j}.  With ``spec.cap = K`` set, the count vectors
+    with a window past K directions are zeroed (restricted moment).  The
+    integrand is piecewise constant in alpha, so the uniform-grid error
+    scales like N * |I| / quadrature_points.  The law is
+    ``window_count_law``, one ``window_counts`` call over a
     ``DirectionSet`` or, without the N-long array, a ``DirectionStream``
     (``latdir moments``), which counts the windows on reduced strips, or
     sweeps its sectors where those would cost more, with the same bytes.
-    Window counts (windows times quadrature points) past the budget raise
-    CapacityError before any is counted, and so does a moment whose terms
-    pass the float range once they are summed.  A zero base follows
-    ``_power``: 0^0 = 1 and 0^s = 0 for s != 0.
+    Its rows are raised through ``_powers``, the rule of the limit's count
+    law too: 0^0 = 1 and 0^s = 0 for s != 0.  Window counts past the
+    budget raise CapacityError before any is counted, and so does a moment
+    whose terms pass the float range once they are summed.
     """
-    box = as_box(box)
-    if len(spec.exponents) != box.m:
+    if len(spec.exponents) != as_box(box).m:
         raise InvalidInputError("one exponent per interval required")
-    lam = lam if lam is not None else MeasureSpec.uniform()
-    _check_budget(box.m * lam.quadrature_points, f"{box.m} windows x {lam.quadrature_points} quadrature points")
-    grid = lam.grid()
-    weights = lam.weights()
-    counts = window_counts(dirs, np.array(box.intervals), grid)
-    offset = 1.0 if shifted else 0.0
-    vals = np.ones(grid.shape, dtype=complex)
+    law = window_count_law(dirs, box, lam)
     with np.errstate(over="ignore", invalid="ignore"):  # a term past the float range is refused below
-        for cnt, s in zip(counts, spec.exponents):
-            vals *= _power(cnt + offset, s)
+        vals = _powers(law.rows + 1 if shifted else law.rows, spec.exponents)
         if spec.cap is not None:
-            vals = np.where(counts.max(axis=0) <= spec.cap, vals, 0.0)
-        value = complex(np.sum(weights * vals))
+            vals[law.rows.max(axis=1) > spec.cap] = 0.0
+        value = complex(np.sum(law.counts * vals))
     if not cmath.isfinite(value):
         raise CapacityError(f"moment of exponents {list(spec.exponents)} passes the float range")
     return value

@@ -316,6 +316,28 @@ def merge_blocks(rows, sizes):
     return ld.CountDistribution(distinct, hist)
 
 
+def grid_moment(dirs, box, spec, lam, shifted):
+    """The mixed moment as a sum over the points of ``lam``'s grid, one point at a time.
+
+    At each grid point the product over the windows of (count + 1)^s, or
+    count^s without ``shifted``, is formed as exp(s log k) with the
+    principal log, 0^0 = 1 and 0^s = 0 for s != 0, and zeroed where a
+    window holds more than ``spec.cap`` directions (``np.where``); the
+    products are then summed with the quadrature weights.
+    """
+    grid = lam.grid()
+    counts = ld.window_counts(dirs, np.array(box, dtype=float).reshape(-1, 2), grid)
+    vals = np.ones(grid.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cnt, s in zip(counts, spec.exponents):
+            base = cnt + (1.0 if shifted else 0.0)
+            power = np.exp(s * np.log(np.where(base > 0, base, 1.0)))
+            vals *= np.where(base > 0, power, 1.0 if s == 0 else 0.0)
+        if spec.cap is not None:
+            vals = np.where(counts.max(axis=0) <= spec.cap, vals, 0.0)
+        return complex(np.sum(lam.weights() * vals))
+
+
 def moebius_py311(M, x, y):
     """``(M.a * tau + M.b) / (M.c * tau + M.d)`` at tau = x + iy as CPython 3.10/3.11 computes it.
 

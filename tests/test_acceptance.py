@@ -173,13 +173,16 @@ def test_criterion_11_property_suites(cbrt_lat):
             f"invariance dev {inv_dev:.1e}, sampler KS {ks:.4f}")
 
 
+def _tv_distance(law1, law2, top=11):
+    """Total variation distance of two scalar count laws, with the counts from ``top`` on lumped."""
+    def head_and_tail(law):
+        ks, p = law.rows[:, 0], law.probabilities()
+        return np.append(np.bincount(ks[ks < top], p[ks < top], top), law.survival(top))
+
+    return 0.5 * float(np.abs(head_and_tail(law1) - head_and_tail(law2)).sum())
+
+
 def test_criterion_12_finite_scale_vs_limit(timed_2000, irr_million):
     dirs, _ = timed_2000
-    grid = np.arange(20_001) / 20_001
-    cnt = ld.window_counts(dirs, (0.0, 1.0), grid)
-    emp = np.bincount(cnt, minlength=12)[:11] / cnt.size
-    emp = np.concatenate([emp, [1.0 - emp.sum()]])
-    lim = np.bincount(np.minimum(irr_million.rows[:, 0], 11), weights=irr_million.counts, minlength=12)
-    lim /= irr_million.total
-    tv = 0.5 * float(np.abs(emp - lim).sum())
+    tv = _tv_distance(ld.window_count_law(dirs, (0.0, 1.0), ld.MeasureSpec.uniform(20_001)), irr_million)
     _report(12, "finite scale vs limit law", tv <= 0.05, f"TV distance {tv:.4f}")

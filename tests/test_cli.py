@@ -206,7 +206,7 @@ def test_moments_at_T_2000_without_the_direction_set(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert json.loads(out.read_text())["value_re"] == 1.9066046697665118
+    assert json.loads(out.read_text())["value_re"] == 1.906604669766512
     assert peak < 32 * 2**20
 
 
@@ -378,12 +378,20 @@ def test_max_points_flag_removed(capsys):
     ["limit-sample", "--I", "0:1", "--n", "1e400"],
     ["limit-moments", "--I", "0:1", "--n", "nan"],
     ["tails", "--I", "0:1", "--n=-inf"],
+    # a fractional count is refused, not truncated to the count below it
+    ["limit-sample", "--I", "0:1", "--n", "2.9"],
+    ["siegel", "--n", "0.5"],
+    ["limit-moments", "--I", "0:1", "--n", "1e-3"],
 ])
 def test_non_finite_sample_count_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out.json"
     assert main([*argv, "--out", str(out)]) == 2
     assert "argument --n: invalid parse_count value" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_whole_counts_parse_in_any_float_spelling():
+    assert [cli.parse_count(s) for s in ("100000", "1e6", "2.0", "3e0")] == [100_000, 1_000_000, 2, 3]
 
 
 @pytest.mark.parametrize("argv, code", [

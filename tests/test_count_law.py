@@ -1,4 +1,4 @@
-"""Property tests of the array-backed count law (latdir.limit.CountDistribution).
+"""Property tests of the array-backed count law (latdir.stats.CountDistribution).
 
 Random per-block count vectors (m = 1, 2, 3; blocks of uneven sizes) are
 reduced to per-block tables and merged into a count law, as the sampler
@@ -6,6 +6,11 @@ does, and every statistic is recomputed by brute force from the raw
 per-sample rows: the distinct rows and block histogram, plain and
 median-of-means moments, survival and the tail exponent.  The tables'
 merge must also equal the one-pass merge of all rows in ``oracles``.
+
+The grid law of the finite scale (``window_count_law``) holds quadrature
+weights in one block: its rows and weights are checked against
+``np.unique`` and ``np.bincount`` of the window counts, and the mixed
+moment, its weighted sum, against the per-grid-point sum of ``oracles``.
 """
 
 import math
@@ -15,10 +20,10 @@ import numpy as np
 import pytest
 
 import latdir as ld
-from latdir import limit
-from latdir.limit import _count_table, _merge_tables
+from latdir import limit, stats
+from latdir.stats import _count_table, _merge_tables
 
-from oracles import merge_blocks
+from oracles import grid_moment, merge_blocks
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -99,7 +104,7 @@ def test_sampler_tables_equal_the_one_pass_merge(monkeypatch, c, xi_class, box, 
     # the per-block counts the sampler reduces, merged again in one pass; the merge calls
     # _count_table last, on the blocks' distinct rows
     blocks = []
-    monkeypatch.setattr(limit, "_count_table", lambda rows: blocks.append(rows) or _count_table(rows))
+    monkeypatch.setattr(stats, "_count_table", lambda rows: blocks.append(rows) or _count_table(rows))
     dist = ld.sample_count_distribution(c, xi_class, box, n, np.random.default_rng(3), **kw)
     assert len(blocks) == limit.MOM_BLOCKS + 1
     blocks = blocks[:-1]
@@ -162,3 +167,78 @@ def test_constructor_rejects_bad_arrays():
         ld.CountDistribution(np.array([[0], [1]]), np.array([[0, 0]]))  # empty
     with pytest.raises(ld.InvalidInputError):
         ld.CountDistribution(np.array([[0.0], [1.0]]), np.array([[1, 1]]))  # float rows
+
+
+def test_float_weights_are_a_law():
+    law = ld.CountDistribution(np.array([[0], [2]]), np.array([[0.25, 0.0], [0.5, 0.25]]))
+    assert law.block_hist.dtype == float and law.total == 1.0
+    assert law.probabilities().tolist() == [0.75, 0.25]
+    assert law.survival([0, 1, 2, 3]).tolist() == [1.0, 0.25, 0.25, 0.0]
+    assert law.moment([2.0]).estimate == 1.0
+    for bad in ([[-0.5, 1.0]], [[np.nan, 1.0]], [[np.inf, 1.0]], [[0.0, 0.0]]):
+        with pytest.raises(ld.InvalidInputError, match="nonnegative"):
+            ld.CountDistribution(np.array([[0], [2]]), np.array(bad))
+
+
+# densities on the circle that integrate to 1 on any uniform grid of 2 or more points; the last is
+# 0 at alpha = 0, so a count vector seen only there has weight 0
+DENSITIES = [None, lambda a: 1.0 + 0.5 * np.cos(2 * np.pi * a), lambda a: 1.0 - np.cos(2 * np.pi * a)]
+EXPONENTS = [0, 1, 2, -1, -0.5, 2.5, 0.5 + 1j, -1.5j, 2 - 0.25j]
+
+
+@st.composite
+def grid_moments(draw):
+    """1-3 windows, a measure, a MomentSpec with an optional cap, and ``shifted``."""
+    m = draw(st.integers(1, 3))
+    ends = st.sampled_from([-3.0, -1.0, -0.25, 0.0, 0.5, 1.0, 2.0, 4.0])
+    box = [tuple(sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))) for _ in range(m)]
+    points, density = draw(st.sampled_from([2, 7, 64, 501])), draw(st.sampled_from(DENSITIES))
+    lam = ld.MeasureSpec.uniform(points) if density is None else ld.MeasureSpec(density, points)
+    s = draw(st.lists(st.sampled_from(EXPONENTS), min_size=m, max_size=m))
+    return box, lam, ld.MomentSpec(tuple(s), draw(st.none() | st.integers(0, 4))), draw(st.booleans())
+
+
+def _check_law_and_moment(dirs, box, lam, spec, shifted):
+    law = ld.window_count_law(dirs, box, lam)
+    counts = ld.window_counts(dirs, np.array(box), lam.grid())
+    rows, index = np.unique(counts.T, axis=0, return_inverse=True)
+    assert law.rows.dtype == np.int64 and law.rows.tobytes() == rows.tobytes()
+    assert law.block_hist.shape == (1, len(rows))
+    # the density's values summed per vector, then divided by the number of points: a uniform
+    # measure's weights are then each vector's points over all points, rounded once
+    weights = np.bincount(index.ravel(), lam.values(), len(rows)) / lam.quadrature_points
+    assert law.block_hist[0].tobytes() == weights.tobytes()
+    assert np.allclose(weights, np.bincount(index.ravel(), lam.weights(), len(rows)), rtol=1e-12, atol=0.0)
+    got = ld.mixed_moment(dirs, box, spec, lam, shifted=shifted)
+    want = grid_moment(dirs, box, spec, lam, shifted)
+    # relative to the sum of |term|, which the real parts of the exponents bound (|k^s| = k^Re s),
+    # as complex exponents may cancel the terms
+    scale = grid_moment(dirs, box, ld.MomentSpec(tuple(z.real for z in spec.exponents), spec.cap), lam, shifted)
+    assert abs(got - want) <= 1e-12 * scale.real
+    return law
+
+
+@PROPS
+@given(st.integers(1, 60), st.sampled_from([None, 16]), st.integers(0, 2**32 - 1), grid_moments())
+def test_grid_law_and_moment_match_the_grid_points(n, levels, seed, case):
+    # uniform directions, or values on 16 levels, so that directions repeat; small windows leave
+    # many counts at 0
+    rng = np.random.default_rng(seed)
+    alphas = rng.uniform(0.0, 1.0, n) if levels is None else rng.integers(0, levels, n) / levels
+    _check_law_and_moment(ld.DirectionSet(np.sort(alphas), 10.0, ld.Annulus(0.0)), *case)
+
+
+@PROPS
+@given(st.sampled_from([ld.Mat2.identity(), ld.Mat2(1.0, 0.0, 3.0, 1.0), ld.Mat2(2.0, 0.5, 1.0, 0.75)]),
+       st.sampled_from([(0.3, 0.7), (0.5, 0.5), (1 / 3, 1 / 4), (0.0, 0.0)]),
+       st.sampled_from([ld.Annulus(0.0), ld.Annulus(0.4), ld.Square()]), st.sampled_from([3.0, 12.0, 40.0]),
+       grid_moments())
+def test_set_and_stream_give_the_same_grid_law(basis, shift, shape, T, case):
+    lat = ld.AffineLatticeSpec(basis, shift)
+    dirs, stream = ld.direction_set(lat, shape, T), ld.direction_stream(lat, shape, T)
+    law = _check_law_and_moment(dirs, *case)
+    box, lam, spec, shifted = case
+    got = ld.window_count_law(stream, box, lam)
+    assert got.rows.tobytes() == law.rows.tobytes() and got.block_hist.tobytes() == law.block_hist.tobytes()
+    want = ld.mixed_moment(dirs, box, spec, lam, shifted=shifted)
+    assert np.array([ld.mixed_moment(stream, box, spec, lam, shifted=shifted)]).tobytes() == np.array([want]).tobytes()

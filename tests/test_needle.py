@@ -112,7 +112,7 @@ def test_moments_job_peaks_below_the_sweep():
     finally:
         tracemalloc.stop()
     assert peak < 16_300_000
-    assert value == 5.399480025998701  # the value of the sweep's counts
+    assert value == 5.3994800259987  # the value of the sweep's counts, summed over its grid law
 
 
 def test_reduction_stops_on_the_probe_window_and_on_axis_and_diagonal_rays():

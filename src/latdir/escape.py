@@ -5,9 +5,9 @@ bottom row (c, d), the level v_g = v' / |c tau' + d|^2 of the transformed
 point enters through an indicator v_g >= R, a weight v_g^beta, and a
 rapidly decaying factor f evaluated on the shifted first coordinate of the
 transported torus variable.  For R >= 1 at most four rows pass the
-indicator, +- the rows of the matrix that reduces tau' to the standard
-fundamental domain, and the inner integer sum stops where f drops below
-1e-16, so the evaluation is exact up to floating point.
+indicator, +- the two vectors of the Gauss-reduced basis of the lattice Z
++ Z tau', and the inner integer sum stops where f drops below 1e-16, so
+the evaluation is exact up to floating point.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import strips
 from .errors import CapacityError, InvalidInputError
-from .lattice import Mat2, _check_budget
+from .lattice import Mat2, _check_budget, _gauss
 
 # exp(-x^2) < 1e-16 beyond this point
 XMAX = math.sqrt(16.0 * math.log(10.0))
@@ -88,14 +88,25 @@ def cusp_window_sum(taus, xi, M: Mat2, spec: CuspSpec, cosets: str = "all") -> n
     "identity" keeps only the rows (0, +-1), "inverted" only (+-1, 0) --
     the leading term of the horocycle average.
 
-    g in SL(2, Z), one per node, moves tau' = u + i v into F: a step
-    translates, u <- u - rint(u), then flips, (u, v) <- (-u / r, v / r) with
-    r = u^2 + v^2, where that raises the float v.  A flip starts from v < 1
-    and strictly raises v; a node that does not flip keeps |u| <= 1/2 and
-    stays, so the loop ends.  In F a row (c', d') with c' != 0 reaches
-    v_g >= 1 only at tau' = i, row (+-1, 0), so the candidates are +-(c, d)
-    and +-(a, b) of g (the same four on |tau'| = 1, however r rounds), and
-    the exact v_g >= R test decides them.  A node's terms add in (c, d) order.
+    The row (c, d) is the vector c tau' + d of the lattice Z + Z tau', of
+    covolume v', whose squared length is v' / v_g.  ``_gauss``, the window
+    frames' reduction, reduces each node's basis rows (1, 0) and (u', v'),
+    and each row (x, y) of its gamma, the vector x + y tau', gives the
+    candidate (c, d) = (y, x).  Any other primitive vector x b1 + y b2, x y
+    != 0, of the reduced basis b1, b2 is no shorter than the longer of
+    them, whose squared length is at least v', and it is longer than that
+    (twice it where b1 and b2 are orthogonal and of one length): its v_g
+    lies below 1, far outside roundoff.  So the candidates are +- the two
+    rows, and the exact v_g >= R test, on the node's own u' and v',
+    decides them.  A node's terms add in (c, d) order.  The height floor
+    keeps ``_gauss`` from stopping partly reduced, with gamma past 2^52: a
+    row (x, y) of a vector w has |y| = |Im w| / v' and |x| <= |w| + |y
+    u'|, and a step never lengthens the vector it reduces, so once tau'
+    has lost its nearest integer every vector is about 1 long or shorter,
+    and its rows stay below about (1 + |u'|) / min(v', 1) <= 2^52.  The
+    largest at the floor are about 2^51, half of that, as |mu| <= 1/2
+    after every step, so the estimate |q| |row b| + |row a| at which
+    ``_gauss`` stops stays below 2^52 too.
     Nodes past the budget raise CapacityError before the reduction; so does
     an image above ``V_CEIL``, or a weight v_g^beta above 2^1000, before
     anything overflows, and inner m-sum terms past the budget (their number
@@ -113,24 +124,14 @@ def cusp_window_sum(taus, xi, M: Mat2, spec: CuspSpec, cosets: str = "all") -> n
     up, vp = _moebius(M, taus.real.ravel(), taus.imag.ravel())
     if not np.all(np.isfinite(up) & np.isfinite(vp)):
         raise CapacityError("M . tau lies beyond the float range")
-    # the floor keeps g's entries below (1 + |u'|) / min(v', 1) <= 2^52, exact; NaN fails it too
+    # the floor keeps gamma's entries below (1 + |u'|) / min(v', 1) <= 2^52, exact; NaN fails it too
     if not np.all(np.minimum(vp, 1.0) >= 2.0**-52 * (1.0 + np.abs(up))):
         raise CapacityError(f"v' = {vp.min():.3g} lies below the height floor 2^-52 (1 + |u'|)")
     if np.any(vp > V_CEIL):
         raise CapacityError(f"v' = {vp.max():.3g} lies above the height ceiling 2^500")
-    g = np.tile(np.eye(2, dtype=np.int64), (vp.size, 1, 1))
-    u, v = up, vp
-    while True:
-        n = np.rint(u)
-        u = u - n
-        g[:, 0] -= n.astype(np.int64)[:, None] * g[:, 1]  # T^-n
-        r = u * u + v * v
-        flip = v / r > v
-        if not flip.any():
-            break
-        u = np.where(flip, -u / r, u)
-        v = np.where(flip, v / r, v)
-        g[flip] = g[flip, ::-1] * np.array([[-1], [1]])  # S = [[0, -1], [1, 0]]
+    # gamma row (x, y) is the vector x + y tau' of the reduced lattice Z + Z tau': its row (c, d) is (y, x)
+    G = _gauss(np.stack([np.ones(vp.size), np.zeros(vp.size), up, vp]))
+    g = G[[1, 0, 3, 2]].T.astype(np.int64).reshape(-1, 2, 2)
     node = np.repeat(np.arange(vp.size), 4)
     rows = np.concatenate([g, -g], axis=1).reshape(-1, 2)
     c, d = rows[np.lexsort((rows[:, 1], rows[:, 0], node))].T

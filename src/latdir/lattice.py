@@ -12,8 +12,13 @@ One rule decides which points are in the domain: the strict float test
 by it, and lets ``_inside`` decide the rest, so each keeps exactly the
 points that ``_inside`` keeps.  Points are enumerated one m1-strip at a
 time, the domain test deciding the few candidates near each strip's ends
-(``DirectionStream._kept``).  Which kept points have a direction in an
-arc [x, y) is answered by one engine.  At scale T the directions in an
+(``DirectionStream._kept``).  One copy of each strip primitive serves
+every path: ``_chord`` solves a strip's chord in a disc, ``_side`` cuts a
+strip by a half-plane or a slab, and ``_solved`` turns the float range
+into integers; ``_gauss`` is the float Gauss reduction, with an exact
+integer gamma, of the window frames and of ``escape``'s cusp nodes, and
+``limit.disc_count`` takes its chords from ``_chord`` too.  Which kept
+points have a direction in an arc [x, y) is answered by one engine.  At scale T the directions in an
 arc come from the lattice points in a thin sector, and a linear frame,
 the rotation k(alpha) followed by a diagonal flow, maps that sector onto
 a fixed triangle, as the limit law maps its cones (Marklof and
@@ -240,56 +245,74 @@ class DirectionStream:
     def _span(self):
         """Validate the input and span the m1-strips of the domain grown by ``MARGIN``, without solving any.
 
-        Returns the reduced basis B, the shift (xi1, xi2) it takes, the
-        first and last m1 and the Gram entries q12, q22 of B.  A strip that
-        would span past int64, and strips past the budget at
-        ``STRIP_VALUES`` each, raise CapacityError.
+        Returns the reduced basis B, the shift (xi1, xi2) it takes and the
+        first and last m1.  A strip that would span past int64, and strips
+        past the budget at ``STRIP_VALUES`` each, raise CapacityError.
         """
         _require_scale(self.T)
         self.lat.basis.require_unimodular()
         B, (xi1, xi2) = _reduced(self.lat.basis, self.lat.shift)
         grown = self.T * (1.0 + MARGIN)
         if isinstance(self.shape, Annulus):
-            m1lo, m1hi, q12, q22 = strips.ellipse_span(B.a, B.b, B.c, B.d, grown, xi1)
+            m1lo, m1hi = strips.ellipse_span(B.c, B.d, grown, xi1)
         else:
-            q12, q22 = B.a * B.c + B.b * B.d, B.c**2 + B.d**2
             p1max = grown * (abs(B.d) + abs(B.c))
             m1lo, m1hi = strips.integer_range(-p1max, p1max, xi1)
         # A strip's chord, at most 2 T (annulus) or 2 sqrt(2) T (square) long, spans about that
         # over |r2| = sqrt(q22) integers, whose int64 bounds overflow past strips.LIMIT; q22
         # underflows to 0 for a basis as skewed as (1e300, 0, 0, 1e-300).
+        q22 = B.c**2 + B.d**2
         chord = 2.0 * self.T * (1.0 if isinstance(self.shape, Annulus) else math.sqrt(2.0))
         per_strip = chord / math.sqrt(q22) if q22 > 0.0 else math.inf
         if per_strip > strips.LIMIT:
             raise CapacityError(f"a strip would span about {per_strip:.3g} integers, more than int64 can hold")
         _check_budget((m1hi - m1lo + 1) * STRIP_VALUES, f"{m1hi - m1lo + 1} m1-strips")
-        return B, xi1, xi2, m1lo, m1hi, q12, q22
+        return B, xi1, xi2, m1lo, m1hi
 
     @cached_property
     def _kept(self):
         """Solve the m1-strips and return their kept m2 ranges, and the candidates.
 
-        Each strip's candidate m2 range (its chord in the domain grown by
-        ``MARGIN``, minus the inner-disc chord shrunk by one integer on an
-        annulus with c > 0) splits into a certified interior, taken whole,
-        and a few boundary candidates near the range ends, the inner circle
-        or the origin, which ``_inside`` decides (``_zones``, which checks
-        the boundary candidates against the budget).  So the kept points are
-        exactly those that ``_inside`` keeps.  Returns the kept ranges as
-        ``_zones`` gives them, and the candidates: the total width of the
-        candidate ranges, which a pass that forms every point checks against
-        the budget.  The boundary candidates' budget keeps that total far
-        below 2^63.
+        Strip p1 = m1 + xi1 is the line P + (m2 + xi2) r2, P = p1 r1, of the
+        rows r1, r2 of B, solved with the frames' primitives in the frame of
+        B itself: ``_chord`` for a disc, with pD = p1 for P x r2 as det B =
+        1, and ``_side`` for the square's two slabs.  Each strip's candidate
+        m2 range (its chord in the domain grown by ``MARGIN``, minus the
+        inner-disc chord shrunk by one integer on an annulus with c > 0)
+        splits into a certified interior, taken whole, and a few boundary
+        candidates near the range ends, the inner circle or the origin,
+        which ``_inside`` decides (``_zones``, which checks the boundary
+        candidates against the budget).  So the kept points are exactly
+        those that ``_inside`` keeps.  Returns the kept ranges as ``_zones``
+        gives them, and the candidates: the total width of the candidate
+        ranges, which a pass that forms every point checks against the
+        budget.  The boundary candidates' budget keeps that total far below
+        2^63.
         """
-        B, xi1, xi2, m1lo, m1hi, q12, q22 = self._span
+        B, xi1, xi2, m1lo, m1hi = self._span
         p1 = np.arange(m1lo, m1hi + 1, dtype=np.int64) + xi1
-        lo, hi = _candidates(self._span, self.shape, p1, self.T * (1.0 + MARGIN))
-        ilo, ihi = _candidates(self._span, self.shape, p1, self.T * (1.0 - MARGIN))
-        r = self.shape.c * self.T if isinstance(self.shape, Annulus) else 0.0
-        clo, chi, disc = strips.root_pair(q12, q22, p1, xi2, max(r * (1.0 + MARGIN), ORIGIN_RADIUS))
+        P1, P2 = p1 * B.a, p1 * B.b
+        annulus = isinstance(self.shape, Annulus)
+
+        def chord(rho):  # each strip's m2 range in the disc of radius rho, which keeps its centre where it misses
+            lo, hi, meets = _chord(P1, P2, B.c, B.d, 1.0, p1, rho)
+            return (*strips.integer_range(lo, hi, xi2), meets)  # bounded by |p1| / 2 + T / |r2|: no clip
+
+        def domain(t):  # each strip's m2 range in the closed domain at scale t
+            if annulus:
+                return chord(t)[:2]
+            lo, hi = np.full(p1.size, -np.inf), np.full(p1.size, np.inf)
+            for n1, n2 in ((1.0, 0.0), (0.0, 1.0)):
+                _side(lo, hi, P1, P2, B.c, B.d, n1, n2, t, slab=True)
+            return _solved(lo, hi, xi2)
+
+        lo, hi = domain(self.T * (1.0 + MARGIN))
+        ilo, ihi = domain(self.T * (1.0 - MARGIN))
+        r = self.shape.c * self.T if annulus else 0.0
+        clo, chi, meets = chord(max(r * (1.0 + MARGIN), ORIGIN_RADIUS))
         candidates = int(strips.widths(lo, hi).sum())
         if r > 0:  # the candidates skip the inner chord shrunk by one integer at each end
-            rlo, rhi = strips.root_pair(q12, q22, p1, xi2, r)[:2]
+            rlo, rhi = chord(r)[:2]
             rlo += 1
             rhi -= 1
             candidates -= int(strips.widths(np.maximum(rlo, lo), np.minimum(rhi, hi)).sum())
@@ -298,7 +321,6 @@ class DirectionStream:
         # the interior is narrowed by one integer, the excluded chord widened by one
         ilo += 1
         ihi -= 1
-        meets = disc >= 0.0
         clo = np.where(meets, clo - 1, ihi + 1)
         chi = np.where(meets, chi + 1, ihi)
         zones = _zones(lo, hi, ilo, ihi, clo, chi, rlo, rhi,
@@ -400,10 +422,6 @@ class DirectionStream:
             u1, u2 = np.cos(TWO_PI * (x - ARC_TOL))[arc], np.sin(TWO_PI * (x - ARC_TOL))[arc]
             axes, half = ((u1, -tt * u2), (u2, tt * u1)), (self.T / R)[arc]
 
-        def solved(lo, hi):
-            return strips.integer_range(np.clip(lo, -strips.LIMIT, strips.LIMIT),
-                                        np.clip(hi, -strips.LIMIT, strips.LIMIT), eta[1][arc])
-
         def domain(lo, hi, grow):
             if annulus:
                 clo, chi, meets = _chord(P1, P2, g1, g2, tt, pD, 1.0 + grow)
@@ -434,15 +452,16 @@ class DirectionStream:
                 for first, last, start, end in ((lo, hi, lo[on], hi[on]), (ilo, ihi, dlo[on], dhi[on])):
                     first[on] = np.where(behind, start, np.where(ahead, np.maximum(start, 0.0), np.inf))
                     last[on] = np.where(ahead, end, np.where(behind, np.minimum(end, 0.0), -np.inf))
-        lo, hi = solved(lo, hi)
-        ilo, ihi = solved(ilo, ihi)
+        xi = eta[1][arc]
+        lo, hi = _solved(lo, hi, xi)
+        ilo, ihi = _solved(ilo, ihi, xi)
         clo, chi, meets = _chord(P1, P2, g1, g2, tt, pD, np.maximum(c * (1.0 + MARGIN), ORIGIN_RADIUS / R[arc]) + ee)
-        clo, chi = solved(clo, chi)
+        clo, chi = _solved(clo, chi, xi)
         clo = np.where(meets, clo - 1, ihi + 1)
         chi = np.where(meets, chi + 1, ihi)
         if c > 0.0:  # the inner chord shrunk by one integer at each end holds no point
             rlo, rhi, meets = _chord(P1, P2, g1, g2, tt, pD, c * (1.0 - MARGIN) - ee)
-            rlo, rhi = solved(rlo, rhi)
+            rlo, rhi = _solved(rlo, rhi, xi)
             rlo, rhi = np.where(meets, rlo + 1, lo), np.where(meets, rhi - 1, lo - 1)
         else:
             rlo, rhi = lo, lo - 1
@@ -647,36 +666,6 @@ def _point_turns(B: Mat2, xi2, p1, m2):
     out = np.empty(p2.shape)
     _turns(_affine_combo(p1, p2, B.a, B.c), _affine_combo(p1, p2, B.b, B.d), out)
     return out
-
-
-def _candidates(span, shape: DomainShape, p1, t):
-    """The m2 range of each m1-strip p1 in the closed domain at scale t, elementwise: the same bits for any p1."""
-    B, _, xi2, _, _, q12, q22 = span
-    if isinstance(shape, Annulus):
-        return strips.root_pair(q12, q22, p1, xi2, t)[:2]
-    return _square_range(B, p1, xi2, t)
-
-
-def _square_range(B: Mat2, p1, xi2, t):
-    """Each strip's m2 range of the closed square |y1|, |y2| <= t.
-
-    Per axis, with (r, q) = (B.a, B.c) or (B.b, B.d), the closed slab
-    -t <= p1 r + (m2 + xi2) q <= t puts m2 between (-t - p1 r) / q - xi2
-    and (t - p1 r) / q - xi2, saturated at ``strips.LIMIT``.  A zero q makes
-    the slab a test of the whole strip, -t - p1 r <= 0 <= t - p1 r; a strip
-    that fails it gets the empty range [1, 0].  det B = 1, so the other q is
-    nonzero and bounds the range.
-    """
-    lo, hi, ok = -strips.LIMIT, strips.LIMIT, True
-    for r, q in ((B.a, B.c), (B.b, B.d)):
-        below, above = -t - p1 * r, t - p1 * r
-        if q == 0.0:
-            ok = ok & (below <= 0.0) & (above >= 0.0)
-            continue
-        with np.errstate(over="ignore"):  # a tiny q gives inf, which the clip saturates
-            ends = np.clip([below / q - xi2, above / q - xi2], -strips.LIMIT, strips.LIMIT)
-        lo, hi = np.maximum(lo, ends.min(axis=0)), np.minimum(hi, ends.max(axis=0))
-    return np.where(ok, np.ceil(lo), 1).astype(np.int64), np.where(ok, np.floor(hi), 0).astype(np.int64)
 
 
 def _inside(B: Mat2, xi2, shape: DomainShape, T: float, m2, p1):
@@ -1004,6 +993,7 @@ def _side(lo, hi, P1, P2, g1, g2, n1, n2, c, slab=False):
 
     With ``slab`` also to -n . (P + s g) <= c, from the same n . g and n . P:
     negating them is exact, so the bounds are those of the two half-planes.
+    Any of n, g and c may be one scalar for every strip.
     """
     d = n1 * g1 + n2 * g2
     nP = n1 * P1 + n2 * P2
@@ -1012,7 +1002,7 @@ def _side(lo, hi, P1, P2, g1, g2, n1, n2, c, slab=False):
             b = r / d
         np.maximum(lo, np.where(d < 0.0, b, -np.inf), out=lo)
         np.minimum(hi, np.where(d > 0.0, b, np.inf), out=hi)
-        if not d.all():  # a strip parallel to the side lies inside it whole or not at all
+        if not np.all(d):  # a strip parallel to the side lies inside it whole or not at all
             np.minimum(hi, -np.inf, out=hi, where=(d == 0.0) & (r < 0.0))
 
 
@@ -1028,6 +1018,11 @@ def _chord(P1, P2, g1, g2, t, pD, rho):
     disc = rho * rho - (t * pD) ** 2 / a
     half = np.sqrt(np.maximum(disc, 0.0) / a)
     return mid - half, mid + half, disc >= 0.0
+
+
+def _solved(lo, hi, xi):
+    """The integer range of the m with lo <= m + xi <= hi, per strip, its bounds saturated at +-``strips.LIMIT``."""
+    return strips.integer_range(np.clip(lo, -strips.LIMIT, strips.LIMIT), np.clip(hi, -strips.LIMIT, strips.LIMIT), xi)
 
 
 def _in_arc(turns, x, y):

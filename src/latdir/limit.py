@@ -37,7 +37,7 @@ import numpy as np
 
 from . import stats, strips
 from .errors import CapacityError, InsufficientDataError, InvalidInputError, UnsupportedError
-from .lattice import MARGIN, AffineLatticeSpec, Annulus, _check_budget, direction_stream, rotation
+from .lattice import MARGIN, AffineLatticeSpec, Annulus, _check_budget, _chord, direction_stream, rotation
 from .stats import CountDistribution, MCResult, as_box, window_counts
 
 TWO_PI = 2.0 * math.pi
@@ -690,9 +690,10 @@ def disc_count(A: np.ndarray, shift: np.ndarray, r: float) -> np.ndarray:
 
     The float test y1^2 + y2^2 <= r^2 decides, with y = (m + shift) A formed
     entry by entry, y_i = p1 a_1i + p2 a_2i.  The m1-strips span the disc
-    grown by ``MARGIN``, and each strip's closed-form m2 range has both
-    ends decided by that test (``strips.settle``); a strip that misses the
-    disc keeps its centre for the test to decide.
+    grown by ``MARGIN``, and each strip's m2 range, its chord in the disc
+    (``lattice._chord``, with p1 for the cross product P x (a21, a22) as
+    |det A| = 1), has both ends decided by that test (``strips.settle``);
+    a strip that misses the disc keeps its centre for the test to decide.
 
     Raises InvalidInputError unless r >= 0 and A and the shift are finite,
     and CapacityError before any strip is formed when an m1 bound does not
@@ -702,12 +703,12 @@ def disc_count(A: np.ndarray, shift: np.ndarray, r: float) -> np.ndarray:
         raise InvalidInputError(f"the radius must be nonnegative, got {r!r}")
     A, shift = _samples(A, shift)
     a = A.reshape(-1, 4).T
-    m1lo, m1hi, q12, q22 = strips.ellipse_span(*a, r * (1.0 + MARGIN), shift[:, 0])
+    m1lo, m1hi = strips.ellipse_span(a[2], a[3], r * (1.0 + MARGIN), shift[:, 0])
     rows = strips.widths(m1lo, m1hi)
     _check_budget(rows.sum(dtype=float), "disc strips")
-    m1, xi1, q12, q22, xi2, a11, a12, a21, a22 = strips.expand(m1lo, rows, shift[:, 0], q12, q22, shift[:, 1], *a)
+    m1, xi1, xi2, a11, a12, a21, a22 = strips.expand(m1lo, rows, shift[:, 0], shift[:, 1], *a)
     p1 = m1 + xi1
-    m2lo, m2hi = strips.root_pair(q12, q22, p1, xi2, r)[:2]
+    m2lo, m2hi = strips.integer_range(*_chord(p1 * a11, p1 * a12, a21, a22, 1.0, p1, r)[:2], xi2)
 
     def inside(m2):
         p2 = m2 + xi2

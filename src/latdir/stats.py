@@ -61,8 +61,9 @@ from .errors import CapacityError, InvalidInputError
 from . import strips
 from .lattice import DirectionSet, DirectionStream, _check_budget, _frac
 
-# Values that ``window_count_law`` holds per quadrature point at its peak (about 13 measured): a
-# ``MeasureSpec`` grid is checked against the budget at this weight.
+# Values that ``window_count_law`` holds per window and quadrature point at its peak: about 3 + 12 m
+# measured for m windows, at most 16 m for every m >= 1.  The windows times the points are checked
+# against the budget at this weight before any is counted.
 GRID_VALUES = 16
 
 
@@ -106,8 +107,9 @@ class MeasureSpec:
     and its values are broadcast to the grid, so a constant may be one
     scalar.  They must be finite and nonnegative, and the grid must
     integrate them to 1 within 1e-6; else InvalidInputError names what
-    failed.  A grid whose ``GRID_VALUES`` values a point pass the budget
-    raises CapacityError before the density is evaluated.
+    failed.  A grid whose three values a point, which the constructor
+    holds at once (the grid, the density's values and the weights), pass
+    the budget raises CapacityError before the density is evaluated.
     """
 
     density: Callable
@@ -116,7 +118,7 @@ class MeasureSpec:
     def __post_init__(self):
         if self.quadrature_points < 2:
             raise InvalidInputError("quadrature_points must be at least 2")
-        _check_budget(GRID_VALUES * self.quadrature_points, f"{self.quadrature_points} quadrature points")
+        _check_budget(3 * self.quadrature_points, f"{self.quadrature_points} quadrature points")
         total = float(np.sum(self.weights()))
         if abs(total - 1.0) > 1e-6:
             raise InvalidInputError(f"density integrates to {total}, not 1")
@@ -802,13 +804,14 @@ def window_count_law(dirs: DirectionSet | DirectionStream, box, lam: MeasureSpec
     (``_count_table``), in one block that holds the quadrature weight of
     each, a zero weight included: the density's values summed per vector,
     then divided by the number of points, so a uniform measure's weight is
-    the vector's share of the points, rounded once.  Window counts
-    (windows times quadrature points) past the budget raise CapacityError
-    before any is counted.
+    the vector's share of the points, rounded once.  Windows times
+    quadrature points past the budget, at ``GRID_VALUES`` each, raise
+    CapacityError before any window is counted.
     """
     box = as_box(box)
     lam = lam if lam is not None else MeasureSpec.uniform()
-    _check_budget(box.m * lam.quadrature_points, f"{box.m} windows x {lam.quadrature_points} quadrature points")
+    _check_budget(GRID_VALUES * box.m * lam.quadrature_points,
+                  f"{box.m} windows x {lam.quadrature_points} quadrature points")
     counts = window_counts(dirs, np.array(box.intervals), lam.grid())
     rows, _, index = _count_table(counts.T)
     return CountDistribution(rows, np.bincount(index, lam.values(), len(rows))[None] / lam.quadrature_points)

@@ -1,7 +1,8 @@
 """Affine lattice points p = m + xi in a convex region, one m1-strip at a time.
 
 Per integer m1, the admissible m2 form one inclusive int64 range
-(``integer_range``; ``ellipse_span`` and ``root_pair`` for an ellipse).
+(``integer_range``; ``ellipse_span`` spans the m1-strips of an ellipse,
+whose chords ``lattice._chord`` solves).
 Counters sum the ranges (``widths``, ``totals``); enumerators expand them
 into points (``expand``, and ``expand_steps`` in cache-sized pieces for rows
 of points that step by one integer vector).  ``runs`` cuts the rows into
@@ -139,29 +140,10 @@ def totals(per_value, rows):
     return cum.take(end, axis=-1) - cum.take(end - rows, axis=-1)
 
 
-def ellipse_span(a, b, c, d, r, xi1):
-    """m1-strips of |(m + xi) A| <= r, A = [[a, b], [c, d]] with |det A| = 1.
-
-    Also returns q12 = a c + b d and q22 = c^2 + d^2, the entries of A A^t.
-    """
-    q12, q22 = a * c + b * d, c**2 + d**2
-    p1max = r * np.sqrt(q22)
-    return (*integer_range(-p1max, p1max, xi1), q12, q22)
-
-
-def root_pair(q12, q22, p1, xi2, r):
-    """Integer m2 range of |(p1, m2 + xi2) A| <= r per strip, and the discriminant.
-
-    Where the discriminant q22 r^2 - p1^2 is negative the range keeps the
-    strip's centre; callers that need such strips empty test it.
-    """
-    disc = q22 * r * r - p1 * p1
-    half = np.sqrt(np.maximum(disc, 0.0)) / q22
-    mid = -q12 * p1 / q22
-    hi = mid + half
-    mid -= half  # in place, and half freed: one strip array less at the peak
-    del half
-    return (*integer_range(mid, hi, xi2), disc)
+def ellipse_span(c, d, r, xi1):
+    """m1-strips of |(m + xi) A| <= r, for A with |det A| = 1 and second row (c, d): |p1| <= r |(c, d)|."""
+    p1max = r * np.sqrt(c**2 + d**2)
+    return integer_range(-p1max, p1max, xi1)
 
 
 def settle(lo, hi, inside):

@@ -5,6 +5,7 @@ summation, sharing no code path with the implementations under test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -232,13 +233,43 @@ def strip_gauss_sums(u, v, phi, shift):
     return s, s2
 
 
+def _reduced_rows(u, v):
+    """The rows (c, d) of the vectors x a + y b, |x|, |y| <= 2, for a Gauss-reduced basis a, b of Z + Z tau.
+
+    tau = u + i v; the reduction runs in exact rationals from the rows (0, 1)
+    and (1, 0) of the vectors 1 and tau, a row (c, d) standing for c tau +
+    d.  Every coprime row of the coset ellipse |c tau + d|^2 <= v / R, R >=
+    1, is among them: a vector x a + y b with x y != 0 is no shorter than
+    the longer of a and b, whose squared length is at least the covolume v,
+    and strictly more than v unless a and b are orthogonal and of one
+    length, where those vectors have 2 v.  The box takes in the rows within
+    roundoff of a tie too, for the float v_g >= R test to decide.
+    """
+    U, V2 = Fraction(u), Fraction(v) ** 2
+
+    def dot(r, s):
+        return (r[0] * U + r[1]) * (s[0] * U + s[1]) + r[0] * s[0] * V2
+
+    a, b = (0, 1), (1, 0)
+    while True:
+        if dot(a, a) < dot(b, b):
+            a, b = b, a
+        q = round(dot(a, b) / dot(b, b))
+        if not q:
+            break
+        a = (a[0] - q * b[0], a[1] - q * b[1])
+    return [(x * a[0] + y * b[0], x * a[1] + y * b[1]) for x in range(-2, 3) for y in range(-2, 3) if x or y]
+
+
 def ellipse_cusp_sums(taus, xi, M, spec, cosets):
     """Cusp sums at M . tau over every coprime row in the coset ellipse.
 
     Candidates fill c^2 v'^2 + (c u' + d)^2 <= v'/R by c-strips, each widened
     by one on both sides so the exact v_g >= R test decides ties; a gcd
-    filter keeps the coprime rows.  A node's terms are added in (c, d)
-    order (bincount), and the inner integer sums are formed as in
+    filter keeps the coprime rows.  An ellipse of more than 2^16 c-strips,
+    below v' of about 2e-10, takes its candidates from an exact reduction
+    instead (``_reduced_rows``).  A node's terms are added in (c, d) order
+    (bincount), and the inner integer sums are formed as in
     ``latdir.escape``, so the result is the reference bit for bit.
     """
     from latdir import strips
@@ -250,15 +281,11 @@ def ellipse_cusp_sums(taus, xi, M, spec, cosets):
     xi1, xi2 = float(xi[0]), float(xi[1])
     budget = vp / spec.R
     cmax = np.floor(np.sqrt(budget) / vp) + 1
-    assert np.all(cmax <= 1 << 20), "the coset ellipse spans over 2^21 c-strips"
-    cmax = cmax.astype(np.int64)
+    deep = cmax > 1 << 16
+    cmax = np.where(deep, 0, cmax).astype(np.int64)
     out = np.zeros(vp.size)
-    nodes, strip_counts = np.arange(vp.size), 2 * cmax + 1
-    for i, j in strips.runs(strip_counts, 1 << 13):
-        c, node = strips.expand(-cmax[i:j], strip_counts[i:j], nodes[i:j])
-        half = np.sqrt(np.maximum(budget[node] - (c * vp[node]) ** 2, 0.0))
-        dlo, dhi = strips.integer_range(-half, half, c * up[node])
-        d, c, node = strips.expand(dlo - 1, strips.widths(dlo - 1, dhi + 1), c, node)
+
+    def add(c, d, node):  # the terms of the coprime rows (c, d) of each node that pass the filter and v_g >= R
         keep = np.gcd(np.abs(c), np.abs(d)) == 1
         if cosets == "identity":
             keep &= c == 0
@@ -275,7 +302,18 @@ def ellipse_cusp_sums(taus, xi, M, spec, cosets):
         mm, wm, sm, owner = strips.expand(mlo, strips.widths(mlo, mhi), w, scale, np.arange(c.size))
         arg = (wm + mm) * sm
         msum = np.bincount(owner, weights=np.exp(-(arg**2)), minlength=c.size)
-        out += np.bincount(node, weights=vg**spec.beta * msum, minlength=vp.size)
+        out[:] += np.bincount(node, weights=vg**spec.beta * msum, minlength=vp.size)
+
+    nodes, strip_counts = np.arange(vp.size), np.where(deep, 0, 2 * cmax + 1)
+    for i, j in strips.runs(strip_counts, 1 << 13):
+        c, node = strips.expand(-cmax[i:j], strip_counts[i:j], nodes[i:j])
+        half = np.sqrt(np.maximum(budget[node] - (c * vp[node]) ** 2, 0.0))
+        dlo, dhi = strips.integer_range(-half, half, c * up[node])
+        d, c, node = strips.expand(dlo - 1, strips.widths(dlo - 1, dhi + 1), c, node)
+        add(c, d, node)
+    for i in np.flatnonzero(deep):
+        c, d = np.array(sorted(_reduced_rows(up[i], vp[i])), dtype=np.int64).T
+        add(c, d, np.full(c.size, i))
     return out
 
 

@@ -85,6 +85,13 @@ domains = st.sampled_from([ld.Annulus(0.0), ld.Square()]) | st.floats(0.0, 0.95)
 
 @PROPS
 @given(reduced_bases(), shifts, st.floats(0.5, 60.0), domains)
+# reduced bases with a zero entry put the strips parallel to a side of the square, whose slab
+# (``_side``) tests each strip whole; (1, 0.5, 0, 1) is the reduced form of (1, 0.5, -2, 0)
+@example(ld.Mat2.identity(), (0.0, 0.0), 7.0, ld.Square())
+@example(ld.Mat2.identity(), (0.5, -0.25), 7.3, ld.Square())
+@example(ld.Mat2(0.0, -1.0, 1.0, 0.0), (2.0, 0.5), 2.5, ld.Square())
+@example(ld.Mat2(1.0, 0.5, 0.0, 1.0), (1.0, -0.5), 4.5, ld.Square())
+@example(ld.Mat2(1.0, 0.5, 0.0, 1.0), (0.25, 0.5), 31.0, ld.Square())
 def test_reduced_bases_match_the_scan(basis, shift, T, shape):
     # T up to 60 gives the strips long certified interiors
     _assert_exact(basis, shift, shape, T)
@@ -160,11 +167,12 @@ def test_disc_count_at_a_lattice_points_radius():
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.floats(-2.0, 2.0), st.floats(0.1, 8.0), st.floats(0.0, 2 * math.pi), exact_shifts,
-       st.tuples(st.integers(-6, 6), st.integers(-6, 6)), st.sampled_from([-1, 0, 1]))
-def test_disc_count_keeps_what_the_float_test_keeps(u, v, phi, shift, m, ulps):
+       st.tuples(st.integers(-6, 6), st.integers(-6, 6)), st.sampled_from([-1, 0, 1]), st.booleans())
+def test_disc_count_keeps_what_the_float_test_keeps(u, v, phi, shift, m, ulps, flip):
     # r is the radius of the point at m, formed entry by entry as disc_count's test forms it, moved
-    # by at most one ulp, so that point and any on its circle lie within roundoff of the boundary
-    A = ld.iwasawa_matrix(u, v, phi)[0]
+    # by at most one ulp, so that point and any on its circle lie within roundoff of the boundary;
+    # ``flip`` negates the second column, for a matrix of determinant -1
+    A = ld.iwasawa_matrix(u, v, phi)[0] * ([1.0, -1.0] if flip else 1.0)
     p1, p2 = m[0] + shift[0], m[1] + shift[1]
     y1, y2 = p1 * A[0][0] + p2 * A[1][0], p1 * A[0][1] + p2 * A[1][1]
     r = math.sqrt(y1 * y1 + y2 * y2)

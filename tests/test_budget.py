@@ -69,7 +69,7 @@ def test_one_global_shrinks_every_cap(monkeypatch):
         (ld.siegel_average, "classic", 101, rng),
         (ld.horocycle_escape_integral, ld.Mat2.identity(), (0.3, 0.7), 1.0, 2.0, 1e-2, (-1, 1), 101),
         (ld.dioph_scan, (0.3, 0.7), 2.0, 10),
-        (ld.MeasureSpec.uniform, 7),
+        (ld.MeasureSpec.uniform, 34),
         (ld.cone_counts, A, np.zeros(2), ld.ConeRegion(0.0, (0.0, 1000.0))),
         (disc_count, A, np.zeros(2), 100.0),
     ]
@@ -93,13 +93,38 @@ def test_direction_statistics_check_their_passes(monkeypatch):
     _budget(monkeypatch, N * 3 - 1)
     with pytest.raises(ld.CapacityError, match="reach 2"):
         ld.pair_correlation_integral(dirs, (0.0, 1.0), (-1.0, 1.0))
-    # mixed_moment makes one window count per window and grid point
+    # mixed_moment holds GRID_VALUES values per window and grid point: one window of 100 points
+    # fits in 16 x 100, two do not
     _budget(monkeypatch, stats.GRID_VALUES * 100)
     lam = ld.MeasureSpec.uniform(100)
-    ld.mixed_moment(dirs, [(0.0, 1.0)] * stats.GRID_VALUES, ld.MomentSpec((1,) * stats.GRID_VALUES), lam)
-    m = stats.GRID_VALUES + 1
-    with pytest.raises(ld.CapacityError, match="windows"):
-        ld.mixed_moment(dirs, [(0.0, 1.0)] * m, ld.MomentSpec((1,) * m), lam)
+    ld.mixed_moment(dirs, [(0.0, 1.0)], ld.MomentSpec((1,)), lam)
+    with pytest.raises(ld.CapacityError, match="2 windows x 100 quadrature points"):
+        ld.mixed_moment(dirs, [(0.0, 1.0)] * 2, ld.MomentSpec((1,) * 2), lam)
+
+
+@pytest.mark.parametrize("windows", [[(0.0, 1.0)], [(0.0, 1.0), (0.5, 2.0)], [(0.0, 1.0), (0.5, 2.0), (-1.0, 3.0)],
+                                     [(0.0, 1.0)] * 3])
+def test_moment_grid_peaks_below_its_budget(monkeypatch, windows):
+    # at the largest grid that the budget accepts for m windows, a moment's tracemalloc peak stays
+    # below the budget's 8 bytes a value (about 3 + 12 m values per grid point are held); an
+    # untraced call first pays the process's one-time imports and caches
+    dirs = ld.direction_set(ld.AffineLatticeSpec(ld.Mat2.identity(), (0.3, 0.7)), ld.Annulus(0.0), 18.0)
+    budget = 480_000
+    _budget(monkeypatch, budget)
+    m = len(windows)
+    points = budget // (stats.GRID_VALUES * m)
+    lam = ld.MeasureSpec.uniform(points)
+    spec = ld.MomentSpec((1,) * m)
+    ld.mixed_moment(dirs, windows, spec, lam)
+    tracemalloc.start()
+    try:
+        ld.mixed_moment(dirs, windows, spec, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * budget
+    with pytest.raises(ld.CapacityError, match="quadrature points"):
+        ld.mixed_moment(dirs, windows, spec, ld.MeasureSpec.uniform(points + 1))
 
 
 def test_large_statistics_are_refused_before_allocating():
@@ -110,7 +135,7 @@ def test_large_statistics_are_refused_before_allocating():
     assert dirs.N * (1.0 + W) > 2e8
     assert _peak(ld.pair_correlation, dirs, [-W, 0.0, W]) < 1e6
     assert _peak(ld.pair_correlation_integral, dirs, (0.0, 1.0), (W, W + 1.0)) < 1e6
-    assert _peak(ld.MeasureSpec.uniform, 10**8) < 1e6  # 1e8 points hold about 1.3e9 values
+    assert _peak(ld.MeasureSpec.uniform, 10**8) < 1e6  # 1e8 points hold 3e8 values
     assert _peak(ld.dioph_scan, (0.3, 0.7), 2.0, 10**6) < 1e6  # 1e12 values of the half diamond
 
 

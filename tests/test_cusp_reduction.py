@@ -1,11 +1,12 @@
 """Property tests for the SL(2, Z) reduction behind ``latdir.escape``.
 
-``cusp_window_sum`` proposes four rows per node, +-(c, d) and +-(a, b) of the
-matrix that reduces tau' = M . tau to the standard fundamental domain.
-Its sums must equal, bit for bit, the ellipse reference that scans every
-coprime row c^2 v'^2 + (c u' + d)^2 <= v'/R, for random M, xi, R in
-[1, 64], v' in [1e-9, 3] and every coset filter, including nodes on
-|tau'| = 1 and at tau' = i + k, where R = 1 is an exact tie.
+``cusp_window_sum`` proposes four rows per node: +- the rows (c, d) = (y, x)
+of the vectors x + y tau' of the float Gauss-reduced basis (``lattice._gauss``)
+of the lattice Z + Z tau', tau' = M . tau.  Its sums must equal, bit for bit, the ellipse reference
+that scans every coprime row c^2 v'^2 + (c u' + d)^2 <= v'/R, for random M,
+xi, R in [1, 64], v' from the height floor 2^-52 (1 + |u'|) to 3 and every
+coset filter, including nodes on |tau'| = 1 and at tau' = i + k, where R =
+1 is an exact tie.
 """
 
 import math
@@ -54,7 +55,7 @@ def _boundary_points(draw, count):
 
 @st.composite
 def cusp_cases(draw):
-    """M, xi, a spec, a coset filter and nodes tau whose images tau' = M . tau have v' in [1e-9, 3].
+    """M, xi, a spec, a coset filter and nodes tau whose images tau' = M . tau have v' in [2^-52 (1 + |u'|), 3].
 
     With M = I the nodes are the points tau' themselves, so the boundary
     and tie points are exact; with a random M they are pulled back
@@ -70,13 +71,17 @@ def cusp_cases(draw):
     R = draw(st.one_of(st.just(1.0), st.just(1.0 + 1e-12), st.floats(1.0, 64.0)))
     spec = ld.CuspSpec(draw(st.floats(0, 2)), R, draw(st.floats(0.5, 2)))
     cosets = draw(st.sampled_from(escape.COSET_FILTERS))
-    heights = draw(st.lists(st.floats(-9, math.log10(3)), min_size=1, max_size=12))
-    targets = [complex(draw(st.floats(-3, 3)), 10.0**h) for h in heights]
+    targets = []
+    for u in draw(st.lists(st.floats(-3, 3), min_size=1, max_size=12)):
+        floor = 2.0**-52 * (1.0 + abs(u))
+        targets.append(complex(u, max(10.0 ** draw(st.floats(math.log10(floor), math.log10(3))), floor)))
     targets += _boundary_points(draw, draw(st.integers(0, 8)))
     if identity:
         return M, xi, spec, cosets, targets
-    taus = [(M.d * t - M.b) / (-M.c * t + M.a) for t in targets]
-    return M, xi, spec, cosets, [t for t in taus if t.imag > 0]
+    taus = [t for t in ((M.d * t - M.b) / (-M.c * t + M.a) for t in targets) if t.imag > 0]
+    # a pulled-back node whose image rounds below the floor is refused (test_escape.py); the rest are summed
+    up, vp = escape._moebius(M, np.array([t.real for t in taus]), np.array([t.imag for t in taus]))
+    return M, xi, spec, cosets, [t for t, keep in zip(taus, np.minimum(vp, 1.0) >= 2.0**-52 * (1.0 + np.abs(up))) if keep]
 
 
 @settings(derandomize=True, deadline=None, max_examples=120)

@@ -341,12 +341,20 @@ def test_settle_moves_each_end_by_the_predicate():
     assert strips.widths(lo, hi).tolist() == [4, 4, 4, 1, 0]
 
 
+def _square_range(basis, p1, xi2, t):
+    """Each strip's m2 range of the closed square |y1|, |y2| <= t: two slabs cut by ``_side``, solved by ``_solved``."""
+    lo, hi = np.full(p1.size, -np.inf), np.full(p1.size, np.inf)
+    for n1, n2 in ((1.0, 0.0), (0.0, 1.0)):
+        lattice._side(lo, hi, p1 * basis.a, p1 * basis.b, basis.c, basis.d, n1, n2, t, slab=True)
+    return lattice._solved(lo, hi, xi2)
+
+
 def test_square_range_solves_closed_slabs():
     # -t <= p1 r + (m2 + xi2) q <= t per axis: closed, so ends on an integer are kept
     p1 = np.array([-3.0, -1.0, 0.0, 1.5, 3.0])
     for basis, xi2, t in [(ld.Mat2.identity(), 0.0, 2.0), (ld.Mat2(0.0, -1.0, 1.0, 0.0), 0.5, 2.5),
                           (ld.Mat2(1.0, 0.5, -2.0, 0.0), 0.5, 4.5), (ld.Mat2(2.0, 1.0, 1.0, 1.0), 0.25, 3.25)]:
-        lo, hi = lattice._square_range(basis, p1, xi2, t)
+        lo, hi = _square_range(basis, p1, xi2, t)
         for k, x in enumerate(p1):
             m2 = np.arange(-40, 41)
             y1, y2 = x * basis.a + (m2 + xi2) * basis.c, x * basis.b + (m2 + xi2) * basis.d
@@ -354,6 +362,8 @@ def test_square_range_solves_closed_slabs():
             assert strips.widths(lo[k], hi[k]) == inside.size
             if inside.size:
                 assert (lo[k], hi[k]) == (inside[0], inside[-1])
-    # a zero coefficient q (here B.c = 0) tests the whole strip: |p1 B.a| <= t, else the range is [1, 0]
-    lo, hi = lattice._square_range(ld.Mat2.identity(), np.array([2.0, -2.0, 2.5]), 0.0, 2.0)
-    assert lo.tolist() == [-2, -2, 1] and hi.tolist() == [2, 2, 0]
+    # a zero coefficient q (here B.c = 0) makes a strip parallel to a slab, which tests it whole:
+    # |p1 B.a| <= t, else the range is empty
+    lo, hi = _square_range(ld.Mat2.identity(), np.array([2.0, -2.0, 2.5]), 0.0, 2.0)
+    assert lo[:2].tolist() == [-2, -2] and hi[:2].tolist() == [2, 2]
+    assert strips.widths(lo, hi).tolist() == [5, 5, 0]

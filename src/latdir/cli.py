@@ -55,6 +55,7 @@ from .stats import (
     IntervalBox,
     MeasureSpec,
     MomentSpec,
+    _check_grid,
     mixed_moment,
     pair_correlation,
     spacing_histogram,
@@ -472,6 +473,7 @@ def cmd_moments(args) -> int:
     box = _box_from_args(args)
     exps = parse_complex_list(args.s)
     spec = MomentSpec(tuple(exps), cap=args.K)
+    _check_grid(box.m, args.grid)  # before the measure's grid is built
     lam = MeasureSpec.uniform(args.grid)
     # every window at every grid point from one sweep over the sectors, with no direction set
     val = mixed_moment(dirs, box, spec, lam, shifted=args.shifted)

@@ -25,6 +25,13 @@ test.  The counter walks its samples in passes of whole samples, about
 one pass.  A congruence coset acts on the shift, not on the matrix:
 (Z^2 + p/q) gamma A is counted as (Z^2 + (p gamma mod q) / q) A, with the
 shift rounded once.
+
+A sampler call holds one workspace (``_Workspace``), sized by its largest
+Haar block, that every block reuses: the draws u, v, phi, made in place
+with the bits of ``Generator.uniform``; the shift rows, drawn straight
+into them or looked up in a table of one shift per coset; the rows of
+the Iwasawa entries; and one scratch buffer that holds a draw's
+proposals and then each cone pass's factor table and pass arrays.
 """
 
 from __future__ import annotations
@@ -92,59 +99,120 @@ class ConeRegion:
 # Haar sampling on the fundamental domain
 
 
-def _haar_batch(rng, n: int):
-    """Arrays (u, v, phi) of n fundamental-domain samples.
+class _Workspace:
+    """The arrays of one sampler call, reused by each of its Haar blocks of up to n samples.
 
-    u is uniform on [-1/2, 1/2]; v follows the 1/v^2 profile on
-    [sqrt(3)/2, inf) by inverse CDF; proposals with u^2 + v^2 < 1 are
-    rejected, which leaves exactly the normalized hyperbolic-area measure
-    on the fundamental domain.  phi is uniform on [0, 2*pi).
+    ``draws`` holds the rows u, v, phi of ``haar``; ``shift`` the rows
+    xi1, xi2 of a block's shift (zeros unless drawn); ``entries`` the six
+    rows of ``_iwasawa_entries``.  One flat ``scratch`` buffer serves one
+    step at a time: a draw's proposals, the irrational shift's raw draws,
+    each cone pass's factor table and pass arrays.  So the blocks after the
+    first reuse the memory of their draws and cone tables, and a cone pass
+    shares its memory with the draws.
     """
-    us = np.empty(n)
-    vs = np.empty(n)
-    have = 0
-    while have < n:
-        m = int((n - have) * 1.25) + 16
-        u = rng.uniform(-0.5, 0.5, m)
-        v = V_FLOOR / (1.0 - rng.uniform(0.0, 1.0, m))
-        acc = u * u + v * v >= 1.0
-        take = min(int(acc.sum()), n - have)
-        us[have : have + take] = u[acc][:take]
-        vs[have : have + take] = v[acc][:take]
-        have += take
-    phi = rng.uniform(0.0, TWO_PI, n)
-    return us, vs, phi
+
+    def __init__(self, n: int):
+        self.draws = np.empty((3, n))
+        self.shift = np.zeros((2, n))
+        self.entries = np.empty((6, n))
+        self._scratch = np.empty(0)
+
+    def scratch(self, size: int) -> np.ndarray:
+        """A flat float64 buffer of ``size`` values, which the next call overwrites.
+
+        It grows to 1/32 more than asked, the old buffer freed first,
+        so later blocks that need a little more do not allocate again.
+        """
+        if size > self._scratch.size:
+            self._scratch = None
+            self._scratch = np.empty(size + size // 32)
+        return self._scratch[:size]
+
+    def haar(self, rng, n: int):
+        """Arrays (u, v, phi) of n fundamental-domain samples: views of ``draws``.
+
+        u is uniform on [-1/2, 1/2]; v follows the 1/v^2 profile on
+        [sqrt(3)/2, inf) by inverse CDF; proposals with u^2 + v^2 < 1 are
+        rejected, which leaves exactly the normalized hyperbolic-area
+        measure on the fundamental domain.  phi is uniform on [0, 2*pi).
+        Each is drawn in place as ``Generator.uniform(low, high)`` draws,
+        low + (high - low) r for r from ``Generator.random``: -0.5 + r,
+        then r for 1 - r, then 2 pi r, with the same bits.
+        """
+        u, v, phi = self.draws[:, :n]
+        have = 0
+        while have < n:
+            m = int((n - have) * 1.25) + 16
+            buf = self.scratch(4 * m + -(-m // 8))
+            pu, pv, t, t2 = buf[: 4 * m].reshape(4, m)
+            acc = buf[4 * m :].view(bool)[:m]
+            rng.random(out=pu)
+            pu -= 0.5
+            rng.random(out=pv)
+            np.divide(V_FLOOR, np.subtract(1.0, pv, out=pv), out=pv)
+            np.multiply(pu, pu, out=t)
+            t += np.multiply(pv, pv, out=t2)
+            keep = np.flatnonzero(np.greater_equal(t, 1.0, out=acc))[: n - have]
+            np.take(pu, keep, out=u[have : have + keep.size])
+            np.take(pv, keep, out=v[have : have + keep.size])
+            have += keep.size
+        rng.random(out=phi)
+        phi *= TWO_PI
+        return u, v, phi
+
+    def torus(self, rng, n: int):
+        """Rows (xi1, xi2) of n shifts uniform on the unit torus: views of ``shift``.
+
+        ``Generator.uniform(0, 1, (n, 2))`` draws one sample's pair after the
+        other, each 0 + 1 r: the draws of ``Generator.random`` themselves.
+        """
+        r = self.scratch(2 * n)
+        rng.random(out=r)
+        xi = self.shift[:, :n]
+        np.copyto(xi, r.reshape(n, 2).T)
+        return xi
 
 
-def _haar_blocks(rng, sizes, xi_class: str, p=None, q=None):
-    """Yield (u, v, phi, shift) for Haar blocks of the given sizes, in order.
+def _haar_batch(rng, n: int):
+    """Arrays (u, v, phi) of n fundamental-domain samples (``_Workspace.haar``), in a fresh workspace."""
+    return _Workspace(n).haar(rng, n)
+
+
+def _haar_blocks(rng, sizes, xi_class: str, p=None, q=None, ws=None):
+    """Yield (u, v, phi, xi) for Haar blocks of the given sizes, in order.
 
     Each block is drawn from its own child of ``rng.spawn``, keyed by its
     index, so results merged over blocks do not depend on how blocks are
-    scheduled.  Within a block ``_haar_batch`` draws first, then the (n, 2)
-    shift by ``xi_class``: zeros for "integer", uniform on the unit torus
-    for "irrational", and for "rational" the shift (p gamma mod q) / q of a
-    uniform congruence coset gamma (``coset_reps``).  The class, p and q
-    are checked before any stream is spawned: p and q are needed by the
-    rational class and refused by the others.
+    scheduled.  Within a block ``_Workspace.haar`` draws first, then the
+    shift by ``xi_class``, as the rows xi = (xi1, xi2) of n samples: zeros
+    for "integer", uniform on the unit torus for "irrational"
+    (``_Workspace.torus``), and for "rational" the shift
+    (p gamma mod q) / q of a uniform congruence coset gamma
+    (``coset_reps``), looked up in the table of its shifts (``_coset_table``).
+    The class, p and q are checked before any stream is spawned: p and q
+    are needed by the rational class and refused by the others.
+
+    Every block is drawn into the workspace ``ws`` (a new one for the
+    largest block if None): the arrays yielded are views that the next
+    block overwrites, so a consumer uses them before it asks for the next.
     """
     if xi_class == "rational":
         if q is None or p is None:
             raise InvalidInputError("rational class needs p and q")
-        reps = np.array(coset_reps(q))
+        table = _coset_table(p, q)
     elif xi_class not in ("integer", "irrational"):
         raise InvalidInputError(f"unknown xi_class {xi_class!r}")
     elif p is not None or q is not None:
         raise InvalidInputError(f"p and q fix the rational class's shift, not the {xi_class} class's")
+    ws = _Workspace(max(sizes)) if ws is None else ws
     for stream, nb in zip(rng.spawn(len(sizes)), sizes):
-        u, v, phi = _haar_batch(stream, nb)
-        if xi_class == "integer":
-            shift = np.zeros((nb, 2))
-        elif xi_class == "irrational":
-            shift = stream.uniform(0.0, 1.0, (nb, 2))
-        else:
-            shift = _coset_shift(p, q, reps[stream.integers(0, len(reps), nb)])
-        yield u, v, phi, shift
+        u, v, phi = ws.haar(stream, nb)
+        xi = ws.torus(stream, nb) if xi_class == "irrational" else ws.shift[:, :nb]
+        if xi_class == "rational":
+            coset = stream.integers(0, table.shape[1], nb)
+            for row, values in zip(xi, table):
+                np.take(values, coset, out=row)
+        yield u, v, phi, xi
 
 
 def haar_v_cdf(v):
@@ -241,21 +309,22 @@ def _sincos(phi, out):
     return c, s
 
 
-def _iwasawa_entries(u, v, phi):
+def _iwasawa_entries(u, v, phi, e=None):
     """Entries (a11, a12, a21, a22) of n(u) a(v) k(phi), each an array over the samples.
 
-    The entries are rows of one (6, n) array that ``_sincos`` uses first.
+    The entries are rows of one (6, n) array ``e`` (a new one if None)
+    that ``_sincos`` uses first; the other rows hold sqrt(v) and u / sqrt(v).
     """
-    e = np.empty((6, phi.size))
+    e = np.empty((6, phi.size)) if e is None else e
     c, s = _sincos(phi, e)
-    sv = np.sqrt(v)
-    w = u / sv
-    a11, a12, t = e[2:5]
+    a11, a12, sv, w = e[2:]
+    np.sqrt(v, out=sv)
+    np.divide(u, sv, out=w)
     np.multiply(sv, c, out=a11)
-    a11 += np.multiply(w, s, out=t)
+    a11 += np.multiply(w, s, out=a12)
     np.negative(sv, out=a12)
     a12 *= s
-    a12 += np.multiply(w, c, out=t)
+    a12 += np.multiply(w, c, out=w)  # w is free from here
     return a11, a12, np.divide(s, sv, out=s), np.divide(c, sv, out=c)
 
 
@@ -280,7 +349,7 @@ def iwasawa_matrix(u, v, phi) -> np.ndarray:
 # Exact lattice-point counts in cone regions
 
 
-def _cone_kernel(A, xi1, xi2, c: float, intervals) -> np.ndarray:
+def _cone_kernel(A, xi1, xi2, c: float, intervals, ws=None) -> np.ndarray:
     """Counts (n, m): per sample, the m in Z^2 with (m + xi) A in ConeRegion(c, I_j).
 
     ``A`` holds the entries (a11, a12, a21, a22) of one |det| = 1 matrix per
@@ -288,7 +357,9 @@ def _cone_kernel(A, xi1, xi2, c: float, intervals) -> np.ndarray:
     windows.  The slope coefficients, the strip ranges and the masks of the
     flat and zero-coefficient samples are formed once, here; the samples
     then go through ``_cone_pass`` in passes of whole samples, each cut
-    where its strips reach ``strips.CHUNK`` (``strips.runs``).
+    where its strips reach ``strips.CHUNK`` (``strips.runs``).  Each pass
+    forms its per-strip table in the scratch of the workspace ``ws`` (a new
+    one if None), the memory of the draws of a sampler call.
 
     A zero slope coefficient k = a22 - s a21 makes its edge the level line
     p1 = 0, where the polygon's p1 range ends, and its bound a test of the
@@ -320,23 +391,23 @@ def _cone_kernel(A, xi1, xi2, c: float, intervals) -> np.ndarray:
     rows = strips.widths(m1lo, m1hi)
     _check_budget(rows.sum(dtype=float) * len(intervals), "cone strips times windows")
     out = np.zeros((len(intervals), a11.size), dtype=np.int64).T  # one contiguous column per window
+    ws = _Workspace(0) if ws is None else ws
     for i, j in strips.runs(rows, strips.CHUNK):
         masks = [None if x is None or not x[i:j].any() else x[i:j] for x in (flat, zero)]
         out[i:j] = _cone_pass([a[i:j] for a in A], xi1[i:j], xi2[i:j], c, intervals, slopes, k[..., i:j],
-                              m1lo[i:j], m1hi[i:j], rows[i:j], *masks)
+                              m1lo[i:j], m1hi[i:j], rows[i:j], *masks, ws)
     return out
 
 
-def _cone_factors(A, xi1, xi2, c: float, slopes, k, p1, m1hi, flat, width) -> np.ndarray:
-    """Per-sample factors of ``_cone_pass``, in the first n columns of a table (4 + 4m, width), one
-    row each: step, x0lo, x0hi, tol, then per window the factors of its lower slope's bound as
+def _cone_factors(A, xi1, xi2, c: float, slopes, k, p1, m1hi, flat, f) -> None:
+    """Per-sample factors of ``_cone_pass``, written to the first n columns of a table f (4 + 4m, width),
+    one row each: step, x0lo, x0hi, tol, then per window the factors of its lower slope's bound as
     a lower and as an upper bound, nan where the bound has the other role, and those of its upper
     slope's bound: rows (side, role, window).  p1 = m1lo + xi1 is each sample's first strip."""
     a11, a12, a21, a22 = A
     m, n = len(slopes), a11.size
-    f = np.empty((4 + 4 * m, width))
     step, x0lo, x0hi, tol = f[:4, :n]
-    roles = f[4:].reshape(2, 2, m, width)[..., :n]
+    roles = f[4:].reshape(2, 2, m, -1)[..., :n]
     q, ks = roles[:, 1], k.transpose(1, 0, 2)  # (side, window, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         # the x-bounds are x0 - p1 step: x0 in {c / a21, 1 / a21}, step = a11 / a21
@@ -382,10 +453,9 @@ def _cone_factors(A, xi1, xi2, c: float, slopes, k, p1, m1hi, flat, width) -> np
         z *= size
         z *= np.add(z, 1.0, out=size)
         np.minimum(np.multiply(z, 1e-9, out=z), 1.0, out=tol)
-    return f
 
 
-def _cone_pass(A, xi1, xi2, c: float, intervals, slopes, k, m1lo, m1hi, rows, flat, zero) -> np.ndarray:
+def _cone_pass(A, xi1, xi2, c: float, intervals, slopes, k, m1lo, m1hi, rows, flat, zero, ws) -> np.ndarray:
     """``_cone_kernel`` on a run of samples with m1-strips [m1lo, m1hi], ``rows`` of them: counts (n, m).
 
     The windows share the m1-strips and the x-bounds.  On the strip of m1,
@@ -411,17 +481,24 @@ def _cone_pass(A, xi1, xi2, c: float, intervals, slopes, k, m1lo, m1hi, rows, fl
     All strips are bounded in one sweep over a table of per-strip factors
     (``_cone_factors``): its first n columns, each sample's first strip,
     are formed straight from the samples, and the factors are gathered only
-    to the other strips, which follow.
+    to the other strips, which follow.  The table, the strips' p1 and the
+    masks of the apex strips and the near-integer ends are views of the
+    scratch of ``ws``; the counts (n, m) returned are too, valid until the
+    scratch is used again.
     """
     a11, a12, a21, a22 = A
     n, m = a11.size, len(intervals)
     more, most = np.flatnonzero(rows > 1), np.flatnonzero(rows > 2)
     m1, s = strips.expand(m1lo[most] + 2, rows[most] - 2, most)  # the third strips and on
     m1, s = np.concatenate((m1lo[more] + 1, m1)), np.concatenate((more, s))  # the second strips first
-    p1 = np.empty(n + s.size)
+    width = n + s.size
+    buf = ws.scratch((5 + 4 * m) * width + -(-max(m, 2) * width // 8))
+    p1, f = buf[:width], buf[width : (5 + 4 * m) * width].reshape(4 + 4 * m, width)
+    flags = buf[(5 + 4 * m) * width :].view(bool)  # the apex strips, then the near-integer ends
     np.add(m1lo, xi1, out=p1[:n])
     np.add(m1, xi1[s], out=p1[n:])
-    f = _cone_factors(A, xi1, xi2, c, slopes, k, p1[:n], m1hi, flat, p1.size)
+    del m1, more, most  # freed before the table is filled
+    _cone_factors(A, xi1, xi2, c, slopes, k, p1[:n], m1hi, flat, f)
     for row in f:  # row by row: 1-d takes are the fast kind (s is in range, so "wrap" never wraps)
         np.take(row[:n], s, out=row[n:], mode="wrap")
     step, x0lo, x0hi, tol = f[:4]
@@ -452,23 +529,32 @@ def _cone_pass(A, xi1, xi2, c: float, intervals, slopes, k, m1lo, m1hi, rows, fl
     # the origin y = 0 is never inside, so on a strip through it (p1 = 0, xi2 in Z) a bound of
     # exactly 0 moves half a step: it then decides the integers without rounding
     whole = xi2 == np.rint(xi2)
-    apex = whole.any() and (p1 == 0.0) & np.concatenate((whole, whole[s]))
-    if np.any(apex):
-        for end, half in zip(bound.reshape(2 * m, -1), np.repeat([0.5, -0.5], m)):
-            end += (apex & (end == 0.0)) * half
-    bound -= np.concatenate((xi2, xi2[s]))
+    if whole.any():
+        apex, hit = flags[: 2 * width].reshape(2, width)
+        np.equal(p1, 0.0, out=apex)
+        if not whole.all():
+            apex[:n] &= whole
+            apex[n:] &= whole[s]
+        for end, half in zip(bound.reshape(2 * m, -1), np.repeat([0.5, -0.5], m)):  # shift is free here
+            end += np.multiply(np.logical_and(apex, np.equal(end, 0.0, out=hit), out=hit), half, out=shift)
+    strip_xi2 = x  # each strip's xi2
+    strip_xi2[:n] = xi2
+    np.take(xi2, s, out=strip_xi2[n:])
+    bound -= strip_xi2
     if not -strips.LIMIT <= bound.min() <= bound.max() <= strips.LIMIT:  # NaN fails too
         np.clip(bound, -strips.LIMIT, strips.LIMIT, out=bound)
     off = np.abs(np.subtract(np.rint(bound, out=other), bound, out=other), out=other)
-    near = np.minimum(off[0], off[1], out=off[0]) < tol  # window w on strip j is entry w W + j
+    near = flags[: m * width].reshape(m, width)
+    np.less(np.minimum(off[0], off[1], out=off[0]), tol, out=near)  # window w on strip j is entry w W + j
     np.ceil(lower, out=lower)
     np.floor(upper, out=upper)
     on = np.flatnonzero(near)
     lo, hi = lower.reshape(-1)[on].astype(np.int64), upper.reshape(-1)[on].astype(np.int64)
     # where no end lies within tol of an integer, tol < 1, so z < 3.2e4 and every bound is below
     # 4 z in size: there upper - lower + 1 counts exactly in floats
-    upper -= lower - 1.0
-    count = np.maximum(upper, 0.0, out=upper).astype(np.int64)
+    upper -= np.subtract(lower, 1.0, out=other[1])
+    count = other[0].view(np.int64)  # other's rows are free again
+    np.copyto(count, np.maximum(upper, 0.0, out=upper), casting="unsafe")
     if on.size:
         w, j = np.divmod(on, p1.size)
         at = owner(j)
@@ -547,6 +633,11 @@ def _coset_shift(p, q: int, gamma) -> np.ndarray:
     """(p gamma mod q) / q for integer cosets gamma (..., 2, 2): the shift of (Z^2 + p/q) gamma."""
     pg = np.einsum("i,...ij->...j", np.asarray(p, dtype=np.int64), gamma)
     return np.mod(pg, q) / q
+
+
+def _coset_table(p, q: int) -> np.ndarray:
+    """Rows (xi1, xi2): the shift ``_coset_shift`` of each level-q coset, in ``coset_reps`` order."""
+    return np.ascontiguousarray(_coset_shift(p, q, np.array(coset_reps(q))).T)
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +720,10 @@ def sample_count_distribution(
     _check_budget(n * len(intervals) * (2.15 * (1.0 + s) + 3.0), f"{n} samples x {len(intervals)} windows")
     blocks = min(blocks, n)
     sizes = [n // blocks + (1 if i < n % blocks else 0) for i in range(blocks)]
+    ws = _Workspace(sizes[0])  # the largest block
     tables = []
-    for u, v, phi, shift in _haar_blocks(rng, sizes, xi_class, p, q):
-        counts = _cone_kernel(_iwasawa_entries(u, v, phi), *np.ascontiguousarray(shift.T), c, intervals)
+    for u, v, phi, xi in _haar_blocks(rng, sizes, xi_class, p, q, ws):
+        counts = _cone_kernel(_iwasawa_entries(u, v, phi, ws.entries[:, : u.size]), *xi, c, intervals, ws)
         tables.append(stats._count_table(counts)[:2])
     return stats._merge_tables(tables)
 
@@ -782,10 +874,10 @@ def siegel_average(which: str, n: int, rng) -> MCResult:
     xi_class = "integer" if which == "classic" else "irrational"
     vals = np.empty(n)
     done = 0
-    for u, v, _, shift in _haar_blocks(rng, sizes, xi_class):  # k(phi) leaves |x| unchanged
+    for u, v, _, xi in _haar_blocks(rng, sizes, xi_class):  # k(phi) leaves |x| unchanged
         for i in range(0, u.size, SIEGEL_CHUNK):
             j = min(i + SIEGEL_CHUNK, u.size)
-            s, s2 = _gauss_sums(u[i:j], v[i:j], shift[i:j], which == "affine_pair")
+            s, s2 = _gauss_sums(u[i:j], v[i:j], xi[:, i:j].T, which == "affine_pair")
             vals[done + i : done + j] = s - 1.0 if s2 is None else s * s - s2  # classic drops m = 0
         done += u.size
     exact = math.pi if which == "classic" else math.pi**2

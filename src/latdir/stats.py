@@ -795,6 +795,12 @@ def _merge_tables(tables) -> CountDistribution:
     return CountDistribution(distinct, hist)
 
 
+def _check_grid(m: int, quadrature_points: int) -> None:
+    """CapacityError when the law of m windows at ``quadrature_points`` grid points, ``GRID_VALUES``
+    values each, passes the budget; a caller that builds the measure itself checks first."""
+    _check_budget(GRID_VALUES * m * quadrature_points, f"{m} windows x {quadrature_points} quadrature points")
+
+
 def window_count_law(dirs: DirectionSet | DirectionStream, box, lam: MeasureSpec | None = None) -> CountDistribution:
     """Grid law of the count vector of the windows of ``box`` under the measure ``lam`` (uniform by default).
 
@@ -810,8 +816,7 @@ def window_count_law(dirs: DirectionSet | DirectionStream, box, lam: MeasureSpec
     """
     box = as_box(box)
     lam = lam if lam is not None else MeasureSpec.uniform()
-    _check_budget(GRID_VALUES * box.m * lam.quadrature_points,
-                  f"{box.m} windows x {lam.quadrature_points} quadrature points")
+    _check_grid(box.m, lam.quadrature_points)
     counts = window_counts(dirs, np.array(box.intervals), lam.grid())
     rows, _, index = _count_table(counts.T)
     return CountDistribution(rows, np.bincount(index, lam.values(), len(rows))[None] / lam.quadrature_points)

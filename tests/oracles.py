@@ -414,3 +414,47 @@ def random_unimodular(rng, length=None):
         else:
             g = g @ np.linalg.matrix_power(T, int(rng.integers(-2, 3)))
     return g
+
+
+def uniform_haar_batch(rng, n):
+    """Arrays (u, v, phi) of n fundamental-domain samples, drawn with ``Generator.uniform``.
+
+    The sampler's formulation before it drew in place: proposals u =
+    uniform(-1/2, 1/2) and v = sqrt(3) / 2 / (1 - uniform(0, 1)), 1.25
+    times the missing samples plus 16 at a time, kept where u^2 + v^2 >= 1
+    up to n, then phi = uniform(0, 2 pi).
+    """
+    us, vs = np.empty(n), np.empty(n)
+    have = 0
+    while have < n:
+        m = int((n - have) * 1.25) + 16
+        u = rng.uniform(-0.5, 0.5, m)
+        v = math.sqrt(3.0) / 2.0 / (1.0 - rng.uniform(0.0, 1.0, m))
+        acc = u * u + v * v >= 1.0
+        take = min(int(acc.sum()), n - have)
+        us[have : have + take] = u[acc][:take]
+        vs[have : have + take] = v[acc][:take]
+        have += take
+    return us, vs, rng.uniform(0.0, 2.0 * math.pi, n)
+
+
+def uniform_haar_blocks(rng, sizes, xi_class, p=None, q=None):
+    """Yield fresh (u, v, phi, shift) arrays, shift (n, 2), for Haar blocks of the given sizes.
+
+    Each block comes from its own ``rng.spawn`` child: ``uniform_haar_batch``,
+    then the shift of the class: zeros, uniform(0, 1, (n, 2)), or for
+    "rational" ``limit._coset_shift`` of the level-q cosets gathered per
+    sample from ``integers(0, number of cosets, n)``.
+    """
+    from latdir.limit import _coset_shift
+
+    reps = np.array(ld.coset_reps(q)) if xi_class == "rational" else None
+    for stream, n in zip(rng.spawn(len(sizes)), sizes):
+        u, v, phi = uniform_haar_batch(stream, n)
+        if xi_class == "integer":
+            shift = np.zeros((n, 2))
+        elif xi_class == "irrational":
+            shift = stream.uniform(0.0, 1.0, (n, 2))
+        else:
+            shift = _coset_shift(p, q, reps[stream.integers(0, len(reps), n)])
+        yield u, v, phi, shift

@@ -732,6 +732,18 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
+def test_moments_grid_past_the_budget_exits_before_the_measure_is_built(tmp_path, capsys):
+    # three windows at 12.5M grid points are 6e8 values of the count law, past the 2e8 budget,
+    # while the measure's own 3 values a point fit it: refused before its 300 MB grid is made
+    out = tmp_path / "m.json"
+    argv = ["moments", "--xi", "cbrt4,cbrt2", "--T", "20", "--I", "0:1", "--I", "0.5:2", "--I", "1:3",
+            "--s", "1,1,1", "--grid", "12500000", "--out", str(out)]
+    codes = []
+    assert _peak_bytes(lambda: codes.append(main(argv))) < 2**20
+    assert codes == [3] and not out.exists()
+    assert "12500000 quadrature points" in capsys.readouterr().err
+
+
 def test_huge_bin_count_exits_2_without_allocating(tmp_path, capsys):
     # 1e18 edges: checked against the point budget before any array is made
     out = tmp_path / "s.csv"

@@ -308,6 +308,33 @@ def test_count_distribution_size_budget():
         tracemalloc.stop()
 
 
+# tracemalloc peaks (MiB) of one warm call while each Haar block still allocated its draws, shift,
+# entries and cone tables afresh (numpy 2.4, x86-64); the blocks of a call now share one workspace,
+# whose scratch the cone passes share with the draws, and must stay within 2% of those peaks
+SAMPLER_PEAKS = [
+    (("irrational", [(0.0, 1.0)], 10**6, {}), 8.59),
+    (("integer", [(0.0, 1.0)], 10**6, {}), 9.34),
+    (("rational", [(0.0, 1.0), (0.5, 2.0)], 3 * 10**5, {"p": (1, 1), "q": 3}), 4.72),
+]
+
+
+@pytest.mark.parametrize("case, mib", SAMPLER_PEAKS, ids=[c[0][0] for c in SAMPLER_PEAKS])
+def test_sampler_peak_is_no_higher_with_one_workspace(case, mib):
+    xi_class, box, n, kw = case
+
+    def run():
+        return ld.sample_count_distribution(0.0, xi_class, box, n, np.random.default_rng(1), **kw)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.02 * mib * 2**20
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_powers_are_invalid(bad):
     dist = ld.sample_count_distribution(0.0, "irrational", [(0.0, 1.0)], 1000, np.random.default_rng(5))

@@ -700,9 +700,11 @@ def sample_count_distribution(
     the unit torus.  Sampling runs in ``blocks``
     independent substreams derived from ``rng`` (``_haar_blocks``), so the
     merged result does not depend on scheduling and heavy-tailed moments
-    can use median-of-means over the same blocks.  Each block's counts are
-    reduced to its distinct rows and their numbers as soon as they are
-    counted (``stats._count_table``), and the tables are merged at the end.
+    can use median-of-means over the same blocks.  The blocks are drawn,
+    formed and counted in one workspace (``_Workspace``), made after the
+    budget check for the largest block.  Each block's counts are reduced to
+    its distinct rows and their numbers as soon as they are counted
+    (``stats._count_table``), and the tables are merged at the end.
 
     CapacityError is raised before anything is drawn when the most cone
     strips the samples can need, times the windows, pass the budget.  A
